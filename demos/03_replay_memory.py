@@ -2,9 +2,10 @@
 
 One memory serves every task. Each task owns a fixed number of slots filled
 by one-pass reservoir sampling, so the kept samples are a uniform draw from
-a stream the trainer saw exactly once. Entries carry the model's logits from
-the moment of storage; replay later regresses onto those stale logits, which
-is what lets the buffer carry more than bare labels.
+a stream the trainer saw exactly once. Stored rows carry the model's logits
+from the moment of storage; replay later regresses onto those stale logits,
+which is what lets the buffer carry more than bare labels. A replay draw is a
+set of row arrays gathered from the memory's per-field arrays.
 """
 
 import numpy as np
@@ -60,9 +61,9 @@ def replay_draws_and_splits():
 
     rng = np.random.default_rng(3)
     train_side, val_side = mem.partition(Batch(), rng, replay_batch_size=16)
-    a = {int(e.x[0]) for e in train_side.memory}
-    b = {int(e.x[0]) for e in val_side.memory}
-    print(f"  train-side draw {len(train_side.memory)} entries, "
+    a = set(train_side.memory.x[:, 0].astype(int).tolist())
+    b = set(val_side.memory.x[:, 0].astype(int).tolist())
+    print(f"  train-side draw {len(train_side.memory)} rows, "
           f"val-side {len(val_side.memory)}, overlap {len(a & b)}")
     print("  both sides share the current batch; only the draws differ")
 

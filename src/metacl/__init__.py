@@ -10,7 +10,7 @@ from .autodiff import Tensor, backward, no_grad, sgd_step, zero_grads
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .datasets import SyntheticSpec, make_synthetic
 from .losses import AdversarialConfig, LossWeights
-from .memory import EpisodicMemory, MemoryEntry, make_entry
+from .memory import Draw, EpisodicMemory, MemoryEntry, make_entry
 from .metrics import AccuracyMatrix, acc, fm
 from .networks import ContinualModel
 from .trainer import (
@@ -29,7 +29,7 @@ __all__ = [
     "RunConfig", "load_config", "parse_config", "serialize_config",
     "SyntheticSpec", "make_synthetic",
     "AdversarialConfig", "LossWeights",
-    "EpisodicMemory", "MemoryEntry", "make_entry",
+    "Draw", "EpisodicMemory", "MemoryEntry", "make_entry",
     "AccuracyMatrix", "acc", "fm",
     "ContinualModel",
     "ReplayTrainer", "Trainer", "TrainerConfig",

@@ -42,15 +42,20 @@ def is_grad_enabled():
 
 
 class Node:
-    """One recorded operation: kind, input tensors, output, and a closure
-    mapping the output gradient to input gradients."""
+    """One recorded operation: kind, input tensors, the output's id, and a
+    closure mapping the output gradient to input gradients.
 
-    __slots__ = ("op", "inputs", "out", "backward_fn", "seq")
+    Only the output's id is kept: the output already points at its node, so
+    a reference back would make every tape a reference cycle, freed by the
+    cyclic garbage collector long after its loss is dropped.
+    """
+
+    __slots__ = ("op", "inputs", "out_id", "backward_fn", "seq")
 
     def __init__(self, op, inputs, out, backward_fn):
         self.op = op
         self.inputs = inputs
-        self.out = out
+        self.out_id = id(out)
         self.backward_fn = backward_fn
         self.seq = next(_node_seq)
 
@@ -191,13 +196,15 @@ def neg(a):
 
 
 def relu(x):
-    """Elementwise max(0, x); subgradient at 0 is 0."""
-    mask = x.data > 0
+    """Elementwise max(0, x); subgradient at 0 is 0. NaN passes through, so
+    a non-finite input still shows in the loss."""
+    dead = x.data <= 0
+    mask = ~dead
 
     def backward_fn(g):
         return (g * mask,)
 
-    return _make("relu", np.where(mask, x.data, 0.0), (x,), backward_fn)
+    return _make("relu", np.where(dead, 0.0, x.data), (x,), backward_fn)
 
 
 def sqrt(x):
@@ -403,7 +410,7 @@ def backward(loss):
     # exactly one extra unit of gradient per call
     flows = {id(loss): (loss, np.ones_like(loss.data))}
     for node in nodes:
-        entry = flows.get(id(node.out))
+        entry = flows.get(node.out_id)
         if entry is None:
             continue
         grads = node.backward_fn(entry[1])

@@ -1,10 +1,15 @@
 """Versioned checkpoint files.
 
-A checkpoint is a single ``.npz`` container holding a JSON metadata blob plus
-one array member per parameter and per stored memory sample. Round trips are
-bit-exact: parameters, memory contents (including logit snapshots and the
-reservoir RNG state), and the accuracy matrix all reload to identical values,
-so a run can stop between tasks and resume as if uninterrupted.
+A checkpoint is a single ``.npz`` container holding a JSON metadata blob,
+one array member per parameter, and one member per memory field (``x``,
+``y``, ``t``, the padded snapshots ``h`` and ``h_disc`` and their width
+columns), so the member count does not grow with the stored rows. The
+metadata keeps the memory's budget, per-task seen counts and reservoir RNG
+state. Round trips are bit-exact: parameters, memory contents (including
+logit snapshots and the reservoir RNG state), and the accuracy matrix all
+reload to identical values, so a run can stop between tasks and resume as if
+uninterrupted. This reader handles format version 2 only; version 1 files
+(one member per stored sample) are rejected.
 """
 
 import json
@@ -15,12 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError
-from .memory import EpisodicMemory, make_entry
+from .errors import FormatError, MemoryConsistencyError
+from .memory import Draw, EpisodicMemory
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _KIND = "continual-model-checkpoint"
 
 
@@ -59,19 +64,12 @@ def save_checkpoint(path, model, memory=None, matrix=None, extra=None):
         arrays[f"param/{i}"] = p.data
     mem_meta = None
     if memory is not None:
-        entry_meta = []
-        for i, e in enumerate(memory.entries()):
-            arrays[f"mem/{i}/x"] = e.x
-            if e.h is not None:
-                arrays[f"mem/{i}/h"] = e.h
-            if e.h_disc is not None:
-                arrays[f"mem/{i}/hd"] = e.h_disc
-            entry_meta.append({"y": e.y, "t": e.t,
-                               "h": e.h is not None, "hd": e.h_disc is not None})
+        rows = memory.rows()
+        for name in Draw.FIELDS:
+            arrays[f"mem/{name}"] = getattr(rows, name)
         mem_meta = {
             "budget_per_task": memory.budget_per_task,
             "seen_counts": {str(t): int(c) for t, c in memory.seen_counts.items()},
-            "entries": entry_meta,
             "rng_state": memory.rng.bit_generator.state,
         }
     meta = {
@@ -144,20 +142,20 @@ def _decode(path, data):
     memory = None
     if meta["memory"] is not None:
         m = meta["memory"]
-        memory = EpisodicMemory(m["budget_per_task"],
-                                rng=np.random.default_rng(0))
-        memory.rng.bit_generator.state = m["rng_state"]
-        memory.seen_counts = {int(t): int(c)
-                              for t, c in m["seen_counts"].items()}
-        for i, em in enumerate(m["entries"]):
-            x_key = f"mem/{i}/x"
-            if x_key not in files:
-                raise FormatError(f"{path}: missing array {x_key!r}")
-            entry = make_entry(
-                data[x_key], em["y"], em["t"],
-                h=data[f"mem/{i}/h"] if em["h"] else None,
-                h_disc=data[f"mem/{i}/hd"] if em["hd"] else None)
-            memory.slots.setdefault(entry.t, []).append(entry)
+        fields = {}
+        for name in Draw.FIELDS:
+            key = f"mem/{name}"
+            if key not in files:
+                raise FormatError(f"{path}: missing array {key!r}")
+            fields[name] = data[key]
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = m["rng_state"]
+        seen_counts = {int(t): int(c) for t, c in m["seen_counts"].items()}
+        try:
+            memory = EpisodicMemory.from_rows(m["budget_per_task"], Draw(**fields),
+                                              seen_counts, rng)
+        except MemoryConsistencyError as exc:
+            raise FormatError(f"{path}: inconsistent memory ({exc})") from exc
 
     matrix = None
     if meta["matrix"] is not None:

@@ -73,33 +73,37 @@ def noise_batch(cfg, rng, n, dim):
     return rng.normal(cfg.noise_mean, cfg.noise_std, size=(n, dim))
 
 
-def _grouped(batch, memory):
-    """Stack current-batch rows and memory entries into per-task arrays."""
-    xs, ys = {}, {}
+def _rows(batch, memory):
+    """(x, y, t) of the current-batch rows, then the memory rows in draw
+    order; None when both are empty."""
+    parts = []
     if batch is not None and len(batch.x) > 0:
-        t = batch.task_id
-        xs.setdefault(t, []).append(np.asarray(batch.x, dtype=np.float64))
-        ys.setdefault(t, []).append(np.asarray(batch.y, dtype=np.int64))
-    for e in memory:
-        xs.setdefault(e.t, []).append(np.asarray(e.x, dtype=np.float64)[None, :])
-        ys.setdefault(e.t, []).append(np.asarray([e.y], dtype=np.int64))
-    return {t: (np.concatenate(xs[t]), np.concatenate(ys[t])) for t in xs}
+        parts.append((np.asarray(batch.x, dtype=np.float64),
+                      np.asarray(batch.y, dtype=np.int64),
+                      np.full(len(batch.x), batch.task_id, dtype=np.int64)))
+    if memory is not None and len(memory) > 0:
+        parts.append((memory.x, memory.y, memory.t))
+    if not parts:
+        return None
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
-def ce_loss(model, batch, memory=()):
+def ce_loss(model, batch, memory=None):
     """Mean cross-entropy over current plus memory samples.
 
     Each sample's logits come from the head of its own task, so the mean is
-    taken across heads, weighted by per-task sample counts.
+    taken across heads, weighted by per-task sample counts. ``memory`` is a
+    ``Draw`` or None.
     """
-    groups = _grouped(batch, memory)
-    n_total = sum(len(y) for _, y in groups.values())
-    if n_total == 0:
+    rows = _rows(batch, memory)
+    if rows is None:
         raise ContractError("ce_loss needs at least one sample")
+    x, y, t = rows
     total = None
-    for t in sorted(groups):
-        x, y = groups[t]
-        part = softmax_cross_entropy(model.logits(x, t), y) * (len(y) / n_total)
+    for task in np.unique(t).tolist():
+        mask = t == task
+        part = (softmax_cross_entropy(model.logits(x[mask], task), y[mask])
+                * (int(mask.sum()) / len(y)))
         total = part if total is None else total + part
     return total
 
@@ -107,40 +111,32 @@ def ce_loss(model, batch, memory=()):
 def derpp_loss(model, memory, weights):
     """Dark-replay term: lam1 * mean L2 to stored logits + lam2 * mean CE.
 
-    Memory entries must carry classifier-logit snapshots whose width matches
-    the current head of their task.
+    Every drawn row must carry a classifier-logit snapshot whose width
+    matches the current head of its task.
     """
-    memory = list(memory)
-    if not memory:
+    if memory is None or len(memory) == 0:
         return Tensor(0.0)
-    by_task = {}
-    for e in memory:
-        if e.h is None:
-            raise MemoryConsistencyError("memory entry lacks a logit snapshot")
-        by_task.setdefault(e.t, []).append(e)
-    n_total = len(memory)
+    if not memory.h_width.all():
+        raise MemoryConsistencyError("memory entry lacks a logit snapshot")
     l2_total, ce_total = None, None
-    for t in sorted(by_task):
-        entries = by_task[t]
-        width = model.heads.output_dim(t)
-        for e in entries:
-            if e.h.shape != (width,):
-                raise MemoryConsistencyError(
-                    f"stored logits for task {t} have shape {e.h.shape}, "
-                    f"head expects ({width},)")
-        x = np.stack([e.x for e in entries])
-        h = np.stack([e.h for e in entries])
-        y = np.array([e.y for e in entries], dtype=np.int64)
-        logits = model.logits(x, t)
-        frac = len(entries) / n_total
-        l2_part = l2_distance(logits, Tensor(h)) * frac
-        ce_part = softmax_cross_entropy(logits, y) * frac
+    for task in np.unique(memory.t).tolist():
+        mask = memory.t == task
+        width = model.heads.output_dim(task)
+        wrong = memory.h_width[mask] != width
+        if wrong.any():
+            raise MemoryConsistencyError(
+                f"stored logits for task {task} have shape "
+                f"({memory.h_width[mask][wrong][0]},), head expects ({width},)")
+        logits = model.logits(memory.x[mask], task)
+        frac = int(mask.sum()) / len(memory)
+        l2_part = l2_distance(logits, Tensor(memory.h[mask, :width])) * frac
+        ce_part = softmax_cross_entropy(logits, memory.y[mask]) * frac
         l2_total = l2_part if l2_total is None else l2_total + l2_part
         ce_total = ce_part if ce_total is None else ce_total + ce_part
     return weights.lambda1 * l2_total + weights.lambda2 * ce_total
 
 
-def adversarial_generator_loss(model, batch, memory=(), cfg=None):
+def adversarial_generator_loss(model, batch, memory=None, cfg=None):
     """Feature-alignment objective; gradient reaches the extractor only.
 
     uniform-confusion (default): CE between the frozen discriminator's read
@@ -154,12 +150,13 @@ def adversarial_generator_loss(model, batch, memory=(), cfg=None):
     k = model.n_seen
     if k < 2:
         return Tensor(0.0)
-    groups = _grouped(batch, memory)
-    if not groups:
+    rows = _rows(batch, memory)
+    if rows is None:
         raise ContractError("alignment loss needs at least one sample")
-    x_all = np.concatenate([groups[t][0] for t in sorted(groups)])
-    t_all = np.concatenate(
-        [np.full(len(groups[t][0]), t, dtype=np.int64) for t in sorted(groups)])
+    x, _, t = rows
+    # rows grouped by task, each group in its original order
+    order = np.argsort(t, kind="stable")
+    x_all, t_all = x[order], t[order]
     logits = model.discriminate(model.extract(x_all), k, freeze=True)
     if cfg.generator_mode == "uniform-confusion":
         target = np.zeros((len(x_all), model.k_max + 1))
@@ -173,7 +170,7 @@ def discriminator_loss(model, x, task_labels, memory, weights, cfg=None):
 
     ``x`` must mix real rows (labeled by true task) with fresh noise rows
     (labeled 0). Features are computed under no_grad, so only discriminator
-    weights receive gradient.
+    weights receive gradient. ``memory`` is a ``Draw`` or None.
     """
     task_labels = np.asarray(task_labels, dtype=np.int64)
     if x is None or len(x) == 0:
@@ -185,33 +182,26 @@ def discriminator_loss(model, x, task_labels, memory, weights, cfg=None):
         feats = model.extract(x).data
     loss = softmax_cross_entropy(model.discriminate(Tensor(feats), k), task_labels)
 
-    memory = list(memory)
-    if not memory:
+    if memory is None or len(memory) == 0:
         return loss
-    by_width = {}
-    for e in memory:
-        if e.h_disc is None:
-            raise MemoryConsistencyError(
-                "memory entry lacks a discriminator-logit snapshot")
-        width = e.h_disc.shape[0]
-        if width > k + 1:
-            raise MemoryConsistencyError(
-                f"stored discriminator logits have width {width}, "
-                f"only {k + 1} classes exist")
-        by_width.setdefault(width, []).append(e)
-    n_total = len(memory)
+    widths = memory.h_disc_width
+    if not widths.all():
+        raise MemoryConsistencyError(
+            "memory entry lacks a discriminator-logit snapshot")
+    if widths.max() > k + 1:
+        raise MemoryConsistencyError(
+            f"stored discriminator logits have width {widths[widths > k + 1][0]}, "
+            f"only {k + 1} classes exist")
     l2_total, ce_total = None, None
-    for width in sorted(by_width):
-        entries = by_width[width]
-        xm = np.stack([e.x for e in entries])
-        hd = np.stack([e.h_disc for e in entries])
-        t = np.array([e.t for e in entries], dtype=np.int64)
+    for width in np.unique(widths).tolist():
+        mask = widths == width
         with no_grad():
-            feats_m = model.extract(xm).data
+            feats_m = model.extract(memory.x[mask]).data
         logits_m = model.discriminate(Tensor(feats_m), k)
-        frac = len(entries) / n_total
-        l2_part = l2_distance(slice_cols(logits_m, width), Tensor(hd)) * frac
-        ce_part = softmax_cross_entropy(logits_m, t) * frac
+        frac = int(mask.sum()) / len(memory)
+        l2_part = (l2_distance(slice_cols(logits_m, width),
+                               Tensor(memory.h_disc[mask, :width])) * frac)
+        ce_part = softmax_cross_entropy(logits_m, memory.t[mask]) * frac
         l2_total = l2_part if l2_total is None else l2_total + l2_part
         ce_total = ce_part if ce_total is None else ce_total + ce_part
     return loss + weights.lambda1 * l2_total + weights.lambda2 * ce_total

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import backward, no_grad, sgd_step, zero_grads
+from .autodiff import assert_finite, backward, no_grad, sgd_step, zero_grads
 from .datasets import batches
 from .errors import ConfigurationError, UnknownTaskError
 from .losses import (
@@ -80,6 +80,11 @@ def effective_weights(weights, ablation):
     return weights
 
 
+def _step_tasks(batch, draw):
+    """Tasks whose heads a step on ``batch`` plus a memory ``draw`` moves."""
+    return sorted({batch.task_id, *draw.t.tolist()})
+
+
 def evaluate(model, tasks, chunk=512):
     """Per-task test accuracy; inference only, discriminator untouched."""
     out = {}
@@ -121,19 +126,16 @@ class Trainer:
 
     # -- the three update kinds ------------------------------------------------
 
-    def _partition_tasks(self, part):
-        tasks = {part.batch.task_id}
-        tasks.update(e.t for e in part.memory)
-        return sorted(tasks)
-
     def inner_step(self, train_part, lr=None):
         """One SGD step on the composite loss, moving extractor and heads."""
         zero_grads(self.model.all_params())
         loss = total_loss(self.model, train_part.batch, train_part.memory,
                           self.weights, self.cfg.adversarial)
+        assert_finite(loss, f"inner-step loss on task {train_part.batch.task_id}")
         backward(loss)
         params = (self.model.extractor_params()
-                  + self.model.head_params(self._partition_tasks(train_part)))
+                  + self.model.head_params(
+                      _step_tasks(train_part.batch, train_part.memory)))
         sgd_step(params, lr if lr is not None else self.cfg.inner_lr)
         zero_grads(self.model.all_params())
         self.state.inner_updates += 1
@@ -150,6 +152,7 @@ class Trainer:
         zero_grads(self.model.all_params())
         loss = total_loss(self.model, val_part.batch, val_part.memory,
                           self.weights, self.cfg.adversarial)
+        assert_finite(loss, f"outer-step loss on task {val_part.batch.task_id}")
         backward(loss)
         live = [p for p in self.model.generator_params() if p.grad is not None]
         if live:
@@ -171,6 +174,7 @@ class Trainer:
         zero_grads(self.model.all_params())
         loss = discriminator_loss(self.model, x, labels, draw, self.weights,
                                   self.cfg.adversarial)
+        assert_finite(loss, f"adversarial-step loss on task {batch.task_id}")
         backward(loss)
         sgd_step(self.model.discriminator_params(),
                  lr if lr is not None else self.cfg.adversarial_lr)
@@ -259,11 +263,6 @@ class ReplayTrainer:
         for name, state in states.items():
             getattr(self, f"{name}_rng").bit_generator.state = state
 
-    def _step_tasks(self, batch, draw):
-        tasks = {batch.task_id}
-        tasks.update(e.t for e in draw)
-        return sorted(tasks)
-
     def train_task(self, task):
         k = task.task_id
         self.model.register_task(k)
@@ -275,9 +274,10 @@ class ReplayTrainer:
             draw = self.memory.sample(self.cfg.replay_batch_size, self.replay_rng)
             zero_grads(self.model.all_params())
             loss = ce_loss(self.model, batch, draw)
+            assert_finite(loss, f"replay-step loss on task {k}")
             backward(loss)
             params = (self.model.extractor_params()
-                      + self.model.head_params(self._step_tasks(batch, draw)))
+                      + self.model.head_params(_step_tasks(batch, draw)))
             sgd_step(params, self.cfg.inner_lr)
             zero_grads(self.model.all_params())
             losses.append(loss.item())

@@ -1,4 +1,4 @@
-"""Shared test oracles.
+"""Shared test oracles and fixtures.
 
 The finite-difference checker is deliberately independent of the autodiff
 backward path: it re-evaluates the loss through fresh forward passes only.
@@ -7,6 +7,30 @@ backward path: it re-evaluates the loss through fresh forward passes only.
 import numpy as np
 
 from metacl.autodiff import backward, zero_grads
+from metacl.memory import Draw
+
+
+def draw_of(entries):
+    """The memory draw holding ``entries`` in the given order, laid out as
+    ``EpisodicMemory.sample`` lays out its rows."""
+    entries = list(entries)
+
+    def padded(snaps):
+        width = np.array([0 if s is None else len(s) for s in snaps],
+                         dtype=np.int64)
+        out = np.zeros((len(snaps), int(width.max(initial=0))))
+        for i, s in enumerate(snaps):
+            if s is not None:
+                out[i, :len(s)] = s
+        return out, width
+
+    h, h_width = padded([e.h for e in entries])
+    h_disc, h_disc_width = padded([e.h_disc for e in entries])
+    x = (np.stack([e.x for e in entries]).astype(np.float64) if entries
+         else np.zeros((0, 0)))
+    return Draw(x=x, y=np.array([e.y for e in entries], dtype=np.int64),
+                t=np.array([e.t for e in entries], dtype=np.int64),
+                h=h, h_width=h_width, h_disc=h_disc, h_disc_width=h_disc_width)
 
 
 def finite_difference_grad(loss_fn, param, step=1e-5):

@@ -60,7 +60,7 @@ from metacl.metrics import AccuracyMatrix, acc, fm
 from metacl.networks import ContinualModel, film_transform
 from metacl.trainer import Trainer, run_ablation
 
-from helpers import check_gradients
+from helpers import check_gradients, draw_of
 
 # The desk benchmark (criteria 5 to 7) runs the default config plus these
 # three settings. The bounded confusion objective at its default weight is
@@ -175,8 +175,8 @@ def _graph_fixture(seed):
     mem_y = rng.integers(0, 2, size=4)
     h = model.snapshot_logits(mem_x, 1) + 0.3 * rng.normal(size=(4, 2))
     h_disc = model.snapshot_disc_logits(mem_x) + 0.3 * rng.normal(size=(4, 2))
-    memory = [make_entry(mem_x[i], mem_y[i], 1, h=h[i], h_disc=h_disc[i])
-              for i in range(4)]
+    memory = draw_of([make_entry(mem_x[i], mem_y[i], 1, h=h[i], h_disc=h_disc[i])
+                      for i in range(4)])
     model.register_task(2)
     batch = TaskBatch(x=rng.normal(size=(4, 4)),
                       y=rng.integers(0, 2, size=4), task_id=2)
@@ -244,7 +244,7 @@ def test_criterion_02_losses_match_closed_forms():
     xs = rng.normal(size=(3, 3))
     ys = rng.integers(0, 2, size=3)
     h = model.snapshot_logits(xs, 1)
-    same = [make_entry(xs[i], ys[i], 1, h=h[i]) for i in range(3)]
+    same = draw_of([make_entry(xs[i], ys[i], 1, h=h[i]) for i in range(3)])
     assert derpp_loss(model, same, LossWeights(1.0, 0.0, 0.0)).data == 0.0
 
     # hand value: logits [3, 4] against stored [0, 0] gives distance 5
@@ -253,7 +253,7 @@ def test_criterion_02_losses_match_closed_forms():
     w, b = model.heads.heads[1]
     w.data[...] = 0.0
     b.data[...] = np.array([3.0, 4.0])
-    rigged = [make_entry(xs[0], 0, 1, h=np.zeros(2))]
+    rigged = draw_of([make_entry(xs[0], 0, 1, h=np.zeros(2))])
     assert derpp_loss(model, rigged, LossWeights(1.0, 0.0, 0.0)).data == 5.0
 
     # with the distillation term off, replay reduces to weighted label CE
@@ -269,7 +269,7 @@ def test_criterion_02_losses_match_closed_forms():
     noise = rng.normal(size=(2, 3))
     x_all = np.concatenate([xs, noise])
     labels = np.array([1, 1, 1, 0, 0])
-    val = discriminator_loss(model, x_all, labels, [],
+    val = discriminator_loss(model, x_all, labels, None,
                              LossWeights(0.0, 0.0, 0.0)).data
     assert abs(val - math.log(3)) < 1e-12
 

@@ -74,6 +74,13 @@ def test_relu_subgradient():
     np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
 
+def test_relu_passes_nan_and_keeps_zero_sign():
+    out = relu(Tensor([np.nan, -0.0, -np.inf, np.inf])).data
+    assert np.isnan(out[0])
+    np.testing.assert_array_equal(out[1:], [0.0, 0.0, np.inf])
+    assert not np.signbit(out[1])
+
+
 # ---------------------------------------------------------------------------
 # softmax cross-entropy
 

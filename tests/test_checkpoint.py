@@ -198,6 +198,99 @@ def test_wrong_version_rejected(tmp_path):
         load_checkpoint(dst)
 
 
+def test_version_1_file_rejected(tmp_path):
+    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(src, model)
+
+    def downgrade(arrays, meta):
+        meta["version"] = 1
+
+    rewrite(src, dst, downgrade)
+    with pytest.raises(FormatError, match="version 1 unsupported"):
+        load_checkpoint(dst)
+
+
+def filled_memory(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    memory = EpisodicMemory(rows // 2, rng=np.random.default_rng(seed + 1))
+    for i in range(rows):
+        memory.observe(make_entry(rng.normal(size=8), i % 2, 1 + i % 2,
+                                  h=rng.normal(size=2),
+                                  h_disc=rng.normal(size=3)))
+    return memory
+
+
+def test_member_count_does_not_grow_with_memory_rows(tmp_path):
+    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    members = []
+    for rows in (10, 1000):
+        memory = filled_memory(rows)
+        assert len(memory) == rows
+        path = tmp_path / f"m{rows}.npz"
+        save_checkpoint(path, model, memory=memory)
+        with np.load(path) as archive:
+            members.append(len(archive.files))
+    assert members[0] == members[1] == len(model.all_params()) + 8
+
+
+def test_mixed_snapshot_widths_round_trip_bit_exact(tmp_path):
+    rng = np.random.default_rng(4)
+    memory = EpisodicMemory(4, rng=np.random.default_rng(5))
+    for i in range(30):
+        t = (3, 1, 2)[i % 3]
+        h = None if i % 4 == 0 else rng.normal(size=2)
+        h_disc = None if i % 5 == 0 else rng.normal(size=2 + i % 4)
+        memory.observe(make_entry(rng.normal(size=4), i % 2, t, h=h,
+                                  h_disc=h_disc))
+    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    path = tmp_path / "c.npz"
+    save_checkpoint(path, model, memory=memory)
+    loaded = load_checkpoint(path).memory
+
+    def same(a, b):
+        if a is None or b is None:
+            return a is b
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+
+    ea, eb = memory.entries(), loaded.entries()
+    assert len(ea) == len(eb) == 12
+    assert {e.h is None for e in ea} == {True, False}
+    assert len({e.h_disc.shape for e in ea if e.h_disc is not None}) > 1
+    for a, b in zip(ea, eb):
+        assert (a.y, a.t) == (b.y, b.t)
+        assert same(a.x, b.x) and same(a.h, b.h) and same(a.h_disc, b.h_disc)
+    assert loaded.seen_counts == memory.seen_counts
+    assert loaded.rng.bit_generator.state == memory.rng.bit_generator.state
+
+
+def test_inconsistent_memory_rejected(tmp_path):
+    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(src, model, memory=filled_memory(10))
+
+    def shuffle_tasks(arrays, meta):
+        arrays["mem/t"] = arrays["mem/t"][::-1].copy()
+
+    rewrite(src, dst, shuffle_tasks)
+    with pytest.raises(FormatError, match="task order"):
+        load_checkpoint(dst)
+
+
+def test_missing_memory_field_rejected(tmp_path):
+    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(src, model, memory=filled_memory(10))
+
+    def drop(arrays, meta):
+        del arrays["mem/h_disc"]
+
+    rewrite(src, dst, drop)
+    with pytest.raises(FormatError, match="mem/h_disc"):
+        load_checkpoint(dst)
+
+
 def test_missing_parameter_rejected(tmp_path):
     model = build_model(small_stream(), 0, **SMALL_MODEL)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"

@@ -18,6 +18,8 @@ from metacl.losses import (
 from metacl.memory import make_entry
 from metacl.networks import ContinualModel
 
+from helpers import draw_of
+
 
 class Batch:
     def __init__(self, x, y, task_id):
@@ -71,8 +73,8 @@ def test_ce_mixed_batch_matches_per_sample_mean():
     model.register_task(2)
     rng = np.random.default_rng(1)
     batch = Batch(rng.normal(size=(3, 3)), [0, 1, 0], 1)
-    memory = [make_entry(rng.normal(size=3), y=i % 2, t=2, h=np.zeros(2))
-              for i in range(2)]
+    entries = [make_entry(rng.normal(size=3), y=i % 2, t=2, h=np.zeros(2))
+               for i in range(2)]
 
     def sample_ce(x, y, t):
         logits = model.snapshot_logits(x[None, :], t)[0]
@@ -80,8 +82,8 @@ def test_ce_mixed_batch_matches_per_sample_mean():
         return -(stable[y] - np.log(np.exp(stable).sum()))
 
     per_sample = [sample_ce(batch.x[i], batch.y[i], 1) for i in range(3)]
-    per_sample += [sample_ce(e.x, e.y, 2) for e in memory]
-    got = ce_loss(model, batch, memory).item()
+    per_sample += [sample_ce(e.x, e.y, 2) for e in entries]
+    got = ce_loss(model, batch, draw_of(entries)).item()
     assert abs(got - np.mean(per_sample)) < 1e-12
 
 
@@ -89,7 +91,7 @@ def test_ce_empty_is_error():
     model = flat_model()
     model.register_task(1)
     with pytest.raises(ContractError):
-        ce_loss(model, Batch(np.zeros((0, 3)), [], 1), [])
+        ce_loss(model, Batch(np.zeros((0, 3)), [], 1), draw_of([]))
 
 
 # -- derpp_loss -----------------------------------------------------------------
@@ -104,7 +106,8 @@ def test_derpp_identity_snapshots_zero():
         x = rng.normal(size=3)
         h = model.snapshot_logits(x[None, :], 1)[0]
         entries.append(make_entry(x, y=i % 2, t=1, h=h))
-    loss = derpp_loss(model, entries, LossWeights(lambda1=1.0, lambda2=0.0))
+    loss = derpp_loss(model, draw_of(entries),
+                      LossWeights(lambda1=1.0, lambda2=0.0))
     assert abs(loss.item()) < 1e-12
 
 
@@ -113,7 +116,8 @@ def test_derpp_hand_case_l2_five():
     model.register_task(1)
     zero_head(model, 1, bias=[3.0, 4.0])
     entry = make_entry(np.zeros(3), y=0, t=1, h=np.zeros(2))
-    loss = derpp_loss(model, [entry], LossWeights(lambda1=1.0, lambda2=0.0))
+    loss = derpp_loss(model, draw_of([entry]),
+                      LossWeights(lambda1=1.0, lambda2=0.0))
     assert abs(loss.item() - 5.0) < 1e-12
 
 
@@ -123,8 +127,9 @@ def test_derpp_lambda1_zero_reduces_to_memory_ce():
     rng = np.random.default_rng(3)
     entries = [make_entry(rng.normal(size=3), y=i % 2, t=1, h=np.zeros(2))
                for i in range(5)]
-    reduced = derpp_loss(model, entries, LossWeights(lambda1=0.0, lambda2=2.5))
-    plain = ce_loss(model, None, entries)
+    reduced = derpp_loss(model, draw_of(entries),
+                         LossWeights(lambda1=0.0, lambda2=2.5))
+    plain = ce_loss(model, None, draw_of(entries))
     assert abs(reduced.item() - 2.5 * plain.item()) < 1e-12
 
 
@@ -132,21 +137,22 @@ def test_derpp_snapshot_width_mismatch():
     model = flat_model()
     model.register_task(1)
     entry = make_entry(np.zeros(3), y=0, t=1, h=np.zeros(3))
-    with pytest.raises(MemoryConsistencyError):
-        derpp_loss(model, [entry], LossWeights())
+    with pytest.raises(MemoryConsistencyError, match="shape"):
+        derpp_loss(model, draw_of([entry]), LossWeights())
 
 
 def test_derpp_missing_snapshot():
     model = flat_model()
     model.register_task(1)
     entry = make_entry(np.zeros(3), y=0, t=1, h=None)
-    with pytest.raises(MemoryConsistencyError):
-        derpp_loss(model, [entry], LossWeights())
+    with pytest.raises(MemoryConsistencyError, match="lacks"):
+        derpp_loss(model, draw_of([entry]), LossWeights())
 
 
 def test_derpp_empty_memory_is_zero():
     model = flat_model()
-    assert derpp_loss(model, [], LossWeights()).item() == 0.0
+    assert derpp_loss(model, draw_of([]), LossWeights()).item() == 0.0
+    assert derpp_loss(model, None, LossWeights()).item() == 0.0
 
 
 # -- adversarial generator side ----------------------------------------------------
@@ -226,7 +232,7 @@ def test_discriminator_requires_noise_rows():
     model.register_task(1)
     x = np.random.default_rng(0).normal(size=(3, 3))
     with pytest.raises(ContractError):
-        discriminator_loss(model, x, [1, 1, 1], [], LossWeights())
+        discriminator_loss(model, x, [1, 1, 1], None, LossWeights())
 
 
 def test_discriminator_uniform_is_log3():
@@ -236,7 +242,7 @@ def test_discriminator_uniform_is_log3():
     for p in model.discriminator_params():
         p.data[:] = 0.0
     x = np.random.default_rng(0).normal(size=(6, 3))
-    loss = discriminator_loss(model, x, [0, 0, 1, 1, 2, 2], [], LossWeights())
+    loss = discriminator_loss(model, x, [0, 0, 1, 1, 2, 2], None, LossWeights())
     assert abs(loss.item() - np.log(3)) < 1e-12
 
 
@@ -257,7 +263,7 @@ def test_discriminator_perfect_separation_near_zero():
     d.w2.data[1, 0] = 20.0  # feature axis 1 → fake
     d.b2.data[:] = 0.0
     x = np.array([[10.0, 0.0], [0.0, 10.0]])
-    loss = discriminator_loss(model, x, [1, 0], [], LossWeights())
+    loss = discriminator_loss(model, x, [1, 0], None, LossWeights())
     assert loss.item() < 1e-12
 
 
@@ -271,7 +277,7 @@ def test_discriminator_stop_gradient_on_features():
     labels = [1, 1, 2, 2, 0, 0, 0, 0]
     entries = [make_entry(rng.normal(size=3), y=0, t=1, h=np.zeros(2),
                           h_disc=np.zeros(2)) for _ in range(3)]
-    loss = discriminator_loss(model, x, labels, entries, LossWeights())
+    loss = discriminator_loss(model, x, labels, draw_of(entries), LossWeights())
     backward(loss)
     for p in (model.extractor_params() + model.generator_params()
               + model.head_params()):
@@ -289,9 +295,9 @@ def test_discriminator_dark_replay_identity_term():
     mem_x = rng.normal(size=3)
     snap = model.snapshot_disc_logits(mem_x[None, :])[0]
     entry = make_entry(mem_x, y=0, t=1, h=np.zeros(2), h_disc=snap)
-    with_mem = discriminator_loss(model, x, labels, [entry],
+    with_mem = discriminator_loss(model, x, labels, draw_of([entry]),
                                   LossWeights(lambda1=1.0, lambda2=0.0))
-    without = discriminator_loss(model, x, labels, [], LossWeights())
+    without = discriminator_loss(model, x, labels, None, LossWeights())
     assert abs(with_mem.item() - without.item()) < 1e-12
 
 
@@ -303,8 +309,8 @@ def test_discriminator_snapshot_width_check():
                         noise_batch(AdversarialConfig(), rng, 2, 3)])
     entry = make_entry(rng.normal(size=3), y=0, t=1, h=np.zeros(2),
                        h_disc=np.zeros(5))
-    with pytest.raises(MemoryConsistencyError):
-        discriminator_loss(model, x, [1, 1, 0, 0], [entry], LossWeights())
+    with pytest.raises(MemoryConsistencyError, match="width 5"):
+        discriminator_loss(model, x, [1, 1, 0, 0], draw_of([entry]), LossWeights())
 
 
 # -- total loss -----------------------------------------------------------------------
@@ -318,15 +324,15 @@ def build_rich_setup(seed=9):
     model.register_task(2)
     rng = np.random.default_rng(seed)
     batch = Batch(rng.normal(size=(5, 3)), rng.integers(0, 2, size=5), 2)
-    memory = []
+    entries = []
     for i in range(6):
         x = rng.normal(size=3)
         t = 1 + i % 2
-        memory.append(make_entry(
+        entries.append(make_entry(
             x, y=i % 2, t=t,
             h=model.snapshot_logits(x[None, :], t)[0] + rng.normal(size=2),
             h_disc=model.snapshot_disc_logits(x[None, :])[0]))
-    return model, batch, memory
+    return model, batch, draw_of(entries)
 
 
 def test_total_loss_additivity():
@@ -403,7 +409,7 @@ def run_alignment_duel(seed, adversarial):
         tb = np.concatenate([np.full(16, task, dtype=np.int64),
                              np.zeros(16, dtype=np.int64)])
         zero_grads(model.all_params())
-        backward(discriminator_loss(model, xb, tb, [], weights))
+        backward(discriminator_loss(model, xb, tb, None, weights))
         sgd_step(model.discriminator_params(), lr=0.1)
         if adversarial:
             zero_grads(model.all_params())

@@ -1,4 +1,5 @@
-"""Episodic memory tests: reservoir statistics, isolation, immutability."""
+"""Episodic memory tests: reservoir statistics, isolation, immutability, and
+agreement with a list-based reference reservoir."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,25 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from metacl.errors import ContractError, MemoryConsistencyError
-from metacl.memory import EpisodicMemory, Partition, make_entry
+from metacl.memory import EpisodicMemory, make_entry
 
 
 def entry_for(i, t=1, dim=3):
     return make_entry(np.full(dim, float(i)), y=i % 2, t=t,
                       h=np.array([float(i), -float(i)]))
+
+
+def stored(mem, t=None):
+    """The stored entries, optionally of task ``t`` only."""
+    return [e for e in mem.entries() if t is None or e.t == t]
+
+
+def row_values(e):
+    """An entry's contents as plain values, for comparisons by value."""
+    def snap(a):
+        return None if a is None else a.tolist()
+
+    return (e.x.tolist(), e.y, e.t, snap(e.h), snap(e.h_disc))
 
 
 class FakeBatch:
@@ -30,14 +44,14 @@ def test_first_budget_entries_stored_in_order():
     for i in range(50):
         assert mem.observe(entry_for(i))
     assert len(mem) == 50
-    assert [e.x[0] for e in mem.slots[1]] == [float(i) for i in range(50)]
+    assert [e.x[0] for e in stored(mem, 1)] == [float(i) for i in range(50)]
 
 
 def test_budget_never_exceeded_simple():
     mem = EpisodicMemory(budget_per_task=5, rng=np.random.default_rng(0))
     for i in range(200):
         mem.observe(entry_for(i))
-    assert len(mem.slots[1]) == 5
+    assert len(stored(mem, 1)) == 5
 
 
 @settings(max_examples=40, deadline=None)
@@ -48,7 +62,8 @@ def test_budget_property_random_streams(task_stream, budget, seed):
     mem = EpisodicMemory(budget_per_task=budget, rng=np.random.default_rng(seed))
     for i, t in enumerate(task_stream):
         mem.observe(entry_for(i, t=t))
-    for t, slot in mem.slots.items():
+    for t in set(task_stream):
+        slot = stored(mem, t)
         assert len(slot) <= budget
         assert len(slot) == min(budget, mem.seen_counts[t])
 
@@ -63,7 +78,7 @@ def test_budget_one_selection_is_uniform():
         mem = EpisodicMemory(budget_per_task=1, rng=rng)
         for e in entries:
             mem.observe(e)
-        counts[int(mem.slots[1][0].x[0])] += 1
+        counts[int(mem.entries()[0].x[0])] += 1
     chi2 = ((counts - trials / n) ** 2 / (trials / n)).sum()
     p = stats.chi2.sf(chi2, df=n - 1)
     assert p > 0.01
@@ -73,24 +88,17 @@ def test_task_isolation():
     mem = EpisodicMemory(budget_per_task=3, rng=np.random.default_rng(0))
     for i in range(3):
         mem.observe(entry_for(i, t=1))
-    frozen = list(mem.slots[1])
+    frozen = [row_values(e) for e in stored(mem, 1)]
     for i in range(500):
         mem.observe(entry_for(i, t=2))
-    assert mem.slots[1] == frozen
-    assert len(mem.slots[2]) == 3
+    assert [row_values(e) for e in stored(mem, 1)] == frozen
+    assert len(stored(mem, 2)) == 3
 
 
 def test_budget_zero_stores_nothing():
     mem = EpisodicMemory(budget_per_task=0, rng=np.random.default_rng(0))
     assert not mem.observe(entry_for(0))
     assert len(mem) == 0
-
-
-def test_seen_count_crosscheck():
-    mem = EpisodicMemory(budget_per_task=2, rng=np.random.default_rng(0))
-    mem.observe(entry_for(0), seen_count_for_task=1)
-    with pytest.raises(MemoryConsistencyError):
-        mem.observe(entry_for(1), seen_count_for_task=5)
 
 
 def test_determinism_same_seed_same_contents():
@@ -132,17 +140,23 @@ def test_snapshot_shape_validation():
 # -- sampling ----------------------------------------------------------------------
 
 
-def test_sample_empty_memory_returns_empty_list():
+def test_sample_empty_memory_returns_empty_draw():
     mem = EpisodicMemory(budget_per_task=3, rng=np.random.default_rng(0))
-    assert mem.sample(64, np.random.default_rng(1)) == []
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    assert len(mem.sample(64, rng)) == 0
+    assert rng.bit_generator.state == before  # an empty draw draws nothing
 
 
 def test_sample_singleton():
     mem = EpisodicMemory(budget_per_task=3, rng=np.random.default_rng(0))
     mem.observe(entry_for(7))
-    batch = mem.sample(64, np.random.default_rng(1))
-    assert len(batch) == 64
-    assert all(e is mem.slots[1][0] for e in batch)
+    draw = mem.sample(64, np.random.default_rng(1))
+    assert len(draw) == 64
+    (only,) = mem.entries()
+    assert np.all(draw.x == only.x) and np.all(draw.y == only.y)
+    assert np.all(draw.t == only.t) and np.all(draw.h_width == 2)
+    assert np.all(draw.h[:, :2] == only.h)
 
 
 def test_sample_task_frequencies_match_slot_proportions():
@@ -153,7 +167,7 @@ def test_sample_task_frequencies_match_slot_proportions():
         mem.observe(entry_for(i, t=2))
     n_draws = 10_000
     drawn = mem.sample(n_draws, np.random.default_rng(5))
-    count_t1 = sum(e.t == 1 for e in drawn)
+    count_t1 = int(np.sum(drawn.t == 1))
     p = 20 / 30
     sigma = np.sqrt(n_draws * p * (1 - p))
     assert abs(count_t1 - n_draws * p) < 3 * sigma
@@ -167,7 +181,7 @@ def test_partition_empty_memory_degenerates_to_current():
     batch = FakeBatch()
     train, val = mem.partition(batch, np.random.default_rng(1))
     assert train.batch is batch and val.batch is batch
-    assert train.memory == [] and val.memory == []
+    assert len(train.memory) == 0 and len(val.memory) == 0
 
 
 def test_partition_requires_nonempty_batch():
@@ -185,8 +199,7 @@ def test_partition_draws_are_independent():
     assert len(train.memory) == 64 and len(val.memory) == 64
     # identical 64-long index sequences from disjoint substreams are
     # astronomically unlikely over 100 slots
-    same = [a is b for a, b in zip(train.memory, val.memory)]
-    assert not all(same)
+    assert not np.array_equal(train.memory.x, val.memory.x)
 
 
 def test_partition_deterministic_given_rng_seed():
@@ -196,7 +209,106 @@ def test_partition_deterministic_given_rng_seed():
 
     def draw(seed):
         train, val = mem.partition(FakeBatch(), np.random.default_rng(seed))
-        return ([e.x[0] for e in train.memory], [e.x[0] for e in val.memory])
+        return (train.memory.x[:, 0].tolist(), val.memory.x[:, 0].tolist())
 
     assert draw(9) == draw(9)
     assert draw(9) != draw(10)
+
+
+# -- agreement with a list-based reference ----------------------------------------
+
+
+class ListReservoir:
+    """Reference memory: per-task lists of entries, the rule spelled out."""
+
+    def __init__(self, budget, rng):
+        self.budget, self.rng = budget, rng
+        self.slots, self.seen_counts = {}, {}
+
+    def observe(self, entry):
+        count = self.seen_counts[entry.t] = self.seen_counts.get(entry.t, 0) + 1
+        slot = self.slots.setdefault(entry.t, [])
+        if len(slot) < self.budget:
+            slot.append(entry)
+            return True
+        if self.budget == 0:
+            return False
+        j = int(self.rng.integers(0, count))
+        if j < self.budget:
+            slot[j] = entry
+        return j < self.budget
+
+    def entries(self):
+        return [e for t in sorted(self.slots) for e in self.slots[t]]
+
+    def sample(self, n, rng):
+        pool = self.entries()
+        if not pool or n <= 0:
+            return []
+        return [pool[i] for i in rng.integers(0, len(pool), size=n)]
+
+
+def mixed_stream(seed):
+    """Three tasks arriving as 7, 2, 5, with snapshots of several widths,
+    some rows without snapshots, and a stretch where the tasks interleave."""
+    rng = np.random.default_rng(seed)
+    order = [7] * 30 + [2] * 25 + [7, 2, 5] * 5 + [5] * 30
+    out = []
+    for i, t in enumerate(order):
+        h = None if i % 7 == 3 else rng.normal(size=2)
+        h_disc = None if i % 5 == 1 else rng.normal(size=2 + i % 3)
+        out.append(make_entry(rng.normal(size=4), i % 3, t, h=h, h_disc=h_disc))
+    return out
+
+
+@pytest.mark.parametrize("budget", [0, 6, 1000])
+def test_memory_matches_list_reference(budget):
+    mem = EpisodicMemory(budget, rng=np.random.default_rng(11))
+    ref = ListReservoir(budget, rng=np.random.default_rng(11))
+    for i, e in enumerate(mixed_stream(budget)):
+        assert mem.observe(e) == ref.observe(e)
+        if i % 20 != 19:
+            continue
+        assert [row_values(a) for a in mem.entries()] == \
+            [row_values(b) for b in ref.entries()]
+        assert len(mem) == len(ref.entries())
+        assert mem.seen_counts == ref.seen_counts
+        assert mem.rng.bit_generator.state == ref.rng.bit_generator.state
+        draw = mem.sample(9, np.random.default_rng(i))
+        expected = ref.sample(9, np.random.default_rng(i))
+        assert len(draw) == len(expected)
+        for k, b in enumerate(expected):
+            hw, hdw = draw.h_width[k], draw.h_disc_width[k]
+            got = (draw.x[k].tolist(), int(draw.y[k]), int(draw.t[k]),
+                   draw.h[k, :hw].tolist() if hw else None,
+                   draw.h_disc[k, :hdw].tolist() if hdw else None)
+            assert got == row_values(b)
+        if len(mem):
+            train, val = mem.partition(FakeBatch(dim=4), np.random.default_rng(i),
+                                       replay_batch_size=5)
+            rng = np.random.default_rng(i)
+            for side, want in ((train, ref.sample(5, rng)), (val, ref.sample(5, rng))):
+                assert side.memory.x.tolist() == [b.x.tolist() for b in want]
+                assert side.memory.t.tolist() == [b.t for b in want]
+
+
+def test_entries_are_write_locked_views():
+    mem = EpisodicMemory(2, rng=np.random.default_rng(0))
+    mem.observe(entry_for(1))
+    mem.observe(make_entry(np.ones(3), 0, 1, h=np.ones(2), h_disc=np.ones(3)))
+    first, second = mem.entries()
+    for a in (first.x, first.h, second.h_disc):
+        with pytest.raises(ValueError):
+            a[0] = 99.0
+    assert first.h_disc is None and second.h_disc.shape == (3,)
+    # storage stays writable for the reservoir itself
+    mem.observe(entry_for(5))
+    assert len(mem) == 2
+
+
+def test_observe_rejects_a_different_input_shape():
+    mem = EpisodicMemory(2, rng=np.random.default_rng(0))
+    mem.observe(entry_for(0, dim=3))
+    with pytest.raises(MemoryConsistencyError, match="shape"):
+        mem.observe(entry_for(1, dim=4))
+    assert mem.seen_counts == {1: 1}

@@ -5,10 +5,19 @@ import pytest
 
 from helpers import check_gradients
 from metacl.autodiff import backward, sgd_step, softmax_cross_entropy, zero_grads
-from metacl.datasets import Split, SyntheticSpec, Task, batches, make_synthetic
+from dataclasses import replace
+
+from metacl.datasets import (
+    Split,
+    SyntheticSpec,
+    Task,
+    TaskBatch,
+    batches,
+    make_synthetic,
+)
 from metacl.errors import ConfigurationError, UnknownTaskError
 from metacl.losses import LossWeights, total_loss
-from metacl.memory import EpisodicMemory, make_entry
+from metacl.memory import EpisodicMemory, Partition, make_entry
 from metacl.trainer import (
     ReplayTrainer,
     Trainer,
@@ -420,3 +429,39 @@ def test_methods_share_initialization():
     er_model = build_model(stream, 8, transform_mode="off", **SMALL_MODEL)
     for p, q in zip(scale_model.extractor_params(), er_model.extractor_params()):
         assert np.array_equal(p.data, q.data)
+
+
+# -- non-finite losses ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["inner", "outer", "adversarial"])
+def test_non_finite_loss_fails_fast_naming_step_and_task(kind):
+    trainer, stream = fresh_trainer()
+    trainer.train_task(stream.tasks[0])  # the draws then hold memory rows
+    train, _ = first_partition(trainer, replace(stream, tasks=stream.tasks[1:]))
+    x = train.batch.x.copy()
+    x[0] = np.nan
+    batch = TaskBatch(x, train.batch.y, train.batch.task_id)
+    part = Partition(batch, train.memory)
+    step = {"inner": lambda: trainer.inner_step(part),
+            "outer": lambda: trainer.outer_step(part),
+            "adversarial": lambda: trainer.adversarial_step(batch)}[kind]
+    before = snapshot(trainer.model.all_params())
+    with pytest.raises(FloatingPointError,
+                       match=f"{kind}-step loss on task {batch.task_id} "):
+        step()
+    assert unchanged(trainer.model.all_params(), before)
+
+
+def test_replay_trainer_fails_fast_on_non_finite_loss():
+    stream = small_stream(seed=6)
+    model = build_model(stream, 6, transform_mode="off", **SMALL_MODEL)
+    rt = ReplayTrainer(model, EpisodicMemory(5, rng=np.random.default_rng(0)),
+                       small_config(seed=6))
+    task = stream.tasks[0]
+    x = task.train.x.copy()
+    x[:, 0] = np.nan
+    poisoned = replace(task, train=Split(x, task.train.y))
+    with pytest.raises(FloatingPointError,
+                       match=f"replay-step loss on task {task.task_id} "):
+        rt.train_task(poisoned)
