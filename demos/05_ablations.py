@@ -14,10 +14,10 @@ Single seed for speed; the acceptance suite repeats B vs full over five
 seeds and gates on the gap.
 """
 
+from dataclasses import replace
+
 from metacl.config import RunConfig, apply_overrides
-from metacl.experiments import build_stream, model_kwargs, run_single, trainer_config
-from metacl.metrics import acc, fm
-from metacl.trainer import run_ablation
+from metacl.experiments import build_stream, run_single
 
 DESK = ["lambda3=0.3", "generator_mode=negative-ce", "adversarial_lr=0.03"]
 
@@ -32,11 +32,8 @@ def main():
                         ("A", "A: no adversarial game"),
                         ("B", "B: no replay regularizers"),
                         ("C", "C: no task modulation")):
-        state, _ = run_ablation(mode, stream, trainer_config(base, seed=0),
-                                budget_per_task=base.memory_budget,
-                                model_kwargs=model_kwargs(base))
-        k = state.matrix.n_rows
-        rows[mode] = (acc(state.matrix, k), fm(state.matrix, k))
+        record = run_single(replace(base, ablation=mode), 0, stream)
+        rows[mode] = (record.final_acc, record.final_fm)
         print(f"{label:28s} {rows[mode][0]:6.3f} {rows[mode][1]:+7.3f}")
 
     print()

@@ -9,16 +9,14 @@ experiment runner with deterministic, seedable runs.
 from .autodiff import Tensor, backward, no_grad, sgd_step, zero_grads
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .datasets import SyntheticSpec, make_synthetic
-from .losses import AdversarialConfig, LossWeights
 from .memory import Draw, EpisodicMemory, MemoryEntry, make_entry
 from .metrics import AccuracyMatrix, acc, fm
 from .networks import ContinualModel
 from .trainer import (
     ReplayTrainer,
     Trainer,
-    TrainerConfig,
     build_model,
-    run_ablation,
+    build_trainer,
     run_stream,
 )
 
@@ -28,11 +26,10 @@ __all__ = [
     "Tensor", "backward", "no_grad", "sgd_step", "zero_grads",
     "RunConfig", "load_config", "parse_config", "serialize_config",
     "SyntheticSpec", "make_synthetic",
-    "AdversarialConfig", "LossWeights",
     "Draw", "EpisodicMemory", "MemoryEntry", "make_entry",
     "AccuracyMatrix", "acc", "fm",
     "ContinualModel",
-    "ReplayTrainer", "Trainer", "TrainerConfig",
-    "build_model", "run_ablation", "run_stream",
+    "ReplayTrainer", "Trainer",
+    "build_model", "build_trainer", "run_stream",
     "__version__",
 ]

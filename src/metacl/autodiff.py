@@ -37,23 +37,18 @@ def no_grad():
         _grad_enabled = prev
 
 
-def is_grad_enabled():
-    return _grad_enabled
-
-
 class Node:
-    """One recorded operation: kind, input tensors, the output's id, and a
-    closure mapping the output gradient to input gradients.
+    """One recorded operation: input tensors, the output's id, and a closure
+    mapping the output gradient to input gradients.
 
     Only the output's id is kept: the output already points at its node, so
     a reference back would make every tape a reference cycle, freed by the
     cyclic garbage collector long after its loss is dropped.
     """
 
-    __slots__ = ("op", "inputs", "out_id", "backward_fn", "seq")
+    __slots__ = ("inputs", "out_id", "backward_fn", "seq")
 
-    def __init__(self, op, inputs, out, backward_fn):
-        self.op = op
+    def __init__(self, inputs, out, backward_fn):
         self.inputs = inputs
         self.out_id = id(out)
         self.backward_fn = backward_fn
@@ -130,16 +125,16 @@ def _wrap(value):
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def parameter(data, rng=None):
+def parameter(data):
     """Trainable tensor (requires_grad on)."""
     return Tensor(data, requires_grad=True)
 
 
-def _make(op, out_data, inputs, backward_fn):
+def _make(out_data, inputs, backward_fn):
     out = Tensor(out_data)
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.node = Node(op, inputs, out, backward_fn)
+        out.node = Node(inputs, out, backward_fn)
     return out
 
 
@@ -162,14 +157,14 @@ def add(a, b):
     def backward_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _make("add", a.data + b.data, (a, b), backward_fn)
+    return _make(a.data + b.data, (a, b), backward_fn)
 
 
 def sub(a, b):
     def backward_fn(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _make("sub", a.data - b.data, (a, b), backward_fn)
+    return _make(a.data - b.data, (a, b), backward_fn)
 
 
 def mul(a, b):
@@ -177,7 +172,7 @@ def mul(a, b):
         return (_unbroadcast(g * b.data, a.data.shape),
                 _unbroadcast(g * a.data, b.data.shape))
 
-    return _make("mul", a.data * b.data, (a, b), backward_fn)
+    return _make(a.data * b.data, (a, b), backward_fn)
 
 
 def div(a, b):
@@ -185,14 +180,14 @@ def div(a, b):
         return (_unbroadcast(g / b.data, a.data.shape),
                 _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _make("div", a.data / b.data, (a, b), backward_fn)
+    return _make(a.data / b.data, (a, b), backward_fn)
 
 
 def neg(a):
     def backward_fn(g):
         return (-g,)
 
-    return _make("neg", -a.data, (a,), backward_fn)
+    return _make(-a.data, (a,), backward_fn)
 
 
 def relu(x):
@@ -204,7 +199,7 @@ def relu(x):
     def backward_fn(g):
         return (g * mask,)
 
-    return _make("relu", np.where(dead, 0.0, x.data), (x,), backward_fn)
+    return _make(np.where(dead, 0.0, x.data), (x,), backward_fn)
 
 
 def sqrt(x):
@@ -214,7 +209,7 @@ def sqrt(x):
     def backward_fn(g):
         return (np.where(out_data > 0, 0.5 * g / np.where(out_data > 0, out_data, 1.0), 0.0),)
 
-    return _make("sqrt", out_data, (x,), backward_fn)
+    return _make(out_data, (x,), backward_fn)
 
 
 def tsum(x, axis=None, keepdims=False):
@@ -225,7 +220,7 @@ def tsum(x, axis=None, keepdims=False):
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, x.data.shape).copy(),)
 
-    return _make("sum", x.data.sum(axis=axis, keepdims=keepdims), (x,), backward_fn)
+    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward_fn)
 
 
 def tmean(x, axis=None, keepdims=False):
@@ -237,7 +232,7 @@ def tmean(x, axis=None, keepdims=False):
         g_exp = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp / n, x.data.shape).copy(),)
 
-    return _make("mean", x.data.mean(axis=axis, keepdims=keepdims), (x,), backward_fn)
+    return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +246,7 @@ def matmul(a, b):
     def backward_fn(g):
         return g @ b.data.T, a.data.T @ g
 
-    return _make("matmul", a.data @ b.data, (a, b), backward_fn)
+    return _make(a.data @ b.data, (a, b), backward_fn)
 
 
 def gather_rows(table, indices):
@@ -263,7 +258,7 @@ def gather_rows(table, indices):
         np.add.at(out, idx, g)
         return (out,)
 
-    return _make("gather_rows", table.data[idx], (table,), backward_fn)
+    return _make(table.data[idx], (table,), backward_fn)
 
 
 def slice_cols(x, n):
@@ -273,7 +268,7 @@ def slice_cols(x, n):
         out[:, :n] = g
         return (out,)
 
-    return _make("slice_cols", x.data[:, :n].copy(), (x,), backward_fn)
+    return _make(x.data[:, :n].copy(), (x,), backward_fn)
 
 
 def mask_cols(x, valid, fill=MASK_FILL):
@@ -286,7 +281,7 @@ def mask_cols(x, valid, fill=MASK_FILL):
         g[:, valid:] = 0.0
         return (g,)
 
-    return _make("mask_cols", out_data, (x,), backward_fn)
+    return _make(out_data, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,7 @@ def log_softmax(x):
     def backward_fn(g):
         return (g - softmax * g.sum(axis=1, keepdims=True),)
 
-    return _make("log_softmax", out_data, (x,), backward_fn)
+    return _make(out_data, (x,), backward_fn)
 
 
 def softmax_cross_entropy(logits, targets):
@@ -332,7 +327,7 @@ def softmax_cross_entropy(logits, targets):
         grad[np.arange(n), targets] -= 1.0
         return (grad * (g / n),)
 
-    return _make("softmax_ce", loss, (logits,), backward_fn)
+    return _make(loss, (logits,), backward_fn)
 
 
 def soft_cross_entropy(logits, target_probs):
@@ -355,7 +350,7 @@ def soft_cross_entropy(logits, target_probs):
         row_mass = probs.sum(axis=1, keepdims=True)
         return ((softmax * row_mass - probs) * (g / n),)
 
-    return _make("soft_ce", loss, (logits,), backward_fn)
+    return _make(loss, (logits,), backward_fn)
 
 
 def l2_distance(a, b):
@@ -379,7 +374,7 @@ def l2_distance(a, b):
         grad = (rows * scale[:, None] * g).reshape(a.data.shape)
         return grad, -grad
 
-    return _make("l2_distance", loss, (a, b), backward_fn)
+    return _make(loss, (a, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------

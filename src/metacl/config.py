@@ -2,8 +2,10 @@
 
 Values are parsed as JSON where possible (numbers, booleans, lists) and fall
 back to bare strings, so ``method = scale`` and ``seeds = [0, 1]`` both work.
-Unknown keys are rejected; every field has a default. ``config_hash`` gives a
-stable content address used to name result directories.
+Unknown keys are rejected; every field has a default, and every value is
+checked when the config is built, so a bad value fails before a run writes
+anything. ``config_hash`` gives a stable content address used to name result
+directories.
 """
 
 import hashlib
@@ -16,6 +18,8 @@ METHODS = ("scale", "er", "finetune")
 ABLATION_MODES = ("full", "A", "B", "C")
 DATASETS = ("synthetic", "idx")
 PROTOCOLS = ("split", "permuted")
+TRANSFORM_MODES = ("per_layer", "last", "off")
+GENERATOR_MODES = ("uniform-confusion", "negative-ce")
 
 
 @dataclass(frozen=True)
@@ -66,21 +70,30 @@ class RunConfig:
     memory_budget: int = 50
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(f"method must be one of {METHODS}")
-        if self.ablation not in ABLATION_MODES:
-            raise ConfigurationError(f"ablation must be one of {ABLATION_MODES}")
+        for name, valid in (("method", METHODS), ("ablation", ABLATION_MODES),
+                            ("dataset", DATASETS), ("protocol", PROTOCOLS),
+                            ("transform_mode", TRANSFORM_MODES),
+                            ("generator_mode", GENERATOR_MODES)):
+            if getattr(self, name) not in valid:
+                raise ConfigurationError(f"{name} must be one of {valid}")
         if self.method != "scale" and self.ablation != "full":
             raise ConfigurationError(
                 f"ablations apply to method=scale, not {self.method!r}")
-        if self.dataset not in DATASETS:
-            raise ConfigurationError(f"dataset must be one of {DATASETS}")
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(f"protocol must be one of {PROTOCOLS}")
         if not self.seeds:
             raise ConfigurationError("seeds must be non-empty")
-        if self.memory_budget < 0:
-            raise ConfigurationError("memory_budget must be non-negative")
+        for name in ("feature_width", "depth", "embed_dim", "disc_hidden",
+                     "n_in", "n_out", "n_ad", "batch_size", "replay_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        # written as "not >" so that NaN is rejected too
+        for name in ("inner_lr", "outer_lr", "adversarial_lr", "noise_std",
+                     "fake_fraction"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be > 0")
+        # k_max = 0 sizes the task capacity to the stream
+        for name in ("lambda1", "lambda2", "lambda3", "k_max", "memory_budget"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if self.dataset == "idx" and not self.idx_dir:
             raise ConfigurationError("dataset=idx requires idx_dir")
 

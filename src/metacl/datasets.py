@@ -129,7 +129,7 @@ def _gaussian_base(n_classes, train_per_class, test_per_class, input_dim,
                    n_classes=n_classes)
 
 
-def make_split_stream(base, classes_per_task, seed=0):
+def make_split_stream(base, classes_per_task):
     """Partition classes in label order into consecutive disjoint tasks.
 
     Within a task, labels are remapped to 0..classes_per_task-1.
@@ -185,7 +185,7 @@ def make_synthetic(spec):
                               spec.train_per_class, spec.test_per_class,
                               spec.input_dim, spec.center_scale,
                               spec.noise_scale, rng)
-        stream = make_split_stream(base, spec.classes_per_task, seed=spec.seed)
+        stream = make_split_stream(base, spec.classes_per_task)
         for task in stream.tasks:
             task.train.x, task.test.x = standardize(task.train.x, task.test.x)
         return stream

@@ -26,16 +26,8 @@ from .datasets import (
     subsample,
 )
 from .errors import ConfigurationError, NoDataError
-from .losses import AdversarialConfig, LossWeights
-from .memory import EpisodicMemory
 from .metrics import acc, fm
-from .trainer import (
-    ReplayTrainer,
-    Trainer,
-    TrainerConfig,
-    build_model,
-    run_stream,
-)
+from .trainer import build_trainer, run_stream
 
 MEMORY_SWEEP_VALUES = (50, 100, 150, 200)
 LAMBDA3_SWEEP_VALUES = (0.03, 0.09, 0.3, 0.9)
@@ -99,7 +91,7 @@ def build_stream(config):
                      seed=config.data_seed)
     if config.protocol == "permuted":
         return make_permuted_stream(base, config.n_tasks, seed=config.data_seed)
-    return make_split_stream(base, config.classes_per_task, seed=config.data_seed)
+    return make_split_stream(base, config.classes_per_task)
 
 
 # -- single runs -------------------------------------------------------------------
@@ -141,61 +133,11 @@ class ResultRecord:
                 + "\n").encode("utf-8")
 
 
-def trainer_config(config, seed):
-    return TrainerConfig(
-        inner_lr=config.inner_lr,
-        outer_lr=config.outer_lr,
-        adversarial_lr=config.adversarial_lr,
-        n_in=config.n_in,
-        n_out=config.n_out,
-        n_ad=config.n_ad,
-        batch_size=config.batch_size,
-        replay_batch_size=config.replay_batch_size,
-        weights=LossWeights(config.lambda1, config.lambda2, config.lambda3),
-        adversarial=AdversarialConfig(
-            noise_mean=config.noise_mean,
-            noise_std=config.noise_std,
-            generator_mode=config.generator_mode,
-            fake_fraction=config.fake_fraction,
-        ),
-        seed=seed,
-    )
-
-
-def model_kwargs(config):
-    kwargs = dict(
-        feature_width=config.feature_width,
-        depth=config.depth,
-        embed_dim=config.embed_dim,
-        disc_hidden=config.disc_hidden,
-        transform_mode=config.transform_mode,
-        share_embedding=config.share_embedding,
-    )
-    if config.k_max:
-        kwargs["k_max"] = config.k_max
-    return kwargs
-
-
 def run_single(config, seed, stream=None):
     """Train one method for one seed; returns a ResultRecord."""
     stream = stream if stream is not None else build_stream(config)
-    tc = trainer_config(config, seed)
-    kwargs = model_kwargs(config)
     started = time.perf_counter()
-    if config.method == "scale":
-        if config.ablation == "C":
-            kwargs["transform_mode"] = "off"
-        model = build_model(stream, seed, **kwargs)
-        memory = EpisodicMemory(config.memory_budget,
-                                rng=np.random.default_rng([seed, 20]))
-        trainer = Trainer(model, memory, tc, ablation=config.ablation)
-    else:
-        # replay baselines run the plain trunk; finetune keeps no memory
-        kwargs["transform_mode"] = "off"
-        budget = config.memory_budget if config.method == "er" else 0
-        model = build_model(stream, seed, **kwargs)
-        memory = EpisodicMemory(budget, rng=np.random.default_rng([seed, 20]))
-        trainer = ReplayTrainer(model, memory, tc)
+    trainer = build_trainer(stream, config, seed)
     records = run_stream(trainer, stream)
     wall = time.perf_counter() - started
 
@@ -204,7 +146,7 @@ def run_single(config, seed, stream=None):
     return ResultRecord(
         config_hash=config_hash(config),
         method=config.method,
-        ablation=config.ablation if config.method == "scale" else "full",
+        ablation=config.ablation,
         seed=seed,
         acc_matrix=state.matrix.to_rows(),
         final_acc=acc(state.matrix, k),
@@ -302,11 +244,6 @@ def execute_run(config, out_dir=None, stream=None):
     write_csv(os.path.join(run_dir, "summary.csv"), SUMMARY_COLUMNS,
               summary_rows(records))
     return records
-
-
-def er_baseline(config, out_dir=None):
-    """Plain experience replay under the same budget and one-epoch contract."""
-    return execute_run(replace(config, method="er", ablation="full"), out_dir)
 
 
 def mean_std(values):

@@ -10,11 +10,12 @@ task-indistinguishability without touching the discriminator weights. The
 discriminator separately minimizes CE over {fake=0, task 1..K} plus its own
 dark-replay term on stored discriminator logits, without touching the
 feature path.
+
+The trade-off constants lam1..lam3, the noise model and the alignment
+direction are read from the run's ``RunConfig``, passed as ``config``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,51 +27,12 @@ from .autodiff import (
     soft_cross_entropy,
     softmax_cross_entropy,
 )
-from .errors import ConfigurationError, ContractError, MemoryConsistencyError
-
-GENERATOR_MODES = ("uniform-confusion", "negative-ce")
+from .errors import ContractError, MemoryConsistencyError
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Trade-off constants; all must be non-negative."""
-
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    lambda3: float = 0.03
-
-    def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-
-
-@dataclass(frozen=True)
-class AdversarialConfig:
-    """Noise model and the direction of the feature-alignment objective.
-
-    fake_fraction scales how many noise rows accompany a real batch of size B
-    (1.0 keeps the fake/real counts equal).
-    """
-
-    noise_mean: float = 0.0
-    noise_std: float = 1.0
-    generator_mode: str = "uniform-confusion"
-    fake_fraction: float = 1.0
-
-    def __post_init__(self):
-        if self.generator_mode not in GENERATOR_MODES:
-            raise ConfigurationError(
-                f"generator_mode must be one of {GENERATOR_MODES}")
-        if self.noise_std <= 0:
-            raise ConfigurationError("noise_std must be positive")
-        if self.fake_fraction <= 0:
-            raise ConfigurationError("fake_fraction must be positive")
-
-
-def noise_batch(cfg, rng, n, dim):
+def noise_batch(config, rng, n, dim):
     """Fresh Gaussian pseudo-inputs in data space, labeled task 0 by callers."""
-    return rng.normal(cfg.noise_mean, cfg.noise_std, size=(n, dim))
+    return rng.normal(config.noise_mean, config.noise_std, size=(n, dim))
 
 
 def _rows(batch, memory):
@@ -108,7 +70,7 @@ def ce_loss(model, batch, memory=None):
     return total
 
 
-def derpp_loss(model, memory, weights):
+def derpp_loss(model, memory, config):
     """Dark-replay term: lam1 * mean L2 to stored logits + lam2 * mean CE.
 
     Every drawn row must carry a classifier-logit snapshot whose width
@@ -133,10 +95,10 @@ def derpp_loss(model, memory, weights):
         ce_part = softmax_cross_entropy(logits, memory.y[mask]) * frac
         l2_total = l2_part if l2_total is None else l2_total + l2_part
         ce_total = ce_part if ce_total is None else ce_total + ce_part
-    return weights.lambda1 * l2_total + weights.lambda2 * ce_total
+    return config.lambda1 * l2_total + config.lambda2 * ce_total
 
 
-def adversarial_generator_loss(model, batch, memory=None, cfg=None):
+def adversarial_generator_loss(model, batch, memory, config):
     """Feature-alignment objective; gradient reaches the extractor only.
 
     uniform-confusion (default): CE between the frozen discriminator's read
@@ -146,7 +108,6 @@ def adversarial_generator_loss(model, batch, memory=None, cfg=None):
 
     With fewer than two seen tasks there is nothing to confuse; returns 0.
     """
-    cfg = cfg or AdversarialConfig()
     k = model.n_seen
     if k < 2:
         return Tensor(0.0)
@@ -158,14 +119,14 @@ def adversarial_generator_loss(model, batch, memory=None, cfg=None):
     order = np.argsort(t, kind="stable")
     x_all, t_all = x[order], t[order]
     logits = model.discriminate(model.extract(x_all), k, freeze=True)
-    if cfg.generator_mode == "uniform-confusion":
+    if config.generator_mode == "uniform-confusion":
         target = np.zeros((len(x_all), model.k_max + 1))
         target[:, 1:k + 1] = 1.0 / k
         return soft_cross_entropy(logits, target)
     return -softmax_cross_entropy(logits, t_all)
 
 
-def discriminator_loss(model, x, task_labels, memory, weights, cfg=None):
+def discriminator_loss(model, x, task_labels, memory, config):
     """CE over {fake=0, task 1..K} plus dark replay on stored disc logits.
 
     ``x`` must mix real rows (labeled by true task) with fresh noise rows
@@ -204,14 +165,14 @@ def discriminator_loss(model, x, task_labels, memory, weights, cfg=None):
         ce_part = softmax_cross_entropy(logits_m, memory.t[mask]) * frac
         l2_total = l2_part if l2_total is None else l2_total + l2_part
         ce_total = ce_part if ce_total is None else ce_total + ce_part
-    return loss + weights.lambda1 * l2_total + weights.lambda2 * ce_total
+    return loss + config.lambda1 * l2_total + config.lambda2 * ce_total
 
 
-def total_loss(model, batch, memory, weights, cfg=None):
+def total_loss(model, batch, memory, config):
     """The learner's full objective: CE + dark replay + lam3 * alignment."""
     loss = ce_loss(model, batch, memory)
-    loss = loss + derpp_loss(model, memory, weights)
-    if weights.lambda3 != 0:
-        loss = loss + weights.lambda3 * adversarial_generator_loss(
-            model, batch, memory, cfg)
+    loss = loss + derpp_loss(model, memory, config)
+    if config.lambda3 != 0:
+        loss = loss + config.lambda3 * adversarial_generator_loss(
+            model, batch, memory, config)
     return loss

@@ -20,6 +20,7 @@ from .autodiff import (
     sqrt,
     tsum,
 )
+from .config import TRANSFORM_MODES
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -231,13 +232,11 @@ class ContinualModel:
       * ``off``       -- no task conditioning (ablation of the generator)
     """
 
-    TRANSFORM_MODES = ("per_layer", "last", "off")
-
     def __init__(self, input_dim, classes_per_task, feature_width=256, depth=2,
                  head_mode="multi", k_max=32, embed_dim=64,
                  transform_mode="per_layer", share_embedding=True,
                  disc_hidden=64, seed=0):
-        if transform_mode not in self.TRANSFORM_MODES:
+        if transform_mode not in TRANSFORM_MODES:
             raise ConfigurationError(f"unknown transform mode {transform_mode!r}")
         self.input_dim = input_dim
         self.classes_per_task = classes_per_task
@@ -271,9 +270,6 @@ class ContinualModel:
         if self.head_mode == "multi":
             self.heads.add_head(task_id)
         self.seen_tasks.append(task_id)
-
-    def add_head(self, task_id):
-        return self.heads.add_head(task_id)
 
     def _check_task(self, task_id):
         if task_id not in self.seen_tasks:

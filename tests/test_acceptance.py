@@ -10,6 +10,7 @@ import math
 import os
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,14 +42,10 @@ from metacl.experiments import (
     IDX_NAMES,
     MEMORY_SWEEP_VALUES,
     build_stream,
-    model_kwargs,
     run_single,
-    trainer_config,
     write_record,
 )
 from metacl.losses import (
-    AdversarialConfig,
-    LossWeights,
     adversarial_generator_loss,
     ce_loss,
     derpp_loss,
@@ -58,7 +55,7 @@ from metacl.losses import (
 from metacl.memory import EpisodicMemory, make_entry
 from metacl.metrics import AccuracyMatrix, acc, fm
 from metacl.networks import ContinualModel, film_transform
-from metacl.trainer import Trainer, run_ablation
+from metacl.trainer import build_trainer, run_stream
 
 from helpers import check_gradients, draw_of
 
@@ -196,12 +193,12 @@ def test_criterion_01_gradients_match_finite_differences():
         # full graph, both adversarial objectives across the seeds
         model, batch, memory = _graph_fixture(seed)
         mode = "uniform-confusion" if seed % 2 == 0 else "negative-ce"
-        cfg = AdversarialConfig(generator_mode=mode)
-        weights = LossWeights(1.0, 1.0, 0.3)
+        config = RunConfig(lambda1=1.0, lambda2=1.0, lambda3=0.3,
+                           generator_mode=mode)
         gen_side = (model.extractor_params() + model.head_params()
                     + model.generator_params())
         err = check_gradients(
-            lambda: total_loss(model, batch, memory, weights, cfg),
+            lambda: total_loss(model, batch, memory, config),
             gen_side, rtol=1e-4)
         worst = max(worst, err)
 
@@ -210,7 +207,7 @@ def test_criterion_01_gradients_match_finite_differences():
         labels = np.concatenate([np.full(len(batch.x), batch.task_id),
                                  np.zeros(2, dtype=int)])
         err = check_gradients(
-            lambda: discriminator_loss(model, x_all, labels, memory, weights),
+            lambda: discriminator_loss(model, x_all, labels, memory, config),
             model.discriminator_params(), rtol=1e-4)
         worst = max(worst, err)
     elapsed = time.perf_counter() - started
@@ -245,7 +242,8 @@ def test_criterion_02_losses_match_closed_forms():
     ys = rng.integers(0, 2, size=3)
     h = model.snapshot_logits(xs, 1)
     same = draw_of([make_entry(xs[i], ys[i], 1, h=h[i]) for i in range(3)])
-    assert derpp_loss(model, same, LossWeights(1.0, 0.0, 0.0)).data == 0.0
+    distill_only = RunConfig(lambda1=1.0, lambda2=0.0, lambda3=0.0)
+    assert derpp_loss(model, same, distill_only).data == 0.0
 
     # hand value: logits [3, 4] against stored [0, 0] gives distance 5
     assert l2_distance(Tensor(np.array([[3.0, 4.0]])),
@@ -254,11 +252,12 @@ def test_criterion_02_losses_match_closed_forms():
     w.data[...] = 0.0
     b.data[...] = np.array([3.0, 4.0])
     rigged = draw_of([make_entry(xs[0], 0, 1, h=np.zeros(2))])
-    assert derpp_loss(model, rigged, LossWeights(1.0, 0.0, 0.0)).data == 5.0
+    assert derpp_loss(model, rigged, distill_only).data == 5.0
 
     # with the distillation term off, replay reduces to weighted label CE
     lam2 = 0.7
-    got = derpp_loss(model, same, LossWeights(0.0, lam2, 0.0)).data
+    got = derpp_loss(model, same,
+                     RunConfig(lambda1=0.0, lambda2=lam2, lambda3=0.0)).data
     ref = lam2 * softmax_cross_entropy(model.logits(Tensor(xs), 1), ys).data
     assert abs(got - ref) < 1e-12
 
@@ -270,17 +269,19 @@ def test_criterion_02_losses_match_closed_forms():
     x_all = np.concatenate([xs, noise])
     labels = np.array([1, 1, 1, 0, 0])
     val = discriminator_loss(model, x_all, labels, None,
-                             LossWeights(0.0, 0.0, 0.0)).data
+                             RunConfig(lambda1=0.0, lambda2=0.0,
+                                       lambda3=0.0)).data
     assert abs(val - math.log(3)) < 1e-12
 
     # composite objective is exactly the sum of its parts
     model2, batch, memory = _graph_fixture(3)
-    weights = LossWeights(1.0, 1.0, 0.3)
-    cfg = AdversarialConfig(generator_mode="uniform-confusion")
-    total = total_loss(model2, batch, memory, weights, cfg).data
+    config = RunConfig(lambda1=1.0, lambda2=1.0, lambda3=0.3,
+                       generator_mode="uniform-confusion")
+    total = total_loss(model2, batch, memory, config).data
     parts = (ce_loss(model2, batch, memory).data
-             + derpp_loss(model2, memory, weights).data
-             + 0.3 * adversarial_generator_loss(model2, batch, memory, cfg).data)
+             + derpp_loss(model2, memory, config).data
+             + 0.3 * adversarial_generator_loss(model2, batch, memory,
+                                                config).data)
     assert abs(total - parts) < 1e-12
 
     _ok(2, "uniform=lnC, saturated~0, distill zero case, l2=5, "
@@ -343,19 +344,15 @@ def test_criterion_04_one_epoch_counters_and_freeze_contracts():
                             "adversarial_updates": rounds}
 
     # freeze contracts: each phase moves its own parameter group only
-    from metacl.trainer import build_model
-
-    tc = trainer_config(cfg, 0)
-    model = build_model(stream, 0, **model_kwargs(cfg))
-    memory = EpisodicMemory(cfg.memory_budget, rng=np.random.default_rng([0, 20]))
-    trainer = Trainer(model, memory, tc)
+    trainer = build_trainer(stream, cfg, 0)
+    model, memory = trainer.model, trainer.memory
     trainer.train_task(stream.tasks[0])
 
     model.register_task(2)
     t2 = stream.tasks[1]
     batch = TaskBatch(t2.train.x[:8], t2.train.y[:8], t2.task_id)
     train_part, val_part = memory.partition(
-        batch, trainer.partition_rng, tc.replay_batch_size)
+        batch, trainer.partition_rng, cfg.replay_batch_size)
 
     def snap(params):
         return [p.data.copy() for p in params]
@@ -426,10 +423,9 @@ def test_criterion_06_replay_regularizers_ablation_forgets_more():
     fms = {"full": [], "B": []}
     for mode in fms:
         for seed in cfg.seeds:
-            tc = trainer_config(cfg, seed)
-            state, _ = run_ablation(mode, stream, tc,
-                                    budget_per_task=cfg.memory_budget,
-                                    model_kwargs=model_kwargs(cfg))
+            trainer = build_trainer(stream, replace(cfg, ablation=mode), seed)
+            run_stream(trainer, stream)
+            state = trainer.state
             for p in state.model.all_params():
                 assert np.all(np.isfinite(p.data)), f"{mode} seed {seed}"
             fms[mode].append(fm(state.matrix, state.matrix.n_rows))

@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from metacl.datasets import SyntheticSpec, make_synthetic
 from metacl.errors import FormatError
 from metacl.memory import EpisodicMemory, make_entry
 from metacl.metrics import AccuracyMatrix
-from metacl.trainer import Trainer, TrainerConfig, build_model
+from metacl.config import RunConfig
+from metacl.trainer import Trainer, build_model, build_trainer
 
-SMALL_MODEL = dict(feature_width=16, depth=2, embed_dim=4, disc_hidden=8)
+SMALL = RunConfig(feature_width=16, depth=2, embed_dim=4, disc_hidden=8,
+                  batch_size=10, replay_batch_size=16, inner_lr=0.1)
 
 
 def small_stream(seed=0, protocol="split"):
@@ -30,10 +33,8 @@ def small_stream(seed=0, protocol="split"):
 
 def trained_trainer(seed=0, n_tasks=2, budget=5):
     stream = small_stream(seed)
-    config = TrainerConfig(batch_size=10, replay_batch_size=16, seed=seed)
-    model = build_model(stream, seed, **SMALL_MODEL)
-    memory = EpisodicMemory(budget, rng=np.random.default_rng([seed, 20]))
-    trainer = Trainer(model, memory, config)
+    config = replace(SMALL, memory_budget=budget)
+    trainer = build_trainer(stream, config, seed)
     for task in stream.tasks[:n_tasks]:
         trainer.train_task(task)
     return trainer, stream, config
@@ -87,7 +88,7 @@ def test_parameter_round_trip_bit_exact(tmp_path):
 
 def test_mode_flags_survive(tmp_path):
     stream = small_stream(protocol="permuted")
-    model = build_model(stream, 0, transform_mode="last", **SMALL_MODEL)
+    model = build_model(stream, replace(SMALL, transform_mode="last"), 0)
     model.register_task(1)
     path = tmp_path / "m.npz"
     save_checkpoint(path, model)
@@ -115,7 +116,7 @@ def test_memory_without_snapshots_round_trips(tmp_path):
     memory = EpisodicMemory(3, rng=np.random.default_rng(1))
     for i in range(10):
         memory.observe(make_entry(rng.normal(size=4), i % 2, 1))
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model, memory=memory)
     loaded = load_checkpoint(path)
@@ -129,7 +130,7 @@ def test_memory_rng_continuation(tmp_path):
     mem_a = EpisodicMemory(3, rng=np.random.default_rng(7))
     for i in range(30):
         mem_a.observe(make_entry(xs[i], 0, 1))
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model, memory=mem_a)
     mem_b = load_checkpoint(path).memory
@@ -142,7 +143,7 @@ def test_memory_rng_continuation(tmp_path):
 
 def test_matrix_round_trip(tmp_path):
     matrix = AccuracyMatrix.from_rows([[0.5], [0.25, 0.75]])
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model, matrix=matrix)
     loaded = load_checkpoint(path)
@@ -150,7 +151,7 @@ def test_matrix_round_trip(tmp_path):
 
 
 def test_extra_metadata_round_trip(tmp_path):
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model, extra={"note": "hello", "k": 3})
     assert load_checkpoint(path).extra == {"note": "hello", "k": 3}
@@ -159,12 +160,10 @@ def test_extra_metadata_round_trip(tmp_path):
 def test_resume_equals_uninterrupted_run(tmp_path):
     seed = 3
     stream = small_stream(seed)
-    config = TrainerConfig(batch_size=10, replay_batch_size=16, seed=seed)
+    config = replace(SMALL, memory_budget=5)
 
     def fresh():
-        model = build_model(stream, seed, **SMALL_MODEL)
-        memory = EpisodicMemory(5, rng=np.random.default_rng([seed, 20]))
-        return Trainer(model, memory, config)
+        return build_trainer(stream, config, seed)
 
     straight = fresh()
     for task in stream.tasks:
@@ -176,7 +175,7 @@ def test_resume_equals_uninterrupted_run(tmp_path):
     save_checkpoint(path, interrupted.model, memory=interrupted.memory,
                     extra={"rngs": interrupted.rng_states()})
     ck = load_checkpoint(path)
-    resumed = Trainer(ck.model, ck.memory, config)
+    resumed = Trainer(ck.model, ck.memory, config, seed)
     resumed.set_rng_states(ck.extra["rngs"])
     for task in stream.tasks[1:]:
         resumed.train_task(task)
@@ -186,7 +185,7 @@ def test_resume_equals_uninterrupted_run(tmp_path):
 
 
 def test_wrong_version_rejected(tmp_path):
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(src, model)
 
@@ -199,7 +198,7 @@ def test_wrong_version_rejected(tmp_path):
 
 
 def test_version_1_file_rejected(tmp_path):
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(src, model)
 
@@ -222,7 +221,7 @@ def filled_memory(rows, seed=0):
 
 
 def test_member_count_does_not_grow_with_memory_rows(tmp_path):
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     members = []
     for rows in (10, 1000):
         memory = filled_memory(rows)
@@ -243,7 +242,7 @@ def test_mixed_snapshot_widths_round_trip_bit_exact(tmp_path):
         h_disc = None if i % 5 == 0 else rng.normal(size=2 + i % 4)
         memory.observe(make_entry(rng.normal(size=4), i % 2, t, h=h,
                                   h_disc=h_disc))
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model, memory=memory)
     loaded = load_checkpoint(path).memory
@@ -266,7 +265,7 @@ def test_mixed_snapshot_widths_round_trip_bit_exact(tmp_path):
 
 
 def test_inconsistent_memory_rejected(tmp_path):
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(src, model, memory=filled_memory(10))
 
@@ -279,7 +278,7 @@ def test_inconsistent_memory_rejected(tmp_path):
 
 
 def test_missing_memory_field_rejected(tmp_path):
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(src, model, memory=filled_memory(10))
 
@@ -292,7 +291,7 @@ def test_missing_memory_field_rejected(tmp_path):
 
 
 def test_missing_parameter_rejected(tmp_path):
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(src, model)
 
@@ -322,7 +321,7 @@ def test_missing_file_raises_filenotfound(tmp_path):
 
 
 def test_save_is_atomic(tmp_path):
-    model = build_model(small_stream(), 0, **SMALL_MODEL)
+    model = build_model(small_stream(), SMALL, 0)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model)
     save_checkpoint(path, model)

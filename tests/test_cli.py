@@ -4,7 +4,11 @@ import io
 import subprocess
 import sys
 
+import pytest
+
 from metacl.cli import main
+from metacl.config import parse_config
+from metacl.errors import ConfigurationError
 
 TINY = [
     "--set", "n_tasks=3", "--set", "train_per_class=10",
@@ -61,6 +65,28 @@ def test_invalid_value_is_diagnosed(tmp_path):
          "--set", "method=nonsense"])
     assert code == 2
     assert "method" in err
+
+
+# each is caught when the config is built, before a run writes anything
+INVALID_OVERRIDES = [
+    ["inner_lr=0"], ["generator_mode=bogus"], ["transform_mode=bogus"],
+    ["n_in=0"], ["lambda1=-1"], ["fake_fraction=0"], ["replay_batch_size=0"],
+    ["k_max=-1"], ["depth=0"], ["feature_width=0"],
+    ["method=er", "transform_mode=bogus"],
+]
+
+
+@pytest.mark.parametrize("overrides", INVALID_OVERRIDES, ids=" ".join)
+def test_invalid_value_writes_no_run_directory(tmp_path, overrides):
+    with pytest.raises(ConfigurationError):
+        parse_config("\n".join(overrides))
+    argv = ["run", "--seed", "0", "--out", str(tmp_path)] + TINY
+    for pair in overrides:
+        argv += ["--set", pair]
+    code, _, err = invoke(argv)
+    assert code == 2
+    assert "error:" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file_is_diagnosed(tmp_path):

@@ -1,8 +1,10 @@
 """Experiment-runner tests: records, determinism, sweeps, reporting."""
 
 import csv
+import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +16,6 @@ from metacl.experiments import (
     MEMORY_SWEEP_VALUES,
     ablate,
     build_stream,
-    er_baseline,
     execute_run,
     find_records,
     grid,
@@ -230,9 +231,38 @@ def test_ablate_runs_all_modes(tmp_path):
     assert (tmp_path / "ablations.csv").exists()
 
 
-def test_er_baseline_helper(tmp_path):
-    records = er_baseline(tiny_config(), out_dir=str(tmp_path))
+def test_execute_run_er(tmp_path):
+    records = execute_run(replace(tiny_config(), method="er"),
+                          out_dir=str(tmp_path))
     assert records[0].method == "er"
+
+
+# sha256 of record.json, computed before trainers and losses read RunConfig
+# directly: a refactor of the run path must not change a single number
+PINNED_RECORDS = {
+    ("scale", "full"):
+        "7743d06d381b3e6458997a84007a52e54695de5fcb8bc949c172bf1269f931b8",
+    ("scale", "A"):
+        "4a60c615d8377b88129e88a9226452e98ac585d383f219084f84d449bf9f6fdb",
+    ("scale", "B"):
+        "30b73f73c0b71c83f8d9071fe44c0ccac46b01006dfa3eb11149aa65721cb88d",
+    ("scale", "C"):
+        "50089deb11d68535ffede190abeb68003d43d50aa45f8520ee2c8349097f4ba0",
+    ("er", "full"):
+        "b32e71eeccc9e149e52e21db14ce1672592a34924844a2dc20319c6b3ebf5ecd",
+    ("finetune", "full"):
+        "c82c1a525b88b54338c2f9247ff07598d2ceee63b6d774792d6dc9cbae0e1258",
+}
+
+
+@pytest.mark.parametrize("method, ablation", sorted(PINNED_RECORDS))
+def test_records_pinned(tmp_path, method, ablation):
+    config = RunConfig(method=method, ablation=ablation, n_tasks=3,
+                       train_per_class=10, test_per_class=10, seeds=(0,))
+    execute_run(config, out_dir=str(tmp_path))
+    (path,) = tmp_path.glob("*/seed-0/record.json")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == PINNED_RECORDS[(method, ablation)]
 
 
 def test_report_aggregates(tmp_path):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from metacl.autodiff import Tensor, backward, sgd_step, zero_grads
+from metacl.config import RunConfig
 from metacl.errors import ConfigurationError, ContractError, MemoryConsistencyError
 from metacl.losses import (
-    AdversarialConfig,
-    LossWeights,
     adversarial_generator_loss,
     ce_loss,
     derpp_loss,
@@ -107,7 +106,7 @@ def test_derpp_identity_snapshots_zero():
         h = model.snapshot_logits(x[None, :], 1)[0]
         entries.append(make_entry(x, y=i % 2, t=1, h=h))
     loss = derpp_loss(model, draw_of(entries),
-                      LossWeights(lambda1=1.0, lambda2=0.0))
+                      RunConfig(lambda1=1.0, lambda2=0.0))
     assert abs(loss.item()) < 1e-12
 
 
@@ -117,7 +116,7 @@ def test_derpp_hand_case_l2_five():
     zero_head(model, 1, bias=[3.0, 4.0])
     entry = make_entry(np.zeros(3), y=0, t=1, h=np.zeros(2))
     loss = derpp_loss(model, draw_of([entry]),
-                      LossWeights(lambda1=1.0, lambda2=0.0))
+                      RunConfig(lambda1=1.0, lambda2=0.0))
     assert abs(loss.item() - 5.0) < 1e-12
 
 
@@ -128,7 +127,7 @@ def test_derpp_lambda1_zero_reduces_to_memory_ce():
     entries = [make_entry(rng.normal(size=3), y=i % 2, t=1, h=np.zeros(2))
                for i in range(5)]
     reduced = derpp_loss(model, draw_of(entries),
-                         LossWeights(lambda1=0.0, lambda2=2.5))
+                         RunConfig(lambda1=0.0, lambda2=2.5))
     plain = ce_loss(model, None, draw_of(entries))
     assert abs(reduced.item() - 2.5 * plain.item()) < 1e-12
 
@@ -138,7 +137,7 @@ def test_derpp_snapshot_width_mismatch():
     model.register_task(1)
     entry = make_entry(np.zeros(3), y=0, t=1, h=np.zeros(3))
     with pytest.raises(MemoryConsistencyError, match="shape"):
-        derpp_loss(model, draw_of([entry]), LossWeights())
+        derpp_loss(model, draw_of([entry]), RunConfig())
 
 
 def test_derpp_missing_snapshot():
@@ -146,13 +145,13 @@ def test_derpp_missing_snapshot():
     model.register_task(1)
     entry = make_entry(np.zeros(3), y=0, t=1, h=None)
     with pytest.raises(MemoryConsistencyError, match="lacks"):
-        derpp_loss(model, draw_of([entry]), LossWeights())
+        derpp_loss(model, draw_of([entry]), RunConfig())
 
 
 def test_derpp_empty_memory_is_zero():
     model = flat_model()
-    assert derpp_loss(model, draw_of([]), LossWeights()).item() == 0.0
-    assert derpp_loss(model, None, LossWeights()).item() == 0.0
+    assert derpp_loss(model, draw_of([]), RunConfig()).item() == 0.0
+    assert derpp_loss(model, None, RunConfig()).item() == 0.0
 
 
 # -- adversarial generator side ----------------------------------------------------
@@ -162,7 +161,7 @@ def test_alignment_single_task_returns_zero():
     model = flat_model()
     model.register_task(1)
     batch = Batch(np.zeros((2, 3)), [0, 1], 1)
-    assert adversarial_generator_loss(model, batch).item() == 0.0
+    assert adversarial_generator_loss(model, batch, None, RunConfig()).item() == 0.0
 
 
 def test_alignment_uniform_over_real_labels_is_log_k():
@@ -174,7 +173,7 @@ def test_alignment_uniform_over_real_labels_is_log_k():
     # push all probability mass off the fake class
     model.discriminator.b2.data[0] = -1e9
     batch = Batch(np.random.default_rng(0).normal(size=(4, 3)), [0, 1, 0, 1], 1)
-    loss = adversarial_generator_loss(model, batch)
+    loss = adversarial_generator_loss(model, batch, None, RunConfig())
     assert abs(loss.item() - np.log(2)) < 1e-12
 
 
@@ -187,7 +186,7 @@ def test_alignment_log_k_is_the_minimum():
     model.discriminator.b2.data[0] = -1e9
     model.discriminator.b2.data[1] = 1.0  # tilt away from uniform
     batch = Batch(np.random.default_rng(0).normal(size=(4, 3)), [0, 1, 0, 1], 1)
-    loss = adversarial_generator_loss(model, batch)
+    loss = adversarial_generator_loss(model, batch, None, RunConfig())
     assert loss.item() > np.log(2)
 
 
@@ -196,7 +195,7 @@ def test_alignment_stop_gradient_on_discriminator():
     model.register_task(1)
     model.register_task(2)
     batch = Batch(np.random.default_rng(0).normal(size=(6, 3)), [0, 1] * 3, 1)
-    loss = adversarial_generator_loss(model, batch)
+    loss = adversarial_generator_loss(model, batch, None, RunConfig())
     backward(loss)
     assert all(p.grad is None for p in model.discriminator_params())
     ext_grads = [p.grad for p in model.extractor_params()]
@@ -208,8 +207,8 @@ def test_alignment_negative_ce_mode():
     model.register_task(1)
     model.register_task(2)
     batch = Batch(np.random.default_rng(0).normal(size=(4, 3)), [0, 1, 0, 1], 1)
-    cfg = AdversarialConfig(generator_mode="negative-ce")
-    loss = adversarial_generator_loss(model, batch, cfg=cfg)
+    cfg = RunConfig(generator_mode="negative-ce")
+    loss = adversarial_generator_loss(model, batch, None, cfg)
     assert loss.item() <= 0.0
     backward(loss)
     assert all(p.grad is None for p in model.discriminator_params())
@@ -217,11 +216,11 @@ def test_alignment_negative_ce_mode():
 
 def test_adversarial_config_validation():
     with pytest.raises(ConfigurationError):
-        AdversarialConfig(generator_mode="gradient-reversal")
+        RunConfig(generator_mode="gradient-reversal")
     with pytest.raises(ConfigurationError):
-        AdversarialConfig(noise_std=0.0)
+        RunConfig(noise_std=0.0)
     with pytest.raises(ConfigurationError):
-        LossWeights(lambda1=-0.1)
+        RunConfig(lambda1=-0.1)
 
 
 # -- discriminator side -------------------------------------------------------------
@@ -232,7 +231,7 @@ def test_discriminator_requires_noise_rows():
     model.register_task(1)
     x = np.random.default_rng(0).normal(size=(3, 3))
     with pytest.raises(ContractError):
-        discriminator_loss(model, x, [1, 1, 1], None, LossWeights())
+        discriminator_loss(model, x, [1, 1, 1], None, RunConfig())
 
 
 def test_discriminator_uniform_is_log3():
@@ -242,7 +241,7 @@ def test_discriminator_uniform_is_log3():
     for p in model.discriminator_params():
         p.data[:] = 0.0
     x = np.random.default_rng(0).normal(size=(6, 3))
-    loss = discriminator_loss(model, x, [0, 0, 1, 1, 2, 2], None, LossWeights())
+    loss = discriminator_loss(model, x, [0, 0, 1, 1, 2, 2], None, RunConfig())
     assert abs(loss.item() - np.log(3)) < 1e-12
 
 
@@ -263,7 +262,7 @@ def test_discriminator_perfect_separation_near_zero():
     d.w2.data[1, 0] = 20.0  # feature axis 1 → fake
     d.b2.data[:] = 0.0
     x = np.array([[10.0, 0.0], [0.0, 10.0]])
-    loss = discriminator_loss(model, x, [1, 0], None, LossWeights())
+    loss = discriminator_loss(model, x, [1, 0], None, RunConfig())
     assert loss.item() < 1e-12
 
 
@@ -273,11 +272,11 @@ def test_discriminator_stop_gradient_on_features():
     model.register_task(2)
     rng = np.random.default_rng(0)
     x = np.concatenate([rng.normal(size=(4, 3)),
-                        noise_batch(AdversarialConfig(), rng, 4, 3)])
+                        noise_batch(RunConfig(), rng, 4, 3)])
     labels = [1, 1, 2, 2, 0, 0, 0, 0]
     entries = [make_entry(rng.normal(size=3), y=0, t=1, h=np.zeros(2),
                           h_disc=np.zeros(2)) for _ in range(3)]
-    loss = discriminator_loss(model, x, labels, draw_of(entries), LossWeights())
+    loss = discriminator_loss(model, x, labels, draw_of(entries), RunConfig())
     backward(loss)
     for p in (model.extractor_params() + model.generator_params()
               + model.head_params()):
@@ -290,14 +289,14 @@ def test_discriminator_dark_replay_identity_term():
     model.register_task(1)
     rng = np.random.default_rng(0)
     x = np.concatenate([rng.normal(size=(2, 3)),
-                        noise_batch(AdversarialConfig(), rng, 2, 3)])
+                        noise_batch(RunConfig(), rng, 2, 3)])
     labels = [1, 1, 0, 0]
     mem_x = rng.normal(size=3)
     snap = model.snapshot_disc_logits(mem_x[None, :])[0]
     entry = make_entry(mem_x, y=0, t=1, h=np.zeros(2), h_disc=snap)
     with_mem = discriminator_loss(model, x, labels, draw_of([entry]),
-                                  LossWeights(lambda1=1.0, lambda2=0.0))
-    without = discriminator_loss(model, x, labels, None, LossWeights())
+                                  RunConfig(lambda1=1.0, lambda2=0.0))
+    without = discriminator_loss(model, x, labels, None, RunConfig())
     assert abs(with_mem.item() - without.item()) < 1e-12
 
 
@@ -306,11 +305,11 @@ def test_discriminator_snapshot_width_check():
     model.register_task(1)
     rng = np.random.default_rng(0)
     x = np.concatenate([rng.normal(size=(2, 3)),
-                        noise_batch(AdversarialConfig(), rng, 2, 3)])
+                        noise_batch(RunConfig(), rng, 2, 3)])
     entry = make_entry(rng.normal(size=3), y=0, t=1, h=np.zeros(2),
                        h_disc=np.zeros(5))
     with pytest.raises(MemoryConsistencyError, match="width 5"):
-        discriminator_loss(model, x, [1, 1, 0, 0], draw_of([entry]), LossWeights())
+        discriminator_loss(model, x, [1, 1, 0, 0], draw_of([entry]), RunConfig())
 
 
 # -- total loss -----------------------------------------------------------------------
@@ -337,26 +336,25 @@ def build_rich_setup(seed=9):
 
 def test_total_loss_additivity():
     model, batch, memory = build_rich_setup()
-    weights = LossWeights(lambda1=1.0, lambda2=1.0, lambda3=0.03)
-    cfg = AdversarialConfig()
-    total = total_loss(model, batch, memory, weights, cfg).item()
+    config = RunConfig(lambda1=1.0, lambda2=1.0, lambda3=0.03)
+    total = total_loss(model, batch, memory, config).item()
     parts = (ce_loss(model, batch, memory).item()
-             + derpp_loss(model, memory, weights).item()
-             + weights.lambda3
-             * adversarial_generator_loss(model, batch, memory, cfg).item())
+             + derpp_loss(model, memory, config).item()
+             + config.lambda3
+             * adversarial_generator_loss(model, batch, memory, config).item())
     assert abs(total - parts) <= 1e-12
 
 
 def test_total_loss_zero_weights_is_plain_ce():
     model, batch, memory = build_rich_setup()
-    weights = LossWeights(lambda1=0.0, lambda2=0.0, lambda3=0.0)
-    total = total_loss(model, batch, memory, weights).item()
+    config = RunConfig(lambda1=0.0, lambda2=0.0, lambda3=0.0)
+    total = total_loss(model, batch, memory, config).item()
     assert abs(total - ce_loss(model, batch, memory).item()) <= 1e-12
 
 
 def test_total_loss_gradient_partitioning():
     model, batch, memory = build_rich_setup()
-    loss = total_loss(model, batch, memory, LossWeights(), AdversarialConfig())
+    loss = total_loss(model, batch, memory, RunConfig())
     backward(loss)
     assert all(p.grad is None for p in model.discriminator_params())
     for group in (model.extractor_params(), model.generator_params(),
@@ -395,8 +393,7 @@ def run_alignment_duel(seed, adversarial):
         x = np.array([centers[(task, yi)] for yi in y])
         return x + 0.3 * rng.normal(size=(n, 2)), y
 
-    weights = LossWeights(lambda1=0.0, lambda2=0.0)
-    cfg = AdversarialConfig()
+    cfg = RunConfig(lambda1=0.0, lambda2=0.0)
     for step in range(200):
         task = 1 + step % 2
         x, y = draw(task, 16)
@@ -409,11 +406,11 @@ def run_alignment_duel(seed, adversarial):
         tb = np.concatenate([np.full(16, task, dtype=np.int64),
                              np.zeros(16, dtype=np.int64)])
         zero_grads(model.all_params())
-        backward(discriminator_loss(model, xb, tb, None, weights))
+        backward(discriminator_loss(model, xb, tb, None, cfg))
         sgd_step(model.discriminator_params(), lr=0.1)
         if adversarial:
             zero_grads(model.all_params())
-            backward(adversarial_generator_loss(model, batch, cfg=cfg))
+            backward(adversarial_generator_loss(model, batch, None, cfg))
             sgd_step(model.extractor_params(), lr=0.05)
     x1, _ = draw(1, 100)
     x2, _ = draw(2, 100)

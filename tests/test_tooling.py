@@ -1,0 +1,39 @@
+"""Smoke tests for the demos and the benchmark entry point.
+
+The demos import metacl's public API at module level, so importing each one
+catches a renamed or deleted name without running the demo. The benchmark
+patches metacl's functions where their callers look them up; a short run of
+it catches a refactor that moves one of those names.
+"""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
+def test_demo_imports(path):
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+@pytest.mark.parametrize("args", [
+    ["--workload", "resume20-er", "--seed", "0", "--trace", "1"],
+    ["--workload", "desk5-full", "--seed", "0", "--trace", "0",
+     "--seconds", "0"],
+], ids=["resume20-er-traced", "desk5-full-untraced"])
+def test_benchmark_runs_without_failures(args):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run_bench.py"), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["failed"] == 0, out.stderr
+    assert result["attempted"] > 0

@@ -1,12 +1,13 @@
 """Trainer tests: freeze contracts, one-epoch accounting, oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import check_gradients
 from metacl.autodiff import backward, sgd_step, softmax_cross_entropy, zero_grads
-from dataclasses import replace
-
+from metacl.config import RunConfig
 from metacl.datasets import (
     Split,
     SyntheticSpec,
@@ -16,20 +17,22 @@ from metacl.datasets import (
     make_synthetic,
 )
 from metacl.errors import ConfigurationError, UnknownTaskError
-from metacl.losses import LossWeights, total_loss
-from metacl.memory import EpisodicMemory, Partition, make_entry
+from metacl.experiments import run_single
+from metacl.losses import total_loss
+from metacl.memory import EpisodicMemory, Partition
 from metacl.trainer import (
     ReplayTrainer,
     Trainer,
-    TrainerConfig,
     build_model,
+    build_trainer,
     effective_weights,
     evaluate,
-    run_ablation,
     run_stream,
 )
 
-SMALL_MODEL = dict(feature_width=16, depth=2, embed_dim=4, disc_hidden=8)
+# a small model; inner_lr 0.1 is the step size these tests were calibrated on
+SMALL = dict(feature_width=16, depth=2, embed_dim=4, disc_hidden=8,
+             batch_size=10, replay_batch_size=16, inner_lr=0.1)
 
 
 def small_stream(**kw):
@@ -43,19 +46,15 @@ def small_stream(**kw):
 
 
 def small_config(**kw):
-    kw.setdefault("batch_size", 10)
-    kw.setdefault("replay_batch_size", 16)
-    kw.setdefault("seed", 0)
-    return TrainerConfig(**kw)
+    return RunConfig(**{**SMALL, **kw})
 
 
 def fresh_trainer(ablation="full", budget=5, seed=0, transform="per_layer",
                   stream=None, **cfg_kw):
     stream = stream or small_stream(seed=seed)
-    config = small_config(seed=seed, **cfg_kw)
-    model = build_model(stream, seed, transform_mode=transform, **SMALL_MODEL)
-    memory = EpisodicMemory(budget, rng=np.random.default_rng([seed, 20]))
-    return Trainer(model, memory, config, ablation=ablation), stream
+    config = small_config(ablation=ablation, transform_mode=transform,
+                          memory_budget=budget, **cfg_kw)
+    return build_trainer(stream, config, seed), stream
 
 
 def snapshot(params):
@@ -69,49 +68,62 @@ def unchanged(params, before):
 def first_partition(trainer, stream):
     task = stream.tasks[0]
     trainer.model.register_task(task.task_id)
-    batch = next(batches(task.train, trainer.cfg.batch_size,
-                         [trainer.cfg.seed, 10, task.task_id],
+    batch = next(batches(task.train, trainer.config.batch_size,
+                         [trainer.seed, 10, task.task_id],
                          task_id=task.task_id))
     return trainer.memory.partition(batch, trainer.partition_rng,
-                                    trainer.cfg.replay_batch_size)
+                                    trainer.config.replay_batch_size)
 
 
 # -- config ------------------------------------------------------------------------
 
 
 def test_config_defaults():
-    cfg = TrainerConfig()
-    assert cfg.inner_lr == 0.1
+    cfg = RunConfig()
+    assert cfg.inner_lr == 0.35
     assert cfg.outer_lr == 0.01
     assert cfg.adversarial_lr == 0.001
     assert cfg.n_in == cfg.n_out == cfg.n_ad == 1
+    assert cfg.batch_size == 8
     assert cfg.replay_batch_size == 64
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        TrainerConfig(inner_lr=0.0)
+        RunConfig(inner_lr=0.0)
     with pytest.raises(ConfigurationError):
-        TrainerConfig(n_in=0)
+        RunConfig(n_in=0)
     with pytest.raises(ConfigurationError):
-        TrainerConfig(batch_size=0)
+        RunConfig(batch_size=0)
 
 
 def test_effective_weights_modes():
-    base = LossWeights(lambda1=2.0, lambda2=3.0, lambda3=0.5)
-    a = effective_weights(base, "A")
-    b = effective_weights(base, "B")
+    base = small_config(lambda1=2.0, lambda2=3.0, lambda3=0.5)
+    a = effective_weights(replace(base, ablation="A"))
+    b = effective_weights(replace(base, ablation="B"))
     assert (a.lambda1, a.lambda2, a.lambda3) == (2.0, 3.0, 0.0)
     assert (b.lambda1, b.lambda2, b.lambda3) == (0.0, 0.0, 0.5)
-    assert effective_weights(base, "full") is base
+    assert effective_weights(base) is base
 
 
 def test_ablation_c_requires_transform_off():
     stream = small_stream()
-    model = build_model(stream, 0, transform_mode="per_layer", **SMALL_MODEL)
+    model = build_model(stream, small_config(), 0)
     memory = EpisodicMemory(5, rng=np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
-        Trainer(model, memory, small_config(), ablation="C")
+        Trainer(model, memory, small_config(ablation="C"), 0)
+
+
+def test_build_model_runs_the_plain_trunk_where_the_method_asks():
+    stream = small_stream()
+    for config, mode in ((small_config(), "per_layer"),
+                         (small_config(transform_mode="last"), "last"),
+                         (small_config(ablation="C"), "off"),
+                         (small_config(method="er"), "off"),
+                         (small_config(method="finetune"), "off")):
+        assert build_model(stream, config, 0).transform_mode == mode
+    assert build_model(stream, small_config(), 0).k_max == 32
+    assert build_model(stream, small_config(k_max=5), 0).k_max == 5
 
 
 # -- inner step -----------------------------------------------------------------------
@@ -135,7 +147,7 @@ def test_inner_step_descends_at_small_lr():
     part, _ = first_partition(trainer, stream)
     before = trainer.inner_step(part, lr=1e-3)
     after = total_loss(trainer.model, part.batch, part.memory,
-                       trainer.weights, trainer.cfg.adversarial).item()
+                       trainer.config).item()
     assert after <= before
 
 
@@ -163,8 +175,7 @@ def test_outer_gradient_matches_finite_differences():
     model = trainer.model
 
     def loss_fn():
-        return total_loss(model, val.batch, val.memory, trainer.weights,
-                          trainer.cfg.adversarial)
+        return total_loss(model, val.batch, val.memory, trainer.config)
 
     zero_grads(model.all_params())
     backward(loss_fn())
@@ -237,7 +248,7 @@ def test_train_task_one_epoch_accounting():
     task = stream.tasks[0]
     record = trainer.train_task(task)
     n = len(task.train.x)
-    rounds = -(-n // trainer.cfg.batch_size)
+    rounds = -(-n // trainer.config.batch_size)
     assert record["consumed"] == n
     assert trainer.state.samples_seen[task.task_id] == n
     assert trainer.state.inner_updates == rounds
@@ -256,10 +267,8 @@ def test_train_task_memory_budget_growth():
 
 def test_train_task_iteration_counts_multiply():
     stream = small_stream(seed=2)
-    config = small_config(seed=2, n_in=2, n_out=2, n_ad=3)
-    model = build_model(stream, 2, **SMALL_MODEL)
-    memory = EpisodicMemory(5, rng=np.random.default_rng([2, 20]))
-    trainer = Trainer(model, memory, config)
+    config = small_config(n_in=2, n_out=2, n_ad=3, memory_budget=5)
+    trainer = build_trainer(stream, config, 2)
     task = stream.tasks[0]
     trainer.train_task(task)
     rounds = -(-len(task.train.x) // config.batch_size)
@@ -287,13 +296,13 @@ def test_ablation_c_generator_never_moves():
 # -- equivalence oracle -------------------------------------------------------------------------
 
 
-def minimal_finetune_loop(stream, config):
+def minimal_finetune_loop(stream, config, seed):
     """Reference: plain single-epoch SGD on CE, no memory, no extras."""
-    model = build_model(stream, config.seed, transform_mode="off", **SMALL_MODEL)
+    model = build_model(stream, replace(config, transform_mode="off"), seed)
     for task in stream.tasks:
         model.register_task(task.task_id)
         for batch in batches(task.train, config.batch_size,
-                             [config.seed, 10, task.task_id],
+                             [seed, 10, task.task_id],
                              task_id=task.task_id):
             zero_grads(model.all_params())
             loss = softmax_cross_entropy(model.logits(batch.x, batch.task_id),
@@ -307,13 +316,14 @@ def minimal_finetune_loop(stream, config):
 
 def test_degenerate_trainer_equals_minimal_loop_bitwise():
     stream = small_stream(seed=6)
-    config = small_config(seed=6, weights=LossWeights(0.0, 0.0, 0.0))
-    model = build_model(stream, 6, transform_mode="off", **SMALL_MODEL)
+    config = small_config(lambda1=0.0, lambda2=0.0, lambda3=0.0,
+                          transform_mode="off", ablation="A")
+    model = build_model(stream, config, 6)
     memory = EpisodicMemory(0, rng=np.random.default_rng([6, 20]))
-    trainer = Trainer(model, memory, config, ablation="A")
+    trainer = Trainer(model, memory, config, 6)
     for task in stream.tasks:
         trainer.train_task(task)
-    reference = minimal_finetune_loop(stream, config)
+    reference = minimal_finetune_loop(stream, config, 6)
     for p, q in zip(model.extractor_params() + model.head_params(),
                     reference.extractor_params() + reference.head_params()):
         assert np.array_equal(p.data, q.data)
@@ -324,7 +334,7 @@ def test_degenerate_trainer_equals_minimal_loop_bitwise():
 
 def test_evaluate_chance_level_for_random_model():
     stream = small_stream()
-    model = build_model(stream, 0, **SMALL_MODEL)
+    model = build_model(stream, small_config(), 0)
     model.register_task(1)
     rng = np.random.default_rng(7)
     task = Task(task_id=1,
@@ -347,7 +357,7 @@ def test_evaluate_mutates_nothing():
 
 def test_evaluate_unseen_task_rejected():
     stream = small_stream()
-    model = build_model(stream, 0, **SMALL_MODEL)
+    model = build_model(stream, small_config(), 0)
     model.register_task(1)
     with pytest.raises(UnknownTaskError):
         evaluate(model, stream.tasks[:2])
@@ -367,9 +377,8 @@ def test_run_stream_builds_lower_triangular_matrix():
 
 def run_matrix(mode, seed):
     stream = small_stream(seed=seed)
-    state, _ = run_ablation(mode, stream, small_config(seed=seed),
-                            budget_per_task=5, model_kwargs=SMALL_MODEL)
-    return state.matrix.to_rows()
+    config = small_config(ablation=mode, memory_budget=5)
+    return run_single(config, seed, stream).acc_matrix
 
 
 def test_full_run_deterministic():
@@ -377,21 +386,24 @@ def test_full_run_deterministic():
     assert run_matrix("full", 3) != run_matrix("full", 4)
 
 
-def test_run_ablation_rejects_unknown_mode():
+def test_unknown_ablation_rejected():
     with pytest.raises(ConfigurationError):
-        run_ablation("D", small_stream(), small_config())
+        small_config(ablation="D")
 
 
 def test_full_mode_is_the_default_pipeline():
     stream = small_stream(seed=5)
-    state, _ = run_ablation("full", stream, small_config(seed=5),
-                            budget_per_task=5, model_kwargs=SMALL_MODEL)
-    model = build_model(stream, 5, **SMALL_MODEL)
+    config = small_config(memory_budget=5)
+    built = build_trainer(stream, config, 5)
+    run_stream(built, stream)
+    model = build_model(stream, config, 5)
     memory = EpisodicMemory(5, rng=np.random.default_rng([5, 20]))
-    trainer = Trainer(model, memory, small_config(seed=5))
+    trainer = Trainer(model, memory, config, 5)
     run_stream(trainer, stream)
-    assert state.matrix.to_rows() == trainer.state.matrix.to_rows()
-    for p, q in zip(state.model.all_params(), model.all_params()):
+    assert built.state.matrix.to_rows() == trainer.state.matrix.to_rows()
+    assert (run_single(config, 5, stream).acc_matrix
+            == trainer.state.matrix.to_rows())
+    for p, q in zip(built.model.all_params(), model.all_params()):
         assert np.array_equal(p.data, q.data)
 
 
@@ -400,14 +412,14 @@ def test_full_mode_is_the_default_pipeline():
 
 def test_replay_trainer_finetune_degenerate():
     stream = small_stream(seed=6)
-    config = small_config(seed=6)
-    model = build_model(stream, 6, transform_mode="off", **SMALL_MODEL)
-    memory = EpisodicMemory(0, rng=np.random.default_rng([6, 20]))
-    rt = ReplayTrainer(model, memory, config)
+    config = small_config(method="finetune")
+    rt = build_trainer(stream, config, 6)
+    assert isinstance(rt, ReplayTrainer)
     for task in stream.tasks:
         rt.train_task(task)
     assert len(rt.memory) == 0
-    reference = minimal_finetune_loop(stream, config)
+    reference = minimal_finetune_loop(stream, config, 6)
+    model = rt.model
     for p, q in zip(model.extractor_params() + model.head_params(),
                     reference.extractor_params() + reference.head_params()):
         assert np.array_equal(p.data, q.data)
@@ -415,9 +427,8 @@ def test_replay_trainer_finetune_degenerate():
 
 def test_replay_trainer_fills_memory():
     stream = small_stream(seed=6)
-    model = build_model(stream, 6, transform_mode="off", **SMALL_MODEL)
-    memory = EpisodicMemory(5, rng=np.random.default_rng([6, 20]))
-    rt = ReplayTrainer(model, memory, small_config(seed=6))
+    rt = build_trainer(stream, small_config(method="er", memory_budget=5), 6)
+    assert isinstance(rt, ReplayTrainer)
     records = run_stream(rt, stream)
     assert len(rt.memory) == 15
     assert len(records) == 3
@@ -425,8 +436,8 @@ def test_replay_trainer_fills_memory():
 
 def test_methods_share_initialization():
     stream = small_stream(seed=8)
-    scale_model = build_model(stream, 8, transform_mode="per_layer", **SMALL_MODEL)
-    er_model = build_model(stream, 8, transform_mode="off", **SMALL_MODEL)
+    scale_model = build_model(stream, small_config(), 8)
+    er_model = build_model(stream, small_config(method="er"), 8)
     for p, q in zip(scale_model.extractor_params(), er_model.extractor_params()):
         assert np.array_equal(p.data, q.data)
 
@@ -455,9 +466,10 @@ def test_non_finite_loss_fails_fast_naming_step_and_task(kind):
 
 def test_replay_trainer_fails_fast_on_non_finite_loss():
     stream = small_stream(seed=6)
-    model = build_model(stream, 6, transform_mode="off", **SMALL_MODEL)
-    rt = ReplayTrainer(model, EpisodicMemory(5, rng=np.random.default_rng(0)),
-                       small_config(seed=6))
+    config = small_config(method="er")
+    rt = ReplayTrainer(build_model(stream, config, 6),
+                       EpisodicMemory(5, rng=np.random.default_rng(0)),
+                       config, 6)
     task = stream.tasks[0]
     x = task.train.x.copy()
     x[:, 0] = np.nan
