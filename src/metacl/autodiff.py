@@ -6,6 +6,16 @@ reachable from the loss in exact reverse construction order. The engine covers
 what an MLP stack needs -- affine maps, ReLU, softmax cross-entropy, Euclidean
 distances, elementwise arithmetic with numpy-style broadcasting -- plus plain
 SGD on the resulting gradients.
+
+Only work that depends on a tensor with ``requires_grad`` is taped. An
+operation whose inputs are all constants records no node, and the binary
+operations (``add``, ``sub``, ``mul``, ``div``, ``matmul``) note at record
+time which inputs require grad and compute no gradient for a constant one.
+``grad_only(params, among)`` turns every tensor of ``among`` outside
+``params`` into a constant for the length of a block, so a training step
+tapes and differentiates only the subgraph that reaches the parameters it
+updates; the gradients of those parameters are bit-identical to those of
+the fully taped graph.
 """
 
 from __future__ import annotations
@@ -37,20 +47,41 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Node:
-    """One recorded operation: input tensors, the output's id, and a closure
-    mapping the output gradient to input gradients.
+@contextmanager
+def grad_only(params, among):
+    """Tape and differentiate only what reaches ``params`` inside the block.
 
-    Only the output's id is kept: the output already points at its node, so
-    a reference back would make every tape a reference cycle, freed by the
-    cyclic garbage collector long after its loss is dropped.
+    Every tensor in ``among`` but not in ``params`` has ``requires_grad``
+    switched off, so work that depends only on it records no node and it
+    receives no gradient. On exit, also on an exception, the flags this
+    block switched off are switched back on; tensors outside ``among`` are
+    never touched.
+    """
+    keep = {id(p) for p in params}
+    frozen = [t for t in among if t.requires_grad and id(t) not in keep]
+    for t in frozen:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t in frozen:
+            t.requires_grad = True
+
+
+class Node:
+    """One recorded operation: input tensors and a closure mapping the
+    output gradient to input gradients.
+
+    The node does not point back at its output: the output already points
+    at its node, so a reference back would make every tape a reference
+    cycle, freed by the cyclic garbage collector long after its loss is
+    dropped.
     """
 
-    __slots__ = ("inputs", "out_id", "backward_fn", "seq")
+    __slots__ = ("inputs", "backward_fn", "seq")
 
-    def __init__(self, inputs, out, backward_fn):
+    def __init__(self, inputs, backward_fn):
         self.inputs = inputs
-        self.out_id = id(out)
         self.backward_fn = backward_fn
         self.seq = next(_node_seq)
 
@@ -132,9 +163,12 @@ def parameter(data):
 
 def _make(out_data, inputs, backward_fn):
     out = Tensor(out_data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out.node = Node(inputs, out, backward_fn)
+    if _grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                out.node = Node(inputs, backward_fn)
+                break
     return out
 
 
@@ -154,31 +188,42 @@ def _unbroadcast(grad, shape):
 # elementwise arithmetic (numpy broadcasting rules)
 
 def add(a, b):
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def backward_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if need_a else None,
+                _unbroadcast(g, b.data.shape) if need_b else None)
 
     return _make(a.data + b.data, (a, b), backward_fn)
 
 
 def sub(a, b):
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def backward_fn(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if need_a else None,
+                _unbroadcast(-g, b.data.shape) if need_b else None)
 
     return _make(a.data - b.data, (a, b), backward_fn)
 
 
 def mul(a, b):
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def backward_fn(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if need_a else None,
+                _unbroadcast(g * a.data, b.data.shape) if need_b else None)
 
     return _make(a.data * b.data, (a, b), backward_fn)
 
 
 def div(a, b):
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def backward_fn(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / b.data, a.data.shape) if need_a else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if need_b else None)
 
     return _make(a.data / b.data, (a, b), backward_fn)
 
@@ -243,8 +288,11 @@ def matmul(a, b):
         raise DimensionError(
             f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
 
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def backward_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if need_a else None,
+                a.data.T @ g if need_b else None)
 
     return _make(a.data @ b.data, (a, b), backward_fn)
 
@@ -381,44 +429,46 @@ def l2_distance(a, b):
 # backward pass and SGD
 
 def backward(loss):
-    """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
+    """Add the loss's gradient to ``grad`` of every requires_grad leaf tensor
+    (one without a node) reachable from ``loss``.
 
     Repeated calls without zeroing accumulate, matching the usual semantics.
+    Intermediate tensors get no ``grad``.
     """
     if loss.data.size != 1:
         raise ContractError(
             f"backward: loss must be scalar, got shape {loss.data.shape}")
 
-    nodes = []
-    seen = set()
-    stack = [loss]
+    # every node reachable from the loss, keyed by its sequence number
+    root = loss.node
+    nodes = {} if root is None else {root.seq: root}
+    stack = [] if root is None else [root]
     while stack:
-        t = stack.pop()
-        node = t.node
-        if node is not None and id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node.inputs)
-    nodes.sort(key=lambda n: n.seq, reverse=True)
+        for inp in stack.pop().inputs:
+            node = inp.node
+            if node is not None and node.seq not in nodes:
+                nodes[node.seq] = node
+                stack.append(node)
 
-    # flow gradients through a scratch map so repeated backward calls add
-    # exactly one extra unit of gradient per call
-    flows = {id(loss): (loss, np.ones_like(loss.data))}
-    for node in nodes:
-        entry = flows.get(node.out_id)
-        if entry is None:
+    # flow gradients through a temporary map, keyed by the node that made a
+    # tensor or by the tensor itself for a leaf, so repeated backward calls
+    # add exactly one extra unit of gradient per call; a node's output
+    # gradient is complete once every later node has run
+    flows = {loss if root is None else root: np.ones_like(loss.data)}
+    for seq in sorted(nodes, reverse=True):
+        node = nodes[seq]
+        g_out = flows.pop(node, None)
+        if g_out is None:
             continue
-        grads = node.backward_fn(entry[1])
-        for inp, g in zip(node.inputs, grads):
+        for inp, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None or not inp.requires_grad:
                 continue
-            key = id(inp)
-            if key in flows:
-                flows[key] = (inp, flows[key][1] + g)
-            else:
-                flows[key] = (inp, g)
+            key = inp if inp.node is None else inp.node
+            prev = flows.get(key)
+            flows[key] = g if prev is None else prev + g
 
-    for tensor, g in flows.values():
+    # every node has been popped, so only leaves remain
+    for tensor, g in flows.items():
         if tensor.requires_grad:
             tensor.grad = g if tensor.grad is None else tensor.grad + g
 

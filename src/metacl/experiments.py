@@ -27,7 +27,7 @@ from .datasets import (
 )
 from .errors import ConfigurationError, NoDataError
 from .metrics import acc, fm
-from .trainer import build_trainer, run_stream
+from .trainer import build_trainer, run_stream, task_capacity
 
 MEMORY_SWEEP_VALUES = (50, 100, 150, 200)
 LAMBDA3_SWEEP_VALUES = (0.03, 0.09, 0.3, 0.9)
@@ -233,6 +233,7 @@ def execute_run(config, out_dir=None, stream=None):
     """Run every seed; write per-seed records plus summary.csv; return records."""
     out_dir = out_dir if out_dir is not None else config.out_dir
     stream = stream if stream is not None else build_stream(config)
+    task_capacity(stream, config)  # a too-small k_max fails before any write
     run_dir = os.path.join(out_dir, run_dir_name(config))
     atomic_write_text(os.path.join(run_dir, "config.txt"),
                       serialize_config(config))

@@ -6,7 +6,9 @@ current-task sample is consumed in exactly one round. ``Trainer`` runs the
 full method's round: partition into train/val sides, n_out x (n_in inner
 steps on {extractor, heads} + one outer step on the parameter generator),
 then n_ad discriminator steps. ``ReplayTrainer`` runs the experience-replay
-round: one CE step on the batch plus a memory draw.
+round: one CE step on the batch plus a memory draw. Every step tapes and
+differentiates only the parameter group it moves (``autodiff.grad_only``):
+the rest of the model is a constant for the length of the step.
 
 Trainers are built from a ``RunConfig`` and a seed; ``build_trainer`` holds
 the rule for which trainer, model and memory a config's method gets.
@@ -19,7 +21,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import assert_finite, backward, no_grad, sgd_step, zero_grads
+from .autodiff import (
+    assert_finite,
+    backward,
+    grad_only,
+    no_grad,
+    sgd_step,
+    zero_grads,
+)
 from .datasets import batches
 from .errors import ConfigurationError, UnknownTaskError
 from .losses import ce_loss, discriminator_loss, noise_batch, total_loss
@@ -107,6 +116,19 @@ class TaskLoop:
         for name, state in states.items():
             getattr(self, f"{name}_rng").bit_generator.state = state
 
+    # -- one update --------------------------------------------------------------
+
+    def _differentiate(self, params, make_loss, label):
+        """Build ``make_loss()`` with only ``params`` taped and back-propagate
+        it, so that only ``params`` receive gradients; returns the loss."""
+        among = self.model.all_params()
+        zero_grads(among)
+        with grad_only(params, among):
+            loss = make_loss()
+            assert_finite(loss, label)
+            backward(loss)
+        return loss
+
     # -- per-task loop -----------------------------------------------------------
 
     def _observe_batch(self, batch):
@@ -157,16 +179,13 @@ class Trainer(TaskLoop):
 
     def inner_step(self, train_part, lr=None):
         """One SGD step on the composite loss, moving extractor and heads."""
-        zero_grads(self.model.all_params())
-        loss = total_loss(self.model, train_part.batch, train_part.memory,
-                          self.config)
-        assert_finite(loss, f"inner-step loss on task {train_part.batch.task_id}")
-        backward(loss)
+        batch, draw = train_part.batch, train_part.memory
         params = (self.model.extractor_params()
-                  + self.model.head_params(
-                      _step_tasks(train_part.batch, train_part.memory)))
+                  + self.model.head_params(_step_tasks(batch, draw)))
+        loss = self._differentiate(
+            params, lambda: total_loss(self.model, batch, draw, self.config),
+            f"inner-step loss on task {batch.task_id}")
         sgd_step(params, lr if lr is not None else self.config.inner_lr)
-        zero_grads(self.model.all_params())
         self.state.inner_updates += 1
         return loss.item()
 
@@ -178,15 +197,14 @@ class Trainer(TaskLoop):
         values. With the transform disabled the generator is off the forward
         path and this step is a no-op.
         """
-        zero_grads(self.model.all_params())
-        loss = total_loss(self.model, val_part.batch, val_part.memory,
-                          self.config)
-        assert_finite(loss, f"outer-step loss on task {val_part.batch.task_id}")
-        backward(loss)
-        live = [p for p in self.model.generator_params() if p.grad is not None]
+        batch, draw = val_part.batch, val_part.memory
+        params = self.model.generator_params()
+        loss = self._differentiate(
+            params, lambda: total_loss(self.model, batch, draw, self.config),
+            f"outer-step loss on task {batch.task_id}")
+        live = [p for p in params if p.grad is not None]
         if live:
             sgd_step(live, lr if lr is not None else self.config.outer_lr)
-        zero_grads(self.model.all_params())
         self.state.outer_updates += 1
         return loss.item()
 
@@ -200,13 +218,12 @@ class Trainer(TaskLoop):
             np.full(len(batch.x), batch.task_id, dtype=np.int64),
             np.zeros(n_fake, dtype=np.int64)])
         draw = self.memory.sample(self.config.replay_batch_size, self.replay_rng)
-        zero_grads(self.model.all_params())
-        loss = discriminator_loss(self.model, x, labels, draw, self.config)
-        assert_finite(loss, f"adversarial-step loss on task {batch.task_id}")
-        backward(loss)
-        sgd_step(self.model.discriminator_params(),
-                 lr if lr is not None else self.config.adversarial_lr)
-        zero_grads(self.model.all_params())
+        params = self.model.discriminator_params()
+        loss = self._differentiate(
+            params,
+            lambda: discriminator_loss(self.model, x, labels, draw, self.config),
+            f"adversarial-step loss on task {batch.task_id}")
+        sgd_step(params, lr if lr is not None else self.config.adversarial_lr)
         self.state.adversarial_updates += 1
         return loss.item()
 
@@ -235,14 +252,12 @@ class ReplayTrainer(TaskLoop):
 
     def train_round(self, batch, losses):
         draw = self.memory.sample(self.config.replay_batch_size, self.replay_rng)
-        zero_grads(self.model.all_params())
-        loss = ce_loss(self.model, batch, draw)
-        assert_finite(loss, f"replay-step loss on task {batch.task_id}")
-        backward(loss)
         params = (self.model.extractor_params()
                   + self.model.head_params(_step_tasks(batch, draw)))
+        loss = self._differentiate(
+            params, lambda: ce_loss(self.model, batch, draw),
+            f"replay-step loss on task {batch.task_id}")
         sgd_step(params, self.config.inner_lr)
-        zero_grads(self.model.all_params())
         losses["inner"].append(loss.item())
         self.state.inner_updates += 1
 
@@ -263,11 +278,23 @@ def run_stream(trainer, stream):
     return records
 
 
+def task_capacity(stream, config):
+    """The model's task capacity for a stream: ``k_max = 0`` sizes it to the
+    stream, at least 32; a set ``k_max`` must hold every task of the stream."""
+    if not config.k_max:
+        return max(32, len(stream.tasks))
+    if config.k_max < len(stream.tasks):
+        raise ConfigurationError(
+            f"k_max={config.k_max} is below the stream's "
+            f"{len(stream.tasks)} tasks")
+    return config.k_max
+
+
 def build_model(stream, config, seed):
     """Model shaped for a stream: single head iff domain-incremental.
 
     The replay baselines and ablation C run the plain trunk (transform
-    ``off``); ``k_max = 0`` sizes the task capacity to the stream, at least 32.
+    ``off``); ``task_capacity`` gives the task capacity.
     """
     plain = config.method != "scale" or config.ablation == "C"
     return ContinualModel(
@@ -276,7 +303,7 @@ def build_model(stream, config, seed):
         feature_width=config.feature_width,
         depth=config.depth,
         head_mode="single" if stream.protocol == "permuted" else "multi",
-        k_max=config.k_max or max(32, len(stream.tasks)),
+        k_max=task_capacity(stream, config),
         embed_dim=config.embed_dim,
         transform_mode="off" if plain else config.transform_mode,
         share_embedding=config.share_embedding,

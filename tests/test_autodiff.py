@@ -9,6 +9,7 @@ from metacl.autodiff import (
     Tensor,
     backward,
     gather_rows,
+    grad_only,
     l2_distance,
     log_softmax,
     mask_cols,
@@ -293,6 +294,107 @@ def test_detach_copies_and_disconnects():
     assert not d.requires_grad and d.node is None
     d.data[0] = 99.0
     np.testing.assert_array_equal(w.data, [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# constant inputs and gradient scopes
+
+# (trainable shape, constant shape); each op runs with the trainable operand
+# on the left and on the right, broadcast both ways
+BINARY_SHAPES = [((3, 4), (3, 4)), ((3, 4), (4,)), ((1, 4), (3, 4)),
+                 ((3, 1), (1, 4))]
+BINARY_OPS = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div}
+
+
+def _operand(rng, shape, trainable):
+    # kept away from zero, so div's denominator is safe either way
+    data = rng.uniform(0.5, 2.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+    return Tensor(data, requires_grad=trainable)
+
+
+def _check_constant_slot(op, a, b, const_slot, weights):
+    trainable = b if const_slot == 0 else a
+    check_gradients(lambda: tsum(op(a, b) * weights), [trainable], rtol=1e-5)
+    out = op(a, b)
+    grads = out.node.backward_fn(np.ones_like(out.data))
+    assert grads[const_slot] is None
+    assert grads[1 - const_slot].shape == trainable.shape
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_OPS))
+@pytest.mark.parametrize("shapes", BINARY_SHAPES, ids=str)
+@pytest.mark.parametrize("const_slot", [0, 1])
+def test_binary_op_skips_constant_input(name, shapes, const_slot):
+    rng = np.random.default_rng(3)
+    trainable_shape, const_shape = shapes
+    if const_slot == 0:
+        a = _operand(rng, const_shape, False)
+        b = _operand(rng, trainable_shape, True)
+    else:
+        a = _operand(rng, trainable_shape, True)
+        b = _operand(rng, const_shape, False)
+    weights = Tensor(rng.normal(size=np.broadcast_shapes(a.shape, b.shape)))
+    _check_constant_slot(BINARY_OPS[name], a, b, const_slot, weights)
+
+
+@pytest.mark.parametrize("const_slot", [0, 1])
+def test_matmul_skips_constant_input(const_slot):
+    rng = np.random.default_rng(4)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=const_slot == 1)
+    b = Tensor(rng.normal(size=(4, 2)), requires_grad=const_slot == 0)
+    weights = Tensor(rng.normal(size=(3, 2)))
+    _check_constant_slot(matmul, a, b, const_slot, weights)
+
+
+def test_constant_only_work_records_no_node():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    c = Tensor([3.0, 4.0])
+    assert (c * 2.0 + c).node is None
+    assert (w * c).node is not None
+
+
+def test_grad_only_tapes_only_the_chosen_params():
+    rng = np.random.default_rng(5)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    v = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)))
+    with grad_only([v], [w, v]):
+        hidden = matmul(x, w)  # depends on a frozen tensor only
+        assert hidden.node is None
+        backward(tsum(matmul(hidden, v)))
+    assert w.grad is None
+    np.testing.assert_array_equal(v.grad, hidden.data.T @ np.ones((4, 2)))
+    assert w.requires_grad and v.requires_grad
+
+
+def test_grad_only_restores_flags_after_an_exception():
+    w = Tensor([1.0], requires_grad=True)
+    v = Tensor([2.0], requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with grad_only([v], [w, v]):
+            assert not w.requires_grad and v.requires_grad
+            raise RuntimeError("boom")
+    assert w.requires_grad and v.requires_grad
+
+
+def test_grad_only_leaves_tensors_outside_among_untouched():
+    w = Tensor([1.0], requires_grad=True)
+    outside = Tensor([2.0], requires_grad=True)
+    constant = Tensor([3.0])
+    already_off = Tensor([4.0])
+    with grad_only([], [w, already_off]):
+        assert not w.requires_grad
+        assert outside.requires_grad and not constant.requires_grad
+    assert w.requires_grad and outside.requires_grad
+    assert not constant.requires_grad and not already_off.requires_grad
+
+
+def test_backward_leaves_no_grad_on_intermediates():
+    w = Tensor([1.0, 2.0], requires_grad=True)
+    hidden = w * 3.0
+    backward(tsum(hidden * hidden))
+    assert hidden.grad is None
+    np.testing.assert_array_equal(w.grad, 18.0 * w.data)
 
 
 # ---------------------------------------------------------------------------

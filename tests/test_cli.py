@@ -89,6 +89,14 @@ def test_invalid_value_writes_no_run_directory(tmp_path, overrides):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_k_max_below_task_count_writes_no_run_directory(tmp_path):
+    code, _, err = invoke(["run", "--seed", "0", "--out", str(tmp_path)]
+                          + TINY + ["--set", "k_max=2"])
+    assert code == 2
+    assert "k_max=2" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_is_diagnosed(tmp_path):
     code, _, err = invoke(["run", "--config", str(tmp_path / "absent.cfg")])
     assert code == 2

@@ -134,6 +134,19 @@ def test_execute_run_writes_layout(tmp_path):
         assert (run_dir / f"seed-{seed}" / "timing.json").exists()
 
 
+@pytest.mark.parametrize("method", ["scale", "er"])
+def test_execute_run_rejects_k_max_below_task_count(tmp_path, method):
+    config = tiny_config("k_max=2", f"method={method}")
+    with pytest.raises(ConfigurationError, match="k_max=2 .* 3 tasks"):
+        execute_run(config, out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_execute_run_accepts_k_max_equal_to_task_count(tmp_path):
+    records = execute_run(tiny_config("k_max=3"), out_dir=str(tmp_path))
+    assert records[0].acc_matrix and len(records[0].acc_matrix) == 3
+
+
 def test_emitted_records_byte_identical_across_reruns(tmp_path):
     config = tiny_config()
     execute_run(config, out_dir=str(tmp_path / "a"))

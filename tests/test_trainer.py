@@ -18,11 +18,12 @@ from metacl.datasets import (
 )
 from metacl.errors import ConfigurationError, UnknownTaskError
 from metacl.experiments import run_single
-from metacl.losses import total_loss
+from metacl.losses import discriminator_loss, noise_batch, total_loss
 from metacl.memory import EpisodicMemory, Partition
 from metacl.trainer import (
     ReplayTrainer,
     Trainer,
+    _step_tasks,
     build_model,
     build_trainer,
     effective_weights,
@@ -440,6 +441,137 @@ def test_methods_share_initialization():
     er_model = build_model(stream, small_config(method="er"), 8)
     for p, q in zip(scale_model.extractor_params(), er_model.extractor_params()):
         assert np.array_equal(p.data, q.data)
+
+
+# -- scoped steps --------------------------------------------------------------------
+
+
+def three_task_trainer():
+    """A trainer that has learned tasks 1 and 2 (so its memory holds rows of
+    both) and has registered task 3, with task 3's first partition."""
+    trainer, stream = fresh_trainer(budget=6)
+    for task in stream.tasks[:2]:
+        trainer.train_task(task)
+    train, val = first_partition(trainer, replace(stream, tasks=stream.tasks[2:]))
+    assert set(train.memory.t.tolist()) == {1, 2}
+    return trainer, train, val
+
+
+def unscoped_step(trainer, kind, part):
+    """One step the way a fully taped graph takes it: every parameter
+    records, ``backward`` fills every gradient, and the step's group moves."""
+    model, config = trainer.model, trainer.config
+    zero_grads(model.all_params())
+    if kind == "adversarial":
+        batch = part.batch
+        n_fake = max(1, round(config.fake_fraction * len(batch.x)))
+        fake = noise_batch(config, trainer.noise_rng, n_fake, model.input_dim)
+        x = np.concatenate([batch.x, fake])
+        labels = np.concatenate([
+            np.full(len(batch.x), batch.task_id, dtype=np.int64),
+            np.zeros(n_fake, dtype=np.int64)])
+        draw = trainer.memory.sample(config.replay_batch_size,
+                                     trainer.replay_rng)
+        loss = discriminator_loss(model, x, labels, draw, config)
+        params, lr = model.discriminator_params(), config.adversarial_lr
+    else:
+        loss = total_loss(model, part.batch, part.memory, config)
+        if kind == "inner":
+            params = (model.extractor_params()
+                      + model.head_params(_step_tasks(part.batch, part.memory)))
+            lr = config.inner_lr
+        else:
+            params, lr = model.generator_params(), config.outer_lr
+    backward(loss)
+    if kind == "outer":
+        params = [p for p in params if p.grad is not None]
+    sgd_step(params, lr)
+    return loss.item()
+
+
+@pytest.mark.parametrize("kind", ["inner", "outer", "adversarial"])
+def test_scoped_step_is_bitwise_equal_to_unscoped(kind):
+    scoped, train, val = three_task_trainer()
+    plain, _, _ = three_task_trainer()
+    part = val if kind == "outer" else train
+    step = {"inner": scoped.inner_step, "outer": scoped.outer_step,
+            "adversarial": lambda p: scoped.adversarial_step(p.batch)}[kind]
+    assert step(part) == unscoped_step(plain, kind, part)
+    for p, q in zip(scoped.model.all_params(), plain.model.all_params()):
+        assert p.data.tobytes() == q.data.tobytes()
+        assert p.requires_grad and p.grad is None
+    before, _, _ = three_task_trainer()
+    assert not unchanged(scoped.model.all_params(),
+                         snapshot(before.model.all_params()))
+
+
+def tape_nodes(loss):
+    """Every node on ``loss``'s tape."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop().node
+        if node is not None and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node.inputs)
+    return list(nodes.values())
+
+
+def tape_inputs(loss):
+    """ids of every tensor that is an input of a node on ``loss``'s tape."""
+    return {id(t) for node in tape_nodes(loss) for t in node.inputs}
+
+
+def frozen_work(loss, params):
+    """Nodes on ``loss``'s tape that reach none of ``params``: no input is
+    one of them or the output of another node."""
+    keep = {id(p) for p in params}
+    return [node for node in tape_nodes(loss)
+            if not any(id(t) in keep or t.node is not None
+                       for t in node.inputs)]
+
+
+def recorded_loss(trainer, part, params):
+    """The step loss on ``part`` as the trainer tapes it for ``params``."""
+    recorded = []
+
+    def make_loss():
+        recorded.append(total_loss(trainer.model, part.batch, part.memory,
+                                   trainer.config))
+        return recorded[-1]
+
+    trainer._differentiate(params, make_loss, "loss")
+    return recorded[0]
+
+
+def test_inner_step_tapes_no_generator_parameter():
+    trainer, train, _ = three_task_trainer()
+    model = trainer.model
+    params = (model.extractor_params()
+              + model.head_params(_step_tasks(train.batch, train.memory)))
+    full = total_loss(model, train.batch, train.memory, trainer.config)
+    scoped = recorded_loss(trainer, train, params)
+    generator = {id(p) for p in model.generator_params()}
+    # the fully taped loss does reach the generator, so the guard can fail
+    assert generator & tape_inputs(full) and frozen_work(full, params)
+    assert not generator & tape_inputs(scoped)
+    assert not frozen_work(scoped, params)
+
+
+def test_outer_step_tapes_only_generator_work():
+    # the extractor's later layers and the heads stay constant operands of
+    # generator-dependent nodes; what must not be taped is work that reaches
+    # no generator parameter: the first layer, the discriminator, alignment
+    trainer, _, val = three_task_trainer()
+    model = trainer.model
+    params = model.generator_params()
+    full = total_loss(model, val.batch, val.memory, trainer.config)
+    scoped = recorded_loss(trainer, val, params)
+    untouched = {id(p) for p in list(model.extractor.layers[0])
+                 + model.discriminator_params()}
+    assert frozen_work(full, params)
+    assert not frozen_work(scoped, params)
+    assert not untouched & tape_inputs(scoped)
+    assert len(tape_nodes(scoped)) < len(tape_nodes(full))
 
 
 # -- non-finite losses ----------------------------------------------------------------
