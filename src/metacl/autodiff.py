@@ -16,6 +16,18 @@ time which inputs require grad and compute no gradient for a constant one.
 tapes and differentiates only the subgraph that reaches the parameters it
 updates; the gradients of those parameters are bit-identical to those of
 the fully taped graph.
+
+At width 64 a node's Python cost outweighs its arithmetic, so the network's
+layers record fused nodes, one per layer call: ``affine`` (matmul + add),
+``affine_relu`` (matmul + add + relu), ``relu_affine`` (relu + matmul + add)
+and ``film`` (the embedding gather, the two affine coefficient maps and the
+normalized scale-and-shift with its residual, 18 nodes when unfused). Each
+is bit-identical to the chain of primitive ops it replaces, in its value and
+in every gradient it sends: its backward evaluates the chain's backward
+expressions in the chain's reverse recording order, and an input that the
+chain reaches twice (FiLM's features) is listed twice, so its two
+contributions join its other gradients in the chain's order. A fused node
+lists only the inputs that require grad.
 """
 
 from __future__ import annotations
@@ -330,6 +342,164 @@ def mask_cols(x, valid, fill=MASK_FILL):
         return (g,)
 
     return _make(out_data, (x,), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one node for a chain of the ops above
+
+def _make_fused(out_data, inputs, backward_fn):
+    """Record a fused node on those of ``inputs`` that require grad, so a
+    constant is no node's input; ``backward_fn`` returns their gradients in
+    the same order. An input listed twice gets two contributions, added in
+    that order as the unfused chain adds them."""
+    return _make(out_data, [t for t in inputs if t.requires_grad], backward_fn)
+
+
+def _check_affine(op, x, w, b):
+    if (x.data.ndim != 2 or w.data.ndim != 2
+            or x.data.shape[1] != w.data.shape[0]
+            or b.data.shape != w.data.shape[1:]):
+        raise DimensionError(
+            f"{op}: incompatible shapes {x.data.shape} x {w.data.shape} "
+            f"+ {b.data.shape}")
+
+
+def _affine_grads(g, x_data, w, b, need):
+    """The gradients matmul(x, w) + b sends to those of (x, w, b) flagged
+    in ``need``, in that order; ``x_data`` is the matmul's left operand.
+    b's is add's ``_unbroadcast`` from (B, F) to b's (F,): one row sum."""
+    need_x, need_w, need_b = need
+    grads = []
+    if need_x:
+        grads.append(g @ w.data.T)
+    if need_w:
+        grads.append(x_data.T @ g)
+    if need_b:
+        grads.append(g.sum(axis=0))
+    return grads
+
+
+def affine(x, w, b):
+    """``matmul(x, w) + b`` as one node."""
+    _check_affine("affine", x, w, b)
+    need = (x.requires_grad, w.requires_grad, b.requires_grad)
+
+    def backward_fn(g):
+        return _affine_grads(g, x.data, w, b, need)
+
+    return _make_fused(x.data @ w.data + b.data, (x, w, b), backward_fn)
+
+
+def affine_relu(x, w, b):
+    """``relu(matmul(x, w) + b)`` as one node."""
+    _check_affine("affine_relu", x, w, b)
+    need = (x.requires_grad, w.requires_grad, b.requires_grad)
+    z = x.data @ w.data + b.data
+    dead = z <= 0
+    mask = ~dead
+
+    def backward_fn(g):
+        return _affine_grads(g * mask, x.data, w, b, need)
+
+    return _make_fused(np.where(dead, 0.0, z), (x, w, b), backward_fn)
+
+
+def relu_affine(x, w, b):
+    """``matmul(relu(x), w) + b`` as one node."""
+    _check_affine("relu_affine", x, w, b)
+    need = (x.requires_grad, w.requires_grad, b.requires_grad)
+    dead = x.data <= 0
+    mask = ~dead
+    r = np.where(dead, 0.0, x.data)
+
+    def backward_fn(g):
+        grads = _affine_grads(g, r, w, b, need)
+        if need[0]:
+            grads[0] = grads[0] * mask
+        return grads
+
+    return _make_fused(r @ w.data + b.data, (x, w, b), backward_fn)
+
+
+def _norm(v, eps):
+    """(root, norm) of ``sqrt(tsum(v * v)) + eps``."""
+    root = np.sqrt(np.maximum((v * v).sum(), 0.0))
+    return root, root + eps
+
+
+def _normalized_grad(g_hat, v, root, norm):
+    """The gradient reaching ``v`` through ``v / (sqrt(tsum(v * v)) + eps)``
+    from ``g_hat`` on the quotient: the div's share, then mul's two."""
+    g_norm = _unbroadcast(-g_hat * v / (norm * norm), ())
+    g_sum = 0.5 * g_norm / root if root > 0 else 0.0
+    # tsum spreads g_sum over v's shape, and mul(v, v) sends g_sum * v
+    # twice; the div's share arrives first
+    g_square = g_sum * v
+    return (g_hat / norm + g_square) + g_square
+
+
+def film(features, table, row, w_scale, b_scale, w_shift, b_shift, eps):
+    """Normalized feature-wise scale and shift plus a residual, with the
+    coefficients looked up from ``row`` of an embedding table, as one node:
+
+        emb   = gather_rows(table, [row])
+        scale = matmul(emb, w_scale) + b_scale
+        shift = matmul(emb, w_shift) + b_shift
+        out   = features * (scale / (sqrt(tsum(scale * scale)) + eps))
+                + shift / (sqrt(tsum(shift * shift)) + eps) + features
+    """
+    f = features.data
+    fits = f.ndim == 2 and table.data.ndim == 2
+    if fits:
+        w_shape, b_shape = (table.data.shape[1], f.shape[1]), (f.shape[1],)
+        fits = (w_scale.data.shape == w_shape == w_shift.data.shape
+                and b_scale.data.shape == b_shape == b_shift.data.shape)
+    if not fits:
+        raise DimensionError(
+            f"film: features {f.shape}, table {table.data.shape}, scale "
+            f"{w_scale.data.shape} + {b_scale.data.shape}, shift "
+            f"{w_shift.data.shape} + {b_shift.data.shape} do not fit")
+    inputs = (features, features, table, w_scale, b_scale, w_shift, b_shift)
+    need_f, _, need_e, need_ws, need_bs, need_wt, need_bt = [
+        t.requires_grad for t in inputs]
+    need_scale = need_e or need_ws or need_bs
+    need_shift = need_e or need_wt or need_bt
+
+    idx = np.asarray([row], dtype=np.int64)
+    emb = table.data[idx]
+    scale = emb @ w_scale.data + b_scale.data
+    shift = emb @ w_shift.data + b_shift.data
+    root_s, norm_s = _norm(scale, eps)
+    root_t, norm_t = _norm(shift, eps)
+    s_hat = scale / norm_s
+
+    def backward_fn(g):
+        grads = []
+        if need_f:
+            # the residual sum's share, then the scaling's
+            grads += [g, g * s_hat]
+        if need_scale:
+            g_scale = _normalized_grad(_unbroadcast(g * f, s_hat.shape),
+                                       scale, root_s, norm_s)
+        if need_shift:
+            g_shift = _normalized_grad(_unbroadcast(g, shift.shape),
+                                       shift, root_t, norm_t)
+        if need_e:
+            g_table = np.zeros_like(table.data)
+            np.add.at(g_table, idx, g_shift @ w_shift.data.T
+                      + g_scale @ w_scale.data.T)
+            grads.append(g_table)
+        if need_ws:
+            grads.append(emb.T @ g_scale)
+        if need_bs:
+            grads.append(g_scale.sum(axis=0))
+        if need_wt:
+            grads.append(emb.T @ g_shift)
+        if need_bt:
+            grads.append(g_shift.sum(axis=0))
+        return grads
+
+    return _make_fused((f * s_hat + shift / norm_t) + f, inputs, backward_fn)
 
 
 # ---------------------------------------------------------------------------

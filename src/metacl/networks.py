@@ -4,6 +4,12 @@ generator, classifier head(s), and the task discriminator.
 The parameter generator maps a task ID to per-layer scale/shift coefficient
 pairs; features pass through a normalized scale-and-shift plus a residual sum,
 so a zero pair leaves the features untouched.
+
+Every layer call records one fused tape node (``metacl.autodiff``): the
+trunk and discriminator layers, the heads with their leading ReLU, and FiLM
+with its coefficient lookup (``ParameterGenerator.modulate``).
+``film_transform`` on ``ParameterGenerator.coefficients`` is the unfused
+reference the fused FiLM node equals bit for bit.
 """
 
 from __future__ import annotations
@@ -12,11 +18,14 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    affine,
+    affine_relu,
+    film,
     gather_rows,
     mask_cols,
     matmul,
     no_grad,
-    relu,
+    relu_affine,
     sqrt,
     tsum,
 )
@@ -49,7 +58,8 @@ def film_transform(features, scale_coeff, shift_coeff, eps=NORM_EPS):
     output  = private + g
 
     Zero coefficient vectors make both terms exactly zero, so the output
-    reduces to the input features.
+    reduces to the input features. The unfused reference of
+    ``ParameterGenerator.modulate``.
     """
     features = _as_tensor(features)
     scale_coeff = _as_tensor(scale_coeff)
@@ -85,7 +95,7 @@ class FeatureExtractor:
                 f"extractor expects (B, {self.input_dim}) inputs, got {x.data.shape}")
         a = x
         for index, (w, b) in enumerate(self.layers):
-            a = relu(matmul(a, w) + b)
+            a = affine_relu(a, w, b)
             if layer_hook is not None:
                 a = layer_hook(index, a)
         return a
@@ -120,17 +130,30 @@ class ParameterGenerator:
             for d in layer_widths
         ]
 
-    def coefficients(self, task_id, layer_index):
-        """(scale, shift) row vectors for one layer, conditioned on task ID."""
+    def _layer(self, task_id, layer_index):
+        """The embedding table and (scale, shift) affine maps of one layer."""
         if not 1 <= task_id <= self.capacity:
             raise UnknownTaskError(
                 f"task {task_id} outside generator capacity 1..{self.capacity}")
         table = self.embeddings[0 if self.share_embedding else layer_index]
+        return table, self.heads[layer_index]
+
+    def coefficients(self, task_id, layer_index):
+        """(scale, shift) row vectors for one layer, conditioned on task ID."""
+        table, ((w_scale, b_scale), (w_shift, b_shift)) = self._layer(
+            task_id, layer_index)
         emb = gather_rows(table, [task_id])
-        (w_scale, b_scale), (w_shift, b_shift) = self.heads[layer_index]
         scale = matmul(emb, w_scale) + b_scale
         shift = matmul(emb, w_shift) + b_shift
         return scale, shift
+
+    def modulate(self, features, task_id, layer_index):
+        """``film_transform(features, *coefficients(task_id, layer_index))``,
+        bit for bit, as one tape node (``autodiff.film``)."""
+        table, ((w_scale, b_scale), (w_shift, b_shift)) = self._layer(
+            task_id, layer_index)
+        return film(_as_tensor(features), table, task_id, w_scale, b_scale,
+                    w_shift, b_shift, NORM_EPS)
 
     def params(self):
         out = list(self.embeddings)
@@ -167,11 +190,12 @@ class ClassifierHeads:
         return self.heads[task_id]
 
     def forward(self, features, task_id):
+        """The task's logits: ReLU, then its head."""
         key = self._key(task_id)
         if key not in self.heads:
             raise UnknownTaskError(f"no classifier head for task {task_id}")
         w, b = self.heads[key]
-        return matmul(_as_tensor(features), w) + b
+        return relu_affine(_as_tensor(features), w, b)
 
     def output_dim(self, task_id):
         key = self._key(task_id)
@@ -215,9 +239,8 @@ class Discriminator:
             # constant views sharing storage: gradient still flows to the
             # features, never to the discriminator weights
             w1, b1, w2, b2 = (Tensor(p.data) for p in (w1, b1, w2, b2))
-        hidden = relu(matmul(_as_tensor(features), w1) + b1)
-        logits = matmul(hidden, w2) + b2
-        return mask_cols(logits, seen_tasks + 1)
+        hidden = affine_relu(_as_tensor(features), w1, b1)
+        return mask_cols(affine(hidden, w2, b2), seen_tasks + 1)
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -285,14 +308,6 @@ class ContinualModel:
         """Common (task-invariant) features: the plain trunk."""
         return self.extractor.forward(x)
 
-    def transform(self, features, task_id, layer_index=None):
-        """Task-conditioned scale/shift/residual on one layer's features."""
-        self._check_task(task_id)
-        if layer_index is None:
-            layer_index = len(self.extractor.layers) - 1
-        scale, shift = self.generator.coefficients(task_id, layer_index)
-        return film_transform(features, scale, shift)
-
     def task_features(self, x, task_id):
         """Features on the classification path, conditioned per transform_mode."""
         if self.transform_mode == "off":
@@ -303,15 +318,14 @@ class ContinualModel:
         def hook(index, activations):
             if self.transform_mode == "last" and index != last:
                 return activations
-            scale, shift = self.generator.coefficients(task_id, index)
-            return film_transform(activations, scale, shift)
+            return self.generator.modulate(activations, task_id, index)
 
         return self.extractor.forward(x, layer_hook=hook)
 
     def classify(self, features, task_id):
         """Logits for the task's classes; ReLU precedes the head."""
         self._check_task(task_id)
-        return self.heads.forward(relu(_as_tensor(features)), task_id)
+        return self.heads.forward(features, task_id)
 
     def logits(self, x, task_id):
         return self.classify(self.task_features(x, task_id), task_id)

@@ -195,18 +195,20 @@ class Trainer(TaskLoop):
         First-order: extractor and heads are treated as constants, so the
         generator gradient is the direct partial derivative at their current
         values. With the transform disabled the generator is off the forward
-        path and this step is a no-op.
+        path: the step builds no loss, moves nothing and returns None.
         """
-        batch, draw = val_part.batch, val_part.memory
-        params = self.model.generator_params()
-        loss = self._differentiate(
-            params, lambda: total_loss(self.model, batch, draw, self.config),
-            f"outer-step loss on task {batch.task_id}")
-        live = [p for p in params if p.grad is not None]
-        if live:
-            sgd_step(live, lr if lr is not None else self.config.outer_lr)
+        loss = None
+        if self.model.transform_mode != "off":
+            batch, draw = val_part.batch, val_part.memory
+            params = self.model.generator_params()
+            loss = self._differentiate(
+                params, lambda: total_loss(self.model, batch, draw, self.config),
+                f"outer-step loss on task {batch.task_id}").item()
+            live = [p for p in params if p.grad is not None]
+            if live:
+                sgd_step(live, lr if lr is not None else self.config.outer_lr)
         self.state.outer_updates += 1
-        return loss.item()
+        return loss
 
     def adversarial_step(self, batch, lr=None):
         """One SGD step on the discriminator's loss, moving only its weights."""
@@ -233,7 +235,9 @@ class Trainer(TaskLoop):
         for _ in range(self.config.n_out):
             for _ in range(self.config.n_in):
                 losses["inner"].append(self.inner_step(train_part))
-            losses["outer"].append(self.outer_step(val_part))
+            loss = self.outer_step(val_part)
+            if loss is not None:
+                losses["outer"].append(loss)
         if self.config.ablation != "A":
             for _ in range(self.config.n_ad):
                 losses["disc"].append(self.adversarial_step(batch))

@@ -18,7 +18,10 @@ import pytest
 from metacl.autodiff import (
     Tensor,
     add,
+    affine,
+    affine_relu,
     div,
+    film,
     gather_rows,
     l2_distance,
     log_softmax,
@@ -28,6 +31,7 @@ from metacl.autodiff import (
     neg,
     parameter,
     relu,
+    relu_affine,
     slice_cols,
     soft_cross_entropy,
     softmax_cross_entropy,
@@ -148,6 +152,20 @@ def _op_cases(rng):
                   lambda: soft_cross_entropy(a14, probs)))
     a15, b15 = par((3, 4)), par((3, 4))
     cases.append(("l2_distance", [a15, b15], lambda: l2_distance(a15, b15)))
+    x16, w16, b16 = par((3, 4)), par((4, 2)), par((2,))
+    cases.append(("affine", [x16, w16, b16],
+                  lambda: tsum(mul(affine(x16, w16, b16), c32))))
+    x17, w17, b17 = par((3, 4)), par((4, 2)), par((2,))
+    cases.append(("affine_relu", [x17, w17, b17],
+                  lambda: tsum(mul(affine_relu(x17, w17, b17), c32))))
+    x18, w18, b18 = away_from_zero((3, 4)), par((4, 2)), par((2,))
+    cases.append(("relu_affine", [x18, w18, b18],
+                  lambda: tsum(mul(relu_affine(x18, w18, b18), c32))))
+    gen = [par((3, 4)), par((5, 3)), par((3, 4)), par((4,)), par((3, 4)),
+           par((4,))]
+    cases.append(("film", gen,
+                  lambda: tsum(mul(film(gen[0], gen[1], 2, *gen[2:], 1e-8),
+                                   c34))))
     return cases
 
 
@@ -213,7 +231,7 @@ def test_criterion_01_gradients_match_finite_differences():
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _ok(1, f"max rel err {worst:.2e} over {n_seeds} seeds, "
-           f"17 ops + 2 full graphs ({elapsed:.1f}s)")
+           f"21 ops + 2 full graphs ({elapsed:.1f}s)")
 
 
 # -- criterion 2: closed-form losses -------------------------------------------------

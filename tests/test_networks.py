@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from metacl.autodiff import Tensor, backward, softmax_cross_entropy, tsum
+from metacl.autodiff import (
+    Tensor,
+    backward,
+    grad_only,
+    mask_cols,
+    matmul,
+    relu,
+    softmax_cross_entropy,
+    tsum,
+)
 from metacl.errors import CapacityError, ConfigurationError, ContractError, UnknownTaskError
 from metacl.networks import (
     ClassifierHeads,
@@ -256,6 +265,87 @@ def test_transform_off_leaves_generator_untouched():
     assert all(p.grad is None for p in model.generator_params())
     plain = model.extract(x)
     assert np.array_equal(model.task_features(x, 1).data, plain.data)
+
+
+def test_task_features_rejects_task_outside_generator_capacity():
+    model = small_model(k_max=2)
+    model.register_task(3)  # the first task registered, outside capacity 2
+    with pytest.raises(UnknownTaskError, match="capacity 1..2"):
+        model.task_features(np.zeros((1, 4)), 3)
+
+
+def unfused_features(model, x, task_id=None):
+    """The trunk as primitive ops, with FiLM (``film_transform`` on
+    ``coefficients``) where the model applies it when ``task_id`` is given."""
+    a = Tensor(x)
+    last = len(model.extractor.layers) - 1
+    for index, (w, b) in enumerate(model.extractor.layers):
+        a = relu(matmul(a, w) + b)
+        if task_id is not None and (model.transform_mode == "per_layer"
+                                    or index == last):
+            a = film_transform(a, *model.generator.coefficients(task_id, index))
+    return a
+
+
+def unfused_logits(model, x, task_id):
+    w, b = model.heads.heads[task_id]
+    return matmul(relu(unfused_features(model, x, task_id)), w) + b
+
+
+def unfused_discriminate(model, features, seen):
+    d = model.discriminator
+    hidden = relu(matmul(features, d.w1) + d.b1)
+    return mask_cols(matmul(hidden, d.w2) + d.b2, seen + 1)
+
+
+def model_loss(model, rows, fused):
+    """CE of task 1 and task 2 logits plus discriminator CE on the plain
+    trunk: every parameter group, both tables' rows, several trunk passes."""
+    rng = np.random.default_rng(rows)
+    x1, x2 = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
+    y1, y2 = rng.integers(0, 3, size=rows), rng.integers(0, 3, size=rows)
+    if fused:
+        logits1, logits2 = model.logits(x1, 1), model.logits(x2, 2)
+        disc = model.discriminate(model.extract(x1), 2)
+    else:
+        logits1, logits2 = unfused_logits(model, x1, 1), unfused_logits(model, x2, 2)
+        disc = unfused_discriminate(model, unfused_features(model, x1), 2)
+    return (softmax_cross_entropy(logits1, y1)
+            + softmax_cross_entropy(logits2, y2)
+            + softmax_cross_entropy(disc, np.full(rows, 2)))
+
+
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "per-layer"])
+@pytest.mark.parametrize("mode", ["per_layer", "last"])
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("group", ["all", "extractor+heads", "generator",
+                                   "discriminator"])
+def test_fused_model_is_bitwise_equal_to_unfused(share, mode, rows, group):
+    def run(fused):
+        model = small_model(share_embedding=share, transform_mode=mode)
+        for t in (1, 2):
+            model.register_task(t)
+        rng = np.random.default_rng(3)
+        for p in model.all_params():  # mid-training values: nonzero biases
+            p.data += 0.1 * rng.normal(size=p.data.shape)
+        params = {"all": model.all_params(),
+                  "extractor+heads": model.extractor_params()
+                  + model.head_params(),
+                  "generator": model.generator_params(),
+                  "discriminator": model.discriminator_params()}[group]
+        with grad_only(params, model.all_params()):
+            loss = model_loss(model, rows, fused)
+            backward(loss)
+        return loss, model.all_params()
+
+    loss, params = run(fused=True)
+    ref, ref_params = run(fused=False)
+    assert loss.data.tobytes() == ref.data.tobytes()
+    assert any(p.grad is not None for p in params)
+    for p, r in zip(params, ref_params):
+        assert (p.grad is None) == (r.grad is None)
+        if p.grad is not None:
+            assert p.grad.tobytes() == r.grad.tobytes()
 
 
 def test_transform_last_differs_from_per_layer():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import check_gradients
+from metacl import trainer as trainer_module
 from metacl.autodiff import backward, sgd_step, softmax_cross_entropy, zero_grads
 from metacl.config import RunConfig
 from metacl.datasets import (
@@ -190,8 +191,27 @@ def test_outer_step_noop_when_transform_off():
     trainer, stream = fresh_trainer(transform="off", ablation="C")
     _, val = first_partition(trainer, stream)
     gen_before = snapshot(trainer.model.generator_params())
-    trainer.outer_step(val)
+    assert trainer.outer_step(val) is None
     assert unchanged(trainer.model.generator_params(), gen_before)
+    assert trainer.state.outer_updates == 1
+
+
+def test_ablation_c_builds_one_total_loss_per_round(monkeypatch):
+    # the inner step's; the outer step, which would move nothing, builds none
+    trainer, stream = fresh_trainer(transform="off", ablation="C")
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return total_loss(*args)
+
+    monkeypatch.setattr(trainer_module, "total_loss", counted)
+    record = trainer.train_task(stream.tasks[0])
+    rounds = -(-len(stream.tasks[0].train.x) // trainer.config.batch_size)
+    assert len(builds) == rounds
+    assert trainer.state.outer_updates == rounds
+    assert record["mean_outer_loss"] is None
+    assert record["mean_inner_loss"] is not None
 
 
 # -- adversarial step ---------------------------------------------------------------------
@@ -548,12 +568,16 @@ def test_inner_step_tapes_no_generator_parameter():
     model = trainer.model
     params = (model.extractor_params()
               + model.head_params(_step_tasks(train.batch, train.memory)))
-    full = total_loss(model, train.batch, train.memory, trainer.config)
-    scoped = recorded_loss(trainer, train, params)
-    generator = {id(p) for p in model.generator_params()}
+    generator = model.generator_params()
+    ids = {id(p) for p in generator}
     # the fully taped loss does reach the generator, so the guard can fail
-    assert generator & tape_inputs(full) and frozen_work(full, params)
-    assert not generator & tape_inputs(scoped)
+    full = total_loss(model, train.batch, train.memory, trainer.config)
+    assert ids & tape_inputs(full)
+    backward(full)
+    assert any(p.grad is not None for p in generator)
+    scoped = recorded_loss(trainer, train, params)
+    assert all(p.grad is None for p in generator)
+    assert not ids & tape_inputs(scoped)
     assert not frozen_work(scoped, params)
 
 
@@ -572,6 +596,22 @@ def test_outer_step_tapes_only_generator_work():
     assert not frozen_work(scoped, params)
     assert not untouched & tape_inputs(scoped)
     assert len(tape_nodes(scoped)) < len(tape_nodes(full))
+
+
+def test_step_tape_sizes_are_pinned(monkeypatch):
+    # one fused node per layer call; un-fusing a path changes these counts
+    trainer, train, val = three_task_trainer()
+    sizes = []
+
+    def counted(loss):
+        sizes.append(len(tape_nodes(loss)))
+        backward(loss)
+
+    monkeypatch.setattr(trainer_module, "backward", counted)
+    trainer.inner_step(train)
+    trainer.outer_step(val)
+    trainer.adversarial_step(train.batch)
+    assert sizes == [55, 43, 26]
 
 
 # -- non-finite losses ----------------------------------------------------------------
