@@ -28,6 +28,14 @@ expressions in the chain's reverse recording order, and an input that the
 chain reaches twice (FiLM's features) is listed twice, so its two
 contributions join its other gradients in the chain's order. A fused node
 lists only the inputs that require grad.
+
+``replay(out)`` re-records the tape that made ``out`` without redoing its
+forward arithmetic: the result shares ``out.data``, its leaves and constants
+are ``out``'s, and every node that made ``out`` is recorded again, in its
+original order, with its own ``backward_fn`` and its inputs remapped to the
+copies. Back-propagating through a replay is bit-identical to recomputing
+``out`` at the point where ``replay`` is called, so a value that two loss
+terms need is computed once and differentiated as if each had built it.
 """
 
 from __future__ import annotations
@@ -182,6 +190,37 @@ def _make(out_data, inputs, backward_fn):
                 out.node = Node(inputs, backward_fn)
                 break
     return out
+
+
+def replay(out):
+    """A tensor equal to ``out`` whose tape is a fresh copy of ``out``'s.
+
+    The copy shares ``out.data``, ``out``'s leaves and its constants; every
+    intermediate tensor and node is new. Each new node keeps its original's
+    ``backward_fn`` and inputs, remapped to the copies (an input listed twice
+    stays listed twice), and takes a new sequence number, in the originals'
+    recording order. Gradients through the copy are therefore bit-identical
+    to those through a recompute of ``out`` at this point. A tensor with no
+    node is returned as is; under ``no_grad`` the copy records nothing.
+    """
+    if out.node is None:
+        return out
+    if not _grad_enabled:
+        return Tensor(out.data)
+    made = {}  # every node that made ``out`` -> the tensor it made
+    stack = [out]
+    while stack:
+        tensor = stack.pop()
+        if tensor.node not in made:
+            made[tensor.node] = tensor
+            stack.extend(t for t in tensor.node.inputs if t.node is not None)
+    copies = {}
+    for node in sorted(made, key=lambda n: n.seq):
+        copy = Tensor(made[node].data, requires_grad=True)
+        copy.node = Node([t if t.node is None else copies[t.node]
+                          for t in node.inputs], node.backward_fn)
+        copies[node] = copy
+    return copies[out.node]
 
 
 def _unbroadcast(grad, shape):

@@ -2,8 +2,14 @@
 
 Output layout: one directory per run-set, ``<out>/<method>-<ablation>-<hash8>/``,
 holding ``config.txt``, one ``seed-N/record.json`` per seed (byte-stable), a
-``seed-N/timing.json`` side file (wall-clock lives here so records stay
-byte-identical across reruns), and ``summary.csv``.
+``seed-N/timing.json`` side file, and ``summary.csv``. Wall-clock times and
+each task's mean step losses live in the side file, so records stay
+byte-identical across reruns. The step losses per task are
+``mean_inner_loss`` (the full objective, ``losses.total_loss``),
+``mean_outer_loss`` (CE + dark replay, ``losses.classification_loss``:
+the outer step leaves out the alignment term) and ``mean_disc_loss``; each
+is null where its step never ran: the outer step under ablation C, the
+discriminator step under ablation A, and both in the replay baselines.
 """
 
 import csv
@@ -38,6 +44,7 @@ GRID_SPACE = {
     "lambda2": (1.0, 3.0),
     "lambda3": (0.03, 0.09, 0.3, 0.9),
 }
+STEP_LOSSES = ("mean_inner_loss", "mean_outer_loss", "mean_disc_loss")
 SUMMARY_COLUMNS = ("method", "ablation", "seed", "task_index", "acc_row",
                    "final_acc", "final_fm", "wall_s")
 
@@ -112,6 +119,7 @@ class ResultRecord:
     counters: dict
     wall_s: float = 0.0
     task_wall_s: list = field(default_factory=list)
+    task_losses: list = field(default_factory=list)  # one dict per task
 
     def stable_dict(self):
         """The byte-stable part (no timing)."""
@@ -159,6 +167,7 @@ def run_single(config, seed, stream=None):
         },
         wall_s=wall,
         task_wall_s=[r["wall_s"] for r in records],
+        task_losses=[{key: r[key] for key in STEP_LOSSES} for r in records],
     )
 
 
@@ -172,7 +181,8 @@ def run_dir_name(config):
 def write_record(seed_dir, record):
     atomic_write_text(os.path.join(seed_dir, "record.json"),
                       record.record_bytes().decode("utf-8"))
-    timing = {"wall_s": record.wall_s, "task_wall_s": record.task_wall_s}
+    timing = {"wall_s": record.wall_s, "task_wall_s": record.task_wall_s,
+              "task_losses": record.task_losses}
     atomic_write_text(os.path.join(seed_dir, "timing.json"),
                       json.dumps(timing, sort_keys=True, indent=2) + "\n")
 
@@ -181,13 +191,11 @@ def load_record(seed_dir):
     """Rebuild a ResultRecord from record.json (+ timing.json if present)."""
     with open(os.path.join(seed_dir, "record.json"), encoding="utf-8") as f:
         raw = json.load(f)
-    wall, per_task = 0.0, []
+    timing = {}
     timing_path = os.path.join(seed_dir, "timing.json")
     if os.path.exists(timing_path):
         with open(timing_path, encoding="utf-8") as f:
             timing = json.load(f)
-        wall = timing.get("wall_s", 0.0)
-        per_task = timing.get("task_wall_s", [])
     return ResultRecord(
         config_hash=raw["config_hash"],
         method=raw["method"],
@@ -198,8 +206,9 @@ def load_record(seed_dir):
         final_fm=raw["final_fm"],
         samples_seen={int(k): v for k, v in raw["samples_seen"].items()},
         counters=raw["counters"],
-        wall_s=wall,
-        task_wall_s=per_task,
+        wall_s=timing.get("wall_s", 0.0),
+        task_wall_s=timing.get("task_wall_s", []),
+        task_losses=timing.get("task_losses", []),
     )
 
 

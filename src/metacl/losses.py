@@ -11,6 +11,17 @@ discriminator separately minimizes CE over {fake=0, task 1..K} plus its own
 dark-replay term on stored discriminator logits, without touching the
 feature path.
 
+Each step builds the part of L that reaches the parameters it moves. The
+inner step (extractor and heads) builds all of it, ``total_loss``. The outer
+step (parameter generator) builds ``classification_loss``, the first three
+terms: L_align runs the plain trunk and the discriminator, so it never
+reaches the generator.
+
+Within one loss, the memory rows of a task the current batch does not hold
+go through the network once: ``ce_loss`` hands their logits to
+``derpp_loss``, which replays their tape (``autodiff.replay``) instead of
+recomputing them, so every value and gradient equals that of a recompute.
+
 The trade-off constants lam1..lam3, the noise model and the alignment
 direction are read from the run's ``RunConfig``, passed as ``config``.
 """
@@ -23,6 +34,7 @@ from .autodiff import (
     Tensor,
     l2_distance,
     no_grad,
+    replay,
     slice_cols,
     soft_cross_entropy,
     softmax_cross_entropy,
@@ -50,34 +62,43 @@ def _rows(batch, memory):
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def ce_loss(model, batch, memory=None):
+def ce_loss(model, batch, memory=None, memory_logits=None):
     """Mean cross-entropy over current plus memory samples.
 
     Each sample's logits come from the head of its own task, so the mean is
     taken across heads, weighted by per-task sample counts. ``memory`` is a
-    ``Draw`` or None.
+    ``Draw`` or None. A dict passed as ``memory_logits`` receives, for each
+    task without current-batch rows, the logits of its memory rows in draw
+    order.
     """
     rows = _rows(batch, memory)
     if rows is None:
         raise ContractError("ce_loss needs at least one sample")
     x, y, t = rows
+    batch_task = batch.task_id if batch is not None and len(batch.x) else None
     total = None
     for task in np.unique(t).tolist():
         mask = t == task
-        part = (softmax_cross_entropy(model.logits(x[mask], task), y[mask])
+        logits = model.logits(x[mask], task)
+        if memory_logits is not None and task != batch_task:
+            memory_logits[task] = logits
+        part = (softmax_cross_entropy(logits, y[mask])
                 * (int(mask.sum()) / len(y)))
         total = part if total is None else total + part
     return total
 
 
-def derpp_loss(model, memory, config):
+def derpp_loss(model, memory, config, memory_logits=None):
     """Dark-replay term: lam1 * mean L2 to stored logits + lam2 * mean CE.
 
     Every drawn row must carry a classifier-logit snapshot whose width
-    matches the current head of its task.
+    matches the current head of its task. A task found in
+    ``memory_logits`` (as ``ce_loss`` fills it, on the same draw and
+    weights) replays those logits' tape instead of recomputing them.
     """
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
+    memory_logits = memory_logits or {}
     if not memory.h_width.all():
         raise MemoryConsistencyError("memory entry lacks a logit snapshot")
     l2_total, ce_total = None, None
@@ -89,7 +110,10 @@ def derpp_loss(model, memory, config):
             raise MemoryConsistencyError(
                 f"stored logits for task {task} have shape "
                 f"({memory.h_width[mask][wrong][0]},), head expects ({width},)")
-        logits = model.logits(memory.x[mask], task)
+        if task in memory_logits:
+            logits = replay(memory_logits[task])
+        else:
+            logits = model.logits(memory.x[mask], task)
         frac = int(mask.sum()) / len(memory)
         l2_part = l2_distance(logits, Tensor(memory.h[mask, :width])) * frac
         ce_part = softmax_cross_entropy(logits, memory.y[mask]) * frac
@@ -168,10 +192,16 @@ def discriminator_loss(model, x, task_labels, memory, config):
     return loss + config.lambda1 * l2_total + config.lambda2 * ce_total
 
 
+def classification_loss(model, batch, memory, config):
+    """CE + dark replay: the terms on the parameter generator's path."""
+    memory_logits = {}
+    loss = ce_loss(model, batch, memory, memory_logits)
+    return loss + derpp_loss(model, memory, config, memory_logits)
+
+
 def total_loss(model, batch, memory, config):
     """The learner's full objective: CE + dark replay + lam3 * alignment."""
-    loss = ce_loss(model, batch, memory)
-    loss = loss + derpp_loss(model, memory, config)
+    loss = classification_loss(model, batch, memory, config)
     if config.lambda3 != 0:
         loss = loss + config.lambda3 * adversarial_generator_loss(
             model, batch, memory, config)

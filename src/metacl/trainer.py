@@ -31,7 +31,13 @@ from .autodiff import (
 )
 from .datasets import batches
 from .errors import ConfigurationError, UnknownTaskError
-from .losses import ce_loss, discriminator_loss, noise_batch, total_loss
+from .losses import (
+    ce_loss,
+    classification_loss,
+    discriminator_loss,
+    noise_batch,
+    total_loss,
+)
 from .memory import EpisodicMemory, make_entry
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
@@ -192,6 +198,9 @@ class Trainer(TaskLoop):
     def outer_step(self, val_part, lr=None):
         """One SGD step on the validation-side loss, moving the generator.
 
+        The loss is ``classification_loss``, CE + dark replay: the alignment
+        term runs the plain trunk and would send the generator no gradient,
+        so the step neither builds it nor counts it in the loss it returns.
         First-order: extractor and heads are treated as constants, so the
         generator gradient is the direct partial derivative at their current
         values. With the transform disabled the generator is off the forward
@@ -202,7 +211,9 @@ class Trainer(TaskLoop):
             batch, draw = val_part.batch, val_part.memory
             params = self.model.generator_params()
             loss = self._differentiate(
-                params, lambda: total_loss(self.model, batch, draw, self.config),
+                params,
+                lambda: classification_loss(self.model, batch, draw,
+                                            self.config),
                 f"outer-step loss on task {batch.task_id}").item()
             live = [p for p in params if p.grad is not None]
             if live:

@@ -134,6 +134,30 @@ def test_execute_run_writes_layout(tmp_path):
         assert (run_dir / f"seed-{seed}" / "timing.json").exists()
 
 
+@pytest.mark.parametrize("override, missing", [
+    ("ablation=full", ()),
+    ("ablation=A", ("mean_disc_loss",)),
+    ("ablation=C", ("mean_outer_loss",)),
+    ("method=er", ("mean_outer_loss", "mean_disc_loss")),
+])
+def test_timing_carries_each_tasks_mean_step_losses(tmp_path, override,
+                                                    missing):
+    config = tiny_config(override)
+    (record,) = execute_run(config, out_dir=str(tmp_path))
+    seed_dir = tmp_path / run_dir_name(config) / "seed-0"
+    timing = json.loads((seed_dir / "timing.json").read_text())
+    assert timing["task_losses"] == record.task_losses
+    assert len(record.task_losses) == 3
+    for losses in record.task_losses:
+        assert sorted(losses) == ["mean_disc_loss", "mean_inner_loss",
+                                  "mean_outer_loss"]
+        for key, value in losses.items():
+            assert (value is None) == (key in missing), key
+    assert load_record(str(seed_dir)).task_losses == record.task_losses
+    # the byte-stable record holds no loss
+    assert "loss" not in (seed_dir / "record.json").read_text()
+
+
 @pytest.mark.parametrize("method", ["scale", "er"])
 def test_execute_run_rejects_k_max_below_task_count(tmp_path, method):
     config = tiny_config("k_max=2", f"method={method}")

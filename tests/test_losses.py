@@ -1,14 +1,26 @@
 """Loss tests: closed forms, stop-gradient contracts, additivity, dynamics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from metacl.autodiff import Tensor, backward, sgd_step, zero_grads
+from metacl import networks
+from metacl.autodiff import (
+    Tensor,
+    backward,
+    grad_only,
+    l2_distance,
+    sgd_step,
+    softmax_cross_entropy,
+    zero_grads,
+)
 from metacl.config import RunConfig
 from metacl.errors import ConfigurationError, ContractError, MemoryConsistencyError
 from metacl.losses import (
     adversarial_generator_loss,
     ce_loss,
+    classification_loss,
     derpp_loss,
     discriminator_loss,
     noise_batch,
@@ -16,6 +28,7 @@ from metacl.losses import (
 )
 from metacl.memory import make_entry
 from metacl.networks import ContinualModel
+from metacl.trainer import effective_weights
 
 from helpers import draw_of
 
@@ -360,6 +373,115 @@ def test_total_loss_gradient_partitioning():
     for group in (model.extractor_params(), model.generator_params(),
                   model.head_params()):
         assert any(p.grad is not None and np.any(p.grad != 0) for p in group)
+
+
+# -- replayed memory logits: bitwise oracle ----------------------------------------
+
+
+def recomputed_derpp_loss(model, memory, config):
+    """The dark-replay term built without replay: every task's memory rows
+    go through ``model.logits`` again (the reference ``derpp_loss`` must
+    equal bit for bit)."""
+    if memory is None or len(memory) == 0:
+        return Tensor(0.0)
+    l2_total, ce_total = None, None
+    for task in np.unique(memory.t).tolist():
+        mask = memory.t == task
+        width = model.heads.output_dim(task)
+        logits = model.logits(memory.x[mask], task)
+        frac = int(mask.sum()) / len(memory)
+        l2_part = l2_distance(logits, Tensor(memory.h[mask, :width])) * frac
+        ce_part = softmax_cross_entropy(logits, memory.y[mask]) * frac
+        l2_total = l2_part if l2_total is None else l2_total + l2_part
+        ce_total = ce_part if ce_total is None else ce_total + ce_part
+    return config.lambda1 * l2_total + config.lambda2 * ce_total
+
+
+def recomputed_classification_loss(model, batch, memory, config):
+    return ce_loss(model, batch, memory) + recomputed_derpp_loss(
+        model, memory, config)
+
+
+def recomputed_total_loss(model, batch, memory, config):
+    loss = recomputed_classification_loss(model, batch, memory, config)
+    if config.lambda3 != 0:
+        loss = loss + config.lambda3 * adversarial_generator_loss(
+            model, batch, memory, config)
+    return loss
+
+
+def oracle_setup(transform, heads, batch_task, seed=12):
+    """Three registered tasks; a draw interleaving rows of tasks 1 and 2
+    with perturbed snapshots, and a batch of ``batch_task``."""
+    model = ContinualModel(3, 2, feature_width=8, depth=2, k_max=4,
+                           embed_dim=4, disc_hidden=6, transform_mode=transform,
+                           head_mode=heads, seed=seed)
+    for task in (1, 2, 3):
+        model.register_task(task)
+    rng = np.random.default_rng(seed)
+    batch = Batch(rng.normal(size=(5, 3)), rng.integers(0, 2, size=5),
+                  batch_task)
+    entries = []
+    for i in range(9):
+        x = rng.normal(size=3)
+        t = 1 + (i * i) % 2
+        entries.append(make_entry(
+            x, y=i % 2, t=t,
+            h=model.snapshot_logits(x[None, :], t)[0] + rng.normal(size=2),
+            h_disc=model.snapshot_disc_logits(x[None, :])[0]))
+    return model, batch, draw_of(entries)
+
+
+def taped_bytes(model, params, make_loss):
+    """The loss's bytes and every parameter's gradient bytes, with only
+    ``params`` taped."""
+    among = model.all_params()
+    zero_grads(among)
+    with grad_only(params, among):
+        loss = make_loss()
+        backward(loss)
+    grads = [None if p.grad is None else p.grad.tobytes() for p in among]
+    zero_grads(among)
+    return loss.data.tobytes(), grads
+
+
+@pytest.mark.parametrize("ablation", ["full", "A", "B"])
+@pytest.mark.parametrize("transform", ["per_layer", "last", "off"])
+@pytest.mark.parametrize("heads", ["multi", "single"])
+@pytest.mark.parametrize("batch_task", [2, 3], ids=["in-draw", "not-in-draw"])
+def test_replayed_memory_logits_are_bitwise_equal_to_recomputed(
+        monkeypatch, ablation, transform, heads, batch_task):
+    passes = []
+    forward = networks.FeatureExtractor.forward
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(networks.FeatureExtractor, "forward", counted)
+    model, batch, memory = oracle_setup(transform, heads, batch_task)
+    config = effective_weights(replace(RunConfig(lambda3=0.3),
+                                       ablation=ablation))
+    groups = {"all": model.all_params(),
+              "extractor": model.extractor_params(),
+              "heads": model.head_params(),
+              "generator": model.generator_params(),
+              "discriminator": model.discriminator_params()}
+    # the draw's task 1 is replayed, and task 2 too unless the batch holds it
+    replayed = 1 if batch_task == 2 else 2
+    for built, reference in ((total_loss, recomputed_total_loss),
+                             (classification_loss,
+                              recomputed_classification_loss)):
+        for name, params in groups.items():
+            passes.clear()
+            got = taped_bytes(model, params,
+                              lambda: built(model, batch, memory, config))
+            built_passes = len(passes)
+            passes.clear()
+            want = taped_bytes(model, params,
+                               lambda: reference(model, batch, memory, config))
+            assert got == want, (built.__name__, name)
+            assert built_passes == len(passes) - replayed
 
 
 # -- adversarial dynamics on a separable toy ---------------------------------------

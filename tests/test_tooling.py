@@ -26,9 +26,12 @@ def test_demo_imports(path):
 
 @pytest.mark.parametrize("args", [
     ["--workload", "resume20-er", "--seed", "0", "--trace", "1"],
+    # the full method's traced records must equal its untraced ones and the
+    # checked-in reference
+    ["--workload", "desk5-full", "--seed", "0", "--trace", "1"],
     ["--workload", "desk5-full", "--seed", "0", "--trace", "0",
      "--seconds", "0"],
-], ids=["resume20-er-traced", "desk5-full-untraced"])
+], ids=["resume20-er-traced", "desk5-full-traced", "desk5-full-untraced"])
 def test_benchmark_runs_without_failures(args):
     out = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run_bench.py"), *args],

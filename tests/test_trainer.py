@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import check_gradients
+from metacl import networks
 from metacl import trainer as trainer_module
 from metacl.autodiff import backward, sgd_step, softmax_cross_entropy, zero_grads
 from metacl.config import RunConfig
@@ -19,7 +20,12 @@ from metacl.datasets import (
 )
 from metacl.errors import ConfigurationError, UnknownTaskError
 from metacl.experiments import run_single
-from metacl.losses import discriminator_loss, noise_batch, total_loss
+from metacl.losses import (
+    adversarial_generator_loss,
+    discriminator_loss,
+    noise_batch,
+    total_loss,
+)
 from metacl.memory import EpisodicMemory, Partition
 from metacl.trainer import (
     ReplayTrainer,
@@ -516,7 +522,17 @@ def test_scoped_step_is_bitwise_equal_to_unscoped(kind):
     part = val if kind == "outer" else train
     step = {"inner": scoped.inner_step, "outer": scoped.outer_step,
             "adversarial": lambda p: scoped.adversarial_step(p.batch)}[kind]
-    assert step(part) == unscoped_step(plain, kind, part)
+    if kind == "outer":
+        # the outer step leaves out lam3 * alignment, which reaches no
+        # generator parameter; the taped total adds that term last, so the
+        # two differ by exactly that one float add
+        config = scoped.config
+        assert config.lambda3 != 0
+        alignment = (config.lambda3 * adversarial_generator_loss(
+            scoped.model, part.batch, part.memory, config)).item()
+        assert step(part) + alignment == unscoped_step(plain, kind, part)
+    else:
+        assert step(part) == unscoped_step(plain, kind, part)
     for p, q in zip(scoped.model.all_params(), plain.model.all_params()):
         assert p.data.tobytes() == q.data.tobytes()
         assert p.requires_grad and p.grad is None
@@ -611,7 +627,29 @@ def test_step_tape_sizes_are_pinned(monkeypatch):
     trainer.inner_step(train)
     trainer.outer_step(val)
     trainer.adversarial_step(train.batch)
-    assert sizes == [55, 43, 26]
+    assert sizes == [55, 42, 26]
+
+
+def test_step_trunk_passes_are_pinned(monkeypatch):
+    # memory rows of a task the batch does not hold go through the trunk
+    # once per loss (DER++ replays CE's tape), and the outer step builds no
+    # alignment term: inner = 3 CE tasks + alignment, outer = 3 CE tasks,
+    # adversarial = the batch plus one pass per stored disc-logit width
+    trainer, train, val = three_task_trainer()
+    passes = []
+    forward = networks.FeatureExtractor.forward
+
+    def counted(*args, **kwargs):
+        passes[-1] += 1
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(networks.FeatureExtractor, "forward", counted)
+    for step in (lambda: trainer.inner_step(train),
+                 lambda: trainer.outer_step(val),
+                 lambda: trainer.adversarial_step(train.batch)):
+        passes.append(0)
+        step()
+    assert passes == [4, 3, 3]
 
 
 # -- non-finite losses ----------------------------------------------------------------
