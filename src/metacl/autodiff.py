@@ -29,13 +29,18 @@ chain reaches twice (FiLM's features) is listed twice, so its two
 contributions join its other gradients in the chain's order. A fused node
 lists only the inputs that require grad.
 
-``replay(out)`` re-records the tape that made ``out`` without redoing its
-forward arithmetic: the result shares ``out.data``, its leaves and constants
-are ``out``'s, and every node that made ``out`` is recorded again, in its
-original order, with its own ``backward_fn`` and its inputs remapped to the
-copies. Back-propagating through a replay is bit-identical to recomputing
-``out`` at the point where ``replay`` is called, so a value that two loss
-terms need is computed once and differentiated as if each had built it.
+The training losses go one step further: ``task_cross_entropy`` and
+``task_dark_replay`` are one node each over a ``TaskForward``, the forward of
+rows of many tasks through trunk, FiLM and heads. Its matmuls run per task,
+on exactly the operands of that task's chain of fused ops (a matmul over
+several tasks' rows is not bit-stable against its per-task row blocks);
+everything else runs as one numpy call over all tasks' rows or all tasks'
+FiLM coefficients. The node lists every leaf once per contribution the
+per-task chains send it, in the order those arrive, so ``backward`` adds
+them up exactly as it adds the chains'. The layer formulas (ReLU, the affine
+gradients, FiLM's coefficients and their gradients, softmax cross-entropy
+and the L2 distance) are written once and shared by the single-call ops and
+the task nodes; ``film`` is the one-task case of ``TaskForward``'s FiLM step.
 """
 
 from __future__ import annotations
@@ -192,37 +197,6 @@ def _make(out_data, inputs, backward_fn):
     return out
 
 
-def replay(out):
-    """A tensor equal to ``out`` whose tape is a fresh copy of ``out``'s.
-
-    The copy shares ``out.data``, ``out``'s leaves and its constants; every
-    intermediate tensor and node is new. Each new node keeps its original's
-    ``backward_fn`` and inputs, remapped to the copies (an input listed twice
-    stays listed twice), and takes a new sequence number, in the originals'
-    recording order. Gradients through the copy are therefore bit-identical
-    to those through a recompute of ``out`` at this point. A tensor with no
-    node is returned as is; under ``no_grad`` the copy records nothing.
-    """
-    if out.node is None:
-        return out
-    if not _grad_enabled:
-        return Tensor(out.data)
-    made = {}  # every node that made ``out`` -> the tensor it made
-    stack = [out]
-    while stack:
-        tensor = stack.pop()
-        if tensor.node not in made:
-            made[tensor.node] = tensor
-            stack.extend(t for t in tensor.node.inputs if t.node is not None)
-    copies = {}
-    for node in sorted(made, key=lambda n: n.seq):
-        copy = Tensor(made[node].data, requires_grad=True)
-        copy.node = Node([t if t.node is None else copies[t.node]
-                          for t in node.inputs], node.backward_fn)
-        copies[node] = copy
-    return copies[out.node]
-
-
 def _unbroadcast(grad, shape):
     """Sum a broadcast gradient back down to ``shape``."""
     if grad.shape == shape:
@@ -289,13 +263,12 @@ def neg(a):
 def relu(x):
     """Elementwise max(0, x); subgradient at 0 is 0. NaN passes through, so
     a non-finite input still shows in the loss."""
-    dead = x.data <= 0
-    mask = ~dead
+    out, mask = _relu(x.data)
 
     def backward_fn(g):
         return (g * mask,)
 
-    return _make(np.where(dead, 0.0, x.data), (x,), backward_fn)
+    return _make(out, (x,), backward_fn)
 
 
 def sqrt(x):
@@ -317,18 +290,6 @@ def tsum(x, axis=None, keepdims=False):
         return (np.broadcast_to(g_exp, x.data.shape).copy(),)
 
     return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward_fn)
-
-
-def tmean(x, axis=None, keepdims=False):
-    n = x.data.size if axis is None else x.data.shape[axis]
-
-    def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, x.data.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp / n, x.data.shape).copy(),)
-
-    return _make(x.data.mean(axis=axis, keepdims=keepdims), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +345,176 @@ def mask_cols(x, valid, fill=MASK_FILL):
 
 
 # ---------------------------------------------------------------------------
+# layer formulas, written once: the fused single-call ops and the
+# task-vectorised loss nodes below both evaluate them
+
+def _relu(z):
+    """(relu(z), the mask of its live entries); NaN passes through."""
+    dead = z <= 0
+    return np.where(dead, 0.0, z), ~dead
+
+
+def _cat(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _row_products(rows, w):
+    """``rows[k:k + 1] @ w`` stacked over k: one matmul per row, each on
+    the operands a computation for that row alone uses."""
+    return _cat([rows[k:k + 1] @ w for k in range(len(rows))])
+
+
+def _outer(e, g):
+    """``e[k:k + 1].T @ g[k:k + 1]`` stacked over k. The (E, 1) @ (1, F)
+    matmul adds each product to zero, so ``+ 0.0`` turns a -0.0 product
+    into the +0.0 it gives."""
+    return e[:, :, None] * g[:, None, :] + 0.0
+
+
+def _norms(v, eps):
+    """(root, norm) of ``sqrt(tsum(v_k * v_k)) + eps`` for each row v_k of
+    ``v``, as (K, 1) columns."""
+    root = np.sqrt(np.maximum((v * v).sum(axis=1, keepdims=True), 0.0))
+    return root, root + eps
+
+
+def _normalized_grad(g_hat, v, root, norm):
+    """The gradient reaching each row v_k of ``v`` through
+    ``v_k / (sqrt(tsum(v_k * v_k)) + eps)`` from row k of ``g_hat`` on the
+    quotient: the div's share, then mul's two."""
+    g_norm = (-g_hat * v / (norm * norm)).sum(axis=1, keepdims=True)
+    live = root > 0
+    g_sum = np.where(live, 0.5 * g_norm / np.where(live, root, 1.0), 0.0)
+    # tsum spreads g_sum over v_k's shape, and mul(v, v) sends g_sum * v_k
+    # twice; the div's share arrives first
+    g_square = g_sum * v
+    return (g_hat / norm + g_square) + g_square
+
+
+class _Film:
+    """FiLM coefficients of K tasks at one layer, row k for task
+    ``tasks[k]``, each as the unfused chain computes it for that task alone:
+
+        emb   = gather_rows(table, [task])
+        scale = matmul(emb, w_scale) + b_scale
+        shift = matmul(emb, w_shift) + b_shift
+        s_hat = scale / (sqrt(tsum(scale * scale)) + eps)
+        t_hat = shift / (sqrt(tsum(shift * shift)) + eps)
+
+    One matmul per task and coefficient; every other step is one call over
+    all K rows. ``params`` is (table, w_scale, b_scale, w_shift, b_shift).
+    """
+
+    __slots__ = ("params", "tasks", "embs", "scale", "shift", "root_s",
+                 "norm_s", "root_t", "norm_t", "s_hat", "t_hat")
+
+    def __init__(self, params, tasks, eps):
+        table, w_scale, b_scale, w_shift, b_shift = params
+        self.params = params
+        self.tasks = np.asarray(tasks, dtype=np.int64)
+        self.embs = table.data[self.tasks]
+        self.scale = _row_products(self.embs, w_scale.data) + b_scale.data
+        self.shift = _row_products(self.embs, w_shift.data) + b_shift.data
+        self.root_s, self.norm_s = _norms(self.scale, eps)
+        self.root_t, self.norm_t = _norms(self.shift, eps)
+        self.s_hat = self.scale / self.norm_s
+        self.t_hat = self.shift / self.norm_t
+
+    def head(self, k):
+        """The coefficients of the first ``k`` tasks (views)."""
+        if k == len(self.tasks):
+            return self
+        out = object.__new__(_Film)
+        out.params = self.params
+        for name in _Film.__slots__[1:]:
+            setattr(out, name, getattr(self, name)[:k])
+        return out
+
+    def grads(self, g_hat_s, g_hat_t, need):
+        """Per parameter of ``params`` flagged in ``need``, in that order, a
+        stack whose row k is what task k's chain sends it, given the
+        gradients ``g_hat_s`` and ``g_hat_t`` (K, F) on s_hat and t_hat
+        (None where ``_film_needs`` says no flagged parameter uses one)."""
+        table, w_scale, _, w_shift, _ = self.params
+        need_e, need_ws, need_bs, need_wt, need_bt = need
+        if g_hat_s is not None:
+            g_scale = _normalized_grad(g_hat_s, self.scale, self.root_s,
+                                       self.norm_s)
+        if g_hat_t is not None:
+            g_shift = _normalized_grad(g_hat_t, self.shift, self.root_t,
+                                       self.norm_t)
+        out = []
+        if need_e:
+            # gather_rows' np.add.at of one row into zeros, for every task
+            k = len(self.tasks)
+            g_table = np.zeros((k,) + table.data.shape)
+            g_table[np.arange(k), self.tasks] += (
+                _row_products(g_shift, w_shift.data.T)
+                + _row_products(g_scale, w_scale.data.T))
+            out.append(g_table)
+        # a bias's gradient is add's _unbroadcast of one row: a sum over an
+        # axis of length one
+        if need_ws:
+            out.append(_outer(self.embs, g_scale))
+        if need_bs:
+            out.append(g_scale[:, None].sum(axis=1))
+        if need_wt:
+            out.append(_outer(self.embs, g_shift))
+        if need_bt:
+            out.append(g_shift[:, None].sum(axis=1))
+        return out
+
+
+def _film_needs(need):
+    """Whether the gradients on s_hat and on t_hat are needed, given the
+    requires-grad flags of (table, w_scale, b_scale, w_shift, b_shift)."""
+    need_e, need_ws, need_bs, need_wt, need_bt = need
+    return need_e or need_ws or need_bs, need_e or need_wt or need_bt
+
+
+def _log_softmax(z):
+    """Row-wise (log softmax(z), softmax(z)), max-subtraction stabilized."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - log_z
+    return log_probs, np.exp(log_probs)
+
+
+def _ce_grad(softmax, targets, scale):
+    """(softmax - one_hot(targets)) * scale; ``scale`` is a scalar or a
+    column."""
+    grad = softmax.copy()
+    grad[np.arange(len(targets)), targets] -= 1.0
+    return grad * scale
+
+
+def _check_targets(op, targets, n, c):
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (n,):
+        raise DimensionError(f"{op}: {n} logit rows vs {targets.shape} targets")
+    if targets.size and (targets.min() < 0 or targets.max() >= c):
+        raise IndexError(f"{op}: target out of range for {c} classes")
+    return targets
+
+
+def _l2_norms(diff):
+    """(rows, norms): ``diff`` as rows (a 1-D input is one row) and each
+    row's Euclidean norm."""
+    rows = (diff.reshape(1, -1) if diff.ndim == 1
+            else diff.reshape(diff.shape[0], -1))
+    return rows, np.sqrt((rows * rows).sum(axis=1))
+
+
+def _l2_grad(rows, norms, n, g):
+    """The gradient of mean-over-``n``-rows of ``norms`` times ``g`` on
+    ``rows``; zero norm propagates a zero subgradient. ``n`` and ``g`` are
+    scalars or one value per row (``g`` as a column)."""
+    safe = np.where(norms > 0, norms, 1.0)
+    scale = np.where(norms > 0, 1.0 / safe, 0.0) / n
+    return rows * scale[:, None] * g
+
+
+# ---------------------------------------------------------------------------
 # fused layers: one node for a chain of the ops above
 
 def _make_fused(out_data, inputs, backward_fn):
@@ -433,23 +564,19 @@ def affine_relu(x, w, b):
     """``relu(matmul(x, w) + b)`` as one node."""
     _check_affine("affine_relu", x, w, b)
     need = (x.requires_grad, w.requires_grad, b.requires_grad)
-    z = x.data @ w.data + b.data
-    dead = z <= 0
-    mask = ~dead
+    out, mask = _relu(x.data @ w.data + b.data)
 
     def backward_fn(g):
         return _affine_grads(g * mask, x.data, w, b, need)
 
-    return _make_fused(np.where(dead, 0.0, z), (x, w, b), backward_fn)
+    return _make_fused(out, (x, w, b), backward_fn)
 
 
 def relu_affine(x, w, b):
     """``matmul(relu(x), w) + b`` as one node."""
     _check_affine("relu_affine", x, w, b)
     need = (x.requires_grad, w.requires_grad, b.requires_grad)
-    dead = x.data <= 0
-    mask = ~dead
-    r = np.where(dead, 0.0, x.data)
+    r, mask = _relu(x.data)
 
     def backward_fn(g):
         grads = _affine_grads(g, r, w, b, need)
@@ -458,23 +585,6 @@ def relu_affine(x, w, b):
         return grads
 
     return _make_fused(r @ w.data + b.data, (x, w, b), backward_fn)
-
-
-def _norm(v, eps):
-    """(root, norm) of ``sqrt(tsum(v * v)) + eps``."""
-    root = np.sqrt(np.maximum((v * v).sum(), 0.0))
-    return root, root + eps
-
-
-def _normalized_grad(g_hat, v, root, norm):
-    """The gradient reaching ``v`` through ``v / (sqrt(tsum(v * v)) + eps)``
-    from ``g_hat`` on the quotient: the div's share, then mul's two."""
-    g_norm = _unbroadcast(-g_hat * v / (norm * norm), ())
-    g_sum = 0.5 * g_norm / root if root > 0 else 0.0
-    # tsum spreads g_sum over v's shape, and mul(v, v) sends g_sum * v
-    # twice; the div's share arrives first
-    g_square = g_sum * v
-    return (g_hat / norm + g_square) + g_square
 
 
 def film(features, table, row, w_scale, b_scale, w_shift, b_shift, eps):
@@ -486,6 +596,8 @@ def film(features, table, row, w_scale, b_scale, w_shift, b_shift, eps):
         shift = matmul(emb, w_shift) + b_shift
         out   = features * (scale / (sqrt(tsum(scale * scale)) + eps))
                 + shift / (sqrt(tsum(shift * shift)) + eps) + features
+
+    The one-task case of ``TaskForward``'s FiLM step.
     """
     f = features.data
     fits = f.ndim == 2 and table.data.ndim == 2
@@ -498,47 +610,22 @@ def film(features, table, row, w_scale, b_scale, w_shift, b_shift, eps):
             f"film: features {f.shape}, table {table.data.shape}, scale "
             f"{w_scale.data.shape} + {b_scale.data.shape}, shift "
             f"{w_shift.data.shape} + {b_shift.data.shape} do not fit")
-    inputs = (features, features, table, w_scale, b_scale, w_shift, b_shift)
-    need_f, _, need_e, need_ws, need_bs, need_wt, need_bt = [
-        t.requires_grad for t in inputs]
-    need_scale = need_e or need_ws or need_bs
-    need_shift = need_e or need_wt or need_bt
-
-    idx = np.asarray([row], dtype=np.int64)
-    emb = table.data[idx]
-    scale = emb @ w_scale.data + b_scale.data
-    shift = emb @ w_shift.data + b_shift.data
-    root_s, norm_s = _norm(scale, eps)
-    root_t, norm_t = _norm(shift, eps)
-    s_hat = scale / norm_s
+    coeffs = _Film((table, w_scale, b_scale, w_shift, b_shift), [row], eps)
+    s_hat = coeffs.s_hat
+    need_f = features.requires_grad
+    need = [p.requires_grad for p in coeffs.params]
+    need_s, need_t = _film_needs(need)
 
     def backward_fn(g):
-        grads = []
-        if need_f:
-            # the residual sum's share, then the scaling's
-            grads += [g, g * s_hat]
-        if need_scale:
-            g_scale = _normalized_grad(_unbroadcast(g * f, s_hat.shape),
-                                       scale, root_s, norm_s)
-        if need_shift:
-            g_shift = _normalized_grad(_unbroadcast(g, shift.shape),
-                                       shift, root_t, norm_t)
-        if need_e:
-            g_table = np.zeros_like(table.data)
-            np.add.at(g_table, idx, g_shift @ w_shift.data.T
-                      + g_scale @ w_scale.data.T)
-            grads.append(g_table)
-        if need_ws:
-            grads.append(emb.T @ g_scale)
-        if need_bs:
-            grads.append(g_scale.sum(axis=0))
-        if need_wt:
-            grads.append(emb.T @ g_shift)
-        if need_bt:
-            grads.append(g_shift.sum(axis=0))
-        return grads
+        # the residual sum's share, then the scaling's
+        grads = [g, g * s_hat] if need_f else []
+        g_hat_s = _unbroadcast(g * f, s_hat.shape) if need_s else None
+        g_hat_t = _unbroadcast(g, s_hat.shape) if need_t else None
+        return grads + [stack[0]
+                        for stack in coeffs.grads(g_hat_s, g_hat_t, need)]
 
-    return _make_fused((f * s_hat + shift / norm_t) + f, inputs, backward_fn)
+    return _make_fused((f * s_hat + coeffs.t_hat) + f,
+                       (features, features) + coeffs.params, backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +633,7 @@ def film(features, table, row, w_scale, b_scale, w_shift, b_shift, eps):
 
 def log_softmax(x):
     """Row-wise log-softmax with max-subtraction stabilization."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_data = shifted - log_z
-    softmax = np.exp(out_data)
+    out_data, softmax = _log_softmax(x.data)
 
     def backward_fn(g):
         return (g - softmax * g.sum(axis=1, keepdims=True),)
@@ -564,25 +648,13 @@ def softmax_cross_entropy(logits, targets):
     """
     if logits.data.ndim != 2:
         raise DimensionError(f"softmax_cross_entropy: logits must be 2-D, got {logits.data.shape}")
-    targets = np.asarray(targets, dtype=np.int64)
     n, c = logits.data.shape
-    if targets.shape != (n,):
-        raise DimensionError(
-            f"softmax_cross_entropy: {n} logit rows vs {targets.shape} targets")
-    if targets.size and (targets.min() < 0 or targets.max() >= c):
-        raise IndexError(
-            f"softmax_cross_entropy: target out of range for {c} classes")
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    softmax = np.exp(log_probs)
+    targets = _check_targets("softmax_cross_entropy", targets, n, c)
+    log_probs, softmax = _log_softmax(logits.data)
     loss = -log_probs[np.arange(n), targets].mean()
 
     def backward_fn(g):
-        grad = softmax.copy()
-        grad[np.arange(n), targets] -= 1.0
-        return (grad * (g / n),)
+        return (_ce_grad(softmax, targets, g / n),)
 
     return _make(loss, (logits,), backward_fn)
 
@@ -597,10 +669,7 @@ def soft_cross_entropy(logits, target_probs):
         raise DimensionError(
             f"soft_cross_entropy: logits {logits.data.shape} vs targets {probs.shape}")
     n = logits.data.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    softmax = np.exp(log_probs)
+    log_probs, softmax = _log_softmax(logits.data)
     loss = -(probs * log_probs).sum(axis=1).mean()
 
     def backward_fn(g):
@@ -619,19 +688,275 @@ def l2_distance(a, b):
     if a.data.shape != b.data.shape:
         raise DimensionError(
             f"l2_distance: shapes differ, {a.data.shape} vs {b.data.shape}")
-    diff = a.data - b.data
-    rows = diff.reshape(1, -1) if diff.ndim == 1 else diff.reshape(diff.shape[0], -1)
-    norms = np.sqrt((rows * rows).sum(axis=1))
+    rows, norms = _l2_norms(a.data - b.data)
     n = rows.shape[0]
     loss = norms.mean()
 
     def backward_fn(g):
-        safe = np.where(norms > 0, norms, 1.0)
-        scale = np.where(norms > 0, 1.0 / safe, 0.0) / n
-        grad = (rows * scale[:, None] * g).reshape(a.data.shape)
+        grad = _l2_grad(rows, norms, n, g).reshape(a.data.shape)
         return grad, -grad
 
     return _make(loss, (a, b), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# task-vectorised loss nodes
+
+class TaskForward:
+    """Rows grouped by task through a task-conditioned MLP: per trunk layer
+    ``relu(a @ w + b)``, optionally followed by FiLM with the task's
+    coefficients, then the task's head ``relu(a) @ w + b``. Group k holds
+    ``sizes[k]`` consecutive rows of task ``tasks[k]``; ``layers`` holds
+    (w, b, film) per trunk layer, film being None or FiLM's (table,
+    w_scale, b_scale, w_shift, b_shift), and ``heads`` one (w, b) per group.
+
+    Every matmul runs per group, on exactly the operands the chain
+    ``affine_relu`` / ``film`` / ``relu_affine`` uses for that group alone,
+    and every other step is one numpy call over all rows or all groups, so
+    each group's values equal its chain's bit for bit.
+
+    ``leaves`` lists what the groups' chains send gradient to, once per
+    contribution and in the order those arrive: groups by descending task,
+    and within a group the head, then from the last layer down each layer's
+    FiLM parameters and its affine map. Which tensors require grad is read
+    here, as the fused ops read it when they record. ``backward`` returns
+    the contributions in that order, so a node whose inputs are ``leaves``
+    adds them up exactly as the chains' nodes do.
+
+    With ``reuse=(source, n)`` the groups' tasks are the first tasks of the
+    forward ``source``, made on the same weights, and its first n groups
+    hold the same rows as here: every array of those rows is the source's,
+    and all FiLM coefficients are its. Only the other groups' rows are
+    computed.
+    """
+
+    def __init__(self, x, tasks, sizes, layers, heads, eps, reuse=None):
+        self.tasks = list(tasks)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        ends = np.cumsum(self.sizes)
+        self.bounds = list(zip((ends - self.sizes).tolist(), ends.tolist()))
+        self.layers, self.heads = layers, heads
+        self.ascending = sorted(range(len(self.tasks)),
+                                key=self.tasks.__getitem__)
+        source, shared = reuse if reuse is not None else (None, 0)
+        k = len(self.tasks)
+        if source is not None and source.tasks[:k] != self.tasks:
+            raise ContractError(
+                f"TaskForward: tasks {self.tasks} are not the first tasks of "
+                f"the reused forward's {source.tasks}")
+        copied = self.bounds[shared - 1][1] if shared else 0
+        if shared == k:
+            # every group is the source's: its arrays, cut to these rows
+            self.inputs, self.masks, self.features, self.scales = (
+                [None if v is None else v[:copied] for v in arrays]
+                for arrays in (source.inputs, source.masks, source.features,
+                               source.scales))
+            self.films = [None if c is None else c.head(k) for c in source.films]
+            self.head_relu, self.head_mask, self.logits = (
+                v[:copied] for v in (source.head_relu, source.head_mask,
+                                     source.logits))
+            self._plan()
+            return
+        # compute the rows of the groups from ``shared`` on
+        fresh = [(s - copied, e - copied) for s, e in self.bounds[shared:]]
+        group = np.repeat(np.arange(shared, k), self.sizes[shared:])
+
+        def joined(mine, theirs):
+            """The source's rows of an array, then the rows computed here."""
+            return mine if not copied else np.concatenate([theirs[:copied], mine])
+
+        def products(a, weights):
+            return _cat([a[s:e] @ w.data for (s, e), w in zip(fresh, weights)])
+
+        self.inputs, self.masks, self.features = [], [], []
+        self.films, self.scales = [], []
+        a = x[copied:]
+        for index, (w, b, film_params) in enumerate(layers):
+            theirs = [arrays[index] for arrays in (
+                source.inputs, source.masks, source.features, source.scales)
+            ] if copied else [None] * 4
+            self.inputs.append(joined(a, theirs[0]))
+            a, mask = _relu(products(a, [w] * len(fresh)) + b.data)
+            self.masks.append(joined(mask, theirs[1]))
+            self.features.append(joined(a, theirs[2]))
+            coeffs = scale_rows = None
+            if film_params is not None:
+                coeffs = (_Film(film_params, self.tasks, eps) if source is None
+                          else source.films[index].head(k))
+                scale_rows = coeffs.s_hat[group]
+                a = (a * scale_rows + coeffs.t_hat[group]) + a
+                scale_rows = joined(scale_rows, theirs[3])
+            self.films.append(coeffs)
+            self.scales.append(scale_rows)
+        head_relu, head_mask = _relu(a)
+        logits = products(head_relu, [w for w, _ in heads[shared:]])
+        biases = [b for _, b in heads[shared:]]
+        if all(b is biases[0] for b in biases):
+            logits = logits + biases[0].data
+        else:
+            logits = logits + np.stack([b.data for b in biases])[group - shared]
+        if copied:
+            head_relu = joined(head_relu, source.head_relu)
+            head_mask = joined(head_mask, source.head_mask)
+            logits = joined(logits, source.logits)
+        self.head_relu, self.head_mask, self.logits = head_relu, head_mask, logits
+        self._plan()
+
+    def _plan(self):
+        """Read what requires grad: ``head_needs`` per group, and ``steps``,
+        the layers backward reaches from the last down, each as (index,
+        FiLM flags or None, (w, b) flags or None when the gradient stops
+        at the FiLM, whether it goes on below); then list ``leaves``."""
+        self.head_needs = [(w.requires_grad, b.requires_grad)
+                           for w, b in self.heads]
+        needs, live = [], False
+        for w, b, film_params in self.layers:
+            own = (w.requires_grad, b.requires_grad)
+            film_need = (None if film_params is None
+                         else tuple(p.requires_grad for p in film_params))
+            trunk = live or any(own)
+            needs.append((live, trunk, own, film_need))
+            live = trunk or any(film_need or ())
+        self.steps = []
+        trunk_leaves = []  # the same for every group
+        for index in reversed(range(len(self.layers)) if live else ()):
+            below, trunk, own, film_need = needs[index]
+            self.steps.append((index, film_need, own if trunk else None,
+                               trunk and below))
+            w, b, film_params = self.layers[index]
+            if film_need is not None:
+                trunk_leaves += _flagged(film_params, film_need)
+            if trunk:
+                trunk_leaves += _flagged((w, b), own)
+            if not (trunk and below):
+                break
+        self.leaves = []
+        if _grad_enabled:
+            for k in reversed(self.ascending):
+                self.leaves += _flagged(self.heads[k], self.head_needs[k])
+                self.leaves += trunk_leaves
+
+    def _group_sums(self, v):
+        """Each group's rows of ``v`` summed to one row, as ``_unbroadcast``
+        sums them (a one-row group is taken as is), stacked."""
+        return _cat([v[s:e] if e - s == 1 else v[s:e].sum(axis=0, keepdims=True)
+                     for s, e in self.bounds])
+
+    def backward(self, g):
+        """The contributions to ``leaves``, in order, of the gradient ``g``
+        on the logits."""
+        bounds = self.bounds
+        sent = [[] for _ in bounds]  # per group, in arrival order
+
+        def affine(x, g, params, needs, below):
+            # each group's _affine_grads: its (w, b) contributions go to
+            # ``sent``; its gradient on x, joined over groups, is returned
+            # if ``below`` asks for it
+            below_parts = []
+            for k, ((s, e), (w, b), (need_w, need_b)) in enumerate(
+                    zip(bounds, params, needs)):
+                grads = _affine_grads(g[s:e], x[s:e], w, b,
+                                      (below, need_w, need_b))
+                if below:
+                    below_parts.append(grads.pop(0))
+                sent[k] += grads
+            return _cat(below_parts) if below else None
+
+        g = affine(self.head_relu, g, self.heads, self.head_needs,
+                   bool(self.steps))
+        if self.steps:
+            g = g * self.head_mask
+        for index, film_need, own, below in self.steps:
+            w, b, _ = self.layers[index]
+            if film_need is not None and any(film_need):
+                need_s, need_t = _film_needs(film_need)
+                stacks = self.films[index].grads(
+                    self._group_sums(g * self.features[index]) if need_s
+                    else None,
+                    self._group_sums(g) if need_t else None, film_need)
+                for k, grads in enumerate(sent):
+                    grads += [stack[k] for stack in stacks]
+            if own is None:
+                break
+            if film_need is not None:
+                # the residual sum's share, then the scaling's
+                g = g + g * self.scales[index]
+            g = affine(self.inputs[index], g * self.masks[index],
+                       [(w, b)] * len(bounds), [own] * len(bounds), below)
+        return [c for k in reversed(self.ascending) for c in sent[k]]
+
+    def fold(self, values):
+        """``values`` (one per group) summed left to right by ascending task,
+        as a chain of ``add`` nodes over the tasks sums them."""
+        total = None
+        for k in self.ascending:
+            total = values[k] if total is None else total + values[k]
+        return total
+
+    def means(self, v):
+        """Each group's mean of the 1-D ``v``: numpy's ``mean``, the sum of
+        the group's entries over their count, without its Python wrapper."""
+        return [np.add.reduce(v[s:e]) / (e - s) for s, e in self.bounds]
+
+    def rows(self, values):
+        """One value per group, repeated over the group's rows."""
+        return np.repeat(values, self.sizes)
+
+
+def _flagged(tensors, flags):
+    return [t for t, flag in zip(tensors, flags) if flag]
+
+
+def task_cross_entropy(forward, targets):
+    """``ce_t * (n_t / N)`` summed over the tasks of ``forward`` by
+    ascending task, ``ce_t`` being ``softmax_cross_entropy`` of task t's
+    logits, as one node: its value and every gradient equal those of that
+    per-task chain bit for bit."""
+    logits = forward.logits
+    n, c = logits.shape
+    targets = _check_targets("task_cross_entropy", targets, n, c)
+    log_probs, softmax = _log_softmax(logits)
+    picked = log_probs[np.arange(n), targets]
+    fracs = forward.sizes / n
+    value = forward.fold([-mean * frac for mean, frac
+                          in zip(forward.means(picked), fracs)])
+
+    def backward_fn(g):
+        scale = forward.rows((g * fracs) / forward.sizes)
+        return forward.backward(_ce_grad(softmax, targets, scale[:, None]))
+
+    return _make(value, forward.leaves, backward_fn)
+
+
+def task_dark_replay(forward, targets, stored, lambda1, lambda2):
+    """``lambda1 * l2 + lambda2 * ce`` over the tasks of ``forward``, where
+    ``l2`` sums ``l2_distance(logits_t, stored_t) * (n_t / N)`` and ``ce``
+    sums ``softmax_cross_entropy(logits_t, targets_t) * (n_t / N)`` by
+    ascending task, as one node: its value and every gradient equal those
+    of that per-task chain bit for bit. ``stored`` is a constant array
+    shaped like the logits."""
+    logits = forward.logits
+    n, c = logits.shape
+    targets = _check_targets("task_dark_replay", targets, n, c)
+    rows, norms = _l2_norms(logits - stored)
+    log_probs, softmax = _log_softmax(logits)
+    picked = log_probs[np.arange(n), targets]
+    fracs = forward.sizes / n
+    l2 = forward.fold([mean * frac for mean, frac
+                       in zip(forward.means(norms), fracs)])
+    ce = forward.fold([-mean * frac for mean, frac
+                       in zip(forward.means(picked), fracs)])
+
+    def backward_fn(g):
+        g_l2, g_ce = g * lambda1, g * lambda2
+        # each task's logits get the CE term's share, then the L2 term's
+        g_logits = _ce_grad(softmax, targets,
+                            forward.rows((g_ce * fracs) / forward.sizes)[:, None])
+        return forward.backward(
+            g_logits + _l2_grad(rows, norms, forward.rows(forward.sizes),
+                                forward.rows(g_l2 * fracs)[:, None]))
+
+    return _make(lambda1 * l2 + lambda2 * ce, forward.leaves, backward_fn)
 
 
 # ---------------------------------------------------------------------------

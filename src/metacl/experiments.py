@@ -117,7 +117,7 @@ class ResultRecord:
     final_fm: float
     samples_seen: dict
     counters: dict
-    wall_s: float = 0.0
+    wall_s: float | None = 0.0  # None when loaded without timing.json
     task_wall_s: list = field(default_factory=list)
     task_losses: list = field(default_factory=list)  # one dict per task
 
@@ -206,7 +206,7 @@ def load_record(seed_dir):
         final_fm=raw["final_fm"],
         samples_seen={int(k): v for k, v in raw["samples_seen"].items()},
         counters=raw["counters"],
-        wall_s=timing.get("wall_s", 0.0),
+        wall_s=timing.get("wall_s"),
         task_wall_s=timing.get("task_wall_s", []),
         task_losses=timing.get("task_losses", []),
     )
@@ -377,7 +377,8 @@ def find_records(result_dir):
 
 
 def report(result_dir):
-    """Aggregate every record under ``result_dir`` into mean±std lines.
+    """Aggregate every record under ``result_dir`` into mean±std lines, with
+    the mean seconds per seed-run over the records that have a timing.json.
 
     Returns (text, rows); also writes report.csv next to the records.
     """
@@ -391,18 +392,24 @@ def report(result_dir):
     for (method, ablation), group in sorted(groups.items()):
         acc_m, acc_s = mean_std(r.final_acc for r in group)
         fm_m, fm_s = mean_std(r.final_fm for r in group)
+        timed = [r.wall_s for r in group if r.wall_s is not None]
         rows.append({"method": method, "ablation": ablation,
                      "n_seeds": len(group),
                      "mean_acc": acc_m, "std_acc": acc_s,
-                     "mean_fm": fm_m, "std_fm": fm_s})
+                     "mean_fm": fm_m, "std_fm": fm_s,
+                     "mean_seed_run_s": float(np.mean(timed)) if timed else None})
     write_csv(os.path.join(result_dir, "report.csv"),
               ("method", "ablation", "n_seeds", "mean_acc", "std_acc",
-               "mean_fm", "std_fm"), rows)
-    header = f"{'method':<10} {'ablation':<8} {'n':>3} {'ACC':>15} {'FM':>15}"
+               "mean_fm", "std_fm", "mean_seed_run_s"), rows)
+    header = (f"{'method':<10} {'ablation':<8} {'n':>3} {'ACC':>15} {'FM':>15}"
+              f" {'s/seed-run':>10}")
     lines = [header, "-" * len(header)]
     for row in rows:
         acc_txt = f"{row['mean_acc']:.4f}±{row['std_acc']:.4f}"
         fm_txt = f"{row['mean_fm']:.4f}±{row['std_fm']:.4f}"
+        seconds = row["mean_seed_run_s"]
+        time_txt = "-" if seconds is None else f"{seconds:.3f}"
         lines.append(f"{row['method']:<10} {row['ablation']:<8} "
-                     f"{row['n_seeds']:>3} {acc_txt:>15} {fm_txt:>15}")
+                     f"{row['n_seeds']:>3} {acc_txt:>15} {fm_txt:>15}"
+                     f" {time_txt:>10}")
     return "\n".join(lines), rows

@@ -17,10 +17,16 @@ step (parameter generator) builds ``classification_loss``, the first three
 terms: L_align runs the plain trunk and the discriminator, so it never
 reaches the generator.
 
-Within one loss, the memory rows of a task the current batch does not hold
-go through the network once: ``ce_loss`` hands their logits to
-``derpp_loss``, which replays their tape (``autodiff.replay``) instead of
-recomputing them, so every value and gradient equals that of a recompute.
+CE and the dark-replay term are one tape node each
+(``autodiff.task_cross_entropy`` and ``task_dark_replay``) over a
+``TaskForward`` of their rows grouped by task: matmuls per task, everything
+else vectorised across tasks, and every value and gradient bit-identical to
+the per-task chain of ``model.logits``, ``softmax_cross_entropy`` and
+``l2_distance``, which stays as the tests' reference. The memory rows of a
+task the current batch does not hold go through the network once:
+``derpp_loss`` reuses CE's forward for them. With both dark-replay weights
+zero (ablation B) neither the learner's nor the discriminator's dark-replay
+term is built.
 
 The trade-off constants lam1..lam3, the noise model and the alignment
 direction are read from the run's ``RunConfig``, passed as ``config``.
@@ -34,10 +40,11 @@ from .autodiff import (
     Tensor,
     l2_distance,
     no_grad,
-    replay,
     slice_cols,
     soft_cross_entropy,
     softmax_cross_entropy,
+    task_cross_entropy,
+    task_dark_replay,
 )
 from .errors import ContractError, MemoryConsistencyError
 
@@ -62,64 +69,74 @@ def _rows(batch, memory):
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def ce_loss(model, batch, memory=None, memory_logits=None):
+def _grouped(t, last=None):
+    """(order, tasks, sizes): the stable order that groups rows by their
+    task ``t``, tasks ascending but ``last``'s group (if any) at the end,
+    and each group's task and row count."""
+    end = np.iinfo(np.int64).max
+    key = t if last is None else np.where(t == last, end, t)
+    order = np.argsort(key, kind="stable")
+    keys, sizes = np.unique(key, return_counts=True)
+    tasks = keys.tolist()
+    if tasks[-1] == end:
+        tasks[-1] = last
+    return order, tasks, sizes
+
+
+def ce_loss(model, batch, memory=None, shared=None):
     """Mean cross-entropy over current plus memory samples.
 
     Each sample's logits come from the head of its own task, so the mean is
     taken across heads, weighted by per-task sample counts. ``memory`` is a
-    ``Draw`` or None. A dict passed as ``memory_logits`` receives, for each
-    task without current-batch rows, the logits of its memory rows in draw
-    order.
+    ``Draw`` or None. The rows run through one ``TaskForward``, grouped by
+    task with the batch task's group last, and the loss is one tape node
+    (``autodiff.task_cross_entropy``). A dict passed as ``shared`` receives
+    that forward as ``"forward"`` and the batch task (None without batch
+    rows) as ``"batch_task"``, for ``derpp_loss`` on the same draw.
     """
     rows = _rows(batch, memory)
     if rows is None:
         raise ContractError("ce_loss needs at least one sample")
     x, y, t = rows
     batch_task = batch.task_id if batch is not None and len(batch.x) else None
-    total = None
-    for task in np.unique(t).tolist():
-        mask = t == task
-        logits = model.logits(x[mask], task)
-        if memory_logits is not None and task != batch_task:
-            memory_logits[task] = logits
-        part = (softmax_cross_entropy(logits, y[mask])
-                * (int(mask.sum()) / len(y)))
-        total = part if total is None else total + part
-    return total
+    order, tasks, sizes = _grouped(t, batch_task)
+    forward = model.task_forward(x[order], tasks, sizes)
+    if shared is not None:
+        shared.update(forward=forward, batch_task=batch_task)
+    return task_cross_entropy(forward, y[order])
 
 
-def derpp_loss(model, memory, config, memory_logits=None):
+def derpp_loss(model, memory, config, shared=None):
     """Dark-replay term: lam1 * mean L2 to stored logits + lam2 * mean CE.
 
     Every drawn row must carry a classifier-logit snapshot whose width
-    matches the current head of its task. A task found in
-    ``memory_logits`` (as ``ce_loss`` fills it, on the same draw and
-    weights) replays those logits' tape instead of recomputing them.
+    matches the current head of its task. The loss is one tape node
+    (``autodiff.task_dark_replay``). Given ``shared`` as ``ce_loss`` fills
+    it, on the same draw and weights, the memory rows of every task but the
+    batch task reuse CE's forward, whose groups for those tasks hold exactly
+    these rows, and every task's FiLM coefficients come from it.
     """
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
-    memory_logits = memory_logits or {}
     if not memory.h_width.all():
         raise MemoryConsistencyError("memory entry lacks a logit snapshot")
-    l2_total, ce_total = None, None
-    for task in np.unique(memory.t).tolist():
-        mask = memory.t == task
-        width = model.heads.output_dim(task)
-        wrong = memory.h_width[mask] != width
-        if wrong.any():
-            raise MemoryConsistencyError(
-                f"stored logits for task {task} have shape "
-                f"({memory.h_width[mask][wrong][0]},), head expects ({width},)")
-        if task in memory_logits:
-            logits = replay(memory_logits[task])
-        else:
-            logits = model.logits(memory.x[mask], task)
-        frac = int(mask.sum()) / len(memory)
-        l2_part = l2_distance(logits, Tensor(memory.h[mask, :width])) * frac
-        ce_part = softmax_cross_entropy(logits, memory.y[mask]) * frac
-        l2_total = l2_part if l2_total is None else l2_total + l2_part
-        ce_total = ce_part if ce_total is None else ce_total + ce_part
-    return config.lambda1 * l2_total + config.lambda2 * ce_total
+    batch_task = shared["batch_task"] if shared else None
+    order, tasks, sizes = _grouped(memory.t, batch_task)
+    widths = np.repeat([model.heads.output_dim(task) for task in tasks], sizes)
+    stored = memory.h_width[order]
+    wrong = np.flatnonzero(stored != widths)
+    if wrong.size:
+        row = wrong[0]
+        raise MemoryConsistencyError(
+            f"stored logits for task {memory.t[order[row]]} have shape "
+            f"({stored[row]},), head expects ({widths[row]},)")
+    reuse = None
+    if shared:
+        reuse = (shared["forward"], sum(task != batch_task for task in tasks))
+    forward = model.task_forward(memory.x[order], tasks, sizes, reuse)
+    return task_dark_replay(forward, memory.y[order],
+                            memory.h[order, :forward.logits.shape[1]],
+                            config.lambda1, config.lambda2)
 
 
 def adversarial_generator_loss(model, batch, memory, config):
@@ -167,7 +184,7 @@ def discriminator_loss(model, x, task_labels, memory, config):
         feats = model.extract(x).data
     loss = softmax_cross_entropy(model.discriminate(Tensor(feats), k), task_labels)
 
-    if memory is None or len(memory) == 0:
+    if memory is None or len(memory) == 0 or _dark_replay_off(config):
         return loss
     widths = memory.h_disc_width
     if not widths.all():
@@ -192,11 +209,18 @@ def discriminator_loss(model, x, task_labels, memory, config):
     return loss + config.lambda1 * l2_total + config.lambda2 * ce_total
 
 
+def _dark_replay_off(config):
+    return config.lambda1 == 0 and config.lambda2 == 0
+
+
 def classification_loss(model, batch, memory, config):
-    """CE + dark replay: the terms on the parameter generator's path."""
-    memory_logits = {}
-    loss = ce_loss(model, batch, memory, memory_logits)
-    return loss + derpp_loss(model, memory, config, memory_logits)
+    """CE + dark replay: the terms on the parameter generator's path. With
+    both dark-replay weights zero (ablation B) the second is not built."""
+    shared = {}
+    loss = ce_loss(model, batch, memory, shared)
+    if _dark_replay_off(config):
+        return loss
+    return loss + derpp_loss(model, memory, config, shared)
 
 
 def total_loss(model, batch, memory, config):

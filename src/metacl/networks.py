@@ -10,6 +10,13 @@ trunk and discriminator layers, the heads with their leading ReLU, and FiLM
 with its coefficient lookup (``ParameterGenerator.modulate``).
 ``film_transform`` on ``ParameterGenerator.coefficients`` is the unfused
 reference the fused FiLM node equals bit for bit.
+
+The training losses do not call the layers one task at a time:
+``ContinualModel.task_forward`` lays the classification path out as
+``autodiff.TaskForward`` expects it (per trunk layer its weights and the
+FiLM that follows it under the transform mode, and one head per task), and
+runs rows of many tasks through it at once, equal row group by row group to
+``logits``.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
+    TaskForward,
     Tensor,
     affine,
     affine_relu,
@@ -88,11 +96,14 @@ class FeatureExtractor:
     def feature_dim(self):
         return self.width
 
+    def check_input(self, x):
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ConfigurationError(
+                f"extractor expects (B, {self.input_dim}) inputs, got {x.shape}")
+
     def forward(self, x, layer_hook=None):
         x = _as_tensor(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
-            raise ConfigurationError(
-                f"extractor expects (B, {self.input_dim}) inputs, got {x.data.shape}")
+        self.check_input(x.data)
         a = x
         for index, (w, b) in enumerate(self.layers):
             a = affine_relu(a, w, b)
@@ -130,18 +141,22 @@ class ParameterGenerator:
             for d in layer_widths
         ]
 
-    def _layer(self, task_id, layer_index):
-        """The embedding table and (scale, shift) affine maps of one layer."""
+    def check_task(self, task_id):
         if not 1 <= task_id <= self.capacity:
             raise UnknownTaskError(
                 f"task {task_id} outside generator capacity 1..{self.capacity}")
+
+    def layer(self, layer_index):
+        """(table, w_scale, b_scale, w_shift, b_shift) of one layer: its
+        embedding table and (scale, shift) affine maps."""
         table = self.embeddings[0 if self.share_embedding else layer_index]
-        return table, self.heads[layer_index]
+        (w_scale, b_scale), (w_shift, b_shift) = self.heads[layer_index]
+        return table, w_scale, b_scale, w_shift, b_shift
 
     def coefficients(self, task_id, layer_index):
         """(scale, shift) row vectors for one layer, conditioned on task ID."""
-        table, ((w_scale, b_scale), (w_shift, b_shift)) = self._layer(
-            task_id, layer_index)
+        self.check_task(task_id)
+        table, w_scale, b_scale, w_shift, b_shift = self.layer(layer_index)
         emb = gather_rows(table, [task_id])
         scale = matmul(emb, w_scale) + b_scale
         shift = matmul(emb, w_shift) + b_shift
@@ -150,10 +165,9 @@ class ParameterGenerator:
     def modulate(self, features, task_id, layer_index):
         """``film_transform(features, *coefficients(task_id, layer_index))``,
         bit for bit, as one tape node (``autodiff.film``)."""
-        table, ((w_scale, b_scale), (w_shift, b_shift)) = self._layer(
-            task_id, layer_index)
-        return film(_as_tensor(features), table, task_id, w_scale, b_scale,
-                    w_shift, b_shift, NORM_EPS)
+        self.check_task(task_id)
+        table, *maps = self.layer(layer_index)
+        return film(_as_tensor(features), table, task_id, *maps, NORM_EPS)
 
     def params(self):
         out = list(self.embeddings)
@@ -189,19 +203,20 @@ class ClassifierHeads:
                                       self.feature_dim, self.classes_per_task)
         return self.heads[task_id]
 
-    def forward(self, features, task_id):
-        """The task's logits: ReLU, then its head."""
+    def head(self, task_id):
+        """The task's (w, b)."""
         key = self._key(task_id)
         if key not in self.heads:
             raise UnknownTaskError(f"no classifier head for task {task_id}")
-        w, b = self.heads[key]
+        return self.heads[key]
+
+    def forward(self, features, task_id):
+        """The task's logits: ReLU, then its head."""
+        w, b = self.head(task_id)
         return relu_affine(_as_tensor(features), w, b)
 
     def output_dim(self, task_id):
-        key = self._key(task_id)
-        if key not in self.heads:
-            raise UnknownTaskError(f"no classifier head for task {task_id}")
-        return self.heads[key][0].data.shape[1]
+        return self.head(task_id)[0].data.shape[1]
 
     def params(self, task_ids=None):
         if task_ids is None:
@@ -308,15 +323,21 @@ class ContinualModel:
         """Common (task-invariant) features: the plain trunk."""
         return self.extractor.forward(x)
 
+    def _modulated(self, index):
+        """Whether FiLM follows trunk layer ``index``: every layer under
+        ``per_layer``, the last under ``last``, none under ``off``."""
+        return (self.transform_mode == "per_layer"
+                or (self.transform_mode == "last"
+                    and index == len(self.extractor.layers) - 1))
+
     def task_features(self, x, task_id):
         """Features on the classification path, conditioned per transform_mode."""
         if self.transform_mode == "off":
             return self.extract(x)
         self._check_task(task_id)
-        last = len(self.extractor.layers) - 1
 
         def hook(index, activations):
-            if self.transform_mode == "last" and index != last:
+            if not self._modulated(index):
                 return activations
             return self.generator.modulate(activations, task_id, index)
 
@@ -329,6 +350,24 @@ class ContinualModel:
 
     def logits(self, x, task_id):
         return self.classify(self.task_features(x, task_id), task_id)
+
+    def task_forward(self, x, tasks, sizes, reuse=None):
+        """``autodiff.TaskForward`` of the rows ``x``, grouped by task
+        (``sizes[k]`` rows of ``tasks[k]``), on the classification path:
+        group k's logits equal ``logits`` of its rows bit for bit. ``reuse``
+        is passed through."""
+        x = np.asarray(x, dtype=np.float64)
+        self.extractor.check_input(x)
+        layers = [(w, b, self.generator.layer(index)
+                   if self._modulated(index) else None)
+                  for index, (w, b) in enumerate(self.extractor.layers)]
+        for task in tasks:
+            self._check_task(task)
+            if self.transform_mode != "off":
+                self.generator.check_task(task)
+        return TaskForward(x, tasks, sizes, layers,
+                           [self.heads.head(task) for task in tasks],
+                           NORM_EPS, reuse)
 
     def discriminate(self, features, seen_tasks=None, freeze=False):
         if seen_tasks is None:

@@ -37,7 +37,6 @@ from metacl.autodiff import (
     softmax_cross_entropy,
     sqrt,
     sub,
-    tmean,
     tsum,
 )
 from metacl.config import RunConfig, apply_overrides
@@ -121,8 +120,8 @@ def _op_cases(rng):
     cases.append(("tsum", [a8], lambda: tsum(mul(tsum(a8, axis=0), c_row))))
     a9, c_col = par((3, 4)), const((3, 1))
     cases.append(
-        ("tmean", [a9],
-         lambda: tsum(mul(tmean(a9, axis=1, keepdims=True), c_col))))
+        ("tsum-keepdims", [a9],
+         lambda: tsum(mul(tsum(a9, axis=1, keepdims=True), c_col))))
     m1, m2, c32 = par((3, 4)), par((4, 2)), const((3, 2))
     cases.append(("matmul", [m1, m2], lambda: tsum(mul(matmul(m1, m2), c32))))
     table = par((5, 3))

@@ -17,13 +17,11 @@ from metacl.autodiff import (
     matmul,
     no_grad,
     relu,
-    replay,
     sgd_step,
     slice_cols,
     soft_cross_entropy,
     softmax_cross_entropy,
     sqrt,
-    tmean,
     tsum,
     zero_grads,
 )
@@ -556,165 +554,84 @@ def test_film_rejects_mismatched_shapes(slot, shape):
 
 
 # ---------------------------------------------------------------------------
-# replay: a fresh copy of a tape, bit-identical to a recompute
+# numpy facts the task-vectorised loss nodes rely on: each must hold byte for
+# byte, or the nodes stop matching the per-task chains they replace
 
 
-def _tape(out):
-    """Every node that made ``out``, in recording order."""
-    nodes, stack = {}, [out]
-    while stack:
-        node = stack.pop().node
-        if node is not None and id(node) not in nodes:
-            nodes[id(node)] = node
-            stack.extend(node.inputs)
-    return sorted(nodes.values(), key=lambda n: n.seq)
+def _signed(rng, shape):
+    """Normal values with exact zeros of both signs mixed in."""
+    v = rng.normal(size=shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    v[rng.random(shape) < 0.1] = -0.0
+    return v
 
 
-def _leaves(out):
-    return {id(t) for node in _tape(out) for t in node.inputs
-            if t.node is None}
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 130])
+def test_numpy_row_of_axis_1_sum_equals_the_rows_own_sum(width):
+    rng = np.random.default_rng(width)
+    v = _signed(rng, (13, width))
+    v[0] = -0.0
+    rows = v.sum(axis=1)
+    for k in range(len(v)):
+        assert rows[k].tobytes() == v[k].sum().tobytes()
+        # the per-task chain's _unbroadcast of a (1, F) row to ()
+        assert rows[k].tobytes() == v[k:k + 1].sum(axis=0).sum(axis=0).tobytes()
 
 
-# name -> the ops a replayed output is made by: one fused node, or the
-# chain of primitive ops it replaces
-REPLAYED = {f"{name}-{kind}": op for name, ops in FUSED.items()
-            for kind, op in zip(("fused", "chain"), ops)}
+def test_numpy_axis_0_sum_of_a_row_slice_equals_that_of_a_copy():
+    rng = np.random.default_rng(1)
+    v = _signed(rng, (30, 64))
+    for start in range(0, 6):
+        for stop in range(start + 1, 30, 3):
+            part = v[start:stop]
+            assert part.sum(axis=0).tobytes() == part.copy().sum(axis=0).tobytes()
+            column = part[:, 5].copy()
+            assert v[start:stop, 5].mean().tobytes() == column.mean().tobytes()
+            # the task nodes' mean: numpy's sum over numpy's count
+            assert (np.add.reduce(column) / len(column)).tobytes() == (
+                column.mean().tobytes())
 
 
-def _replay_or_recompute(make, arrays, trainable, weights, copies):
-    """Build ``make(*inputs)``, record other work on it and on its inputs,
-    then ``copies`` more of it, each by ``replay`` of the previous one or,
-    with ``copies`` negative, by recomputing it; back-propagate a weighted
-    sum of every copy. Returns (loss, copies, inputs)."""
-    inputs = [Tensor(a.copy(), requires_grad=t)
-              for a, t in zip(arrays, trainable)]
-    outs = [make(*inputs)]
-    # nodes recorded between the original and its copies, on both
-    loss = tsum(outs[0] * weights[0])
-    for t in inputs:
-        loss = loss + tsum(t * t)
-    for w in weights[1:1 + abs(copies)]:
-        outs.append(replay(outs[-1]) if copies > 0 else make(*inputs))
-        loss = loss + tsum(outs[-1] * w)
-    backward(loss)
-    return loss, outs, inputs
+def test_numpy_one_by_one_outer_matmul_equals_broadcast_product():
+    rng = np.random.default_rng(2)
+    for e_width, g_width in [(1, 1), (4, 8), (64, 64), (33, 70)]:
+        e, g = rng.normal(size=(1, e_width)), rng.normal(size=(1, g_width))
+        assert (e.T @ g).tobytes() == (e.T * g).tobytes()
+        # with exact zeros the matmul's sum from zero turns -0.0 into +0.0
+        e, g = _signed(rng, (1, e_width)), _signed(rng, (1, g_width))
+        assert (e.T @ g).tobytes() == (e.T * g + 0.0).tobytes()
 
 
-def _assert_same_bytes(got, want):
-    loss, outs, inputs = got
-    ref_loss, ref_outs, ref_inputs = want
-    assert loss.data.tobytes() == ref_loss.data.tobytes()
-    for out, ref in zip(outs, ref_outs):
-        assert out.data.tobytes() == ref.data.tobytes()
-    for t, r in zip(inputs, ref_inputs):
-        if r.grad is None:
-            assert t.grad is None
-        else:
-            assert t.grad.tobytes() == r.grad.tobytes()
-
-
-@pytest.mark.parametrize("name", sorted(REPLAYED))
-@pytest.mark.parametrize("copies", [1, 2], ids=["replay", "replay-of-replay"])
-def test_replay_is_bitwise_equal_to_a_recompute(name, copies):
-    make = REPLAYED[name]
-    rng = np.random.default_rng([copies, len(name)])
-    arrays = _fused_arrays(name.split("-")[0], 4, rng)
-    with no_grad():
-        out_shape = make(*(Tensor(a) for a in arrays)).shape
-    weights = [Tensor(rng.normal(size=out_shape)) for _ in range(3)]
-    for trainable in itertools.product([False, True], repeat=len(arrays)):
-        _assert_same_bytes(
-            _replay_or_recompute(make, arrays, trainable, weights, copies),
-            _replay_or_recompute(make, arrays, trainable, weights, -copies))
-
-
-def test_replay_copies_every_node_in_order_and_shares_leaves():
+def test_numpy_single_row_add_at_equals_indexed_add():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(4, 3)))
-    w, b = (Tensor(rng.normal(size=s), requires_grad=True)
-            for s in ((3, 3), (3,)))
-    out = ad.affine_relu(relu(matmul(x, w) + b), w, b)
-    between = tsum(out)
-    copy = replay(out)
-    original, replayed = _tape(out), _tape(copy)
-    assert copy.data is out.data and copy.requires_grad
-    assert len(replayed) == len(original) == 4
-    assert replayed[0].seq > between.node.seq
-    assert [n.backward_fn for n in replayed] == [n.backward_fn for n in original]
-    assert not {id(n) for n in replayed} & {id(n) for n in original}
-    assert _leaves(copy) == _leaves(out) == {id(x), id(w), id(b)}
-    # every intermediate tensor is new and holds its original's data
-    for new, old in zip(replayed, original):
-        for t, u in zip(new.inputs, old.inputs):
-            assert (t is u) == (u.node is None)
-            assert t.data is u.data
+    rows = rng.integers(0, 9, size=5)
+    values = _signed(rng, (5, 4))
+    stacked = np.zeros((5, 9, 4))
+    stacked[np.arange(5), rows] += values
+    for k in range(5):
+        one = np.zeros((9, 4))
+        np.add.at(one, np.asarray([rows[k]]), values[k:k + 1])
+        indexed = np.zeros((9, 4))
+        indexed[np.asarray([rows[k]])] += values[k:k + 1]
+        assert one.tobytes() == indexed.tobytes() == stacked[k].tobytes()
 
 
-def test_replay_keeps_film_features_listed_twice():
-    rng = np.random.default_rng(4)
-    arrays = [rng.normal(size=(3, 4)), rng.normal(size=(4, 4)),
-              rng.normal(size=4), rng.normal(size=(5, 3)),
-              rng.normal(size=(3, 4)), rng.normal(size=4),
-              rng.normal(size=(3, 4)), rng.normal(size=4)]
-    consts = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
-
-    def run(copy_of):
-        x, w, b, table, ws, bs, wt, bt = (Tensor(a.copy(), requires_grad=True)
-                                          for a in arrays)
-
-        def make():
-            return ad.film(ad.affine_relu(x, w, b), table, 2, ws, bs, wt, bt,
-                           EPS)
-
-        out = make()
-        copy = copy_of(out, make)
-        backward(tsum(out * consts[0]) + tsum(copy * consts[1]))
-        return out, copy, [x, w, b, table, ws, bs, wt, bt]
-
-    out, copy, inputs = run(lambda out, make: replay(out))
-    _, _, ref_inputs = run(lambda out, make: make())
-    features, again = copy.node.inputs[:2]
-    assert features is again and features.node is not None
-    assert features is not out.node.inputs[0]
-    assert features.data is out.node.inputs[0].data
-    for t, r in zip(inputs, ref_inputs):
-        assert t.grad.tobytes() == r.grad.tobytes()
+def test_numpy_sum_over_an_axis_of_length_one_adds_the_row_to_zero():
+    v = _signed(np.random.default_rng(4), (6, 64))
+    for k in range(len(v)):
+        row = v[k:k + 1].sum(axis=0)
+        assert row.tobytes() == v[:, None].sum(axis=1)[k].tobytes()
+        assert row.tobytes() == (v[k] + 0.0).tobytes()
 
 
-def test_replay_backward_twice_accumulates_like_a_recompute():
+def test_numpy_row_slice_matmuls_equal_those_of_a_copy():
     rng = np.random.default_rng(5)
-    arrays = _fused_arrays("film", 3, rng)
-    make = REPLAYED["film-fused"]
-    weights = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
-    runs = []
-    for copies in (1, -1):
-        loss, outs, inputs = _replay_or_recompute(
-            make, arrays, [True] * len(arrays), weights, copies)
-        backward(loss)
-        runs.append((loss, outs, inputs))
-    _assert_same_bytes(*runs)
-    once = _replay_or_recompute(make, arrays, [True] * len(arrays), weights, 1)
-    for t, u in zip(runs[0][2], once[2]):
-        assert t.grad.tobytes() == (u.grad + u.grad).tobytes()
-
-
-def test_replay_returns_a_node_less_tensor_as_is():
-    constant = Tensor(np.ones((2, 2)))
-    assert replay(constant) is constant
-    w = Tensor(np.ones((2, 2)), requires_grad=True)
-    assert replay(w) is w
-    with no_grad():
-        out = ad.affine(constant, w, Tensor(np.zeros(2)))
-    assert out.node is None and replay(out) is out
-
-
-def test_replay_under_no_grad_records_nothing():
-    w = Tensor(np.ones((2, 2)), requires_grad=True)
-    out = ad.affine(Tensor(np.ones((1, 2))), w, Tensor(np.zeros(2)))
-    with no_grad():
-        copy = replay(out)
-    assert copy.node is None and not copy.requires_grad
-    assert copy.data is out.data
+    x, w, g = rng.normal(size=(20, 64)), rng.normal(size=(64, 64)), rng.normal(size=(20, 64))
+    for start, stop in [(0, 1), (0, 7), (3, 11), (11, 20), (19, 20)]:
+        xs, gs = x[start:stop].copy(), g[start:stop].copy()
+        assert (x[start:stop] @ w).tobytes() == (xs @ w).tobytes()
+        assert (x[start:stop].T @ g[start:stop]).tobytes() == (xs.T @ gs).tobytes()
+        assert (g[start:stop] @ w.T).tobytes() == (gs @ w.T).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +684,7 @@ def test_no_nan_inf_for_bounded_inputs():
             l2_distance(a, b),
             log_softmax(a),
             sqrt(tsum(a * a)),
-            tmean(a * b),
+            tsum(a * b, axis=1),
         ]
         for out in outs:
             ad.assert_finite(out)

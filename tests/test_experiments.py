@@ -318,6 +318,34 @@ def test_report_aggregates(tmp_path):
     for raw, row in zip(loaded, rows):
         assert float(raw["mean_acc"]) == row["mean_acc"]
         assert float(raw["std_fm"]) == row["std_fm"]
+        assert float(raw["mean_seed_run_s"]) == row["mean_seed_run_s"]
+
+
+def test_report_mean_seconds_per_seed_run_skips_untimed_records(tmp_path):
+    records = execute_run(tiny_config("seeds=[0,1]"), out_dir=str(tmp_path))
+    execute_run(tiny_config("method=finetune", "seeds=[0]"),
+                out_dir=str(tmp_path))
+    _, rows = report(str(tmp_path))
+    by_method = {r["method"]: r for r in rows}
+    assert by_method["scale"]["mean_seed_run_s"] == (
+        (records[0].wall_s + records[1].wall_s) / 2)
+    # a record without timing.json counts for ACC/FM but not for time
+    (scale_dir,) = tmp_path.glob("scale-*")
+    (scale_dir / "seed-1" / "timing.json").unlink()
+    for timing in tmp_path.glob("finetune-*/seed-*/timing.json"):
+        timing.unlink()
+    text, rows = report(str(tmp_path))
+    by_method = {r["method"]: r for r in rows}
+    assert by_method["scale"]["mean_seed_run_s"] == records[0].wall_s
+    assert by_method["scale"]["n_seeds"] == 2
+    assert by_method["finetune"]["mean_seed_run_s"] is None
+    assert text.splitlines()[0].split()[-1] == "s/seed-run"
+    lines = {line.split()[0]: line.split() for line in text.splitlines()[2:]}
+    assert lines["finetune"][-1] == "-"
+    assert lines["scale"][-1] == f"{records[0].wall_s:.3f}"
+    with open(tmp_path / "report.csv", newline="") as f:
+        loaded = {raw["method"]: raw for raw in csv.DictReader(f)}
+    assert loaded["finetune"]["mean_seed_run_s"] == ""
 
 
 def test_report_mean_of_two_values():

@@ -30,7 +30,7 @@ from metacl.memory import make_entry
 from metacl.networks import ContinualModel
 from metacl.trainer import effective_weights
 
-from helpers import draw_of
+from helpers import check_gradients, draw_of
 
 
 class Batch:
@@ -375,13 +375,37 @@ def test_total_loss_gradient_partitioning():
         assert any(p.grad is not None and np.any(p.grad != 0) for p in group)
 
 
-# -- replayed memory logits: bitwise oracle ----------------------------------------
+# -- one task-vectorised node per loss: bitwise oracle -----------------------------
 
 
-def recomputed_derpp_loss(model, memory, config):
-    """The dark-replay term built without replay: every task's memory rows
-    go through ``model.logits`` again (the reference ``derpp_loss`` must
-    equal bit for bit)."""
+def union_rows(batch, memory):
+    """(x, y, t): the batch rows, then the memory rows in draw order."""
+    parts = []
+    if batch is not None and len(batch.x):
+        parts.append((batch.x, batch.y, np.full(len(batch.x), batch.task_id)))
+    if memory is not None and len(memory):
+        parts.append((memory.x, memory.y, memory.t))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def reference_ce_loss(model, batch, memory=None):
+    """Union CE as the per-task chain the CE node must equal bit for bit:
+    ``model.logits`` of each task's rows, ``softmax_cross_entropy`` times
+    the task's share of the rows, summed by ascending task."""
+    x, y, t = union_rows(batch, memory)
+    total = None
+    for task in np.unique(t).tolist():
+        mask = t == task
+        part = (softmax_cross_entropy(model.logits(x[mask], task), y[mask])
+                * (int(mask.sum()) / len(y)))
+        total = part if total is None else total + part
+    return total
+
+
+def reference_derpp_loss(model, memory, config):
+    """The dark-replay term as the per-task chain: every task's memory rows
+    go through ``model.logits``, then ``l2_distance`` and
+    ``softmax_cross_entropy`` weighted by the task's share."""
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
     l2_total, ce_total = None, None
@@ -397,34 +421,55 @@ def recomputed_derpp_loss(model, memory, config):
     return config.lambda1 * l2_total + config.lambda2 * ce_total
 
 
-def recomputed_classification_loss(model, batch, memory, config):
-    return ce_loss(model, batch, memory) + recomputed_derpp_loss(
-        model, memory, config)
+def reference_classification_loss(model, batch, memory, config):
+    loss = reference_ce_loss(model, batch, memory)
+    if config.lambda1 == 0 and config.lambda2 == 0:
+        return loss
+    return loss + reference_derpp_loss(model, memory, config)
 
 
-def recomputed_total_loss(model, batch, memory, config):
-    loss = recomputed_classification_loss(model, batch, memory, config)
+def reference_total_loss(model, batch, memory, config):
+    loss = reference_classification_loss(model, batch, memory, config)
     if config.lambda3 != 0:
         loss = loss + config.lambda3 * adversarial_generator_loss(
             model, batch, memory, config)
     return loss
 
 
-def oracle_setup(transform, heads, batch_task, seed=12):
-    """Three registered tasks; a draw interleaving rows of tasks 1 and 2
-    with perturbed snapshots, and a batch of ``batch_task``."""
-    model = ContinualModel(3, 2, feature_width=8, depth=2, k_max=4,
+# name -> (the loss as built, its per-task reference chain)
+NODE_LOSSES = {
+    "ce_loss": (lambda model, batch, memory, config:
+                ce_loss(model, batch, memory),
+                lambda model, batch, memory, config:
+                reference_ce_loss(model, batch, memory)),
+    "derpp_loss": (lambda model, batch, memory, config:
+                   derpp_loss(model, memory, config),
+                   lambda model, batch, memory, config:
+                   reference_derpp_loss(model, memory, config)),
+    "classification_loss": (classification_loss,
+                            reference_classification_loss),
+    "total_loss": (total_loss, reference_total_loss),
+}
+
+
+def node_setup(transform="per_layer", heads="multi", batch_task=2,
+               share_embedding=True, draw_tasks=(1, 2), n_tasks=3, n_rows=9,
+               seed=12):
+    """``n_tasks`` registered tasks; a draw of ``n_rows`` rows interleaving
+    ``draw_tasks``, with perturbed snapshots; a batch of ``batch_task``."""
+    model = ContinualModel(3, 2, feature_width=8, depth=2, k_max=n_tasks + 1,
                            embed_dim=4, disc_hidden=6, transform_mode=transform,
-                           head_mode=heads, seed=seed)
-    for task in (1, 2, 3):
+                           head_mode=heads, share_embedding=share_embedding,
+                           seed=seed)
+    for task in range(1, n_tasks + 1):
         model.register_task(task)
     rng = np.random.default_rng(seed)
     batch = Batch(rng.normal(size=(5, 3)), rng.integers(0, 2, size=5),
                   batch_task)
     entries = []
-    for i in range(9):
+    for i in range(n_rows):
         x = rng.normal(size=3)
-        t = 1 + (i * i) % 2
+        t = draw_tasks[(7 * i + i // 3) % len(draw_tasks)]
         entries.append(make_entry(
             x, y=i % 2, t=t,
             h=model.snapshot_logits(x[None, :], t)[0] + rng.normal(size=2),
@@ -432,56 +477,176 @@ def oracle_setup(transform, heads, batch_task, seed=12):
     return model, batch, draw_of(entries)
 
 
-def taped_bytes(model, params, make_loss):
-    """The loss's bytes and every parameter's gradient bytes, with only
-    ``params`` taped."""
+def contributions(loss):
+    """Back-propagate ``loss``, recording per leaf the (shape, bytes) of each
+    gradient contribution that reaches it, in arrival order."""
+    added, nodes, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop().node
+        if node is not None and node not in nodes:
+            nodes.add(node)
+            stack.extend(node.inputs)
+    for node in nodes:
+        def recorded(g, fn=node.backward_fn, inputs=node.inputs):
+            grads = list(fn(g))
+            for t, grad in zip(inputs, grads):
+                if grad is not None and t.node is None and t.requires_grad:
+                    added.setdefault(id(t), []).append(
+                        (np.shape(grad), np.asarray(grad).tobytes()))
+            return grads
+        node.backward_fn = recorded
+    backward(loss)
+    return added
+
+
+def taped(model, params, make_loss):
+    """The loss's bytes, every parameter's gradient (shape and bytes, or
+    None) and every leaf's contributions, with only ``params`` taped."""
     among = model.all_params()
     zero_grads(among)
     with grad_only(params, among):
         loss = make_loss()
-        backward(loss)
-    grads = [None if p.grad is None else p.grad.tobytes() for p in among]
+        added = contributions(loss)
+    grads = [None if p.grad is None else (p.grad.shape, p.grad.tobytes())
+             for p in among]
     zero_grads(among)
-    return loss.data.tobytes(), grads
+    return loss.data.tobytes(), grads, added
+
+
+def param_groups(model):
+    return {"all": model.all_params(),
+            "extractor": model.extractor_params(),
+            "heads": model.head_params(),
+            "generator": model.generator_params(),
+            "discriminator": model.discriminator_params()}
+
+
+def assert_nodes_match_reference(model, batch, memory, config):
+    """Every loss, with each parameter group taped alone and with all taped:
+    the loss, every gradient (None where the reference leaves it None) and
+    every leaf's contributions in arrival order equal the reference's."""
+    for name, (built, reference) in NODE_LOSSES.items():
+        for group, params in param_groups(model).items():
+            got = taped(model, params,
+                        lambda: built(model, batch, memory, config))
+            want = taped(model, params,
+                         lambda: reference(model, batch, memory, config))
+            assert got[0] == want[0], (name, group, "loss")
+            assert got[1] == want[1], (name, group, "gradients")
+            assert got[2] == want[2], (name, group, "contributions")
 
 
 @pytest.mark.parametrize("ablation", ["full", "A", "B"])
 @pytest.mark.parametrize("transform", ["per_layer", "last", "off"])
+@pytest.mark.parametrize("share_embedding", [True, False],
+                         ids=["shared-table", "table-per-layer"])
 @pytest.mark.parametrize("heads", ["multi", "single"])
 @pytest.mark.parametrize("batch_task", [2, 3], ids=["in-draw", "not-in-draw"])
-def test_replayed_memory_logits_are_bitwise_equal_to_recomputed(
-        monkeypatch, ablation, transform, heads, batch_task):
-    passes = []
-    forward = networks.FeatureExtractor.forward
-
-    def counted(*args, **kwargs):
-        passes.append(1)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(networks.FeatureExtractor, "forward", counted)
-    model, batch, memory = oracle_setup(transform, heads, batch_task)
+def test_loss_nodes_are_bitwise_equal_to_the_per_task_chain(
+        ablation, transform, share_embedding, heads, batch_task):
+    model, batch, memory = node_setup(transform, heads, batch_task,
+                                      share_embedding)
     config = effective_weights(replace(RunConfig(lambda3=0.3),
                                        ablation=ablation))
-    groups = {"all": model.all_params(),
-              "extractor": model.extractor_params(),
-              "heads": model.head_params(),
-              "generator": model.generator_params(),
-              "discriminator": model.discriminator_params()}
-    # the draw's task 1 is replayed, and task 2 too unless the batch holds it
-    replayed = 1 if batch_task == 2 else 2
-    for built, reference in ((total_loss, recomputed_total_loss),
-                             (classification_loss,
-                              recomputed_classification_loss)):
-        for name, params in groups.items():
-            passes.clear()
-            got = taped_bytes(model, params,
-                              lambda: built(model, batch, memory, config))
-            built_passes = len(passes)
-            passes.clear()
-            want = taped_bytes(model, params,
-                               lambda: reference(model, batch, memory, config))
-            assert got == want, (built.__name__, name)
-            assert built_passes == len(passes) - replayed
+    assert_nodes_match_reference(model, batch, memory, config)
+
+
+@pytest.mark.parametrize("heads", ["multi", "single"])
+@pytest.mark.parametrize("batch_task", [13, 14], ids=["in-draw", "not-in-draw"])
+def test_loss_nodes_match_the_chain_with_many_tasks_in_the_draw(heads,
+                                                                batch_task):
+    model, batch, memory = node_setup(heads=heads, batch_task=batch_task,
+                                      draw_tasks=tuple(range(1, 14)),
+                                      n_tasks=14, n_rows=30)
+    assert len(np.unique(memory.t)) >= 12
+    assert_nodes_match_reference(model, batch, memory, RunConfig(lambda3=0.3))
+
+
+def test_loss_nodes_read_requires_grad_when_recorded():
+    # like a fused op, a node built inside grad_only keeps its scope when
+    # back-propagated after the block has switched every flag back on
+    model, batch, memory = node_setup()
+    config = RunConfig()
+    got, want = [], []
+    for built, out in ((classification_loss, got),
+                       (reference_classification_loss, want)):
+        among = model.all_params()
+        zero_grads(among)
+        with grad_only(model.generator_params(), among):
+            loss = built(model, batch, memory, config)
+        backward(loss)
+        out += [None if p.grad is None else p.grad.tobytes() for p in among]
+        zero_grads(among)
+    assert got == want
+    assert all(g is None for g in got[:len(model.extractor_params())])
+
+
+def test_ablation_b_classification_loss_equals_the_zero_weighted_chain():
+    # ablation B builds no dark-replay term; the chain that builds it with
+    # zero weights gives the same loss and the same gradient values
+    model, batch, memory = node_setup()
+    config = effective_weights(replace(RunConfig(), ablation="B"))
+
+    def zero_weighted():
+        return (reference_ce_loss(model, batch, memory)
+                + reference_derpp_loss(model, memory, config))
+
+    for params in param_groups(model).values():
+        got = taped(model, params,
+                    lambda: classification_loss(model, batch, memory, config))
+        want = taped(model, params, zero_weighted)
+        assert got[0] == want[0]
+        for g, w in zip(got[1], want[1]):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert np.array_equal(np.frombuffer(g[1]), np.frombuffer(w[1]))
+
+
+def test_ce_node_lists_each_contribution_in_chain_order():
+    # tasks by descending task id; per task the head, then per layer from
+    # the last down its FiLM (table, scale map, shift map) and its affine
+    # map; the shared table once per (task, layer)
+    model, batch, memory = node_setup()
+    loss = ce_loss(model, batch, memory)
+    table = model.generator.embeddings[0]
+    expected = []
+    for task in (2, 1):
+        expected += list(model.heads.head(task))
+        for index in (1, 0):
+            _, *maps = model.generator.layer(index)
+            expected += [table, *maps, *model.extractor.layers[index]]
+    assert [id(t) for t in loss.node.inputs] == [id(t) for t in expected]
+    assert sum(t is table for t in loss.node.inputs) == 2 * 2
+
+
+def test_dark_replay_node_comes_after_ce_and_runs_no_trunk_layer(monkeypatch):
+    model, batch, memory = node_setup()
+    passes = []
+    monkeypatch.setattr(networks.FeatureExtractor, "forward",
+                        lambda *args, **kwargs: passes.append(1))
+    loss = classification_loss(model, batch, memory, RunConfig())
+    ce, derpp = loss.node.inputs
+    assert derpp.node.seq > ce.node.seq
+    assert passes == []
+
+
+@pytest.mark.parametrize("group", ["extractor", "heads", "generator"])
+@pytest.mark.parametrize("name", sorted(NODE_LOSSES))
+def test_loss_nodes_match_finite_differences(name, group):
+    model, batch, memory = node_setup(batch_task=2)
+    config = RunConfig(lambda3=0.3)
+    built = NODE_LOSSES[name][0]
+    check_gradients(lambda: built(model, batch, memory, config),
+                    param_groups(model)[group], rtol=1e-4)
+
+
+def test_losses_use_no_add_reduceat():
+    # a probe found np.add.reduceat's segment sums differ from slice sums
+    import inspect
+
+    from metacl import autodiff, losses
+    for module in (autodiff, losses, networks):
+        assert "reduceat" not in inspect.getsource(module)
 
 
 # -- adversarial dynamics on a separable toy ---------------------------------------

@@ -31,7 +31,11 @@ def test_demo_imports(path):
     ["--workload", "desk5-full", "--seed", "0", "--trace", "1"],
     ["--workload", "desk5-full", "--seed", "0", "--trace", "0",
      "--seconds", "0"],
-], ids=["resume20-er-traced", "desk5-full-traced", "desk5-full-untraced"])
+    # the workload with the most tasks per draw, where the loss nodes do the
+    # most grouping
+    ["--workload", "long20-full", "--seed", "0", "--trace", "1"],
+], ids=["resume20-er-traced", "desk5-full-traced", "desk5-full-untraced",
+        "long20-full-traced"])
 def test_benchmark_runs_without_failures(args):
     out = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run_bench.py"), *args],

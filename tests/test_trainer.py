@@ -615,7 +615,11 @@ def test_outer_step_tapes_only_generator_work():
 
 
 def test_step_tape_sizes_are_pinned(monkeypatch):
-    # one fused node per layer call; un-fusing a path changes these counts
+    # CE and dark replay are one node each, and every other layer call one
+    # fused node. inner = CE + DER++ + their add, then alignment (two trunk
+    # layers, two discriminator layers, mask_cols, soft CE) + its lam3 mul
+    # + the final add = 3 + 6 + 2; outer = CE + DER++ + add; adversarial =
+    # the discriminator's per-layer nodes, unchanged
     trainer, train, val = three_task_trainer()
     sizes = []
 
@@ -627,14 +631,14 @@ def test_step_tape_sizes_are_pinned(monkeypatch):
     trainer.inner_step(train)
     trainer.outer_step(val)
     trainer.adversarial_step(train.batch)
-    assert sizes == [55, 42, 26]
+    assert sizes == [11, 3, 26]
 
 
 def test_step_trunk_passes_are_pinned(monkeypatch):
-    # memory rows of a task the batch does not hold go through the trunk
-    # once per loss (DER++ replays CE's tape), and the outer step builds no
-    # alignment term: inner = 3 CE tasks + alignment, outer = 3 CE tasks,
-    # adversarial = the batch plus one pass per stored disc-logit width
+    # the CE and dark-replay nodes run the trunk themselves, not through
+    # FeatureExtractor.forward, and the outer step builds no alignment term:
+    # inner = alignment, outer = none, adversarial = the batch plus one pass
+    # per stored disc-logit width
     trainer, train, val = three_task_trainer()
     passes = []
     forward = networks.FeatureExtractor.forward
@@ -649,7 +653,7 @@ def test_step_trunk_passes_are_pinned(monkeypatch):
                  lambda: trainer.adversarial_step(train.batch)):
         passes.append(0)
         step()
-    assert passes == [4, 3, 3]
+    assert passes == [1, 0, 3]
 
 
 # -- non-finite losses ----------------------------------------------------------------
