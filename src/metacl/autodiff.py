@@ -29,18 +29,22 @@ chain reaches twice (FiLM's features) is listed twice, so its two
 contributions join its other gradients in the chain's order. A fused node
 lists only the inputs that require grad.
 
-The training losses go one step further: ``task_cross_entropy`` and
-``task_dark_replay`` are one node each over a ``TaskForward``, the forward of
-rows of many tasks through trunk, FiLM and heads. Its matmuls run per task,
-on exactly the operands of that task's chain of fused ops (a matmul over
-several tasks' rows is not bit-stable against its per-task row blocks);
-everything else runs as one numpy call over all tasks' rows or all tasks'
-FiLM coefficients. The node lists every leaf once per contribution the
-per-task chains send it, in the order those arrive, so ``backward`` adds
-them up exactly as it adds the chains'. The layer formulas (ReLU, the affine
-gradients, FiLM's coefficients and their gradients, softmax cross-entropy
-and the L2 distance) are written once and shared by the single-call ops and
-the task nodes; ``film`` is the one-task case of ``TaskForward``'s FiLM step.
+The training losses go one step further: ``task_cross_entropy``,
+``task_dark_replay``, ``task_discriminator_loss`` and ``task_alignment`` are
+one node each over a ``TaskForward``, the forward of rows of many groups
+(tasks, or stored snapshot widths) through trunk, FiLM and heads. Its
+matmuls run per group, on exactly the operands of that group's chain of
+fused ops (a matmul over several groups' rows is not bit-stable against its
+per-group row blocks); everything else runs as one numpy call over all
+rows or all groups' FiLM coefficients. The node lists every leaf once per
+contribution the per-group chains send it, in the order those arrive, so
+``backward`` adds them up exactly as it adds the chains'. The layer
+formulas (ReLU, the affine gradients, FiLM's coefficients and their
+gradients, softmax cross-entropy and the L2 distance) are written once and
+shared by the single-call ops and the task nodes; ``film`` is the one-task
+case of ``TaskForward``'s FiLM step. No training path calls ``slice_cols``,
+``l2_distance``, ``softmax_cross_entropy`` or ``soft_cross_entropy`` any
+more: they stay as the reference ops the tests build the nodes' chains of.
 """
 
 from __future__ import annotations
@@ -331,17 +335,26 @@ def slice_cols(x, n):
     return _make(x.data[:, :n].copy(), (x,), backward_fn)
 
 
+def _masked(x, valid, fill=MASK_FILL):
+    """A copy of ``x`` with columns >= ``valid`` set to ``fill``."""
+    out = x.copy()
+    out[:, valid:] = fill
+    return out
+
+
+def _unmasked(g, valid):
+    """``g`` with columns >= ``valid`` zeroed in place: the gradient that
+    reaches what ``_masked`` masked."""
+    g[:, valid:] = 0.0
+    return g
+
+
 def mask_cols(x, valid, fill=MASK_FILL):
     """Replace columns >= ``valid`` with ``fill``; masked columns get no grad."""
-    out_data = x.data.copy()
-    out_data[:, valid:] = fill
-
     def backward_fn(g):
-        g = g.copy()
-        g[:, valid:] = 0.0
-        return (g,)
+        return (_unmasked(g.copy(), valid),)
 
-    return _make(out_data, (x,), backward_fn)
+    return _make(_masked(x.data, valid, fill), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +499,16 @@ def _ce_grad(softmax, targets, scale):
     grad = softmax.copy()
     grad[np.arange(len(targets)), targets] -= 1.0
     return grad * scale
+
+
+def _soft_ce(log_probs, probs):
+    """Mean over rows of -sum(probs * log_probs)."""
+    return -(probs * log_probs).sum(axis=1).mean()
+
+
+def _soft_ce_grad(softmax, probs, scale):
+    """The gradient of ``_soft_ce`` on the logits, times ``scale``."""
+    return (softmax * probs.sum(axis=1, keepdims=True) - probs) * scale
 
 
 def _check_targets(op, targets, n, c):
@@ -670,13 +693,11 @@ def soft_cross_entropy(logits, target_probs):
             f"soft_cross_entropy: logits {logits.data.shape} vs targets {probs.shape}")
     n = logits.data.shape[0]
     log_probs, softmax = _log_softmax(logits.data)
-    loss = -(probs * log_probs).sum(axis=1).mean()
 
     def backward_fn(g):
-        row_mass = probs.sum(axis=1, keepdims=True)
-        return ((softmax * row_mass - probs) * (g / n),)
+        return (_soft_ce_grad(softmax, probs, g / n),)
 
-    return _make(loss, (logits,), backward_fn)
+    return _make(_soft_ce(log_probs, probs), (logits,), backward_fn)
 
 
 def l2_distance(a, b):
@@ -713,7 +734,11 @@ class TaskForward:
     Every matmul runs per group, on exactly the operands the chain
     ``affine_relu`` / ``film`` / ``relu_affine`` uses for that group alone,
     and every other step is one numpy call over all rows or all groups, so
-    each group's values equal its chain's bit for bit.
+    each group's values equal its chain's bit for bit. The keys ``tasks``
+    need only be distinct and ordered: the discriminator's loss groups its
+    memory rows by stored snapshot width. When the last trunk layer has no
+    FiLM, the heads' ReLU meets a ReLU output, which it would leave as is,
+    with the last layer's mask: the heads take both as they are.
 
     ``leaves`` lists what the groups' chains send gradient to, once per
     contribution and in the order those arrive: groups by descending task,
@@ -736,6 +761,7 @@ class TaskForward:
         ends = np.cumsum(self.sizes)
         self.bounds = list(zip((ends - self.sizes).tolist(), ends.tolist()))
         self.layers, self.heads = layers, heads
+        self.relu_tail = layers[-1][2] is None
         self.ascending = sorted(range(len(self.tasks)),
                                 key=self.tasks.__getitem__)
         source, shared = reuse if reuse is not None else (None, 0)
@@ -788,7 +814,10 @@ class TaskForward:
                 scale_rows = joined(scale_rows, theirs[3])
             self.films.append(coeffs)
             self.scales.append(scale_rows)
-        head_relu, head_mask = _relu(a)
+        if self.relu_tail:
+            head_relu, head_mask = a, mask
+        else:
+            head_relu, head_mask = _relu(a)
         logits = products(head_relu, [w for w, _ in heads[shared:]])
         biases = [b for _, b in heads[shared:]]
         if all(b is biases[0] for b in biases):
@@ -864,7 +893,8 @@ class TaskForward:
 
         g = affine(self.head_relu, g, self.heads, self.head_needs,
                    bool(self.steps))
-        if self.steps:
+        if self.steps and not self.relu_tail:
+            # with a ReLU tail the last layer's step applies the same mask
             g = g * self.head_mask
         for index, film_need, own, below in self.steps:
             w, b, _ = self.layers[index]
@@ -957,6 +987,95 @@ def task_dark_replay(forward, targets, stored, lambda1, lambda2):
                                 forward.rows(g_l2 * fracs)[:, None]))
 
     return _make(lambda1 * l2 + lambda2 * ce, forward.leaves, backward_fn)
+
+
+def task_discriminator_loss(forward, targets, valid, stored, lambda1,
+                            lambda2):
+    """The discriminator's loss over the groups of ``forward`` as one node,
+    with its logits masked to the first ``valid`` columns (``mask_cols``).
+    Group 0 holds today's rows; every later group holds memory rows, its
+    key being the width w of their stored logits, and ``stored`` (one
+    zero-padded row per memory row, in row order) holds those. The value
+
+        ce_0 + lambda1 * l2 + lambda2 * ce
+
+    has ``ce_0 = softmax_cross_entropy`` of group 0, while ``l2`` sums
+    ``l2_distance(slice_cols(logits_w, w), stored_w) * (n_w / M)`` and
+    ``ce`` sums ``softmax_cross_entropy(logits_w, targets_w) * (n_w / M)``
+    by ascending width, M being the memory rows; its value and every
+    gradient equal those of that per-width chain bit for bit. Without
+    memory groups the value is ``ce_0``."""
+    logits = _masked(forward.logits, valid)
+    n, c = logits.shape
+    targets = _check_targets("task_discriminator_loss", targets, n, c)
+    log_probs, softmax = _log_softmax(logits)
+    ce_means = forward.means(log_probs[np.arange(n), targets])
+    value = -ce_means[0]
+    main = forward.bounds[0][1]
+    if main < n:
+        sizes, widths = forward.sizes[1:], np.asarray(forward.tasks[1:])
+        fracs = sizes / (n - main)
+        diff = logits[main:, :widths[-1]] - stored[:, :widths[-1]]
+        squares = diff * diff
+        # each norm sums exactly its group's w columns: a sum that also
+        # takes zero-padded columns can group its terms differently
+        norms = np.sqrt(_cat([squares[s - main:e - main, :w].sum(axis=1)
+                              for (s, e), w in zip(forward.bounds[1:],
+                                                   widths.tolist())]))
+        l2_means = forward.means(np.concatenate([np.zeros(main), norms]))
+        l2 = ce = None
+        for l2_mean, ce_mean, frac in zip(l2_means[1:], ce_means[1:], fracs):
+            l2 = l2_mean * frac if l2 is None else l2 + l2_mean * frac
+            ce = -ce_mean * frac if ce is None else ce + -ce_mean * frac
+        value = value + lambda1 * l2 + lambda2 * ce
+
+    def backward_fn(g):
+        if main == n:
+            return forward.backward(_unmasked(
+                _ce_grad(softmax, targets, g / n), valid))
+        g_l2, g_ce = g * lambda1, g * lambda2
+        scale = forward.rows(np.concatenate([[g / main],
+                                             (g_ce * fracs) / sizes]))
+        g_logits = _ce_grad(softmax, targets, scale[:, None])
+        # each memory row gets its CE share, then its L2 share zero-padded
+        # to the full width as slice_cols pads it; adding the padding turns
+        # a -0.0 CE share into +0.0, as the chain's sum does
+        g_l2_rows = _l2_grad(diff, norms, np.repeat(sizes, sizes),
+                             np.repeat(g_l2 * fracs, sizes)[:, None])
+        live = np.arange(diff.shape[1]) < np.repeat(widths, sizes)[:, None]
+        padded = np.zeros((n - main, c))
+        padded[:, :diff.shape[1]] = np.where(live, g_l2_rows, 0.0)
+        g_logits[main:] += padded
+        return forward.backward(_unmasked(g_logits, valid))
+
+    return _make(value, forward.leaves, backward_fn)
+
+
+def task_alignment(forward, valid, probs=None, targets=None):
+    """The alignment term on the masked logits (``mask_cols`` to the first
+    ``valid`` columns) of a one-group ``forward``, as one node:
+    ``soft_cross_entropy(logits, probs)`` given ``probs``, else
+    ``-softmax_cross_entropy(logits, targets)``, bit for bit in value and
+    every gradient."""
+    logits = _masked(forward.logits, valid)
+    n, c = logits.shape
+    log_probs, softmax = _log_softmax(logits)
+    if probs is not None:
+        value = _soft_ce(log_probs, probs)
+
+        def backward_fn(g):
+            return forward.backward(_unmasked(
+                _soft_ce_grad(softmax, probs, g / n), valid))
+    else:
+        targets = _check_targets("task_alignment", targets, n, c)
+        value = -(-log_probs[np.arange(n), targets].mean())
+
+        def backward_fn(g):
+            # neg's backward, then the cross-entropy's
+            return forward.backward(_unmasked(
+                _ce_grad(softmax, targets, (-g) / n), valid))
+
+    return _make(value, forward.leaves, backward_fn)
 
 
 # ---------------------------------------------------------------------------

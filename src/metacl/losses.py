@@ -28,6 +28,16 @@ task the current batch does not hold go through the network once:
 zero (ablation B) neither the learner's nor the discriminator's dark-replay
 term is built.
 
+The discriminator's loss and the alignment term are one node each as well
+(``autodiff.task_discriminator_loss`` and ``task_alignment``), over a
+``TaskForward`` of the plain trunk and the discriminator: the discriminator
+groups today's rows and then the memory rows by stored snapshot width, with
+one matmul per group and layer, and is bit-identical to the per-width chain
+of no-grad trunk passes, ``discriminate``, ``slice_cols``, ``l2_distance``
+and ``softmax_cross_entropy``; the alignment term runs every row as one
+group, bit-identical to its chain ending in ``soft_cross_entropy`` or the
+negated ``softmax_cross_entropy``. Both chains stay as the tests' reference.
+
 The trade-off constants lam1..lam3, the noise model and the alignment
 direction are read from the run's ``RunConfig``, passed as ``config``.
 """
@@ -38,13 +48,10 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    l2_distance,
-    no_grad,
-    slice_cols,
-    soft_cross_entropy,
-    softmax_cross_entropy,
+    task_alignment,
     task_cross_entropy,
     task_dark_replay,
+    task_discriminator_loss,
 )
 from .errors import ContractError, MemoryConsistencyError
 
@@ -147,6 +154,9 @@ def adversarial_generator_loss(model, batch, memory, config):
     labels 1..K; its minimum over the real-label simplex is ln K.
     negative-ce: the negated discriminator CE on true task labels.
 
+    The rows, grouped by task, run through the plain trunk and the
+    discriminator as one ``TaskForward`` group, the discriminator's weights
+    as constants, and the term is one tape node (``autodiff.task_alignment``).
     With fewer than two seen tasks there is nothing to confuse; returns 0.
     """
     k = model.n_seen
@@ -158,55 +168,53 @@ def adversarial_generator_loss(model, batch, memory, config):
     x, _, t = rows
     # rows grouped by task, each group in its original order
     order = np.argsort(t, kind="stable")
-    x_all, t_all = x[order], t[order]
-    logits = model.discriminate(model.extract(x_all), k, freeze=True)
+    forward = model.discriminator_forward(x[order], [0], [len(x)],
+                                          frozen="discriminator")
     if config.generator_mode == "uniform-confusion":
-        target = np.zeros((len(x_all), model.k_max + 1))
+        target = np.zeros((len(x), model.k_max + 1))
         target[:, 1:k + 1] = 1.0 / k
-        return soft_cross_entropy(logits, target)
-    return -softmax_cross_entropy(logits, t_all)
+        return task_alignment(forward, k + 1, probs=target)
+    return task_alignment(forward, k + 1, targets=t[order])
 
 
 def discriminator_loss(model, x, task_labels, memory, config):
     """CE over {fake=0, task 1..K} plus dark replay on stored disc logits.
 
     ``x`` must mix real rows (labeled by true task) with fresh noise rows
-    (labeled 0). Features are computed under no_grad, so only discriminator
-    weights receive gradient. ``memory`` is a ``Draw`` or None.
+    (labeled 0). ``memory`` is a ``Draw`` or None. The rows of ``x``, then
+    the memory rows grouped by stored width (ascending, each group in draw
+    order), run through one ``TaskForward`` whose trunk is constant, so only
+    discriminator weights receive gradient, and the loss is one tape node
+    (``autodiff.task_discriminator_loss``).
     """
     task_labels = np.asarray(task_labels, dtype=np.int64)
     if x is None or len(x) == 0:
         raise ContractError("discriminator batch is empty")
     if not np.any(task_labels == 0):
         raise ContractError("discriminator batch contains no noise samples")
+    x = np.asarray(x, dtype=np.float64)
+    model.extractor.check_input(x)  # before memory rows are joined to it
     k = model.n_seen
-    with no_grad():
-        feats = model.extract(x).data
-    loss = softmax_cross_entropy(model.discriminate(Tensor(feats), k), task_labels)
-
-    if memory is None or len(memory) == 0 or _dark_replay_off(config):
-        return loss
-    widths = memory.h_disc_width
-    if not widths.all():
-        raise MemoryConsistencyError(
-            "memory entry lacks a discriminator-logit snapshot")
-    if widths.max() > k + 1:
-        raise MemoryConsistencyError(
-            f"stored discriminator logits have width {widths[widths > k + 1][0]}, "
-            f"only {k + 1} classes exist")
-    l2_total, ce_total = None, None
-    for width in np.unique(widths).tolist():
-        mask = widths == width
-        with no_grad():
-            feats_m = model.extract(memory.x[mask]).data
-        logits_m = model.discriminate(Tensor(feats_m), k)
-        frac = int(mask.sum()) / len(memory)
-        l2_part = (l2_distance(slice_cols(logits_m, width),
-                               Tensor(memory.h_disc[mask, :width])) * frac)
-        ce_part = softmax_cross_entropy(logits_m, memory.t[mask]) * frac
-        l2_total = l2_part if l2_total is None else l2_total + l2_part
-        ce_total = ce_part if ce_total is None else ce_total + ce_part
-    return loss + config.lambda1 * l2_total + config.lambda2 * ce_total
+    keys, sizes, stored = [0], [len(x)], None
+    if memory is not None and len(memory) > 0 and not _dark_replay_off(config):
+        widths = memory.h_disc_width
+        if not widths.all():
+            raise MemoryConsistencyError(
+                "memory entry lacks a discriminator-logit snapshot")
+        if widths.max() > k + 1:
+            raise MemoryConsistencyError(
+                f"stored discriminator logits have width "
+                f"{widths[widths > k + 1][0]}, only {k + 1} classes exist")
+        order = np.argsort(widths, kind="stable")
+        unique, counts = np.unique(widths, return_counts=True)
+        keys += unique.tolist()
+        sizes += counts.tolist()
+        x = np.concatenate([x, memory.x[order]])
+        task_labels = np.concatenate([task_labels, memory.t[order]])
+        stored = memory.h_disc[order]
+    forward = model.discriminator_forward(x, keys, sizes, frozen="trunk")
+    return task_discriminator_loss(forward, task_labels, k + 1, stored,
+                                   config.lambda1, config.lambda2)
 
 
 def _dark_replay_off(config):

@@ -16,7 +16,11 @@ The training losses do not call the layers one task at a time:
 ``autodiff.TaskForward`` expects it (per trunk layer its weights and the
 FiLM that follows it under the transform mode, and one head per task), and
 runs rows of many tasks through it at once, equal row group by row group to
-``logits``.
+``logits``. ``ContinualModel.discriminator_forward`` does the same for the
+discriminator's path, equal group by group to ``discriminate(extract(x))``
+before its column mask, with the trunk (discriminator loss) or the
+discriminator (alignment term) as constants. Only snapshots and evaluation
+still call ``FeatureExtractor.forward``.
 """
 
 from __future__ import annotations
@@ -245,17 +249,15 @@ class Discriminator:
         self.w1, self.b1 = _affine(rng, feature_dim, hidden)
         self.w2, self.b2 = _affine(rng, hidden, k_max + 1)
 
-    def forward(self, features, seen_tasks, freeze=False):
+    def check_capacity(self, seen_tasks):
         if seen_tasks > self.k_max:
             raise CapacityError(
                 f"{seen_tasks} tasks exceed discriminator capacity {self.k_max}")
-        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
-        if freeze:
-            # constant views sharing storage: gradient still flows to the
-            # features, never to the discriminator weights
-            w1, b1, w2, b2 = (Tensor(p.data) for p in (w1, b1, w2, b2))
-        hidden = affine_relu(_as_tensor(features), w1, b1)
-        return mask_cols(affine(hidden, w2, b2), seen_tasks + 1)
+
+    def forward(self, features, seen_tasks):
+        self.check_capacity(seen_tasks)
+        hidden = affine_relu(_as_tensor(features), self.w1, self.b1)
+        return mask_cols(affine(hidden, self.w2, self.b2), seen_tasks + 1)
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -369,10 +371,35 @@ class ContinualModel:
                            [self.heads.head(task) for task in tasks],
                            NORM_EPS, reuse)
 
-    def discriminate(self, features, seen_tasks=None, freeze=False):
+    def discriminate(self, features, seen_tasks=None):
         if seen_tasks is None:
             seen_tasks = self.n_seen
-        return self.discriminator.forward(features, seen_tasks, freeze=freeze)
+        return self.discriminator.forward(features, seen_tasks)
+
+    def discriminator_forward(self, x, keys, sizes, frozen):
+        """``autodiff.TaskForward`` of the rows ``x``, grouped by ``keys``
+        (``sizes[k]`` rows of key ``keys[k]``), on the discriminator's path:
+        the plain trunk, the discriminator's first layer, and its output
+        layer as every group's head. Group k's logits equal those of
+        ``discriminate(extract(rows))`` before its column mask, bit for bit:
+        the heads' leading ReLU would meet the first layer's ReLU output,
+        which ``TaskForward`` hands them as it is. ``frozen`` ("trunk" or
+        "discriminator") names the part that enters as constant views of
+        its weights, so it gets no gradient whatever its flags say."""
+        x = np.asarray(x, dtype=np.float64)
+        self.extractor.check_input(x)
+        self.discriminator.check_capacity(self.n_seen)
+        trunk = self.extractor.layers
+        d = self.discriminator
+        first, head = (d.w1, d.b1), (d.w2, d.b2)
+        if frozen == "trunk":
+            trunk = [(Tensor(w.data), Tensor(b.data)) for w, b in trunk]
+        else:
+            first, head = ((Tensor(w.data), Tensor(b.data))
+                           for w, b in (first, head))
+        layers = [(w, b, None) for w, b in [*trunk, first]]
+        return TaskForward(x, keys, sizes, layers, [head] * len(keys),
+                           NORM_EPS)
 
     # -- snapshots (inference mode, detached copies) -------------------------
 

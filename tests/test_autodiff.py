@@ -578,6 +578,27 @@ def test_numpy_row_of_axis_1_sum_equals_the_rows_own_sum(width):
         assert rows[k].tobytes() == v[k:k + 1].sum(axis=0).sum(axis=0).tobytes()
 
 
+def test_relu_of_a_relu_output_is_that_output_with_the_same_mask():
+    # a TaskForward whose last trunk layer has no FiLM hands that layer's
+    # ReLU output and mask to the heads in place of their own ReLU
+    z = _signed(np.random.default_rng(0), (40, 9))
+    z[0, 0] = np.nan
+    out, mask = ad._relu(z)
+    again, mask_again = ad._relu(out)
+    assert again.tobytes() == out.tobytes()
+    assert np.array_equal(mask_again, mask)
+
+
+@pytest.mark.parametrize("width", [1, 5, 8, 9, 21])
+def test_numpy_row_sums_of_a_column_slice_equal_those_of_a_copy(width):
+    # the discriminator node sums each group's squared distances over
+    # exactly its width's columns of an array as wide as the widest group
+    v = _signed(np.random.default_rng(width), (13, 33))
+    for start, stop in [(0, 13), (2, 3), (4, 11)]:
+        part = v[start:stop, :width]
+        assert part.sum(axis=1).tobytes() == part.copy().sum(axis=1).tobytes()
+
+
 def test_numpy_axis_0_sum_of_a_row_slice_equals_that_of_a_copy():
     rng = np.random.default_rng(1)
     v = _signed(rng, (30, 64))

@@ -8,10 +8,16 @@ import pytest
 from metacl import networks
 from metacl.autodiff import (
     Tensor,
+    affine,
+    affine_relu,
     backward,
     grad_only,
     l2_distance,
+    mask_cols,
+    no_grad,
     sgd_step,
+    slice_cols,
+    soft_cross_entropy,
     softmax_cross_entropy,
     zero_grads,
 )
@@ -428,12 +434,61 @@ def reference_classification_loss(model, batch, memory, config):
     return loss + reference_derpp_loss(model, memory, config)
 
 
+def reference_alignment(model, batch, memory, config):
+    """The alignment term as the chain the alignment node must equal bit for
+    bit: the plain trunk, the discriminator on constant copies of its
+    weights, ``mask_cols``, then soft CE against the uniform real-task
+    distribution or the negated CE on the task labels."""
+    k = model.n_seen
+    if k < 2:
+        return Tensor(0.0)
+    x, _, t = union_rows(batch, memory)
+    order = np.argsort(t, kind="stable")
+    w1, b1, w2, b2 = (Tensor(p.data) for p in model.discriminator_params())
+    hidden = affine_relu(model.extract(x[order]), w1, b1)
+    logits = mask_cols(affine(hidden, w2, b2), k + 1)
+    if config.generator_mode == "uniform-confusion":
+        target = np.zeros((len(x), model.k_max + 1))
+        target[:, 1:k + 1] = 1.0 / k
+        return soft_cross_entropy(logits, target)
+    return -softmax_cross_entropy(logits, t[order])
+
+
 def reference_total_loss(model, batch, memory, config):
     loss = reference_classification_loss(model, batch, memory, config)
     if config.lambda3 != 0:
-        loss = loss + config.lambda3 * adversarial_generator_loss(
+        loss = loss + config.lambda3 * reference_alignment(
             model, batch, memory, config)
     return loss
+
+
+def reference_discriminator_loss(model, x, labels, memory, config):
+    """The discriminator's loss as the per-width chain its node must equal
+    bit for bit: no-grad features of today's rows, then of each width's
+    memory rows, through ``discriminate``; CE on today's rows, and per width
+    ``l2_distance`` on the first w columns and CE, weighted by the width's
+    share of the memory rows and summed by ascending width."""
+    k = model.n_seen
+    with no_grad():
+        feats = model.extract(x).data
+    loss = softmax_cross_entropy(model.discriminate(Tensor(feats), k), labels)
+    if (memory is None or len(memory) == 0
+            or config.lambda1 == config.lambda2 == 0):
+        return loss
+    widths = memory.h_disc_width
+    l2_total, ce_total = None, None
+    for width in np.unique(widths).tolist():
+        mask = widths == width
+        with no_grad():
+            feats_m = model.extract(memory.x[mask]).data
+        logits_m = model.discriminate(Tensor(feats_m), k)
+        frac = int(mask.sum()) / len(memory)
+        l2_part = (l2_distance(slice_cols(logits_m, width),
+                               Tensor(memory.h_disc[mask, :width])) * frac)
+        ce_part = softmax_cross_entropy(logits_m, memory.t[mask]) * frac
+        l2_total = l2_part if l2_total is None else l2_total + l2_part
+        ce_total = ce_part if ce_total is None else ce_total + ce_part
+    return loss + config.lambda1 * l2_total + config.lambda2 * ce_total
 
 
 # name -> (the loss as built, its per-task reference chain)
@@ -449,6 +504,8 @@ NODE_LOSSES = {
     "classification_loss": (classification_loss,
                             reference_classification_loss),
     "total_loss": (total_loss, reference_total_loss),
+    "adversarial_generator_loss": (adversarial_generator_loss,
+                                   reference_alignment),
 }
 
 
@@ -521,19 +578,28 @@ def param_groups(model):
             "discriminator": model.discriminator_params()}
 
 
-def assert_nodes_match_reference(model, batch, memory, config):
-    """Every loss, with each parameter group taped alone and with all taped:
-    the loss, every gradient (None where the reference leaves it None) and
-    every leaf's contributions in arrival order equal the reference's."""
-    for name, (built, reference) in NODE_LOSSES.items():
-        for group, params in param_groups(model).items():
-            got = taped(model, params,
-                        lambda: built(model, batch, memory, config))
-            want = taped(model, params,
-                         lambda: reference(model, batch, memory, config))
-            assert got[0] == want[0], (name, group, "loss")
-            assert got[1] == want[1], (name, group, "gradients")
-            assert got[2] == want[2], (name, group, "contributions")
+def assert_taped_alike(model, built, reference, label):
+    """With each parameter group taped alone and with all taped, ``built()``
+    and ``reference()`` give the same loss bytes, every gradient (None where
+    the reference leaves it None) and every leaf's contributions in arrival
+    order."""
+    for group, params in param_groups(model).items():
+        got = taped(model, params, built)
+        want = taped(model, params, reference)
+        assert got[0] == want[0], (label, group, "loss")
+        assert got[1] == want[1], (label, group, "gradients")
+        assert got[2] == want[2], (label, group, "contributions")
+
+
+def assert_nodes_match_reference(model, batch, memory, config,
+                                 names=tuple(NODE_LOSSES)):
+    """``assert_taped_alike`` for each named loss against its chain."""
+    for name in names:
+        built, reference = NODE_LOSSES[name]
+        assert_taped_alike(model,
+                           lambda: built(model, batch, memory, config),
+                           lambda: reference(model, batch, memory, config),
+                           name)
 
 
 @pytest.mark.parametrize("ablation", ["full", "A", "B"])
@@ -638,6 +704,116 @@ def test_loss_nodes_match_finite_differences(name, group):
     built = NODE_LOSSES[name][0]
     check_gradients(lambda: built(model, batch, memory, config),
                     param_groups(model)[group], rtol=1e-4)
+
+
+@pytest.mark.parametrize("mode", ["uniform-confusion", "negative-ce"])
+@pytest.mark.parametrize("transform", ["per_layer", "last", "off"])
+@pytest.mark.parametrize("memory", ["draw", "none"])
+def test_alignment_node_is_bitwise_equal_to_the_chain(mode, transform, memory):
+    model, batch, draw = node_setup(transform)
+    draw = draw if memory == "draw" else None
+    config = RunConfig(lambda3=0.3, generator_mode=mode)
+    names = ["adversarial_generator_loss"]
+    if draw is not None:
+        names.append("total_loss")
+    assert_nodes_match_reference(model, batch, draw, config, names)
+
+
+@pytest.mark.parametrize("mode", ["uniform-confusion", "negative-ce"])
+def test_alignment_node_matches_finite_differences(mode):
+    model, batch, memory = node_setup()
+    config = RunConfig(generator_mode=mode)
+    check_gradients(
+        lambda: adversarial_generator_loss(model, batch, memory, config),
+        model.extractor_params(), rtol=1e-4)
+
+
+def disc_setup(widths, n_tasks=3, n_rows=9, transform="per_layer", seed=12):
+    """``n_tasks`` registered tasks; today's rows (a batch of the last task
+    plus noise) with their labels; and a draw of ``n_rows`` rows whose
+    stored discriminator logits cycle through ``widths`` (None: no draw),
+    perturbed but for the first row's."""
+    model = ContinualModel(3, 2, feature_width=8, depth=2, k_max=n_tasks + 1,
+                           embed_dim=4, disc_hidden=6, transform_mode=transform,
+                           seed=seed)
+    for task in range(1, n_tasks + 1):
+        model.register_task(task)
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.normal(size=(5, 3)),
+                        noise_batch(RunConfig(), rng, 3, 3)])
+    labels = np.array([n_tasks] * 5 + [0] * 3)
+    if widths is None:
+        return model, x, labels, None
+    entries = []
+    for i in range(n_rows):
+        xi = rng.normal(size=3)
+        width = widths[(7 * i + i // 3) % len(widths)]
+        snap = model.snapshot_disc_logits(xi[None, :], width - 1)[0]
+        if i:
+            snap = snap + rng.normal(size=width)
+        entries.append(make_entry(xi, y=i % 2, t=1 + i % n_tasks,
+                                  h=np.zeros(2), h_disc=snap))
+    memory = draw_of(entries)
+    assert set(memory.h_disc_width.tolist()) == set(widths)
+    return model, x, labels, memory
+
+
+DISC_DRAWS = {"no-memory": None, "one-width": (4,),
+              "every-width": (1, 2, 3, 4)}
+DISC_WEIGHTS = {"both": (1.0, 0.7), "lambda1-zero": (0.0, 0.7),
+                "lambda2-zero": (0.5, 0.0), "both-zero": (0.0, 0.0)}
+
+
+def assert_disc_node_matches_chain(model, x, labels, memory, config):
+    """``assert_taped_alike`` for the discriminator's loss, and for its
+    negation, so the node's backward also meets an upstream gradient other
+    than 1."""
+    for sign in (1.0, -1.0):
+        assert_taped_alike(
+            model,
+            lambda: sign * discriminator_loss(model, x, labels, memory, config),
+            lambda: sign * reference_discriminator_loss(model, x, labels,
+                                                        memory, config),
+            ("discriminator_loss", sign))
+
+
+@pytest.mark.parametrize("transform", ["per_layer", "last", "off"])
+@pytest.mark.parametrize("weights", sorted(DISC_WEIGHTS))
+@pytest.mark.parametrize("draw", sorted(DISC_DRAWS))
+def test_discriminator_node_is_bitwise_equal_to_the_per_width_chain(
+        draw, weights, transform):
+    model, x, labels, memory = disc_setup(DISC_DRAWS[draw],
+                                          transform=transform)
+    lambda1, lambda2 = DISC_WEIGHTS[weights]
+    config = RunConfig(lambda1=lambda1, lambda2=lambda2)
+    assert_disc_node_matches_chain(model, x, labels, memory, config)
+
+
+def test_discriminator_node_matches_the_chain_with_many_widths_in_the_draw():
+    # enough rows that a norm summed over zero-padded columns, rather than
+    # exactly its width's, differs from the chain's in some of them
+    widths = tuple(range(2, 16))
+    model, x, labels, memory = disc_setup(widths, n_tasks=14, n_rows=120)
+    assert len(np.unique(memory.h_disc_width)) >= 12
+    assert_disc_node_matches_chain(model, x, labels, memory, RunConfig())
+
+
+@pytest.mark.parametrize("draw", ["no-memory", "every-width"])
+def test_discriminator_node_matches_finite_differences(draw):
+    model, x, labels, memory = disc_setup(DISC_DRAWS[draw])
+    config = RunConfig(lambda1=0.5, lambda2=0.7)
+    check_gradients(
+        lambda: discriminator_loss(model, x, labels, memory, config),
+        model.discriminator_params(), rtol=1e-4)
+
+
+def test_discriminator_node_runs_no_trunk_pass(monkeypatch):
+    model, x, labels, memory = disc_setup(DISC_DRAWS["every-width"])
+    passes = []
+    monkeypatch.setattr(networks.FeatureExtractor, "forward",
+                        lambda *args, **kwargs: passes.append(1))
+    loss = discriminator_loss(model, x, labels, memory, RunConfig())
+    assert loss.node is not None and passes == []
 
 
 def test_losses_use_no_add_reduceat():

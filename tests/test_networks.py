@@ -227,12 +227,13 @@ def test_discriminator_freeze_blocks_weight_gradients():
     feats = Tensor(np.random.default_rng(0).normal(size=(2, 4)), requires_grad=True)
     pre = feats.data @ disc.w1.data + disc.b1.data
     assert np.any(pre > 0)  # live ReLU units, so a nonzero gradient must flow
-    loss = softmax_cross_entropy(disc.forward(feats, 2, freeze=True),
-                                 np.array([1, 2]))
+    # the scoped form every step uses: only the features are taped
+    with grad_only([feats], disc.params()):
+        loss = softmax_cross_entropy(disc.forward(feats, 2), np.array([1, 2]))
     backward(loss)
     assert feats.grad is not None and np.any(feats.grad != 0)
     for p in disc.params():
-        assert p.grad is None
+        assert p.grad is None and p.requires_grad
 
 
 def test_discriminator_live_weight_gradients():

@@ -615,11 +615,9 @@ def test_outer_step_tapes_only_generator_work():
 
 
 def test_step_tape_sizes_are_pinned(monkeypatch):
-    # CE and dark replay are one node each, and every other layer call one
-    # fused node. inner = CE + DER++ + their add, then alignment (two trunk
-    # layers, two discriminator layers, mask_cols, soft CE) + its lam3 mul
-    # + the final add = 3 + 6 + 2; outer = CE + DER++ + add; adversarial =
-    # the discriminator's per-layer nodes, unchanged
+    # every loss term is one node: inner = CE + DER++ + their add, then
+    # the alignment node, its lam3 mul and the final add = 3 + 3; outer =
+    # CE + DER++ + add; adversarial = the discriminator-loss node
     trainer, train, val = three_task_trainer()
     sizes = []
 
@@ -631,14 +629,13 @@ def test_step_tape_sizes_are_pinned(monkeypatch):
     trainer.inner_step(train)
     trainer.outer_step(val)
     trainer.adversarial_step(train.batch)
-    assert sizes == [11, 3, 26]
+    assert sizes == [6, 3, 1]
 
 
 def test_step_trunk_passes_are_pinned(monkeypatch):
-    # the CE and dark-replay nodes run the trunk themselves, not through
-    # FeatureExtractor.forward, and the outer step builds no alignment term:
-    # inner = alignment, outer = none, adversarial = the batch plus one pass
-    # per stored disc-logit width
+    # every loss node runs the trunk itself, not through
+    # FeatureExtractor.forward, so no step makes a trunk pass of its own;
+    # only snapshots and evaluation call it
     trainer, train, val = three_task_trainer()
     passes = []
     forward = networks.FeatureExtractor.forward
@@ -653,7 +650,7 @@ def test_step_trunk_passes_are_pinned(monkeypatch):
                  lambda: trainer.adversarial_step(train.batch)):
         passes.append(0)
         step()
-    assert passes == [1, 0, 3]
+    assert passes == [0, 0, 0]
 
 
 # -- non-finite losses ----------------------------------------------------------------
@@ -672,6 +669,24 @@ def test_non_finite_loss_fails_fast_naming_step_and_task(kind):
             "outer": lambda: trainer.outer_step(part),
             "adversarial": lambda: trainer.adversarial_step(batch)}[kind]
     before = snapshot(trainer.model.all_params())
+    with pytest.raises(FloatingPointError,
+                       match=f"{kind}-step loss on task {batch.task_id} "):
+        step()
+    assert unchanged(trainer.model.all_params(), before)
+    # a NaN memory row reaches the loss nodes through the draw: every stored
+    # row gets one, so the partition's draws and the adversarial step's own
+    # draw hold it whichever rows they pick
+    rows = trainer.memory.rows()
+    x = rows.x.copy()
+    x[:, 0] = np.nan
+    trainer.state.memory = EpisodicMemory.from_rows(
+        trainer.memory.budget_per_task, replace(rows, x=x),
+        trainer.memory.seen_counts, trainer.memory.rng)
+    part, _ = trainer.memory.partition(train.batch, trainer.partition_rng,
+                                       trainer.config.replay_batch_size)
+    step = {"inner": lambda: trainer.inner_step(part),
+            "outer": lambda: trainer.outer_step(part),
+            "adversarial": lambda: trainer.adversarial_step(train.batch)}[kind]
     with pytest.raises(FloatingPointError,
                        match=f"{kind}-step loss on task {batch.task_id} "):
         step()
