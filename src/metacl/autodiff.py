@@ -17,34 +17,26 @@ tapes and differentiates only the subgraph that reaches the parameters it
 updates; the gradients of those parameters are bit-identical to those of
 the fully taped graph.
 
-At width 64 a node's Python cost outweighs its arithmetic, so the network's
-layers record fused nodes, one per layer call: ``affine`` (matmul + add),
-``affine_relu`` (matmul + add + relu), ``relu_affine`` (relu + matmul + add)
-and ``film`` (the embedding gather, the two affine coefficient maps and the
-normalized scale-and-shift with its residual, 18 nodes when unfused). Each
-is bit-identical to the chain of primitive ops it replaces, in its value and
-in every gradient it sends: its backward evaluates the chain's backward
-expressions in the chain's reverse recording order, and an input that the
-chain reaches twice (FiLM's features) is listed twice, so its two
-contributions join its other gradients in the chain's order. A fused node
-lists only the inputs that require grad.
-
-The training losses go one step further: ``task_cross_entropy``,
+At width 64 a node's Python cost outweighs its arithmetic, so the network
+is not taped op by op. The training losses ``task_cross_entropy``,
 ``task_dark_replay``, ``task_discriminator_loss`` and ``task_alignment`` are
 one node each over a ``TaskForward``, the forward of rows of many groups
 (tasks, or stored snapshot widths) through trunk, FiLM and heads. Its
 matmuls run per group, on exactly the operands of that group's chain of
-fused ops (a matmul over several groups' rows is not bit-stable against its
-per-group row blocks); everything else runs as one numpy call over all
+primitive ops (a matmul over several groups' rows is not bit-stable against
+its per-group row blocks); everything else runs as one numpy call over all
 rows or all groups' FiLM coefficients. The node lists every leaf once per
 contribution the per-group chains send it, in the order those arrive, so
-``backward`` adds them up exactly as it adds the chains'. The layer
-formulas (ReLU, the affine gradients, FiLM's coefficients and their
-gradients, softmax cross-entropy and the L2 distance) are written once and
-shared by the single-call ops and the task nodes; ``film`` is the one-task
-case of ``TaskForward``'s FiLM step. No training path calls ``slice_cols``,
-``l2_distance``, ``softmax_cross_entropy`` or ``soft_cross_entropy`` any
-more: they stay as the reference ops the tests build the nodes' chains of.
+``backward`` adds them up exactly as it adds the chains', and its value and
+every gradient equal the chain's bit for bit. Inference (memory snapshots
+and evaluation) reads the logits of a one-group ``TaskForward`` built under
+``no_grad``, which records no node and plans no backward.
+
+The primitive ops are the reference path: the model's layer methods
+(``metacl.networks``) and the chains the tests hold the nodes to are built
+from them. No training or inference path runs the network through them,
+nor calls ``slice_cols``, ``l2_distance``, ``softmax_cross_entropy`` or
+``soft_cross_entropy``.
 """
 
 from __future__ import annotations
@@ -358,8 +350,8 @@ def mask_cols(x, valid, fill=MASK_FILL):
 
 
 # ---------------------------------------------------------------------------
-# layer formulas, written once: the fused single-call ops and the
-# task-vectorised loss nodes below both evaluate them
+# layer formulas, written once and evaluated by the task-vectorised loss
+# nodes below
 
 def _relu(z):
     """(relu(z), the mask of its live entries); NaN passes through."""
@@ -406,7 +398,8 @@ def _normalized_grad(g_hat, v, root, norm):
 
 class _Film:
     """FiLM coefficients of K tasks at one layer, row k for task
-    ``tasks[k]``, each as the unfused chain computes it for that task alone:
+    ``tasks[k]``, each as the chain of primitive ops computes it for that
+    task alone:
 
         emb   = gather_rows(table, [task])
         scale = matmul(emb, w_scale) + b_scale
@@ -537,26 +530,6 @@ def _l2_grad(rows, norms, n, g):
     return rows * scale[:, None] * g
 
 
-# ---------------------------------------------------------------------------
-# fused layers: one node for a chain of the ops above
-
-def _make_fused(out_data, inputs, backward_fn):
-    """Record a fused node on those of ``inputs`` that require grad, so a
-    constant is no node's input; ``backward_fn`` returns their gradients in
-    the same order. An input listed twice gets two contributions, added in
-    that order as the unfused chain adds them."""
-    return _make(out_data, [t for t in inputs if t.requires_grad], backward_fn)
-
-
-def _check_affine(op, x, w, b):
-    if (x.data.ndim != 2 or w.data.ndim != 2
-            or x.data.shape[1] != w.data.shape[0]
-            or b.data.shape != w.data.shape[1:]):
-        raise DimensionError(
-            f"{op}: incompatible shapes {x.data.shape} x {w.data.shape} "
-            f"+ {b.data.shape}")
-
-
 def _affine_grads(g, x_data, w, b, need):
     """The gradients matmul(x, w) + b sends to those of (x, w, b) flagged
     in ``need``, in that order; ``x_data`` is the matmul's left operand.
@@ -572,97 +545,8 @@ def _affine_grads(g, x_data, w, b, need):
     return grads
 
 
-def affine(x, w, b):
-    """``matmul(x, w) + b`` as one node."""
-    _check_affine("affine", x, w, b)
-    need = (x.requires_grad, w.requires_grad, b.requires_grad)
-
-    def backward_fn(g):
-        return _affine_grads(g, x.data, w, b, need)
-
-    return _make_fused(x.data @ w.data + b.data, (x, w, b), backward_fn)
-
-
-def affine_relu(x, w, b):
-    """``relu(matmul(x, w) + b)`` as one node."""
-    _check_affine("affine_relu", x, w, b)
-    need = (x.requires_grad, w.requires_grad, b.requires_grad)
-    out, mask = _relu(x.data @ w.data + b.data)
-
-    def backward_fn(g):
-        return _affine_grads(g * mask, x.data, w, b, need)
-
-    return _make_fused(out, (x, w, b), backward_fn)
-
-
-def relu_affine(x, w, b):
-    """``matmul(relu(x), w) + b`` as one node."""
-    _check_affine("relu_affine", x, w, b)
-    need = (x.requires_grad, w.requires_grad, b.requires_grad)
-    r, mask = _relu(x.data)
-
-    def backward_fn(g):
-        grads = _affine_grads(g, r, w, b, need)
-        if need[0]:
-            grads[0] = grads[0] * mask
-        return grads
-
-    return _make_fused(r @ w.data + b.data, (x, w, b), backward_fn)
-
-
-def film(features, table, row, w_scale, b_scale, w_shift, b_shift, eps):
-    """Normalized feature-wise scale and shift plus a residual, with the
-    coefficients looked up from ``row`` of an embedding table, as one node:
-
-        emb   = gather_rows(table, [row])
-        scale = matmul(emb, w_scale) + b_scale
-        shift = matmul(emb, w_shift) + b_shift
-        out   = features * (scale / (sqrt(tsum(scale * scale)) + eps))
-                + shift / (sqrt(tsum(shift * shift)) + eps) + features
-
-    The one-task case of ``TaskForward``'s FiLM step.
-    """
-    f = features.data
-    fits = f.ndim == 2 and table.data.ndim == 2
-    if fits:
-        w_shape, b_shape = (table.data.shape[1], f.shape[1]), (f.shape[1],)
-        fits = (w_scale.data.shape == w_shape == w_shift.data.shape
-                and b_scale.data.shape == b_shape == b_shift.data.shape)
-    if not fits:
-        raise DimensionError(
-            f"film: features {f.shape}, table {table.data.shape}, scale "
-            f"{w_scale.data.shape} + {b_scale.data.shape}, shift "
-            f"{w_shift.data.shape} + {b_shift.data.shape} do not fit")
-    coeffs = _Film((table, w_scale, b_scale, w_shift, b_shift), [row], eps)
-    s_hat = coeffs.s_hat
-    need_f = features.requires_grad
-    need = [p.requires_grad for p in coeffs.params]
-    need_s, need_t = _film_needs(need)
-
-    def backward_fn(g):
-        # the residual sum's share, then the scaling's
-        grads = [g, g * s_hat] if need_f else []
-        g_hat_s = _unbroadcast(g * f, s_hat.shape) if need_s else None
-        g_hat_t = _unbroadcast(g, s_hat.shape) if need_t else None
-        return grads + [stack[0]
-                        for stack in coeffs.grads(g_hat_s, g_hat_t, need)]
-
-    return _make_fused((f * s_hat + coeffs.t_hat) + f,
-                       (features, features) + coeffs.params, backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # losses
-
-def log_softmax(x):
-    """Row-wise log-softmax with max-subtraction stabilization."""
-    out_data, softmax = _log_softmax(x.data)
-
-    def backward_fn(g):
-        return (g - softmax * g.sum(axis=1, keepdims=True),)
-
-    return _make(out_data, (x,), backward_fn)
-
 
 def softmax_cross_entropy(logits, targets):
     """Mean over the batch of -log softmax(logits)[target].
@@ -731,9 +615,10 @@ class TaskForward:
     (w, b, film) per trunk layer, film being None or FiLM's (table,
     w_scale, b_scale, w_shift, b_shift), and ``heads`` one (w, b) per group.
 
-    Every matmul runs per group, on exactly the operands the chain
-    ``affine_relu`` / ``film`` / ``relu_affine`` uses for that group alone,
-    and every other step is one numpy call over all rows or all groups, so
+    Every matmul runs per group, on exactly the operands the chain of
+    primitive ops uses for that group alone (``FeatureExtractor.forward``
+    with ``film_transform`` and ``ClassifierHeads.forward`` in
+    ``metacl.networks``), and every other step is one numpy call over all rows or all groups, so
     each group's values equal its chain's bit for bit. The keys ``tasks``
     need only be distinct and ordered: the discriminator's loss groups its
     memory rows by stored snapshot width. When the last trunk layer has no
@@ -744,7 +629,7 @@ class TaskForward:
     contribution and in the order those arrive: groups by descending task,
     and within a group the head, then from the last layer down each layer's
     FiLM parameters and its affine map. Which tensors require grad is read
-    here, as the fused ops read it when they record. ``backward`` returns
+    here, as the chain's ops read it when they record. ``backward`` returns
     the contributions in that order, so a node whose inputs are ``leaves``
     adds them up exactly as the chains' nodes do.
 
@@ -753,13 +638,16 @@ class TaskForward:
     hold the same rows as here: every array of those rows is the source's,
     and all FiLM coefficients are its. Only the other groups' rows are
     computed.
+
+    Under ``no_grad`` a forward plans no backward and lists no leaves, and
+    a one-group forward broadcasts its FiLM row over its rows.
     """
 
     def __init__(self, x, tasks, sizes, layers, heads, eps, reuse=None):
         self.tasks = list(tasks)
         self.sizes = np.asarray(sizes, dtype=np.int64)
-        ends = np.cumsum(self.sizes)
-        self.bounds = list(zip((ends - self.sizes).tolist(), ends.tolist()))
+        ends = list(itertools.accumulate(self.sizes.tolist()))
+        self.bounds = list(zip([0, *ends[:-1]], ends))
         self.layers, self.heads = layers, heads
         self.relu_tail = layers[-1][2] is None
         self.ascending = sorted(range(len(self.tasks)),
@@ -785,7 +673,8 @@ class TaskForward:
             return
         # compute the rows of the groups from ``shared`` on
         fresh = [(s - copied, e - copied) for s, e in self.bounds[shared:]]
-        group = np.repeat(np.arange(shared, k), self.sizes[shared:])
+        group = (np.repeat(np.arange(shared, k), self.sizes[shared:])
+                 if k > 1 else slice(None))
 
         def joined(mine, theirs):
             """The source's rows of an array, then the rows computed here."""
@@ -836,6 +725,9 @@ class TaskForward:
         the layers backward reaches from the last down, each as (index,
         FiLM flags or None, (w, b) flags or None when the gradient stops
         at the FiLM, whether it goes on below); then list ``leaves``."""
+        self.leaves = []
+        if not _grad_enabled:
+            return
         self.head_needs = [(w.requires_grad, b.requires_grad)
                            for w, b in self.heads]
         needs, live = [], False
@@ -859,11 +751,9 @@ class TaskForward:
                 trunk_leaves += _flagged((w, b), own)
             if not (trunk and below):
                 break
-        self.leaves = []
-        if _grad_enabled:
-            for k in reversed(self.ascending):
-                self.leaves += _flagged(self.heads[k], self.head_needs[k])
-                self.leaves += trunk_leaves
+        for k in reversed(self.ascending):
+            self.leaves += _flagged(self.heads[k], self.head_needs[k])
+            self.leaves += trunk_leaves
 
     def _group_sums(self, v):
         """Each group's rows of ``v`` summed to one row, as ``_unbroadcast``

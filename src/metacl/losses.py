@@ -22,11 +22,10 @@ CE and the dark-replay term are one tape node each
 ``TaskForward`` of their rows grouped by task: matmuls per task, everything
 else vectorised across tasks, and every value and gradient bit-identical to
 the per-task chain of ``model.logits``, ``softmax_cross_entropy`` and
-``l2_distance``, which stays as the tests' reference. The memory rows of a
-task the current batch does not hold go through the network once:
-``derpp_loss`` reuses CE's forward for them. With both dark-replay weights
-zero (ablation B) neither the learner's nor the discriminator's dark-replay
-term is built.
+``l2_distance``. The memory rows of a task the current batch does not hold
+go through the network once: ``derpp_loss`` reuses CE's forward for them.
+With both dark-replay weights zero (ablation B) neither the learner's nor
+the discriminator's dark-replay term is built.
 
 The discriminator's loss and the alignment term are one node each as well
 (``autodiff.task_discriminator_loss`` and ``task_alignment``), over a
@@ -36,7 +35,9 @@ one matmul per group and layer, and is bit-identical to the per-width chain
 of no-grad trunk passes, ``discriminate``, ``slice_cols``, ``l2_distance``
 and ``softmax_cross_entropy``; the alignment term runs every row as one
 group, bit-identical to its chain ending in ``soft_cross_entropy`` or the
-negated ``softmax_cross_entropy``. Both chains stay as the tests' reference.
+negated ``softmax_cross_entropy``. These chains, built from the model's
+layer methods and the primitive ops, are the reference path the tests hold
+the nodes to; no loss runs them.
 
 The trade-off constants lam1..lam3, the noise model and the alignment
 direction are read from the run's ``RunConfig``, passed as ``config``.

@@ -5,22 +5,24 @@ The parameter generator maps a task ID to per-layer scale/shift coefficient
 pairs; features pass through a normalized scale-and-shift plus a residual sum,
 so a zero pair leaves the features untouched.
 
-Every layer call records one fused tape node (``metacl.autodiff``): the
-trunk and discriminator layers, the heads with their leading ReLU, and FiLM
-with its coefficient lookup (``ParameterGenerator.modulate``).
-``film_transform`` on ``ParameterGenerator.coefficients`` is the unfused
-reference the fused FiLM node equals bit for bit.
+The layer methods (``FeatureExtractor.forward``, ``ClassifierHeads.forward``,
+``Discriminator.forward``, and ``film_transform`` on
+``ParameterGenerator.coefficients``) build the network from the primitive
+ops of ``metacl.autodiff``, one node per op. They are the reference path:
+``ContinualModel.extract``, ``task_features``, ``logits`` and
+``discriminate`` run them for the tests and demos, and no training or
+inference path does.
 
-The training losses do not call the layers one task at a time:
-``ContinualModel.task_forward`` lays the classification path out as
-``autodiff.TaskForward`` expects it (per trunk layer its weights and the
-FiLM that follows it under the transform mode, and one head per task), and
-runs rows of many tasks through it at once, equal row group by row group to
-``logits``. ``ContinualModel.discriminator_forward`` does the same for the
+Training and inference run one path instead, ``autodiff.TaskForward``.
+``ContinualModel.task_forward`` lays the classification path out as it
+expects (per trunk layer its weights and the FiLM that follows it under the
+transform mode, and one head per task), and runs rows of many tasks through
+it at once, equal row group by row group to ``logits``.
+``ContinualModel.discriminator_forward`` does the same for the
 discriminator's path, equal group by group to ``discriminate(extract(x))``
 before its column mask, with the trunk (discriminator loss) or the
-discriminator (alignment term) as constants. Only snapshots and evaluation
-still call ``FeatureExtractor.forward``.
+discriminator (alignment term) as constants. Snapshots and evaluation read
+a one-group forward under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -30,14 +32,11 @@ import numpy as np
 from .autodiff import (
     TaskForward,
     Tensor,
-    affine,
-    affine_relu,
-    film,
     gather_rows,
     mask_cols,
     matmul,
     no_grad,
-    relu_affine,
+    relu,
     sqrt,
     tsum,
 )
@@ -70,8 +69,7 @@ def film_transform(features, scale_coeff, shift_coeff, eps=NORM_EPS):
     output  = private + g
 
     Zero coefficient vectors make both terms exactly zero, so the output
-    reduces to the input features. The unfused reference of
-    ``ParameterGenerator.modulate``.
+    reduces to the input features.
     """
     features = _as_tensor(features)
     scale_coeff = _as_tensor(scale_coeff)
@@ -110,7 +108,7 @@ class FeatureExtractor:
         self.check_input(x.data)
         a = x
         for index, (w, b) in enumerate(self.layers):
-            a = affine_relu(a, w, b)
+            a = relu(matmul(a, w) + b)
             if layer_hook is not None:
                 a = layer_hook(index, a)
         return a
@@ -166,13 +164,6 @@ class ParameterGenerator:
         shift = matmul(emb, w_shift) + b_shift
         return scale, shift
 
-    def modulate(self, features, task_id, layer_index):
-        """``film_transform(features, *coefficients(task_id, layer_index))``,
-        bit for bit, as one tape node (``autodiff.film``)."""
-        self.check_task(task_id)
-        table, *maps = self.layer(layer_index)
-        return film(_as_tensor(features), table, task_id, *maps, NORM_EPS)
-
     def params(self):
         out = list(self.embeddings)
         for (ws, bs), (wt, bt) in self.heads:
@@ -217,7 +208,7 @@ class ClassifierHeads:
     def forward(self, features, task_id):
         """The task's logits: ReLU, then its head."""
         w, b = self.head(task_id)
-        return relu_affine(_as_tensor(features), w, b)
+        return matmul(relu(_as_tensor(features)), w) + b
 
     def output_dim(self, task_id):
         return self.head(task_id)[0].data.shape[1]
@@ -256,8 +247,8 @@ class Discriminator:
 
     def forward(self, features, seen_tasks):
         self.check_capacity(seen_tasks)
-        hidden = affine_relu(_as_tensor(features), self.w1, self.b1)
-        return mask_cols(affine(hidden, self.w2, self.b2), seen_tasks + 1)
+        hidden = relu(matmul(_as_tensor(features), self.w1) + self.b1)
+        return mask_cols(matmul(hidden, self.w2) + self.b2, seen_tasks + 1)
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -341,7 +332,8 @@ class ContinualModel:
         def hook(index, activations):
             if not self._modulated(index):
                 return activations
-            return self.generator.modulate(activations, task_id, index)
+            return film_transform(
+                activations, *self.generator.coefficients(task_id, index))
 
         return self.extractor.forward(x, layer_hook=hook)
 
@@ -401,18 +393,22 @@ class ContinualModel:
         return TaskForward(x, keys, sizes, layers, [head] * len(keys),
                            NORM_EPS)
 
-    # -- snapshots (inference mode, detached copies) -------------------------
+    # -- snapshots (inference mode, detached arrays) -------------------------
 
     def snapshot_logits(self, x, task_id):
+        """``logits(x, task_id)`` as an array, from a one-group forward."""
         with no_grad():
-            return self.logits(x, task_id).data.copy()
+            return self.task_forward(x, [task_id], [len(x)]).logits
 
     def snapshot_disc_logits(self, x, seen_tasks=None):
+        """The first ``seen_tasks + 1`` columns of ``discriminate(extract(x),
+        seen_tasks)`` as an array, from a one-group forward."""
         if seen_tasks is None:
             seen_tasks = self.n_seen
+        self.discriminator.check_capacity(seen_tasks)
         with no_grad():
-            full = self.discriminate(self.extract(x), seen_tasks)
-            return full.data[:, :seen_tasks + 1].copy()
+            forward = self.discriminator_forward(x, [0], [len(x)], "trunk")
+            return forward.logits[:, :seen_tasks + 1].copy()
 
     # -- parameter groups ----------------------------------------------------
 

@@ -70,7 +70,8 @@ def _step_tasks(batch, draw):
 
 
 def evaluate(model, tasks, chunk=512):
-    """Per-task test accuracy; inference only, discriminator untouched."""
+    """Per-task test accuracy; inference only, discriminator untouched.
+    Each chunk of a task's test rows is one one-group ``task_forward``."""
     out = {}
     for task in tasks:
         if task.task_id not in model.seen_tasks:
@@ -80,8 +81,8 @@ def evaluate(model, tasks, chunk=512):
             for start in range(0, len(task.test.x), chunk):
                 x = task.test.x[start:start + chunk]
                 y = task.test.y[start:start + chunk]
-                pred = model.logits(x, task.task_id).data.argmax(axis=1)
-                correct += int((pred == y).sum())
+                logits = model.task_forward(x, [task.task_id], [len(x)]).logits
+                correct += int((logits.argmax(axis=1) == y).sum())
         out[task.task_id] = correct / len(task.test.x)
     return out
 

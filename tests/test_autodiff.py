@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from metacl.autodiff import (
     gather_rows,
     grad_only,
     l2_distance,
-    log_softmax,
     mask_cols,
     matmul,
     no_grad,
@@ -272,9 +270,11 @@ def test_slice_cols_grad_pads_zeros():
 def test_mask_cols_zero_probability_and_zero_grad():
     x = Tensor(np.zeros((2, 4)), requires_grad=True)
     masked = mask_cols(x, 2)
-    probs = np.exp(log_softmax(masked).data)
-    np.testing.assert_array_equal(probs[:, 2:], 0.0)
-    np.testing.assert_allclose(probs[:, :2], 0.5)
+    # a column's softmax probability is exp(-CE) with every target on it
+    probs = [math.exp(-softmax_cross_entropy(masked, [col, col]).item())
+             for col in range(4)]
+    assert probs[2:] == [0.0, 0.0]
+    np.testing.assert_allclose(probs[:2], 0.5)
     backward(tsum(mask_cols(x, 2) * Tensor(np.ones((2, 4)))))
     np.testing.assert_array_equal(x.grad[:, 2:], 0.0)
     np.testing.assert_array_equal(x.grad[:, :2], 1.0)
@@ -395,162 +395,6 @@ def test_backward_leaves_no_grad_on_intermediates():
     backward(tsum(hidden * hidden))
     assert hidden.grad is None
     np.testing.assert_array_equal(w.grad, 18.0 * w.data)
-
-
-# ---------------------------------------------------------------------------
-# fused layers: bit-identical to the chains of primitive ops they replace
-
-EPS = 1e-8
-
-
-def _film_chain(features, table, row, w_scale, b_scale, w_shift, b_shift, eps):
-    emb = gather_rows(table, [row])
-    scale = matmul(emb, w_scale) + b_scale
-    shift = matmul(emb, w_shift) + b_shift
-    scale_norm = sqrt(tsum(scale * scale)) + eps
-    shift_norm = sqrt(tsum(shift * shift)) + eps
-    return features * (scale / scale_norm) + shift / shift_norm + features
-
-
-# name -> (fused op, the chain it replaces); FiLM reads row 2 of its table
-FUSED = {
-    "affine": (ad.affine, lambda x, w, b: matmul(x, w) + b),
-    "affine_relu": (ad.affine_relu, lambda x, w, b: relu(matmul(x, w) + b)),
-    "relu_affine": (ad.relu_affine, lambda x, w, b: matmul(relu(x), w) + b),
-    "film": (lambda f, *gen: ad.film(f, gen[0], 2, *gen[1:], EPS),
-             lambda f, *gen: _film_chain(f, gen[0], 2, *gen[1:], EPS)),
-}
-
-
-def _fused_arrays(name, rows, rng):
-    """Inputs of a fused op with ``rows`` batch rows. Column 0 of each
-    affine map is zero, and x holds zeros of both signs, so the ReLUs see
-    their kink and signed zeros."""
-    if name == "film":
-        return [rng.normal(size=(rows, 4)), rng.normal(size=(5, 3)),
-                rng.normal(size=(3, 4)), rng.normal(size=4),
-                rng.normal(size=(3, 4)), rng.normal(size=4)]
-    x, w, b = (rng.normal(size=(rows, 3)), rng.normal(size=(3, 4)),
-               rng.normal(size=4))
-    w[:, 0] = 0.0
-    b[0] = 0.0
-    x[0, :2] = [0.0, -0.0]
-    return [x, w, b]
-
-
-def _run_op(op, arrays, trainable, weights):
-    """The output of ``op`` and its inputs, each trainable one holding its
-    gradient of tsum(out * weights)."""
-    inputs = [Tensor(a.copy(), requires_grad=t)
-              for a, t in zip(arrays, trainable)]
-    out = op(*inputs)
-    if out.requires_grad:
-        backward(tsum(out * weights))
-    return out, inputs
-
-
-@pytest.mark.parametrize("name", sorted(FUSED))
-@pytest.mark.parametrize("rows", [1, 5])
-def test_fused_op_is_bitwise_equal_to_its_chain(name, rows):
-    # every subset of inputs that require grad; one row takes _unbroadcast's
-    # no-op path for the FiLM coefficients, several rows its sum path
-    fused, chain = FUSED[name]
-    rng = np.random.default_rng([rows, len(name)])
-    arrays = _fused_arrays(name, rows, rng)
-    with no_grad():
-        out_shape = chain(*(Tensor(a) for a in arrays)).shape
-    weights = Tensor(rng.normal(size=out_shape))
-    for trainable in itertools.product([False, True], repeat=len(arrays)):
-        out, inputs = _run_op(fused, arrays, trainable, weights)
-        ref, ref_inputs = _run_op(chain, arrays, trainable, weights)
-        assert out.data.tobytes() == ref.data.tobytes(), trainable
-        for t, r in zip(inputs, ref_inputs):
-            if r.grad is None:
-                assert t.grad is None, trainable
-            else:
-                assert t.grad.shape == r.grad.shape, trainable
-                assert t.grad.tobytes() == r.grad.tobytes(), trainable
-
-
-@pytest.mark.parametrize("name", sorted(FUSED))
-def test_fused_op_records_one_node_on_its_trainable_inputs(name):
-    fused, _ = FUSED[name]
-    arrays = _fused_arrays(name, 3, np.random.default_rng(1))
-    for trainable in itertools.product([False, True], repeat=len(arrays)):
-        inputs = [Tensor(a, requires_grad=t) for a, t in zip(arrays, trainable)]
-        out = fused(*inputs)
-        live = [t for t in inputs if t.requires_grad]
-        if not live:
-            assert out.node is None
-            continue
-        if name == "film" and trainable[0]:
-            live.insert(0, inputs[0])  # the residual's share, then the scaling's
-        assert [id(t) for t in out.node.inputs] == [id(t) for t in live]
-
-
-def test_fused_nodes_sharing_inputs_accumulate_in_chain_order():
-    # x feeds two FiLM nodes and then a product recorded after both, so its
-    # gradient is a five-term sum; w, b and every generator tensor feed
-    # several fused nodes
-    rng = np.random.default_rng(11)
-    arrays = [rng.normal(size=(6, 8)), rng.normal(size=(4, 3)),
-              rng.normal(size=(3, 8)), rng.normal(size=8),
-              rng.normal(size=(3, 8)), rng.normal(size=8),
-              rng.normal(size=(8, 8)), rng.normal(size=8)]
-    consts = [Tensor(rng.normal(size=(6, 8))) for _ in range(3)]
-
-    def run(film_op, affine_relu_op):
-        x, table, ws, bs, wt, bt, w, b = (Tensor(a.copy(), requires_grad=True)
-                                          for a in arrays)
-        first = film_op(x, table, 1, ws, bs, wt, bt, EPS)
-        second = film_op(x, table, 3, ws, bs, wt, bt, EPS)
-        deep = affine_relu_op(affine_relu_op(first, w, b), w, b)
-        shallow = affine_relu_op(second, w, b)
-        loss = (tsum(deep * consts[0]) + tsum(shallow * consts[1])
-                + tsum(x * consts[2]))
-        backward(loss)
-        return [loss, x, table, ws, bs, wt, bt, w, b]
-
-    fused = run(ad.film, ad.affine_relu)
-    chain = run(_film_chain, lambda x, w, b: relu(matmul(x, w) + b))
-    assert fused[0].data.tobytes() == chain[0].data.tobytes()
-    for f, c in zip(fused[1:], chain[1:]):
-        assert f.grad.tobytes() == c.grad.tobytes()
-
-
-def test_fused_relus_pass_nan():
-    x = np.array([[np.nan, 1.0], [1.0, -1.0]])
-    w, b = np.eye(2), np.zeros(2)
-    for name in ("affine_relu", "relu_affine"):
-        fused, chain = FUSED[name]
-        out = fused(Tensor(x), Tensor(w), Tensor(b)).data
-        assert np.isnan(out[0]).all() and np.isfinite(out[1]).all()
-        np.testing.assert_array_equal(out, chain(Tensor(x), Tensor(w),
-                                                 Tensor(b)).data)
-
-
-@pytest.mark.parametrize("name", ["affine", "affine_relu", "relu_affine"])
-@pytest.mark.parametrize("shapes", [((2, 3), (4, 2), (2,)),
-                                    ((2, 3), (3, 2), (3,)),
-                                    ((2, 3), (3, 2), (1, 2)),
-                                    ((3,), (3, 2), (2,)),
-                                    ((2, 3), (3,), (2,))], ids=str)
-def test_fused_affine_rejects_mismatched_shapes(name, shapes):
-    fused, _ = FUSED[name]
-    with pytest.raises(DimensionError, match=name):
-        fused(*(Tensor(np.zeros(s)) for s in shapes))
-
-
-@pytest.mark.parametrize("slot, shape", [(0, (2, 5)), (0, (4,)), (1, (5, 2)),
-                                         (1, (15,)), (2, (3, 5)), (3, (5,)),
-                                         (4, (2, 4)), (5, (1, 4))])
-def test_film_rejects_mismatched_shapes(slot, shape):
-    # features (2, 4), table (5, 3), then w/b for scale and for shift
-    shapes = [(2, 4), (5, 3), (3, 4), (4,), (3, 4), (4,)]
-    shapes[slot] = shape
-    tensors = [Tensor(np.ones(s)) for s in shapes]
-    with pytest.raises(DimensionError, match="film"):
-        ad.film(tensors[0], tensors[1], 2, *tensors[2:], EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +547,6 @@ def test_no_nan_inf_for_bounded_inputs():
             a + b,
             softmax_cross_entropy(a, targets),
             l2_distance(a, b),
-            log_softmax(a),
             sqrt(tsum(a * a)),
             tsum(a * b, axis=1),
         ]

@@ -8,13 +8,13 @@ import pytest
 from metacl import networks
 from metacl.autodiff import (
     Tensor,
-    affine,
-    affine_relu,
     backward,
     grad_only,
     l2_distance,
     mask_cols,
+    matmul,
     no_grad,
+    relu,
     sgd_step,
     slice_cols,
     soft_cross_entropy,
@@ -445,8 +445,8 @@ def reference_alignment(model, batch, memory, config):
     x, _, t = union_rows(batch, memory)
     order = np.argsort(t, kind="stable")
     w1, b1, w2, b2 = (Tensor(p.data) for p in model.discriminator_params())
-    hidden = affine_relu(model.extract(x[order]), w1, b1)
-    logits = mask_cols(affine(hidden, w2, b2), k + 1)
+    hidden = relu(matmul(model.extract(x[order]), w1) + b1)
+    logits = mask_cols(matmul(hidden, w2) + b2, k + 1)
     if config.generator_mode == "uniform-confusion":
         target = np.zeros((len(x), model.k_max + 1))
         target[:, 1:k + 1] = 1.0 / k
@@ -629,7 +629,7 @@ def test_loss_nodes_match_the_chain_with_many_tasks_in_the_draw(heads,
 
 
 def test_loss_nodes_read_requires_grad_when_recorded():
-    # like a fused op, a node built inside grad_only keeps its scope when
+    # like a primitive op, a node built inside grad_only keeps its scope when
     # back-propagated after the block has switched every flag back on
     model, batch, memory = node_setup()
     config = RunConfig()

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from metacl import autodiff
 from metacl.autodiff import (
     Tensor,
     backward,
     grad_only,
-    mask_cols,
-    matmul,
-    relu,
+    no_grad,
     softmax_cross_entropy,
     tsum,
 )
+from metacl.datasets import Split, Task
 from metacl.errors import CapacityError, ConfigurationError, ContractError, UnknownTaskError
 from metacl.networks import (
     ClassifierHeads,
@@ -22,6 +22,7 @@ from metacl.networks import (
     ParameterGenerator,
     film_transform,
 )
+from metacl.trainer import evaluate
 
 
 def small_model(**kw):
@@ -275,78 +276,52 @@ def test_task_features_rejects_task_outside_generator_capacity():
         model.task_features(np.zeros((1, 4)), 3)
 
 
-def unfused_features(model, x, task_id=None):
-    """The trunk as primitive ops, with FiLM (``film_transform`` on
-    ``coefficients``) where the model applies it when ``task_id`` is given."""
-    a = Tensor(x)
-    last = len(model.extractor.layers) - 1
-    for index, (w, b) in enumerate(model.extractor.layers):
-        a = relu(matmul(a, w) + b)
-        if task_id is not None and (model.transform_mode == "per_layer"
-                                    or index == last):
-            a = film_transform(a, *model.generator.coefficients(task_id, index))
-    return a
-
-
-def unfused_logits(model, x, task_id):
-    w, b = model.heads.heads[task_id]
-    return matmul(relu(unfused_features(model, x, task_id)), w) + b
-
-
-def unfused_discriminate(model, features, seen):
-    d = model.discriminator
-    hidden = relu(matmul(features, d.w1) + d.b1)
-    return mask_cols(matmul(hidden, d.w2) + d.b2, seen + 1)
-
-
-def model_loss(model, rows, fused):
-    """CE of task 1 and task 2 logits plus discriminator CE on the plain
-    trunk: every parameter group, both tables' rows, several trunk passes."""
-    rng = np.random.default_rng(rows)
-    x1, x2 = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 4))
-    y1, y2 = rng.integers(0, 3, size=rows), rng.integers(0, 3, size=rows)
-    if fused:
-        logits1, logits2 = model.logits(x1, 1), model.logits(x2, 2)
-        disc = model.discriminate(model.extract(x1), 2)
-    else:
-        logits1, logits2 = unfused_logits(model, x1, 1), unfused_logits(model, x2, 2)
-        disc = unfused_discriminate(model, unfused_features(model, x1), 2)
-    return (softmax_cross_entropy(logits1, y1)
-            + softmax_cross_entropy(logits2, y2)
-            + softmax_cross_entropy(disc, np.full(rows, 2)))
-
-
 @pytest.mark.parametrize("share", [True, False], ids=["shared", "per-layer"])
-@pytest.mark.parametrize("mode", ["per_layer", "last"])
-@pytest.mark.parametrize("rows", [1, 5])
-@pytest.mark.parametrize("group", ["all", "extractor+heads", "generator",
-                                   "discriminator"])
-def test_fused_model_is_bitwise_equal_to_unfused(share, mode, rows, group):
-    def run(fused):
-        model = small_model(share_embedding=share, transform_mode=mode)
-        for t in (1, 2):
-            model.register_task(t)
-        rng = np.random.default_rng(3)
-        for p in model.all_params():  # mid-training values: nonzero biases
-            p.data += 0.1 * rng.normal(size=p.data.shape)
-        params = {"all": model.all_params(),
-                  "extractor+heads": model.extractor_params()
-                  + model.head_params(),
-                  "generator": model.generator_params(),
-                  "discriminator": model.discriminator_params()}[group]
-        with grad_only(params, model.all_params()):
-            loss = model_loss(model, rows, fused)
-            backward(loss)
-        return loss, model.all_params()
+@pytest.mark.parametrize("head", ["multi", "single"])
+@pytest.mark.parametrize("mode", ["per_layer", "last", "off"])
+@pytest.mark.parametrize("rows", [1, 5, 600])
+def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
+    # snapshots and evaluation run a one-group TaskForward; the layer
+    # methods are the reference path they must equal byte for byte. 600
+    # rows cross evaluate's chunk of 512
+    chunk = 512
+    model = small_model(share_embedding=share, head_mode=head,
+                        transform_mode=mode)
+    for t in (1, 2, 3):
+        model.register_task(t)
+    rng = np.random.default_rng(rows)
+    for p in model.all_params():  # mid-training values: nonzero biases
+        p.data += 0.1 * rng.normal(size=p.data.shape)
+    x = rng.normal(size=(rows, 4))
+    with no_grad():
+        want_logits = {t: model.logits(x, t).data for t in (1, 2)}
+        want_preds = {t: np.concatenate([
+            model.logits(x[s:s + chunk], t).data.argmax(axis=1)
+            for s in range(0, rows, chunk)]) for t in (1, 2)}
+        features = model.extract(x)
+        want_disc = {seen: model.discriminate(features, seen).data[:, :seen + 1]
+                     for seen in (1, 2, 3)}
 
-    loss, params = run(fused=True)
-    ref, ref_params = run(fused=False)
-    assert loss.data.tobytes() == ref.data.tobytes()
-    assert any(p.grad is not None for p in params)
-    for p, r in zip(params, ref_params):
-        assert (p.grad is None) == (r.grad is None)
-        if p.grad is not None:
-            assert p.grad.tobytes() == r.grad.tobytes()
+    first_node = next(autodiff._node_seq)
+    for t in (1, 2):
+        assert model.snapshot_logits(x, t).tobytes() == want_logits[t].tobytes()
+    assert (model.snapshot_disc_logits(x).tobytes()
+            == want_disc[3].tobytes())
+    for seen in (1, 2, 3):
+        got = model.snapshot_disc_logits(x, seen)
+        assert got.shape == (rows, seen + 1)
+        assert got.tobytes() == want_disc[seen].tobytes()
+    # labels equal to the reference predictions score 1.0 exactly when every
+    # prediction matches, and labels off by one score 0.0
+    tasks = [Task(t, Split(x[:0], np.zeros(0, dtype=int)),
+                  Split(x, (want_preds[t] + shift) % 3), (0, 1, 2), 3)
+             for t in (1, 2) for shift in (0, 1)]
+    accuracy = [evaluate(model, [task], chunk)[task.task_id] for task in tasks]
+    assert accuracy == [1.0, 0.0, 1.0, 0.0]
+    assert next(autodiff._node_seq) == first_node + 1  # no node recorded
+    assert all(p.grad is None for p in model.all_params())
+    with pytest.raises(CapacityError):
+        model.snapshot_disc_logits(x, model.k_max + 1)
 
 
 def test_transform_last_differs_from_per_layer():

@@ -1,13 +1,16 @@
 """Smoke tests for the demos and the benchmark entry point.
 
 The demos import metacl's public API at module level, so importing each one
-catches a renamed or deleted name without running the demo. The benchmark
+catches a renamed or deleted name without running the demo. The fast demos
+(01 to 03, about 2 s together) also run to the end, which calls the model's
+forward paths and snapshots they show. The benchmark
 patches metacl's functions where their callers look them up; a short run of
 it catches a refactor that moves one of those names.
 """
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +25,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_imports(path):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+@pytest.mark.parametrize("path", DEMOS[:3], ids=lambda path: path.stem)
+def test_fast_demo_runs(path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -632,25 +632,45 @@ def test_step_tape_sizes_are_pinned(monkeypatch):
     assert sizes == [6, 3, 1]
 
 
-def test_step_trunk_passes_are_pinned(monkeypatch):
-    # every loss node runs the trunk itself, not through
-    # FeatureExtractor.forward, so no step makes a trunk pass of its own;
-    # only snapshots and evaluation call it
-    trainer, train, val = three_task_trainer()
+def count_trunk_passes(monkeypatch):
+    """A list that ``FeatureExtractor.forward`` appends to on every call."""
     passes = []
     forward = networks.FeatureExtractor.forward
 
     def counted(*args, **kwargs):
-        passes[-1] += 1
+        passes.append(1)
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(networks.FeatureExtractor, "forward", counted)
+    return passes
+
+
+def test_step_trunk_passes_are_pinned(monkeypatch):
+    # every loss node runs the trunk itself, not through
+    # FeatureExtractor.forward, so no step makes a trunk pass of its own;
+    # only the reference path (the model's layer methods) calls it
+    trainer, train, val = three_task_trainer()
+    passes = count_trunk_passes(monkeypatch)
     for step in (lambda: trainer.inner_step(train),
                  lambda: trainer.outer_step(val),
                  lambda: trainer.adversarial_step(train.batch)):
-        passes.append(0)
         step()
-    assert passes == [0, 0, 0]
+        assert passes == []
+
+
+@pytest.mark.parametrize("method", ["scale", "er"])
+def test_training_and_evaluation_make_no_layer_path_trunk_pass(monkeypatch,
+                                                               method):
+    # snapshots and evaluation read a one-group TaskForward, as the loss
+    # nodes do, so a whole task's training and its evaluation never run the
+    # reference path
+    stream = small_stream()
+    trainer = build_trainer(stream, small_config(method=method), 0)
+    passes = count_trunk_passes(monkeypatch)
+    for task in stream.tasks[:2]:  # the second task draws memory rows
+        trainer.train_task(task)
+    evaluate(trainer.model, stream.tasks[:2])
+    assert passes == []
 
 
 # -- non-finite losses ----------------------------------------------------------------
