@@ -611,9 +611,11 @@ class TaskForward:
     """Rows grouped by task through a task-conditioned MLP: per trunk layer
     ``relu(a @ w + b)``, optionally followed by FiLM with the task's
     coefficients, then the task's head ``relu(a) @ w + b``. Group k holds
-    ``sizes[k]`` consecutive rows of task ``tasks[k]``; ``layers`` holds
-    (w, b, film) per trunk layer, film being None or FiLM's (table,
-    w_scale, b_scale, w_shift, b_shift), and ``heads`` one (w, b) per group.
+    ``sizes[k]`` consecutive rows of task ``tasks[k]``; the groups split
+    the rows of ``x`` exactly and their tasks are distinct, or
+    ``ContractError`` is raised. ``layers`` holds (w, b, film) per trunk
+    layer, film being None or FiLM's (table, w_scale, b_scale, w_shift,
+    b_shift), and ``heads`` one (w, b) per group.
 
     Every matmul runs per group, on exactly the operands the chain of
     primitive ops uses for that group alone (``FeatureExtractor.forward``
@@ -647,6 +649,11 @@ class TaskForward:
         self.tasks = list(tasks)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         ends = list(itertools.accumulate(self.sizes.tolist()))
+        if (not ends or ends[-1] != len(x) or len(self.tasks) != len(ends)
+                or len(set(self.tasks)) != len(ends) or min(sizes) < 0):
+            raise ContractError(
+                f"TaskForward: groups {self.tasks} of sizes "
+                f"{self.sizes.tolist()} do not split {len(x)} rows")
         self.bounds = list(zip([0, *ends[:-1]], ends))
         self.layers, self.heads = layers, heads
         self.relu_tail = layers[-1][2] is None

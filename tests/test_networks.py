@@ -324,6 +324,68 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
         model.snapshot_disc_logits(x, model.k_max + 1)
 
 
+# every forward of the model on raw input rows, reference path and fast path
+FORWARDS = {
+    "extract": lambda model, x: model.extract(x),
+    "task_features": lambda model, x: model.task_features(x, 1),
+    "logits": lambda model, x: model.logits(x, 1),
+    "task_forward": lambda model, x: model.task_forward(x, [1], [len(x)]),
+    "discriminator_forward": lambda model, x: model.discriminator_forward(
+        x, [0], [len(x)], "trunk"),
+    "snapshot_logits": lambda model, x: model.snapshot_logits(x, 1),
+    "snapshot_disc_logits": lambda model, x: model.snapshot_disc_logits(x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARDS))
+@pytest.mark.parametrize("shape", [(2, 5), (2, 3), (4,), (1, 2, 4)], ids=str)
+def test_forward_rejects_malformed_input_before_any_work(name, shape):
+    model = small_model()
+    model.register_task(1)
+    first_node = next(autodiff._node_seq)
+    with pytest.raises(ConfigurationError, match="expects"):
+        FORWARDS[name](model, np.zeros(shape))
+    assert next(autodiff._node_seq) == first_node + 1  # no node recorded
+
+
+@pytest.mark.parametrize("forward", ["task", "discriminator"])
+@pytest.mark.parametrize("tasks, sizes", [
+    ([1, 2], [2, 2]), ([1, 2], [3, 3]), ([1, 2], [5]), ([1], [2, 3]),
+    ([1, 2], [6, -1]), ([2, 2], [2, 3]), ([], [])],
+    ids=["rows-left-over", "rows-missing", "task-without-size",
+         "size-without-task", "negative-size", "task-twice", "no-group"])
+def test_task_forward_rejects_groups_that_do_not_split_the_rows(forward, tasks,
+                                                                sizes):
+    model = small_model()
+    model.register_task(1)
+    model.register_task(2)
+    x = np.zeros((5, 4))
+    with pytest.raises(ContractError, match="TaskForward"):
+        if forward == "task":
+            model.task_forward(x, tasks, sizes)
+        else:
+            model.discriminator_forward(x, tasks, sizes, "trunk")
+
+
+@pytest.mark.parametrize("mode", ["per_layer", "last", "off"])
+def test_nan_input_row_reaches_its_logits_on_both_paths(mode):
+    # the ReLUs pass NaN, so a non-finite input shows in its own row of the
+    # snapshots, as on the reference path, and in no other row
+    model = small_model(transform_mode=mode)
+    model.register_task(1)
+    model.register_task(2)
+    x = np.random.default_rng(4).normal(size=(3, 4))
+    x[1, 0] = np.nan
+    with no_grad():
+        want = model.logits(x, 2).data
+        want_disc = model.discriminate(model.extract(x)).data[:, :3]
+    for got, ref in ((model.snapshot_logits(x, 2), want),
+                     (model.snapshot_disc_logits(x), want_disc)):
+        assert np.isnan(got[1]).all()
+        assert np.isfinite(got[[0, 2]]).all()
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_transform_last_differs_from_per_layer():
     per_layer = small_model(transform_mode="per_layer")
     last = small_model(transform_mode="last")
