@@ -1,15 +1,24 @@
-"""Versioned checkpoint files.
+"""Versioned checkpoint files, and the one atomic writer for every file metacl
+writes.
 
-A checkpoint is a single ``.npz`` container holding a JSON metadata blob,
-one array member per parameter, and one member per memory field (``x``,
-``y``, ``t``, the padded snapshots ``h`` and ``h_disc`` and their width
-columns), so the member count does not grow with the stored rows. The
-metadata keeps the memory's budget, per-task seen counts and reservoir RNG
-state. Round trips are bit-exact: parameters, memory contents (including
-logit snapshots and the reservoir RNG state), and the accuracy matrix all
-reload to identical values, so a run can stop between tasks and resume as if
-uninterrupted. This reader handles format version 2 only; version 1 files
-(one member per stored sample) are rejected.
+A checkpoint is a single ``.npz`` container with nine members at most, however
+many tasks and rows it holds: a JSON metadata blob, every parameter as one flat
+float64 ``params`` array in ``all_params()`` order, and one member per memory
+field (``x``, ``y``, ``t``, the padded snapshots ``h`` and ``h_disc`` and their
+width columns). The metadata keeps the model's architecture and seen tasks, the
+memory's budget, per-task seen counts and reservoir RNG state, the accuracy
+matrix and a free ``extra`` dict. All of these reload bit-exact.
+
+A checkpoint restores those objects, not a run. A ``Trainer`` built on a loaded
+model and memory starts from an empty ``RunState``: its update counters,
+``samples_seen`` and accuracy matrix begin empty (the saved matrix is returned
+but cannot be handed to a trainer), and its random streams restart from the
+seed unless the caller saved ``rng_states()`` in ``extra`` and sets them back.
+With those set back, the remaining tasks leave parameters and memory equal to
+an uninterrupted run's; the counters and the record still differ.
+
+This reader handles format version 3 only; version 1 (one member per stored
+sample) and version 2 (one member per parameter) files are rejected.
 """
 
 import json
@@ -25,8 +34,25 @@ from .memory import Draw, EpisodicMemory
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _KIND = "continual-model-checkpoint"
+
+
+def atomic_write(path, write):
+    """Write ``path`` whole or not at all: ``write(f)`` fills a binary temp
+    file beside it, which then replaces it. If anything raises, the temp file
+    is removed and ``path`` keeps its old contents."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def model_config(model):
@@ -53,15 +79,12 @@ class Checkpoint:
     memory: Optional[EpisodicMemory]
     matrix: Optional[AccuracyMatrix]
     extra: dict
-    meta: dict
 
 
 def save_checkpoint(path, model, memory=None, matrix=None, extra=None):
     """Write a versioned checkpoint atomically (write then rename)."""
-    arrays = {}
-    params = model.all_params()
-    for i, p in enumerate(params):
-        arrays[f"param/{i}"] = p.data
+    arrays = {"params": np.concatenate(
+        [p.data.ravel() for p in model.all_params()], dtype=np.float64)}
     mem_meta = None
     if memory is not None:
         rows = memory.rows()
@@ -77,24 +100,12 @@ def save_checkpoint(path, model, memory=None, matrix=None, extra=None):
         "version": FORMAT_VERSION,
         "model": model_config(model),
         "seen_tasks": [int(t) for t in model.seen_tasks],
-        "n_params": len(params),
         "memory": mem_meta,
         "matrix": matrix.to_rows() if matrix is not None else None,
         "extra": extra or {},
     }
     arrays["__meta__"] = np.array(json.dumps(meta))
-
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            np.savez(f, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    atomic_write(path, lambda f: np.savez(f, **arrays))
 
 
 def load_checkpoint(path):
@@ -109,9 +120,14 @@ def load_checkpoint(path):
         return _decode(path, data)
 
 
+def _member(path, data, key):
+    if key not in data.files:
+        raise FormatError(f"{path}: missing array {key!r}")
+    return data[key]
+
+
 def _decode(path, data):
-    files = set(data.files)
-    if "__meta__" not in files:
+    if "__meta__" not in data.files:
         raise FormatError(f"{path}: not a checkpoint (missing metadata)")
     meta = json.loads(str(data["__meta__"]))
     if meta.get("kind") != _KIND:
@@ -125,29 +141,20 @@ def _decode(path, data):
     for t in meta["seen_tasks"]:
         model.register_task(t)
     params = model.all_params()
-    if meta["n_params"] != len(params):
+    sizes = [p.data.size for p in params]
+    flat = _member(path, data, "params")
+    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
         raise FormatError(
-            f"{path}: {meta['n_params']} stored parameters, "
-            f"rebuilt model has {len(params)}")
-    for i, p in enumerate(params):
-        key = f"param/{i}"
-        if key not in files:
-            raise FormatError(f"{path}: missing array {key!r}")
-        arr = data[key]
-        if arr.shape != p.data.shape:
-            raise FormatError(
-                f"{path}: {key} has shape {arr.shape}, expected {p.data.shape}")
-        p.data = arr.astype(np.float64, copy=True)
+            f"{path}: 'params' is {flat.dtype} {flat.shape}, rebuilt model "
+            f"needs float64 ({sum(sizes)},)")
+    for p, part in zip(params, np.split(flat, np.cumsum(sizes)[:-1])):
+        p.data = part.reshape(p.data.shape)
 
     memory = None
     if meta["memory"] is not None:
         m = meta["memory"]
-        fields = {}
-        for name in Draw.FIELDS:
-            key = f"mem/{name}"
-            if key not in files:
-                raise FormatError(f"{path}: missing array {key!r}")
-            fields[name] = data[key]
+        fields = {name: _member(path, data, f"mem/{name}")
+                  for name in Draw.FIELDS}
         rng = np.random.default_rng(0)
         rng.bit_generator.state = m["rng_state"]
         seen_counts = {int(t): int(c) for t, c in m["seen_counts"].items()}
@@ -161,4 +168,4 @@ def _decode(path, data):
     if meta["matrix"] is not None:
         matrix = AccuracyMatrix.from_rows(meta["matrix"])
     return Checkpoint(model=model, memory=memory, matrix=matrix,
-                      extra=meta["extra"], meta=meta)
+                      extra=meta["extra"])

@@ -14,12 +14,13 @@ from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigurationError
 from .experiments import (
     GRID_SPACE,
+    GRID_TASKS,
     ablate,
     execute_run,
     grid,
-    mean_std,
     report,
     run_dir_name,
+    seed_stats,
     sweep,
 )
 
@@ -48,7 +49,8 @@ def build_parser():
     p_sweep.add_argument("--values", help="comma-separated axis values")
 
     p_grid = sub.add_parser("grid",
-                            help="hyperparameter grid on the first 3 tasks")
+                            help=f"hyperparameter grid on the first "
+                                 f"{GRID_TASKS} tasks")
     add_common(p_grid)
     p_grid.add_argument("--space", help="JSON {axis: [values]} restriction")
 
@@ -77,11 +79,11 @@ def assemble_config(args):
 
 
 def summarize(records, out):
-    acc_m, acc_s = mean_std(r.final_acc for r in records)
-    fm_m, fm_s = mean_std(r.final_fm for r in records)
+    s = seed_stats(records)
     first = records[0]
-    print(f"{first.method}-{first.ablation}: {len(records)} seed(s)  "
-          f"ACC {acc_m:.4f}±{acc_s:.4f}  FM {fm_m:.4f}±{fm_s:.4f}", file=out)
+    print(f"{first.method}-{first.ablation}: {s['n_seeds']} seed(s)  "
+          f"ACC {s['mean_acc']:.4f}±{s['std_acc']:.4f}  "
+          f"FM {s['mean_fm']:.4f}±{s['std_fm']:.4f}", file=out)
 
 
 def cmd_run(args, out):
@@ -99,9 +101,9 @@ def cmd_sweep(args, out):
         values = [json.loads(v) for v in args.values.split(",")]
     table = sweep(config, args.axis, values=values)
     for value, records in table.items():
-        acc_m, _ = mean_std(r.final_acc for r in records)
-        fm_m, _ = mean_std(r.final_fm for r in records)
-        print(f"{args.axis}={value}: ACC {acc_m:.4f}  FM {fm_m:.4f}", file=out)
+        s = seed_stats(records)
+        print(f"{args.axis}={value}: ACC {s['mean_acc']:.4f}  "
+              f"FM {s['mean_fm']:.4f}", file=out)
     print(f"table: {config.out_dir}/sweep-{args.axis}.csv", file=out)
     return 0
 
@@ -129,9 +131,9 @@ def cmd_ablate(args, out):
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
     table = ablate(config, modes=modes)
     for mode, records in table.items():
-        acc_m, _ = mean_std(r.final_acc for r in records)
-        fm_m, _ = mean_std(r.final_fm for r in records)
-        print(f"ablation {mode}: ACC {acc_m:.4f}  FM {fm_m:.4f}", file=out)
+        s = seed_stats(records)
+        print(f"ablation {mode}: ACC {s['mean_acc']:.4f}  "
+              f"FM {s['mean_fm']:.4f}", file=out)
     print(f"table: {config.out_dir}/ablations.csv", file=out)
     return 0
 

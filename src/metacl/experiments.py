@@ -16,12 +16,12 @@ import csv
 import io
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .config import config_hash, serialize_config
 from .datasets import (
     SyntheticSpec,
@@ -37,6 +37,7 @@ from .trainer import build_trainer, run_stream, task_capacity
 
 MEMORY_SWEEP_VALUES = (50, 100, 150, 200)
 LAMBDA3_SWEEP_VALUES = (0.03, 0.09, 0.3, 0.9)
+GRID_TASKS = 3  # the grid searches on the stream's first tasks only
 GRID_SPACE = {
     "inner_lr": (0.001, 0.01, 0.1),
     "outer_lr": (0.001, 0.01, 0.1),
@@ -45,6 +46,7 @@ GRID_SPACE = {
     "lambda3": (0.03, 0.09, 0.3, 0.9),
 }
 STEP_LOSSES = ("mean_inner_loss", "mean_outer_loss", "mean_disc_loss")
+STATS_COLUMNS = ("n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm")
 SUMMARY_COLUMNS = ("method", "ablation", "seed", "task_index", "acc_row",
                    "final_acc", "final_fm", "wall_s")
 
@@ -59,17 +61,7 @@ def _resolve_idx(path):
 
 
 def atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    atomic_write(path, lambda f: f.write(text.encode("utf-8")))
 
 
 # -- streams -----------------------------------------------------------------------
@@ -256,9 +248,14 @@ def execute_run(config, out_dir=None, stream=None):
     return records
 
 
-def mean_std(values):
-    a = np.asarray(list(values), dtype=np.float64)
-    return float(a.mean()), float(a.std())
+def seed_stats(records):
+    """The ``STATS_COLUMNS`` row of a set of seed-runs: their count, and the
+    mean and (population) std of final ACC and FM."""
+    accs = np.array([r.final_acc for r in records], dtype=np.float64)
+    fms = np.array([r.final_fm for r in records], dtype=np.float64)
+    return {"n_seeds": len(records),
+            "mean_acc": float(accs.mean()), "std_acc": float(accs.std()),
+            "mean_fm": float(fms.mean()), "std_fm": float(fms.std())}
 
 
 # -- sweeps, grid, ablations ------------------------------------------------------------
@@ -290,19 +287,14 @@ def sweep(config, axis, values=None, out_dir=None):
         cfg = replace(config, **{field_name: v})
         records = execute_run(cfg, out_dir)
         table[v] = records
-        acc_m, acc_s = mean_std(r.final_acc for r in records)
-        fm_m, fm_s = mean_std(r.final_fm for r in records)
-        rows.append({"axis": axis, "value": v, "n_seeds": len(records),
-                     "mean_acc": acc_m, "std_acc": acc_s,
-                     "mean_fm": fm_m, "std_fm": fm_s})
+        rows.append({"axis": axis, "value": v, **seed_stats(records)})
     write_csv(os.path.join(out_dir, f"sweep-{axis}.csv"),
-              ("axis", "value", "n_seeds", "mean_acc", "std_acc",
-               "mean_fm", "std_fm"), rows)
+              ("axis", "value") + STATS_COLUMNS, rows)
     return table
 
 
-def grid(config, space=None, out_dir=None, n_tasks=3):
-    """Grid search on the first ``n_tasks`` tasks, restricted to known values.
+def grid(config, space=None, out_dir=None):
+    """Grid search on the first ``GRID_TASKS`` tasks, restricted to known values.
 
     Returns (best_combo, rows) where best maximizes mean final accuracy.
     """
@@ -317,7 +309,7 @@ def grid(config, space=None, out_dir=None, n_tasks=3):
                 raise ConfigurationError(
                     f"grid axis {key} accepts {GRID_SPACE[key]}, got {v}")
     out_dir = out_dir if out_dir is not None else config.out_dir
-    base = replace(config, n_tasks=min(n_tasks, config.n_tasks))
+    base = replace(config, n_tasks=min(GRID_TASKS, config.n_tasks))
     stream = build_stream(base)
 
     keys = sorted(space)
@@ -330,16 +322,11 @@ def grid(config, space=None, out_dir=None, n_tasks=3):
     for combo in combos:
         cfg = replace(base, **combo)
         records = [run_single(cfg, seed, stream=stream) for seed in cfg.seeds]
-        acc_m, acc_s = mean_std(r.final_acc for r in records)
-        fm_m, fm_s = mean_std(r.final_fm for r in records)
-        row = dict(combo)
-        row.update({"n_seeds": len(records), "mean_acc": acc_m,
-                    "std_acc": acc_s, "mean_fm": fm_m, "std_fm": fm_s})
+        row = dict(combo, **seed_stats(records))
         rows.append(row)
-        if best is None or acc_m > best[1]:
-            best = (combo, acc_m)
-    write_csv(os.path.join(out_dir, "grid.csv"),
-              keys + ["n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm"],
+        if best is None or row["mean_acc"] > best[1]:
+            best = (combo, row["mean_acc"])
+    write_csv(os.path.join(out_dir, "grid.csv"), keys + list(STATS_COLUMNS),
               rows)
     return best[0], rows
 
@@ -353,14 +340,9 @@ def ablate(config, modes=("full", "A", "B", "C"), out_dir=None):
         cfg = replace(config, method="scale", ablation=mode)
         records = execute_run(cfg, out_dir)
         table[mode] = records
-        acc_m, acc_s = mean_std(r.final_acc for r in records)
-        fm_m, fm_s = mean_std(r.final_fm for r in records)
-        rows.append({"ablation": mode, "n_seeds": len(records),
-                     "mean_acc": acc_m, "std_acc": acc_s,
-                     "mean_fm": fm_m, "std_fm": fm_s})
+        rows.append({"ablation": mode, **seed_stats(records)})
     write_csv(os.path.join(out_dir, "ablations.csv"),
-              ("ablation", "n_seeds", "mean_acc", "std_acc",
-               "mean_fm", "std_fm"), rows)
+              ("ablation",) + STATS_COLUMNS, rows)
     return table
 
 
@@ -390,17 +372,13 @@ def report(result_dir):
         groups.setdefault((r.method, r.ablation), []).append(r)
     rows = []
     for (method, ablation), group in sorted(groups.items()):
-        acc_m, acc_s = mean_std(r.final_acc for r in group)
-        fm_m, fm_s = mean_std(r.final_fm for r in group)
         timed = [r.wall_s for r in group if r.wall_s is not None]
         rows.append({"method": method, "ablation": ablation,
-                     "n_seeds": len(group),
-                     "mean_acc": acc_m, "std_acc": acc_s,
-                     "mean_fm": fm_m, "std_fm": fm_s,
+                     **seed_stats(group),
                      "mean_seed_run_s": float(np.mean(timed)) if timed else None})
     write_csv(os.path.join(result_dir, "report.csv"),
-              ("method", "ablation", "n_seeds", "mean_acc", "std_acc",
-               "mean_fm", "std_fm", "mean_seed_run_s"), rows)
+              ("method", "ablation") + STATS_COLUMNS + ("mean_seed_run_s",),
+              rows)
     header = (f"{'method':<10} {'ablation':<8} {'n':>3} {'ACC':>15} {'FM':>15}"
               f" {'s/seed-run':>10}")
     lines = [header, "-" * len(header)]

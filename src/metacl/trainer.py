@@ -42,6 +42,8 @@ from .memory import EpisodicMemory, make_entry
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
 
+EVAL_CHUNK = 512  # test rows per evaluation forward
+
 
 @dataclass
 class RunState:
@@ -69,18 +71,18 @@ def _step_tasks(batch, draw):
     return sorted({batch.task_id, *draw.t.tolist()})
 
 
-def evaluate(model, tasks, chunk=512):
+def evaluate(model, tasks):
     """Per-task test accuracy; inference only, discriminator untouched.
-    Each chunk of a task's test rows is one one-group ``task_forward``."""
+    Each ``EVAL_CHUNK`` test rows of a task are one one-group ``task_forward``."""
     out = {}
     for task in tasks:
         if task.task_id not in model.seen_tasks:
             raise UnknownTaskError(f"task {task.task_id} was never trained")
         correct = 0
         with no_grad():
-            for start in range(0, len(task.test.x), chunk):
-                x = task.test.x[start:start + chunk]
-                y = task.test.y[start:start + chunk]
+            for start in range(0, len(task.test.x), EVAL_CHUNK):
+                x = task.test.x[start:start + EVAL_CHUNK]
+                y = task.test.y[start:start + EVAL_CHUNK]
                 logits = model.task_forward(x, [task.task_id], [len(x)]).logits
                 correct += int((logits.argmax(axis=1) == y).sum())
         out[task.task_id] = correct / len(task.test.x)
@@ -184,7 +186,7 @@ class Trainer(TaskLoop):
 
     # -- the three update kinds ------------------------------------------------
 
-    def inner_step(self, train_part, lr=None):
+    def inner_step(self, train_part):
         """One SGD step on the composite loss, moving extractor and heads."""
         batch, draw = train_part.batch, train_part.memory
         params = (self.model.extractor_params()
@@ -192,11 +194,11 @@ class Trainer(TaskLoop):
         loss = self._differentiate(
             params, lambda: total_loss(self.model, batch, draw, self.config),
             f"inner-step loss on task {batch.task_id}")
-        sgd_step(params, lr if lr is not None else self.config.inner_lr)
+        sgd_step(params, self.config.inner_lr)
         self.state.inner_updates += 1
         return loss.item()
 
-    def outer_step(self, val_part, lr=None):
+    def outer_step(self, val_part):
         """One SGD step on the validation-side loss, moving the generator.
 
         The loss is ``classification_loss``, CE + dark replay: the alignment
@@ -218,11 +220,11 @@ class Trainer(TaskLoop):
                 f"outer-step loss on task {batch.task_id}").item()
             live = [p for p in params if p.grad is not None]
             if live:
-                sgd_step(live, lr if lr is not None else self.config.outer_lr)
+                sgd_step(live, self.config.outer_lr)
         self.state.outer_updates += 1
         return loss
 
-    def adversarial_step(self, batch, lr=None):
+    def adversarial_step(self, batch):
         """One SGD step on the discriminator's loss, moving only its weights."""
         n_fake = max(1, round(self.config.fake_fraction * len(batch.x)))
         fake = noise_batch(self.config, self.noise_rng, n_fake,
@@ -237,7 +239,7 @@ class Trainer(TaskLoop):
             params,
             lambda: discriminator_loss(self.model, x, labels, draw, self.config),
             f"adversarial-step loss on task {batch.task_id}")
-        sgd_step(params, lr if lr is not None else self.config.adversarial_lr)
+        sgd_step(params, self.config.adversarial_lr)
         self.state.adversarial_updates += 1
         return loss.item()
 

@@ -4,6 +4,8 @@ The finite-difference checker is deliberately independent of the autodiff
 backward path: it re-evaluates the loss through fresh forward passes only.
 """
 
+import os
+
 import numpy as np
 
 from metacl.autodiff import backward, zero_grads
@@ -70,3 +72,35 @@ def check_gradients(loss_fn, params, step=1e-5, rtol=1e-4, min_denom=1e-8):
             f"gradient mismatch: worst rel err {rel.max():.3e} (rtol {rtol})")
     zero_grads(params)
     return worst
+
+
+class _FailingFile:
+    """A file that takes ``budget`` bytes, writes part of the next chunk, then
+    raises OSError, as a full disk would."""
+
+    def __init__(self, f, budget):
+        self._f, self._budget = f, budget
+
+    def write(self, data):
+        data = bytes(data)
+        if len(data) > self._budget:
+            self._f.write(data[:self._budget])
+            raise OSError("no space left on device")
+        self._budget -= len(data)
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def fail_writes_after(monkeypatch, budget):
+    """Make every file opened with ``os.fdopen`` fail after ``budget`` bytes."""
+    real = os.fdopen
+    monkeypatch.setattr(os, "fdopen",
+                        lambda *a, **k: _FailingFile(real(*a, **k), budget))

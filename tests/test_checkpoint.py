@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import fail_writes_after
 from metacl.checkpoint import (
     FORMAT_VERSION,
     load_checkpoint,
@@ -197,16 +198,18 @@ def test_wrong_version_rejected(tmp_path):
         load_checkpoint(dst)
 
 
-def test_version_1_file_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_format_rejected(tmp_path, version):
+    # version 1 held one member per stored sample, version 2 one per parameter
     model = build_model(small_stream(), SMALL, 0)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(src, model)
 
     def downgrade(arrays, meta):
-        meta["version"] = 1
+        meta["version"] = version
 
     rewrite(src, dst, downgrade)
-    with pytest.raises(FormatError, match="version 1 unsupported"):
+    with pytest.raises(FormatError, match=f"version {version} unsupported"):
         load_checkpoint(dst)
 
 
@@ -220,17 +223,25 @@ def filled_memory(rows, seed=0):
     return memory
 
 
-def test_member_count_does_not_grow_with_memory_rows(tmp_path):
-    model = build_model(small_stream(), SMALL, 0)
-    members = []
-    for rows in (10, 1000):
+def test_member_count_grows_with_neither_parameters_nor_rows(tmp_path):
+    want = sorted(["__meta__", "params"] + [f"mem/{name}" for name in
+                                            ("x", "y", "t", "h", "h_width",
+                                             "h_disc", "h_disc_width")])
+    sizes = set()
+    for n_tasks, rows in ((0, 10), (1, 1000), (3, 10)):
+        model = build_model(small_stream(), SMALL, 0)
+        for t in range(1, n_tasks + 1):
+            model.register_task(t)
         memory = filled_memory(rows)
         assert len(memory) == rows
-        path = tmp_path / f"m{rows}.npz"
+        path = tmp_path / f"m{n_tasks}-{rows}.npz"
         save_checkpoint(path, model, memory=memory)
         with np.load(path) as archive:
-            members.append(len(archive.files))
-    assert members[0] == members[1] == len(model.all_params()) + 8
+            assert sorted(archive.files) == want
+            assert archive["params"].shape == (
+                sum(p.data.size for p in model.all_params()),)
+            sizes.add(archive["params"].size)
+    assert len(sizes) == 3  # each model has a different parameter count
 
 
 def test_mixed_snapshot_widths_round_trip_bit_exact(tmp_path):
@@ -290,16 +301,26 @@ def test_missing_memory_field_rejected(tmp_path):
         load_checkpoint(dst)
 
 
-def test_missing_parameter_rejected(tmp_path):
+@pytest.mark.parametrize("tamper", ["missing", "truncated", "2-D", "float32"])
+def test_bad_params_member_rejected(tmp_path, tamper):
     model = build_model(small_stream(), SMALL, 0)
+    model.register_task(1)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
     save_checkpoint(src, model)
 
-    def drop(arrays, meta):
-        del arrays["param/0"]
+    def mutate(arrays, meta):
+        flat = arrays["params"]
+        if tamper == "missing":
+            del arrays["params"]
+        elif tamper == "truncated":
+            arrays["params"] = flat[:-1]
+        elif tamper == "2-D":
+            arrays["params"] = flat.reshape(1, -1)
+        else:
+            arrays["params"] = flat.astype(np.float32)
 
-    rewrite(src, dst, drop)
-    with pytest.raises(FormatError, match="param/0"):
+    rewrite(src, dst, mutate)
+    with pytest.raises(FormatError, match="'params'"):
         load_checkpoint(dst)
 
 
@@ -327,3 +348,16 @@ def test_save_is_atomic(tmp_path):
     save_checkpoint(path, model)
     assert sorted(os.listdir(tmp_path)) == ["c.npz"]
     assert glob.glob(str(tmp_path / "*.tmp")) == []
+
+
+@pytest.mark.parametrize("budget", [0, 100, 10_000])
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch, budget):
+    trainer, _, _ = trained_trainer()
+    path = tmp_path / "c.npz"
+    save_checkpoint(path, build_model(small_stream(), SMALL, 0))
+    before = path.read_bytes()
+    fail_writes_after(monkeypatch, budget)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, trainer.model, memory=trainer.memory)
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["c.npz"]

@@ -1,8 +1,10 @@
 """CLI tests: subcommands, flags, exit codes, diagnostics."""
 
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,8 +163,11 @@ def test_report_empty_dir(tmp_path):
 
 
 def test_console_entry_point_help():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "metacl.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for name in ("run", "sweep", "grid", "ablate", "report"):
         assert name in proc.stdout

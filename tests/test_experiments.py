@@ -8,12 +8,15 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import fail_writes_after
 from metacl.config import RunConfig, apply_overrides
 from metacl.errors import ConfigurationError, NoDataError
 from metacl.experiments import (
     GRID_SPACE,
+    GRID_TASKS,
     LAMBDA3_SWEEP_VALUES,
     MEMORY_SWEEP_VALUES,
+    ResultRecord,
     ablate,
     build_stream,
     execute_run,
@@ -24,6 +27,7 @@ from metacl.experiments import (
     run_dir_name,
     run_single,
     sweep,
+    write_record,
 )
 
 TINY = [
@@ -35,6 +39,14 @@ TINY = [
 
 def tiny_config(*extra):
     return apply_overrides(RunConfig(), TINY + list(extra))
+
+
+def csv_header(path):
+    with open(path, newline="") as f:
+        return next(csv.reader(f))
+
+
+STATS = ["n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm"]
 
 
 def test_build_stream_synthetic_shapes():
@@ -196,6 +208,20 @@ def test_record_reload_reproduces_values(tmp_path):
     assert loaded.wall_s == record.wall_s
 
 
+@pytest.mark.parametrize("budget", [0, 10])
+def test_failed_record_write_keeps_the_old_file(tmp_path, monkeypatch, budget):
+    record = ResultRecord(config_hash="0" * 64, method="scale", ablation="full",
+                          seed=0, acc_matrix=[[0.5]], final_acc=0.5,
+                          final_fm=0.0, samples_seen={1: 10}, counters={})
+    write_record(str(tmp_path), record)
+    before = (tmp_path / "record.json").read_bytes()
+    fail_writes_after(monkeypatch, budget)
+    with pytest.raises(OSError, match="no space"):
+        write_record(str(tmp_path), replace(record, final_acc=0.75))
+    assert (tmp_path / "record.json").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["record.json", "timing.json"]
+
+
 def test_summary_csv_columns_and_round_trip(tmp_path):
     config = tiny_config()
     records = execute_run(config, out_dir=str(tmp_path))
@@ -219,7 +245,7 @@ def test_sweep_defaults_and_degenerate(tmp_path):
     assert list(table) == [50]
     plain = run_single(apply_overrides(config, ["memory_budget=50"]), seed=0)
     assert table[50][0].record_bytes() == plain.record_bytes()
-    assert (tmp_path / "sweep-memory.csv").exists()
+    assert csv_header(tmp_path / "sweep-memory.csv") == ["axis", "value"] + STATS
 
 
 def test_sweep_validation(tmp_path):
@@ -240,13 +266,15 @@ def test_grid_restricted_space(tmp_path):
     assert len(rows) == 2
     assert best["inner_lr"] == 0.1
     assert best["lambda3"] in (0.03, 0.09)
-    assert (tmp_path / "grid.csv").exists()
+    assert csv_header(tmp_path / "grid.csv") == ["inner_lr", "lambda3"] + STATS
 
 
 def test_grid_truncates_to_first_three_tasks(tmp_path):
     config = tiny_config("n_tasks=5", "seeds=[0]")
     _, rows = grid(config, space={"lambda3": [0.03]}, out_dir=str(tmp_path))
-    record = run_single(apply_overrides(config, ["n_tasks=3"]), seed=0)
+    assert GRID_TASKS == 3
+    record = run_single(apply_overrides(config, [f"n_tasks={GRID_TASKS}"]),
+                        seed=0)
     assert rows[0]["mean_acc"] == record.final_acc
 
 
@@ -265,7 +293,7 @@ def test_grid_validation(tmp_path):
 def test_ablate_runs_all_modes(tmp_path):
     table = ablate(tiny_config(), modes=("full", "C"), out_dir=str(tmp_path))
     assert sorted(table) == ["C", "full"]
-    assert (tmp_path / "ablations.csv").exists()
+    assert csv_header(tmp_path / "ablations.csv") == ["ablation"] + STATS
 
 
 def test_execute_run_er(tmp_path):
@@ -312,6 +340,8 @@ def test_report_aggregates(tmp_path):
     assert by_method["finetune"]["std_acc"] == 0.0
     assert by_method["scale"]["n_seeds"] == 2
     assert "scale" in text and "finetune" in text
+    assert csv_header(tmp_path / "report.csv") == (
+        ["method", "ablation"] + STATS + ["mean_seed_run_s"])
     # csv round trip without loss
     with open(tmp_path / "report.csv", newline="") as f:
         loaded = list(csv.DictReader(f))
@@ -348,12 +378,19 @@ def test_report_mean_seconds_per_seed_run_skips_untimed_records(tmp_path):
     assert loaded["finetune"]["mean_seed_run_s"] == ""
 
 
-def test_report_mean_of_two_values():
+def test_seed_stats_mean_and_population_std():
     import numpy as np
-    from metacl.experiments import mean_std
-    m, s = mean_std([0.7, 0.9])
-    assert abs(m - 0.8) < 1e-15
-    assert abs(s - np.std([0.7, 0.9])) < 1e-15
+    from types import SimpleNamespace
+    from metacl.experiments import STATS_COLUMNS, seed_stats
+    records = [SimpleNamespace(final_acc=0.7, final_fm=0.1),
+               SimpleNamespace(final_acc=0.9, final_fm=0.3)]
+    stats = seed_stats(records)
+    assert list(stats) == list(STATS_COLUMNS) == STATS
+    assert stats["n_seeds"] == 2
+    assert abs(stats["mean_acc"] - 0.8) < 1e-15
+    assert abs(stats["std_acc"] - np.std([0.7, 0.9])) < 1e-15
+    assert abs(stats["mean_fm"] - 0.2) < 1e-15
+    assert abs(stats["std_fm"] - np.std([0.1, 0.3])) < 1e-15
 
 
 def test_report_empty_dir_raises(tmp_path):

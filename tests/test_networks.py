@@ -22,7 +22,7 @@ from metacl.networks import (
     ParameterGenerator,
     film_transform,
 )
-from metacl.trainer import evaluate
+from metacl.trainer import EVAL_CHUNK, evaluate
 
 
 def small_model(**kw):
@@ -283,8 +283,8 @@ def test_task_features_rejects_task_outside_generator_capacity():
 def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
     # snapshots and evaluation run a one-group TaskForward; the layer
     # methods are the reference path they must equal byte for byte. 600
-    # rows cross evaluate's chunk of 512
-    chunk = 512
+    # rows cross evaluate's chunk of EVAL_CHUNK = 512
+    chunk = EVAL_CHUNK
     model = small_model(share_embedding=share, head_mode=head,
                         transform_mode=mode)
     for t in (1, 2, 3):
@@ -316,7 +316,7 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
     tasks = [Task(t, Split(x[:0], np.zeros(0, dtype=int)),
                   Split(x, (want_preds[t] + shift) % 3), (0, 1, 2), 3)
              for t in (1, 2) for shift in (0, 1)]
-    accuracy = [evaluate(model, [task], chunk)[task.task_id] for task in tasks]
+    accuracy = [evaluate(model, [task])[task.task_id] for task in tasks]
     assert accuracy == [1.0, 0.0, 1.0, 0.0]
     assert next(autodiff._node_seq) == first_node + 1  # no node recorded
     assert all(p.grad is None for p in model.all_params())

@@ -151,9 +151,9 @@ def test_inner_step_freezes_generator_and_discriminator():
 
 
 def test_inner_step_descends_at_small_lr():
-    trainer, stream = fresh_trainer()
+    trainer, stream = fresh_trainer(inner_lr=1e-3)
     part, _ = first_partition(trainer, stream)
-    before = trainer.inner_step(part, lr=1e-3)
+    before = trainer.inner_step(part)
     after = total_loss(trainer.model, part.batch, part.memory,
                        trainer.config).item()
     assert after <= before
@@ -242,7 +242,7 @@ def test_adversarial_step_freezes_everything_but_discriminator():
 
 def test_adversarial_step_trains_a_working_classifier():
     # frozen extractor, separable clusters: 200 steps reach >90% task accuracy
-    trainer, _ = fresh_trainer(seed=1)
+    trainer, _ = fresh_trainer(seed=1, adversarial_lr=0.1)
     model = trainer.model
     model.register_task(1)
     model.register_task(2)
@@ -258,7 +258,7 @@ def test_adversarial_step_trains_a_working_classifier():
     for step in range(200):
         t = 1 + step % 2
         x = centers[t] + 0.3 * rng.normal(size=(16, 8))
-        trainer.adversarial_step(B(x, t), lr=0.1)
+        trainer.adversarial_step(B(x, t))
     correct = 0
     for t in (1, 2):
         x = centers[t] + 0.3 * rng.normal(size=(100, 8))
