@@ -8,7 +8,7 @@ experiment runner with deterministic, seedable runs.
 
 from .autodiff import Tensor, backward, no_grad, sgd_step, zero_grads
 from .config import RunConfig, load_config, parse_config, serialize_config
-from .datasets import SyntheticSpec, make_synthetic
+from .datasets import make_synthetic
 from .memory import Draw, EpisodicMemory, MemoryEntry, make_entry
 from .metrics import AccuracyMatrix, acc, fm
 from .networks import ContinualModel
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "backward", "no_grad", "sgd_step", "zero_grads",
     "RunConfig", "load_config", "parse_config", "serialize_config",
-    "SyntheticSpec", "make_synthetic",
+    "make_synthetic",
     "Draw", "EpisodicMemory", "MemoryEntry", "make_entry",
     "AccuracyMatrix", "acc", "fm",
     "ContinualModel",

@@ -133,13 +133,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 
-    def detach(self):
-        """Gradient-disconnected copy of the current value."""
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"

@@ -2,8 +2,9 @@
 
 Subcommands: run, sweep, grid, ablate, report. Configuration comes from an
 optional ``--config`` file overlaid with repeatable ``--set KEY=VALUE`` flags;
-``--seed``/``--seeds`` and ``--out`` are shortcuts for the matching keys.
-Exit code 0 on success, 2 on any validation or runtime error.
+``--seed``/``--seeds`` (one or the other) and ``--out`` are shortcuts for the
+matching keys. Exit code 0 on success, 2 on any usage, validation or runtime
+error.
 """
 
 import argparse
@@ -33,8 +34,9 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="single seed shortcut")
-        p.add_argument("--seeds", help="comma-separated seed list")
+        seeds = p.add_mutually_exclusive_group()
+        seeds.add_argument("--seed", type=int, help="single seed shortcut")
+        seeds.add_argument("--seeds", help="comma-separated seed list")
         p.add_argument("--out", help="output directory")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key")

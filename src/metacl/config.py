@@ -81,6 +81,9 @@ class RunConfig:
                 f"ablations apply to method=scale, not {self.method!r}")
         if not self.seeds:
             raise ConfigurationError("seeds must be non-empty")
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(
+                f"seeds must be distinct and >= 0, got {list(self.seeds)}")
         for name in ("feature_width", "depth", "embed_dim", "disc_hidden",
                      "n_in", "n_out", "n_ad", "batch_size", "replay_batch_size"):
             if getattr(self, name) < 1:
@@ -91,11 +94,23 @@ class RunConfig:
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be > 0")
         # k_max = 0 sizes the task capacity to the stream
-        for name in ("lambda1", "lambda2", "lambda3", "k_max", "memory_budget"):
+        for name in ("lambda1", "lambda2", "lambda3", "k_max", "memory_budget",
+                     "data_seed"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-        if self.dataset == "idx" and not self.idx_dir:
-            raise ConfigurationError("dataset=idx requires idx_dir")
+        if self.dataset == "idx":
+            if not self.idx_dir:
+                raise ConfigurationError("dataset=idx requires idx_dir")
+            return
+        # the fields only the synthetic stream reads
+        for name in ("n_tasks", "input_dim", "train_per_class",
+                     "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        if self.classes_per_task < 2:
+            raise ConfigurationError("classes_per_task must be >= 2")
+        if not self.noise_scale >= 0:
+            raise ConfigurationError("noise_scale must be >= 0")
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}

@@ -73,36 +73,6 @@ class Dataset:
         return int(np.prod(self.train.x.shape[1:]))
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Desk-scale Gaussian stream: sized so full runs finish in seconds.
-
-    Under the split protocol the stream has n_tasks * classes_per_task
-    distinct classes; under the permuted protocol classes_per_task classes
-    are shared and each task permutes the input dimensions.
-    """
-
-    n_tasks: int = 5
-    classes_per_task: int = 2
-    train_per_class: int = 200
-    test_per_class: int = 100
-    input_dim: int = 32
-    center_scale: float = 3.0
-    noise_scale: float = 1.0
-    protocol: str = "split"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_tasks < 1:
-            raise ConfigurationError("n_tasks must be >= 1")
-        if self.classes_per_task < 2:
-            raise ConfigurationError("classes_per_task must be >= 2")
-        if self.protocol not in ("split", "permuted"):
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-        if self.noise_scale < 0:
-            raise ConfigurationError("noise_scale must be >= 0")
-
-
 def standardize(train_x, test_x, eps=1e-12):
     """Affine per-feature map fitted on train only: train lands in [0, 1].
 
@@ -177,27 +147,32 @@ def make_permuted_stream(base, n_tasks, seed=0):
                       classes_per_task=base.n_classes, input_dim=dim)
 
 
-def make_synthetic(spec):
-    """Gaussian cluster stream per the spec's protocol; seed-deterministic."""
-    rng = np.random.default_rng([spec.seed, 50])
-    if spec.protocol == "split":
-        base = _gaussian_base(spec.n_tasks * spec.classes_per_task,
-                              spec.train_per_class, spec.test_per_class,
-                              spec.input_dim, spec.center_scale,
-                              spec.noise_scale, rng)
-        stream = make_split_stream(base, spec.classes_per_task)
+def make_synthetic(config):
+    """Gaussian cluster stream for a ``RunConfig``'s data fields, under its
+    protocol; deterministic in ``data_seed``.
+
+    Under the split protocol the stream has n_tasks * classes_per_task
+    distinct classes; under the permuted protocol classes_per_task classes
+    are shared and each task permutes the input dimensions.
+    """
+    rng = np.random.default_rng([config.data_seed, 50])
+    cluster_args = (config.train_per_class, config.test_per_class,
+                    config.input_dim, config.center_scale,
+                    config.noise_scale)
+    if config.protocol == "split":
+        base = _gaussian_base(config.n_tasks * config.classes_per_task,
+                              *cluster_args, rng)
+        stream = make_split_stream(base, config.classes_per_task)
         for task in stream.tasks:
             task.train.x, task.test.x = standardize(task.train.x, task.test.x)
         return stream
-    base = _gaussian_base(spec.classes_per_task, spec.train_per_class,
-                          spec.test_per_class, spec.input_dim,
-                          spec.center_scale, spec.noise_scale, rng)
+    base = _gaussian_base(config.classes_per_task, *cluster_args, rng)
     train_x, test_x = standardize(
         base.train.x.reshape(len(base.train.x), -1),
         base.test.x.reshape(len(base.test.x), -1))
     base = Dataset(train=Split(train_x, base.train.y),
                    test=Split(test_x, base.test.y), n_classes=base.n_classes)
-    return make_permuted_stream(base, spec.n_tasks, seed=spec.seed)
+    return make_permuted_stream(base, config.n_tasks, seed=config.data_seed)
 
 
 def batches(split, batch_size, seed, task_id=0):

@@ -24,7 +24,6 @@ import numpy as np
 from .checkpoint import atomic_write
 from .config import config_hash, serialize_config
 from .datasets import (
-    SyntheticSpec,
     load_idx_dataset,
     make_permuted_stream,
     make_split_stream,
@@ -70,17 +69,7 @@ def atomic_write_text(path, text):
 def build_stream(config):
     """TaskStream per the config's dataset block."""
     if config.dataset == "synthetic":
-        return make_synthetic(SyntheticSpec(
-            n_tasks=config.n_tasks,
-            classes_per_task=config.classes_per_task,
-            train_per_class=config.train_per_class,
-            test_per_class=config.test_per_class,
-            input_dim=config.input_dim,
-            center_scale=config.center_scale,
-            noise_scale=config.noise_scale,
-            protocol=config.protocol,
-            seed=config.data_seed,
-        ))
+        return make_synthetic(config)
     paths = [_resolve_idx(os.path.join(config.idx_dir, name))
              for name in IDX_NAMES]
     base = load_idx_dataset(*paths)

@@ -123,11 +123,11 @@ class EpisodicMemory:
     j < budget, which keeps every prefix of the stream uniformly represented.
     """
 
-    def __init__(self, budget_per_task=50, rng=None):
+    def __init__(self, budget_per_task, rng):
         if budget_per_task < 0:
             raise ContractError("budget_per_task must be non-negative")
         self.budget_per_task = budget_per_task
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.rng = rng
         self.seen_counts = {}
         self._start = {}  # task -> first row of its block, blocks in arrival order
         self._fill = {}  # task -> rows stored in its block
@@ -224,7 +224,7 @@ class EpisodicMemory:
         idx = rng.integers(0, self._n, size=batch_size)
         return self._gather(self._rows()[idx])
 
-    def partition(self, current_batch, rng, replay_batch_size=64):
+    def partition(self, current_batch, rng, replay_batch_size):
         """Split one optimization round into train and val sides.
 
         Both sides share the full current batch; each side gets its own

@@ -24,9 +24,6 @@ class AccuracyMatrix:
             raise ContractError(f"entry ({k}, {j}) was never recorded")
         return self._cells[(k, j)]
 
-    def has(self, k, j):
-        return (k, j) in self._cells
-
     @property
     def n_rows(self):
         return max((k for k, _ in self._cells), default=0)

@@ -83,9 +83,7 @@ def film_transform(features, scale_coeff, shift_coeff, eps=NORM_EPS):
 class FeatureExtractor:
     """Shared MLP trunk: ``depth`` affine+ReLU layers of ``width`` units."""
 
-    def __init__(self, input_dim, width=256, depth=2, rng=None):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, input_dim, width, depth, rng):
         self.input_dim = input_dim
         self.width = width
         self.layers = []
@@ -120,14 +118,12 @@ class FeatureExtractor:
 class ParameterGenerator:
     """Task embedding plus per-layer affine heads emitting (scale, shift).
 
-    One embedding table is shared across layers by default; pass
-    ``share_embedding=False`` for per-layer tables.
+    ``share_embedding`` gives one embedding table shared across layers;
+    otherwise each layer has its own.
     """
 
-    def __init__(self, layer_widths, embed_dim=64, capacity=32,
-                 share_embedding=True, rng=None):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, layer_widths, embed_dim, capacity, share_embedding,
+                 rng):
         self.embed_dim = embed_dim
         self.capacity = capacity
         self.share_embedding = share_embedding
@@ -174,13 +170,13 @@ class ParameterGenerator:
 class ClassifierHeads:
     """Per-task affine heads (multi-head) or one shared head (single-head)."""
 
-    def __init__(self, feature_dim, classes_per_task, mode="multi", rng_for_task=None):
+    def __init__(self, feature_dim, classes_per_task, mode, rng_for_task):
         if mode not in ("multi", "single"):
             raise ConfigurationError(f"unknown head mode {mode!r}")
         self.feature_dim = feature_dim
         self.classes_per_task = classes_per_task
         self.mode = mode
-        self._rng_for_task = rng_for_task or (lambda t: np.random.default_rng())
+        self._rng_for_task = rng_for_task
         self.heads = {}
         if mode == "single":
             self.heads[0] = _affine(self._rng_for_task(0), feature_dim, classes_per_task)
@@ -233,9 +229,7 @@ class Discriminator:
     which gives them exactly zero softmax probability.
     """
 
-    def __init__(self, feature_dim, k_max=32, hidden=64, rng=None):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, feature_dim, k_max, hidden, rng):
         self.k_max = k_max
         self.w1, self.b1 = _affine(rng, feature_dim, hidden)
         self.w2, self.b2 = _affine(rng, hidden, k_max + 1)
@@ -263,10 +257,9 @@ class ContinualModel:
       * ``off``       -- no task conditioning (ablation of the generator)
     """
 
-    def __init__(self, input_dim, classes_per_task, feature_width=256, depth=2,
-                 head_mode="multi", k_max=32, embed_dim=64,
-                 transform_mode="per_layer", share_embedding=True,
-                 disc_hidden=64, seed=0):
+    def __init__(self, input_dim, classes_per_task, feature_width, depth,
+                 head_mode, k_max, embed_dim, transform_mode, share_embedding,
+                 disc_hidden, seed=0):
         if transform_mode not in TRANSFORM_MODES:
             raise ConfigurationError(f"unknown transform mode {transform_mode!r}")
         self.input_dim = input_dim

@@ -288,10 +288,12 @@ def test_no_grad_blocks_recording():
     assert out.node is None and not out.requires_grad
 
 
-def test_detach_copies_and_disconnects():
+def test_tensor_of_a_copied_value_is_a_disconnected_constant():
     w = Tensor([1.0, 2.0], requires_grad=True)
-    d = (w * 2.0).detach()
+    d = Tensor((w * 2.0).data.copy())
     assert not d.requires_grad and d.node is None
+    backward(tsum(d * w))
+    np.testing.assert_array_equal(w.grad, [2.0, 4.0])  # no path through d
     d.data[0] = 99.0
     np.testing.assert_array_equal(w.data, [1.0, 2.0])
 

@@ -15,7 +15,7 @@ from metacl.checkpoint import (
     model_config,
     save_checkpoint,
 )
-from metacl.datasets import SyntheticSpec, make_synthetic
+from metacl.datasets import make_synthetic
 from metacl.errors import FormatError
 from metacl.memory import EpisodicMemory, make_entry
 from metacl.metrics import AccuracyMatrix
@@ -27,9 +27,9 @@ SMALL = RunConfig(feature_width=16, depth=2, embed_dim=4, disc_hidden=8,
 
 
 def small_stream(seed=0, protocol="split"):
-    return make_synthetic(SyntheticSpec(
+    return make_synthetic(RunConfig(
         n_tasks=3, classes_per_task=2, train_per_class=15, test_per_class=10,
-        input_dim=8, protocol=protocol, seed=seed))
+        input_dim=8, center_scale=3.0, protocol=protocol, data_seed=seed))
 
 
 def trained_trainer(seed=0, n_tasks=2, budget=5):

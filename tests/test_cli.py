@@ -75,6 +75,10 @@ INVALID_OVERRIDES = [
     ["n_in=0"], ["lambda1=-1"], ["fake_fraction=0"], ["replay_batch_size=0"],
     ["k_max=-1"], ["depth=0"], ["feature_width=0"],
     ["method=er", "transform_mode=bogus"],
+    ["protocol=rotated"], ["n_tasks=0"], ["classes_per_task=1"],
+    ["noise_scale=-1"], ["noise_scale=NaN"], ["input_dim=0"],
+    ["train_per_class=0"], ["test_per_class=0"], ["data_seed=-1"],
+    ["seeds=[-1]"], ["seeds=[0,0]"], ["seeds=[2,0,2]"],
 ]
 
 
@@ -82,12 +86,31 @@ INVALID_OVERRIDES = [
 def test_invalid_value_writes_no_run_directory(tmp_path, overrides):
     with pytest.raises(ConfigurationError):
         parse_config("\n".join(overrides))
-    argv = ["run", "--seed", "0", "--out", str(tmp_path)] + TINY
+    # seeds go in as a --set before the overrides, so a bad seed list wins
+    argv = ["run", "--out", str(tmp_path)] + TINY + ["--set", "seeds=[0]"]
     for pair in overrides:
         argv += ["--set", pair]
     code, _, err = invoke(argv)
     assert code == 2
     assert "error:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seeds", ["0,0", "-1"])
+def test_bad_seeds_flag_writes_no_run_directory(tmp_path, seeds):
+    code, _, err = invoke(["run", "--seeds", seeds, "--out", str(tmp_path)]
+                          + TINY)
+    assert code == 2
+    assert "seeds must be distinct and >= 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_and_seeds_flags_are_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        invoke(["run", "--seeds", "0,1,2", "--seed", "5",
+                "--out", str(tmp_path)] + TINY)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

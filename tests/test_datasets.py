@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metacl.config import RunConfig
 from metacl.datasets import (
     Dataset,
     Split,
-    SyntheticSpec,
     batches,
     load_idx,
     load_idx_dataset,
@@ -108,20 +108,28 @@ def test_permuted_rejects_zero_tasks():
 # -- synthetic generator ---------------------------------------------------------------
 
 
+def synthetic(**kw):
+    """The synthetic stream of a RunConfig, at the sizes and spread these
+    tests were written for: 200/100 samples per class, centre scale 3.0."""
+    kw = {"train_per_class": 200, "test_per_class": 100, "center_scale": 3.0,
+          **kw}
+    return make_synthetic(RunConfig(**kw))
+
+
 def test_synthetic_default_desk_shape():
-    stream = make_synthetic(SyntheticSpec())
+    stream = make_synthetic(RunConfig())
     assert len(stream) == 5
     assert stream.classes_per_task == 2
     assert stream.input_dim == 32
     for t in stream.tasks:
-        assert t.train.x.shape == (400, 32)
-        assert t.test.x.shape == (200, 32)
+        assert t.train.x.shape == (200, 32)
+        assert t.test.x.shape == (100, 32)
 
 
 def test_synthetic_deterministic():
-    a = make_synthetic(SyntheticSpec(seed=5))
-    b = make_synthetic(SyntheticSpec(seed=5))
-    c = make_synthetic(SyntheticSpec(seed=6))
+    a = synthetic(data_seed=5)
+    b = synthetic(data_seed=5)
+    c = synthetic(data_seed=6)
     for ta, tb in zip(a.tasks, b.tasks):
         assert np.array_equal(ta.train.x, tb.train.x)
         assert np.array_equal(ta.test.y, tb.test.y)
@@ -129,8 +137,7 @@ def test_synthetic_deterministic():
 
 
 def test_synthetic_noise_zero_is_separable():
-    stream = make_synthetic(SyntheticSpec(noise_scale=0.0, train_per_class=20,
-                                          test_per_class=10))
+    stream = synthetic(noise_scale=0.0, train_per_class=20, test_per_class=10)
     for t in stream.tasks:
         centroids = np.stack([t.train.x[t.train.y == c].mean(axis=0)
                               for c in range(t.n_classes)])
@@ -139,20 +146,10 @@ def test_synthetic_noise_zero_is_separable():
 
 
 def test_synthetic_permuted_protocol():
-    spec = SyntheticSpec(protocol="permuted", n_tasks=4)
-    stream = make_synthetic(spec)
+    stream = synthetic(protocol="permuted", n_tasks=4)
     assert stream.protocol == "permuted"
     assert len(stream) == 4
     assert all(t.label_set == (0, 1) for t in stream.tasks)
-
-
-def test_synthetic_spec_validation():
-    with pytest.raises(ConfigurationError):
-        SyntheticSpec(n_tasks=0)
-    with pytest.raises(ConfigurationError):
-        SyntheticSpec(protocol="rotated")
-    with pytest.raises(ConfigurationError):
-        SyntheticSpec(noise_scale=-1.0)
 
 
 @settings(max_examples=15, deadline=None)
@@ -161,10 +158,9 @@ def test_synthetic_spec_validation():
        st.sampled_from(["split", "permuted"]),
        st.integers(min_value=0, max_value=1000))
 def test_stream_invariants_property(n_tasks, cpt, protocol, seed):
-    spec = SyntheticSpec(n_tasks=n_tasks, classes_per_task=cpt,
-                         train_per_class=8, test_per_class=4,
-                         input_dim=6, protocol=protocol, seed=seed)
-    stream = make_synthetic(spec)
+    stream = synthetic(n_tasks=n_tasks, classes_per_task=cpt,
+                       train_per_class=8, test_per_class=4, input_dim=6,
+                       protocol=protocol, data_seed=seed)
     if protocol == "split":
         seen = set()
         for t in stream.tasks:
@@ -191,7 +187,7 @@ def test_standardization_train_only_stats():
 
 
 def test_stream_train_splits_standardized():
-    stream = make_synthetic(SyntheticSpec())
+    stream = synthetic()
     for t in stream.tasks:
         assert np.allclose(t.train.x.min(axis=0), 0.0)
         assert np.allclose(t.train.x.max(axis=0), 1.0)

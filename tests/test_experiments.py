@@ -330,6 +330,34 @@ def test_records_pinned(tmp_path, method, ablation):
     assert digest == PINNED_RECORDS[(method, ablation)]
 
 
+# sha256 over every task's train/test x and y (dtype, shape, bytes), computed
+# while the synthetic stream still had its own spec type: the stream a
+# RunConfig names must not change by a single byte
+PINNED_STREAMS = {
+    "split": (
+        (), "4ca8a4c693d64b2bddd575ea28911b46009f1b729349c450f51f2aa36ed3572b"),
+    "permuted": (
+        ("protocol=permuted", "n_tasks=4"),
+        "91c9c421b2ed3f9404390460554f8b836fbd11d495e2f43d57f57e9c7a221262"),
+}
+
+
+def stream_digest(stream):
+    h = hashlib.sha256()
+    for task in stream.tasks:
+        for a in (task.train.x, task.train.y, task.test.x, task.test.y):
+            h.update(f"{a.dtype}{a.shape}".encode("ascii"))
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+def test_streams_pinned(name):
+    overrides, digest = PINNED_STREAMS[name]
+    stream = build_stream(apply_overrides(RunConfig(), overrides))
+    assert stream_digest(stream) == digest
+
+
 def test_report_aggregates(tmp_path):
     execute_run(tiny_config("seeds=[0,1]"), out_dir=str(tmp_path))
     execute_run(tiny_config("method=finetune", "seeds=[0]"),

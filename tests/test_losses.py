@@ -54,6 +54,8 @@ def flat_model(classes=2, dim=3, **kw):
     kw.setdefault("k_max", 4)
     kw.setdefault("embed_dim", 4)
     kw.setdefault("disc_hidden", 6)
+    kw.setdefault("head_mode", "multi")
+    kw.setdefault("share_embedding", True)
     kw.setdefault("seed", 3)
     return ContinualModel(dim, classes, **kw)
 
@@ -268,7 +270,7 @@ def test_discriminator_perfect_separation_near_zero():
     # identity-ish extractor on non-negative inputs, hand-built separator
     model = ContinualModel(2, 2, feature_width=2, depth=2, k_max=3,
                            embed_dim=4, disc_hidden=2, transform_mode="off",
-                           seed=0)
+                           head_mode="multi", share_embedding=True, seed=0)
     model.register_task(1)
     for (w, b) in model.extractor.layers:
         w.data[:] = np.eye(2)
@@ -337,7 +339,8 @@ def test_discriminator_snapshot_width_check():
 def build_rich_setup(seed=9):
     model = ContinualModel(3, 2, feature_width=8, depth=2, k_max=4,
                            embed_dim=4, disc_hidden=6,
-                           transform_mode="per_layer", seed=seed)
+                           transform_mode="per_layer", head_mode="multi",
+                           share_embedding=True, seed=seed)
     model.register_task(1)
     model.register_task(2)
     rng = np.random.default_rng(seed)
@@ -735,7 +738,7 @@ def disc_setup(widths, n_tasks=3, n_rows=9, transform="per_layer", seed=12):
     perturbed but for the first row's."""
     model = ContinualModel(3, 2, feature_width=8, depth=2, k_max=n_tasks + 1,
                            embed_dim=4, disc_hidden=6, transform_mode=transform,
-                           seed=seed)
+                           head_mode="multi", share_embedding=True, seed=seed)
     for task in range(1, n_tasks + 1):
         model.register_task(task)
     rng = np.random.default_rng(seed)
@@ -844,6 +847,7 @@ def run_alignment_duel(seed, adversarial):
     rng = np.random.default_rng(seed)
     model = ContinualModel(2, 2, feature_width=16, depth=2, k_max=3,
                            embed_dim=4, disc_hidden=8, transform_mode="off",
+                           head_mode="multi", share_embedding=True,
                            seed=seed)
     model.register_task(1)
     model.register_task(2)

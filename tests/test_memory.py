@@ -179,7 +179,7 @@ def test_sample_task_frequencies_match_slot_proportions():
 def test_partition_empty_memory_degenerates_to_current():
     mem = EpisodicMemory(budget_per_task=3, rng=np.random.default_rng(0))
     batch = FakeBatch()
-    train, val = mem.partition(batch, np.random.default_rng(1))
+    train, val = mem.partition(batch, np.random.default_rng(1), 64)
     assert train.batch is batch and val.batch is batch
     assert len(train.memory) == 0 and len(val.memory) == 0
 
@@ -187,7 +187,7 @@ def test_partition_empty_memory_degenerates_to_current():
 def test_partition_requires_nonempty_batch():
     mem = EpisodicMemory(budget_per_task=3, rng=np.random.default_rng(0))
     with pytest.raises(ContractError):
-        mem.partition(FakeBatch(n=0), np.random.default_rng(1))
+        mem.partition(FakeBatch(n=0), np.random.default_rng(1), 64)
 
 
 def test_partition_draws_are_independent():
@@ -208,7 +208,8 @@ def test_partition_deterministic_given_rng_seed():
         mem.observe(entry_for(i))
 
     def draw(seed):
-        train, val = mem.partition(FakeBatch(), np.random.default_rng(seed))
+        train, val = mem.partition(FakeBatch(), np.random.default_rng(seed),
+                                   64)
         return (train.memory.x[:, 0].tolist(), val.memory.x[:, 0].tolist())
 
     assert draw(9) == draw(9)

@@ -33,6 +33,9 @@ def small_model(**kw):
     kw.setdefault("k_max", 4)
     kw.setdefault("embed_dim", 6)
     kw.setdefault("disc_hidden", 5)
+    kw.setdefault("head_mode", "multi")
+    kw.setdefault("transform_mode", "per_layer")
+    kw.setdefault("share_embedding", True)
     kw.setdefault("seed", 7)
     return ContinualModel(**kw)
 
@@ -117,6 +120,7 @@ def test_extractor_deterministic_init():
 
 def test_generator_coefficient_shapes():
     gen = ParameterGenerator([8, 8], embed_dim=4, capacity=5,
+                             share_embedding=True,
                              rng=np.random.default_rng(3))
     scale, shift = gen.coefficients(2, 1)
     assert scale.shape == (1, 8) and shift.shape == (1, 8)
@@ -124,6 +128,7 @@ def test_generator_coefficient_shapes():
 
 def test_generator_distinct_tasks_distinct_coefficients():
     gen = ParameterGenerator([8], embed_dim=4, capacity=5,
+                             share_embedding=True,
                              rng=np.random.default_rng(3))
     s1, _ = gen.coefficients(1, 0)
     s2, _ = gen.coefficients(2, 0)
@@ -132,6 +137,7 @@ def test_generator_distinct_tasks_distinct_coefficients():
 
 def test_generator_out_of_capacity():
     gen = ParameterGenerator([8], embed_dim=4, capacity=2,
+                             share_embedding=True,
                              rng=np.random.default_rng(3))
     with pytest.raises(UnknownTaskError):
         gen.coefficients(3, 0)

@@ -1,9 +1,12 @@
-"""Smoke tests for the demos and the benchmark entry point.
+"""Smoke tests for the demos, the README's library example and the benchmark
+entry point.
 
 The demos import metacl's public API at module level, so importing each one
 catches a renamed or deleted name without running the demo. The fast demos
 (01 to 03, about 2 s together) also run to the end, which calls the model's
-forward paths and snapshots they show. The benchmark
+forward paths and snapshots they show, and so does the README's ``python``
+block (about 1 s), so the documented library use keeps working; its config
+file example must parse. The benchmark
 patches metacl's functions where their callers look them up; a short run of
 it catches a refactor that moves one of those names.
 """
@@ -11,11 +14,14 @@ it catches a refactor that moves one of those names.
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from metacl.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -27,13 +33,34 @@ def test_demo_imports(path):
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
-@pytest.mark.parametrize("path", DEMOS[:3], ids=lambda path: path.stem)
-def test_fast_demo_runs(path):
+def run_python(argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("path", DEMOS[:3], ids=lambda path: path.stem)
+def test_fast_demo_runs(path):
+    out = run_python([str(path)])
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    out = run_python(["-c", block])
+    assert out.returncode == 0, out.stderr
+    # it prints final ACC and FM, then the accuracy matrix
+    assert len(out.stdout.splitlines()) == 2
+
+
+def test_readme_config_example_parses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    config = parse_config(block)
+    assert config.seeds == (0, 1, 2, 3, 4)
+    assert config.generator_mode == "negative-ce"
 
 
 @pytest.mark.parametrize("args", [

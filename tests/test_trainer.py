@@ -12,7 +12,6 @@ from metacl.autodiff import backward, sgd_step, softmax_cross_entropy, zero_grad
 from metacl.config import RunConfig
 from metacl.datasets import (
     Split,
-    SyntheticSpec,
     Task,
     TaskBatch,
     batches,
@@ -43,14 +42,11 @@ SMALL = dict(feature_width=16, depth=2, embed_dim=4, disc_hidden=8,
              batch_size=10, replay_batch_size=16, inner_lr=0.1)
 
 
-def small_stream(**kw):
-    kw.setdefault("n_tasks", 3)
-    kw.setdefault("classes_per_task", 2)
-    kw.setdefault("train_per_class", 15)
-    kw.setdefault("test_per_class", 10)
-    kw.setdefault("input_dim", 8)
-    kw.setdefault("protocol", "split")
-    return make_synthetic(SyntheticSpec(**kw))
+def small_stream(seed=0):
+    # 3 split tasks of 2 classes, centre scale 3.0 (the calibrated spread)
+    return make_synthetic(RunConfig(
+        n_tasks=3, train_per_class=15, test_per_class=10, input_dim=8,
+        center_scale=3.0, data_seed=seed))
 
 
 def small_config(**kw):
