@@ -22,14 +22,15 @@ is not taped op by op. The training losses ``task_cross_entropy``,
 ``task_dark_replay``, ``task_discriminator_loss`` and ``task_alignment`` are
 one node each over a ``TaskForward``, the forward of rows of many groups
 (tasks, or stored snapshot widths) through trunk, FiLM and heads. Its
-matmuls run per group, on exactly the operands of that group's chain of
-primitive ops (a matmul over several groups' rows is not bit-stable against
-its per-group row blocks); everything else runs as one numpy call over all
-rows or all groups' FiLM coefficients. The node lists every leaf once per
+matmuls run per group on exactly the operands of that group's chain of
+primitive ops, each into the group's rows of one array (a matmul over
+several groups' rows is not bit-stable against its per-group row blocks);
+FiLM's one-row products are one stacked matmul, run row by row; all else is
+one numpy call over all rows or groups. The node lists every leaf once per
 contribution the per-group chains send it, in the order those arrive, so
 ``backward`` adds them up exactly as it adds the chains', and its value and
-every gradient equal the chain's bit for bit. Inference (memory snapshots
-and evaluation) reads the logits of a one-group ``TaskForward`` built under
+every gradient equal the chain's bit for bit. Inference (snapshots and
+evaluation) reads the logits of a one-group ``TaskForward`` built under
 ``no_grad``, which records no node and plans no backward.
 
 The primitive ops are the reference path: the model's layer methods
@@ -357,9 +358,9 @@ def _cat(parts):
 
 
 def _row_products(rows, w):
-    """``rows[k:k + 1] @ w`` stacked over k: one matmul per row, each on
-    the operands a computation for that row alone uses."""
-    return _cat([rows[k:k + 1] @ w for k in range(len(rows))])
+    """``rows[k:k + 1] @ w`` stacked over k, as one stacked matmul: numpy
+    runs for each stacked row the product it runs for that row alone."""
+    return (rows[:, None, :] @ w)[:, 0, :]
 
 
 def _outer(e, g):
@@ -400,7 +401,7 @@ class _Film:
         s_hat = scale / (sqrt(tsum(scale * scale)) + eps)
         t_hat = shift / (sqrt(tsum(shift * shift)) + eps)
 
-    One matmul per task and coefficient; every other step is one call over
+    One stacked matmul per coefficient; every other step is one call over
     all K rows. ``params`` is (table, w_scale, b_scale, w_shift, b_shift).
     """
 
@@ -521,21 +522,6 @@ def _l2_grad(rows, norms, n, g):
     safe = np.where(norms > 0, norms, 1.0)
     scale = np.where(norms > 0, 1.0 / safe, 0.0) / n
     return rows * scale[:, None] * g
-
-
-def _affine_grads(g, x_data, w, b, need):
-    """The gradients matmul(x, w) + b sends to those of (x, w, b) flagged
-    in ``need``, in that order; ``x_data`` is the matmul's left operand.
-    b's is add's ``_unbroadcast`` from (B, F) to b's (F,): one row sum."""
-    need_x, need_w, need_b = need
-    grads = []
-    if need_x:
-        grads.append(g @ w.data.T)
-    if need_w:
-        grads.append(x_data.T @ g)
-    if need_b:
-        grads.append(g.sum(axis=0))
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +667,12 @@ class TaskForward:
             return mine if not copied else np.concatenate([theirs[:copied], mine])
 
         def products(a, weights):
-            return _cat([a[s:e] @ w.data for (s, e), w in zip(fresh, weights)])
+            if len(fresh) == 1:
+                return a @ weights[0].data
+            out = np.empty((len(a), weights[0].data.shape[1]))
+            for (s, e), w in zip(fresh, weights):
+                np.matmul(a[s:e], w.data, out=out[s:e])
+            return out
 
         self.inputs, self.masks, self.features = [], [], []
         self.films, self.scales = [], []
@@ -763,23 +754,24 @@ class TaskForward:
 
     def backward(self, g):
         """The contributions to ``leaves``, in order, of the gradient ``g``
-        on the logits."""
+        on the logits; the layer below's gets each group's rows in place."""
         bounds = self.bounds
         sent = [[] for _ in bounds]  # per group, in arrival order
 
         def affine(x, g, params, needs, below):
-            # each group's _affine_grads: its (w, b) contributions go to
-            # ``sent``; its gradient on x, joined over groups, is returned
-            # if ``below`` asks for it
-            below_parts = []
+            # each group's gradients of matmul(x, w) + b: those on (w, b) go
+            # to ``sent``, b's being add's _unbroadcast (one row sum); the
+            # one on x is returned if ``below`` asks for it
+            out = np.empty((len(g), len(params[0][0].data))) if below else None
             for k, ((s, e), (w, b), (need_w, need_b)) in enumerate(
                     zip(bounds, params, needs)):
-                grads = _affine_grads(g[s:e], x[s:e], w, b,
-                                      (below, need_w, need_b))
                 if below:
-                    below_parts.append(grads.pop(0))
-                sent[k] += grads
-            return _cat(below_parts) if below else None
+                    np.matmul(g[s:e], w.data.T, out=out[s:e])
+                if need_w:
+                    sent[k].append(x[s:e].T @ g[s:e])
+                if need_b:
+                    sent[k].append(g[s:e].sum(axis=0))
+            return out
 
         g = affine(self.head_relu, g, self.heads, self.head_needs,
                    bool(self.steps))
@@ -790,10 +782,17 @@ class TaskForward:
             w, b, _ = self.layers[index]
             if film_need is not None and any(film_need):
                 need_s, need_t = _film_needs(film_need)
-                stacks = self.films[index].grads(
-                    self._group_sums(g * self.features[index]) if need_s
-                    else None,
-                    self._group_sums(g) if need_t else None, film_need)
+                g_scaled = g * self.features[index] if need_s else None
+                width = g.shape[1]
+                if need_s and need_t and width > 1:
+                    # one group sum for both: axis-0 sums run per column (a
+                    # lone column's run pairwise)
+                    sums = self._group_sums(np.concatenate([g_scaled, g], 1))
+                    g_hat_s, g_hat_t = sums[:, :width], sums[:, width:]
+                else:
+                    g_hat_s = self._group_sums(g_scaled) if need_s else None
+                    g_hat_t = self._group_sums(g) if need_t else None
+                stacks = self.films[index].grads(g_hat_s, g_hat_t, film_need)
                 for k, grads in enumerate(sent):
                     grads += [stack[k] for stack in stacks]
             if own is None:
@@ -996,8 +995,11 @@ def backward(loss):
     # flow gradients through a temporary map, keyed by the node that made a
     # tensor or by the tensor itself for a leaf, so repeated backward calls
     # add exactly one extra unit of gradient per call; a node's output
-    # gradient is complete once every later node has run
+    # gradient is complete once every later node has run. A flow's second
+    # contribution makes a new array (0-d: an immutable scalar), which
+    # ``owned`` (by key: ids get reused) lets later ones add into in place
     flows = {loss if root is None else root: np.ones_like(loss.data)}
+    owned = set()
     for seq in sorted(nodes, reverse=True):
         node = nodes[seq]
         g_out = flows.pop(node, None)
@@ -1008,7 +1010,14 @@ def backward(loss):
                 continue
             key = inp if inp.node is None else inp.node
             prev = flows.get(key)
-            flows[key] = g if prev is None else prev + g
+            if prev is None:
+                flows[key] = g
+            elif key in owned:
+                np.add(prev, g, out=prev)
+            else:
+                flows[key] = prev = prev + g
+                if np.ndim(prev):
+                    owned.add(key)
 
     # every node has been popped, so only leaves remain
     for tensor, g in flows.items():

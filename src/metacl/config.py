@@ -10,6 +10,7 @@ directories.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError
@@ -70,6 +71,11 @@ class RunConfig:
     memory_budget: int = 50
 
     def __post_init__(self):
+        # as a list, seeds would leave the config unhashable
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite")
         for name, valid in (("method", METHODS), ("ablation", ABLATION_MODES),
                             ("dataset", DATASETS), ("protocol", PROTOCOLS),
                             ("transform_mode", TRANSFORM_MODES),

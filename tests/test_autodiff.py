@@ -399,6 +399,106 @@ def test_backward_leaves_no_grad_on_intermediates():
     np.testing.assert_array_equal(w.grad, 18.0 * w.data)
 
 
+def reference_backward(loss):
+    """``backward`` with every contribution after a flow's first added as
+    ``prev + g``, a new array each time: what the engine's in-place sums
+    must equal byte for byte."""
+    root = loss.node
+    nodes = {} if root is None else {root.seq: root}
+    stack = [] if root is None else [root]
+    while stack:
+        for inp in stack.pop().inputs:
+            node = inp.node
+            if node is not None and node.seq not in nodes:
+                nodes[node.seq] = node
+                stack.append(node)
+    flows = {loss if root is None else root: np.ones_like(loss.data)}
+    for seq in sorted(nodes, reverse=True):
+        node = nodes[seq]
+        g_out = flows.pop(node, None)
+        if g_out is None:
+            continue
+        for inp, g in zip(node.inputs, node.backward_fn(g_out)):
+            if g is None or not inp.requires_grad:
+                continue
+            key = inp if inp.node is None else inp.node
+            prev = flows.get(key)
+            flows[key] = g if prev is None else prev + g
+    for tensor, g in flows.items():
+        if tensor.requires_grad:
+            tensor.grad = g if tensor.grad is None else tensor.grad + g
+
+
+def _views_of_g_out(x):
+    """An identity op that sends x three views of its output gradient."""
+    return ad._make(x.data.copy(), (x, x, x),
+                    lambda g: (g, g[:], g.reshape(g.shape)))
+
+
+def _task_forward_loss(leaves):
+    # three task groups, so the trunk's weights get a contribution from
+    # each group's chain
+    rng = np.random.default_rng(31)
+    w1, b1, w2, b2, *heads = leaves
+    forward = ad.TaskForward(rng.normal(size=(7, 3)), [3, 1, 2], [2, 4, 1],
+                             [(w1, b1, None), (w2, b2, None)],
+                             [(heads[0], heads[1])] * 3, 1e-8)
+    return ad.task_cross_entropy(forward, rng.integers(0, 2, size=7))
+
+
+ENGINE_CASES = {
+    # one array sent to both inputs of add, and mul's two of x * x
+    "add-a-a": ([(3, 4)], lambda a: tsum((a + a) + a * 2.0 + a)),
+    "x-times-x": ([(3, 4)], lambda x: tsum(x * x + x * x + x)),
+    "views-of-g-out": ([(2, 5)], lambda x: tsum(_views_of_g_out(x * 1.5) + x)),
+    # w through three matmuls and a mul, x through a matmul and an add
+    "leaf-through-four-nodes": ([(4, 3), (3, 3)], lambda x, w: tsum(
+        matmul(relu(matmul(matmul(x, w), w)), w) + x) + tsum(w * w)),
+    "0-d-leaf": ([()], lambda c: tsum(Tensor(np.arange(3.0)) * c) + c * c + c),
+    "task-forward": ([(3, 4), (4,), (4, 4), (4,), (4, 2), (2,)],
+                     lambda *leaves: _task_forward_loss(leaves)),
+}
+
+
+def _watched(loss, returned):
+    """``loss``, every node under it noting in ``returned`` each array its
+    backward_fn returns, with a copy of that array's bytes."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop().node
+        if node is None or node in seen:
+            continue
+        seen.add(node)
+        stack.extend(node.inputs)
+
+        def noted(g, fn=node.backward_fn):
+            grads = fn(g)
+            returned.extend((a, np.asarray(a).tobytes())
+                            for a in grads if a is not None)
+            return grads
+        node.backward_fn = noted
+    return loss
+
+
+@pytest.mark.parametrize("calls", [1, 2], ids=["one-call", "two-calls"])
+@pytest.mark.parametrize("name", sorted(ENGINE_CASES))
+def test_backward_in_place_sums_equal_new_sums(name, calls):
+    # two calls without zeroing must still accumulate
+    shapes, make_loss = ENGINE_CASES[name]
+    grads = []
+    for engine in (backward, reference_backward):
+        rng = np.random.default_rng(30)
+        leaves = [Tensor(_signed(rng, shape), requires_grad=True)
+                  for shape in shapes]
+        returned = []
+        for _ in range(calls):
+            engine(_watched(make_loss(*leaves), returned))
+        for array, before in returned:
+            assert np.asarray(array).tobytes() == before, "a returned array changed"
+        grads.append([(p.grad.shape, p.grad.tobytes()) for p in leaves])
+    assert grads[0] == grads[1]
+
+
 # ---------------------------------------------------------------------------
 # numpy facts the task-vectorised loss nodes rely on: each must hold byte for
 # byte, or the nodes stop matching the per-task chains they replace
@@ -499,6 +599,66 @@ def test_numpy_row_slice_matmuls_equal_those_of_a_copy():
         assert (x[start:stop] @ w).tobytes() == (xs @ w).tobytes()
         assert (x[start:stop].T @ g[start:stop]).tobytes() == (xs.T @ gs).tobytes()
         assert (g[start:stop] @ w.T).tobytes() == (gs @ w.T).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_numpy_stacked_one_row_matmuls_equal_each_rows_own(seed):
+    # _row_products: FiLM's emb @ w per task and the table's g @ w.T, for
+    # a plain weight and a transposed view
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(40):
+        k, e, f = rng.integers(1, 25), rng.integers(1, 70), rng.integers(1, 70)
+        rows = _signed(rng, (k, e))
+        for w in (_signed(rng, (e, f)), _signed(rng, (f, e)).T):
+            stacked = (rows[:, None, :] @ w)[:, 0, :]
+            one_by_one = np.concatenate([rows[j:j + 1] @ w for j in range(k)])
+            assert stacked.tobytes() == one_by_one.tobytes()
+            assert ad._row_products(rows, w).tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_numpy_matmul_into_a_row_block_equals_a_fresh_product(seed):
+    # TaskForward's per-group products and its gradient on the layer below
+    # write each group's rows of one preallocated array
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(40):
+        n, e, f = rng.integers(1, 40), rng.integers(1, 70), rng.integers(1, 70)
+        a = _signed(rng, (n, e))
+        start = rng.integers(0, n)
+        stop = rng.integers(start, n + 1)
+        for w in (_signed(rng, (e, f)), _signed(rng, (f, e)).T):
+            out = np.full((n, f), np.nan)
+            np.matmul(a[start:stop], w, out=out[start:stop])
+            assert out[start:stop].tobytes() == (a[start:stop] @ w).tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 9, 64, 130])
+def test_numpy_axis_0_sums_side_by_side_equal_each_arrays_own(width):
+    # the FiLM gradient sums each group's rows of g * features and of g in
+    # one call over both placed side by side; not at width 1, where an
+    # array's own axis-0 sum runs over one contiguous column, pairwise
+    rng = np.random.default_rng(width)
+    for _ in range(40):
+        n = rng.integers(1, 300)
+        start = rng.integers(0, n)
+        stop = rng.integers(start, n + 1)
+        u = _signed(rng, (n, width)) * 10.0 ** rng.uniform(-6, 6, (n, width))
+        v = _signed(rng, (n, width))
+        sums = np.concatenate([u, v], 1)[start:stop].sum(axis=0)
+        assert sums[:width].tobytes() == u[start:stop].sum(axis=0).tobytes()
+        assert sums[width:].tobytes() == v[start:stop].sum(axis=0).tobytes()
+
+
+def test_numpy_in_place_add_equals_a_new_sum():
+    # backward adds a flow's third and later contributions into its buffer
+    rng = np.random.default_rng(6)
+    for shape in [(1,), (5,), (4, 8), (64, 64), (3, 9, 4)]:
+        acc, g = _signed(rng, shape), _signed(rng, shape)
+        acc.reshape(-1)[0], g.reshape(-1)[0] = -0.0, -0.0
+        g.reshape(-1)[-1] = np.inf
+        want = acc + g
+        np.add(acc, g, out=acc)
+        assert acc.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,9 @@ INVALID_OVERRIDES = [
     ["noise_scale=-1"], ["noise_scale=NaN"], ["input_dim=0"],
     ["train_per_class=0"], ["test_per_class=0"], ["data_seed=-1"],
     ["seeds=[-1]"], ["seeds=[0,0]"], ["seeds=[2,0,2]"],
+    ["center_scale=NaN"], ["noise_scale=Infinity"], ["inner_lr=Infinity"],
+    ["lambda3=Infinity"], ["noise_mean=NaN"], ["fake_fraction=Infinity"],
+    ["noise_mean=-Infinity"],
 ]
 
 

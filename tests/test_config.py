@@ -1,5 +1,7 @@
 """Config document tests: defaults, round trip, overrides, hashing."""
 
+from dataclasses import fields
+
 import pytest
 
 from metacl.config import (
@@ -66,6 +68,24 @@ def test_value_validation():
         parse_config("share_embedding = 1\n")
     with pytest.raises(ConfigurationError):
         parse_config("method er\n")
+
+
+FLOAT_FIELDS = [f.name for f in fields(RunConfig) if f.type is float]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_every_float_field_must_be_finite(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        RunConfig(**{name: value})
+
+
+def test_seeds_are_stored_as_a_tuple():
+    listed, paired = RunConfig(seeds=[0, 1]), RunConfig(seeds=(0, 1))
+    assert listed.seeds == (0, 1)
+    assert listed == paired
+    assert hash(listed) == hash(paired)
+    assert config_hash(listed) == config_hash(paired)
 
 
 def test_idx_config_skips_the_synthetic_only_checks():

@@ -514,10 +514,11 @@ NODE_LOSSES = {
 
 def node_setup(transform="per_layer", heads="multi", batch_task=2,
                share_embedding=True, draw_tasks=(1, 2), n_tasks=3, n_rows=9,
-               seed=12):
+               seed=12, width=8):
     """``n_tasks`` registered tasks; a draw of ``n_rows`` rows interleaving
     ``draw_tasks``, with perturbed snapshots; a batch of ``batch_task``."""
-    model = ContinualModel(3, 2, feature_width=8, depth=2, k_max=n_tasks + 1,
+    model = ContinualModel(3, 2, feature_width=width, depth=2,
+                           k_max=n_tasks + 1,
                            embed_dim=4, disc_hidden=6, transform_mode=transform,
                            head_mode=heads, share_embedding=share_embedding,
                            seed=seed)
@@ -628,6 +629,14 @@ def test_loss_nodes_match_the_chain_with_many_tasks_in_the_draw(heads,
                                       draw_tasks=tuple(range(1, 14)),
                                       n_tasks=14, n_rows=30)
     assert len(np.unique(memory.t)) >= 12
+    assert_nodes_match_reference(model, batch, memory, RunConfig(lambda3=0.3))
+
+
+def test_loss_nodes_match_the_chain_at_feature_width_one():
+    # the FiLM gradient sums each group's rows of g * features and of g in
+    # one call, but not at width 1, where numpy sums a lone column pairwise:
+    # groups of more than eight rows would tell the two apart
+    model, batch, memory = node_setup(width=1, n_rows=30)
     assert_nodes_match_reference(model, batch, memory, RunConfig(lambda3=0.3))
 
 
