@@ -60,11 +60,11 @@ def replay_draws_and_splits():
         x = np.zeros((8, 4))
 
     rng = np.random.default_rng(3)
-    train_side, val_side = mem.partition(Batch(), rng, replay_batch_size=16)
-    a = set(train_side.memory.x[:, 0].astype(int).tolist())
-    b = set(val_side.memory.x[:, 0].astype(int).tolist())
-    print(f"  train-side draw {len(train_side.memory)} rows, "
-          f"val-side {len(val_side.memory)}, overlap {len(a & b)}")
+    train_draw, val_draw = mem.partition(Batch(), rng, replay_batch_size=16)
+    a = set(train_draw.x[:, 0].astype(int).tolist())
+    b = set(val_draw.x[:, 0].astype(int).tolist())
+    print(f"  train-side draw {len(train_draw)} rows, "
+          f"val-side {len(val_draw)}, overlap {len(a & b)}")
     print("  both sides share the current batch; only the draws differ")
 
 

@@ -321,10 +321,10 @@ def slice_cols(x, n):
     return _make(x.data[:, :n].copy(), (x,), backward_fn)
 
 
-def _masked(x, valid, fill=MASK_FILL):
-    """A copy of ``x`` with columns >= ``valid`` set to ``fill``."""
+def _masked(x, valid):
+    """A copy of ``x`` with columns >= ``valid`` set to ``MASK_FILL``."""
     out = x.copy()
-    out[:, valid:] = fill
+    out[:, valid:] = MASK_FILL
     return out
 
 
@@ -335,12 +335,13 @@ def _unmasked(g, valid):
     return g
 
 
-def mask_cols(x, valid, fill=MASK_FILL):
-    """Replace columns >= ``valid`` with ``fill``; masked columns get no grad."""
+def mask_cols(x, valid):
+    """Replace columns >= ``valid`` with ``MASK_FILL``; masked columns get no
+    grad."""
     def backward_fn(g):
         return (_unmasked(g.copy(), valid),)
 
-    return _make(_masked(x.data, valid, fill), (x,), backward_fn)
+    return _make(_masked(x.data, valid), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,14 @@ many tasks and rows it holds: a JSON metadata blob, every parameter as one flat
 float64 ``params`` array in ``all_params()`` order, and one member per memory
 field (``x``, ``y``, ``t``, the padded snapshots ``h`` and ``h_disc`` and their
 width columns). The metadata keeps the model's architecture and seen tasks, the
-memory's budget, per-task seen counts and reservoir RNG state, the accuracy
-matrix and a free ``extra`` dict. All of these reload bit-exact.
+memory's budget, per-task seen counts and reservoir RNG state, and the
+accuracy matrix. All of these reload bit-exact.
 
-A checkpoint restores those objects, not a run. A ``Trainer`` built on a loaded
-model and memory starts from an empty ``RunState``: its update counters,
-``samples_seen`` and accuracy matrix begin empty (the saved matrix is returned
-but cannot be handed to a trainer), and its random streams restart from the
-seed unless the caller saved ``rng_states()`` in ``extra`` and sets them back.
-With those set back, the remaining tasks leave parameters and memory equal to
-an uninterrupted run's; the counters and the record still differ.
+A checkpoint restores those objects, not a run: a ``Trainer`` built on a loaded
+model and memory starts from an empty ``RunState`` and restarts its random
+streams from the seed. The seed-run is the unit of resumption; its
+``record.json`` is byte-stable, so a run-set stopped part way is finished by
+running its missing seeds again.
 
 This reader handles format version 3 only; version 1 (one member per stored
 sample) and version 2 (one member per parameter) files are rejected.
@@ -78,10 +76,9 @@ class Checkpoint:
     model: ContinualModel
     memory: Optional[EpisodicMemory]
     matrix: Optional[AccuracyMatrix]
-    extra: dict
 
 
-def save_checkpoint(path, model, memory=None, matrix=None, extra=None):
+def save_checkpoint(path, model, memory=None, matrix=None):
     """Write a versioned checkpoint atomically (write then rename)."""
     arrays = {"params": np.concatenate(
         [p.data.ravel() for p in model.all_params()], dtype=np.float64)}
@@ -102,7 +99,6 @@ def save_checkpoint(path, model, memory=None, matrix=None, extra=None):
         "seen_tasks": [int(t) for t in model.seen_tasks],
         "memory": mem_meta,
         "matrix": matrix.to_rows() if matrix is not None else None,
-        "extra": extra or {},
     }
     arrays["__meta__"] = np.array(json.dumps(meta))
     atomic_write(path, lambda f: np.savez(f, **arrays))
@@ -167,5 +163,4 @@ def _decode(path, data):
     matrix = None
     if meta["matrix"] is not None:
         matrix = AccuracyMatrix.from_rows(meta["matrix"])
-    return Checkpoint(model=model, memory=memory, matrix=matrix,
-                      extra=meta["extra"])
+    return Checkpoint(model=model, memory=memory, matrix=matrix)

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .config import RunConfig, apply_overrides, load_config
+from .config import ABLATION_MODES, RunConfig, apply_overrides, load_config
 from .errors import ConfigurationError
 from .experiments import (
     GRID_SPACE,
@@ -56,9 +56,10 @@ def build_parser():
     add_common(p_grid)
     p_grid.add_argument("--space", help="JSON {axis: [values]} restriction")
 
-    p_ablate = sub.add_parser("ablate", help="run ablations full, A, B, C")
+    p_ablate = sub.add_parser(
+        "ablate", help=f"run ablations {', '.join(ABLATION_MODES)}")
     add_common(p_ablate)
-    p_ablate.add_argument("--modes", default="full,A,B,C",
+    p_ablate.add_argument("--modes", default=",".join(ABLATION_MODES),
                           help="comma-separated ablation modes")
 
     p_report = sub.add_parser("report", help="aggregate records in a directory")
@@ -88,6 +89,15 @@ def summarize(records, out):
           f"FM {s['mean_fm']:.4f}±{s['std_fm']:.4f}", file=out)
 
 
+def print_table(table, label, path, out):
+    """One ACC/FM line per run-set of ``table``, then where its CSV is."""
+    for key, records in table.items():
+        s = seed_stats(records)
+        print(f"{label}{key}: ACC {s['mean_acc']:.4f}  "
+              f"FM {s['mean_fm']:.4f}", file=out)
+    print(f"table: {path}", file=out)
+
+
 def cmd_run(args, out):
     config = assemble_config(args)
     records = execute_run(config)
@@ -101,12 +111,8 @@ def cmd_sweep(args, out):
     values = None
     if args.values:
         values = [json.loads(v) for v in args.values.split(",")]
-    table = sweep(config, args.axis, values=values)
-    for value, records in table.items():
-        s = seed_stats(records)
-        print(f"{args.axis}={value}: ACC {s['mean_acc']:.4f}  "
-              f"FM {s['mean_fm']:.4f}", file=out)
-    print(f"table: {config.out_dir}/sweep-{args.axis}.csv", file=out)
+    print_table(sweep(config, args.axis, values=values), f"{args.axis}=",
+                f"{config.out_dir}/sweep-{args.axis}.csv", out)
     return 0
 
 
@@ -131,12 +137,8 @@ def cmd_grid(args, out):
 def cmd_ablate(args, out):
     config = assemble_config(args)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    table = ablate(config, modes=modes)
-    for mode, records in table.items():
-        s = seed_stats(records)
-        print(f"ablation {mode}: ACC {s['mean_acc']:.4f}  "
-              f"FM {s['mean_fm']:.4f}", file=out)
-    print(f"table: {config.out_dir}/ablations.csv", file=out)
+    print_table(ablate(config, modes=modes), "ablation ",
+                f"{config.out_dir}/ablations.csv", out)
     return 0
 
 

@@ -2,16 +2,19 @@
 
 Values are parsed as JSON where possible (numbers, booleans, lists) and fall
 back to bare strings, so ``method = scale`` and ``seeds = [0, 1]`` both work.
-Unknown keys are rejected; every field has a default, and every value is
-checked when the config is built, so a bad value fails before a run writes
-anything. ``config_hash`` gives a stable content address used to name result
-directories.
+Unknown keys are rejected. Every field has a default, and ``RunConfig`` itself
+converts every value to its field's declared type and checks it, however the
+config is built (from text, keywords or ``dataclasses.replace``), so a bad
+value fails, naming its field, before a run writes anything. ``config_hash``
+gives a stable content address used to name result directories.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+import numbers
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import ConfigurationError
 
@@ -71,11 +74,9 @@ class RunConfig:
     memory_budget: int = 50
 
     def __post_init__(self):
-        # as a list, seeds would leave the config unhashable
-        object.__setattr__(self, "seeds", tuple(self.seeds))
         for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ConfigurationError(f"{f.name} must be finite")
+            object.__setattr__(self, f.name,
+                               _typed(f.name, f.type, getattr(self, f.name)))
         for name, valid in (("method", METHODS), ("ablation", ABLATION_MODES),
                             ("dataset", DATASETS), ("protocol", PROTOCOLS),
                             ("transform_mode", TRANSFORM_MODES),
@@ -119,54 +120,42 @@ class RunConfig:
             raise ConfigurationError("noise_scale must be >= 0")
 
 
-_FIELDS = {f.name: f for f in fields(RunConfig)}
-
-
-def _coerce_raw(name, raw):
-    """Interpret raw document text for one field."""
-    kind = _FIELDS[name].type
-    if kind is str or kind == "str":
-        raw = raw.strip()
-        if raw.startswith('"'):
-            try:
-                value = json.loads(raw)
-                if isinstance(value, str):
-                    return value
-            except json.JSONDecodeError:
-                pass
-        return raw
-    return _coerce(name, _parse_value(raw))
-
-
-def _coerce(name, value):
-    """Coerce a parsed value to the field's declared type."""
-    kind = _FIELDS[name].type
+def _typed(name, kind, value):
+    """``value`` as field ``name`` of type ``kind`` holds it; raises
+    ConfigurationError naming the field when it does not fit."""
+    if kind is tuple:  # seeds: one integer or a sequence of them
+        if isinstance(value, numbers.Real):
+            value = (value,)
+        if isinstance(value, str) or not isinstance(value, Iterable):
+            raise ConfigurationError(
+                f"seeds expects an integer or a list of integers, got {value!r}")
+        return tuple(_typed("seeds", int, v) for v in value)
+    if kind in (bool, str):
+        if isinstance(value, kind):
+            return value
+        raise ConfigurationError(
+            f"{name} expects {'true or false' if kind is bool else 'a string'}"
+            f", got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(
+            f"{name} expects {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}")
+    if kind is int and isinstance(value, numbers.Integral):
+        return int(value)
     try:
-        if name == "seeds":
-            if isinstance(value, (int, float)):
-                value = [value]
-            return tuple(_as_int("seeds", v) for v in value)
-        if kind is bool or kind == "bool":
-            if isinstance(value, bool):
-                return value
-            raise ConfigurationError(f"{name} expects true or false")
-        if kind is int or kind == "int":
-            return _as_int(name, value)
-        if kind is float or kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(f"{name} expects a number")
-            return float(value)
-        return str(value)
-    except TypeError:
-        raise ConfigurationError(f"{name}: cannot interpret {value!r}")
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    if kind is float:
+        return number
+    if number != int(number):
+        raise ConfigurationError(f"{name} expects an integer, got {value!r}")
+    return int(number)
 
 
-def _as_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{name} expects an integer")
-    if float(value) != int(value):
-        raise ConfigurationError(f"{name} expects an integer, got {value}")
-    return int(value)
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _parse_value(raw):
@@ -177,26 +166,36 @@ def _parse_value(raw):
         return raw
 
 
-def parse_config(text):
-    """Parse a ``key = value`` document into a RunConfig."""
+def _raw_values(items):
+    """{field: raw value} from ``key = value`` strings: a string field keeps
+    the text (unquoted if it is a JSON string), any other field parses it as
+    JSON, falling back to the bare text. ``RunConfig`` types the values."""
     values = {}
     unknown = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigurationError(
-                f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
+    for item in items:
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ConfigurationError(f"expected 'key = value', got {item!r}")
         key = key.strip()
         if key not in _FIELDS:
             unknown.append(key)
             continue
-        values[key] = _coerce_raw(key, raw)
+        raw = raw.strip()
+        value = _parse_value(raw)
+        if _FIELDS[key].type is str and not (raw.startswith('"')
+                                             and isinstance(value, str)):
+            value = raw
+        values[key] = value
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-    return RunConfig(**values)
+    return values
+
+
+def parse_config(text):
+    """Parse a ``key = value`` document into a RunConfig."""
+    lines = [line.strip() for line in text.splitlines()]
+    return RunConfig(**_raw_values(
+        line for line in lines if line and not line.startswith("#")))
 
 
 def load_config(path):
@@ -214,8 +213,6 @@ def serialize_config(config):
             bare_ok = (value and value == value.strip()
                        and _parse_value(value) == value)
             rendered = value if bare_ok else json.dumps(value)
-        elif isinstance(value, tuple):
-            rendered = json.dumps(list(value))
         else:
             rendered = json.dumps(value)
         lines.append(f"{f.name} = {rendered}")
@@ -224,21 +221,10 @@ def serialize_config(config):
 
 def apply_overrides(config, pairs):
     """Apply ``KEY=VALUE`` strings (CLI --set) on top of a config."""
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigurationError(f"override {pair!r} is not KEY=VALUE")
-        key, _, raw = pair.partition("=")
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigurationError(f"unknown config keys: {key}")
-        updates[key] = _coerce_raw(key, raw)
-    return replace(config, **updates) if updates else config
+    return replace(config, **_raw_values(pairs))
 
 
 def config_hash(config):
     """Stable content address over all fields."""
-    canon = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
-    canon["seeds"] = list(config.seeds)
-    blob = json.dumps(canon, sort_keys=True).encode("utf-8")
+    blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

@@ -14,6 +14,7 @@ discriminator step under ablation A, and both in the replay baselines.
 
 import csv
 import io
+import itertools
 import json
 import os
 import time
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checkpoint import atomic_write
-from .config import config_hash, serialize_config
+from .config import ABLATION_MODES, config_hash, serialize_config
 from .datasets import (
     load_idx_dataset,
     make_permuted_stream,
@@ -256,8 +257,23 @@ SWEEP_AXES = {
 }
 
 
-def sweep(config, axis, values=None, out_dir=None):
-    """One run-set per axis value; returns {value: records} and writes sweep.csv."""
+def _run_set(path, key_column, variants, **fixed):
+    """One ``execute_run`` per (key, config) of ``variants``; returns
+    {key: records} and writes ``path``, one row per variant: the ``fixed``
+    columns, its key under ``key_column``, and its seed stats."""
+    table = {}
+    rows = []
+    for key, cfg in variants:
+        table[key] = records = execute_run(cfg)
+        rows.append({**fixed, key_column: key, **seed_stats(records)})
+    write_csv(path, (*fixed, key_column) + STATS_COLUMNS, rows)
+    return table
+
+
+def sweep(config, axis, values=None):
+    """One run-set per axis value; returns {value: records} and writes
+    ``sweep-<axis>.csv``. Keys and rows hold each value as the config
+    holds it (``memory_budget`` 50.0 is 50)."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(
             f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
@@ -269,23 +285,17 @@ def sweep(config, axis, values=None, out_dir=None):
         if v not in canonical:
             raise ConfigurationError(
                 f"{axis} sweep accepts values from {canonical}, got {v}")
-    out_dir = out_dir if out_dir is not None else config.out_dir
-    table = {}
-    rows = []
-    for v in values:
-        cfg = replace(config, **{field_name: v})
-        records = execute_run(cfg, out_dir)
-        table[v] = records
-        rows.append({"axis": axis, "value": v, **seed_stats(records)})
-    write_csv(os.path.join(out_dir, f"sweep-{axis}.csv"),
-              ("axis", "value") + STATS_COLUMNS, rows)
-    return table
+    configs = [replace(config, **{field_name: v}) for v in values]
+    return _run_set(os.path.join(config.out_dir, f"sweep-{axis}.csv"), "value",
+                    [(getattr(cfg, field_name), cfg) for cfg in configs],
+                    axis=axis)
 
 
-def grid(config, space=None, out_dir=None):
+def grid(config, space=None):
     """Grid search on the first ``GRID_TASKS`` tasks, restricted to known values.
 
-    Returns (best_combo, rows) where best maximizes mean final accuracy.
+    Returns (best_combo, rows) where best is the first combo of highest mean
+    final accuracy; writes ``grid.csv``.
     """
     space = {k: list(v) for k, v in (space or GRID_SPACE).items()}
     for key, values in space.items():
@@ -297,42 +307,27 @@ def grid(config, space=None, out_dir=None):
             if v not in GRID_SPACE[key]:
                 raise ConfigurationError(
                     f"grid axis {key} accepts {GRID_SPACE[key]}, got {v}")
-    out_dir = out_dir if out_dir is not None else config.out_dir
     base = replace(config, n_tasks=min(GRID_TASKS, config.n_tasks))
     stream = build_stream(base)
-
     keys = sorted(space)
-    combos = [{}]
-    for key in keys:
-        combos = [dict(c, **{key: v}) for c in combos for v in space[key]]
-
     rows = []
-    best = None
-    for combo in combos:
-        cfg = replace(base, **combo)
+    for values in itertools.product(*(space[key] for key in keys)):
+        cfg = replace(base, **dict(zip(keys, values)))
         records = [run_single(cfg, seed, stream=stream) for seed in cfg.seeds]
-        row = dict(combo, **seed_stats(records))
-        rows.append(row)
-        if best is None or row["mean_acc"] > best[1]:
-            best = (combo, row["mean_acc"])
-    write_csv(os.path.join(out_dir, "grid.csv"), keys + list(STATS_COLUMNS),
-              rows)
-    return best[0], rows
+        rows.append({**{key: getattr(cfg, key) for key in keys},
+                     **seed_stats(records)})
+    write_csv(os.path.join(config.out_dir, "grid.csv"),
+              keys + list(STATS_COLUMNS), rows)
+    best = max(rows, key=lambda row: row["mean_acc"])
+    return {key: best[key] for key in keys}, rows
 
 
-def ablate(config, modes=("full", "A", "B", "C"), out_dir=None):
-    """Run every ablation of the full method; returns {mode: records}."""
-    out_dir = out_dir if out_dir is not None else config.out_dir
-    table = {}
-    rows = []
-    for mode in modes:
-        cfg = replace(config, method="scale", ablation=mode)
-        records = execute_run(cfg, out_dir)
-        table[mode] = records
-        rows.append({"ablation": mode, **seed_stats(records)})
-    write_csv(os.path.join(out_dir, "ablations.csv"),
-              ("ablation",) + STATS_COLUMNS, rows)
-    return table
+def ablate(config, modes=ABLATION_MODES):
+    """Run every ablation of the full method; returns {mode: records} and
+    writes ``ablations.csv``."""
+    return _run_set(os.path.join(config.out_dir, "ablations.csv"), "ablation",
+                    [(mode, replace(config, method="scale", ablation=mode))
+                     for mode in modes])
 
 
 # -- reporting ----------------------------------------------------------------------------

@@ -79,8 +79,9 @@ def _rows(batch, memory):
 
 def _grouped(t, last=None):
     """(order, tasks, sizes): the stable order that groups rows by their
-    task ``t``, tasks ascending but ``last``'s group (if any) at the end,
-    and each group's task and row count."""
+    task ``t`` (or any integer key, such as a snapshot width), tasks
+    ascending but ``last``'s group (if any) at the end, and each group's
+    task and row count."""
     end = np.iinfo(np.int64).max
     key = t if last is None else np.where(t == last, end, t)
     order = np.argsort(key, kind="stable")
@@ -206,9 +207,8 @@ def discriminator_loss(model, x, task_labels, memory, config):
             raise MemoryConsistencyError(
                 f"stored discriminator logits have width "
                 f"{widths[widths > k + 1][0]}, only {k + 1} classes exist")
-        order = np.argsort(widths, kind="stable")
-        unique, counts = np.unique(widths, return_counts=True)
-        keys += unique.tolist()
+        order, group_widths, counts = _grouped(widths)
+        keys += group_widths
         sizes += counts.tolist()
         x = np.concatenate([x, memory.x[order]])
         task_labels = np.concatenate([task_labels, memory.t[order]])

@@ -80,14 +80,6 @@ class Draw:
         return len(self.y)
 
 
-@dataclass
-class Partition:
-    """One side of a train/val split: the current batch plus a memory draw."""
-
-    batch: object
-    memory: Draw
-
-
 def _put_snapshot(data, width, i, row):
     """Store ``row`` (or no snapshot) at row ``i``; returns ``data``, widened
     to fit when ``row`` is wider than every row before it."""
@@ -225,18 +217,18 @@ class EpisodicMemory:
         return self._gather(self._rows()[idx])
 
     def partition(self, current_batch, rng, replay_batch_size):
-        """Split one optimization round into train and val sides.
+        """The (train, val) memory draws of one optimization round.
 
-        Both sides share the full current batch; each side gets its own
-        memory draw, so the two draws are independent while the current data
-        is consumed exactly once. All randomness comes from plain draws on
+        Both sides share the full current batch, which the caller holds;
+        each side gets its own memory draw, so the two draws are independent
+        while the current data is consumed exactly once. All randomness comes from plain draws on
         ``rng``, so its bit-generator state fully captures partition progress
         (spawned substreams would not survive a checkpoint).
         """
         if len(current_batch.x) == 0:
             raise ContractError("partition requires a non-empty current batch")
-        return (Partition(current_batch, self.sample(replay_batch_size, rng)),
-                Partition(current_batch, self.sample(replay_batch_size, rng)))
+        return (self.sample(replay_batch_size, rng),
+                self.sample(replay_batch_size, rng))
 
     @classmethod
     def from_rows(cls, budget_per_task, rows, seen_counts, rng):

@@ -92,10 +92,6 @@ class FeatureExtractor:
             self.layers.append(_affine(rng, fan_in, width))
             fan_in = width
 
-    @property
-    def feature_dim(self):
-        return self.width
-
     def check_input(self, x):
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ConfigurationError(

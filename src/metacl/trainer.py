@@ -114,17 +114,6 @@ class TaskLoop:
     def memory(self):
         return self.state.memory
 
-    # -- resume support ----------------------------------------------------------
-
-    def rng_states(self):
-        """JSON-safe snapshot of the trainer-owned random streams."""
-        return {name: getattr(self, f"{name}_rng").bit_generator.state
-                for name in self.RNG_STREAMS}
-
-    def set_rng_states(self, states):
-        for name, state in states.items():
-            getattr(self, f"{name}_rng").bit_generator.state = state
-
     # -- one update --------------------------------------------------------------
 
     def _differentiate(self, params, make_loss, label):
@@ -186,9 +175,9 @@ class Trainer(TaskLoop):
 
     # -- the three update kinds ------------------------------------------------
 
-    def inner_step(self, train_part):
-        """One SGD step on the composite loss, moving extractor and heads."""
-        batch, draw = train_part.batch, train_part.memory
+    def inner_step(self, batch, draw):
+        """One SGD step on the composite loss over ``batch`` and the memory
+        ``draw``, moving extractor and heads."""
         params = (self.model.extractor_params()
                   + self.model.head_params(_step_tasks(batch, draw)))
         loss = self._differentiate(
@@ -198,8 +187,9 @@ class Trainer(TaskLoop):
         self.state.inner_updates += 1
         return loss.item()
 
-    def outer_step(self, val_part):
-        """One SGD step on the validation-side loss, moving the generator.
+    def outer_step(self, batch, draw):
+        """One SGD step on the validation-side loss over ``batch`` and the
+        memory ``draw``, moving the generator.
 
         The loss is ``classification_loss``, CE + dark replay: the alignment
         term runs the plain trunk and would send the generator no gradient,
@@ -211,7 +201,6 @@ class Trainer(TaskLoop):
         """
         loss = None
         if self.model.transform_mode != "off":
-            batch, draw = val_part.batch, val_part.memory
             params = self.model.generator_params()
             loss = self._differentiate(
                 params,
@@ -244,12 +233,12 @@ class Trainer(TaskLoop):
         return loss.item()
 
     def train_round(self, batch, losses):
-        train_part, val_part = self.memory.partition(
+        train_draw, val_draw = self.memory.partition(
             batch, self.partition_rng, self.config.replay_batch_size)
         for _ in range(self.config.n_out):
             for _ in range(self.config.n_in):
-                losses["inner"].append(self.inner_step(train_part))
-            loss = self.outer_step(val_part)
+                losses["inner"].append(self.inner_step(batch, train_draw))
+            loss = self.outer_step(batch, val_draw)
             if loss is not None:
                 losses["outer"].append(loss)
         if self.config.ablation != "A":
@@ -288,9 +277,8 @@ def run_stream(trainer, stream):
         record = trainer.train_task(task)
         seen.append(task)
         row = evaluate(trainer.model, seen)
-        for j, a in row.items():
-            pos = next(i for i, t in enumerate(seen, start=1) if t.task_id == j)
-            trainer.state.matrix.set(len(seen), pos, a)
+        for pos, t in enumerate(seen, start=1):
+            trainer.state.matrix.set(len(seen), pos, row[t.task_id])
         record["acc_row"] = [row[t.task_id] for t in seen]
         records.append(record)
     return records

@@ -347,7 +347,7 @@ def test_criterion_04_one_epoch_counters_and_freeze_contracts():
     model.register_task(2)
     t2 = stream.tasks[1]
     batch = TaskBatch(t2.train.x[:8], t2.train.y[:8], t2.task_id)
-    train_part, val_part = memory.partition(
+    train_draw, val_draw = memory.partition(
         batch, trainer.partition_rng, cfg.replay_batch_size)
 
     def snap(params):
@@ -357,13 +357,13 @@ def test_criterion_04_one_epoch_counters_and_freeze_contracts():
         return all(np.array_equal(p.data, r) for p, r in zip(params, ref))
 
     gen0, disc0 = snap(model.generator_params()), snap(model.discriminator_params())
-    trainer.inner_step(train_part)
+    trainer.inner_step(batch, train_draw)
     assert unchanged(model.generator_params(), gen0)
     assert unchanged(model.discriminator_params(), disc0)
 
     ext1, heads1 = snap(model.extractor_params()), snap(model.head_params())
     disc1 = snap(model.discriminator_params())
-    trainer.outer_step(val_part)
+    trainer.outer_step(batch, val_draw)
     assert unchanged(model.extractor_params(), ext1)
     assert unchanged(model.head_params(), heads1)
     assert unchanged(model.discriminator_params(), disc1)

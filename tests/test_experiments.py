@@ -240,8 +240,8 @@ def test_summary_csv_columns_and_round_trip(tmp_path):
 def test_sweep_defaults_and_degenerate(tmp_path):
     assert MEMORY_SWEEP_VALUES == (50, 100, 150, 200)
     assert LAMBDA3_SWEEP_VALUES == (0.03, 0.09, 0.3, 0.9)
-    config = tiny_config()
-    table = sweep(config, "memory", values=[50], out_dir=str(tmp_path))
+    config = tiny_config(f"out_dir={tmp_path}")
+    table = sweep(config, "memory", values=[50])
     assert list(table) == [50]
     plain = run_single(apply_overrides(config, ["memory_budget=50"]), seed=0)
     assert table[50][0].record_bytes() == plain.record_bytes()
@@ -249,20 +249,19 @@ def test_sweep_defaults_and_degenerate(tmp_path):
 
 
 def test_sweep_validation(tmp_path):
-    config = tiny_config()
+    config = tiny_config(f"out_dir={tmp_path}")
     with pytest.raises(ConfigurationError):
-        sweep(config, "memory", values=[], out_dir=str(tmp_path))
+        sweep(config, "memory", values=[])
     with pytest.raises(ConfigurationError):
-        sweep(config, "memory", values=[37], out_dir=str(tmp_path))
+        sweep(config, "memory", values=[37])
     with pytest.raises(ConfigurationError):
-        sweep(config, "nonsense", out_dir=str(tmp_path))
+        sweep(config, "nonsense")
 
 
 def test_grid_restricted_space(tmp_path):
-    config = tiny_config("n_tasks=5")
+    config = tiny_config("n_tasks=5", f"out_dir={tmp_path}")
     best, rows = grid(config,
-                      space={"inner_lr": [0.1], "lambda3": [0.03, 0.09]},
-                      out_dir=str(tmp_path))
+                      space={"inner_lr": [0.1], "lambda3": [0.03, 0.09]})
     assert len(rows) == 2
     assert best["inner_lr"] == 0.1
     assert best["lambda3"] in (0.03, 0.09)
@@ -270,8 +269,8 @@ def test_grid_restricted_space(tmp_path):
 
 
 def test_grid_truncates_to_first_three_tasks(tmp_path):
-    config = tiny_config("n_tasks=5", "seeds=[0]")
-    _, rows = grid(config, space={"lambda3": [0.03]}, out_dir=str(tmp_path))
+    config = tiny_config("n_tasks=5", "seeds=[0]", f"out_dir={tmp_path}")
+    _, rows = grid(config, space={"lambda3": [0.03]})
     assert GRID_TASKS == 3
     record = run_single(apply_overrides(config, [f"n_tasks={GRID_TASKS}"]),
                         seed=0)
@@ -279,19 +278,19 @@ def test_grid_truncates_to_first_three_tasks(tmp_path):
 
 
 def test_grid_validation(tmp_path):
-    config = tiny_config()
+    config = tiny_config(f"out_dir={tmp_path}")
     with pytest.raises(ConfigurationError):
-        grid(config, space={"bogus": [1]}, out_dir=str(tmp_path))
+        grid(config, space={"bogus": [1]})
     with pytest.raises(ConfigurationError):
-        grid(config, space={"inner_lr": [0.5]}, out_dir=str(tmp_path))
+        grid(config, space={"inner_lr": [0.5]})
     with pytest.raises(ConfigurationError):
-        grid(config, space={"inner_lr": []}, out_dir=str(tmp_path))
+        grid(config, space={"inner_lr": []})
     assert set(GRID_SPACE) == {"inner_lr", "outer_lr",
                                "lambda1", "lambda2", "lambda3"}
 
 
 def test_ablate_runs_all_modes(tmp_path):
-    table = ablate(tiny_config(), modes=("full", "C"), out_dir=str(tmp_path))
+    table = ablate(tiny_config(f"out_dir={tmp_path}"), modes=("full", "C"))
     assert sorted(table) == ["C", "full"]
     assert csv_header(tmp_path / "ablations.csv") == ["ablation"] + STATS
 

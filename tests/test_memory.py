@@ -178,10 +178,8 @@ def test_sample_task_frequencies_match_slot_proportions():
 
 def test_partition_empty_memory_degenerates_to_current():
     mem = EpisodicMemory(budget_per_task=3, rng=np.random.default_rng(0))
-    batch = FakeBatch()
-    train, val = mem.partition(batch, np.random.default_rng(1), 64)
-    assert train.batch is batch and val.batch is batch
-    assert len(train.memory) == 0 and len(val.memory) == 0
+    train, val = mem.partition(FakeBatch(), np.random.default_rng(1), 64)
+    assert len(train) == 0 and len(val) == 0
 
 
 def test_partition_requires_nonempty_batch():
@@ -196,10 +194,10 @@ def test_partition_draws_are_independent():
         mem.observe(entry_for(i))
     train, val = mem.partition(FakeBatch(), np.random.default_rng(1),
                                replay_batch_size=64)
-    assert len(train.memory) == 64 and len(val.memory) == 64
+    assert len(train) == 64 and len(val) == 64
     # identical 64-long index sequences from disjoint substreams are
     # astronomically unlikely over 100 slots
-    assert not np.array_equal(train.memory.x, val.memory.x)
+    assert not np.array_equal(train.x, val.x)
 
 
 def test_partition_deterministic_given_rng_seed():
@@ -210,7 +208,7 @@ def test_partition_deterministic_given_rng_seed():
     def draw(seed):
         train, val = mem.partition(FakeBatch(), np.random.default_rng(seed),
                                    64)
-        return (train.memory.x[:, 0].tolist(), val.memory.x[:, 0].tolist())
+        return (train.x[:, 0].tolist(), val.x[:, 0].tolist())
 
     assert draw(9) == draw(9)
     assert draw(9) != draw(10)
@@ -289,8 +287,8 @@ def test_memory_matches_list_reference(budget):
                                        replay_batch_size=5)
             rng = np.random.default_rng(i)
             for side, want in ((train, ref.sample(5, rng)), (val, ref.sample(5, rng))):
-                assert side.memory.x.tolist() == [b.x.tolist() for b in want]
-                assert side.memory.t.tolist() == [b.t for b in want]
+                assert side.x.tolist() == [b.x.tolist() for b in want]
+                assert side.t.tolist() == [b.t for b in want]
 
 
 def test_entries_are_write_locked_views():

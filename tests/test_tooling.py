@@ -8,9 +8,13 @@ forward paths and snapshots they show, and so does the README's ``python``
 block (about 1 s), so the documented library use keeps working; its config
 file example must parse. The benchmark
 patches metacl's functions where their callers look them up; a short run of
-it catches a refactor that moves one of those names.
+it catches a refactor that moves one of those names. Two ``ast`` scans of
+``src/metacl`` keep deletions from leaving debris: an import nothing in its
+module uses, and a private (``_name``) module-level name or method nothing in
+the package references.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -25,6 +29,7 @@ from metacl.config import parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "metacl"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
@@ -83,3 +88,66 @@ def test_benchmark_runs_without_failures(args):
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["failed"] == 0, out.stderr
     assert result["attempted"] > 0
+
+
+def package_trees():
+    """{module file name: parsed source} for every module of the package."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def exported(tree):
+    """The names a module's ``__all__`` lists."""
+    return {element.value
+            for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for element in node.value.elts}
+
+
+def test_package_has_no_unused_import():
+    unused = []
+    for module, tree in package_trees().items():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{module}:{node.lineno} {bound}"
+                           for alias in node.names
+                           if (bound := alias.asname
+                               or alias.name.split(".")[0]) not in used]
+    assert unused == []
+
+
+def private_definitions(tree):
+    """(name, line) of each private module-level function, class or
+    assigned name, and of each private method."""
+    found = []
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        found += [(item.name, item.lineno) for item in (node, *members)
+                  if isinstance(item, (ast.FunctionDef, ast.ClassDef))]
+        if isinstance(node, ast.Assign):
+            found += [(target.id, node.lineno) for target in node.targets
+                      if isinstance(target, ast.Name)]
+    return [(name, line) for name, line in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_package_has_no_unreferenced_private_name():
+    trees = package_trees()
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = [f"{module}:{line} {name}"
+                    for module, tree in trees.items()
+                    for name, line in private_definitions(tree)
+                    if name not in referenced]
+    assert unreferenced == []

@@ -25,7 +25,7 @@ from metacl.losses import (
     noise_batch,
     total_loss,
 )
-from metacl.memory import EpisodicMemory, Partition
+from metacl.memory import EpisodicMemory
 from metacl.trainer import (
     ReplayTrainer,
     Trainer,
@@ -70,13 +70,15 @@ def unchanged(params, before):
 
 
 def first_partition(trainer, stream):
+    """The train and val sides of the stream's first round, each a
+    ``(batch, draw)`` pair as ``inner_step`` and ``outer_step`` take them."""
     task = stream.tasks[0]
     trainer.model.register_task(task.task_id)
     batch = next(batches(task.train, trainer.config.batch_size,
                          [trainer.seed, 10, task.task_id],
                          task_id=task.task_id))
-    return trainer.memory.partition(batch, trainer.partition_rng,
-                                    trainer.config.replay_batch_size)
+    return [(batch, draw) for draw in trainer.memory.partition(
+        batch, trainer.partition_rng, trainer.config.replay_batch_size)]
 
 
 # -- config ------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def test_inner_step_freezes_generator_and_discriminator():
     gen_before = snapshot(trainer.model.generator_params())
     disc_before = snapshot(trainer.model.discriminator_params())
     theta_before = snapshot(trainer.model.extractor_params())
-    trainer.inner_step(part)
+    trainer.inner_step(*part)
     assert unchanged(trainer.model.generator_params(), gen_before)
     assert unchanged(trainer.model.discriminator_params(), disc_before)
     assert not unchanged(trainer.model.extractor_params(), theta_before)
@@ -149,9 +151,8 @@ def test_inner_step_freezes_generator_and_discriminator():
 def test_inner_step_descends_at_small_lr():
     trainer, stream = fresh_trainer(inner_lr=1e-3)
     part, _ = first_partition(trainer, stream)
-    before = trainer.inner_step(part)
-    after = total_loss(trainer.model, part.batch, part.memory,
-                       trainer.config).item()
+    before = trainer.inner_step(*part)
+    after = total_loss(trainer.model, *part, trainer.config).item()
     assert after <= before
 
 
@@ -165,7 +166,7 @@ def test_outer_step_freezes_base_and_discriminator():
     head_before = snapshot(trainer.model.head_params())
     disc_before = snapshot(trainer.model.discriminator_params())
     gen_before = snapshot(trainer.model.generator_params())
-    trainer.outer_step(val)
+    trainer.outer_step(*val)
     assert unchanged(trainer.model.extractor_params(), theta_before)
     assert unchanged(trainer.model.head_params(), head_before)
     assert unchanged(trainer.model.discriminator_params(), disc_before)
@@ -179,7 +180,7 @@ def test_outer_gradient_matches_finite_differences():
     model = trainer.model
 
     def loss_fn():
-        return total_loss(model, val.batch, val.memory, trainer.config)
+        return total_loss(model, *val, trainer.config)
 
     zero_grads(model.all_params())
     backward(loss_fn())
@@ -193,7 +194,7 @@ def test_outer_step_noop_when_transform_off():
     trainer, stream = fresh_trainer(transform="off", ablation="C")
     _, val = first_partition(trainer, stream)
     gen_before = snapshot(trainer.model.generator_params())
-    assert trainer.outer_step(val) is None
+    assert trainer.outer_step(*val) is None
     assert unchanged(trainer.model.generator_params(), gen_before)
     assert trainer.state.outer_updates == 1
 
@@ -475,17 +476,18 @@ def three_task_trainer():
     for task in stream.tasks[:2]:
         trainer.train_task(task)
     train, val = first_partition(trainer, replace(stream, tasks=stream.tasks[2:]))
-    assert set(train.memory.t.tolist()) == {1, 2}
+    assert set(train[1].t.tolist()) == {1, 2}
     return trainer, train, val
 
 
 def unscoped_step(trainer, kind, part):
-    """One step the way a fully taped graph takes it: every parameter
-    records, ``backward`` fills every gradient, and the step's group moves."""
+    """One step on ``part`` (a ``(batch, draw)`` pair) the way a fully taped
+    graph takes it: every parameter records, ``backward`` fills every
+    gradient, and the step's group moves."""
     model, config = trainer.model, trainer.config
     zero_grads(model.all_params())
     if kind == "adversarial":
-        batch = part.batch
+        batch = part[0]
         n_fake = max(1, round(config.fake_fraction * len(batch.x)))
         fake = noise_batch(config, trainer.noise_rng, n_fake, model.input_dim)
         x = np.concatenate([batch.x, fake])
@@ -497,10 +499,10 @@ def unscoped_step(trainer, kind, part):
         loss = discriminator_loss(model, x, labels, draw, config)
         params, lr = model.discriminator_params(), config.adversarial_lr
     else:
-        loss = total_loss(model, part.batch, part.memory, config)
+        loss = total_loss(model, *part, config)
         if kind == "inner":
             params = (model.extractor_params()
-                      + model.head_params(_step_tasks(part.batch, part.memory)))
+                      + model.head_params(_step_tasks(*part)))
             lr = config.inner_lr
         else:
             params, lr = model.generator_params(), config.outer_lr
@@ -517,7 +519,7 @@ def test_scoped_step_is_bitwise_equal_to_unscoped(kind):
     plain, _, _ = three_task_trainer()
     part = val if kind == "outer" else train
     step = {"inner": scoped.inner_step, "outer": scoped.outer_step,
-            "adversarial": lambda p: scoped.adversarial_step(p.batch)}[kind]
+            "adversarial": lambda batch, _: scoped.adversarial_step(batch)}[kind]
     if kind == "outer":
         # the outer step leaves out lam3 * alignment, which reaches no
         # generator parameter; the taped total adds that term last, so the
@@ -525,10 +527,10 @@ def test_scoped_step_is_bitwise_equal_to_unscoped(kind):
         config = scoped.config
         assert config.lambda3 != 0
         alignment = (config.lambda3 * adversarial_generator_loss(
-            scoped.model, part.batch, part.memory, config)).item()
-        assert step(part) + alignment == unscoped_step(plain, kind, part)
+            scoped.model, *part, config)).item()
+        assert step(*part) + alignment == unscoped_step(plain, kind, part)
     else:
-        assert step(part) == unscoped_step(plain, kind, part)
+        assert step(*part) == unscoped_step(plain, kind, part)
     for p, q in zip(scoped.model.all_params(), plain.model.all_params()):
         assert p.data.tobytes() == q.data.tobytes()
         assert p.requires_grad and p.grad is None
@@ -563,12 +565,12 @@ def frozen_work(loss, params):
 
 
 def recorded_loss(trainer, part, params):
-    """The step loss on ``part`` as the trainer tapes it for ``params``."""
+    """The step loss on ``part`` (a ``(batch, draw)`` pair) as the trainer
+    tapes it for ``params``."""
     recorded = []
 
     def make_loss():
-        recorded.append(total_loss(trainer.model, part.batch, part.memory,
-                                   trainer.config))
+        recorded.append(total_loss(trainer.model, *part, trainer.config))
         return recorded[-1]
 
     trainer._differentiate(params, make_loss, "loss")
@@ -579,11 +581,11 @@ def test_inner_step_tapes_no_generator_parameter():
     trainer, train, _ = three_task_trainer()
     model = trainer.model
     params = (model.extractor_params()
-              + model.head_params(_step_tasks(train.batch, train.memory)))
+              + model.head_params(_step_tasks(*train)))
     generator = model.generator_params()
     ids = {id(p) for p in generator}
     # the fully taped loss does reach the generator, so the guard can fail
-    full = total_loss(model, train.batch, train.memory, trainer.config)
+    full = total_loss(model, *train, trainer.config)
     assert ids & tape_inputs(full)
     backward(full)
     assert any(p.grad is not None for p in generator)
@@ -600,7 +602,7 @@ def test_outer_step_tapes_only_generator_work():
     trainer, _, val = three_task_trainer()
     model = trainer.model
     params = model.generator_params()
-    full = total_loss(model, val.batch, val.memory, trainer.config)
+    full = total_loss(model, *val, trainer.config)
     scoped = recorded_loss(trainer, val, params)
     untouched = {id(p) for p in list(model.extractor.layers[0])
                  + model.discriminator_params()}
@@ -622,9 +624,9 @@ def test_step_tape_sizes_are_pinned(monkeypatch):
         backward(loss)
 
     monkeypatch.setattr(trainer_module, "backward", counted)
-    trainer.inner_step(train)
-    trainer.outer_step(val)
-    trainer.adversarial_step(train.batch)
+    trainer.inner_step(*train)
+    trainer.outer_step(*val)
+    trainer.adversarial_step(train[0])
     assert sizes == [6, 3, 1]
 
 
@@ -647,9 +649,9 @@ def test_step_trunk_passes_are_pinned(monkeypatch):
     # only the reference path (the model's layer methods) calls it
     trainer, train, val = three_task_trainer()
     passes = count_trunk_passes(monkeypatch)
-    for step in (lambda: trainer.inner_step(train),
-                 lambda: trainer.outer_step(val),
-                 lambda: trainer.adversarial_step(train.batch)):
+    for step in (lambda: trainer.inner_step(*train),
+                 lambda: trainer.outer_step(*val),
+                 lambda: trainer.adversarial_step(train[0])):
         step()
         assert passes == []
 
@@ -676,13 +678,13 @@ def test_training_and_evaluation_make_no_layer_path_trunk_pass(monkeypatch,
 def test_non_finite_loss_fails_fast_naming_step_and_task(kind):
     trainer, stream = fresh_trainer()
     trainer.train_task(stream.tasks[0])  # the draws then hold memory rows
-    train, _ = first_partition(trainer, replace(stream, tasks=stream.tasks[1:]))
-    x = train.batch.x.copy()
+    (clean, draw), _ = first_partition(
+        trainer, replace(stream, tasks=stream.tasks[1:]))
+    x = clean.x.copy()
     x[0] = np.nan
-    batch = TaskBatch(x, train.batch.y, train.batch.task_id)
-    part = Partition(batch, train.memory)
-    step = {"inner": lambda: trainer.inner_step(part),
-            "outer": lambda: trainer.outer_step(part),
+    batch = TaskBatch(x, clean.y, clean.task_id)
+    step = {"inner": lambda: trainer.inner_step(batch, draw),
+            "outer": lambda: trainer.outer_step(batch, draw),
             "adversarial": lambda: trainer.adversarial_step(batch)}[kind]
     before = snapshot(trainer.model.all_params())
     with pytest.raises(FloatingPointError,
@@ -698,11 +700,11 @@ def test_non_finite_loss_fails_fast_naming_step_and_task(kind):
     trainer.state.memory = EpisodicMemory.from_rows(
         trainer.memory.budget_per_task, replace(rows, x=x),
         trainer.memory.seen_counts, trainer.memory.rng)
-    part, _ = trainer.memory.partition(train.batch, trainer.partition_rng,
+    draw, _ = trainer.memory.partition(clean, trainer.partition_rng,
                                        trainer.config.replay_batch_size)
-    step = {"inner": lambda: trainer.inner_step(part),
-            "outer": lambda: trainer.outer_step(part),
-            "adversarial": lambda: trainer.adversarial_step(train.batch)}[kind]
+    step = {"inner": lambda: trainer.inner_step(clean, draw),
+            "outer": lambda: trainer.outer_step(clean, draw),
+            "adversarial": lambda: trainer.adversarial_step(clean)}[kind]
     with pytest.raises(FloatingPointError,
                        match=f"{kind}-step loss on task {batch.task_id} "):
         step()
