@@ -18,31 +18,23 @@ updates; the gradients of those parameters are bit-identical to those of
 the fully taped graph.
 
 At width 64 a node's Python cost outweighs its arithmetic, so the network
-is not taped op by op. The training losses ``task_cross_entropy``,
-``task_dark_replay``, ``task_discriminator_loss`` and ``task_alignment`` are
-one node each over a ``TaskForward``, the forward of rows of many groups
-(tasks, or stored snapshot widths) through trunk, FiLM and heads. Its
-matmuls run per group on exactly the operands of that group's chain of
-primitive ops, each into the group's rows of one array (a matmul over
-several groups' rows is not bit-stable against its per-group row blocks);
-FiLM's one-row products are one stacked matmul, run row by row; all else is
-one numpy call over all rows or groups. The node lists every leaf once per
-contribution the per-group chains send it, in the order those arrive, so
-``backward`` adds them up exactly as it adds the chains', and its value and
-every gradient equal the chain's bit for bit. Inference (snapshots and
-evaluation) reads the logits of a one-group ``TaskForward`` built under
-``no_grad``, which records no node and plans no backward.
-
-The primitive ops are the reference path: the model's layer methods
+is not taped op by op: the training losses (``task_cross_entropy``,
+``task_dark_replay``, ``task_discriminator_loss``, ``task_alignment``) are
+one node each over a ``TaskForward``, rows of many groups (tasks, or stored
+snapshot widths) through trunk, FiLM and heads, whose value and every
+gradient equal those of the groups' chains of primitive ops bit for bit.
+Inference reads a one-group ``TaskForward`` built under ``no_grad``. The
+primitive ops are the reference path: the model's layer methods
 (``metacl.networks``) and the chains the tests hold the nodes to are built
-from them. No training or inference path runs the network through them,
-nor calls ``slice_cols``, ``l2_distance``, ``softmax_cross_entropy`` or
-``soft_cross_entropy``.
+from them, and no training or inference path runs them. The ops only those
+chains use (``slice_cols``, ``l2_distance``, ``soft_cross_entropy``) live
+with them in the tests, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -126,10 +118,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
@@ -311,16 +299,6 @@ def gather_rows(table, indices):
     return _make(table.data[idx], (table,), backward_fn)
 
 
-def slice_cols(x, n):
-    """First ``n`` columns of a matrix; zero-pads the gradient."""
-    def backward_fn(g):
-        out = np.zeros_like(x.data)
-        out[:, :n] = g
-        return (out,)
-
-    return _make(x.data[:, :n].copy(), (x,), backward_fn)
-
-
 def _masked(x, valid):
     """A copy of ``x`` with columns >= ``valid`` set to ``MASK_FILL``."""
     out = x.copy()
@@ -348,41 +326,52 @@ def mask_cols(x, valid):
 # layer formulas, written once and evaluated by the task-vectorised loss
 # nodes below
 
-def _relu(z):
-    """(relu(z), the mask of its live entries); NaN passes through."""
+def _relu(z, out=None):
+    """(relu(z), the mask of its live entries), ``out=z`` in place; NaN
+    passes through. The values are ``np.where(z <= 0, 0.0, z)``'s:
+    ``maximum`` may keep a -0.0, which adding +0.0 makes +0.0."""
     dead = z <= 0
-    return np.where(dead, 0.0, z), ~dead
+    out = np.maximum(z, 0.0, out=out)
+    out += 0.0
+    return out, np.logical_not(dead, out=dead)
 
 
-def _cat(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _row_products(rows, w, out=None):
+    """``rows[k:k + 1] @ w`` stacked over k, as one stacked matmul (into
+    ``out`` if given): numpy runs for each stacked row the product it runs
+    for that row alone."""
+    return np.matmul(rows[:, None, :], w,
+                     out=None if out is None else out[:, None, :])[:, 0, :]
 
 
-def _row_products(rows, w):
-    """``rows[k:k + 1] @ w`` stacked over k, as one stacked matmul: numpy
-    runs for each stacked row the product it runs for that row alone."""
-    return (rows[:, None, :] @ w)[:, 0, :]
+def _film(a, s_hat, t_hat):
+    """``(a * s_hat + t_hat) + a``, left to right, in one new array."""
+    out = a * s_hat
+    out += t_hat
+    out += a
+    return out
 
 
 def _outer(e, g):
-    """``e[k:k + 1].T @ g[k:k + 1]`` stacked over k. The (E, 1) @ (1, F)
-    matmul adds each product to zero, so ``+ 0.0`` turns a -0.0 product
-    into the +0.0 it gives."""
-    return e[:, :, None] * g[:, None, :] + 0.0
+    """``e[k:k + 1].T @ g[k, i:i + 1]`` stacked over k and i (``g`` is (K, 2,
+    F)): that matmul adds each product to zero, turning -0.0 into +0.0."""
+    out = e[:, None, :, None] * g[:, :, None, :]
+    out += 0.0
+    return out
 
 
 def _norms(v, eps):
-    """(root, norm) of ``sqrt(tsum(v_k * v_k)) + eps`` for each row v_k of
-    ``v``, as (K, 1) columns."""
-    root = np.sqrt(np.maximum((v * v).sum(axis=1, keepdims=True), 0.0))
+    """(root, norm) of ``sqrt(tsum(v_k * v_k)) + eps`` for each row v_k
+    along the last axis of ``v``, with that axis kept at length one."""
+    root = np.sqrt(np.maximum((v * v).sum(axis=-1, keepdims=True), 0.0))
     return root, root + eps
 
 
 def _normalized_grad(g_hat, v, root, norm):
-    """The gradient reaching each row v_k of ``v`` through
-    ``v_k / (sqrt(tsum(v_k * v_k)) + eps)`` from row k of ``g_hat`` on the
-    quotient: the div's share, then mul's two."""
-    g_norm = (-g_hat * v / (norm * norm)).sum(axis=1, keepdims=True)
+    """The gradient reaching each row v_k (along the last axis) of ``v``
+    through ``v_k / (sqrt(tsum(v_k * v_k)) + eps)`` from row k of ``g_hat``
+    on the quotient: the div's share, then mul's two."""
+    g_norm = (-g_hat * v / (norm * norm)).sum(axis=-1, keepdims=True)
     live = root > 0
     g_sum = np.where(live, 0.5 * g_norm / np.where(live, root, 1.0), 0.0)
     # tsum spreads g_sum over v_k's shape, and mul(v, v) sends g_sum * v_k
@@ -393,57 +382,49 @@ def _normalized_grad(g_hat, v, root, norm):
 
 class _Film:
     """FiLM coefficients of K tasks at one layer, row k for task
-    ``tasks[k]``, each as the chain of primitive ops computes it for that
-    task alone:
-
-        emb   = gather_rows(table, [task])
-        scale = matmul(emb, w_scale) + b_scale
-        shift = matmul(emb, w_shift) + b_shift
-        s_hat = scale / (sqrt(tsum(scale * scale)) + eps)
-        t_hat = shift / (sqrt(tsum(shift * shift)) + eps)
-
-    One stacked matmul per coefficient; every other step is one call over
-    all K rows. ``params`` is (table, w_scale, b_scale, w_shift, b_shift).
+    ``tasks[k]``, each as the chain of primitive ops computes it alone:
+    ``emb = gather_rows(table, [task])``, ``scale = matmul(emb, w_scale) +
+    b_scale``, ``shift`` likewise, and ``s_hat = scale / (sqrt(tsum(scale *
+    scale)) + eps)``, ``t_hat`` likewise. ``params`` is (table, w_scale,
+    b_scale, w_shift, b_shift). Scale and shift are one (K, 2, F) array
+    ``coeffs``, written by one stacked matmul each; every other step is one
+    call over all 2K rows, each reduced on its own. ``s_hat`` and ``t_hat``
+    are (K, F) views of ``hats``.
     """
 
-    __slots__ = ("params", "tasks", "embs", "scale", "shift", "root_s",
-                 "norm_s", "root_t", "norm_t", "s_hat", "t_hat")
+    __slots__ = ("params", "tasks", "embs", "coeffs", "root", "norm",
+                 "hats", "s_hat", "t_hat")
 
     def __init__(self, params, tasks, eps):
         table, w_scale, b_scale, w_shift, b_shift = params
         self.params = params
         self.tasks = np.asarray(tasks, dtype=np.int64)
         self.embs = table.data[self.tasks]
-        self.scale = _row_products(self.embs, w_scale.data) + b_scale.data
-        self.shift = _row_products(self.embs, w_shift.data) + b_shift.data
-        self.root_s, self.norm_s = _norms(self.scale, eps)
-        self.root_t, self.norm_t = _norms(self.shift, eps)
-        self.s_hat = self.scale / self.norm_s
-        self.t_hat = self.shift / self.norm_t
+        self.coeffs = np.empty((len(self.tasks), 2, b_scale.data.shape[0]))
+        for i, (w, b) in enumerate(((w_scale, b_scale), (w_shift, b_shift))):
+            part = self.coeffs[:, i]
+            _row_products(self.embs, w.data, out=part)
+            part += b.data
+        self.root, self.norm = _norms(self.coeffs, eps)
+        self.hats = self.coeffs / self.norm
+        self.s_hat, self.t_hat = self.hats[:, 0], self.hats[:, 1]
 
-    def head(self, k):
-        """The coefficients of the first ``k`` tasks (views)."""
-        if k == len(self.tasks):
-            return self
+    def rows(self, start, stop):
+        """The coefficients of tasks ``start`` to ``stop - 1`` (views)."""
         out = object.__new__(_Film)
         out.params = self.params
         for name in _Film.__slots__[1:]:
-            setattr(out, name, getattr(self, name)[:k])
+            setattr(out, name, getattr(self, name)[start:stop])
         return out
 
-    def grads(self, g_hat_s, g_hat_t, need):
+    def grads(self, g_hat, need):
         """Per parameter of ``params`` flagged in ``need``, in that order, a
         stack whose row k is what task k's chain sends it, given the
-        gradients ``g_hat_s`` and ``g_hat_t`` (K, F) on s_hat and t_hat
-        (None where ``_film_needs`` says no flagged parameter uses one)."""
+        gradient ``g_hat`` (K, 2, F) on (s_hat, t_hat)."""
         table, w_scale, _, w_shift, _ = self.params
         need_e, need_ws, need_bs, need_wt, need_bt = need
-        if g_hat_s is not None:
-            g_scale = _normalized_grad(g_hat_s, self.scale, self.root_s,
-                                       self.norm_s)
-        if g_hat_t is not None:
-            g_shift = _normalized_grad(g_hat_t, self.shift, self.root_t,
-                                       self.norm_t)
+        g = _normalized_grad(g_hat, self.coeffs, self.root, self.norm)
+        g_scale, g_shift = g[:, 0], g[:, 1]
         out = []
         if need_e:
             # gather_rows' np.add.at of one row into zeros, for every task
@@ -453,24 +434,15 @@ class _Film:
                 _row_products(g_shift, w_shift.data.T)
                 + _row_products(g_scale, w_scale.data.T))
             out.append(g_table)
-        # a bias's gradient is add's _unbroadcast of one row: a sum over an
-        # axis of length one
-        if need_ws:
-            out.append(_outer(self.embs, g_scale))
-        if need_bs:
-            out.append(g_scale[:, None].sum(axis=1))
-        if need_wt:
-            out.append(_outer(self.embs, g_shift))
-        if need_bt:
-            out.append(g_shift[:, None].sum(axis=1))
+        outers = _outer(self.embs, g) if need_ws or need_wt else None
+        # a bias gets add's _unbroadcast of one row, which adds it to zero
+        biases = g + 0.0 if need_bs or need_bt else None
+        for i, (need_w, need_b) in enumerate((need[1:3], need[3:])):
+            if need_w:
+                out.append(outers[:, i])
+            if need_b:
+                out.append(biases[:, i])
         return out
-
-
-def _film_needs(need):
-    """Whether the gradients on s_hat and on t_hat are needed, given the
-    requires-grad flags of (table, w_scale, b_scale, w_shift, b_shift)."""
-    need_e, need_ws, need_bs, need_wt, need_bt = need
-    return need_e or need_ws or need_bs, need_e or need_wt or need_bt
 
 
 def _log_softmax(z):
@@ -546,44 +518,6 @@ def softmax_cross_entropy(logits, targets):
     return _make(loss, (logits,), backward_fn)
 
 
-def soft_cross_entropy(logits, target_probs):
-    """Mean over rows of -sum(target_probs * log softmax(logits)).
-
-    ``target_probs`` is a constant (B, C) array of target distributions.
-    """
-    probs = np.asarray(target_probs, dtype=np.float64)
-    if probs.shape != logits.data.shape:
-        raise DimensionError(
-            f"soft_cross_entropy: logits {logits.data.shape} vs targets {probs.shape}")
-    n = logits.data.shape[0]
-    log_probs, softmax = _log_softmax(logits.data)
-
-    def backward_fn(g):
-        return (_soft_ce_grad(softmax, probs, g / n),)
-
-    return _make(_soft_ce(log_probs, probs), (logits,), backward_fn)
-
-
-def l2_distance(a, b):
-    """Euclidean norm of (a - b), averaged over batch rows.
-
-    1-D inputs are treated as a single row. Zero distance propagates a zero
-    subgradient.
-    """
-    if a.data.shape != b.data.shape:
-        raise DimensionError(
-            f"l2_distance: shapes differ, {a.data.shape} vs {b.data.shape}")
-    rows, norms = _l2_norms(a.data - b.data)
-    n = rows.shape[0]
-    loss = norms.mean()
-
-    def backward_fn(g):
-        grad = _l2_grad(rows, norms, n, g).reshape(a.data.shape)
-        return grad, -grad
-
-    return _make(loss, (a, b), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # task-vectorised loss nodes
 
@@ -591,46 +525,43 @@ class TaskForward:
     """Rows grouped by task through a task-conditioned MLP: per trunk layer
     ``relu(a @ w + b)``, optionally followed by FiLM with the task's
     coefficients, then the task's head ``relu(a) @ w + b``. Group k holds
-    ``sizes[k]`` consecutive rows of task ``tasks[k]``; the groups split
-    the rows of ``x`` exactly and their tasks are distinct, or
-    ``ContractError`` is raised. ``layers`` holds (w, b, film) per trunk
-    layer, film being None or FiLM's (table, w_scale, b_scale, w_shift,
-    b_shift), and ``heads`` one (w, b) per group.
+    ``sizes[k]`` consecutive rows of task ``tasks[k]`` (any distinct,
+    ordered keys: the discriminator's loss groups by snapshot width); the
+    groups must split the rows of ``x`` exactly, none empty, or
+    ``ContractError`` is raised. ``layers`` holds (w, b, film) per trunk layer, film being None
+    or FiLM's (table, w_scale, b_scale, w_shift, b_shift), and ``heads``
+    one (w, b) per group.
 
-    Every matmul runs per group, on exactly the operands the chain of
-    primitive ops uses for that group alone (``FeatureExtractor.forward``
-    with ``film_transform`` and ``ClassifierHeads.forward`` in
-    ``metacl.networks``), and every other step is one numpy call over all rows or all groups, so
-    each group's values equal its chain's bit for bit. The keys ``tasks``
-    need only be distinct and ordered: the discriminator's loss groups its
-    memory rows by stored snapshot width. When the last trunk layer has no
-    FiLM, the heads' ReLU meets a ReLU output, which it would leave as is,
-    with the last layer's mask: the heads take both as they are.
+    Every matmul runs per group, into the group's rows of one array, on
+    exactly the operands of that group's chain of primitive ops
+    (``FeatureExtractor.forward`` with ``film_transform``, then
+    ``ClassifierHeads.forward``); everything else is one numpy call over all
+    rows or groups, so each group's values equal its chain's bit for bit.
+    When the last trunk layer has no FiLM, the heads take its ReLU output
+    and mask, which their own ReLU would leave as they are.
 
-    ``leaves`` lists what the groups' chains send gradient to, once per
-    contribution and in the order those arrive: groups by descending task,
-    and within a group the head, then from the last layer down each layer's
-    FiLM parameters and its affine map. Which tensors require grad is read
-    here, as the chain's ops read it when they record. ``backward`` returns
-    the contributions in that order, so a node whose inputs are ``leaves``
-    adds them up exactly as the chains' nodes do.
+    ``leaves`` lists what the chains send gradient to, once per contribution
+    and in the order those arrive: groups by descending task, each its head,
+    then from the last layer down each layer's FiLM parameters and affine
+    map, as far as the requires-grad flags read here let the gradient go.
+    ``backward`` returns the contributions in that order, so a node whose
+    inputs are ``leaves`` adds them up exactly as the chains' nodes do.
 
-    With ``reuse=(source, n)`` the groups' tasks are the first tasks of the
-    forward ``source``, made on the same weights, and its first n groups
-    hold the same rows as here: every array of those rows is the source's,
-    and all FiLM coefficients are its. Only the other groups' rows are
-    computed.
-
-    Under ``no_grad`` a forward plans no backward and lists no leaves, and
-    a one-group forward broadcasts its FiLM row over its rows.
+    With ``reuse=(source, n)`` the tasks are the first of the forward
+    ``source``, made on the same weights, whose first n groups hold the same
+    rows: their arrays, and all FiLM coefficients, are the source's.
+    ``films`` is ``task_films`` of exactly these tasks, in place of making
+    it. Under ``no_grad`` a forward plans no backward and lists no leaves,
+    and a one-group forward keeps only its logits.
     """
 
-    def __init__(self, x, tasks, sizes, layers, heads, eps, reuse=None):
+    def __init__(self, x, tasks, sizes, layers, heads, eps, reuse=None,
+                 films=None):
         self.tasks = list(tasks)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         ends = list(itertools.accumulate(self.sizes.tolist()))
         if (not ends or ends[-1] != len(x) or len(self.tasks) != len(ends)
-                or len(set(self.tasks)) != len(ends) or min(sizes) < 0):
+                or len(set(self.tasks)) != len(ends) or min(sizes) < 1):
             raise ContractError(
                 f"TaskForward: groups {self.tasks} of sizes "
                 f"{self.sizes.tolist()} do not split {len(x)} rows")
@@ -645,6 +576,13 @@ class TaskForward:
             raise ContractError(
                 f"TaskForward: tasks {self.tasks} are not the first tasks of "
                 f"the reused forward's {source.tasks}")
+        self.films = films if films is not None else (
+            task_films(layers, self.tasks, eps) if source is None
+            else [None if c is None else c.rows(0, k) for c in source.films])
+        if k == 1 and source is None and not _grad_enabled:
+            self.logits = self._infer(x)
+            self.leaves = []
+            return
         copied = self.bounds[shared - 1][1] if shared else 0
         if shared == k:
             # every group is the source's: its arrays, cut to these rows
@@ -652,7 +590,6 @@ class TaskForward:
                 [None if v is None else v[:copied] for v in arrays]
                 for arrays in (source.inputs, source.masks, source.features,
                                source.scales))
-            self.films = [None if c is None else c.head(k) for c in source.films]
             self.head_relu, self.head_mask, self.logits = (
                 v[:copied] for v in (source.head_relu, source.head_mask,
                                      source.logits))
@@ -675,42 +612,55 @@ class TaskForward:
                 np.matmul(a[s:e], w.data, out=out[s:e])
             return out
 
-        self.inputs, self.masks, self.features = [], [], []
-        self.films, self.scales = [], []
+        self.inputs, self.masks, self.features, self.scales = [], [], [], []
         a = x[copied:]
-        for index, (w, b, film_params) in enumerate(layers):
+        for index, ((w, b, _), coeffs) in enumerate(zip(layers, self.films)):
             theirs = [arrays[index] for arrays in (
                 source.inputs, source.masks, source.features, source.scales)
             ] if copied else [None] * 4
             self.inputs.append(joined(a, theirs[0]))
-            a, mask = _relu(products(a, [w] * len(fresh)) + b.data)
+            z = products(a, [w] * len(fresh))
+            z += b.data
+            a, mask = _relu(z, out=z)
             self.masks.append(joined(mask, theirs[1]))
             self.features.append(joined(a, theirs[2]))
-            coeffs = scale_rows = None
-            if film_params is not None:
-                coeffs = (_Film(film_params, self.tasks, eps) if source is None
-                          else source.films[index].head(k))
+            scale_rows = None
+            if coeffs is not None:
                 scale_rows = coeffs.s_hat[group]
-                a = (a * scale_rows + coeffs.t_hat[group]) + a
+                a = _film(a, scale_rows, coeffs.t_hat[group])
                 scale_rows = joined(scale_rows, theirs[3])
-            self.films.append(coeffs)
             self.scales.append(scale_rows)
         if self.relu_tail:
             head_relu, head_mask = a, mask
         else:
-            head_relu, head_mask = _relu(a)
+            head_relu, head_mask = _relu(a, out=a)
         logits = products(head_relu, [w for w, _ in heads[shared:]])
         biases = [b for _, b in heads[shared:]]
-        if all(b is biases[0] for b in biases):
-            logits = logits + biases[0].data
-        else:
-            logits = logits + np.stack([b.data for b in biases])[group - shared]
+        logits += (biases[0].data if all(b is biases[0] for b in biases)
+                   else np.stack([b.data for b in biases])[group - shared])
         if copied:
             head_relu = joined(head_relu, source.head_relu)
             head_mask = joined(head_mask, source.head_mask)
             logits = joined(logits, source.logits)
         self.head_relu, self.head_mask, self.logits = head_relu, head_mask, logits
         self._plan()
+
+    def _infer(self, x):
+        """The logits of a one-group forward that plans no backward: the
+        arithmetic of the general path, keeping no other array."""
+        a = x
+        for (w, b, _), coeffs in zip(self.layers, self.films):
+            z = a @ w.data
+            z += b.data
+            a = _relu(z, out=z)[0]
+            if coeffs is not None:
+                a = _film(a, coeffs.s_hat, coeffs.t_hat)
+        if not self.relu_tail:
+            a = _relu(a, out=a)[0]
+        ((w, b),) = self.heads
+        logits = a @ w.data
+        logits += b.data
+        return logits
 
     def _plan(self):
         """Read what requires grad: ``head_needs`` per group, and ``steps``,
@@ -746,12 +696,27 @@ class TaskForward:
         for k in reversed(self.ascending):
             self.leaves += _flagged(self.heads[k], self.head_needs[k])
             self.leaves += trunk_leaves
+        if len(self.sizes) > 1:
+            # each row's place among the groups' rows padded to the largest
+            self.largest = int(self.sizes.max())
+            self.slots = np.arange(self.bounds[-1][1]) + np.repeat(
+                np.arange(0, len(self.sizes) * self.largest, self.largest)
+                - np.asarray([s for s, _ in self.bounds]), self.sizes)
 
     def _group_sums(self, v):
-        """Each group's rows of ``v`` summed to one row, as ``_unbroadcast``
-        sums them (a one-row group is taken as is), stacked."""
-        return _cat([v[s:e] if e - s == 1 else v[s:e].sum(axis=0, keepdims=True)
-                     for s, e in self.bounds])
+        """Each group's rows of ``v`` summed over axis 0, stacked (G, F).
+        Wider than one column, one axis-1 sum runs over the rows placed at
+        ``slots`` of an array padded with -0.0: an axis-0 sum adds a group's
+        rows to +0.0 in order, and ``x + -0.0`` is ``x`` for every x. A
+        lone column is summed pairwise, so each group is summed alone."""
+        if len(self.bounds) == 1:
+            return v.sum(axis=0, keepdims=True)
+        if v.shape[1] == 1:
+            return np.concatenate([v[s:e].sum(axis=0, keepdims=True)
+                                   for s, e in self.bounds])
+        padded = np.full((len(self.bounds) * self.largest, v.shape[1]), -0.0)
+        padded[self.slots] = v
+        return padded.reshape(len(self.bounds), self.largest, -1).sum(axis=1)
 
     def backward(self, g):
         """The contributions to ``leaves``, in order, of the gradient ``g``
@@ -761,53 +726,61 @@ class TaskForward:
 
         def affine(x, g, params, needs, below):
             # each group's gradients of matmul(x, w) + b: those on (w, b) go
-            # to ``sent``, b's being add's _unbroadcast (one row sum); the
-            # one on x is returned if ``below`` asks for it
+            # to ``sent``, b's being add's _unbroadcast (a row sum); the one
+            # on x is returned if ``below`` asks for it
             out = np.empty((len(g), len(params[0][0].data))) if below else None
-            for k, ((s, e), (w, b), (need_w, need_b)) in enumerate(
+            sums = (self._group_sums(g)
+                    if any(need_b for _, need_b in needs) else None)
+            for k, ((s, e), (w, _), (need_w, need_b)) in enumerate(
                     zip(bounds, params, needs)):
                 if below:
                     np.matmul(g[s:e], w.data.T, out=out[s:e])
                 if need_w:
                     sent[k].append(x[s:e].T @ g[s:e])
                 if need_b:
-                    sent[k].append(g[s:e].sum(axis=0))
+                    sent[k].append(sums[k])
             return out
 
         g = affine(self.head_relu, g, self.heads, self.head_needs,
                    bool(self.steps))
         if self.steps and not self.relu_tail:
             # with a ReLU tail the last layer's step applies the same mask
-            g = g * self.head_mask
+            g *= self.head_mask
         for index, film_need, own, below in self.steps:
             w, b, _ = self.layers[index]
             if film_need is not None and any(film_need):
-                need_s, need_t = _film_needs(film_need)
-                g_scaled = g * self.features[index] if need_s else None
+                # the gradients on s_hat and t_hat: each group's rows of
+                # g * features and of g summed as _unbroadcast sums them, in
+                # one call (axis-0 sums run per column) but at width 1, and
+                # a one-row group's row as it is (a sum would make -0.0 +0.0)
                 width = g.shape[1]
-                if need_s and need_t and width > 1:
-                    # one group sum for both: axis-0 sums run per column (a
-                    # lone column's run pairwise)
-                    sums = self._group_sums(np.concatenate([g_scaled, g], 1))
-                    g_hat_s, g_hat_t = sums[:, :width], sums[:, width:]
-                else:
-                    g_hat_s = self._group_sums(g_scaled) if need_s else None
-                    g_hat_t = self._group_sums(g) if need_t else None
-                stacks = self.films[index].grads(g_hat_s, g_hat_t, film_need)
+                scaled = g * self.features[index]
+                both = np.concatenate([scaled, g], 1)
+                sums = (self._group_sums(both) if width > 1 else
+                        np.concatenate([self._group_sums(scaled),
+                                        self._group_sums(g)], 1))
+                ones = [k for k, (s, e) in enumerate(bounds) if e - s == 1]
+                if ones:
+                    sums[ones] = both[[bounds[k][0] for k in ones]]
+                stacks = self.films[index].grads(
+                    sums.reshape(len(bounds), 2, width), film_need)
                 for k, grads in enumerate(sent):
                     grads += [stack[k] for stack in stacks]
             if own is None:
                 break
             if film_need is not None:
                 # the residual sum's share, then the scaling's
-                g = g + g * self.scales[index]
-            g = affine(self.inputs[index], g * self.masks[index],
-                       [(w, b)] * len(bounds), [own] * len(bounds), below)
+                residual = g * self.scales[index]
+                residual += g
+                g = residual
+            g *= self.masks[index]
+            g = affine(self.inputs[index], g, [(w, b)] * len(bounds),
+                       [own] * len(bounds), below)
         return [c for k in reversed(self.ascending) for c in sent[k]]
 
     def fold(self, values):
-        """``values`` (one per group) summed left to right by ascending task,
-        as a chain of ``add`` nodes over the tasks sums them."""
+        """``values`` (one per group) summed by ascending task, left to
+        right, as the chain's ``add`` nodes sum them."""
         total = None
         for k in self.ascending:
             total = values[k] if total is None else total + values[k]
@@ -821,6 +794,13 @@ class TaskForward:
     def rows(self, values):
         """One value per group, repeated over the group's rows."""
         return np.repeat(values, self.sizes)
+
+
+def task_films(layers, tasks, eps):
+    """Per layer of ``TaskForward`` ``layers``, the ``_Film`` of ``tasks``
+    (None without FiLM); ``rows(k, k + 1)`` of each is task k's alone."""
+    return [None if params is None else _Film(params, tasks, eps)
+            for _, _, params in layers]
 
 
 def _flagged(tensors, flags):
@@ -909,9 +889,9 @@ def task_discriminator_loss(forward, targets, valid, stored, lambda1,
         squares = diff * diff
         # each norm sums exactly its group's w columns: a sum that also
         # takes zero-padded columns can group its terms differently
-        norms = np.sqrt(_cat([squares[s - main:e - main, :w].sum(axis=1)
-                              for (s, e), w in zip(forward.bounds[1:],
-                                                   widths.tolist())]))
+        norms = np.sqrt(np.concatenate(
+            [squares[s - main:e - main, :w].sum(axis=1)
+             for (s, e), w in zip(forward.bounds[1:], widths.tolist())]))
         l2_means = forward.means(np.concatenate([np.zeros(main), norms]))
         l2 = ce = None
         for l2_mean, ce_mean, frac in zip(l2_means[1:], ce_means[1:], fracs):
@@ -1014,7 +994,7 @@ def backward(loss):
             if prev is None:
                 flows[key] = g
             elif key in owned:
-                np.add(prev, g, out=prev)
+                prev += g
             else:
                 flows[key] = prev = prev + g
                 if np.ndim(prev):
@@ -1045,5 +1025,7 @@ def sgd_step(params, lr):
 
 
 def assert_finite(tensor, label="tensor"):
-    if not np.all(np.isfinite(tensor.data)):
+    data = tensor.data
+    if not (math.isfinite(data.item()) if data.size == 1
+            else np.all(np.isfinite(data))):
         raise FloatingPointError(f"{label} contains NaN or Inf")

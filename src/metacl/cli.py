@@ -109,8 +109,10 @@ def cmd_run(args, out):
 def cmd_sweep(args, out):
     config = assemble_config(args)
     values = None
-    if args.values:
-        values = [json.loads(v) for v in args.values.split(",")]
+    if args.values is not None:
+        # an empty --values is no value, which sweep rejects
+        values = ([json.loads(v) for v in args.values.split(",")]
+                  if args.values else [])
     print_table(sweep(config, args.axis, values=values), f"{args.axis}=",
                 f"{config.out_dir}/sweep-{args.axis}.csv", out)
     return 0

@@ -297,10 +297,13 @@ def grid(config, space=None):
     Returns (best_combo, rows) where best is the first combo of highest mean
     final accuracy; writes ``grid.csv``.
     """
-    space = {k: list(v) for k, v in (space or GRID_SPACE).items()}
+    space = dict(space or GRID_SPACE)
     for key, values in space.items():
         if key not in GRID_SPACE:
             raise ConfigurationError(f"unknown grid axis {key!r}")
+        if not isinstance(values, (list, tuple)):
+            raise ConfigurationError(
+                f"grid axis {key} takes a list of values, got {values!r}")
         if not values:
             raise ConfigurationError(f"grid axis {key} has no values")
         for v in values:

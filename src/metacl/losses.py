@@ -17,27 +17,16 @@ step (parameter generator) builds ``classification_loss``, the first three
 terms: L_align runs the plain trunk and the discriminator, so it never
 reaches the generator.
 
-CE and the dark-replay term are one tape node each
-(``autodiff.task_cross_entropy`` and ``task_dark_replay``) over a
-``TaskForward`` of their rows grouped by task: matmuls per task, everything
-else vectorised across tasks, and every value and gradient bit-identical to
-the per-task chain of ``model.logits``, ``softmax_cross_entropy`` and
-``l2_distance``. The memory rows of a task the current batch does not hold
-go through the network once: ``derpp_loss`` reuses CE's forward for them.
-With both dark-replay weights zero (ablation B) neither the learner's nor
-the discriminator's dark-replay term is built.
-
-The discriminator's loss and the alignment term are one node each as well
-(``autodiff.task_discriminator_loss`` and ``task_alignment``), over a
-``TaskForward`` of the plain trunk and the discriminator: the discriminator
-groups today's rows and then the memory rows by stored snapshot width, with
-one matmul per group and layer, and is bit-identical to the per-width chain
-of no-grad trunk passes, ``discriminate``, ``slice_cols``, ``l2_distance``
-and ``softmax_cross_entropy``; the alignment term runs every row as one
-group, bit-identical to its chain ending in ``soft_cross_entropy`` or the
-negated ``softmax_cross_entropy``. These chains, built from the model's
-layer methods and the primitive ops, are the reference path the tests hold
-the nodes to; no loss runs them.
+Every term is one tape node (``autodiff.task_cross_entropy``,
+``task_dark_replay``, ``task_discriminator_loss``, ``task_alignment``) over
+a ``TaskForward`` of its rows grouped by task (the discriminator's memory
+rows by stored snapshot width), bit-identical in value and every gradient
+to its per-group chain of the model's layer methods and the primitive ops.
+Those chains are the reference path the tests hold the nodes to; no loss
+runs them. A step groups its rows once, and the memory rows of a task the
+batch does not hold go through the network once: ``derpp_loss`` reuses
+CE's forward for them. With both dark-replay weights zero (ablation B)
+neither the learner's nor the discriminator's dark-replay term is built.
 
 The trade-off constants lam1..lam3, the noise model and the alignment
 direction are read from the run's ``RunConfig``, passed as ``config``.
@@ -62,34 +51,40 @@ def noise_batch(config, rng, n, dim):
     return rng.normal(config.noise_mean, config.noise_std, size=(n, dim))
 
 
-def _rows(batch, memory):
-    """(x, y, t) of the current-batch rows, then the memory rows in draw
-    order; None when both are empty."""
-    parts = []
-    if batch is not None and len(batch.x) > 0:
-        parts.append((np.asarray(batch.x, dtype=np.float64),
-                      np.asarray(batch.y, dtype=np.int64),
-                      np.full(len(batch.x), batch.task_id, dtype=np.int64)))
-    if memory is not None and len(memory) > 0:
-        parts.append((memory.x, memory.y, memory.t))
-    if not parts:
-        return None
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
 def _grouped(t, last=None):
     """(order, tasks, sizes): the stable order that groups rows by their
-    task ``t`` (or any integer key, such as a snapshot width), tasks
-    ascending but ``last``'s group (if any) at the end, and each group's
-    task and row count."""
-    end = np.iinfo(np.int64).max
-    key = t if last is None else np.where(t == last, end, t)
-    order = np.argsort(key, kind="stable")
-    keys, sizes = np.unique(key, return_counts=True)
-    tasks = keys.tolist()
-    if tasks[-1] == end:
-        tasks[-1] = last
-    return order, tasks, sizes
+    task ``t`` (or any non-negative integer key, such as a snapshot width),
+    tasks ascending but ``last``'s group (if any) at the end, and each
+    group's task and row count."""
+    counts = np.bincount(t)
+    tasks = np.flatnonzero(counts).tolist()
+    if last in tasks:
+        tasks.remove(last)
+        tasks.append(last)
+        t = np.where(t == last, len(counts), t)
+    return np.argsort(t, kind="stable"), tasks, counts[tasks]
+
+
+def _step_rows(batch, memory, shared):
+    """(x, y, t, order, tasks, sizes): a step's batch rows, then its memory
+    rows in draw order, and their ``_grouped`` grouping by task with the
+    batch task's group last; None when both are empty. It is made once per
+    ``shared`` dict, which keeps it as ``"rows"``."""
+    if "rows" in shared:
+        return shared["rows"]
+    in_batch = batch is not None and len(batch.x) > 0
+    parts = [(np.asarray(batch.x, dtype=np.float64),
+              np.asarray(batch.y, dtype=np.int64),
+              np.full(len(batch.x), batch.task_id, dtype=np.int64))
+             ] if in_batch else []
+    if memory is not None and len(memory) > 0:
+        parts.append((memory.x, memory.y, memory.t))
+    rows = None
+    if parts:
+        x, y, t = (np.concatenate(column) for column in zip(*parts))
+        rows = (x, y, t, *_grouped(t, batch.task_id if in_batch else None))
+    shared["rows"] = rows
+    return rows
 
 
 def ce_loss(model, batch, memory=None, shared=None):
@@ -99,19 +94,17 @@ def ce_loss(model, batch, memory=None, shared=None):
     taken across heads, weighted by per-task sample counts. ``memory`` is a
     ``Draw`` or None. The rows run through one ``TaskForward``, grouped by
     task with the batch task's group last, and the loss is one tape node
-    (``autodiff.task_cross_entropy``). A dict passed as ``shared`` receives
-    that forward as ``"forward"`` and the batch task (None without batch
-    rows) as ``"batch_task"``, for ``derpp_loss`` on the same draw.
+    (``autodiff.task_cross_entropy``). A ``shared`` dict keeps the step's
+    rows and grouping and gets the forward as ``"forward"``, for the other
+    terms on the same draw.
     """
-    rows = _rows(batch, memory)
+    shared = {} if shared is None else shared
+    rows = _step_rows(batch, memory, shared)
     if rows is None:
         raise ContractError("ce_loss needs at least one sample")
-    x, y, t = rows
-    batch_task = batch.task_id if batch is not None and len(batch.x) else None
-    order, tasks, sizes = _grouped(t, batch_task)
+    x, y, _, order, tasks, sizes = rows
     forward = model.task_forward(x[order], tasks, sizes)
-    if shared is not None:
-        shared.update(forward=forward, batch_task=batch_task)
+    shared["forward"] = forward
     return task_cross_entropy(forward, y[order])
 
 
@@ -121,16 +114,28 @@ def derpp_loss(model, memory, config, shared=None):
     Every drawn row must carry a classifier-logit snapshot whose width
     matches the current head of its task. The loss is one tape node
     (``autodiff.task_dark_replay``). Given ``shared`` as ``ce_loss`` fills
-    it, on the same draw and weights, the memory rows of every task but the
-    batch task reuse CE's forward, whose groups for those tasks hold exactly
-    these rows, and every task's FiLM coefficients come from it.
+    it, on the same draw and weights, the memory rows keep CE's grouping,
+    and those of every task but the batch task reuse CE's forward, whose
+    groups for those tasks hold exactly these rows; every task's FiLM
+    coefficients come from it.
     """
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
     if not memory.h_width.all():
         raise MemoryConsistencyError("memory entry lacks a logit snapshot")
-    batch_task = shared["batch_task"] if shared else None
-    order, tasks, sizes = _grouped(memory.t, batch_task)
+    reuse = None
+    if shared:
+        # CE's order cut to the memory rows is their own stable order, and
+        # its last group, the batch task's, keeps only its memory rows
+        _, _, _, order, tasks, sizes = shared["rows"]
+        n_batch = len(order) - len(memory)
+        reuse = (shared["forward"], len(tasks) - (n_batch > 0))
+        order, sizes = order[order >= n_batch] - n_batch, sizes.tolist()
+        sizes[-1] -= n_batch
+        keep = len(tasks) - (sizes[-1] == 0)
+        tasks, sizes = tasks[:keep], sizes[:keep]
+    else:
+        order, tasks, sizes = _grouped(memory.t)
     widths = np.repeat([model.heads.output_dim(task) for task in tasks], sizes)
     stored = memory.h_width[order]
     wrong = np.flatnonzero(stored != widths)
@@ -139,16 +144,13 @@ def derpp_loss(model, memory, config, shared=None):
         raise MemoryConsistencyError(
             f"stored logits for task {memory.t[order[row]]} have shape "
             f"({stored[row]},), head expects ({widths[row]},)")
-    reuse = None
-    if shared:
-        reuse = (shared["forward"], sum(task != batch_task for task in tasks))
     forward = model.task_forward(memory.x[order], tasks, sizes, reuse)
     return task_dark_replay(forward, memory.y[order],
                             memory.h[order, :forward.logits.shape[1]],
                             config.lambda1, config.lambda2)
 
 
-def adversarial_generator_loss(model, batch, memory, config):
+def adversarial_generator_loss(model, batch, memory, config, shared=None):
     """Feature-alignment objective; gradient reaches the extractor only.
 
     uniform-confusion (default): CE between the frozen discriminator's read
@@ -159,15 +161,16 @@ def adversarial_generator_loss(model, batch, memory, config):
     The rows, grouped by task, run through the plain trunk and the
     discriminator as one ``TaskForward`` group, the discriminator's weights
     as constants, and the term is one tape node (``autodiff.task_alignment``).
+    A ``shared`` dict lends it the step's rows and grouping (``ce_loss``).
     With fewer than two seen tasks there is nothing to confuse; returns 0.
     """
     k = model.n_seen
     if k < 2:
         return Tensor(0.0)
-    rows = _rows(batch, memory)
+    rows = _step_rows(batch, memory, {} if shared is None else shared)
     if rows is None:
         raise ContractError("alignment loss needs at least one sample")
-    x, _, t = rows
+    x, _, t = rows[:3]
     # rows grouped by task, each group in its original order
     order = np.argsort(t, kind="stable")
     forward = model.discriminator_forward(x[order], [0], [len(x)],
@@ -222,10 +225,11 @@ def _dark_replay_off(config):
     return config.lambda1 == 0 and config.lambda2 == 0
 
 
-def classification_loss(model, batch, memory, config):
-    """CE + dark replay: the terms on the parameter generator's path. With
-    both dark-replay weights zero (ablation B) the second is not built."""
-    shared = {}
+def classification_loss(model, batch, memory, config, shared=None):
+    """CE + dark replay, on one ``shared`` dict (``ce_loss``): the terms on
+    the parameter generator's path. With both dark-replay weights zero
+    (ablation B) the second is not built."""
+    shared = {} if shared is None else shared
     loss = ce_loss(model, batch, memory, shared)
     if _dark_replay_off(config):
         return loss
@@ -234,8 +238,9 @@ def classification_loss(model, batch, memory, config):
 
 def total_loss(model, batch, memory, config):
     """The learner's full objective: CE + dark replay + lam3 * alignment."""
-    loss = classification_loss(model, batch, memory, config)
+    shared = {}
+    loss = classification_loss(model, batch, memory, config, shared)
     if config.lambda3 != 0:
         loss = loss + config.lambda3 * adversarial_generator_loss(
-            model, batch, memory, config)
+            model, batch, memory, config, shared)
     return loss

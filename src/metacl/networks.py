@@ -13,16 +13,11 @@ ops of ``metacl.autodiff``, one node per op. They are the reference path:
 ``discriminate`` run them for the tests and demos, and no training or
 inference path does.
 
-Training and inference run one path instead, ``autodiff.TaskForward``.
-``ContinualModel.task_forward`` lays the classification path out as it
-expects (per trunk layer its weights and the FiLM that follows it under the
-transform mode, and one head per task), and runs rows of many tasks through
-it at once, equal row group by row group to ``logits``.
-``ContinualModel.discriminator_forward`` does the same for the
-discriminator's path, equal group by group to ``discriminate(extract(x))``
-before its column mask, with the trunk (discriminator loss) or the
-discriminator (alignment term) as constants. Snapshots and evaluation read
-a one-group forward under ``no_grad``.
+Training and inference run one path instead, ``autodiff.TaskForward``:
+``ContinualModel.task_forward`` on the classification path, equal row group
+by row group to ``logits``, and ``discriminator_forward`` on the
+discriminator's, equal to ``discriminate(extract(x))`` before its column
+mask. Snapshots and evaluation read a one-group forward under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -38,6 +33,7 @@ from .autodiff import (
     no_grad,
     relu,
     sqrt,
+    task_films,
     tsum,
 )
 from .config import TRANSFORM_MODES
@@ -334,23 +330,31 @@ class ContinualModel:
     def logits(self, x, task_id):
         return self.classify(self.task_features(x, task_id), task_id)
 
-    def task_forward(self, x, tasks, sizes, reuse=None):
-        """``autodiff.TaskForward`` of the rows ``x``, grouped by task
-        (``sizes[k]`` rows of ``tasks[k]``), on the classification path:
-        group k's logits equal ``logits`` of its rows bit for bit. ``reuse``
-        is passed through."""
-        x = np.asarray(x, dtype=np.float64)
-        self.extractor.check_input(x)
-        layers = [(w, b, self.generator.layer(index)
-                   if self._modulated(index) else None)
-                  for index, (w, b) in enumerate(self.extractor.layers)]
+    def _task_layers(self, tasks):
+        """The classification path's (w, b, FiLM params or None) per trunk
+        layer, as ``TaskForward`` takes them, once ``tasks`` are checked."""
         for task in tasks:
             self._check_task(task)
             if self.transform_mode != "off":
                 self.generator.check_task(task)
-        return TaskForward(x, tasks, sizes, layers,
+        return [(w, b, self.generator.layer(index)
+                 if self._modulated(index) else None)
+                for index, (w, b) in enumerate(self.extractor.layers)]
+
+    def task_forward(self, x, tasks, sizes, reuse=None, films=None):
+        """``autodiff.TaskForward`` of the rows ``x``, grouped by task
+        (``sizes[k]`` rows of ``tasks[k]``), on the classification path:
+        group k's logits equal ``logits`` of its rows bit for bit. ``reuse``
+        and ``films`` (``task_films`` of these tasks) are passed through."""
+        x = np.asarray(x, dtype=np.float64)
+        self.extractor.check_input(x)
+        return TaskForward(x, tasks, sizes, self._task_layers(tasks),
                            [self.heads.head(task) for task in tasks],
-                           NORM_EPS, reuse)
+                           NORM_EPS, reuse, films)
+
+    def task_films(self, tasks):
+        """``autodiff.task_films`` of ``tasks`` on the classification path."""
+        return task_films(self._task_layers(tasks), tasks, NORM_EPS)
 
     def discriminate(self, features, seen_tasks=None):
         if seen_tasks is None:
@@ -362,11 +366,10 @@ class ContinualModel:
         (``sizes[k]`` rows of key ``keys[k]``), on the discriminator's path:
         the plain trunk, the discriminator's first layer, and its output
         layer as every group's head. Group k's logits equal those of
-        ``discriminate(extract(rows))`` before its column mask, bit for bit:
-        the heads' leading ReLU would meet the first layer's ReLU output,
-        which ``TaskForward`` hands them as it is. ``frozen`` ("trunk" or
-        "discriminator") names the part that enters as constant views of
-        its weights, so it gets no gradient whatever its flags say."""
+        ``discriminate(extract(rows))`` before its column mask, bit for bit.
+        ``frozen`` ("trunk" or "discriminator") names the part that enters
+        as constant views of its weights, so it gets no gradient whatever
+        its flags say; None, for a forward under ``no_grad``, makes none."""
         x = np.asarray(x, dtype=np.float64)
         self.extractor.check_input(x)
         self.discriminator.check_capacity(self.n_seen)
@@ -375,7 +378,7 @@ class ContinualModel:
         first, head = (d.w1, d.b1), (d.w2, d.b2)
         if frozen == "trunk":
             trunk = [(Tensor(w.data), Tensor(b.data)) for w, b in trunk]
-        else:
+        elif frozen == "discriminator":
             first, head = ((Tensor(w.data), Tensor(b.data))
                            for w, b in (first, head))
         layers = [(w, b, None) for w, b in [*trunk, first]]
@@ -396,7 +399,7 @@ class ContinualModel:
             seen_tasks = self.n_seen
         self.discriminator.check_capacity(seen_tasks)
         with no_grad():
-            forward = self.discriminator_forward(x, [0], [len(x)], "trunk")
+            forward = self.discriminator_forward(x, [0], [len(x)], None)
             return forward.logits[:, :seen_tasks + 1].copy()
 
     # -- parameter groups ----------------------------------------------------

@@ -73,19 +73,24 @@ def _step_tasks(batch, draw):
 
 def evaluate(model, tasks):
     """Per-task test accuracy; inference only, discriminator untouched.
-    Each ``EVAL_CHUNK`` test rows of a task are one one-group ``task_forward``."""
-    out = {}
+    Each ``EVAL_CHUNK`` test rows of a task are one one-group
+    ``task_forward``, on one ``task_films`` of all the tasks scored."""
     for task in tasks:
         if task.task_id not in model.seen_tasks:
             raise UnknownTaskError(f"task {task.task_id} was never trained")
-        correct = 0
-        with no_grad():
+    out = {}
+    with no_grad():
+        films = model.task_films([task.task_id for task in tasks])
+        for k, task in enumerate(tasks):
+            own = [None if c is None else c.rows(k, k + 1) for c in films]
+            correct = 0
             for start in range(0, len(task.test.x), EVAL_CHUNK):
                 x = task.test.x[start:start + EVAL_CHUNK]
                 y = task.test.y[start:start + EVAL_CHUNK]
-                logits = model.task_forward(x, [task.task_id], [len(x)]).logits
+                logits = model.task_forward(x, [task.task_id], [len(x)],
+                                            films=own).logits
                 correct += int((logits.argmax(axis=1) == y).sum())
-        out[task.task_id] = correct / len(task.test.x)
+            out[task.task_id] = correct / len(task.test.x)
     return out
 
 

@@ -10,14 +10,11 @@ from metacl.autodiff import (
     backward,
     gather_rows,
     grad_only,
-    l2_distance,
     mask_cols,
     matmul,
     no_grad,
     relu,
     sgd_step,
-    slice_cols,
-    soft_cross_entropy,
     softmax_cross_entropy,
     sqrt,
     tsum,
@@ -26,6 +23,7 @@ from metacl.autodiff import (
 from metacl.errors import ContractError, DimensionError
 
 from helpers import check_gradients, finite_difference_grad
+from reference import l2_distance, slice_cols, soft_cross_entropy
 
 
 # ---------------------------------------------------------------------------
@@ -650,15 +648,112 @@ def test_numpy_axis_0_sums_side_by_side_equal_each_arrays_own(width):
 
 
 def test_numpy_in_place_add_equals_a_new_sum():
-    # backward adds a flow's third and later contributions into its buffer
+    # backward adds a flow's third and later contributions into its buffer,
+    # and TaskForward adds biases, FiLM shifts and residuals in place
     rng = np.random.default_rng(6)
     for shape in [(1,), (5,), (4, 8), (64, 64), (3, 9, 4)]:
         acc, g = _signed(rng, shape), _signed(rng, shape)
         acc.reshape(-1)[0], g.reshape(-1)[0] = -0.0, -0.0
         g.reshape(-1)[-1] = np.inf
         want = acc + g
+        again = acc.copy()
+        again += g
         np.add(acc, g, out=acc)
-        assert acc.tobytes() == want.tobytes()
+        assert acc.tobytes() == want.tobytes() == again.tobytes()
+
+
+def test_numpy_maximum_plus_zero_equals_the_where_relu():
+    # _relu: maximum can keep a -0.0 where where() gives +0.0; adding +0.0
+    # makes the two equal on every value, NaN and the infinities included
+    z = _signed(np.random.default_rng(7), (40, 9))
+    z[0, :6] = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf]
+    want = np.where(z <= 0, 0.0, z)
+    fresh = np.maximum(z, 0.0)
+    fresh += 0.0
+    assert fresh.tobytes() == want.tobytes()
+    for out in (None, z.copy()):
+        got, mask = ad._relu(z if out is None else out, out=out)
+        assert got.tobytes() == want.tobytes()
+        assert mask.tobytes() == (~(z <= 0)).tobytes()
+        assert out is None or got is out
+
+
+@pytest.mark.parametrize("width", [2, 3, 64, 130])
+def test_numpy_axis_1_sums_padded_with_negative_zero_equal_group_sums(width):
+    # TaskForward._group_sums: each group's rows placed in one array padded
+    # with -0.0 to the largest group, then one axis-1 sum; -0.0 rows, -0.0
+    # entries and empty and one-row groups included
+    rng = np.random.default_rng(width)
+    for _ in range(30):
+        sizes = rng.integers(0, 12, size=rng.integers(1, 9))
+        sizes[rng.integers(len(sizes))] = max(1, sizes.max())
+        v = _signed(rng, (int(sizes.sum()), width))
+        v[rng.random(len(v)) < 0.2] = -0.0
+        largest = int(sizes.max())
+        padded = np.full((len(sizes), largest, width), -0.0)
+        start = 0
+        for k, n in enumerate(sizes.tolist()):
+            padded[k, :n] = v[start:start + n]
+            start += n
+        sums = padded.sum(axis=1)
+        start = 0
+        for k, n in enumerate(sizes.tolist()):
+            own = v[start:start + n].sum(axis=0)
+            assert sums[k].tobytes() == own.tobytes()
+            start += n
+
+
+@pytest.mark.parametrize("width", [1, 2, 64])
+def test_group_sums_equal_each_groups_own_sum(width):
+    # the padded sum at widths above 1, one sum per group at width 1, where
+    # numpy sums a lone column pairwise and padding would regroup its terms
+    rng = np.random.default_rng(40 + width)
+    sizes = [1, 20, 3, 9, 1, 17]
+    layers = [(Tensor(np.ones((3, width)), requires_grad=True),
+               Tensor(np.zeros(width)), None)]
+    heads = [(Tensor(np.ones((width, 2))), Tensor(np.zeros(2)))] * len(sizes)
+    forward = ad.TaskForward(rng.normal(size=(sum(sizes), 3)),
+                             list(range(1, 7)), sizes, layers, heads, 1e-8)
+    v = _signed(rng, (sum(sizes), width)) * 10.0 ** rng.uniform(
+        -8, 8, (sum(sizes), width))
+    v[3] = -0.0
+    got = forward._group_sums(v)
+    for k, (s, e) in enumerate(forward.bounds):
+        assert got[k].tobytes() == v[s:e].sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numpy_stacked_scale_and_shift_rows_equal_separate_ones(seed):
+    # _Film keeps scale and shift as one (K, 2, F) array: the stacked
+    # matmul into each half, the norms, the quotient and the gradient steps
+    # over both must equal those of each (K, F) half on its own
+    rng = np.random.default_rng(300 + seed)
+    k, e, f = rng.integers(1, 25), rng.integers(1, 20), rng.integers(1, 70)
+    embs = _signed(rng, (k, e))
+    ws = [_signed(rng, (e, f)) for _ in range(2)]
+    stacked = np.empty((k, 2, f))
+    for i, w in enumerate(ws):
+        ad._row_products(embs, w, out=stacked[:, i])
+        assert stacked[:, i].tobytes() == ad._row_products(embs, w).tobytes()
+    root, norm = ad._norms(stacked, 1e-8)
+    g_hat = _signed(rng, (k, 2, f))
+    g = ad._normalized_grad(g_hat, stacked, root, norm)
+    outer = ad._outer(embs, g)
+    for i in range(2):
+        half = stacked[:, i].copy()
+        root_i, norm_i = ad._norms(half, 1e-8)
+        assert root[:, i].tobytes() == root_i.tobytes()
+        assert norm[:, i].tobytes() == norm_i.tobytes()
+        assert (stacked / norm)[:, i].tobytes() == (half / norm_i).tobytes()
+        g_i = ad._normalized_grad(g_hat[:, i].copy(), half, root_i, norm_i)
+        assert g[:, i].tobytes() == g_i.tobytes()
+        for j in range(k):
+            # the chain's own steps for row j: tsum of the row, and the
+            # (E, 1) @ (1, F) product of the scale map's gradient
+            assert root_i[j, 0].tobytes() == np.sqrt(
+                np.maximum((half[j] * half[j]).sum(), 0.0)).tobytes()
+            assert outer[j, i].tobytes() == (
+                embs[j:j + 1].T @ g_i[j:j + 1]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +812,17 @@ def test_no_nan_inf_for_bounded_inputs():
         zero_grads([a, b])
         backward(softmax_cross_entropy(a, targets) + l2_distance(a, b))
         assert np.all(np.isfinite(a.grad)) and np.all(np.isfinite(b.grad))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (3,), (2, 4)])
+def test_assert_finite_names_nan_and_inf_at_every_size(shape):
+    # a one-element loss is read as a Python float, larger tensors by numpy
+    ad.assert_finite(Tensor(np.full(shape, -0.0)))
+    for bad in (np.nan, np.inf, -np.inf):
+        data = np.ones(shape)
+        data.reshape(-1)[-1] = bad
+        with pytest.raises(FloatingPointError, match="loss contains NaN"):
+            ad.assert_finite(Tensor(data), "loss")
 
 
 def test_fd_oracle_self_check():

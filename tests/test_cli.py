@@ -173,6 +173,18 @@ def test_sweep_rejects_bad_value(tmp_path):
     assert "37" in err
 
 
+def test_sweep_rejects_empty_values(tmp_path):
+    # an empty --values is no value, as sweep(values=[]) is, not the
+    # axis's whole canonical sweep
+    code, out, err = invoke(
+        ["sweep", "--axis", "memory", "--values", "",
+         "--seed", "0", "--out", str(tmp_path)] + TINY)
+    assert code == 2
+    assert "at least one value" in err
+    assert not out
+    assert not list(tmp_path.iterdir())
+
+
 def test_grid_command(tmp_path):
     code, out, err = invoke(
         ["grid", "--space", '{"inner_lr": [0.1], "lambda3": [0.03]}',
@@ -188,6 +200,16 @@ def test_grid_rejects_bad_space(tmp_path):
          "--out", str(tmp_path)] + TINY)
     assert code == 2
     assert "JSON" in err
+
+
+@pytest.mark.parametrize("values", ["0.03", '"0.03"'])
+def test_grid_rejects_an_axis_value_that_is_not_a_list(tmp_path, values):
+    code, out, err = invoke(
+        ["grid", "--space", '{"lambda3": %s}' % values, "--seed", "0",
+         "--out", str(tmp_path)] + TINY)
+    assert code == 2
+    assert "lambda3" in err and "0.03" in err and "list" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_ablate_command(tmp_path):

@@ -29,6 +29,7 @@ from metacl.experiments import (
     sweep,
     write_record,
 )
+from metacl.trainer import build_trainer, run_stream
 
 TINY = [
     "n_tasks=3", "train_per_class=10", "test_per_class=5", "input_dim=8",
@@ -285,6 +286,12 @@ def test_grid_validation(tmp_path):
         grid(config, space={"inner_lr": [0.5]})
     with pytest.raises(ConfigurationError):
         grid(config, space={"inner_lr": []})
+    # an axis value that is not a list is named, not iterated, before any
+    # run starts
+    for value in (0.03, "0.03"):
+        with pytest.raises(ConfigurationError, match="lambda3.*0.03"):
+            grid(config, space={"lambda3": value})
+    assert not list(tmp_path.iterdir())
     assert set(GRID_SPACE) == {"inner_lr", "outer_lr",
                                "lambda1", "lambda2", "lambda3"}
 
@@ -336,6 +343,52 @@ def test_records_pinned(tmp_path, key):
     (path,) = tmp_path.glob("*/seed-0/record.json")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == PINNED_RECORDS[key]
+
+
+# sha256 of a finished seed-run (seed 0): every parameter's shape and bytes
+# in all_params() order, the memory's classifier and discriminator snapshot
+# arrays, and each task's mean inner, outer and discriminator loss. Records
+# hold accuracies, which a one-ulp change of a gradient can leave as they
+# are; these digests change with it. Taken before the grouped forwards,
+# backwards and evaluation were cut down to fewer numpy calls.
+PINNED_RUNS = {
+    "desk5-scale": (
+        {}, "029824bb4c7326c853e9aa05fafaa9067cd17c667aa2abc988ad9284a3ac7e0c"),
+    "long20-scale": (
+        {"n_tasks": 20, "train_per_class": 20},
+        "7cb2b7b29e7c5fb910222bcbef4983abfbaddde1c538a1e8ea105281fa4354b1"),
+    "last-negative-ce": (
+        {"transform_mode": "last", "generator_mode": "negative-ce",
+         "share_embedding": False, "train_per_class": 40},
+        "8f73988f759845cd545ed870459ba625a93250afb8951b1d0617424baeb50e5c"),
+    "er20": (
+        {"method": "er", "n_tasks": 20, "memory_budget": 200},
+        "f61ce849615eaaf47f0b930e6f80055aa858e1848dfa304c1a9367a343f4ffc8"),
+}
+
+
+def run_digest(config):
+    stream = build_stream(config)
+    trainer = build_trainer(stream, config, 0)
+    records = run_stream(trainer, stream)
+    h = hashlib.sha256()
+    for p in trainer.model.all_params():
+        h.update(f"{p.data.shape}".encode("ascii"))
+        h.update(p.data.tobytes())
+    rows = trainer.memory.rows()
+    for a in (rows.h, rows.h_disc):
+        h.update(f"{a.shape}".encode("ascii"))
+        h.update(a.tobytes())
+    for r in records:
+        h.update(repr([r[f"mean_{kind}_loss"]
+                       for kind in ("inner", "outer", "disc")]).encode("ascii"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_runs_pinned(name):
+    fields, digest = PINNED_RUNS[name]
+    assert run_digest(RunConfig(**fields)) == digest
 
 
 # sha256 over every task's train/test x and y (dtype, shape, bytes), computed

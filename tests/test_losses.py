@@ -5,19 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from metacl import losses as losses_module
 from metacl import networks
 from metacl.autodiff import (
     Tensor,
     backward,
     grad_only,
-    l2_distance,
     mask_cols,
     matmul,
     no_grad,
     relu,
     sgd_step,
-    slice_cols,
-    soft_cross_entropy,
     softmax_cross_entropy,
     zero_grads,
 )
@@ -37,6 +35,7 @@ from metacl.networks import ContinualModel
 from metacl.trainer import effective_weights
 
 from helpers import check_gradients, draw_of
+from reference import l2_distance, slice_cols, soft_cross_entropy
 
 
 class Batch:
@@ -826,6 +825,56 @@ def test_discriminator_node_runs_no_trunk_pass(monkeypatch):
                         lambda *args, **kwargs: passes.append(1))
     loss = discriminator_loss(model, x, labels, memory, RunConfig())
     assert loss.node is not None and passes == []
+
+
+def reference_grouping(t, last=None):
+    """The grouping by np.argsort and np.unique that ``_grouped`` replaced."""
+    end = np.iinfo(np.int64).max
+    key = t if last is None else np.where(t == last, end, t)
+    keys, sizes = np.unique(key, return_counts=True)
+    tasks = keys.tolist()
+    if tasks[-1] == end:
+        tasks[-1] = last
+    return np.argsort(key, kind="stable"), tasks, sizes
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bincount_grouping_equals_argsort_and_unique(seed):
+    _grouped = losses_module._grouped
+    rng = np.random.default_rng(seed)
+    t = rng.integers(1 + seed % 2, 21, size=rng.integers(1, 90))
+    present, absent = int(rng.choice(t)), 21 + seed
+    for last in (None, present, absent, int(t.min()), int(t.max())):
+        order, tasks, sizes = _grouped(t, last)
+        want_order, want_tasks, want_sizes = reference_grouping(t, last)
+        assert order.tobytes() == want_order.tobytes()
+        assert tasks == want_tasks
+        assert sizes.tobytes() == want_sizes.tobytes()
+
+
+@pytest.mark.parametrize("batch_task", [2, 3], ids=["in-draw", "not-in-draw"])
+def test_step_losses_share_one_grouping_of_the_step_rows(batch_task,
+                                                        monkeypatch):
+    # CE groups the step's rows once; dark replay cuts that grouping to its
+    # memory rows, which equals grouping them afresh, and the alignment term
+    # reuses the step's rows
+    real = losses_module._grouped
+    model, batch, memory = node_setup(batch_task=batch_task)
+    shared = {}
+    ce_loss(model, batch, memory, shared)
+    calls = []
+    monkeypatch.setattr(losses_module, "_grouped",
+                        lambda *args: calls.append(args) or real(*args))
+    derpp_loss(model, memory, RunConfig(), shared)
+    adversarial_generator_loss(model, batch, memory, RunConfig(), shared)
+    assert calls == []
+    _, _, _, order, tasks, sizes = shared["rows"]
+    n_batch = len(batch.x)
+    want = real(memory.t, batch_task)
+    cut = order[order >= n_batch] - n_batch
+    assert cut.tobytes() == want[0].tobytes()
+    assert [task for task, n in zip(tasks, sizes.tolist())
+            if n - n_batch * (task == batch_task)] == want[1]
 
 
 def test_losses_use_no_add_reduceat():

@@ -330,6 +330,31 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
         model.snapshot_disc_logits(x, model.k_max + 1)
 
 
+@pytest.mark.parametrize("share", [True, False], ids=["shared", "per-layer"])
+@pytest.mark.parametrize("mode", ["per_layer", "last", "off"])
+def test_evaluate_over_many_tasks_predicts_as_the_reference_path(share, mode):
+    # evaluate makes one FiLM pass over all the tasks it scores and runs
+    # each task's rows on that task's row of it: every prediction must equal
+    # the layer methods', task by task, whatever the order of the tasks
+    model = small_model(share_embedding=share, transform_mode=mode, k_max=16)
+    for t in range(1, 14):
+        model.register_task(t)
+    rng = np.random.default_rng(13)
+    for p in model.all_params():  # mid-training values: nonzero biases
+        p.data += 0.1 * rng.normal(size=p.data.shape)
+    xs = {t: rng.normal(size=(int(rng.integers(1, 40)), 4))
+          for t in range(1, 14)}
+    with no_grad():
+        want = {t: model.logits(x, t).data.argmax(axis=1)
+                for t, x in xs.items()}
+    order = rng.permutation(np.arange(1, 14)).tolist()
+    for shift in (0, 1):
+        tasks = [Task(t, Split(xs[t][:0], np.zeros(0, dtype=int)),
+                      Split(xs[t], (want[t] + shift) % 3), (0, 1, 2), 3)
+                 for t in order]
+        assert evaluate(model, tasks) == {t: 1.0 - shift for t in order}
+
+
 # every forward of the model on raw input rows, reference path and fast path
 FORWARDS = {
     "extract": lambda model, x: model.extract(x),
@@ -357,9 +382,10 @@ def test_forward_rejects_malformed_input_before_any_work(name, shape):
 @pytest.mark.parametrize("forward", ["task", "discriminator"])
 @pytest.mark.parametrize("tasks, sizes", [
     ([1, 2], [2, 2]), ([1, 2], [3, 3]), ([1, 2], [5]), ([1], [2, 3]),
-    ([1, 2], [6, -1]), ([2, 2], [2, 3]), ([], [])],
+    ([1, 2], [6, -1]), ([1, 2], [5, 0]), ([2, 2], [2, 3]), ([], [])],
     ids=["rows-left-over", "rows-missing", "task-without-size",
-         "size-without-task", "negative-size", "task-twice", "no-group"])
+         "size-without-task", "negative-size", "empty-group", "task-twice",
+         "no-group"])
 def test_task_forward_rejects_groups_that_do_not_split_the_rows(forward, tasks,
                                                                 sizes):
     model = small_model()
