@@ -350,10 +350,23 @@ def test_records_pinned(tmp_path, key):
 # arrays, and each task's mean inner, outer and discriminator loss. Records
 # hold accuracies, which a one-ulp change of a gradient can leave as they
 # are; these digests change with it. Taken before the grouped forwards,
-# backwards and evaluation were cut down to fewer numpy calls.
+# backwards and evaluation were cut down to fewer numpy calls; the finetune
+# and ablation digests, while each method still had a trainer class of its own.
 PINNED_RUNS = {
     "desk5-scale": (
         {}, "029824bb4c7326c853e9aa05fafaa9067cd17c667aa2abc988ad9284a3ac7e0c"),
+    "desk5-scale-A": (
+        {"ablation": "A"},
+        "50eb021b0a659647067ec1bb6c200056cf812fe9767a3b819ffcf618ad022bf3"),
+    "desk5-scale-B": (
+        {"ablation": "B"},
+        "beac66cd4fc72334bf24b9464ec2f6163e9149e7254a7ee89da8ee081e620ed6"),
+    "desk5-scale-C": (
+        {"ablation": "C"},
+        "d34df3e4949fa60316d83a1bee94d9632d73e3ddcc766ec980be263cb8a4ab37"),
+    "desk5-finetune": (
+        {"method": "finetune"},
+        "b119b29712da8d59c4d1e1ad03f6d6421bef1fd1882eb1141e3aae50724e7624"),
     "long20-scale": (
         {"n_tasks": 20, "train_per_class": 20},
         "7cb2b7b29e7c5fb910222bcbef4983abfbaddde1c538a1e8ea105281fa4354b1"),
