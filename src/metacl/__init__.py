@@ -13,7 +13,6 @@ from .memory import Draw, EpisodicMemory, MemoryEntry, make_entry
 from .metrics import AccuracyMatrix, acc, fm
 from .networks import ContinualModel
 from .trainer import (
-    ReplayTrainer,
     Trainer,
     build_model,
     build_trainer,
@@ -29,7 +28,7 @@ __all__ = [
     "Draw", "EpisodicMemory", "MemoryEntry", "make_entry",
     "AccuracyMatrix", "acc", "fm",
     "ContinualModel",
-    "ReplayTrainer", "Trainer",
+    "Trainer",
     "build_model", "build_trainer", "run_stream",
     "__version__",
 ]

@@ -1,17 +1,15 @@
-"""Per-task, per-batch training under a strict one-epoch constraint.
+"""One trainer for every method; what a round trains is one plan row.
 
-Every trainer runs the same task loop: each minibatch drives one
-optimization round, then is offered to the episodic memory, and every
-current-task sample is consumed in exactly one round. ``Trainer`` runs the
-full method's round: partition into train/val sides, n_out x (n_in inner
-steps on {extractor, heads} + one outer step on the parameter generator),
-then n_ad discriminator steps. ``ReplayTrainer`` runs the experience-replay
-round: one CE step on the batch plus a memory draw. Every step tapes and
-differentiates only the parameter group it moves (``autodiff.grad_only``):
-the rest of the model is a constant for the length of the step.
-
-Trainers are built from a ``RunConfig`` and a seed; ``build_trainer`` holds
-the rule for which trainer, model and memory a config's method gets.
+Each minibatch drives one optimization round, then is offered to the
+episodic memory, so every current-task sample is consumed in exactly one
+round. ``plan_for`` picks a config's ``Plan``, one row of ``PLANS`` per
+method x ablation. The full method's round takes the memory's train/val
+partition, runs n_out x (n_in inner steps on {extractor, heads} + one outer
+step on the parameter generator), then n_ad discriminator steps; ablations
+A, B and C each switch one piece off. Experience replay (ER) is one CE step
+on the batch plus one memory draw; fine-tuning is ER with no memory. Every
+step tapes and differentiates only the parameter group it moves
+(``autodiff.grad_only``); the rest of the model is a constant in the step.
 """
 
 from __future__ import annotations
@@ -56,14 +54,43 @@ class RunState:
     adversarial_updates: int = 0
 
 
+@dataclass(frozen=True)
+class Plan:
+    """What one round trains, for one method x ablation (``PLANS``)."""
+
+    partition: bool = True  # two draws (stream 31), else one sample (41)
+    bilevel: bool = True  # n_out x (n_in inner + one outer), else one inner
+    adversarial: bool = True  # n_ad discriminator steps
+    snapshots: bool = True  # memory rows carry logit snapshots
+    memory: bool = True  # memory keeps memory_budget rows per task, else none
+    plain: bool = False  # the model runs the plain trunk (transform "off")
+    zeroed: tuple = ()  # the loss weights the steps train at zero
+
+
+ER = Plan(partition=False, bilevel=False, adversarial=False, snapshots=False,
+          plain=True, zeroed=("lambda1", "lambda2", "lambda3"))
+
+PLANS = {
+    ("scale", "full"): Plan(),
+    ("scale", "A"): Plan(adversarial=False, zeroed=("lambda3",)),
+    ("scale", "B"): Plan(zeroed=("lambda1", "lambda2")),
+    ("scale", "C"): Plan(plain=True),
+    ("er", "full"): ER,
+    ("finetune", "full"): replace(ER, memory=False),
+}
+
+
+def plan_for(config):
+    """The plan of ``config``'s method and ablation; no other code reads
+    either field to decide what a run trains."""
+    return PLANS[config.method, config.ablation]
+
+
 def effective_weights(config):
-    """The config with the loss weights its ablation trains with: A drops the
-    alignment term, B drops both dark-replay terms."""
-    if config.ablation == "A":
-        return replace(config, lambda3=0.0)
-    if config.ablation == "B":
-        return replace(config, lambda1=0.0, lambda2=0.0)
-    return config
+    """The config with the loss weights its plan trains with: A drops the
+    alignment term, B both dark-replay terms, ER and fine-tuning all three."""
+    zeroed = plan_for(config).zeroed
+    return replace(config, **dict.fromkeys(zeroed, 0.0)) if zeroed else config
 
 
 def _step_tasks(batch, draw):
@@ -94,32 +121,25 @@ def evaluate(model, tasks):
     return out
 
 
-class TaskLoop:
-    """The one-epoch task loop every trainer shares.
-
-    A subclass supplies ``train_round(batch, losses)``, which runs one round
-    on a minibatch and appends its loss values to the ``inner``, ``outer``
-    and ``disc`` lists of ``losses``, and names its random streams in
-    ``RNG_STREAMS`` (name -> seed-stream id), each kept as ``<name>_rng``.
-    ``SNAPSHOTS`` says whether memory rows carry logit snapshots.
-    """
-
-    RNG_STREAMS = {}
-    SNAPSHOTS = True
+class Trainer:
+    """The one-epoch task loop and the three update kinds, run as ``plan``
+    says; the three seed streams exist whatever the plan."""
 
     def __init__(self, model, memory, config, seed):
+        self.plan = plan_for(config)
+        if self.plan.plain and model.transform_mode != "off":
+            raise ConfigurationError(
+                "the plan runs the plain trunk: use transform_mode='off'")
         self.model = model
-        self.config = config
+        self.config = effective_weights(config)
         self.seed = seed
         self.state = RunState(model=model, memory=memory)
-        for name, stream in self.RNG_STREAMS.items():
-            setattr(self, f"{name}_rng", np.random.default_rng([seed, stream]))
+        self.partition_rng, self.noise_rng, self.replay_rng = (
+            np.random.default_rng([seed, stream]) for stream in (31, 40, 41))
 
     @property
     def memory(self):
         return self.state.memory
-
-    # -- one update --------------------------------------------------------------
 
     def _differentiate(self, params, make_loss, label):
         """Build ``make_loss()`` with only ``params`` taped and back-propagate
@@ -138,7 +158,7 @@ class TaskLoop:
         if self.memory.budget_per_task == 0:
             return
         h = h_disc = [None] * len(batch.x)
-        if self.SNAPSHOTS:
+        if self.plan.snapshots:
             h = self.model.snapshot_logits(batch.x, batch.task_id)
             h_disc = self.model.snapshot_disc_logits(batch.x)
         for i in range(len(batch.x)):
@@ -166,29 +186,22 @@ class TaskLoop:
                                            else None)
         return record
 
-
-class Trainer(TaskLoop):
-    """The full pipeline; ablations A, B, C switch individual pieces off."""
-
-    RNG_STREAMS = {"partition": 31, "noise": 40, "replay": 41}
-
-    def __init__(self, model, memory, config, seed):
-        if config.ablation == "C" and model.transform_mode != "off":
-            raise ConfigurationError(
-                "ablation C requires a model with transform_mode='off'")
-        super().__init__(model, memory, effective_weights(config), seed)
-
     # -- the three update kinds ------------------------------------------------
 
     def inner_step(self, batch, draw):
         """One SGD step on the composite loss over ``batch`` and the memory
-        ``draw``, moving extractor and heads."""
+        ``draw``, moving extractor and heads. With every loss weight zero the
+        composite loss is CE alone, and the step builds just that."""
         params = (self.model.extractor_params()
                   + self.model.head_params(_step_tasks(batch, draw)))
+        c = self.config
+        ce_only = c.lambda1 == c.lambda2 == c.lambda3 == 0
         loss = self._differentiate(
-            params, lambda: total_loss(self.model, batch, draw, self.config),
+            params,
+            lambda: (ce_loss(self.model, batch, draw) if ce_only
+                     else total_loss(self.model, batch, draw, c)),
             f"inner-step loss on task {batch.task_id}")
-        sgd_step(params, self.config.inner_lr)
+        sgd_step(params, c.inner_lr)
         self.state.inner_updates += 1
         return loss.item()
 
@@ -196,13 +209,12 @@ class Trainer(TaskLoop):
         """One SGD step on the validation-side loss over ``batch`` and the
         memory ``draw``, moving the generator.
 
-        The loss is ``classification_loss``, CE + dark replay: the alignment
-        term runs the plain trunk and would send the generator no gradient,
-        so the step neither builds it nor counts it in the loss it returns.
-        First-order: extractor and heads are treated as constants, so the
+        The loss is ``classification_loss``, CE + dark replay, without the
+        alignment term, which runs the plain trunk and sends the generator no
+        gradient. First-order: extractor and heads are constants, so the
         generator gradient is the direct partial derivative at their current
-        values. With the transform disabled the generator is off the forward
-        path: the step builds no loss, moves nothing and returns None.
+        values. With the transform off the generator is off the forward path:
+        the step builds no loss, moves nothing and returns None.
         """
         loss = None
         if self.model.transform_mode != "off":
@@ -238,40 +250,29 @@ class Trainer(TaskLoop):
         return loss.item()
 
     def train_round(self, batch, losses):
-        train_draw, val_draw = self.memory.partition(
-            batch, self.partition_rng, self.config.replay_batch_size)
-        for _ in range(self.config.n_out):
-            for _ in range(self.config.n_in):
+        """One round on ``batch``: the plan's draw and steps, each step's loss
+        appended to the ``inner``, ``outer`` or ``disc`` list of ``losses``."""
+        plan, config = self.plan, self.config
+        if plan.partition:
+            train_draw, val_draw = self.memory.partition(
+                batch, self.partition_rng, config.replay_batch_size)
+        else:
+            train_draw = val_draw = self.memory.sample(
+                config.replay_batch_size, self.replay_rng)
+        n_out, n_in = (config.n_out, config.n_in) if plan.bilevel else (1, 1)
+        for _ in range(n_out):
+            for _ in range(n_in):
                 losses["inner"].append(self.inner_step(batch, train_draw))
-            loss = self.outer_step(batch, val_draw)
+            loss = self.outer_step(batch, val_draw) if plan.bilevel else None
             if loss is not None:
                 losses["outer"].append(loss)
-        if self.config.ablation != "A":
-            for _ in range(self.config.n_ad):
+        if plan.adversarial:
+            for _ in range(config.n_ad):
                 losses["disc"].append(self.adversarial_step(batch))
 
 
-class ReplayTrainer(TaskLoop):
-    """Experience-replay baseline: CE on current plus a memory draw.
-
-    With a zero memory budget this degenerates to plain fine-tuning. Uses the
-    same seed streams as the full trainer, so the extractor and heads start
-    bit-identically across methods. Memory rows carry no logit snapshots.
-    """
-
-    RNG_STREAMS = {"replay": 41}
-    SNAPSHOTS = False
-
-    def train_round(self, batch, losses):
-        draw = self.memory.sample(self.config.replay_batch_size, self.replay_rng)
-        params = (self.model.extractor_params()
-                  + self.model.head_params(_step_tasks(batch, draw)))
-        loss = self._differentiate(
-            params, lambda: ce_loss(self.model, batch, draw),
-            f"replay-step loss on task {batch.task_id}")
-        sgd_step(params, self.config.inner_lr)
-        losses["inner"].append(loss.item())
-        self.state.inner_updates += 1
+# the benchmark's resume20-er workload patches ``ReplayTrainer.train_task``
+ReplayTrainer = Trainer
 
 
 def run_stream(trainer, stream):
@@ -302,12 +303,10 @@ def task_capacity(stream, config):
 
 
 def build_model(stream, config, seed):
-    """Model shaped for a stream: single head iff domain-incremental.
-
-    The replay baselines and ablation C run the plain trunk (transform
-    ``off``); ``task_capacity`` gives the task capacity.
-    """
-    plain = config.method != "scale" or config.ablation == "C"
+    """Model shaped for a stream: single head iff domain-incremental, the
+    plain trunk (transform ``off``) if the plan runs it, and
+    ``task_capacity`` tasks."""
+    plain = plan_for(config).plain
     return ContinualModel(
         input_dim=stream.input_dim,
         classes_per_task=stream.classes_per_task,
@@ -324,9 +323,9 @@ def build_model(stream, config, seed):
 
 
 def build_trainer(stream, config, seed):
-    """The trainer for one seed of ``config``'s method, with a fresh model and
-    memory; fine-tuning is replay with no memory."""
-    budget = 0 if config.method == "finetune" else config.memory_budget
+    """The trainer for one seed of ``config``, with a fresh model and a
+    memory of ``memory_budget`` rows per task, or none if its plan keeps
+    no memory (fine-tuning)."""
+    budget = config.memory_budget if plan_for(config).memory else 0
     memory = EpisodicMemory(budget, rng=np.random.default_rng([seed, 20]))
-    trainer = Trainer if config.method == "scale" else ReplayTrainer
-    return trainer(build_model(stream, config, seed), memory, config, seed)
+    return Trainer(build_model(stream, config, seed), memory, config, seed)

@@ -171,8 +171,8 @@ def test_resume_equals_uninterrupted_run(tmp_path):
     resumed = Trainer(ck.model, ck.memory, config, seed)
     # a checkpoint holds no trainer streams: hand them over, so the
     # remaining tasks draw what an uninterrupted run draws
-    for name in Trainer.RNG_STREAMS:
-        setattr(resumed, f"{name}_rng", getattr(interrupted, f"{name}_rng"))
+    for name in ("partition_rng", "noise_rng", "replay_rng"):
+        setattr(resumed, name, getattr(interrupted, name))
     for task in stream.tasks[1:]:
         resumed.train_task(task)
 

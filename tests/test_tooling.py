@@ -6,12 +6,13 @@ catches a renamed or deleted name without running the demo. The fast demos
 (01 to 03, about 2 s together) also run to the end, which calls the model's
 forward paths and snapshots they show, and so does the README's ``python``
 block (about 1 s), so the documented library use keeps working; its config
-file example must parse. The benchmark
-patches metacl's functions where their callers look them up; a short run of
-it catches a refactor that moves one of those names. Two ``ast`` scans of
-``src/metacl`` keep deletions from leaving debris: an import nothing in its
-module uses, and a private (``_name``) module-level name or method nothing in
-the package references.
+file example must parse. The benchmark patches metacl's functions where
+their callers look them up: installing its patches catches a refactor that
+moves one of those names in milliseconds, and a short run of it catches one
+that changes what they do. Two ``ast`` scans of ``src/metacl`` keep
+deletions from leaving debris: an import nothing in its module uses, and a
+private (``_name``) module-level name or method nothing in the package
+references.
 """
 
 import ast
@@ -88,6 +89,23 @@ def test_benchmark_runs_without_failures(args):
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["failed"] == 0, out.stderr
     assert result["attempted"] > 0
+
+
+def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
+    # entering the traced resume pass's instruments patches every name the
+    # benchmark hooks in metacl, so a renamed or deleted one fails here, by
+    # name, without a training run; leaving them puts every original back
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import harness
+    import run_bench
+    from metacl import losses, trainer
+
+    originals = (trainer.Trainer.train_task, trainer.Trainer.inner_step,
+                 trainer.ce_loss, losses.ce_loss, trainer.backward)
+    with run_bench.Instruments(tmp_path, harness.Tracer(), resume=True):
+        assert trainer.Trainer.inner_step is not originals[1]
+    assert (trainer.Trainer.train_task, trainer.Trainer.inner_step,
+            trainer.ce_loss, losses.ce_loss, trainer.backward) == originals
 
 
 def package_trees():

@@ -1,15 +1,19 @@
 """Trainer tests: freeze contracts, one-epoch accounting, oracles."""
 
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import check_gradients
-from metacl import networks
+from metacl import experiments, networks
 from metacl import trainer as trainer_module
 from metacl.autodiff import backward, sgd_step, softmax_cross_entropy, zero_grads
-from metacl.config import RunConfig
+from metacl.config import ABLATION_MODES, METHODS, TRANSFORM_MODES, RunConfig
 from metacl.datasets import (
     Split,
     Task,
@@ -18,7 +22,7 @@ from metacl.datasets import (
     make_synthetic,
 )
 from metacl.errors import ConfigurationError, UnknownTaskError
-from metacl.experiments import run_single
+from metacl.experiments import build_stream, run_single
 from metacl.losses import (
     adversarial_generator_loss,
     discriminator_loss,
@@ -27,7 +31,6 @@ from metacl.losses import (
 )
 from metacl.memory import EpisodicMemory
 from metacl.trainer import (
-    ReplayTrainer,
     Trainer,
     _step_tasks,
     build_model,
@@ -51,6 +54,11 @@ def small_stream(seed=0):
 
 def small_config(**kw):
     return RunConfig(**{**SMALL, **kw})
+
+
+def n_rounds(stream, batch_size):
+    """Rounds in one epoch over every task: one per (last partial) batch."""
+    return sum(-(-len(t.train.x) // batch_size) for t in stream.tasks)
 
 
 def fresh_trainer(ablation="full", budget=5, seed=0, transform="per_layer",
@@ -110,6 +118,9 @@ def test_effective_weights_modes():
     assert (a.lambda1, a.lambda2, a.lambda3) == (2.0, 3.0, 0.0)
     assert (b.lambda1, b.lambda2, b.lambda3) == (0.0, 0.0, 0.5)
     assert effective_weights(base) is base
+    for method in ("er", "finetune"):  # one CE step: every weight zero
+        r = effective_weights(replace(base, method=method))
+        assert (r.lambda1, r.lambda2, r.lambda3) == (0.0, 0.0, 0.0)
 
 
 def test_ablation_c_requires_transform_off():
@@ -118,6 +129,9 @@ def test_ablation_c_requires_transform_off():
     memory = EpisodicMemory(5, rng=np.random.default_rng(0))
     with pytest.raises(ConfigurationError):
         Trainer(model, memory, small_config(ablation="C"), 0)
+    # ER's plan runs the plain trunk too
+    with pytest.raises(ConfigurationError):
+        Trainer(model, memory, small_config(method="er"), 0)
 
 
 def test_build_model_runs_the_plain_trunk_where_the_method_asks():
@@ -438,10 +452,13 @@ def test_replay_trainer_finetune_degenerate():
     stream = small_stream(seed=6)
     config = small_config(method="finetune")
     rt = build_trainer(stream, config, 6)
-    assert isinstance(rt, ReplayTrainer)
     for task in stream.tasks:
         rt.train_task(task)
     assert len(rt.memory) == 0
+    # one inner step per round, and no outer or discriminator step
+    rounds = n_rounds(stream, config.batch_size)
+    assert (rt.state.inner_updates, rt.state.outer_updates,
+            rt.state.adversarial_updates) == (rounds, 0, 0)
     reference = minimal_finetune_loop(stream, config, 6)
     model = rt.model
     for p, q in zip(model.extractor_params() + model.head_params(),
@@ -451,11 +468,17 @@ def test_replay_trainer_finetune_degenerate():
 
 def test_replay_trainer_fills_memory():
     stream = small_stream(seed=6)
-    rt = build_trainer(stream, small_config(method="er", memory_budget=5), 6)
-    assert isinstance(rt, ReplayTrainer)
+    config = small_config(method="er", memory_budget=5)
+    rt = build_trainer(stream, config, 6)
     records = run_stream(rt, stream)
     assert len(rt.memory) == 15
     assert len(records) == 3
+    # ER's plan: one inner step per round, rows stored without snapshots
+    rounds = n_rounds(stream, config.batch_size)
+    assert (rt.state.inner_updates, rt.state.outer_updates,
+            rt.state.adversarial_updates) == (rounds, 0, 0)
+    rows = rt.memory.rows()
+    assert not rows.h_width.any() and not rows.h_disc_width.any()
 
 
 def test_methods_share_initialization():
@@ -464,6 +487,61 @@ def test_methods_share_initialization():
     er_model = build_model(stream, small_config(method="er"), 8)
     for p, q in zip(scale_model.extractor_params(), er_model.extractor_params()):
         assert np.array_equal(p.data, q.data)
+
+
+# -- the plan table -------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(method=st.sampled_from(METHODS), ablation=st.sampled_from(ABLATION_MODES),
+       transform=st.sampled_from(TRANSFORM_MODES),
+       n_in=st.sampled_from((1, 2)), n_out=st.sampled_from((1, 2)),
+       n_ad=st.sampled_from((1, 2)), budget=st.sampled_from((0, 3)),
+       batch_size=st.integers(1, 5), n_tasks=st.integers(1, 3),
+       per_class=st.integers(1, 4))
+def test_every_config_runs_its_plan_or_is_rejected(
+        method, ablation, transform, n_in, n_out, n_ad, budget, batch_size,
+        n_tasks, per_class):
+    # a config either fails on construction or runs to finite records with
+    # the step counts and memory rows its method and ablation stand for
+    try:
+        config = RunConfig(
+            method=method, ablation=ablation, transform_mode=transform,
+            n_in=n_in, n_out=n_out, n_ad=n_ad, memory_budget=budget,
+            batch_size=batch_size, n_tasks=n_tasks, train_per_class=per_class,
+            test_per_class=2, input_dim=4, feature_width=4, depth=1,
+            embed_dim=2, disc_hidden=4, replay_batch_size=4, seeds=(0,))
+    except ConfigurationError:
+        assert method != "scale" and ablation != "full"
+        return
+    stream = build_stream(config)
+    built = []
+
+    def keep(*args):
+        built.append(build_trainer(*args))
+        return built[-1]
+
+    with mock.patch.object(experiments, "build_trainer", keep):
+        record = run_single(config, 0, stream)
+    (trainer,) = built
+    assert np.isfinite(record.acc_matrix[-1]).all()
+    assert math.isfinite(record.final_acc) and math.isfinite(record.final_fm)
+    for losses in record.task_losses:
+        assert all(v is None or math.isfinite(v) for v in losses.values())
+    rounds = n_rounds(stream, batch_size)
+    scale = method == "scale"
+    assert record.counters == {
+        "inner_updates": rounds * n_in * n_out if scale else rounds,
+        "outer_updates": rounds * n_out if scale else 0,
+        "adversarial_updates": (rounds * n_ad if scale and ablation != "A"
+                                else 0)}
+    rows = trainer.memory.rows()
+    kept = 0 if method == "finetune" else budget
+    assert len(rows.x) == sum(min(kept, len(t.train.x)) for t in stream.tasks)
+    if scale:  # every row carries both snapshots
+        assert rows.h_width.all() and rows.h_disc_width.all()
+    else:
+        assert not rows.h_width.any() and not rows.h_disc_width.any()
 
 
 # -- scoped steps --------------------------------------------------------------------
@@ -714,13 +792,16 @@ def test_non_finite_loss_fails_fast_naming_step_and_task(kind):
 def test_replay_trainer_fails_fast_on_non_finite_loss():
     stream = small_stream(seed=6)
     config = small_config(method="er")
-    rt = ReplayTrainer(build_model(stream, config, 6),
-                       EpisodicMemory(5, rng=np.random.default_rng(0)),
-                       config, 6)
+    rt = Trainer(build_model(stream, config, 6),
+                 EpisodicMemory(5, rng=np.random.default_rng(0)), config, 6)
     task = stream.tasks[0]
     x = task.train.x.copy()
     x[:, 0] = np.nan
     poisoned = replace(task, train=Split(x, task.train.y))
+    before = snapshot(rt.model.extractor_params())
+    # ER's one step per round is the inner step
     with pytest.raises(FloatingPointError,
-                       match=f"replay-step loss on task {task.task_id} "):
+                       match=f"inner-step loss on task {task.task_id} "):
         rt.train_task(poisoned)
+    assert unchanged(rt.model.extractor_params(), before)
+    assert rt.state.inner_updates == 0
