@@ -549,10 +549,11 @@ class TaskForward:
 
     With ``reuse=(source, n)`` the tasks are the first of the forward
     ``source``, made on the same weights, whose first n groups hold the same
-    rows: their arrays, and all FiLM coefficients, are the source's.
-    ``films`` is ``task_films`` of exactly these tasks, in place of making
-    it. Under ``no_grad`` a forward plans no backward and lists no leaves,
-    and a one-group forward keeps only its logits.
+    rows: one loop computes the rows of the other groups (none when n is
+    every group), then the source's rows go in front of each array, and all
+    FiLM coefficients are the source's. ``films`` is ``task_films`` of
+    exactly these tasks, in place of making it. Under ``no_grad`` a forward
+    plans no backward and lists no leaves.
     """
 
     def __init__(self, x, tasks, sizes, layers, heads, eps, reuse=None,
@@ -579,88 +580,54 @@ class TaskForward:
         self.films = films if films is not None else (
             task_films(layers, self.tasks, eps) if source is None
             else [None if c is None else c.rows(0, k) for c in source.films])
-        if k == 1 and source is None and not _grad_enabled:
-            self.logits = self._infer(x)
-            self.leaves = []
-            return
-        copied = self.bounds[shared - 1][1] if shared else 0
-        if shared == k:
-            # every group is the source's: its arrays, cut to these rows
-            self.inputs, self.masks, self.features, self.scales = (
-                [None if v is None else v[:copied] for v in arrays]
-                for arrays in (source.inputs, source.masks, source.features,
-                               source.scales))
-            self.head_relu, self.head_mask, self.logits = (
-                v[:copied] for v in (source.head_relu, source.head_mask,
-                                     source.logits))
-            self._plan()
-            return
         # compute the rows of the groups from ``shared`` on
+        copied = self.bounds[shared - 1][1] if shared else 0
         fresh = [(s - copied, e - copied) for s, e in self.bounds[shared:]]
         group = (np.repeat(np.arange(shared, k), self.sizes[shared:])
-                 if k > 1 else slice(None))
-
-        def joined(mine, theirs):
-            """The source's rows of an array, then the rows computed here."""
-            return mine if not copied else np.concatenate([theirs[:copied], mine])
+                 if k > 1 else slice(shared, None))
 
         def products(a, weights):
+            # one product per fresh group, weights given for every group
             if len(fresh) == 1:
-                return a @ weights[0].data
+                return a @ weights[-1].data
             out = np.empty((len(a), weights[0].data.shape[1]))
-            for (s, e), w in zip(fresh, weights):
+            for (s, e), w in zip(fresh, weights[shared:]):
                 np.matmul(a[s:e], w.data, out=out[s:e])
             return out
 
         self.inputs, self.masks, self.features, self.scales = [], [], [], []
         a = x[copied:]
-        for index, ((w, b, _), coeffs) in enumerate(zip(layers, self.films)):
-            theirs = [arrays[index] for arrays in (
-                source.inputs, source.masks, source.features, source.scales)
-            ] if copied else [None] * 4
-            self.inputs.append(joined(a, theirs[0]))
-            z = products(a, [w] * len(fresh))
+        for (w, b, _), coeffs in zip(layers, self.films):
+            self.inputs.append(a)
+            z = products(a, [w] * k)
             z += b.data
             a, mask = _relu(z, out=z)
-            self.masks.append(joined(mask, theirs[1]))
-            self.features.append(joined(a, theirs[2]))
+            self.masks.append(mask)
+            self.features.append(a)
             scale_rows = None
             if coeffs is not None:
                 scale_rows = coeffs.s_hat[group]
                 a = _film(a, scale_rows, coeffs.t_hat[group])
-                scale_rows = joined(scale_rows, theirs[3])
             self.scales.append(scale_rows)
         if self.relu_tail:
             head_relu, head_mask = a, mask
         else:
             head_relu, head_mask = _relu(a, out=a)
-        logits = products(head_relu, [w for w, _ in heads[shared:]])
-        biases = [b for _, b in heads[shared:]]
+        logits = products(head_relu, [w for w, _ in heads])
+        biases = [b for _, b in heads]
         logits += (biases[0].data if all(b is biases[0] for b in biases)
-                   else np.stack([b.data for b in biases])[group - shared])
-        if copied:
-            head_relu = joined(head_relu, source.head_relu)
-            head_mask = joined(head_mask, source.head_mask)
-            logits = joined(logits, source.logits)
+                   else np.stack([b.data for b in biases])[group])
         self.head_relu, self.head_mask, self.logits = head_relu, head_mask, logits
+        if copied:
+            # the source's rows in front of every array
+            for name in ("inputs", "masks", "features", "scales"):
+                setattr(self, name, [
+                    None if v is None else np.concatenate([u[:copied], v])
+                    for v, u in zip(getattr(self, name), getattr(source, name))])
+            for name in ("head_relu", "head_mask", "logits"):
+                setattr(self, name, np.concatenate(
+                    [getattr(source, name)[:copied], getattr(self, name)]))
         self._plan()
-
-    def _infer(self, x):
-        """The logits of a one-group forward that plans no backward: the
-        arithmetic of the general path, keeping no other array."""
-        a = x
-        for (w, b, _), coeffs in zip(self.layers, self.films):
-            z = a @ w.data
-            z += b.data
-            a = _relu(z, out=z)[0]
-            if coeffs is not None:
-                a = _film(a, coeffs.s_hat, coeffs.t_hat)
-        if not self.relu_tail:
-            a = _relu(a, out=a)[0]
-        ((w, b),) = self.heads
-        logits = a @ w.data
-        logits += b.data
-        return logits
 
     def _plan(self):
         """Read what requires grad: ``head_needs`` per group, and ``steps``,

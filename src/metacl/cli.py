@@ -14,7 +14,6 @@ import sys
 from .config import ABLATION_MODES, RunConfig, apply_overrides, load_config
 from .errors import ConfigurationError
 from .experiments import (
-    GRID_SPACE,
     GRID_TASKS,
     ablate,
     execute_run,
@@ -111,8 +110,13 @@ def cmd_sweep(args, out):
     values = None
     if args.values is not None:
         # an empty --values is no value, which sweep rejects
-        values = ([json.loads(v) for v in args.values.split(",")]
-                  if args.values else [])
+        values = []
+        for v in args.values.split(",") if args.values else ():
+            try:
+                values.append(json.loads(v))
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"--values entry {v!r} is not valid JSON: {exc}")
     print_table(sweep(config, args.axis, values=values), f"{args.axis}=",
                 f"{config.out_dir}/sweep-{args.axis}.csv", out)
     return 0
@@ -121,7 +125,7 @@ def cmd_sweep(args, out):
 def cmd_grid(args, out):
     config = assemble_config(args)
     space = None
-    if args.space:
+    if args.space is not None:
         try:
             space = json.loads(args.space)
         except json.JSONDecodeError as exc:
@@ -129,8 +133,7 @@ def cmd_grid(args, out):
         if not isinstance(space, dict):
             raise ConfigurationError("--space must be a JSON object")
     best, rows = grid(config, space=space)
-    print(f"{len(rows)} combinations over "
-          f"{sorted((space or GRID_SPACE))}", file=out)
+    print(f"{len(rows)} combinations over {sorted(best)}", file=out)
     print(f"best: {json.dumps(best, sort_keys=True)}", file=out)
     print(f"table: {config.out_dir}/grid.csv", file=out)
     return 0

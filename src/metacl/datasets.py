@@ -102,7 +102,8 @@ def _gaussian_base(n_classes, train_per_class, test_per_class, input_dim,
 def make_split_stream(base, classes_per_task):
     """Partition classes in label order into consecutive disjoint tasks.
 
-    Within a task, labels are remapped to 0..classes_per_task-1.
+    Within a task, labels are remapped to 0..classes_per_task-1. A task
+    with no train or no test rows fails, naming the task and the split.
     """
     if base.n_classes % classes_per_task != 0:
         raise ConfigurationError(
@@ -113,13 +114,17 @@ def make_split_stream(base, classes_per_task):
     for k in range(1, n_tasks + 1):
         labels = tuple(range((k - 1) * classes_per_task, k * classes_per_task))
 
-        def pick(split):
+        def pick(split, name):
             mask = np.isin(split.y, labels)
+            if not mask.any():
+                raise ConfigurationError(
+                    f"task {k} (classes {list(labels)}) has no {name} rows")
             x = split.x[mask].reshape(mask.sum(), -1).astype(np.float64)
             y = split.y[mask] - labels[0]
             return Split(x, y.astype(np.int64))
 
-        tasks.append(Task(task_id=k, train=pick(base.train), test=pick(base.test),
+        tasks.append(Task(task_id=k, train=pick(base.train, "train"),
+                          test=pick(base.test, "test"),
                           label_set=labels, n_classes=classes_per_task))
     return TaskStream(tasks=tasks, protocol="split",
                       classes_per_task=classes_per_task,

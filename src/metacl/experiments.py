@@ -260,7 +260,16 @@ SWEEP_AXES = {
 def _run_set(path, key_column, variants, **fixed):
     """One ``execute_run`` per (key, config) of ``variants``; returns
     {key: records} and writes ``path``, one row per variant: the ``fixed``
-    columns, its key under ``key_column``, and its seed stats."""
+    columns, its key under ``key_column``, and its seed stats. An empty or
+    repeated key fails before any run."""
+    keys = [key for key, _ in variants]
+    what = " ".join([*map(str, fixed.values()), key_column])
+    if not keys:
+        raise ConfigurationError(
+            f"a run set needs at least one value; no {what} is given")
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigurationError(f"{what} {key!r} is given twice")
     table = {}
     rows = []
     for key, cfg in variants:
@@ -279,8 +288,6 @@ def sweep(config, axis, values=None):
             f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     field_name, canonical = SWEEP_AXES[axis]
     values = list(canonical) if values is None else list(values)
-    if not values:
-        raise ConfigurationError("sweep needs at least one value")
     for v in values:
         if v not in canonical:
             raise ConfigurationError(
@@ -295,9 +302,12 @@ def grid(config, space=None):
     """Grid search on the first ``GRID_TASKS`` tasks, restricted to known values.
 
     Returns (best_combo, rows) where best is the first combo of highest mean
-    final accuracy; writes ``grid.csv``.
+    final accuracy; writes ``grid.csv``. Every combination's config is
+    made, and so checked, before any run.
     """
-    space = dict(space or GRID_SPACE)
+    space = dict(GRID_SPACE if space is None else space)
+    if not space:
+        raise ConfigurationError("the grid space names no axis")
     for key, values in space.items():
         if key not in GRID_SPACE:
             raise ConfigurationError(f"unknown grid axis {key!r}")
@@ -310,12 +320,16 @@ def grid(config, space=None):
             if v not in GRID_SPACE[key]:
                 raise ConfigurationError(
                     f"grid axis {key} accepts {GRID_SPACE[key]}, got {v}")
+            if values.count(v) > 1:
+                raise ConfigurationError(
+                    f"grid axis {key} has the value {v} twice")
     base = replace(config, n_tasks=min(GRID_TASKS, config.n_tasks))
-    stream = build_stream(base)
     keys = sorted(space)
+    configs = [replace(base, **dict(zip(keys, values)))
+               for values in itertools.product(*(space[key] for key in keys))]
+    stream = build_stream(base)
     rows = []
-    for values in itertools.product(*(space[key] for key in keys)):
-        cfg = replace(base, **dict(zip(keys, values)))
+    for cfg in configs:
         records = [run_single(cfg, seed, stream=stream) for seed in cfg.seeds]
         rows.append({**{key: getattr(cfg, key) for key in keys},
                      **seed_stats(records)})

@@ -1,17 +1,24 @@
 """CLI tests: subcommands, flags, exit codes, diagnostics."""
 
+import csv
 import io
+import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from metacl.cli import main
-from metacl.config import parse_config
+from metacl.config import ABLATION_MODES, parse_config
 from metacl.errors import ConfigurationError
+from metacl.experiments import GRID_SPACE, SWEEP_AXES
 
 TINY = [
     "--set", "n_tasks=3", "--set", "train_per_class=10",
@@ -220,6 +227,32 @@ def test_ablate_command(tmp_path):
     assert "ablation full" in out and "ablation C" in out
 
 
+# each names what is at fault and fails before a run writes anything
+BAD_RUN_SETS = [
+    (["ablate", "--modes", ""], "no ablation is given"),
+    (["ablate", "--modes", "A,A"], "ablation 'A' is given twice"),
+    (["sweep", "--axis", "memory", "--values", "50,50"],
+     "memory value 50 is given twice"),
+    (["grid", "--space", '{"lambda3": [0.03, 0.03]}'],
+     "lambda3 has the value 0.03 twice"),
+    (["grid", "--space", "{}"], "names no axis"),
+    (["grid", "--space", ""], "--space"),
+    (["sweep", "--axis", "memory", "--values", "abc"], "--values"),
+    (["sweep", "--axis", "lambda", "--values", "0.03,"], "--values"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_RUN_SETS,
+                         ids=[" ".join(argv) for argv, _ in BAD_RUN_SETS])
+def test_bad_run_set_writes_nothing(tmp_path, argv, named):
+    code, out, err = invoke(argv + ["--seed", "0", "--out", str(tmp_path)]
+                            + TINY)
+    assert code == 2
+    assert named in err
+    assert not out
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_command(tmp_path):
     code, _, err = invoke(
         ["run", "--seed", "0", "--out", str(tmp_path)] + TINY)
@@ -244,3 +277,118 @@ def test_console_entry_point_help():
     assert proc.returncode == 0
     for name in ("run", "sweep", "grid", "ablate", "report"):
         assert name in proc.stdout
+
+
+# -- run-set inputs, property-based ------------------------------------------
+
+# a 2-task stream, one seed, a few samples per class
+SMALL = ["--seed", "0", "--set", "n_tasks=2", "--set", "train_per_class=4",
+         "--set", "test_per_class=2", "--set", "input_dim=4",
+         "--set", "depth=2", "--set", "feature_width=8",
+         "--set", "embed_dim=2", "--set", "disc_hidden=4",
+         "--set", "batch_size=4", "--set", "replay_batch_size=4"]
+MODE_TOKENS = [*ABLATION_MODES, "Z", "scale", "", " "]
+VALUE_TOKENS = {"memory": ["50", "100", "200", "50.0", "37", "", "abc"],
+                "lambda": ["0.03", "0.3", "0.9", "0.5", "", "NaN"]}
+AXIS_TOKENS = {"inner_lr": [0.01, 0.1, 0.5], "lambda3": [0.03, 0.9, 2]}
+RAW_SPACES = ["", "not json", "{", "[1]", "0.03", "{}", '{"lambda3": []}',
+              '{"lambda3": 0.03}', '{"bogus": [1]}']
+
+
+def _valid_keys(keys, allowed):
+    return bool(keys) and all(k in allowed for k in keys) and all(
+        keys.count(k) == 1 for k in keys)
+
+
+def _sweep_values(text, axis):
+    """The values ``--values text`` asks for, or None if it must fail."""
+    try:
+        values = [json.loads(v) for v in text.split(",")] if text else []
+    except json.JSONDecodeError:
+        return None
+    return values if _valid_keys(values, SWEEP_AXES[axis][1]) else None
+
+
+def _grid_space(text):
+    """The space ``--space text`` asks for, or None if it must fail."""
+    try:
+        space = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(space, dict) or not space:
+        return None
+    for key, values in space.items():
+        if key not in GRID_SPACE or not isinstance(values, list) or not (
+                _valid_keys(values, GRID_SPACE[key])):
+            return None
+    return space
+
+
+def _check_outcome(argv, expected, out_dir):
+    """``argv`` either fails with exit 2 and writes nothing under
+    ``out_dir``, as ``expected`` None says, or runs: one record.json per
+    expected variant (one seed) and one ``table`` row per expected entry,
+    with finite ACC/FM throughout."""
+    code, _, err = invoke(argv + ["--out", str(out_dir)] + SMALL)
+    event("fails" if expected is None else "runs")
+    if expected is None:
+        assert code == 2 and err.startswith("error: ")
+        assert not list(out_dir.iterdir())
+        return
+    variants, table, n_rows = expected
+    assert code == 0, err
+    records = sorted(out_dir.glob("*/seed-0/record.json"))
+    assert len(records) == variants
+    for path in records:
+        record = json.loads(path.read_text())
+        assert math.isfinite(record["final_acc"])
+        assert math.isfinite(record["final_fm"])
+    with open(out_dir / table, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == n_rows
+    for row in rows:
+        assert math.isfinite(float(row["mean_acc"]))
+        assert math.isfinite(float(row["mean_fm"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(MODE_TOKENS), max_size=3))
+def test_ablate_modes_run_or_fail_by_name(tokens):
+    text = ",".join(tokens)
+    modes = [m.strip() for m in text.split(",") if m.strip()]
+    expected = ((len(modes), "ablations.csv", len(modes))
+                if _valid_keys(modes, ABLATION_MODES) else None)
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_outcome(["ablate", "--modes", text], expected, Path(tmp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(VALUE_TOKENS)).flatmap(lambda axis: st.tuples(
+    st.just(axis), st.lists(st.sampled_from(VALUE_TOKENS[axis]),
+                            min_size=1, max_size=2))))
+def test_sweep_values_run_or_fail_by_name(drawn):
+    axis, tokens = drawn
+    text = ",".join(tokens)
+    values = _sweep_values(text, axis)
+    expected = (None if values is None
+                else (len(values), f"sweep-{axis}.csv", len(values)))
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_outcome(["sweep", "--axis", axis, "--values", text], expected,
+                       Path(tmp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.sampled_from(RAW_SPACES),
+    st.lists(st.sampled_from(sorted(AXIS_TOKENS)), min_size=1, max_size=2,
+             unique=True).flatmap(lambda axes: st.fixed_dictionaries({
+                 axis: st.lists(st.sampled_from(AXIS_TOKENS[axis]),
+                                min_size=1, max_size=2)
+                 for axis in axes})).map(json.dumps)))
+def test_grid_space_runs_or_fails_by_name(text):
+    # grid writes no record, only one grid.csv row per combination
+    space = _grid_space(text)
+    expected = None if space is None else (
+        0, "grid.csv", math.prod(len(v) for v in space.values()))
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_outcome(["grid", "--space", text], expected, Path(tmp))

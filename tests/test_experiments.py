@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import fail_writes_after
+from metacl import experiments
 from metacl.config import RunConfig, apply_overrides
 from metacl.errors import ConfigurationError, NoDataError
 from metacl.experiments import (
@@ -90,6 +91,19 @@ def test_build_stream_idx_permuted(tmp_path, gz):
     assert len(stream.tasks) == 2
     assert stream.tasks[0].train.x.shape == (8, 9)
     assert stream.tasks[0].n_classes == 4
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_split_stream_rejects_a_task_with_an_empty_split(tmp_path, split):
+    # four classes in two tasks, cut to one row of ``split``: one task has
+    # none, which fails naming the task and the split, not in numpy
+    _write_tiny_idx(tmp_path)
+    config = tiny_config(f"idx_dir={tmp_path}", "dataset=idx",
+                         "protocol=split", "classes_per_task=2",
+                         f"{split}_per_task=1")
+    with pytest.raises(ConfigurationError,
+                       match=rf"task [12] \(classes .*\) has no {split} rows"):
+        build_stream(config)
 
 
 def test_run_single_record_fields():
@@ -257,6 +271,9 @@ def test_sweep_validation(tmp_path):
         sweep(config, "memory", values=[37])
     with pytest.raises(ConfigurationError):
         sweep(config, "nonsense")
+    with pytest.raises(ConfigurationError, match="memory value 50 is given"):
+        sweep(config, "memory", values=[50, 50.0])
+    assert not list(tmp_path.iterdir())
 
 
 def test_grid_restricted_space(tmp_path):
@@ -291,15 +308,39 @@ def test_grid_validation(tmp_path):
     for value in (0.03, "0.03"):
         with pytest.raises(ConfigurationError, match="lambda3.*0.03"):
             grid(config, space={"lambda3": value})
+    with pytest.raises(ConfigurationError, match="names no axis"):
+        grid(config, space={})
+    with pytest.raises(ConfigurationError, match="lambda3 has the value 0.03"):
+        grid(config, space={"lambda3": [0.03, 0.03]})
     assert not list(tmp_path.iterdir())
     assert set(GRID_SPACE) == {"inner_lr", "outer_lr",
                                "lambda1", "lambda2", "lambda3"}
+
+
+def test_grid_checks_every_combination_before_the_first_run(tmp_path,
+                                                            monkeypatch):
+    # true passes the axis's membership check (it equals 1.0), and RunConfig
+    # rejects it: the grid must fail before it runs 3.0
+    monkeypatch.setattr(experiments, "run_single",
+                        lambda *args, **kwargs: pytest.fail("a run started"))
+    with pytest.raises(ConfigurationError, match="lambda1"):
+        grid(tiny_config(f"out_dir={tmp_path}"),
+             space={"lambda1": [3.0, True]})
 
 
 def test_ablate_runs_all_modes(tmp_path):
     table = ablate(tiny_config(f"out_dir={tmp_path}"), modes=("full", "C"))
     assert sorted(table) == ["C", "full"]
     assert csv_header(tmp_path / "ablations.csv") == ["ablation"] + STATS
+
+
+def test_ablate_rejects_empty_and_repeated_modes(tmp_path):
+    config = tiny_config(f"out_dir={tmp_path}")
+    with pytest.raises(ConfigurationError, match="no ablation is given"):
+        ablate(config, modes=())
+    with pytest.raises(ConfigurationError, match="'A' is given twice"):
+        ablate(config, modes=("A", "full", "A"))
+    assert not list(tmp_path.iterdir())
 
 
 def test_execute_run_er(tmp_path):

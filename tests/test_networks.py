@@ -379,6 +379,57 @@ def test_forward_rejects_malformed_input_before_any_work(name, shape):
     assert next(autodiff._node_seq) == first_node + 1  # no node recorded
 
 
+def _trained_model(mode, seed):
+    model = small_model(transform_mode=mode)
+    for t in (1, 2, 3, 4):
+        model.register_task(t)
+    rng = np.random.default_rng(seed)
+    for p in model.all_params():  # mid-training values: nonzero biases
+        p.data += 0.1 * rng.normal(size=p.data.shape)
+    return model, rng
+
+
+@pytest.mark.parametrize("mode", ["per_layer", "last", "off"])
+@pytest.mark.parametrize("k, shared", [(3, 0), (3, 1), (3, 2), (3, 3),
+                                       (1, 0), (1, 1)])
+def test_reuse_equals_a_fresh_forward(mode, k, shared):
+    # a k-group forward that takes its first ``shared`` groups from a
+    # 4-group source on the same weights (DER++'s memory rows on CE's
+    # forward) equals one that computes every row, bit for bit: logits,
+    # leaves and every backward contribution. shared == k computes no row
+    model, rng = _trained_model(mode, 10 * k + shared)
+    source = model.task_forward(rng.normal(size=(13, 4)), [1, 2, 3, 4],
+                                [3, 1, 4, 5])
+    tasks, sizes = [1, 2, 3][:k], [3, 1, 4][:k]
+    copied = sum(sizes[:shared])
+    x = np.concatenate([source.inputs[0][:copied],
+                        rng.normal(size=(sum(sizes) - copied, 4))])
+    fresh = model.task_forward(x, tasks, sizes)
+    reused = model.task_forward(x, tasks, sizes, reuse=(source, shared))
+    assert reused.logits.tobytes() == fresh.logits.tobytes()
+    assert len(reused.leaves) == len(fresh.leaves) > 0
+    assert all(a is b for a, b in zip(reused.leaves, fresh.leaves))
+    g = rng.normal(size=fresh.logits.shape)
+    want = fresh.backward(g.copy())
+    got = reused.backward(g.copy())
+    assert len(got) == len(want) == len(fresh.leaves)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["per_layer", "last", "off"])
+def test_one_group_forward_under_no_grad_equals_the_taped_one(mode):
+    model, rng = _trained_model(mode, 5)
+    x = rng.normal(size=(6, 4))
+    taped = model.task_forward(x, [2], [6])
+    first_node = next(autodiff._node_seq)
+    with no_grad():
+        plain = model.task_forward(x, [2], [6])
+    assert next(autodiff._node_seq) == first_node + 1  # no node recorded
+    assert plain.leaves == [] and taped.leaves
+    assert plain.logits.tobytes() == taped.logits.tobytes()
+
+
 @pytest.mark.parametrize("forward", ["task", "discriminator"])
 @pytest.mark.parametrize("tasks, sizes", [
     ([1, 2], [2, 2]), ([1, 2], [3, 3]), ([1, 2], [5]), ([1], [2, 3]),
