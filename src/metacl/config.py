@@ -96,10 +96,11 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         # written as "not >" so that NaN is rejected too
-        for name in ("inner_lr", "outer_lr", "adversarial_lr", "noise_std",
-                     "fake_fraction"):
+        for name in ("inner_lr", "outer_lr", "adversarial_lr", "noise_std"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be > 0")
+        if not 0 < self.fake_fraction <= 1:  # fakes per real row of a batch
+            raise ConfigurationError("fake_fraction must be in (0, 1]")
         # k_max = 0 sizes the task capacity to the stream
         for name in ("lambda1", "lambda2", "lambda3", "k_max", "memory_budget",
                      "data_seed"):

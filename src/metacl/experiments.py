@@ -2,7 +2,9 @@
 
 Output layout: one directory per run-set, ``<out>/<method>-<ablation>-<hash8>/``,
 holding ``config.txt``, one ``seed-N/record.json`` per seed (byte-stable), a
-``seed-N/timing.json`` side file, and ``summary.csv``. Wall-clock times and
+``seed-N/timing.json`` side file, and ``summary.csv``. ``execute_run`` writes
+it, for a ``run`` and for each variant of a ``sweep``, ``grid`` or ``ablate``
+(``_run_set``, which adds one stats CSV per set). Wall-clock times and
 each task's mean step losses live in the side file, so records stay
 byte-identical across reruns. The step losses per task are
 ``mean_inner_loss`` (the full objective, ``losses.total_loss``),
@@ -257,26 +259,23 @@ SWEEP_AXES = {
 }
 
 
-def _run_set(path, key_column, variants, **fixed):
-    """One ``execute_run`` per (key, config) of ``variants``; returns
-    {key: records} and writes ``path``, one row per variant: the ``fixed``
-    columns, its key under ``key_column``, and its seed stats. An empty or
-    repeated key fails before any run."""
-    keys = [key for key, _ in variants]
-    what = " ".join([*map(str, fixed.values()), key_column])
-    if not keys:
+def _run_set(path, what, variants):
+    """One ``execute_run`` per (columns, config) of ``variants``; writes
+    ``path``, a row of columns and seed stats per variant, and returns (rows,
+    records per variant). No variant, or two with the same columns, fails
+    naming ``what`` (and the last column's value) before any run."""
+    if not variants:
         raise ConfigurationError(
             f"a run set needs at least one value; no {what} is given")
+    keys = [tuple(columns.values()) for columns, _ in variants]
     for key in keys:
         if keys.count(key) > 1:
-            raise ConfigurationError(f"{what} {key!r} is given twice")
-    table = {}
-    rows = []
-    for key, cfg in variants:
-        table[key] = records = execute_run(cfg)
-        rows.append({**fixed, key_column: key, **seed_stats(records)})
-    write_csv(path, (*fixed, key_column) + STATS_COLUMNS, rows)
-    return table
+            raise ConfigurationError(f"{what} {key[-1]!r} is given twice")
+    table = [execute_run(cfg) for _, cfg in variants]
+    rows = [{**columns, **seed_stats(records)}
+            for (columns, _), records in zip(variants, table)]
+    write_csv(path, (*variants[0][0], *STATS_COLUMNS), rows)
+    return rows, table
 
 
 def sweep(config, axis, values=None):
@@ -293,17 +292,20 @@ def sweep(config, axis, values=None):
             raise ConfigurationError(
                 f"{axis} sweep accepts values from {canonical}, got {v}")
     configs = [replace(config, **{field_name: v}) for v in values]
-    return _run_set(os.path.join(config.out_dir, f"sweep-{axis}.csv"), "value",
-                    [(getattr(cfg, field_name), cfg) for cfg in configs],
-                    axis=axis)
+    rows, table = _run_set(
+        os.path.join(config.out_dir, f"sweep-{axis}.csv"), f"{axis} value",
+        [({"axis": axis, "value": getattr(cfg, field_name)}, cfg)
+         for cfg in configs])
+    return {row["value"]: records for row, records in zip(rows, table)}
 
 
 def grid(config, space=None):
     """Grid search on the first ``GRID_TASKS`` tasks, restricted to known values.
 
     Returns (best_combo, rows) where best is the first combo of highest mean
-    final accuracy; writes ``grid.csv``. Every combination's config is
-    made, and so checked, before any run.
+    final accuracy; writes ``grid.csv`` (the axes, sorted, then the stats).
+    Every combination's config is made, and so checked, before it runs, as
+    a sweep value does.
     """
     space = dict(GRID_SPACE if space is None else space)
     if not space:
@@ -327,14 +329,9 @@ def grid(config, space=None):
     keys = sorted(space)
     configs = [replace(base, **dict(zip(keys, values)))
                for values in itertools.product(*(space[key] for key in keys))]
-    stream = build_stream(base)
-    rows = []
-    for cfg in configs:
-        records = [run_single(cfg, seed, stream=stream) for seed in cfg.seeds]
-        rows.append({**{key: getattr(cfg, key) for key in keys},
-                     **seed_stats(records)})
-    write_csv(os.path.join(config.out_dir, "grid.csv"),
-              keys + list(STATS_COLUMNS), rows)
+    rows, _ = _run_set(
+        os.path.join(config.out_dir, "grid.csv"), "grid combination",
+        [({key: getattr(cfg, key) for key in keys}, cfg) for cfg in configs])
     best = max(rows, key=lambda row: row["mean_acc"])
     return {key: best[key] for key in keys}, rows
 
@@ -342,9 +339,11 @@ def grid(config, space=None):
 def ablate(config, modes=ABLATION_MODES):
     """Run every ablation of the full method; returns {mode: records} and
     writes ``ablations.csv``."""
-    return _run_set(os.path.join(config.out_dir, "ablations.csv"), "ablation",
-                    [(mode, replace(config, method="scale", ablation=mode))
-                     for mode in modes])
+    _, table = _run_set(
+        os.path.join(config.out_dir, "ablations.csv"), "ablation",
+        [({"ablation": mode}, replace(config, method="scale", ablation=mode))
+         for mode in modes])
+    return dict(zip(modes, table))
 
 
 # -- reporting ----------------------------------------------------------------------------
@@ -360,35 +359,34 @@ def find_records(result_dir):
 
 
 def report(result_dir):
-    """Aggregate every record under ``result_dir`` into mean±std lines, with
-    the mean seconds per seed-run over the records that have a timing.json.
+    """Aggregate every record under ``result_dir`` into one mean±std line per
+    run (config hash), named by its run directory, with the mean seconds per
+    seed-run over the records that have a timing.json.
 
     Returns (text, rows); also writes report.csv next to the records.
     """
     records = find_records(result_dir)
     if not records:
         raise NoDataError(f"no record.json files under {result_dir}")
-    groups = {}
-    for r in records:
-        groups.setdefault((r.method, r.ablation), []).append(r)
-    rows = []
-    for (method, ablation), group in sorted(groups.items()):
+    rows = []  # one per run: find_records keeps a run's records together
+    for _, group in itertools.groupby(records, lambda r: r.config_hash):
+        group = list(group)
         timed = [r.wall_s for r in group if r.wall_s is not None]
-        rows.append({"method": method, "ablation": ablation,
+        r = group[0]
+        rows.append({"run": f"{r.method}-{r.ablation}-{r.config_hash[:8]}",
+                     "method": r.method, "ablation": r.ablation,
                      **seed_stats(group),
                      "mean_seed_run_s": float(np.mean(timed)) if timed else None})
     write_csv(os.path.join(result_dir, "report.csv"),
-              ("method", "ablation") + STATS_COLUMNS + ("mean_seed_run_s",),
-              rows)
-    header = (f"{'method':<10} {'ablation':<8} {'n':>3} {'ACC':>15} {'FM':>15}"
-              f" {'s/seed-run':>10}")
+              ("run", "method", "ablation") + STATS_COLUMNS
+              + ("mean_seed_run_s",), rows)
+    header = f"{'run':<24} {'n':>3} {'ACC':>15} {'FM':>15} {'s/seed-run':>10}"
     lines = [header, "-" * len(header)]
     for row in rows:
         acc_txt = f"{row['mean_acc']:.4f}±{row['std_acc']:.4f}"
         fm_txt = f"{row['mean_fm']:.4f}±{row['std_fm']:.4f}"
         seconds = row["mean_seed_run_s"]
         time_txt = "-" if seconds is None else f"{seconds:.3f}"
-        lines.append(f"{row['method']:<10} {row['ablation']:<8} "
-                     f"{row['n_seeds']:>3} {acc_txt:>15} {fm_txt:>15}"
-                     f" {time_txt:>10}")
+        lines.append(f"{row['run']:<24} {row['n_seeds']:>3} {acc_txt:>15}"
+                     f" {fm_txt:>15} {time_txt:>10}")
     return "\n".join(lines), rows

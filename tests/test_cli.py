@@ -89,6 +89,7 @@ INVALID_OVERRIDES = [
     ["seeds=[-1]"], ["seeds=[0,0]"], ["seeds=[2,0,2]"],
     ["center_scale=NaN"], ["noise_scale=Infinity"], ["inner_lr=Infinity"],
     ["lambda3=Infinity"], ["noise_mean=NaN"], ["fake_fraction=Infinity"],
+    ["fake_fraction=1.5"], ["fake_fraction=1e300"],
     ["noise_mean=-Infinity"],
     ["n_tasks=NaN"], ["n_tasks=Infinity"], ["n_tasks=-Infinity"],
     ["depth=1e400"], ["seeds=NaN"], ["seeds=Infinity"], ["seeds=-Infinity"],
@@ -386,9 +387,11 @@ def test_sweep_values_run_or_fail_by_name(drawn):
                                 min_size=1, max_size=2)
                  for axis in axes})).map(json.dumps)))
 def test_grid_space_runs_or_fails_by_name(text):
-    # grid writes no record, only one grid.csv row per combination
+    # each combination leaves one record per seed and one grid.csv row
     space = _grid_space(text)
+    combinations = None if space is None else math.prod(
+        len(v) for v in space.values())
     expected = None if space is None else (
-        0, "grid.csv", math.prod(len(v) for v in space.values()))
+        combinations, "grid.csv", combinations)
     with tempfile.TemporaryDirectory() as tmp:
         _check_outcome(["grid", "--space", text], expected, Path(tmp))

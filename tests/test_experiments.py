@@ -3,10 +3,17 @@
 import csv
 import hashlib
 import json
+import math
 import os
+import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from helpers import fail_writes_after
 from metacl import experiments
@@ -286,6 +293,26 @@ def test_grid_restricted_space(tmp_path):
     assert csv_header(tmp_path / "grid.csv") == ["inner_lr", "lambda3"] + STATS
 
 
+def test_grid_runs_each_combination_as_execute_run_does(tmp_path):
+    # a 2x2 grid leaves one run directory per combination, holding what
+    # execute_run of that combination's config writes, byte for byte
+    config = tiny_config("n_tasks=2", "seeds=[0,1]",
+                         f"out_dir={tmp_path / 'grid'}")
+    _, rows = grid(config, space={"inner_lr": [0.1, 0.01],
+                                  "lambda3": [0.03, 0.3]})
+    names = []
+    for row in rows:
+        cfg = replace(config, inner_lr=row["inner_lr"], lambda3=row["lambda3"])
+        execute_run(cfg, out_dir=str(tmp_path / "alone"))
+        names.append(run_dir_name(cfg))
+        for rel in ("config.txt", "seed-0/record.json", "seed-1/record.json"):
+            assert (tmp_path / "grid" / names[-1] / rel).read_bytes() == (
+                tmp_path / "alone" / names[-1] / rel).read_bytes()
+    assert len(set(names)) == 4
+    assert sorted(p.name for p in (tmp_path / "grid").iterdir()) == sorted(
+        names + ["grid.csv"])
+
+
 def test_grid_truncates_to_first_three_tasks(tmp_path):
     config = tiny_config("n_tasks=5", "seeds=[0]", f"out_dir={tmp_path}")
     _, rows = grid(config, space={"lambda3": [0.03]})
@@ -484,7 +511,7 @@ def test_report_aggregates(tmp_path):
     assert by_method["scale"]["n_seeds"] == 2
     assert "scale" in text and "finetune" in text
     assert csv_header(tmp_path / "report.csv") == (
-        ["method", "ablation"] + STATS + ["mean_seed_run_s"])
+        ["run", "method", "ablation"] + STATS + ["mean_seed_run_s"])
     # csv round trip without loss
     with open(tmp_path / "report.csv", newline="") as f:
         loaded = list(csv.DictReader(f))
@@ -492,6 +519,21 @@ def test_report_aggregates(tmp_path):
         assert float(raw["mean_acc"]) == row["mean_acc"]
         assert float(raw["std_fm"]) == row["std_fm"]
         assert float(raw["mean_seed_run_s"]) == row["mean_seed_run_s"]
+
+
+def test_report_prints_one_row_per_run(tmp_path):
+    # two budgets of one method and ablation are two runs, not one run of
+    # two seeds; each row is named by its run directory
+    config = tiny_config("n_tasks=2", f"out_dir={tmp_path}")
+    sweep(config, "memory", values=[50, 100])
+    text, rows = report(str(tmp_path))
+    names = sorted(run_dir_name(replace(config, memory_budget=budget))
+                   for budget in (50, 100))
+    assert [row["run"] for row in rows] == names
+    assert [row["n_seeds"] for row in rows] == [1, 1]
+    assert [line.split()[0] for line in text.splitlines()[2:]] == names
+    with open(tmp_path / "report.csv", newline="") as f:
+        assert [raw["run"] for raw in csv.DictReader(f)] == names
 
 
 def test_report_mean_seconds_per_seed_run_skips_untimed_records(tmp_path):
@@ -513,7 +555,9 @@ def test_report_mean_seconds_per_seed_run_skips_untimed_records(tmp_path):
     assert by_method["scale"]["n_seeds"] == 2
     assert by_method["finetune"]["mean_seed_run_s"] is None
     assert text.splitlines()[0].split()[-1] == "s/seed-run"
-    lines = {line.split()[0]: line.split() for line in text.splitlines()[2:]}
+    # a line starts with its run's directory name, <method>-<ablation>-<hash8>
+    lines = {line.split("-")[0]: line.split()
+             for line in text.splitlines()[2:]}
     assert lines["finetune"][-1] == "-"
     assert lines["scale"][-1] == f"{records[0].wall_s:.3f}"
     with open(tmp_path / "report.csv", newline="") as f:
@@ -545,3 +589,82 @@ def test_find_records_sorted(tmp_path):
     execute_run(tiny_config("seeds=[1,0]"), out_dir=str(tmp_path))
     records = find_records(str(tmp_path))
     assert [r.seed for r in records] == [0, 1]
+
+
+# -- config inputs, property-based -------------------------------------------
+
+# at most 3 tasks of at most 5 samples per class, and a small network
+PROPERTY_BASE = ["n_tasks=2", "train_per_class=3", "test_per_class=2",
+                 "input_dim=4", "depth=2", "feature_width=8", "embed_dim=2",
+                 "disc_hidden=4", "batch_size=4", "replay_batch_size=4",
+                 "memory_budget=4", "seeds=[0]"]
+# --set values per field: valid ones, edge ones and ones RunConfig rejects
+SET_TOKENS = {
+    "method": ["scale", "er", "finetune", "sgd"],
+    "ablation": ["full", "A", "B", "C", "D"],
+    "seeds": ["1", "[0, 1]", "[]", "-1", "[0, 0]", '"a"', "1.5", "[true]"],
+    "dataset": ["synthetic", "idx"],
+    "protocol": ["split", "permuted", "domain"],
+    "n_tasks": ["1", "3", "0", "2.5"],
+    "classes_per_task": ["2", "3", "1"],
+    "train_per_class": ["1", "5", "0"],
+    "test_per_class": ["1", "5", "0"],
+    "input_dim": ["1", "3", "0"],
+    "center_scale": ["0", "1e3", "-6", "1e308", "NaN"],
+    "noise_scale": ["0", "5", "-1", "Infinity", "1e308"],
+    "data_seed": ["0", "7", "-1", "1e20"],
+    "feature_width": ["1", "3", "0"],
+    "depth": ["1", "3", "0"],
+    "embed_dim": ["1", "3", "0"],
+    "disc_hidden": ["1", "0"],
+    "transform_mode": ["per_layer", "last", "off", "first"],
+    "share_embedding": ["true", "false", "1"],
+    "k_max": ["0", "1", "3", "-1"],
+    "inner_lr": ["0.01", "0.35", "100", "1e300", "0", "Infinity"],
+    "outer_lr": ["0.01", "100", "1e300", "0"],
+    "adversarial_lr": ["0.001", "100", "1e300", "-1"],
+    "n_in": ["1", "2", "0"],
+    "n_out": ["1", "2", "0"],
+    "n_ad": ["1", "2", "0"],
+    "batch_size": ["1", "3", "100", "0"],
+    "replay_batch_size": ["1", "100", "0"],
+    "lambda1": ["0", "3", "1e300", "-1"],
+    "lambda2": ["0", "3", "1e300", "-1"],
+    "lambda3": ["0", "0.9", "1e300", "-1"],
+    "noise_mean": ["0", "-3", "1e300"],
+    "noise_std": ["1", "1e-300", "1e300", "0"],
+    "generator_mode": ["uniform-confusion", "negative-ce", "none"],
+    "fake_fraction": ["1", "0.01", "1.5", "1e300", "0"],
+    "memory_budget": ["0", "1", "5", "-1"],
+}
+DIVERGED = re.compile(r"(inner|outer|adversarial)-step loss on task \d+ "
+                      r"contains NaN or Inf")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(sorted(SET_TOKENS)), max_size=4,
+                unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+                    {key: st.sampled_from(SET_TOKENS[key]) for key in keys})))
+def test_config_inputs_run_or_fail_by_name(drawn):
+    # in-process, so the exception type shows: a bad value fails by name
+    # before a write, a diverging run names its step and task, and anything
+    # else runs to finite records
+    pairs = [f"{key}={value}" for key, value in drawn.items()]
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        try:
+            config = apply_overrides(RunConfig(), PROPERTY_BASE + pairs)
+            records = execute_run(config, out_dir=tmp)
+        except ConfigurationError:
+            event("fails by name")
+            assert not list(Path(tmp).iterdir())
+            return
+        except FloatingPointError as exc:
+            event("diverges")
+            assert DIVERGED.fullmatch(str(exc)), exc
+            return
+    event("runs")
+    assert [r.seed for r in records] == list(config.seeds)
+    for r in records:
+        cells = [r.final_acc, r.final_fm, *(a for row in r.acc_matrix
+                                            for a in row)]
+        assert all(math.isfinite(v) for v in cells)
