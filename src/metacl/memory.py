@@ -1,17 +1,20 @@
 """Shared episodic memory with a fixed per-task budget, stored as arrays.
 
 Each task owns a reservoir of at most ``budget_per_task`` rows, filled by
-one-pass reservoir sampling (the stream is seen exactly once). The rows live
-in preallocated per-field arrays: inputs ``x``, labels ``y``, task ids ``t``,
-and the classifier and discriminator logit snapshots ``h`` and ``h_disc``.
-Each snapshot field is zero-padded to the widest row seen so far and has a
-width column beside it, where 0 means the row carries no snapshot. A task
-gets a block of ``budget_per_task`` rows when it is first seen.
+one-pass reservoir sampling (the stream is seen exactly once). Every kept row
+lives in one set of per-field arrays: inputs ``x``, labels ``y``, task ids
+``t``, and the classifier and discriminator logit snapshots ``h`` and
+``h_disc``. Each snapshot field is zero-padded to the widest row seen so far
+and has a width column beside it, where 0 means the row carries no snapshot.
 
-Rows are numbered in (task, slot) order. A draw is an index vector over that
-numbering, gathered into a ``Draw`` of row arrays with one fancy index per
-field; the losses read those arrays directly. Snapshots are copied in at
-observation time and never change while their row is kept.
+The arrays hold the rows in (task, slot) order, the order draws number them
+in, and there are no per-task blocks: their capacity doubles as rows are
+stored, so storage follows the rows held, not the budget. A new row of the
+last task is appended; a new row of an earlier task moves the later rows
+down one. A draw is an index vector over the rows, gathered into a ``Draw``
+of row arrays with one fancy index per field; the losses read those arrays
+directly. Snapshots are copied in at observation time and never change
+while their row is kept.
 """
 
 from __future__ import annotations
@@ -113,6 +116,8 @@ class EpisodicMemory:
     The reservoir decision for the i-th observation of a task (i > budget)
     draws one integer j uniform on [0, i); the entry replaces slot j when
     j < budget, which keeps every prefix of the stream uniformly represented.
+    A task therefore holds ``min(budget, seen)`` rows, so ``seen_counts`` is
+    the only per-task state.
     """
 
     def __init__(self, budget_per_task, rng):
@@ -121,53 +126,58 @@ class EpisodicMemory:
         self.budget_per_task = budget_per_task
         self.rng = rng
         self.seen_counts = {}
-        self._start = {}  # task -> first row of its block, blocks in arrival order
-        self._fill = {}  # task -> rows stored in its block
         self._n = 0
-        self._order = None  # cached block rows in (task, slot) order
-        self._f = None  # field name -> array; made with the first block
-        self._x_shape = None
+        self._last = None  # task of the last row
+        self._f = None  # field name -> array of rows; made with the first row
 
     def __len__(self):
         return self._n
 
-    def _add_block(self, t, x_shape):
-        """Append an empty block of ``budget_per_task`` rows for task ``t``."""
-        b = self.budget_per_task
-        if self._f is None:
-            self._f = _fields(b, x_shape)
-            self._x_shape = tuple(x_shape)
+    def _end(self, t):
+        """One past the last row of task ``t``: where its next row goes."""
+        n = self._n
+        if n == 0 or t >= self._last:
+            return n
+        return int(np.searchsorted(self._f["t"][:n], t, side="right"))
+
+    def _new_row(self, t, x_shape):
+        """A free row after task ``t``'s rows: later rows move down one, and
+        the arrays double when full."""
+        f, n = self._f, self._n
+        if f is None:
+            f = self._f = _fields(1, x_shape)
+        elif n == len(f["y"]):
+            f = self._f = {name: np.concatenate([a, np.zeros_like(a)])
+                           for name, a in f.items()}
+        i = self._end(t)
+        if i < n:
+            for a in f.values():
+                a[i + 1:n + 1] = a[i:n]
         else:
-            self._f = {name: np.concatenate([a, np.zeros((b,) + a.shape[1:], a.dtype)])
-                       for name, a in self._f.items()}
-        self._start[t] = len(self._start) * b
-        self._fill[t] = 0
+            self._last = t
+        self._n = n + 1
+        return i
 
     def observe(self, entry):
         """Offer one entry to its task's reservoir; returns True if stored."""
-        x_shape = entry.x.shape
-        if self._x_shape is not None and x_shape != self._x_shape:
+        f = self._f
+        if f is not None and entry.x.shape != f["x"].shape[1:]:
             raise MemoryConsistencyError(
-                f"input of shape {x_shape}, memory stores {self._x_shape}")
+                f"input of shape {entry.x.shape}, memory stores "
+                f"{f['x'].shape[1:]}")
         t = entry.t
         count = self.seen_counts.get(t, 0) + 1
         self.seen_counts[t] = count
         budget = self.budget_per_task
         if budget == 0:
             return False
-        slot = self._fill.get(t)
-        if slot is None:
-            self._add_block(t, x_shape)
-            slot = 0
-        if slot < budget:
-            self._fill[t] = slot + 1
-            self._n += 1
-            self._order = None
-        else:
+        if count > budget:
             slot = int(self.rng.integers(0, count))
             if slot >= budget:
                 return False
-        i = self._start[t] + slot
+            i = self._end(t) - budget + slot
+        else:
+            i = self._new_row(t, entry.x.shape)
         f = self._f
         f["x"][i] = entry.x
         f["y"][i] = entry.y
@@ -182,18 +192,9 @@ class EpisodicMemory:
             return Draw(**_fields(0))
         return Draw(**{name: a[rows] for name, a in self._f.items()})
 
-    def _rows(self):
-        """Array rows of every stored sample, in (task, slot) order."""
-        if self._order is None:
-            self._order = np.concatenate(
-                [np.zeros(0, dtype=np.int64)]
-                + [np.arange(self._start[t], self._start[t] + self._fill[t])
-                   for t in sorted(self._start)])
-        return self._order
-
     def rows(self):
         """A copy of every stored row, in (task, slot) order, as a ``Draw``."""
-        return self._gather(self._rows())
+        return self._gather(np.arange(self._n))
 
     def entries(self):
         """Every stored row as a ``MemoryEntry`` of write-locked views of a
@@ -213,8 +214,7 @@ class EpisodicMemory:
         """Uniform draw with replacement over all rows; empty when no rows."""
         if self._n == 0 or batch_size <= 0:
             return self._gather(np.zeros(0, dtype=np.int64))
-        idx = rng.integers(0, self._n, size=batch_size)
-        return self._gather(self._rows()[idx])
+        return self._gather(rng.integers(0, self._n, size=batch_size))
 
     def partition(self, current_batch, rng, replay_batch_size):
         """The (train, val) memory draws of one optimization round.
@@ -246,25 +246,16 @@ class EpisodicMemory:
             raise MemoryConsistencyError("snapshot widths exceed their padding")
         if np.any(np.diff(rows.t) < 0):
             raise MemoryConsistencyError("memory rows are not in task order")
-        tasks, starts, counts = np.unique(rows.t, return_index=True,
-                                          return_counts=True)
-        for t, c in zip(tasks.tolist(), counts.tolist()):
-            if c > min(budget_per_task, mem.seen_counts.get(t, 0)):
+        tasks, counts = np.unique(rows.t, return_counts=True)
+        held = dict(zip(tasks.tolist(), counts.tolist()))
+        for t in sorted(held.keys() | mem.seen_counts.keys()):
+            seen = mem.seen_counts.get(t, 0)
+            if held.get(t, 0) != min(budget_per_task, seen):
                 raise MemoryConsistencyError(
-                    f"task {t}: {c} stored rows, budget {budget_per_task}, "
-                    f"seen {mem.seen_counts.get(t, 0)}")
-            mem._start[t] = len(mem._start) * budget_per_task
-            mem._fill[t] = c
-        if n == 0:
-            return mem
-        mem._n = n
-        mem._x_shape = rows.x.shape[1:]
-        capacity = len(tasks) * budget_per_task
-        slots = np.repeat(np.arange(len(tasks)) * budget_per_task - starts,
-                          counts) + np.arange(n)
-        mem._f = {}
-        for name, a in _fields(0).items():
-            column = getattr(rows, name)
-            mem._f[name] = np.zeros((capacity,) + column.shape[1:], a.dtype)
-            mem._f[name][slots] = column
+                    f"task {t}: {held.get(t, 0)} stored rows, budget "
+                    f"{budget_per_task}, seen {seen}")
+        if n:
+            mem._n, mem._last = n, int(rows.t[-1])
+            mem._f = {name: np.array(getattr(rows, name), dtype=a.dtype)
+                      for name, a in _fields(0).items()}
         return mem

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -635,7 +636,7 @@ SET_TOKENS = {
     "noise_std": ["1", "1e-300", "1e300", "0"],
     "generator_mode": ["uniform-confusion", "negative-ce", "none"],
     "fake_fraction": ["1", "0.01", "1.5", "1e300", "0"],
-    "memory_budget": ["0", "1", "5", "-1"],
+    "memory_budget": ["0", "1", "5", "-1", "1000000000"],
 }
 DIVERGED = re.compile(r"(inner|outer|adversarial)-step loss on task \d+ "
                       r"contains NaN or Inf")
@@ -668,3 +669,19 @@ def test_config_inputs_run_or_fail_by_name(drawn):
         cells = [r.final_acc, r.final_fm, *(a for row in r.acc_matrix
                                             for a in row)]
         assert all(math.isfinite(v) for v in cells)
+
+
+def test_large_memory_budget_costs_only_the_rows_held(tmp_path):
+    # memory grows with the rows it stores: a budget far above a task's row
+    # count reserves nothing
+    config = apply_overrides(RunConfig(), [
+        "method=er", "n_tasks=2", "train_per_class=3", "test_per_class=3",
+        "seeds=[0]", "memory_budget=1000000000"])
+    tracemalloc.start()
+    try:
+        records = execute_run(config, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.seed for r in records] == [0]
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"

@@ -3,12 +3,12 @@ agreement with a list-based reference reservoir."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from metacl.errors import ContractError, MemoryConsistencyError
-from metacl.memory import EpisodicMemory, make_entry
+from metacl.memory import Draw, EpisodicMemory, make_entry
 
 
 def entry_for(i, t=1, dim=3):
@@ -247,11 +247,10 @@ class ListReservoir:
         return [pool[i] for i in rng.integers(0, len(pool), size=n)]
 
 
-def mixed_stream(seed):
-    """Three tasks arriving as 7, 2, 5, with snapshots of several widths,
-    some rows without snapshots, and a stretch where the tasks interleave."""
+def stream_of(order, seed):
+    """Entries of tasks in ``order``, with snapshots of several widths and
+    some rows without snapshots."""
     rng = np.random.default_rng(seed)
-    order = [7] * 30 + [2] * 25 + [7, 2, 5] * 5 + [5] * 30
     out = []
     for i, t in enumerate(order):
         h = None if i % 7 == 3 else rng.normal(size=2)
@@ -260,35 +259,69 @@ def mixed_stream(seed):
     return out
 
 
-@pytest.mark.parametrize("budget", [0, 6, 1000])
-def test_memory_matches_list_reference(budget):
+# three tasks arriving as 7, 2, 5, with a stretch where the tasks interleave
+MIXED_ORDER = [7] * 30 + [2] * 25 + [7, 2, 5] * 5 + [5] * 30
+
+
+def assert_matches(mem, ref, i):
+    assert [row_values(a) for a in mem.entries()] == \
+        [row_values(b) for b in ref.entries()]
+    assert len(mem) == len(ref.entries())
+    assert mem.seen_counts == ref.seen_counts
+    assert mem.rng.bit_generator.state == ref.rng.bit_generator.state
+    draw = mem.sample(9, np.random.default_rng(i))
+    expected = ref.sample(9, np.random.default_rng(i))
+    assert len(draw) == len(expected)
+    for k, b in enumerate(expected):
+        hw, hdw = draw.h_width[k], draw.h_disc_width[k]
+        got = (draw.x[k].tolist(), int(draw.y[k]), int(draw.t[k]),
+               draw.h[k, :hw].tolist() if hw else None,
+               draw.h_disc[k, :hdw].tolist() if hdw else None)
+        assert got == row_values(b)
+    if len(mem):
+        train, val = mem.partition(FakeBatch(dim=4), np.random.default_rng(i),
+                                   replay_batch_size=5)
+        rng = np.random.default_rng(i)
+        for side, want in ((train, ref.sample(5, rng)), (val, ref.sample(5, rng))):
+            assert side.x.tolist() == [b.x.tolist() for b in want]
+            assert side.t.tolist() == [b.t for b in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=60),
+       st.integers(min_value=0, max_value=8))
+@example(MIXED_ORDER, 0)
+@example(MIXED_ORDER, 6)
+@example(MIXED_ORDER, 1000)
+def test_memory_matches_list_reference(order, budget):
+    # any arrival order, tasks observed again after later ones included
     mem = EpisodicMemory(budget, rng=np.random.default_rng(11))
     ref = ListReservoir(budget, rng=np.random.default_rng(11))
-    for i, e in enumerate(mixed_stream(budget)):
+    for i, e in enumerate(stream_of(order, budget)):
         assert mem.observe(e) == ref.observe(e)
-        if i % 20 != 19:
-            continue
-        assert [row_values(a) for a in mem.entries()] == \
-            [row_values(b) for b in ref.entries()]
-        assert len(mem) == len(ref.entries())
-        assert mem.seen_counts == ref.seen_counts
-        assert mem.rng.bit_generator.state == ref.rng.bit_generator.state
-        draw = mem.sample(9, np.random.default_rng(i))
-        expected = ref.sample(9, np.random.default_rng(i))
-        assert len(draw) == len(expected)
-        for k, b in enumerate(expected):
-            hw, hdw = draw.h_width[k], draw.h_disc_width[k]
-            got = (draw.x[k].tolist(), int(draw.y[k]), int(draw.t[k]),
-                   draw.h[k, :hw].tolist() if hw else None,
-                   draw.h_disc[k, :hdw].tolist() if hdw else None)
-            assert got == row_values(b)
-        if len(mem):
-            train, val = mem.partition(FakeBatch(dim=4), np.random.default_rng(i),
-                                       replay_batch_size=5)
-            rng = np.random.default_rng(i)
-            for side, want in ((train, ref.sample(5, rng)), (val, ref.sample(5, rng))):
-                assert side.x.tolist() == [b.x.tolist() for b in want]
-                assert side.t.tolist() == [b.t for b in want]
+        if i % 20 == 19 or i == len(order) - 1:
+            assert_matches(mem, ref, i)
+
+
+def test_rows_and_entries_stay_copies():
+    # the last two observations rewrite stored rows in place, so copies that
+    # shared storage with the memory would change with them
+    mem = EpisodicMemory(3, rng=np.random.default_rng(0))
+    for t in (5, 5, 5, 7, 7):
+        mem.observe(entry_for(t, t=t))
+    rows, entries = mem.rows(), mem.entries()
+    want_rows = {name: getattr(rows, name).tolist() for name in Draw.FIELDS}
+    want_entries = [row_values(e) for e in entries]
+    mem.observe(entry_for(8, t=7))  # a new row
+    replaced = False
+    for i in range(10, 20):  # a reservoir replacement
+        replaced = mem.observe(entry_for(i, t=5)) or replaced
+    assert replaced
+    mem.observe(entry_for(3, t=3))  # a new row of an earlier task
+    assert [e.t for e in mem.entries()] == [3, 5, 5, 5, 7, 7, 7]
+    assert {name: getattr(rows, name).tolist()
+            for name in Draw.FIELDS} == want_rows
+    assert [row_values(e) for e in entries] == want_entries
 
 
 def test_entries_are_write_locked_views():
@@ -311,3 +344,31 @@ def test_observe_rejects_a_different_input_shape():
     with pytest.raises(MemoryConsistencyError, match="shape"):
         mem.observe(entry_for(1, dim=4))
     assert mem.seen_counts == {1: 1}
+
+
+def test_from_rows_round_trips_and_checks_the_reservoir_state():
+    mem = EpisodicMemory(2, rng=np.random.default_rng(0))
+    for i, t in enumerate([4, 4, 4, 9]):
+        mem.observe(entry_for(i, t=t))
+    rows = mem.rows()
+    assert rows.t.tolist() == [4, 4, 9]
+
+    def part(keep):
+        return Draw(**{name: getattr(rows, name)[keep] for name in Draw.FIELDS})
+
+    # every seen task holds min(budget, seen) rows, no more and no fewer
+    for keep, seen, message in (
+            (slice(0, 2), mem.seen_counts, "task 9: 0 stored rows"),
+            (slice(1, 3), mem.seen_counts, "task 4: 1 stored rows"),
+            (slice(0, 3), {4: 1, 9: 1}, "task 4: 2 stored rows")):
+        with pytest.raises(MemoryConsistencyError, match=message):
+            EpisodicMemory.from_rows(2, part(keep), seen,
+                                     np.random.default_rng(0))
+    back = EpisodicMemory.from_rows(2, rows, mem.seen_counts,
+                                    np.random.default_rng(0))
+    mem.rng = np.random.default_rng(0)
+    # a new row of the last task, reservoir draws, and new first and last tasks
+    for i, t in enumerate([9, 4, 2, 9, 12], start=10):
+        assert back.observe(entry_for(i, t=t)) == mem.observe(entry_for(i, t=t))
+    assert [row_values(e) for e in back.entries()] == \
+        [row_values(e) for e in mem.entries()]
