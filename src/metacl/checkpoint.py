@@ -16,7 +16,9 @@ streams from the seed. The seed-run is the unit of resumption; its
 running its missing seeds again.
 
 This reader handles format version 3 only; version 1 (one member per stored
-sample) and version 2 (one member per parameter) files are rejected.
+sample) and version 2 (one member per parameter) files are rejected. Any
+malformed content fails as ``FormatError`` naming the path; a missing file
+raises ``FileNotFoundError``.
 """
 
 import json
@@ -113,7 +115,12 @@ def load_checkpoint(path):
     except Exception as exc:
         raise FormatError(f"{path}: unreadable checkpoint ({exc})") from exc
     with data:
-        return _decode(path, data)
+        try:
+            return _decode(path, data)
+        except (KeyError, TypeError, ValueError, MemoryConsistencyError) as exc:
+            if isinstance(exc, FormatError):
+                raise
+            raise FormatError(f"{path}: malformed checkpoint ({exc!r})") from exc
 
 
 def _member(path, data, key):
@@ -126,6 +133,8 @@ def _decode(path, data):
     if "__meta__" not in data.files:
         raise FormatError(f"{path}: not a checkpoint (missing metadata)")
     meta = json.loads(str(data["__meta__"]))
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: not a checkpoint (metadata is not an object)")
     if meta.get("kind") != _KIND:
         raise FormatError(f"{path}: not a checkpoint (kind {meta.get('kind')!r})")
     if meta.get("version") != FORMAT_VERSION:
@@ -154,11 +163,8 @@ def _decode(path, data):
         rng = np.random.default_rng(0)
         rng.bit_generator.state = m["rng_state"]
         seen_counts = {int(t): int(c) for t, c in m["seen_counts"].items()}
-        try:
-            memory = EpisodicMemory.from_rows(m["budget_per_task"], Draw(**fields),
-                                              seen_counts, rng)
-        except MemoryConsistencyError as exc:
-            raise FormatError(f"{path}: inconsistent memory ({exc})") from exc
+        memory = EpisodicMemory.from_rows(m["budget_per_task"], Draw(**fields),
+                                          seen_counts, rng)
 
     matrix = None
     if meta["matrix"] is not None:

@@ -26,7 +26,7 @@ class MemoryConsistencyError(RuntimeError):
 
 
 class FormatError(ValueError):
-    """A binary dataset file violates its format."""
+    """A file read back from disk (dataset, checkpoint, record) is malformed."""
 
 
 class MetricUndefinedError(ValueError):

@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .datasets import (
     make_synthetic,
     subsample,
 )
-from .errors import ConfigurationError, NoDataError
+from .errors import ConfigurationError, FormatError, NoDataError
 from .metrics import acc, fm
 from .trainer import build_trainer, run_stream, task_capacity
 
@@ -47,7 +47,8 @@ GRID_SPACE = {
     "lambda2": (1.0, 3.0),
     "lambda3": (0.03, 0.09, 0.3, 0.9),
 }
-STEP_LOSSES = ("mean_inner_loss", "mean_outer_loss", "mean_disc_loss")
+RECORD_VERSION = 1
+TIMING = {"timing": True}  # metadata of the ResultRecord fields in timing.json
 STATS_COLUMNS = ("n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm")
 SUMMARY_COLUMNS = ("method", "ablation", "seed", "task_index", "acc_row",
                    "final_acc", "final_fm", "wall_s")
@@ -90,7 +91,9 @@ def build_stream(config):
 
 @dataclass
 class ResultRecord:
-    """One completed run: everything needed to rebuild the metrics."""
+    """One completed run: everything needed to rebuild the metrics. Fields
+    marked ``TIMING`` go to timing.json (``wall_s`` None if it is missing),
+    the rest to record.json."""
 
     config_hash: str
     method: str
@@ -101,28 +104,23 @@ class ResultRecord:
     final_fm: float
     samples_seen: dict
     counters: dict
-    wall_s: float | None = 0.0  # None when loaded without timing.json
-    task_wall_s: list = field(default_factory=list)
-    task_losses: list = field(default_factory=list)  # one dict per task
+    wall_s: float | None = field(default=None, metadata=TIMING)
+    task_wall_s: list = field(default_factory=list, metadata=TIMING)
+    task_losses: list = field(default_factory=list, metadata=TIMING)
 
     def stable_dict(self):
         """The byte-stable part (no timing)."""
-        return {
-            "record_version": 1,
-            "config_hash": self.config_hash,
-            "method": self.method,
-            "ablation": self.ablation,
-            "seed": self.seed,
-            "acc_matrix": self.acc_matrix,
-            "final_acc": self.final_acc,
-            "final_fm": self.final_fm,
-            "samples_seen": {str(k): v for k, v in self.samples_seen.items()},
-            "counters": self.counters,
-        }
+        out = {name: getattr(self, name) for name in STABLE_FIELDS}
+        out["samples_seen"] = {str(k): v for k, v in self.samples_seen.items()}
+        return {"record_version": RECORD_VERSION, **out}
 
     def record_bytes(self):
         return (json.dumps(self.stable_dict(), sort_keys=True, indent=2)
                 + "\n").encode("utf-8")
+
+
+STABLE_FIELDS = tuple(f.name for f in fields(ResultRecord) if not f.metadata)
+TIMING_FIELDS = tuple(f.name for f in fields(ResultRecord) if f.metadata)
 
 
 def run_single(config, seed, stream=None):
@@ -130,7 +128,7 @@ def run_single(config, seed, stream=None):
     stream = stream if stream is not None else build_stream(config)
     started = time.perf_counter()
     trainer = build_trainer(stream, config, seed)
-    records = run_stream(trainer, stream)
+    run_stream(trainer, stream)
     wall = time.perf_counter() - started
 
     state = trainer.state
@@ -150,75 +148,78 @@ def run_single(config, seed, stream=None):
             "adversarial_updates": state.adversarial_updates,
         },
         wall_s=wall,
-        task_wall_s=[r["wall_s"] for r in records],
-        task_losses=[{key: r[key] for key in STEP_LOSSES} for r in records],
+        task_wall_s=list(state.task_wall_s),
+        task_losses=list(state.task_losses),
     )
 
 
 # -- run sets and emission ------------------------------------------------------------
 
 
+def run_name(method, ablation, config_hash):
+    """``<method>-<ablation>-<hash8>``: a run-set's directory and report row."""
+    return f"{method}-{ablation}-{config_hash[:8]}"
+
+
 def run_dir_name(config):
-    return f"{config.method}-{config.ablation}-{config_hash(config)[:8]}"
+    return run_name(config.method, config.ablation, config_hash(config))
 
 
 def write_record(seed_dir, record):
     atomic_write_text(os.path.join(seed_dir, "record.json"),
                       record.record_bytes().decode("utf-8"))
-    timing = {"wall_s": record.wall_s, "task_wall_s": record.task_wall_s,
-              "task_losses": record.task_losses}
+    timing = {name: getattr(record, name) for name in TIMING_FIELDS}
     atomic_write_text(os.path.join(seed_dir, "timing.json"),
                       json.dumps(timing, sort_keys=True, indent=2) + "\n")
 
 
+def _read_json_object(path):
+    """The JSON object in ``path``; anything else fails as ``FormatError``."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            raw = json.load(f)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise FormatError(f"{path}: holds {type(raw).__name__}, not an object")
+    return raw
+
+
 def load_record(seed_dir):
-    """Rebuild a ResultRecord from record.json (+ timing.json if present)."""
-    with open(os.path.join(seed_dir, "record.json"), encoding="utf-8") as f:
-        raw = json.load(f)
-    timing = {}
+    """Rebuild a ResultRecord from record.json (+ timing.json if present);
+    a record of another version, or one missing a field, fails as
+    ``FormatError`` naming the file."""
+    path = os.path.join(seed_dir, "record.json")
+    raw = _read_json_object(path)
+    if raw.get("record_version") != RECORD_VERSION:
+        raise FormatError(f"{path}: record_version {raw.get('record_version')!r}"
+                          f" unsupported (this reader handles {RECORD_VERSION})")
+    missing = [name for name in STABLE_FIELDS if name not in raw]
+    if missing:
+        raise FormatError(f"{path}: missing fields {missing}")
+    values = {name: raw[name] for name in STABLE_FIELDS}
+    values["samples_seen"] = {int(k): v for k, v in raw["samples_seen"].items()}
     timing_path = os.path.join(seed_dir, "timing.json")
     if os.path.exists(timing_path):
-        with open(timing_path, encoding="utf-8") as f:
-            timing = json.load(f)
-    return ResultRecord(
-        config_hash=raw["config_hash"],
-        method=raw["method"],
-        ablation=raw["ablation"],
-        seed=raw["seed"],
-        acc_matrix=raw["acc_matrix"],
-        final_acc=raw["final_acc"],
-        final_fm=raw["final_fm"],
-        samples_seen={int(k): v for k, v in raw["samples_seen"].items()},
-        counters=raw["counters"],
-        wall_s=timing.get("wall_s"),
-        task_wall_s=timing.get("task_wall_s", []),
-        task_losses=timing.get("task_losses", []),
-    )
+        timing = _read_json_object(timing_path)
+        values.update((name, timing[name]) for name in TIMING_FIELDS
+                      if name in timing)
+    return ResultRecord(**values)
 
 
 def summary_rows(records):
-    rows = []
-    for r in records:
-        for task_index, acc_row in enumerate(r.acc_matrix, start=1):
-            rows.append({
-                "method": r.method,
-                "ablation": r.ablation,
-                "seed": r.seed,
-                "task_index": task_index,
-                "acc_row": ";".join(str(a) for a in acc_row),
-                "final_acc": r.final_acc,
-                "final_fm": r.final_fm,
-                "wall_s": r.wall_s,
-            })
-    return rows
+    """One ``SUMMARY_COLUMNS`` row per record and task index: the record's
+    fields of those names, and that row of its accuracy matrix."""
+    return [{**{c: getattr(r, c, None) for c in SUMMARY_COLUMNS},
+             "task_index": k, "acc_row": ";".join(str(a) for a in row)}
+            for r in records for k, row in enumerate(r.acc_matrix, start=1)]
 
 
 def write_csv(path, columns, rows):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(columns))
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 
@@ -373,7 +374,7 @@ def report(result_dir):
         group = list(group)
         timed = [r.wall_s for r in group if r.wall_s is not None]
         r = group[0]
-        rows.append({"run": f"{r.method}-{r.ablation}-{r.config_hash[:8]}",
+        rows.append({"run": run_name(r.method, r.ablation, r.config_hash),
                      "method": r.method, "ablation": r.ablation,
                      **seed_stats(group),
                      "mean_seed_run_s": float(np.mean(timed)) if timed else None})

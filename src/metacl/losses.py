@@ -38,6 +38,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    grad_only,
     task_alignment,
     task_cross_entropy,
     task_dark_replay,
@@ -159,8 +160,9 @@ def adversarial_generator_loss(model, batch, memory, config, shared=None):
     negative-ce: the negated discriminator CE on true task labels.
 
     The rows, grouped by task, run through the plain trunk and the
-    discriminator as one ``TaskForward`` group, the discriminator's weights
-    as constants, and the term is one tape node (``autodiff.task_alignment``).
+    discriminator as one ``TaskForward`` group, built with the
+    discriminator's weights frozen (``autodiff.grad_only``), and the term is
+    one tape node (``autodiff.task_alignment``).
     A ``shared`` dict lends it the step's rows and grouping (``ce_loss``).
     With fewer than two seen tasks there is nothing to confuse; returns 0.
     """
@@ -173,13 +175,13 @@ def adversarial_generator_loss(model, batch, memory, config, shared=None):
     x, _, t = rows[:3]
     # rows grouped by task, each group in its original order
     order = np.argsort(t, kind="stable")
-    forward = model.discriminator_forward(x[order], [0], [len(x)],
-                                          frozen="discriminator")
-    if config.generator_mode == "uniform-confusion":
-        target = np.zeros((len(x), model.k_max + 1))
-        target[:, 1:k + 1] = 1.0 / k
-        return task_alignment(forward, k + 1, probs=target)
-    return task_alignment(forward, k + 1, targets=t[order])
+    with grad_only((), model.discriminator_params()):
+        forward = model.discriminator_forward(x[order], [0], [len(x)])
+        if config.generator_mode == "uniform-confusion":
+            target = np.zeros((len(x), model.k_max + 1))
+            target[:, 1:k + 1] = 1.0 / k
+            return task_alignment(forward, k + 1, probs=target)
+        return task_alignment(forward, k + 1, targets=t[order])
 
 
 def discriminator_loss(model, x, task_labels, memory, config):
@@ -188,8 +190,9 @@ def discriminator_loss(model, x, task_labels, memory, config):
     ``x`` must mix real rows (labeled by true task) with fresh noise rows
     (labeled 0). ``memory`` is a ``Draw`` or None. The rows of ``x``, then
     the memory rows grouped by stored width (ascending, each group in draw
-    order), run through one ``TaskForward`` whose trunk is constant, so only
-    discriminator weights receive gradient, and the loss is one tape node
+    order), run through one ``TaskForward`` built with the trunk frozen
+    (``autodiff.grad_only``), so only discriminator weights receive
+    gradient, and the loss is one tape node
     (``autodiff.task_discriminator_loss``).
     """
     task_labels = np.asarray(task_labels, dtype=np.int64)
@@ -216,9 +219,10 @@ def discriminator_loss(model, x, task_labels, memory, config):
         x = np.concatenate([x, memory.x[order]])
         task_labels = np.concatenate([task_labels, memory.t[order]])
         stored = memory.h_disc[order]
-    forward = model.discriminator_forward(x, keys, sizes, frozen="trunk")
-    return task_discriminator_loss(forward, task_labels, k + 1, stored,
-                                   config.lambda1, config.lambda2)
+    with grad_only((), model.extractor_params()):
+        forward = model.discriminator_forward(x, keys, sizes)
+        return task_discriminator_loss(forward, task_labels, k + 1, stored,
+                                       config.lambda1, config.lambda2)
 
 
 def _dark_replay_off(config):

@@ -131,11 +131,6 @@ class ParameterGenerator:
             for d in layer_widths
         ]
 
-    def check_task(self, task_id):
-        if not 1 <= task_id <= self.capacity:
-            raise UnknownTaskError(
-                f"task {task_id} outside generator capacity 1..{self.capacity}")
-
     def layer(self, layer_index):
         """(table, w_scale, b_scale, w_shift, b_shift) of one layer: its
         embedding table and (scale, shift) affine maps."""
@@ -145,7 +140,9 @@ class ParameterGenerator:
 
     def coefficients(self, task_id, layer_index):
         """(scale, shift) row vectors for one layer, conditioned on task ID."""
-        self.check_task(task_id)
+        if not 1 <= task_id <= self.capacity:
+            raise UnknownTaskError(
+                f"task {task_id} outside generator capacity 1..{self.capacity}")
         table, w_scale, b_scale, w_shift, b_shift = self.layer(layer_index)
         emb = gather_rows(table, [task_id])
         scale = matmul(emb, w_scale) + b_scale
@@ -278,11 +275,13 @@ class ContinualModel:
     # -- task registry ------------------------------------------------------
 
     def register_task(self, task_id):
-        """Mark a task as seen; creates its head in multi-head mode."""
+        """Mark a task as seen; creates its head in multi-head mode. An id
+        outside ``1..k_max`` (0 is the fake class) fails as CapacityError."""
         if task_id in self.seen_tasks:
             return
-        if len(self.seen_tasks) + 1 > self.k_max:
-            raise CapacityError(f"cannot register task {task_id}: capacity {self.k_max}")
+        if not 1 <= task_id <= self.k_max:
+            raise CapacityError(
+                f"cannot register task {task_id}: capacity 1..{self.k_max}")
         if self.head_mode == "multi":
             self.heads.add_head(task_id)
         self.seen_tasks.append(task_id)
@@ -335,8 +334,6 @@ class ContinualModel:
         layer, as ``TaskForward`` takes them, once ``tasks`` are checked."""
         for task in tasks:
             self._check_task(task)
-            if self.transform_mode != "off":
-                self.generator.check_task(task)
         return [(w, b, self.generator.layer(index)
                  if self._modulated(index) else None)
                 for index, (w, b) in enumerate(self.extractor.layers)]
@@ -361,28 +358,20 @@ class ContinualModel:
             seen_tasks = self.n_seen
         return self.discriminator.forward(features, seen_tasks)
 
-    def discriminator_forward(self, x, keys, sizes, frozen):
+    def discriminator_forward(self, x, keys, sizes):
         """``autodiff.TaskForward`` of the rows ``x``, grouped by ``keys``
         (``sizes[k]`` rows of key ``keys[k]``), on the discriminator's path:
         the plain trunk, the discriminator's first layer, and its output
         layer as every group's head. Group k's logits equal those of
         ``discriminate(extract(rows))`` before its column mask, bit for bit.
-        ``frozen`` ("trunk" or "discriminator") names the part that enters
-        as constant views of its weights, so it gets no gradient whatever
-        its flags say; None, for a forward under ``no_grad``, makes none."""
+        What gets gradient is what requires grad when it is built: a loss
+        that freezes a part builds it inside ``autodiff.grad_only``."""
         x = np.asarray(x, dtype=np.float64)
         self.extractor.check_input(x)
-        self.discriminator.check_capacity(self.n_seen)
-        trunk = self.extractor.layers
         d = self.discriminator
-        first, head = (d.w1, d.b1), (d.w2, d.b2)
-        if frozen == "trunk":
-            trunk = [(Tensor(w.data), Tensor(b.data)) for w, b in trunk]
-        elif frozen == "discriminator":
-            first, head = ((Tensor(w.data), Tensor(b.data))
-                           for w, b in (first, head))
-        layers = [(w, b, None) for w, b in [*trunk, first]]
-        return TaskForward(x, keys, sizes, layers, [head] * len(keys),
+        layers = [(w, b, None) for w, b in [*self.extractor.layers,
+                                            (d.w1, d.b1)]]
+        return TaskForward(x, keys, sizes, layers, [(d.w2, d.b2)] * len(keys),
                            NORM_EPS)
 
     # -- snapshots (inference mode, detached arrays) -------------------------
@@ -399,7 +388,7 @@ class ContinualModel:
             seen_tasks = self.n_seen
         self.discriminator.check_capacity(seen_tasks)
         with no_grad():
-            forward = self.discriminator_forward(x, [0], [len(x)], None)
+            forward = self.discriminator_forward(x, [0], [len(x)])
             return forward.logits[:, :seen_tasks + 1].copy()
 
     # -- parameter groups ----------------------------------------------------

@@ -45,10 +45,14 @@ EVAL_CHUNK = 512  # test rows per evaluation forward
 
 @dataclass
 class RunState:
+    """A seed-run's results; per task: samples seen, wall time, mean losses."""
+
     model: ContinualModel
     memory: EpisodicMemory
     matrix: AccuracyMatrix = field(default_factory=AccuracyMatrix)
     samples_seen: dict = field(default_factory=dict)
+    task_wall_s: list = field(default_factory=list)
+    task_losses: list = field(default_factory=list)  # one dict per task
     inner_updates: int = 0
     outer_updates: int = 0
     adversarial_updates: int = 0
@@ -167,7 +171,8 @@ class Trainer:
                                            h_disc=h_disc[i]))
 
     def train_task(self, task):
-        """One single-epoch pass over the task, one round per minibatch."""
+        """One single-epoch pass over the task, one round per minibatch; its
+        sample count, wall time and mean step losses go to ``state``."""
         k = task.task_id
         self.model.register_task(k)
         consumed = 0
@@ -179,12 +184,10 @@ class Trainer:
             self._observe_batch(batch)
             consumed += len(batch)
         self.state.samples_seen[k] = consumed
-        record = {"task": k, "consumed": consumed,
-                  "wall_s": time.perf_counter() - started}
-        for kind, values in losses.items():
-            record[f"mean_{kind}_loss"] = (float(np.mean(values)) if values
-                                           else None)
-        return record
+        self.state.task_wall_s.append(time.perf_counter() - started)
+        self.state.task_losses.append({
+            f"mean_{kind}_loss": float(np.mean(values)) if values else None
+            for kind, values in losses.items()})
 
     # -- the three update kinds ------------------------------------------------
 
@@ -277,17 +280,13 @@ ReplayTrainer = Trainer
 
 def run_stream(trainer, stream):
     """Train task by task; after each task, fill one accuracy-matrix row."""
-    records = []
     seen = []
     for task in stream.tasks:
-        record = trainer.train_task(task)
+        trainer.train_task(task)
         seen.append(task)
         row = evaluate(trainer.model, seen)
         for pos, t in enumerate(seen, start=1):
             trainer.state.matrix.set(len(seen), pos, row[t.task_id])
-        record["acc_row"] = [row[t.task_id] for t in seen]
-        records.append(record)
-    return records
 
 
 def task_capacity(stream, config):

@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -66,11 +67,12 @@ def entries_equal(a, b):
 
 
 def rewrite(src, dst, mutate):
-    """Reload an archive, apply a mutation, and write it back out."""
+    """Reload an archive, apply a mutation, and write it back out; a
+    mutation may return metadata to write in place of the old."""
     with np.load(src, allow_pickle=False) as d:
         arrays = {k: d[k] for k in d.files}
     meta = json.loads(str(arrays["__meta__"]))
-    mutate(arrays, meta)
+    meta = mutate(arrays, meta) or meta
     arrays["__meta__"] = np.array(json.dumps(meta))
     with open(dst, "wb") as f:
         np.savez(f, **arrays)
@@ -316,6 +318,43 @@ def test_bad_params_member_rejected(tmp_path, tamper):
 
     rewrite(src, dst, mutate)
     with pytest.raises(FormatError, match="'params'"):
+        load_checkpoint(dst)
+
+
+def _pop(mapping, key):
+    del mapping[key]
+
+
+TAMPERINGS = {
+    "model key missing": lambda meta: _pop(meta["model"], "depth"),
+    "extra model key": lambda meta: meta["model"].update(colour=1),
+    "mistyped model key": lambda meta: meta["model"].update(
+        depht=meta["model"].pop("depth")),
+    "model value of the wrong type": lambda meta: meta["model"].update(
+        feature_width="16"),
+    "model null": lambda meta: meta.update(model=None),
+    "no seen_tasks": lambda meta: _pop(meta, "seen_tasks"),
+    "seen task outside capacity": lambda meta: meta.update(seen_tasks=[99]),
+    "seen task 0": lambda meta: meta.update(seen_tasks=[0]),
+    "bad rng_state": lambda meta: meta["memory"].update(rng_state="pcg"),
+    "no seen_counts": lambda meta: _pop(meta["memory"], "seen_counts"),
+    "matrix entry above 1": lambda meta: meta["matrix"][1].__setitem__(0, 2.0),
+    "metadata not an object": lambda meta: [meta],
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERINGS))
+def test_malformed_metadata_fails_as_format_error_naming_the_path(tmp_path,
+                                                                  tamper):
+    model = build_model(small_stream(), SMALL, 0)
+    model.register_task(1)
+    model.register_task(2)
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(src, model, memory=filled_memory(10),
+                    matrix=AccuracyMatrix.from_rows([[0.5], [0.25, 0.75]]))
+    load_checkpoint(src)  # the untampered file loads
+    rewrite(src, dst, lambda arrays, meta: TAMPERINGS[tamper](meta))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(dst))}: "):
         load_checkpoint(dst)
 
 

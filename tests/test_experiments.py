@@ -8,7 +8,7 @@ import os
 import re
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from helpers import fail_writes_after
 from metacl import experiments
 from metacl.config import RunConfig, apply_overrides
-from metacl.errors import ConfigurationError, NoDataError
+from metacl.errors import ConfigurationError, FormatError, NoDataError
 from metacl.experiments import (
     GRID_SPACE,
     GRID_TASKS,
@@ -218,17 +218,54 @@ def test_emitted_records_byte_identical_across_reruns(tmp_path):
     assert a == b
 
 
-def test_record_reload_reproduces_values(tmp_path):
-    config = tiny_config()
+@pytest.mark.parametrize("method", ["scale", "er"])
+def test_record_reload_reproduces_values(tmp_path, method):
+    # every field comes back, and each file holds exactly its own fields:
+    # a field list that drops or moves a field fails here
+    config = tiny_config(f"method={method}")
     record = execute_run(config, out_dir=str(tmp_path))[0]
     seed_dir = tmp_path / run_dir_name(config) / "seed-0"
-    loaded = load_record(str(seed_dir))
-    assert loaded.acc_matrix == record.acc_matrix
-    assert loaded.final_acc == record.final_acc
-    assert loaded.final_fm == record.final_fm
-    assert loaded.samples_seen == record.samples_seen
-    assert loaded.counters == record.counters
-    assert loaded.wall_s == record.wall_s
+    assert load_record(str(seed_dir)) == record
+    assert record.wall_s > 0 and len(record.task_wall_s) == 3
+    assert len(record.task_losses) == 3
+    timing = {"wall_s", "task_wall_s", "task_losses"}
+    every = {f.name for f in fields(ResultRecord)}
+    stable = json.loads((seed_dir / "record.json").read_text())
+    assert set(stable) == every - timing | {"record_version"}
+    assert stable["record_version"] == 1
+    assert set(json.loads((seed_dir / "timing.json").read_text())) == timing
+
+
+def _without(raw, key):
+    return {k: v for k, v in raw.items() if k != key}
+
+
+@pytest.mark.parametrize("name, tamper, match", [
+    ("record.json", lambda raw: {**raw, "record_version": 2},
+     "record_version 2 unsupported"),
+    ("record.json", lambda raw: _without(raw, "record_version"),
+     "record_version None unsupported"),
+    ("record.json", lambda raw: _without(raw, "final_fm"),
+     r"missing fields \['final_fm'\]"),
+    ("record.json", lambda raw: [raw], "holds list, not an object"),
+    ("timing.json", lambda raw: [raw], "holds list, not an object"),
+    ("record.json", None, "not valid JSON"),
+    ("timing.json", None, "not valid JSON"),
+], ids=["version 2", "no version", "no final_fm", "record list", "timing list",
+        "record bad JSON", "timing bad JSON"])
+def test_load_record_rejects_a_malformed_file_naming_it(tmp_path, name, tamper,
+                                                        match):
+    record = ResultRecord(config_hash="0" * 64, method="scale", ablation="full",
+                          seed=0, acc_matrix=[[0.5]], final_acc=0.5,
+                          final_fm=0.0, samples_seen={1: 10}, counters={})
+    write_record(str(tmp_path), record)
+    path = tmp_path / name
+    text = path.read_text()
+    path.write_text(text[:-3] if tamper is None  # cut the closing brace
+                    else json.dumps(tamper(json.loads(text))))
+    with pytest.raises(FormatError, match=match) as info:
+        load_record(str(tmp_path))
+    assert str(info.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("budget", [0, 10])
@@ -452,7 +489,7 @@ PINNED_RUNS = {
 def run_digest(config):
     stream = build_stream(config)
     trainer = build_trainer(stream, config, 0)
-    records = run_stream(trainer, stream)
+    run_stream(trainer, stream)
     h = hashlib.sha256()
     for p in trainer.model.all_params():
         h.update(f"{p.data.shape}".encode("ascii"))
@@ -461,8 +498,8 @@ def run_digest(config):
     for a in (rows.h, rows.h_disc):
         h.update(f"{a.shape}".encode("ascii"))
         h.update(a.tobytes())
-    for r in records:
-        h.update(repr([r[f"mean_{kind}_loss"]
+    for losses in trainer.state.task_losses:
+        h.update(repr([losses[f"mean_{kind}_loss"]
                        for kind in ("inner", "outer", "disc")]).encode("ascii"))
     return h.hexdigest()
 

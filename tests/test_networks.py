@@ -276,9 +276,15 @@ def test_transform_off_leaves_generator_untouched():
 
 
 def test_task_features_rejects_task_outside_generator_capacity():
+    # a task outside 1..k_max is refused when registered, so no forward
+    # ever reaches the generator with it; task 0 is the discriminator's
+    # fake class
     model = small_model(k_max=2)
-    model.register_task(3)  # the first task registered, outside capacity 2
-    with pytest.raises(UnknownTaskError, match="capacity 1..2"):
+    for task in (3, 0, -1):
+        with pytest.raises(CapacityError, match="capacity 1..2"):
+            model.register_task(task)
+    assert model.seen_tasks == [] and not model.heads.heads
+    with pytest.raises(UnknownTaskError):
         model.task_features(np.zeros((1, 4)), 3)
 
 
@@ -362,7 +368,7 @@ FORWARDS = {
     "logits": lambda model, x: model.logits(x, 1),
     "task_forward": lambda model, x: model.task_forward(x, [1], [len(x)]),
     "discriminator_forward": lambda model, x: model.discriminator_forward(
-        x, [0], [len(x)], "trunk"),
+        x, [0], [len(x)]),
     "snapshot_logits": lambda model, x: model.snapshot_logits(x, 1),
     "snapshot_disc_logits": lambda model, x: model.snapshot_disc_logits(x),
 }
@@ -447,7 +453,7 @@ def test_task_forward_rejects_groups_that_do_not_split_the_rows(forward, tasks,
         if forward == "task":
             model.task_forward(x, tasks, sizes)
         else:
-            model.discriminator_forward(x, tasks, sizes, "trunk")
+            model.discriminator_forward(x, tasks, sizes)
 
 
 @pytest.mark.parametrize("mode", ["per_layer", "last", "off"])

@@ -223,12 +223,13 @@ def test_ablation_c_builds_one_total_loss_per_round(monkeypatch):
         return total_loss(*args)
 
     monkeypatch.setattr(trainer_module, "total_loss", counted)
-    record = trainer.train_task(stream.tasks[0])
+    trainer.train_task(stream.tasks[0])
     rounds = -(-len(stream.tasks[0].train.x) // trainer.config.batch_size)
     assert len(builds) == rounds
     assert trainer.state.outer_updates == rounds
-    assert record["mean_outer_loss"] is None
-    assert record["mean_inner_loss"] is not None
+    (losses,) = trainer.state.task_losses
+    assert losses["mean_outer_loss"] is None
+    assert losses["mean_inner_loss"] is not None
 
 
 # -- adversarial step ---------------------------------------------------------------------
@@ -284,11 +285,11 @@ def test_adversarial_step_trains_a_working_classifier():
 def test_train_task_one_epoch_accounting():
     trainer, stream = fresh_trainer()
     task = stream.tasks[0]
-    record = trainer.train_task(task)
+    assert trainer.train_task(task) is None
     n = len(task.train.x)
     rounds = -(-n // trainer.config.batch_size)
-    assert record["consumed"] == n
-    assert trainer.state.samples_seen[task.task_id] == n
+    assert trainer.state.samples_seen == {task.task_id: n}
+    assert len(trainer.state.task_wall_s) == len(trainer.state.task_losses) == 1
     assert trainer.state.inner_updates == rounds
     assert trainer.state.outer_updates == rounds
     assert trainer.state.adversarial_updates == rounds
@@ -403,11 +404,11 @@ def test_evaluate_unseen_task_rejected():
 
 def test_run_stream_builds_lower_triangular_matrix():
     trainer, stream = fresh_trainer()
-    records = run_stream(trainer, stream)
+    assert run_stream(trainer, stream) is None
     rows = trainer.state.matrix.to_rows()
     assert [len(r) for r in rows] == [1, 2, 3]
-    assert len(records) == 3
-    assert [len(r["acc_row"]) for r in records] == [1, 2, 3]
+    assert len(trainer.state.task_wall_s) == 3
+    assert len(trainer.state.task_losses) == 3
 
 
 # -- whole-run determinism ---------------------------------------------------------------------
@@ -470,9 +471,9 @@ def test_replay_trainer_fills_memory():
     stream = small_stream(seed=6)
     config = small_config(method="er", memory_budget=5)
     rt = build_trainer(stream, config, 6)
-    records = run_stream(rt, stream)
+    run_stream(rt, stream)
     assert len(rt.memory) == 15
-    assert len(records) == 3
+    assert len(rt.state.task_losses) == 3
     # ER's plan: one inner step per round, rows stored without snapshots
     rounds = n_rounds(stream, config.batch_size)
     assert (rt.state.inner_updates, rt.state.outer_updates,
