@@ -18,11 +18,12 @@ updates; the gradients of those parameters are bit-identical to those of
 the fully taped graph.
 
 At width 64 a node's Python cost outweighs its arithmetic, so the network
-is not taped op by op: the training losses (``task_cross_entropy``,
-``task_dark_replay``, ``task_discriminator_loss``, ``task_alignment``) are
-one node each over a ``TaskForward``, rows of many groups (tasks, or stored
-snapshot widths) through trunk, FiLM and heads, whose value and every
-gradient equal those of the groups' chains of primitive ops bit for bit.
+is not taped op by op: every training loss is one node over a
+``TaskForward``, rows of many groups (tasks, or stored snapshot widths)
+through trunk, FiLM and heads, whose value and every gradient equal those
+of the groups' chains of primitive ops bit for bit. ``task_loss`` is the
+one cross-entropy and dark-replay node (union CE, DER++'s term and the
+discriminator's loss); ``task_alignment`` is the soft-target alignment.
 Inference reads a one-group ``TaskForward`` built under ``no_grad``. The
 primitive ops are the reference path: the model's layer methods
 (``metacl.networks``) and the chains the tests hold the nodes to are built
@@ -480,14 +481,6 @@ def _check_targets(op, targets, n, c):
     return targets
 
 
-def _l2_norms(diff):
-    """(rows, norms): ``diff`` as rows (a 1-D input is one row) and each
-    row's Euclidean norm."""
-    rows = (diff.reshape(1, -1) if diff.ndim == 1
-            else diff.reshape(diff.shape[0], -1))
-    return rows, np.sqrt((rows * rows).sum(axis=1))
-
-
 def _l2_grad(rows, norms, n, g):
     """The gradient of mean-over-``n``-rows of ``norms`` times ``g`` on
     ``rows``; zero norm propagates a zero subgradient. ``n`` and ``g`` are
@@ -745,22 +738,24 @@ class TaskForward:
                        [own] * len(bounds), below)
         return [c for k in reversed(self.ascending) for c in sent[k]]
 
-    def fold(self, values):
-        """``values`` (one per group) summed by ascending task, left to
-        right, as the chain's ``add`` nodes sum them."""
-        total = None
+    def fold(self, values, first=0):
+        """``values``, one per group from group ``first`` on, summed by
+        ascending key, left to right, as the chain's ``add`` nodes sum them
+        (None for no values)."""
+        total, stop = None, first + len(values)
         for k in self.ascending:
-            total = values[k] if total is None else total + values[k]
+            if first <= k < stop:
+                value = values[k - first]
+                total = value if total is None else total + value
         return total
 
-    def means(self, v):
-        """Each group's mean of the 1-D ``v``: numpy's ``mean``, the sum of
-        the group's entries over their count, without its Python wrapper."""
-        return [np.add.reduce(v[s:e]) / (e - s) for s, e in self.bounds]
-
-    def rows(self, values):
-        """One value per group, repeated over the group's rows."""
-        return np.repeat(values, self.sizes)
+    def means(self, v, first=0):
+        """Each group's mean, from group ``first`` on, of the 1-D ``v``
+        that holds those groups' rows: numpy's ``mean``, the sum of the
+        group's entries over their count, without its Python wrapper."""
+        base = self.bounds[first][0]
+        return [np.add.reduce(v[s - base:e - base]) / (e - s)
+                for s, e in self.bounds[first:]]
 
 
 def task_films(layers, tasks, eps):
@@ -774,145 +769,89 @@ def _flagged(tensors, flags):
     return [t for t, flag in zip(tensors, flags) if flag]
 
 
-def task_cross_entropy(forward, targets):
-    """``ce_t * (n_t / N)`` summed over the tasks of ``forward`` by
-    ascending task, ``ce_t`` being ``softmax_cross_entropy`` of task t's
-    logits, as one node: its value and every gradient equal those of that
-    per-task chain bit for bit."""
-    logits = forward.logits
+def task_loss(forward, targets, valid=None, stored=None, widths=(),
+              lambda1=0.0, lambda2=0.0):
+    """Cross-entropy and dark replay over the groups of ``forward`` as one
+    node, on its logits masked to the first ``valid`` columns
+    (``mask_cols``) when given. The last ``len(widths)`` groups replay
+    stored logits, group k's in the first ``widths[k]`` columns of its rows
+    of ``stored`` (a constant array, one row per replayed row); the groups
+    before them are plain. The value
+
+        ce_plain + lambda1 * l2 + lambda2 * ce
+
+    has ``ce_plain`` sum ``softmax_cross_entropy(logits_t, targets_t) *
+    (n_t / N)`` over the plain groups, N being their rows; ``l2`` sums
+    ``l2_distance(slice_cols(logits_t, w_t), stored_t) * (n_t / M)`` and
+    ``ce`` the cross-entropy likewise over the replayed groups, M being
+    their rows. Each part sums by ascending group key, a part without
+    groups is left out, and the value and every gradient equal those of
+    that per-group chain bit for bit."""
+    logits = (forward.logits if valid is None
+              else _masked(forward.logits, valid))
     n, c = logits.shape
-    targets = _check_targets("task_cross_entropy", targets, n, c)
+    targets = _check_targets("task_loss", targets, n, c)
     log_probs, softmax = _log_softmax(logits)
-    picked = log_probs[np.arange(n), targets]
-    fracs = forward.sizes / n
-    value = forward.fold([-mean * frac for mean, frac
-                          in zip(forward.means(picked), fracs)])
-
-    def backward_fn(g):
-        scale = forward.rows((g * fracs) / forward.sizes)
-        return forward.backward(_ce_grad(softmax, targets, scale[:, None]))
-
-    return _make(value, forward.leaves, backward_fn)
-
-
-def task_dark_replay(forward, targets, stored, lambda1, lambda2):
-    """``lambda1 * l2 + lambda2 * ce`` over the tasks of ``forward``, where
-    ``l2`` sums ``l2_distance(logits_t, stored_t) * (n_t / N)`` and ``ce``
-    sums ``softmax_cross_entropy(logits_t, targets_t) * (n_t / N)`` by
-    ascending task, as one node: its value and every gradient equal those
-    of that per-task chain bit for bit. ``stored`` is a constant array
-    shaped like the logits."""
-    logits = forward.logits
-    n, c = logits.shape
-    targets = _check_targets("task_dark_replay", targets, n, c)
-    rows, norms = _l2_norms(logits - stored)
-    log_probs, softmax = _log_softmax(logits)
-    picked = log_probs[np.arange(n), targets]
-    fracs = forward.sizes / n
-    l2 = forward.fold([mean * frac for mean, frac
-                       in zip(forward.means(norms), fracs)])
-    ce = forward.fold([-mean * frac for mean, frac
-                       in zip(forward.means(picked), fracs)])
-
-    def backward_fn(g):
-        g_l2, g_ce = g * lambda1, g * lambda2
-        # each task's logits get the CE term's share, then the L2 term's
-        g_logits = _ce_grad(softmax, targets,
-                            forward.rows((g_ce * fracs) / forward.sizes)[:, None])
-        return forward.backward(
-            g_logits + _l2_grad(rows, norms, forward.rows(forward.sizes),
-                                forward.rows(g_l2 * fracs)[:, None]))
-
-    return _make(lambda1 * l2 + lambda2 * ce, forward.leaves, backward_fn)
-
-
-def task_discriminator_loss(forward, targets, valid, stored, lambda1,
-                            lambda2):
-    """The discriminator's loss over the groups of ``forward`` as one node,
-    with its logits masked to the first ``valid`` columns (``mask_cols``).
-    Group 0 holds today's rows; every later group holds memory rows, its
-    key being the width w of their stored logits, and ``stored`` (one
-    zero-padded row per memory row, in row order) holds those. The value
-
-        ce_0 + lambda1 * l2 + lambda2 * ce
-
-    has ``ce_0 = softmax_cross_entropy`` of group 0, while ``l2`` sums
-    ``l2_distance(slice_cols(logits_w, w), stored_w) * (n_w / M)`` and
-    ``ce`` sums ``softmax_cross_entropy(logits_w, targets_w) * (n_w / M)``
-    by ascending width, M being the memory rows; its value and every
-    gradient equal those of that per-width chain bit for bit. Without
-    memory groups the value is ``ce_0``."""
-    logits = _masked(forward.logits, valid)
-    n, c = logits.shape
-    targets = _check_targets("task_discriminator_loss", targets, n, c)
-    log_probs, softmax = _log_softmax(logits)
-    ce_means = forward.means(log_probs[np.arange(n), targets])
-    value = -ce_means[0]
-    main = forward.bounds[0][1]
-    if main < n:
-        sizes, widths = forward.sizes[1:], np.asarray(forward.tasks[1:])
-        fracs = sizes / (n - main)
-        diff = logits[main:, :widths[-1]] - stored[:, :widths[-1]]
+    groups = len(forward.sizes)
+    plain = groups - len(widths)
+    main = forward.bounds[plain - 1][1] if plain else 0
+    replayed = np.arange(groups) >= plain
+    fracs = forward.sizes / np.where(replayed, n - main, main)
+    ce_terms = [-mean * frac for mean, frac in
+                zip(forward.means(log_probs[np.arange(n), targets]), fracs)]
+    value = forward.fold(ce_terms[:plain])
+    if widths:
+        wide, full = max(widths), min(widths) == c
+        diff = logits[main:, :wide] - stored[:, :wide]
         squares = diff * diff
         # each norm sums exactly its group's w columns: a sum that also
         # takes zero-padded columns can group its terms differently
-        norms = np.sqrt(np.concatenate(
-            [squares[s - main:e - main, :w].sum(axis=1)
-             for (s, e), w in zip(forward.bounds[1:], widths.tolist())]))
-        l2_means = forward.means(np.concatenate([np.zeros(main), norms]))
-        l2 = ce = None
-        for l2_mean, ce_mean, frac in zip(l2_means[1:], ce_means[1:], fracs):
-            l2 = l2_mean * frac if l2 is None else l2 + l2_mean * frac
-            ce = -ce_mean * frac if ce is None else ce + -ce_mean * frac
-        value = value + lambda1 * l2 + lambda2 * ce
+        norms = np.sqrt(squares.sum(axis=1) if full else np.concatenate([
+            squares[s - main:e - main, :w].sum(axis=1)
+            for (s, e), w in zip(forward.bounds[plain:], widths)]))
+        l2 = forward.fold([mean * frac for mean, frac in zip(
+            forward.means(norms, plain), fracs[plain:])], plain)
+        value = lambda1 * l2 if value is None else value + lambda1 * l2
+        value = value + lambda2 * forward.fold(ce_terms[plain:], plain)
 
     def backward_fn(g):
-        if main == n:
-            return forward.backward(_unmasked(
-                _ce_grad(softmax, targets, g / n), valid))
-        g_l2, g_ce = g * lambda1, g * lambda2
-        scale = forward.rows(np.concatenate([[g / main],
-                                             (g_ce * fracs) / sizes]))
+        # each group's share, repeated over its rows
+        scale = np.repeat((np.where(replayed, g * lambda2, g) * fracs)
+                          / forward.sizes, forward.sizes)
         g_logits = _ce_grad(softmax, targets, scale[:, None])
-        # each memory row gets its CE share, then its L2 share zero-padded
-        # to the full width as slice_cols pads it; adding the padding turns
-        # a -0.0 CE share into +0.0, as the chain's sum does
-        g_l2_rows = _l2_grad(diff, norms, np.repeat(sizes, sizes),
-                             np.repeat(g_l2 * fracs, sizes)[:, None])
-        live = np.arange(diff.shape[1]) < np.repeat(widths, sizes)[:, None]
-        padded = np.zeros((n - main, c))
-        padded[:, :diff.shape[1]] = np.where(live, g_l2_rows, 0.0)
-        g_logits[main:] += padded
-        return forward.backward(_unmasked(g_logits, valid))
+        if widths:
+            # each replayed row gets its CE share, then its L2 share padded
+            # to the full width with zeros, as slice_cols pads it: adding it
+            # turns a -0.0 CE share into +0.0, as the chain's sum does
+            sizes = forward.sizes[plain:]
+            g_l2 = _l2_grad(diff, norms, np.repeat(sizes, sizes),
+                            np.repeat((g * lambda1) * fracs[plain:],
+                                      sizes)[:, None])
+            if not full:
+                live = np.arange(wide) < np.repeat(widths, sizes)[:, None]
+                padded = np.zeros((n - main, c))
+                padded[:, :wide] = np.where(live, g_l2, 0.0)
+                g_l2 = padded
+            g_logits[main:] += g_l2
+        return forward.backward(g_logits if valid is None
+                                else _unmasked(g_logits, valid))
 
     return _make(value, forward.leaves, backward_fn)
 
 
-def task_alignment(forward, valid, probs=None, targets=None):
-    """The alignment term on the masked logits (``mask_cols`` to the first
-    ``valid`` columns) of a one-group ``forward``, as one node:
-    ``soft_cross_entropy(logits, probs)`` given ``probs``, else
-    ``-softmax_cross_entropy(logits, targets)``, bit for bit in value and
-    every gradient."""
+def task_alignment(forward, valid, probs):
+    """``soft_cross_entropy(logits, probs)`` on the logits of a one-group
+    ``forward`` masked to the first ``valid`` columns (``mask_cols``), as
+    one node, bit for bit in value and every gradient."""
     logits = _masked(forward.logits, valid)
-    n, c = logits.shape
     log_probs, softmax = _log_softmax(logits)
-    if probs is not None:
-        value = _soft_ce(log_probs, probs)
+    n = len(logits)
 
-        def backward_fn(g):
-            return forward.backward(_unmasked(
-                _soft_ce_grad(softmax, probs, g / n), valid))
-    else:
-        targets = _check_targets("task_alignment", targets, n, c)
-        value = -(-log_probs[np.arange(n), targets].mean())
+    def backward_fn(g):
+        return forward.backward(_unmasked(
+            _soft_ce_grad(softmax, probs, g / n), valid))
 
-        def backward_fn(g):
-            # neg's backward, then the cross-entropy's
-            return forward.backward(_unmasked(
-                _ce_grad(softmax, targets, (-g) / n), valid))
-
-    return _make(value, forward.leaves, backward_fn)
+    return _make(_soft_ce(log_probs, probs), forward.leaves, backward_fn)
 
 
 # ---------------------------------------------------------------------------

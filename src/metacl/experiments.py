@@ -21,6 +21,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -185,10 +186,26 @@ def _read_json_object(path):
     return raw
 
 
+def _typed_fields(path, raw, names):
+    """``raw``'s values of those ``names`` it holds, each of the type its
+    ``ResultRecord`` annotation names (never a bool; an int where a float
+    is due), else ``FormatError`` naming the file and the field."""
+    hints = get_type_hints(ResultRecord)
+    out = {name: raw[name] for name in names if name in raw}
+    for name, value in out.items():
+        kind = hints[name]
+        kinds = get_args(kind) or (kind,)
+        if isinstance(value, bool) or not isinstance(
+                value, kinds + ((int,) if float in kinds else ())):
+            raise FormatError(f"{path}: field {name} holds {type(value).__name__}"
+                              f", not {getattr(kind, '__name__', kind)}")
+    return out
+
+
 def load_record(seed_dir):
     """Rebuild a ResultRecord from record.json (+ timing.json if present);
-    a record of another version, or one missing a field, fails as
-    ``FormatError`` naming the file."""
+    a record of another version, or one missing a field or holding one of
+    the wrong type, fails as ``FormatError`` naming the file."""
     path = os.path.join(seed_dir, "record.json")
     raw = _read_json_object(path)
     if raw.get("record_version") != RECORD_VERSION:
@@ -197,13 +214,14 @@ def load_record(seed_dir):
     missing = [name for name in STABLE_FIELDS if name not in raw]
     if missing:
         raise FormatError(f"{path}: missing fields {missing}")
-    values = {name: raw[name] for name in STABLE_FIELDS}
+    values = _typed_fields(path, raw, STABLE_FIELDS)
+    if not all(map(str.isdecimal, values["samples_seen"])):
+        raise FormatError(f"{path}: field samples_seen has a non-integer key")
     values["samples_seen"] = {int(k): v for k, v in raw["samples_seen"].items()}
     timing_path = os.path.join(seed_dir, "timing.json")
     if os.path.exists(timing_path):
-        timing = _read_json_object(timing_path)
-        values.update((name, timing[name]) for name in TIMING_FIELDS
-                      if name in timing)
+        values.update(_typed_fields(timing_path, _read_json_object(timing_path),
+                                    TIMING_FIELDS))
     return ResultRecord(**values)
 
 

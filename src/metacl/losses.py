@@ -17,10 +17,10 @@ step (parameter generator) builds ``classification_loss``, the first three
 terms: L_align runs the plain trunk and the discriminator, so it never
 reaches the generator.
 
-Every term is one tape node (``autodiff.task_cross_entropy``,
-``task_dark_replay``, ``task_discriminator_loss``, ``task_alignment``) over
-a ``TaskForward`` of its rows grouped by task (the discriminator's memory
-rows by stored snapshot width), bit-identical in value and every gradient
+Every term is one tape node over a ``TaskForward`` of its rows grouped by
+task (the discriminator's memory rows by stored snapshot width):
+``autodiff.task_loss`` for CE and dark replay, ``task_alignment`` for the
+soft-target alignment. Each is bit-identical in value and every gradient
 to its per-group chain of the model's layer methods and the primitive ops.
 Those chains are the reference path the tests hold the nodes to; no loss
 runs them. A step groups its rows once, and the memory rows of a task the
@@ -36,14 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    grad_only,
-    task_alignment,
-    task_cross_entropy,
-    task_dark_replay,
-    task_discriminator_loss,
-)
+from .autodiff import Tensor, grad_only, task_alignment, task_loss
 from .errors import ContractError, MemoryConsistencyError
 
 
@@ -95,9 +88,9 @@ def ce_loss(model, batch, memory=None, shared=None):
     taken across heads, weighted by per-task sample counts. ``memory`` is a
     ``Draw`` or None. The rows run through one ``TaskForward``, grouped by
     task with the batch task's group last, and the loss is one tape node
-    (``autodiff.task_cross_entropy``). A ``shared`` dict keeps the step's
-    rows and grouping and gets the forward as ``"forward"``, for the other
-    terms on the same draw.
+    (``autodiff.task_loss``, every group plain). A ``shared`` dict keeps
+    the step's rows and grouping and gets the forward as ``"forward"``, for
+    the other terms on the same draw.
     """
     shared = {} if shared is None else shared
     rows = _step_rows(batch, memory, shared)
@@ -106,7 +99,7 @@ def ce_loss(model, batch, memory=None, shared=None):
     x, y, _, order, tasks, sizes = rows
     forward = model.task_forward(x[order], tasks, sizes)
     shared["forward"] = forward
-    return task_cross_entropy(forward, y[order])
+    return task_loss(forward, y[order])
 
 
 def derpp_loss(model, memory, config, shared=None):
@@ -114,11 +107,11 @@ def derpp_loss(model, memory, config, shared=None):
 
     Every drawn row must carry a classifier-logit snapshot whose width
     matches the current head of its task. The loss is one tape node
-    (``autodiff.task_dark_replay``). Given ``shared`` as ``ce_loss`` fills
-    it, on the same draw and weights, the memory rows keep CE's grouping,
-    and those of every task but the batch task reuse CE's forward, whose
-    groups for those tasks hold exactly these rows; every task's FiLM
-    coefficients come from it.
+    (``autodiff.task_loss``, every group replayed at its head's width).
+    Given ``shared`` as ``ce_loss`` fills it, on the same draw and weights,
+    the memory rows keep CE's grouping, and those of every task but the
+    batch task reuse CE's forward, whose groups for those tasks hold
+    exactly these rows; every task's FiLM coefficients come from it.
     """
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
@@ -137,18 +130,18 @@ def derpp_loss(model, memory, config, shared=None):
         tasks, sizes = tasks[:keep], sizes[:keep]
     else:
         order, tasks, sizes = _grouped(memory.t)
-    widths = np.repeat([model.heads.output_dim(task) for task in tasks], sizes)
-    stored = memory.h_width[order]
-    wrong = np.flatnonzero(stored != widths)
+    widths = [model.heads.output_dim(task) for task in tasks]
+    stored, expected = memory.h_width[order], np.repeat(widths, sizes)
+    wrong = np.flatnonzero(stored != expected)
     if wrong.size:
         row = wrong[0]
         raise MemoryConsistencyError(
             f"stored logits for task {memory.t[order[row]]} have shape "
-            f"({stored[row]},), head expects ({widths[row]},)")
+            f"({stored[row]},), head expects ({expected[row]},)")
     forward = model.task_forward(memory.x[order], tasks, sizes, reuse)
-    return task_dark_replay(forward, memory.y[order],
-                            memory.h[order, :forward.logits.shape[1]],
-                            config.lambda1, config.lambda2)
+    return task_loss(forward, memory.y[order], stored=memory.h[order],
+                     widths=widths, lambda1=config.lambda1,
+                     lambda2=config.lambda2)
 
 
 def adversarial_generator_loss(model, batch, memory, config, shared=None):
@@ -162,8 +155,8 @@ def adversarial_generator_loss(model, batch, memory, config, shared=None):
     The rows, grouped by task, run through the plain trunk and the
     discriminator as one ``TaskForward`` group, built with the
     discriminator's weights frozen (``autodiff.grad_only``), and the term is
-    one tape node (``autodiff.task_alignment``).
-    A ``shared`` dict lends it the step's rows and grouping (``ce_loss``).
+    ``autodiff.task_alignment``, or under negative-ce a plain ``task_loss``
+    negated. A ``shared`` dict lends it the step's rows and grouping.
     With fewer than two seen tasks there is nothing to confuse; returns 0.
     """
     k = model.n_seen
@@ -180,8 +173,8 @@ def adversarial_generator_loss(model, batch, memory, config, shared=None):
         if config.generator_mode == "uniform-confusion":
             target = np.zeros((len(x), model.k_max + 1))
             target[:, 1:k + 1] = 1.0 / k
-            return task_alignment(forward, k + 1, probs=target)
-        return task_alignment(forward, k + 1, targets=t[order])
+            return task_alignment(forward, k + 1, target)
+        return -task_loss(forward, t[order], k + 1)
 
 
 def discriminator_loss(model, x, task_labels, memory, config):
@@ -192,8 +185,9 @@ def discriminator_loss(model, x, task_labels, memory, config):
     the memory rows grouped by stored width (ascending, each group in draw
     order), run through one ``TaskForward`` built with the trunk frozen
     (``autodiff.grad_only``), so only discriminator weights receive
-    gradient, and the loss is one tape node
-    (``autodiff.task_discriminator_loss``).
+    gradient, and the loss is one tape node (``autodiff.task_loss``, on
+    logits masked to the k + 1 classes: today's rows plain, the memory's
+    width groups replayed at their widths).
     """
     task_labels = np.asarray(task_labels, dtype=np.int64)
     if x is None or len(x) == 0:
@@ -203,7 +197,7 @@ def discriminator_loss(model, x, task_labels, memory, config):
     x = np.asarray(x, dtype=np.float64)
     model.extractor.check_input(x)  # before memory rows are joined to it
     k = model.n_seen
-    keys, sizes, stored = [0], [len(x)], None
+    keys, sizes, stored, group_widths = [0], [len(x)], None, []
     if memory is not None and len(memory) > 0 and not _dark_replay_off(config):
         widths = memory.h_disc_width
         if not widths.all():
@@ -221,8 +215,8 @@ def discriminator_loss(model, x, task_labels, memory, config):
         stored = memory.h_disc[order]
     with grad_only((), model.extractor_params()):
         forward = model.discriminator_forward(x, keys, sizes)
-        return task_discriminator_loss(forward, task_labels, k + 1, stored,
-                                       config.lambda1, config.lambda2)
+        return task_loss(forward, task_labels, k + 1, stored, group_widths,
+                         config.lambda1, config.lambda2)
 
 
 def _dark_replay_off(config):

@@ -28,7 +28,7 @@ from .autodiff import (
     zero_grads,
 )
 from .datasets import batches
-from .errors import ConfigurationError, UnknownTaskError
+from .errors import ConfigurationError
 from .losses import (
     ce_loss,
     classification_loss,
@@ -62,21 +62,21 @@ class RunState:
 class Plan:
     """What one round trains, for one method x ablation (``PLANS``)."""
 
-    partition: bool = True  # two draws (stream 31), else one sample (41)
-    bilevel: bool = True  # n_out x (n_in inner + one outer), else one inner
-    adversarial: bool = True  # n_ad discriminator steps
+    # two draws (stream 31), n_out x (n_in inner + one outer); else one
+    # sample (stream 41), one inner step
+    bilevel: bool = True
     snapshots: bool = True  # memory rows carry logit snapshots
     memory: bool = True  # memory keeps memory_budget rows per task, else none
     plain: bool = False  # the model runs the plain trunk (transform "off")
     zeroed: tuple = ()  # the loss weights the steps train at zero
 
 
-ER = Plan(partition=False, bilevel=False, adversarial=False, snapshots=False,
-          plain=True, zeroed=("lambda1", "lambda2", "lambda3"))
+ER = Plan(bilevel=False, snapshots=False, plain=True,
+          zeroed=("lambda1", "lambda2", "lambda3"))
 
 PLANS = {
     ("scale", "full"): Plan(),
-    ("scale", "A"): Plan(adversarial=False, zeroed=("lambda3",)),
+    ("scale", "A"): Plan(zeroed=("lambda3",)),
     ("scale", "B"): Plan(zeroed=("lambda1", "lambda2")),
     ("scale", "C"): Plan(plain=True),
     ("er", "full"): ER,
@@ -105,10 +105,8 @@ def _step_tasks(batch, draw):
 def evaluate(model, tasks):
     """Per-task test accuracy; inference only, discriminator untouched.
     Each ``EVAL_CHUNK`` test rows of a task are one one-group
-    ``task_forward``, on one ``task_films`` of all the tasks scored."""
-    for task in tasks:
-        if task.task_id not in model.seen_tasks:
-            raise UnknownTaskError(f"task {task.task_id} was never trained")
+    ``task_forward``, on one ``task_films`` of all the tasks scored, which
+    rejects a task never registered before any forward runs."""
     out = {}
     with no_grad():
         films = model.task_films([task.task_id for task in tasks])
@@ -256,7 +254,7 @@ class Trainer:
         """One round on ``batch``: the plan's draw and steps, each step's loss
         appended to the ``inner``, ``outer`` or ``disc`` list of ``losses``."""
         plan, config = self.plan, self.config
-        if plan.partition:
+        if plan.bilevel:
             train_draw, val_draw = self.memory.partition(
                 batch, self.partition_rng, config.replay_batch_size)
         else:
@@ -269,7 +267,7 @@ class Trainer:
             loss = self.outer_step(batch, val_draw) if plan.bilevel else None
             if loss is not None:
                 losses["outer"].append(loss)
-        if plan.adversarial:
+        if "lambda3" not in plan.zeroed:  # the alignment term's adversary
             for _ in range(config.n_ad):
                 losses["disc"].append(self.adversarial_step(batch))
 

@@ -2,17 +2,16 @@
 
 ``slice_cols``, ``soft_cross_entropy`` and ``l2_distance`` are primitive
 tape ops like those of ``metacl.autodiff``, written on its helpers, but no
-path of the package calls them: the loss nodes (``task_dark_replay``,
-``task_discriminator_loss``, ``task_alignment``) must equal their chains bit
-for bit, and the finite-difference and closed-form checks hold them to
-their definitions.
+path of the package calls them: the loss nodes (``task_loss``'s dark
+replay, ``task_alignment``) must equal their chains bit for bit, and the
+finite-difference and closed-form checks hold them to their definitions.
+``_l2_norms``, the row norms, is ``l2_distance``'s alone.
 """
 
 import numpy as np
 
 from metacl.autodiff import (
     _l2_grad,
-    _l2_norms,
     _log_softmax,
     _make,
     _soft_ce,
@@ -47,6 +46,14 @@ def soft_cross_entropy(logits, target_probs):
         return (_soft_ce_grad(softmax, probs, g / n),)
 
     return _make(_soft_ce(log_probs, probs), (logits,), backward_fn)
+
+
+def _l2_norms(diff):
+    """(rows, norms): ``diff`` as rows (a 1-D input is one row) and each
+    row's Euclidean norm."""
+    rows = (diff.reshape(1, -1) if diff.ndim == 1
+            else diff.reshape(diff.shape[0], -1))
+    return rows, np.sqrt((rows * rows).sum(axis=1))
 
 
 def l2_distance(a, b):

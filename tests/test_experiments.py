@@ -251,8 +251,19 @@ def _without(raw, key):
     ("timing.json", lambda raw: [raw], "holds list, not an object"),
     ("record.json", None, "not valid JSON"),
     ("timing.json", None, "not valid JSON"),
+    ("record.json", lambda raw: {**raw, "samples_seen": [10]},
+     "field samples_seen holds list, not dict"),
+    ("record.json", lambda raw: {**raw, "final_acc": "high"},
+     "field final_acc holds str, not float"),
+    ("record.json", lambda raw: {**raw, "samples_seen": {"x": 10}},
+     "field samples_seen has a non-integer key"),
+    ("timing.json", lambda raw: {**raw, "wall_s": "slow"},
+     r"field wall_s holds str, not float \| None"),
+    ("record.json", lambda raw: {**raw, "seed": True},
+     "field seed holds bool, not int"),
 ], ids=["version 2", "no version", "no final_fm", "record list", "timing list",
-        "record bad JSON", "timing bad JSON"])
+        "record bad JSON", "timing bad JSON", "samples_seen list",
+        "final_acc str", "samples_seen key x", "wall_s str", "seed bool"])
 def test_load_record_rejects_a_malformed_file_naming_it(tmp_path, name, tamper,
                                                         match):
     record = ResultRecord(config_hash="0" * 64, method="scale", ablation="full",

@@ -513,10 +513,11 @@ NODE_LOSSES = {
 
 def node_setup(transform="per_layer", heads="multi", batch_task=2,
                share_embedding=True, draw_tasks=(1, 2), n_tasks=3, n_rows=9,
-               seed=12, width=8):
-    """``n_tasks`` registered tasks; a draw of ``n_rows`` rows interleaving
-    ``draw_tasks``, with perturbed snapshots; a batch of ``batch_task``."""
-    model = ContinualModel(3, 2, feature_width=width, depth=2,
+               seed=12, width=8, classes=2):
+    """``n_tasks`` registered tasks of ``classes`` classes; a draw of
+    ``n_rows`` rows interleaving ``draw_tasks``, with perturbed snapshots; a
+    batch of ``batch_task``."""
+    model = ContinualModel(3, classes, feature_width=width, depth=2,
                            k_max=n_tasks + 1,
                            embed_dim=4, disc_hidden=6, transform_mode=transform,
                            head_mode=heads, share_embedding=share_embedding,
@@ -524,15 +525,16 @@ def node_setup(transform="per_layer", heads="multi", batch_task=2,
     for task in range(1, n_tasks + 1):
         model.register_task(task)
     rng = np.random.default_rng(seed)
-    batch = Batch(rng.normal(size=(5, 3)), rng.integers(0, 2, size=5),
+    batch = Batch(rng.normal(size=(5, 3)), rng.integers(0, classes, size=5),
                   batch_task)
     entries = []
     for i in range(n_rows):
         x = rng.normal(size=3)
         t = draw_tasks[(7 * i + i // 3) % len(draw_tasks)]
         entries.append(make_entry(
-            x, y=i % 2, t=t,
-            h=model.snapshot_logits(x[None, :], t)[0] + rng.normal(size=2),
+            x, y=i % classes, t=t,
+            h=(model.snapshot_logits(x[None, :], t)[0]
+               + rng.normal(size=classes)),
             h_disc=model.snapshot_disc_logits(x[None, :])[0]))
     return model, batch, draw_of(entries)
 
@@ -628,6 +630,17 @@ def test_loss_nodes_match_the_chain_with_many_tasks_in_the_draw(heads,
                                       draw_tasks=tuple(range(1, 14)),
                                       n_tasks=14, n_rows=30)
     assert len(np.unique(memory.t)) >= 12
+    assert_nodes_match_reference(model, batch, memory, RunConfig(lambda3=0.3))
+
+
+@pytest.mark.parametrize("heads", ["multi", "single"])
+def test_loss_nodes_match_the_chain_with_wide_heads(heads):
+    # past eight columns numpy sums each row's terms pairwise, so the CE
+    # and dark-replay nodes' per-row sums must run over exactly a row's
+    # columns, as the chains' do
+    model, batch, memory = node_setup(heads=heads, draw_tasks=(1, 2, 3),
+                                      n_rows=30, classes=11)
+    assert memory.h.shape[1] == 11 and len(np.unique(memory.t)) == 3
     assert_nodes_match_reference(model, batch, memory, RunConfig(lambda3=0.3))
 
 

@@ -69,6 +69,12 @@ def test_readme_config_example_parses():
     assert config.generator_mode == "negative-ce"
 
 
+TAPE_NODES_PER_ROUND = {
+    ("--workload", "desk5-full", "--seed", "0", "--trace", "1"): 9.584,
+    ("--workload", "long20-full", "--seed", "0", "--trace", "1"): 9.88,
+}
+
+
 @pytest.mark.parametrize("args", [
     ["--workload", "resume20-er", "--seed", "0", "--trace", "1"],
     # the full method's traced records must equal its untraced ones and the
@@ -89,6 +95,13 @@ def test_benchmark_runs_without_failures(args):
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["failed"] == 0, out.stderr
     assert result["attempted"] > 0
+    # the full method's traced tape shape: one node per loss term and no
+    # trunk pass outside the grouped forwards
+    nodes = TAPE_NODES_PER_ROUND.get(tuple(args))
+    if nodes is not None:
+        metrics = result["metrics"]
+        assert metrics["autodiff.tape_nodes_per_round"]["value"] == nodes
+        assert metrics["networks.trunk_passes_per_round"]["value"] == 0
 
 
 def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
