@@ -29,7 +29,8 @@ primitive ops are the reference path: the model's layer methods
 (``metacl.networks``) and the chains the tests hold the nodes to are built
 from them, and no training or inference path runs them. The ops only those
 chains use (``slice_cols``, ``l2_distance``, ``soft_cross_entropy``) live
-with them in the tests, in ``tests/reference.py``.
+with them in the tests, in ``tests/reference.py``. ``tsum`` takes the full
+sum; FiLM's epsilon ``NORM_EPS`` is set here alone, for ``metacl.networks``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ _grad_enabled = True
 # Finite stand-in for -inf: exp(-1e9) underflows to exactly 0.0 in float64,
 # so masked logits get exactly zero softmax probability without NaN risk.
 MASK_FILL = -1e9
+NORM_EPS = 1e-8  # FiLM divides each coefficient vector by its norm plus this
 
 
 @contextmanager
@@ -260,15 +262,12 @@ def sqrt(x):
     return _make(out_data, (x,), backward_fn)
 
 
-def tsum(x, axis=None, keepdims=False):
-    """Sum over all entries or one axis."""
+def tsum(x):
+    """Sum over all entries."""
     def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x.data.shape).copy(),)
+        return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward_fn)
+    return _make(x.data.sum(), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +360,17 @@ def _outer(e, g):
     return out
 
 
-def _norms(v, eps):
-    """(root, norm) of ``sqrt(tsum(v_k * v_k)) + eps`` for each row v_k
+def _norms(v):
+    """(root, norm) of ``sqrt(tsum(v_k * v_k)) + NORM_EPS`` for each row v_k
     along the last axis of ``v``, with that axis kept at length one."""
     root = np.sqrt(np.maximum((v * v).sum(axis=-1, keepdims=True), 0.0))
-    return root, root + eps
+    return root, root + NORM_EPS
 
 
 def _normalized_grad(g_hat, v, root, norm):
     """The gradient reaching each row v_k (along the last axis) of ``v``
-    through ``v_k / (sqrt(tsum(v_k * v_k)) + eps)`` from row k of ``g_hat``
-    on the quotient: the div's share, then mul's two."""
+    through ``v_k / (sqrt(tsum(v_k * v_k)) + NORM_EPS)`` from row k of
+    ``g_hat`` on the quotient: the div's share, then mul's two."""
     g_norm = (-g_hat * v / (norm * norm)).sum(axis=-1, keepdims=True)
     live = root > 0
     g_sum = np.where(live, 0.5 * g_norm / np.where(live, root, 1.0), 0.0)
@@ -386,7 +385,7 @@ class _Film:
     ``tasks[k]``, each as the chain of primitive ops computes it alone:
     ``emb = gather_rows(table, [task])``, ``scale = matmul(emb, w_scale) +
     b_scale``, ``shift`` likewise, and ``s_hat = scale / (sqrt(tsum(scale *
-    scale)) + eps)``, ``t_hat`` likewise. ``params`` is (table, w_scale,
+    scale)) + NORM_EPS)``, ``t_hat`` likewise. ``params`` is (table, w_scale,
     b_scale, w_shift, b_shift). Scale and shift are one (K, 2, F) array
     ``coeffs``, written by one stacked matmul each; every other step is one
     call over all 2K rows, each reduced on its own. ``s_hat`` and ``t_hat``
@@ -396,7 +395,7 @@ class _Film:
     __slots__ = ("params", "tasks", "embs", "coeffs", "root", "norm",
                  "hats", "s_hat", "t_hat")
 
-    def __init__(self, params, tasks, eps):
+    def __init__(self, params, tasks):
         table, w_scale, b_scale, w_shift, b_shift = params
         self.params = params
         self.tasks = np.asarray(tasks, dtype=np.int64)
@@ -406,7 +405,7 @@ class _Film:
             part = self.coeffs[:, i]
             _row_products(self.embs, w.data, out=part)
             part += b.data
-        self.root, self.norm = _norms(self.coeffs, eps)
+        self.root, self.norm = _norms(self.coeffs)
         self.hats = self.coeffs / self.norm
         self.s_hat, self.t_hat = self.hats[:, 0], self.hats[:, 1]
 
@@ -423,27 +422,19 @@ class _Film:
         stack whose row k is what task k's chain sends it, given the
         gradient ``g_hat`` (K, 2, F) on (s_hat, t_hat)."""
         table, w_scale, _, w_shift, _ = self.params
-        need_e, need_ws, need_bs, need_wt, need_bt = need
         g = _normalized_grad(g_hat, self.coeffs, self.root, self.norm)
         g_scale, g_shift = g[:, 0], g[:, 1]
-        out = []
-        if need_e:
-            # gather_rows' np.add.at of one row into zeros, for every task
-            k = len(self.tasks)
-            g_table = np.zeros((k,) + table.data.shape)
-            g_table[np.arange(k), self.tasks] += (
-                _row_products(g_shift, w_shift.data.T)
-                + _row_products(g_scale, w_scale.data.T))
-            out.append(g_table)
-        outers = _outer(self.embs, g) if need_ws or need_wt else None
+        # gather_rows' np.add.at of one row into zeros, for every task
+        k = len(self.tasks)
+        g_table = np.zeros((k,) + table.data.shape)
+        g_table[np.arange(k), self.tasks] += (
+            _row_products(g_shift, w_shift.data.T)
+            + _row_products(g_scale, w_scale.data.T))
+        outers = _outer(self.embs, g)
         # a bias gets add's _unbroadcast of one row, which adds it to zero
-        biases = g + 0.0 if need_bs or need_bt else None
-        for i, (need_w, need_b) in enumerate((need[1:3], need[3:])):
-            if need_w:
-                out.append(outers[:, i])
-            if need_b:
-                out.append(biases[:, i])
-        return out
+        biases = g + 0.0
+        return _flagged((g_table, outers[:, 0], biases[:, 0], outers[:, 1],
+                         biases[:, 1]), need)
 
 
 def _log_softmax(z):
@@ -549,8 +540,7 @@ class TaskForward:
     plans no backward and lists no leaves.
     """
 
-    def __init__(self, x, tasks, sizes, layers, heads, eps, reuse=None,
-                 films=None):
+    def __init__(self, x, tasks, sizes, layers, heads, reuse=None, films=None):
         self.tasks = list(tasks)
         self.sizes = np.asarray(sizes, dtype=np.int64)
         ends = list(itertools.accumulate(self.sizes.tolist()))
@@ -571,7 +561,7 @@ class TaskForward:
                 f"TaskForward: tasks {self.tasks} are not the first tasks of "
                 f"the reused forward's {source.tasks}")
         self.films = films if films is not None else (
-            task_films(layers, self.tasks, eps) if source is None
+            task_films(layers, self.tasks) if source is None
             else [None if c is None else c.rows(0, k) for c in source.films])
         # compute the rows of the groups from ``shared`` on
         copied = self.bounds[shared - 1][1] if shared else 0
@@ -758,10 +748,10 @@ class TaskForward:
                 for s, e in self.bounds[first:]]
 
 
-def task_films(layers, tasks, eps):
+def task_films(layers, tasks):
     """Per layer of ``TaskForward`` ``layers``, the ``_Film`` of ``tasks``
     (None without FiLM); ``rows(k, k + 1)`` of each is task k's alone."""
-    return [None if params is None else _Film(params, tasks, eps)
+    return [None if params is None else _Film(params, tasks)
             for _, _, params in layers]
 
 
@@ -792,11 +782,10 @@ def task_loss(forward, targets, valid=None, stored=None, widths=(),
     n, c = logits.shape
     targets = _check_targets("task_loss", targets, n, c)
     log_probs, softmax = _log_softmax(logits)
-    groups = len(forward.sizes)
-    plain = groups - len(widths)
+    plain = len(forward.sizes) - len(widths)
     main = forward.bounds[plain - 1][1] if plain else 0
-    replayed = np.arange(groups) >= plain
-    fracs = forward.sizes / np.where(replayed, n - main, main)
+    fracs = np.concatenate([forward.sizes[:plain] / main,
+                            forward.sizes[plain:] / (n - main)])
     ce_terms = [-mean * frac for mean, frac in
                 zip(forward.means(log_probs[np.arange(n), targets]), fracs)]
     value = forward.fold(ce_terms[:plain])
@@ -816,8 +805,9 @@ def task_loss(forward, targets, valid=None, stored=None, widths=(),
 
     def backward_fn(g):
         # each group's share, repeated over its rows
-        scale = np.repeat((np.where(replayed, g * lambda2, g) * fracs)
-                          / forward.sizes, forward.sizes)
+        gains = g * fracs
+        gains[plain:] = (g * lambda2) * fracs[plain:]
+        scale = np.repeat(gains / forward.sizes, forward.sizes)
         g_logits = _ce_grad(softmax, targets, scale[:, None])
         if widths:
             # each replayed row gets its CE share, then its L2 share padded

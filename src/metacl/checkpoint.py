@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError, MemoryConsistencyError
+from .errors import ContractError, FormatError, MemoryConsistencyError
 from .memory import Draw, EpisodicMemory
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
@@ -117,7 +117,8 @@ def load_checkpoint(path):
     with data:
         try:
             return _decode(path, data)
-        except (KeyError, TypeError, ValueError, MemoryConsistencyError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ContractError,
+                MemoryConsistencyError) as exc:
             if isinstance(exc, FormatError):
                 raise
             raise FormatError(f"{path}: malformed checkpoint ({exc!r})") from exc

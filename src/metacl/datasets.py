@@ -73,14 +73,14 @@ class Dataset:
         return int(np.prod(self.train.x.shape[1:]))
 
 
-def standardize(train_x, test_x, eps=1e-12):
+def standardize(train_x, test_x):
     """Affine per-feature map fitted on train only: train lands in [0, 1].
 
     The same offset and scale are reused on the test split, so test values
     may fall slightly outside [0, 1]; they are not clipped.
     """
     lo = train_x.min(axis=0)
-    span = np.maximum(train_x.max(axis=0) - lo, eps)
+    span = np.maximum(train_x.max(axis=0) - lo, 1e-12)
     return (train_x - lo) / span, (test_x - lo) / span
 
 

@@ -17,7 +17,8 @@ Training and inference run one path instead, ``autodiff.TaskForward``:
 ``ContinualModel.task_forward`` on the classification path, equal row group
 by row group to ``logits``, and ``discriminator_forward`` on the
 discriminator's, equal to ``discriminate(extract(x))`` before its column
-mask. Snapshots and evaluation read a one-group forward under ``no_grad``.
+mask. Snapshots (the discriminator's at ``n_seen``) and evaluation read a
+one-group forward under ``no_grad``. FiLM's epsilon is ``autodiff.NORM_EPS``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
+    NORM_EPS,
     TaskForward,
     Tensor,
     gather_rows,
@@ -44,8 +46,6 @@ from .errors import (
     UnknownTaskError,
 )
 
-NORM_EPS = 1e-8
-
 
 def _affine(rng, fan_in, fan_out):
     bound = 1.0 / np.sqrt(fan_in)
@@ -58,10 +58,10 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def film_transform(features, scale_coeff, shift_coeff, eps=NORM_EPS):
+def film_transform(features, scale_coeff, shift_coeff):
     """Normalized scale-and-shift with a residual sum.
 
-    private = (phi1 / (||phi1|| + eps)) * g + phi2 / (||phi2|| + eps)
+    private = (phi1 / (||phi1|| + NORM_EPS)) * g + phi2 / (||phi2|| + NORM_EPS)
     output  = private + g
 
     Zero coefficient vectors make both terms exactly zero, so the output
@@ -70,8 +70,8 @@ def film_transform(features, scale_coeff, shift_coeff, eps=NORM_EPS):
     features = _as_tensor(features)
     scale_coeff = _as_tensor(scale_coeff)
     shift_coeff = _as_tensor(shift_coeff)
-    scale_norm = sqrt(tsum(scale_coeff * scale_coeff)) + eps
-    shift_norm = sqrt(tsum(shift_coeff * shift_coeff)) + eps
+    scale_norm = sqrt(tsum(scale_coeff * scale_coeff)) + NORM_EPS
+    shift_norm = sqrt(tsum(shift_coeff * shift_coeff)) + NORM_EPS
     private = features * (scale_coeff / scale_norm) + shift_coeff / shift_norm
     return private + features
 
@@ -223,13 +223,10 @@ class Discriminator:
         self.w1, self.b1 = _affine(rng, feature_dim, hidden)
         self.w2, self.b2 = _affine(rng, hidden, k_max + 1)
 
-    def check_capacity(self, seen_tasks):
+    def forward(self, features, seen_tasks):
         if seen_tasks > self.k_max:
             raise CapacityError(
                 f"{seen_tasks} tasks exceed discriminator capacity {self.k_max}")
-
-    def forward(self, features, seen_tasks):
-        self.check_capacity(seen_tasks)
         hidden = relu(matmul(_as_tensor(features), self.w1) + self.b1)
         return mask_cols(matmul(hidden, self.w2) + self.b2, seen_tasks + 1)
 
@@ -347,15 +344,13 @@ class ContinualModel:
         self.extractor.check_input(x)
         return TaskForward(x, tasks, sizes, self._task_layers(tasks),
                            [self.heads.head(task) for task in tasks],
-                           NORM_EPS, reuse, films)
+                           reuse, films)
 
     def task_films(self, tasks):
         """``autodiff.task_films`` of ``tasks`` on the classification path."""
-        return task_films(self._task_layers(tasks), tasks, NORM_EPS)
+        return task_films(self._task_layers(tasks), tasks)
 
-    def discriminate(self, features, seen_tasks=None):
-        if seen_tasks is None:
-            seen_tasks = self.n_seen
+    def discriminate(self, features, seen_tasks):
         return self.discriminator.forward(features, seen_tasks)
 
     def discriminator_forward(self, x, keys, sizes):
@@ -371,8 +366,7 @@ class ContinualModel:
         d = self.discriminator
         layers = [(w, b, None) for w, b in [*self.extractor.layers,
                                             (d.w1, d.b1)]]
-        return TaskForward(x, keys, sizes, layers, [(d.w2, d.b2)] * len(keys),
-                           NORM_EPS)
+        return TaskForward(x, keys, sizes, layers, [(d.w2, d.b2)] * len(keys))
 
     # -- snapshots (inference mode, detached arrays) -------------------------
 
@@ -381,15 +375,12 @@ class ContinualModel:
         with no_grad():
             return self.task_forward(x, [task_id], [len(x)]).logits
 
-    def snapshot_disc_logits(self, x, seen_tasks=None):
-        """The first ``seen_tasks + 1`` columns of ``discriminate(extract(x),
-        seen_tasks)`` as an array, from a one-group forward."""
-        if seen_tasks is None:
-            seen_tasks = self.n_seen
-        self.discriminator.check_capacity(seen_tasks)
+    def snapshot_disc_logits(self, x):
+        """The first ``n_seen + 1`` columns of ``discriminate(extract(x))``
+        as an array, from a one-group forward."""
         with no_grad():
             forward = self.discriminator_forward(x, [0], [len(x)])
-            return forward.logits[:, :seen_tasks + 1].copy()
+            return forward.logits[:, :self.n_seen + 1].copy()
 
     # -- parameter groups ----------------------------------------------------
 

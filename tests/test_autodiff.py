@@ -440,7 +440,7 @@ def _task_forward_loss(leaves):
     w1, b1, w2, b2, *heads = leaves
     forward = ad.TaskForward(rng.normal(size=(7, 3)), [3, 1, 2], [2, 4, 1],
                              [(w1, b1, None), (w2, b2, None)],
-                             [(heads[0], heads[1])] * 3, 1e-8)
+                             [(heads[0], heads[1])] * 3)
     return ad.task_loss(forward, rng.integers(0, 2, size=7))
 
 
@@ -713,7 +713,7 @@ def test_group_sums_equal_each_groups_own_sum(width):
                Tensor(np.zeros(width)), None)]
     heads = [(Tensor(np.ones((width, 2))), Tensor(np.zeros(2)))] * len(sizes)
     forward = ad.TaskForward(rng.normal(size=(sum(sizes), 3)),
-                             list(range(1, 7)), sizes, layers, heads, 1e-8)
+                             list(range(1, 7)), sizes, layers, heads)
     v = _signed(rng, (sum(sizes), width)) * 10.0 ** rng.uniform(
         -8, 8, (sum(sizes), width))
     v[3] = -0.0
@@ -735,13 +735,13 @@ def test_numpy_stacked_scale_and_shift_rows_equal_separate_ones(seed):
     for i, w in enumerate(ws):
         ad._row_products(embs, w, out=stacked[:, i])
         assert stacked[:, i].tobytes() == ad._row_products(embs, w).tobytes()
-    root, norm = ad._norms(stacked, 1e-8)
+    root, norm = ad._norms(stacked)
     g_hat = _signed(rng, (k, 2, f))
     g = ad._normalized_grad(g_hat, stacked, root, norm)
     outer = ad._outer(embs, g)
     for i in range(2):
         half = stacked[:, i].copy()
-        root_i, norm_i = ad._norms(half, 1e-8)
+        root_i, norm_i = ad._norms(half)
         assert root[:, i].tobytes() == root_i.tobytes()
         assert norm[:, i].tobytes() == norm_i.tobytes()
         assert (stacked / norm)[:, i].tobytes() == (half / norm_i).tobytes()
@@ -805,7 +805,7 @@ def test_no_nan_inf_for_bounded_inputs():
             softmax_cross_entropy(a, targets),
             l2_distance(a, b),
             sqrt(tsum(a * a)),
-            tsum(a * b, axis=1),
+            tsum(a * b),
         ]
         for out in outs:
             ad.assert_finite(out)

@@ -338,6 +338,9 @@ TAMPERINGS = {
     "seen task 0": lambda meta: meta.update(seen_tasks=[0]),
     "bad rng_state": lambda meta: meta["memory"].update(rng_state="pcg"),
     "no seen_counts": lambda meta: _pop(meta["memory"], "seen_counts"),
+    "seen_counts a list": lambda meta: meta["memory"].update(
+        seen_counts=list(meta["memory"]["seen_counts"].values())),
+    "negative budget": lambda meta: meta["memory"].update(budget_per_task=-1),
     "matrix entry above 1": lambda meta: meta["matrix"][1].__setitem__(0, 2.0),
     "metadata not an object": lambda meta: [meta],
 }

@@ -580,7 +580,13 @@ def param_groups(model):
             "extractor": model.extractor_params(),
             "heads": model.head_params(),
             "generator": model.generator_params(),
-            "discriminator": model.discriminator_params()}
+            "discriminator": model.discriminator_params(),
+            # part of a layer taped: FiLM's and the trunk's per-flag paths
+            "generator-but-shift-bias": [
+                p for p in model.generator_params()
+                if all(p is not b_shift for (_, (_, b_shift))
+                       in model.generator.heads)],
+            "extractor-weights": [w for w, _ in model.extractor.layers]}
 
 
 def assert_taped_alike(model, built, reference, label):
@@ -772,7 +778,8 @@ def disc_setup(widths, n_tasks=3, n_rows=9, transform="per_layer", seed=12):
     for i in range(n_rows):
         xi = rng.normal(size=3)
         width = widths[(7 * i + i // 3) % len(widths)]
-        snap = model.snapshot_disc_logits(xi[None, :], width - 1)[0]
+        snap = model.discriminate(model.extract(xi[None, :]),
+                                  width - 1).data[0, :width]
         if i:
             snap = snap + rng.normal(size=width)
         entries.append(make_entry(xi, y=i % 2, t=1 + i % n_tasks,

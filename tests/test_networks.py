@@ -299,30 +299,26 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
     chunk = EVAL_CHUNK
     model = small_model(share_embedding=share, head_mode=head,
                         transform_mode=mode)
-    for t in (1, 2, 3):
-        model.register_task(t)
     rng = np.random.default_rng(rows)
-    for p in model.all_params():  # mid-training values: nonzero biases
-        p.data += 0.1 * rng.normal(size=p.data.shape)
     x = rng.normal(size=(rows, 4))
+    first_node = next(autodiff._node_seq)
+    for seen in (1, 2, 3):
+        # the discriminator's snapshot keeps the columns of the seen tasks
+        model.register_task(seen)
+        for p in model.all_params():  # mid-training values: nonzero biases
+            p.data += 0.1 * rng.normal(size=p.data.shape)
+        with no_grad():
+            want_disc = model.discriminate(model.extract(x), seen).data
+        got = model.snapshot_disc_logits(x)
+        assert got.shape == (rows, seen + 1)
+        assert got.tobytes() == want_disc[:, :seen + 1].tobytes()
     with no_grad():
         want_logits = {t: model.logits(x, t).data for t in (1, 2)}
         want_preds = {t: np.concatenate([
             model.logits(x[s:s + chunk], t).data.argmax(axis=1)
             for s in range(0, rows, chunk)]) for t in (1, 2)}
-        features = model.extract(x)
-        want_disc = {seen: model.discriminate(features, seen).data[:, :seen + 1]
-                     for seen in (1, 2, 3)}
-
-    first_node = next(autodiff._node_seq)
     for t in (1, 2):
         assert model.snapshot_logits(x, t).tobytes() == want_logits[t].tobytes()
-    assert (model.snapshot_disc_logits(x).tobytes()
-            == want_disc[3].tobytes())
-    for seen in (1, 2, 3):
-        got = model.snapshot_disc_logits(x, seen)
-        assert got.shape == (rows, seen + 1)
-        assert got.tobytes() == want_disc[seen].tobytes()
     # labels equal to the reference predictions score 1.0 exactly when every
     # prediction matches, and labels off by one score 0.0
     tasks = [Task(t, Split(x[:0], np.zeros(0, dtype=int)),
@@ -332,8 +328,6 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
     assert accuracy == [1.0, 0.0, 1.0, 0.0]
     assert next(autodiff._node_seq) == first_node + 1  # no node recorded
     assert all(p.grad is None for p in model.all_params())
-    with pytest.raises(CapacityError):
-        model.snapshot_disc_logits(x, model.k_max + 1)
 
 
 @pytest.mark.parametrize("share", [True, False], ids=["shared", "per-layer"])
@@ -467,7 +461,8 @@ def test_nan_input_row_reaches_its_logits_on_both_paths(mode):
     x[1, 0] = np.nan
     with no_grad():
         want = model.logits(x, 2).data
-        want_disc = model.discriminate(model.extract(x)).data[:, :3]
+        want_disc = model.discriminate(model.extract(x),
+                                       model.n_seen).data[:, :3]
     for got, ref in ((model.snapshot_logits(x, 2), want),
                      (model.snapshot_disc_logits(x), want_disc)):
         assert np.isnan(got[1]).all()

@@ -102,6 +102,10 @@ def test_benchmark_runs_without_failures(args):
         metrics = result["metrics"]
         assert metrics["autodiff.tape_nodes_per_round"]["value"] == nodes
         assert metrics["networks.trunk_passes_per_round"]["value"] == 0
+    if args[1] == "resume20-er":
+        # a checkpoint saved and loaded after each of the 20 tasks, nine
+        # members each however many tasks the model has seen
+        assert result["metrics"]["checkpoint.members"]["value"] == 9 * 20
 
 
 def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
