@@ -5,9 +5,9 @@ A checkpoint is a single ``.npz`` container with nine members at most, however
 many tasks and rows it holds: a JSON metadata blob, every parameter as one flat
 float64 ``params`` array in ``all_params()`` order, and one member per memory
 field (``x``, ``y``, ``t``, the padded snapshots ``h`` and ``h_disc`` and their
-width columns). The metadata keeps the model's architecture and seen tasks, the
-memory's budget, per-task seen counts and reservoir RNG state, and the
-accuracy matrix. All of these reload bit-exact.
+width columns). The metadata keeps ``ContinualModel.arguments`` and the seen
+tasks, the memory's budget, per-task seen counts and reservoir RNG state, and
+the accuracy matrix. All of these reload bit-exact.
 
 A checkpoint restores those objects, not a run: a ``Trainer`` built on a loaded
 model and memory starts from an empty ``RunState`` and restarts its random
@@ -55,24 +55,6 @@ def atomic_write(path, write):
         raise
 
 
-def model_config(model):
-    """Constructor arguments that rebuild ``model``'s architecture."""
-    gen = model.generator
-    return {
-        "input_dim": int(model.input_dim),
-        "classes_per_task": int(model.classes_per_task),
-        "feature_width": int(model.extractor.width),
-        "depth": len(model.extractor.layers),
-        "head_mode": model.head_mode,
-        "k_max": int(model.k_max),
-        "embed_dim": int(gen.embed_dim),
-        "transform_mode": model.transform_mode,
-        "share_embedding": bool(gen.share_embedding),
-        "disc_hidden": int(model.discriminator.w1.data.shape[1]),
-        "seed": int(model.seed),
-    }
-
-
 @dataclass
 class Checkpoint:
     model: ContinualModel
@@ -97,7 +79,7 @@ def save_checkpoint(path, model, memory=None, matrix=None):
     meta = {
         "kind": _KIND,
         "version": FORMAT_VERSION,
-        "model": model_config(model),
+        "model": model.arguments,
         "seen_tasks": [int(t) for t in model.seen_tasks],
         "memory": mem_meta,
         "matrix": matrix.to_rows() if matrix is not None else None,
@@ -144,7 +126,10 @@ def _decode(path, data):
             f"(this reader handles {FORMAT_VERSION})")
 
     model = ContinualModel(**meta["model"])
-    for t in meta["seen_tasks"]:
+    seen = meta["seen_tasks"]
+    if len(set(seen)) != len(seen):
+        raise FormatError(f"{path}: seen task repeated in {seen}")
+    for t in seen:
         model.register_task(t)
     params = model.all_params()
     sizes = [p.data.size for p in params]

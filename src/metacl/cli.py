@@ -15,6 +15,7 @@ from .config import ABLATION_MODES, RunConfig, apply_overrides, load_config
 from .errors import ConfigurationError
 from .experiments import (
     GRID_TASKS,
+    SWEEP_AXES,
     ablate,
     execute_run,
     grid,
@@ -45,8 +46,7 @@ def build_parser():
 
     p_sweep = sub.add_parser("sweep", help="sweep one axis")
     add_common(p_sweep)
-    p_sweep.add_argument("--axis", choices=("memory", "lambda"),
-                         required=True)
+    p_sweep.add_argument("--axis", choices=tuple(SWEEP_AXES), required=True)
     p_sweep.add_argument("--values", help="comma-separated axis values")
 
     p_grid = sub.add_parser("grid",

@@ -81,7 +81,6 @@ class FeatureExtractor:
 
     def __init__(self, input_dim, width, depth, rng):
         self.input_dim = input_dim
-        self.width = width
         self.layers = []
         fan_in = input_dim
         for _ in range(depth):
@@ -116,7 +115,6 @@ class ParameterGenerator:
 
     def __init__(self, layer_widths, embed_dim, capacity, share_embedding,
                  rng):
-        self.embed_dim = embed_dim
         self.capacity = capacity
         self.share_embedding = share_embedding
         n_tables = 1 if share_embedding else len(layer_widths)
@@ -241,6 +239,9 @@ class ContinualModel:
       * ``per_layer`` -- scale/shift after every hidden layer (MLP rule)
       * ``last``      -- only after the final hidden layer (conv-case rule)
       * ``off``       -- no task conditioning (ablation of the generator)
+
+    ``arguments`` are the constructor's, in signature order, as plain ints,
+    strs and bools: a checkpoint stores them and rebuilds from them.
     """
 
     def __init__(self, input_dim, classes_per_task, feature_width, depth,
@@ -249,11 +250,9 @@ class ContinualModel:
         if transform_mode not in TRANSFORM_MODES:
             raise ConfigurationError(f"unknown transform mode {transform_mode!r}")
         self.input_dim = input_dim
-        self.classes_per_task = classes_per_task
         self.head_mode = head_mode
         self.k_max = k_max
         self.transform_mode = transform_mode
-        self.seed = seed
 
         self.extractor = FeatureExtractor(
             input_dim, width=feature_width, depth=depth,
@@ -268,6 +267,13 @@ class ContinualModel:
             feature_width, classes_per_task, mode=head_mode,
             rng_for_task=lambda t: np.random.default_rng([seed, 3, t]))
         self.seen_tasks = []
+        self.arguments = dict(
+            input_dim=int(input_dim), classes_per_task=int(classes_per_task),
+            feature_width=int(feature_width), depth=int(depth),
+            head_mode=str(head_mode), k_max=int(k_max),
+            embed_dim=int(embed_dim), transform_mode=str(transform_mode),
+            share_embedding=bool(share_embedding),
+            disc_hidden=int(disc_hidden), seed=int(seed))
 
     # -- task registry ------------------------------------------------------
 

@@ -13,7 +13,6 @@ from helpers import fail_writes_after
 from metacl.checkpoint import (
     FORMAT_VERSION,
     load_checkpoint,
-    model_config,
     save_checkpoint,
 )
 from metacl.datasets import make_synthetic
@@ -89,16 +88,43 @@ def test_parameter_round_trip_bit_exact(tmp_path):
     assert loaded.matrix is None
 
 
-def test_mode_flags_survive(tmp_path):
+@pytest.mark.parametrize("transform", ["per_layer", "last", "off"])
+def test_mode_flags_survive(tmp_path, transform):
     stream = small_stream(protocol="permuted")
-    model = build_model(stream, replace(SMALL, transform_mode="last"), 0)
+    model = build_model(stream, replace(SMALL, transform_mode=transform), 0)
     model.register_task(1)
     path = tmp_path / "m.npz"
     save_checkpoint(path, model)
     loaded = load_checkpoint(path)
     assert loaded.model.head_mode == "single"
-    assert loaded.model.transform_mode == "last"
-    assert model_config(loaded.model) == model_config(model)
+    assert loaded.model.transform_mode == transform
+    assert loaded.model.arguments == model.arguments
+
+
+# format 3's metadata text: a change to it is a change to every saved file
+PINNED_META = (
+    '{"kind": "continual-model-checkpoint", "version": 3, "model": '
+    '{"input_dim": 8, "classes_per_task": 2, "feature_width": 16, "depth": 2, '
+    '"head_mode": "multi", "k_max": 32, "embed_dim": 4, '
+    '"transform_mode": "per_layer", "share_embedding": false, '
+    '"disc_hidden": 8, "seed": 0}, "seen_tasks": [1, 2], "memory": '
+    '{"budget_per_task": 5, "seen_counts": {"1": 5, "2": 5}, "rng_state": '
+    '{"bit_generator": "PCG64", "state": {"state": '
+    '207833532711051698738587646355624148094, "inc": '
+    '194290289479364712180083596243593368443}, "has_uint32": 0, '
+    '"uinteger": 0}}, "matrix": [[0.5], [0.25, 0.75]]}')
+
+
+def test_metadata_text_is_pinned(tmp_path):
+    model = build_model(small_stream(), replace(SMALL, share_embedding=False),
+                        0)
+    model.register_task(1)
+    model.register_task(2)
+    path = tmp_path / "c.npz"
+    save_checkpoint(path, model, memory=filled_memory(10),
+                    matrix=AccuracyMatrix.from_rows([[0.5], [0.25, 0.75]]))
+    with np.load(path, allow_pickle=False) as archive:
+        assert str(archive["__meta__"]) == PINNED_META
 
 
 def test_memory_round_trip(tmp_path):
@@ -336,6 +362,7 @@ TAMPERINGS = {
     "no seen_tasks": lambda meta: _pop(meta, "seen_tasks"),
     "seen task outside capacity": lambda meta: meta.update(seen_tasks=[99]),
     "seen task 0": lambda meta: meta.update(seen_tasks=[0]),
+    "seen task repeated": lambda meta: meta.update(seen_tasks=[1, 1, 2]),
     "bad rng_state": lambda meta: meta["memory"].update(rng_state="pcg"),
     "no seen_counts": lambda meta: _pop(meta["memory"], "seen_counts"),
     "seen_counts a list": lambda meta: meta["memory"].update(

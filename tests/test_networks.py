@@ -1,5 +1,7 @@
 """Model component tests: transform identities, head isolation, masking."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -497,6 +499,17 @@ def test_different_seed_different_parameters():
     b = small_model(seed=12)
     assert not np.array_equal(a.extractor_params()[0].data,
                               b.extractor_params()[0].data)
+
+
+def test_arguments_are_plain_values_that_rebuild_the_model():
+    a = small_model(seed=np.int64(11), depth=np.int64(2),
+                    share_embedding=np.bool_(False))
+    assert list(a.arguments) == list(
+        inspect.signature(ContinualModel).parameters)
+    assert {type(v) for v in a.arguments.values()} == {int, str, bool}
+    b = ContinualModel(**a.arguments)
+    for pa, pb in zip(a.all_params(), b.all_params(), strict=True):
+        assert np.array_equal(pa.data, pb.data)
 
 
 def test_register_capacity():
