@@ -177,6 +177,11 @@ def adversarial_generator_loss(model, batch, memory, config, shared=None):
         return -task_loss(forward, t[order], k + 1)
 
 
+def dark_replay_off(config):
+    """Both dark-replay weights zero: no term is built, no snapshot read."""
+    return config.lambda1 == 0 and config.lambda2 == 0
+
+
 def discriminator_loss(model, x, task_labels, memory, config):
     """CE over {fake=0, task 1..K} plus dark replay on stored disc logits.
 
@@ -198,7 +203,7 @@ def discriminator_loss(model, x, task_labels, memory, config):
     model.extractor.check_input(x)  # before memory rows are joined to it
     k = model.n_seen
     keys, sizes, stored, group_widths = [0], [len(x)], None, []
-    if memory is not None and len(memory) > 0 and not _dark_replay_off(config):
+    if memory is not None and len(memory) > 0 and not dark_replay_off(config):
         widths = memory.h_disc_width
         if not widths.all():
             raise MemoryConsistencyError(
@@ -219,17 +224,12 @@ def discriminator_loss(model, x, task_labels, memory, config):
                          config.lambda1, config.lambda2)
 
 
-def _dark_replay_off(config):
-    return config.lambda1 == 0 and config.lambda2 == 0
-
-
 def classification_loss(model, batch, memory, config, shared=None):
-    """CE + dark replay, on one ``shared`` dict (``ce_loss``): the terms on
-    the parameter generator's path. With both dark-replay weights zero
-    (ablation B) the second is not built."""
+    """CE + dark replay (none if ``dark_replay_off``), on one ``shared`` dict
+    (``ce_loss``): the terms on the parameter generator's path."""
     shared = {} if shared is None else shared
     loss = ce_loss(model, batch, memory, shared)
-    if _dark_replay_off(config):
+    if dark_replay_off(config):
         return loss
     return loss + derpp_loss(model, memory, config, shared)
 

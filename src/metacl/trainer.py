@@ -3,13 +3,17 @@
 Each minibatch drives one optimization round, then is offered to the
 episodic memory, so every current-task sample is consumed in exactly one
 round. ``plan_for`` picks a config's ``Plan``, one row of ``PLANS`` per
-method x ablation. The full method's round takes the memory's train/val
-partition, runs n_out x (n_in inner steps on {extractor, heads} + one outer
-step on the parameter generator), then n_ad discriminator steps; ablations
-A, B and C each switch one piece off. Experience replay (ER) is one CE step
-on the batch plus one memory draw; fine-tuning is ER with no memory. Every
-step tapes and differentiates only the parameter group it moves
-(``autodiff.grad_only``); the rest of the model is a constant in the step.
+method x ablation: whether the round is bilevel, and the config values the
+row pins. The full method's round takes the memory's train/val partition,
+runs n_out x (n_in inner steps on {extractor, heads} + one outer step on
+the parameter generator), then n_ad discriminator steps; ablations A, B and
+C pin lam3 = 0, lam1 = lam2 = 0 and the transform off. Experience replay
+(ER) is one CE step on the batch plus one memory draw; fine-tuning is ER
+with no memory. All else is read from ``effective_config``: memory rows
+carry logit snapshots only when dark replay is on
+(``losses.dark_replay_off``). Every step tapes and differentiates only the
+parameter group it moves (``autodiff.grad_only``); the rest of the model is
+a constant in the step.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import ConfigurationError
 from .losses import (
     ce_loss,
     classification_loss,
+    dark_replay_off,
     discriminator_loss,
     noise_batch,
     total_loss,
@@ -65,22 +70,19 @@ class Plan:
     # two draws (stream 31), n_out x (n_in inner + one outer); else one
     # sample (stream 41), one inner step
     bilevel: bool = True
-    snapshots: bool = True  # memory rows carry logit snapshots
-    memory: bool = True  # memory keeps memory_budget rows per task, else none
-    plain: bool = False  # the model runs the plain trunk (transform "off")
-    zeroed: tuple = ()  # the loss weights the steps train at zero
+    pinned: tuple = ()  # (field, value): the RunConfig values the row fixes
 
 
-ER = Plan(bilevel=False, snapshots=False, plain=True,
-          zeroed=("lambda1", "lambda2", "lambda3"))
+ER = Plan(bilevel=False, pinned=(("transform_mode", "off"), ("lambda1", 0.0),
+                                  ("lambda2", 0.0), ("lambda3", 0.0)))
 
 PLANS = {
     ("scale", "full"): Plan(),
-    ("scale", "A"): Plan(zeroed=("lambda3",)),
-    ("scale", "B"): Plan(zeroed=("lambda1", "lambda2")),
-    ("scale", "C"): Plan(plain=True),
+    ("scale", "A"): Plan(pinned=(("lambda3", 0.0),)),
+    ("scale", "B"): Plan(pinned=(("lambda1", 0.0), ("lambda2", 0.0))),
+    ("scale", "C"): Plan(pinned=(("transform_mode", "off"),)),
     ("er", "full"): ER,
-    ("finetune", "full"): replace(ER, memory=False),
+    ("finetune", "full"): Plan(False, ER.pinned + (("memory_budget", 0),)),
 }
 
 
@@ -90,11 +92,10 @@ def plan_for(config):
     return PLANS[config.method, config.ablation]
 
 
-def effective_weights(config):
-    """The config with the loss weights its plan trains with: A drops the
-    alignment term, B both dark-replay terms, ER and fine-tuning all three."""
-    zeroed = plan_for(config).zeroed
-    return replace(config, **dict.fromkeys(zeroed, 0.0)) if zeroed else config
+def effective_config(config):
+    """The config a run trains with: ``config`` with its plan's pins."""
+    pinned = plan_for(config).pinned
+    return replace(config, **dict(pinned)) if pinned else config
 
 
 def _step_tasks(batch, draw):
@@ -128,12 +129,12 @@ class Trainer:
     says; the three seed streams exist whatever the plan."""
 
     def __init__(self, model, memory, config, seed):
-        self.plan = plan_for(config)
-        if self.plan.plain and model.transform_mode != "off":
+        self.plan, self.config = plan_for(config), effective_config(config)
+        if (("transform_mode", "off") in self.plan.pinned
+                and model.transform_mode != "off"):
             raise ConfigurationError(
                 "the plan runs the plain trunk: use transform_mode='off'")
         self.model = model
-        self.config = effective_weights(config)
         self.seed = seed
         self.state = RunState(model=model, memory=memory)
         self.partition_rng, self.noise_rng, self.replay_rng = (
@@ -160,7 +161,7 @@ class Trainer:
         if self.memory.budget_per_task == 0:
             return
         h = h_disc = [None] * len(batch.x)
-        if self.plan.snapshots:
+        if not dark_replay_off(self.config):  # only dark replay reads them
             h = self.model.snapshot_logits(batch.x, batch.task_id)
             h_disc = self.model.snapshot_disc_logits(batch.x)
         for i in range(len(batch.x)):
@@ -267,7 +268,7 @@ class Trainer:
             loss = self.outer_step(batch, val_draw) if plan.bilevel else None
             if loss is not None:
                 losses["outer"].append(loss)
-        if "lambda3" not in plan.zeroed:  # the alignment term's adversary
+        if "lambda3" not in dict(plan.pinned):  # the alignment's adversary
             for _ in range(config.n_ad):
                 losses["disc"].append(self.adversarial_step(batch))
 
@@ -301,9 +302,7 @@ def task_capacity(stream, config):
 
 def build_model(stream, config, seed):
     """Model shaped for a stream: single head iff domain-incremental, the
-    plain trunk (transform ``off``) if the plan runs it, and
-    ``task_capacity`` tasks."""
-    plain = plan_for(config).plain
+    ``effective_config``'s transform mode, and ``task_capacity`` tasks."""
     return ContinualModel(
         input_dim=stream.input_dim,
         classes_per_task=stream.classes_per_task,
@@ -312,7 +311,7 @@ def build_model(stream, config, seed):
         head_mode="single" if stream.protocol == "permuted" else "multi",
         k_max=task_capacity(stream, config),
         embed_dim=config.embed_dim,
-        transform_mode="off" if plain else config.transform_mode,
+        transform_mode=effective_config(config).transform_mode,
         share_embedding=config.share_embedding,
         disc_hidden=config.disc_hidden,
         seed=seed,
@@ -321,8 +320,8 @@ def build_model(stream, config, seed):
 
 def build_trainer(stream, config, seed):
     """The trainer for one seed of ``config``, with a fresh model and a
-    memory of ``memory_budget`` rows per task, or none if its plan keeps
-    no memory (fine-tuning)."""
-    budget = config.memory_budget if plan_for(config).memory else 0
-    memory = EpisodicMemory(budget, rng=np.random.default_rng([seed, 20]))
+    memory of the ``effective_config``'s ``memory_budget`` rows per task
+    (none for fine-tuning)."""
+    memory = EpisodicMemory(effective_config(config).memory_budget,
+                            rng=np.random.default_rng([seed, 20]))
     return Trainer(build_model(stream, config, seed), memory, config, seed)

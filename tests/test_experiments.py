@@ -469,6 +469,10 @@ def test_records_pinned(tmp_path, key):
 # are; these digests change with it. Taken before the grouped forwards,
 # backwards and evaluation were cut down to fewer numpy calls; the finetune
 # and ablation digests, while each method still had a trainer class of its own.
+# B's was re-pinned once when its memory rows stopped carrying the snapshots
+# that no loss of B reads: its snapshot arrays went from (250, 2) and
+# (250, 6) to (250, 0) each, and test_ablation_b_learner_is_pinned shows
+# that nothing else moved.
 PINNED_RUNS = {
     "desk5-scale": (
         {}, "029824bb4c7326c853e9aa05fafaa9067cd17c667aa2abc988ad9284a3ac7e0c"),
@@ -477,7 +481,7 @@ PINNED_RUNS = {
         "50eb021b0a659647067ec1bb6c200056cf812fe9767a3b819ffcf618ad022bf3"),
     "desk5-scale-B": (
         {"ablation": "B"},
-        "beac66cd4fc72334bf24b9464ec2f6163e9149e7254a7ee89da8ee081e620ed6"),
+        "cb09b18005309d7e24e7358c666fdda6763210cfb11db24476ae06a2dae3c0f4"),
     "desk5-scale-C": (
         {"ablation": "C"},
         "d34df3e4949fa60316d83a1bee94d9632d73e3ddcc766ec980be263cb8a4ab37"),
@@ -497,7 +501,7 @@ PINNED_RUNS = {
 }
 
 
-def run_digest(config):
+def run_digest(config, memory_fields=("h", "h_disc")):
     stream = build_stream(config)
     trainer = build_trainer(stream, config, 0)
     run_stream(trainer, stream)
@@ -506,7 +510,7 @@ def run_digest(config):
         h.update(f"{p.data.shape}".encode("ascii"))
         h.update(p.data.tobytes())
     rows = trainer.memory.rows()
-    for a in (rows.h, rows.h_disc):
+    for a in (getattr(rows, name) for name in memory_fields):
         h.update(f"{a.shape}".encode("ascii"))
         h.update(a.tobytes())
     for losses in trainer.state.task_losses:
@@ -519,6 +523,14 @@ def run_digest(config):
 def test_runs_pinned(name):
     fields, digest = PINNED_RUNS[name]
     assert run_digest(RunConfig(**fields)) == digest
+
+
+def test_ablation_b_learner_is_pinned():
+    # B's parameters, per-task losses and memory rows (x, y, t), taken while
+    # B's memory rows still carried logit snapshots: dropping the snapshots,
+    # which no loss of B reads, leaves everything B learns as it was
+    assert run_digest(RunConfig(ablation="B"), ("x", "y", "t")) == (
+        "7d4510813f95ed8537712b56f2c2a6adb2c412aab160b389dff4c60914137f6b")
 
 
 # sha256 over every task's train/test x and y (dtype, shape, bytes), computed

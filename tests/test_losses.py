@@ -32,7 +32,7 @@ from metacl.losses import (
 )
 from metacl.memory import make_entry
 from metacl.networks import ContinualModel
-from metacl.trainer import effective_weights
+from metacl.trainer import effective_config
 
 from helpers import check_gradients, draw_of
 from reference import l2_distance, slice_cols, soft_cross_entropy
@@ -623,8 +623,8 @@ def test_loss_nodes_are_bitwise_equal_to_the_per_task_chain(
         ablation, transform, share_embedding, heads, batch_task):
     model, batch, memory = node_setup(transform, heads, batch_task,
                                       share_embedding)
-    config = effective_weights(replace(RunConfig(lambda3=0.3),
-                                       ablation=ablation))
+    config = effective_config(replace(RunConfig(lambda3=0.3),
+                                      ablation=ablation))
     assert_nodes_match_reference(model, batch, memory, config)
 
 
@@ -681,7 +681,7 @@ def test_ablation_b_classification_loss_equals_the_zero_weighted_chain():
     # ablation B builds no dark-replay term; the chain that builds it with
     # zero weights gives the same loss and the same gradient values
     model, batch, memory = node_setup()
-    config = effective_weights(replace(RunConfig(), ablation="B"))
+    config = effective_config(replace(RunConfig(), ablation="B"))
 
     def zero_weighted():
         return (reference_ce_loss(model, batch, memory)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_gradients
@@ -25,17 +25,19 @@ from metacl.errors import ConfigurationError, UnknownTaskError
 from metacl.experiments import build_stream, run_single
 from metacl.losses import (
     adversarial_generator_loss,
+    dark_replay_off,
     discriminator_loss,
     noise_batch,
     total_loss,
 )
 from metacl.memory import EpisodicMemory
 from metacl.trainer import (
+    PLANS,
     Trainer,
     _step_tasks,
     build_model,
     build_trainer,
-    effective_weights,
+    effective_config,
     evaluate,
     run_stream,
 )
@@ -111,16 +113,24 @@ def test_config_validation():
         RunConfig(batch_size=0)
 
 
-def test_effective_weights_modes():
-    base = small_config(lambda1=2.0, lambda2=3.0, lambda3=0.5)
-    a = effective_weights(replace(base, ablation="A"))
-    b = effective_weights(replace(base, ablation="B"))
-    assert (a.lambda1, a.lambda2, a.lambda3) == (2.0, 3.0, 0.0)
-    assert (b.lambda1, b.lambda2, b.lambda3) == (0.0, 0.0, 0.5)
-    assert effective_weights(base) is base
-    for method in ("er", "finetune"):  # one CE step: every weight zero
-        r = effective_weights(replace(base, method=method))
-        assert (r.lambda1, r.lambda2, r.lambda3) == (0.0, 0.0, 0.0)
+PINNABLE = ("lambda1", "lambda2", "lambda3", "transform_mode", "memory_budget")
+
+
+def test_effective_config_applies_each_rows_pinned_values():
+    base = small_config(lambda1=2.0, lambda2=3.0, lambda3=0.5, memory_budget=7)
+    assert effective_config(base) is base
+    for kw, pinned in (
+            ({"ablation": "A"}, (2.0, 3.0, 0.0, "per_layer", 7)),
+            ({"ablation": "B"}, (0.0, 0.0, 0.5, "per_layer", 7)),
+            ({"ablation": "C"}, (2.0, 3.0, 0.5, "off", 7)),
+            ({"method": "er"}, (0.0, 0.0, 0.0, "off", 7)),  # one CE step
+            ({"method": "finetune"}, (0.0, 0.0, 0.0, "off", 0))):
+        config = replace(base, **kw)
+        got = effective_config(config)
+        assert tuple(getattr(got, name) for name in PINNABLE) == pinned
+        # and no other field moves
+        assert replace(got, **{name: getattr(config, name)
+                               for name in PINNABLE}) == config
 
 
 def test_ablation_c_requires_transform_off():
@@ -493,6 +503,17 @@ def test_methods_share_initialization():
 # -- the plan table -------------------------------------------------------------------
 
 
+def every_plan_row(test):
+    """One explicit example per ``PLANS`` row, with a memory, on two tasks:
+    the random draws can miss a row with a non-zero budget."""
+    for method, ablation in PLANS:
+        test = example(method=method, ablation=ablation, transform="per_layer",
+                       n_in=1, n_out=1, n_ad=1, budget=3, batch_size=2,
+                       n_tasks=2, per_class=3)(test)
+    return test
+
+
+@every_plan_row
 @settings(max_examples=150, deadline=None)
 @given(method=st.sampled_from(METHODS), ablation=st.sampled_from(ABLATION_MODES),
        transform=st.sampled_from(TRANSFORM_MODES),
@@ -539,10 +560,11 @@ def test_every_config_runs_its_plan_or_is_rejected(
     rows = trainer.memory.rows()
     kept = 0 if method == "finetune" else budget
     assert len(rows.x) == sum(min(kept, len(t.train.x)) for t in stream.tasks)
-    if scale:  # every row carries both snapshots
-        assert rows.h_width.all() and rows.h_disc_width.all()
-    else:
+    # rows carry both snapshots exactly when a loss of the run reads them
+    if dark_replay_off(effective_config(config)):
         assert not rows.h_width.any() and not rows.h_disc_width.any()
+    else:
+        assert rows.h_width.all() and rows.h_disc_width.all()
 
 
 # -- scoped steps --------------------------------------------------------------------
