@@ -2,19 +2,19 @@
 
 Everything in the library runs on float64 numpy through this one module, so
 it is worth seeing it move on its own before it disappears under the trainer.
+The network is not taped op by op: a ``TaskForward`` runs rows grouped by
+task through trunk and heads, and ``task_loss`` is one tape node of
+cross-entropy over it.
 """
 
 import numpy as np
 
 from metacl.autodiff import (
-    Tensor,
+    TaskForward,
     backward,
-    matmul,
     parameter,
-    relu,
     sgd_step,
-    softmax_cross_entropy,
-    tsum,
+    task_loss,
     zero_grads,
 )
 
@@ -27,15 +27,27 @@ def scalar_chain():
     print(f"  f(x) = x^2 + x at x=3:  f = {y.data:.1f}, df/dx = {x.grad:.1f}")
 
 
+def mlp(rng, widths):
+    """Parameters of ``relu(x @ w1 + b1)``, then a head ``relu(h) @ w2 + b2``,
+    as ``TaskForward`` takes them: one trunk layer without FiLM, one head."""
+    w1 = parameter(0.5 * rng.normal(size=widths[:2]))
+    b1 = parameter(np.zeros(widths[1]))
+    w2 = parameter(0.5 * rng.normal(size=widths[1:]))
+    b2 = parameter(np.zeros(widths[2]))
+    return [(w1, b1, None)], [(w2, b2)]
+
+
 def finite_difference_spot_check():
     print("== gradient vs central difference ==")
     rng = np.random.default_rng(0)
-    w = parameter(rng.normal(size=(4, 3)))
-    x = Tensor(rng.normal(size=(5, 4)))
+    layers, heads = mlp(rng, (4, 6, 3))
+    x = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, size=5)
+    w = layers[0][0]
 
     def loss():
-        return softmax_cross_entropy(matmul(x, w), y)
+        # one group: all five rows belong to task 1
+        return task_loss(TaskForward(x, [1], [5], layers, heads), y)
 
     backward(loss())
     analytic = w.grad[1, 2]
@@ -58,18 +70,14 @@ def fit_a_small_classifier():
                         rng.normal(+1.5, 1.0, size=(60, 2))])
     y = np.concatenate([np.zeros(60, dtype=int), np.ones(60, dtype=int)])
 
-    w1 = parameter(0.5 * rng.normal(size=(2, 8)))
-    b1 = parameter(np.zeros(8))
-    w2 = parameter(0.5 * rng.normal(size=(8, 2)))
-    b2 = parameter(np.zeros(2))
-    params = [w1, b1, w2, b2]
+    layers, heads = mlp(rng, (2, 8, 2))
+    params = [p for w, b, _ in layers for p in (w, b)] + list(heads[0])
 
     for step in range(201):
-        hidden = relu(matmul(Tensor(x), w1) + b1)
-        logits = matmul(hidden, w2) + b2
-        loss = softmax_cross_entropy(logits, y)
+        forward = TaskForward(x, [1], [len(x)], layers, heads)
+        loss = task_loss(forward, y)
         if step % 50 == 0:
-            acc = (logits.data.argmax(axis=1) == y).mean()
+            acc = (forward.logits.argmax(axis=1) == y).mean()
             print(f"  step {step:3d}  loss {loss.data:.4f}  acc {acc:.3f}")
         zero_grads(params)
         backward(loss)
@@ -77,11 +85,24 @@ def fit_a_small_classifier():
 
 
 def fan_out_accumulates():
-    print("== one tensor used twice accumulates both paths ==")
-    a = parameter(np.array([1.0, 2.0]))
-    out = tsum(a * a) + tsum(a)  # grad = 2a + 1
-    backward(out)
-    print(f"  d(sum(a^2) + sum(a))/da = {a.grad}  (expected 2a+1 = [3. 5.])")
+    print("== one weight on two paths accumulates both gradients ==")
+    rng = np.random.default_rng(3)
+    layers, heads = mlp(rng, (3, 4, 2))
+    w = layers[0][0]
+    x, y = rng.normal(size=(6, 3)), rng.integers(0, 2, size=6)
+
+    def half_loss(rows):
+        return task_loss(TaskForward(x[rows], [1], [3], layers, heads), y[rows])
+
+    separate = []
+    for rows in (slice(0, 3), slice(3, 6)):
+        zero_grads([w])
+        backward(half_loss(rows))
+        separate.append(w.grad)
+    zero_grads([w])
+    backward(half_loss(slice(0, 3)) + half_loss(slice(3, 6)))
+    print(f"  grad of the sum == sum of the grads: "
+          f"{np.array_equal(w.grad, separate[0] + separate[1])}")
 
 
 if __name__ == "__main__":

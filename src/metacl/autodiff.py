@@ -2,15 +2,15 @@
 
 A dynamic tape: every differentiable operation appends a graph node with a
 monotonically increasing sequence number, and ``backward`` replays the nodes
-reachable from the loss in exact reverse construction order. The engine covers
-what an MLP stack needs -- affine maps, ReLU, softmax cross-entropy, Euclidean
-distances, elementwise arithmetic with numpy-style broadcasting -- plus plain
-SGD on the resulting gradients.
+reachable from the loss in exact reverse construction order. The package
+composes only a few primitive ops by hand: ``add``, ``mul``, ``neg``,
+``matmul`` and ``relu`` (``+``, ``*`` and unary ``-`` on ``Tensor``).
+``sgd_step`` is plain SGD on the resulting gradients.
 
 Only work that depends on a tensor with ``requires_grad`` is taped. An
 operation whose inputs are all constants records no node, and the binary
-operations (``add``, ``sub``, ``mul``, ``div``, ``matmul``) note at record
-time which inputs require grad and compute no gradient for a constant one.
+operations (``add``, ``mul``, ``matmul``) note at record time which inputs
+require grad and compute no gradient for a constant one.
 ``grad_only(params, among)`` turns every tensor of ``among`` outside
 ``params`` into a constant for the length of a block, so a training step
 tapes and differentiates only the subgraph that reaches the parameters it
@@ -25,12 +25,14 @@ of the groups' chains of primitive ops bit for bit. ``task_loss`` is the
 one cross-entropy and dark-replay node (union CE, DER++'s term and the
 discriminator's loss); ``task_alignment`` is the soft-target alignment.
 Inference reads a one-group ``TaskForward`` built under ``no_grad``. The
-primitive ops are the reference path: the model's layer methods
-(``metacl.networks``) and the chains the tests hold the nodes to are built
-from them, and no training or inference path runs them. The ops only those
-chains use (``slice_cols``, ``l2_distance``, ``soft_cross_entropy``) live
-with them in the tests, in ``tests/reference.py``. ``tsum`` takes the full
-sum; FiLM's epsilon ``NORM_EPS`` is set here alone, for ``metacl.networks``.
+losses sum these nodes with ``add`` and scale them with ``mul``.
+
+The op-by-op chains the nodes are held to, and the ops only they use
+(``sub``, ``div``, ``sqrt``, ``tsum``, ``gather_rows``, ``slice_cols``,
+``mask_cols``, the cross-entropies and ``l2_distance``), live in the
+tests, in ``tests/reference.py``, written on this module's helpers; the
+docstrings here name them as the chain's steps. FiLM's epsilon
+``NORM_EPS`` is set here alone.
 """
 
 from __future__ import annotations
@@ -136,20 +138,11 @@ class Tensor:
     def __radd__(self, other):
         return add(_wrap(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
     def __rmul__(self, other):
         return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
 
     def __neg__(self):
         return neg(self)
@@ -203,16 +196,6 @@ def add(a, b):
     return _make(a.data + b.data, (a, b), backward_fn)
 
 
-def sub(a, b):
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def backward_fn(g):
-        return (_unbroadcast(g, a.data.shape) if need_a else None,
-                _unbroadcast(-g, b.data.shape) if need_b else None)
-
-    return _make(a.data - b.data, (a, b), backward_fn)
-
-
 def mul(a, b):
     need_a, need_b = a.requires_grad, b.requires_grad
 
@@ -221,17 +204,6 @@ def mul(a, b):
                 _unbroadcast(g * a.data, b.data.shape) if need_b else None)
 
     return _make(a.data * b.data, (a, b), backward_fn)
-
-
-def div(a, b):
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def backward_fn(g):
-        return (_unbroadcast(g / b.data, a.data.shape) if need_a else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-                if need_b else None)
-
-    return _make(a.data / b.data, (a, b), backward_fn)
 
 
 def neg(a):
@@ -252,24 +224,6 @@ def relu(x):
     return _make(out, (x,), backward_fn)
 
 
-def sqrt(x):
-    """Elementwise square root; negatives clamp to 0, subgradient at 0 is 0."""
-    out_data = np.sqrt(np.maximum(x.data, 0.0))
-
-    def backward_fn(g):
-        return (np.where(out_data > 0, 0.5 * g / np.where(out_data > 0, out_data, 1.0), 0.0),)
-
-    return _make(out_data, (x,), backward_fn)
-
-
-def tsum(x):
-    """Sum over all entries."""
-    def backward_fn(g):
-        return (np.broadcast_to(g, x.data.shape).copy(),)
-
-    return _make(x.data.sum(), (x,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -287,18 +241,6 @@ def matmul(a, b):
     return _make(a.data @ b.data, (a, b), backward_fn)
 
 
-def gather_rows(table, indices):
-    """Row lookup ``table[indices]`` (embedding); scatter-adds on backward."""
-    idx = np.asarray(indices, dtype=np.int64)
-
-    def backward_fn(g):
-        out = np.zeros_like(table.data)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return _make(table.data[idx], (table,), backward_fn)
-
-
 def _masked(x, valid):
     """A copy of ``x`` with columns >= ``valid`` set to ``MASK_FILL``."""
     out = x.copy()
@@ -311,15 +253,6 @@ def _unmasked(g, valid):
     reaches what ``_masked`` masked."""
     g[:, valid:] = 0.0
     return g
-
-
-def mask_cols(x, valid):
-    """Replace columns >= ``valid`` with ``MASK_FILL``; masked columns get no
-    grad."""
-    def backward_fn(g):
-        return (_unmasked(g.copy(), valid),)
-
-    return _make(_masked(x.data, valid), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -482,27 +415,6 @@ def _l2_grad(rows, norms, n, g):
 
 
 # ---------------------------------------------------------------------------
-# losses
-
-def softmax_cross_entropy(logits, targets):
-    """Mean over the batch of -log softmax(logits)[target].
-
-    ``targets`` is an integer class-index vector of length B.
-    """
-    if logits.data.ndim != 2:
-        raise DimensionError(f"softmax_cross_entropy: logits must be 2-D, got {logits.data.shape}")
-    n, c = logits.data.shape
-    targets = _check_targets("softmax_cross_entropy", targets, n, c)
-    log_probs, softmax = _log_softmax(logits.data)
-    loss = -log_probs[np.arange(n), targets].mean()
-
-    def backward_fn(g):
-        return (_ce_grad(softmax, targets, g / n),)
-
-    return _make(loss, (logits,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
 # task-vectorised loss nodes
 
 class TaskForward:
@@ -517,9 +429,9 @@ class TaskForward:
     one (w, b) per group.
 
     Every matmul runs per group, into the group's rows of one array, on
-    exactly the operands of that group's chain of primitive ops
-    (``FeatureExtractor.forward`` with ``film_transform``, then
-    ``ClassifierHeads.forward``); everything else is one numpy call over all
+    exactly the operands of that group's chain of primitive ops (the
+    reference ``task_features`` with ``film_transform``, then ``classify``,
+    in ``tests/reference.py``); everything else is one numpy call over all
     rows or groups, so each group's values equal its chain's bit for bit.
     When the last trunk layer has no FiLM, the heads take its ReLU output
     and mask, which their own ReLU would leave as they are.

@@ -21,9 +21,9 @@ Every term is one tape node over a ``TaskForward`` of its rows grouped by
 task (the discriminator's memory rows by stored snapshot width):
 ``autodiff.task_loss`` for CE and dark replay, ``task_alignment`` for the
 soft-target alignment. Each is bit-identical in value and every gradient
-to its per-group chain of the model's layer methods and the primitive ops.
-Those chains are the reference path the tests hold the nodes to; no loss
-runs them. A step groups its rows once, and the memory rows of a task the
+to its per-group chain of primitive ops over the model's parameters.
+Those chains are the reference path the tests hold the nodes to
+(``tests/reference.py``); no loss runs them. A step groups its rows once, and the memory rows of a task the
 batch does not hold go through the network once: ``derpp_loss`` reuses
 CE's forward for them. With both dark-replay weights zero (ablation B)
 neither the learner's nor the discriminator's dark-replay term is built.

@@ -5,39 +5,26 @@ The parameter generator maps a task ID to per-layer scale/shift coefficient
 pairs; features pass through a normalized scale-and-shift plus a residual sum,
 so a zero pair leaves the features untouched.
 
-The layer methods (``FeatureExtractor.forward``, ``ClassifierHeads.forward``,
-``Discriminator.forward``, and ``film_transform`` on
-``ParameterGenerator.coefficients``) build the network from the primitive
-ops of ``metacl.autodiff``, one node per op. They are the reference path:
-``ContinualModel.extract``, ``task_features``, ``logits`` and
-``discriminate`` run them for the tests and demos, and no training or
-inference path does.
+One path runs the network, ``autodiff.TaskForward``:
+``ContinualModel.task_forward`` on the classification path (trunk, FiLM,
+the task's head) and ``discriminator_forward`` on the discriminator's
+(plain trunk, the discriminator's two layers). Training builds one per
+loss; snapshots (the discriminator's at ``n_seen``) and evaluation read a
+one-group forward under ``no_grad``. The components hold parameters and
+say which of them a forward takes: ``ParameterGenerator.layer`` is a
+layer's FiLM parameters, ``ClassifierHeads.head`` a task's head.
 
-Training and inference run one path instead, ``autodiff.TaskForward``:
-``ContinualModel.task_forward`` on the classification path, equal row group
-by row group to ``logits``, and ``discriminator_forward`` on the
-discriminator's, equal to ``discriminate(extract(x))`` before its column
-mask. Snapshots (the discriminator's at ``n_seen``) and evaluation read a
-one-group forward under ``no_grad``. FiLM's epsilon is ``autodiff.NORM_EPS``.
+The op-by-op chain of the same network, one tape node per op, is the
+tests' reference (``tests/reference.py``): each forward equals it group by
+group, bit for bit. ``FeatureExtractor.forward``, the plain trunk op by
+op, is its one remnant here; no code in the package calls it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    NORM_EPS,
-    TaskForward,
-    Tensor,
-    gather_rows,
-    mask_cols,
-    matmul,
-    no_grad,
-    relu,
-    sqrt,
-    task_films,
-    tsum,
-)
+from .autodiff import TaskForward, Tensor, matmul, no_grad, relu, task_films
 from .config import TRANSFORM_MODES
 from .errors import (
     CapacityError,
@@ -58,24 +45,6 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def film_transform(features, scale_coeff, shift_coeff):
-    """Normalized scale-and-shift with a residual sum.
-
-    private = (phi1 / (||phi1|| + NORM_EPS)) * g + phi2 / (||phi2|| + NORM_EPS)
-    output  = private + g
-
-    Zero coefficient vectors make both terms exactly zero, so the output
-    reduces to the input features.
-    """
-    features = _as_tensor(features)
-    scale_coeff = _as_tensor(scale_coeff)
-    shift_coeff = _as_tensor(shift_coeff)
-    scale_norm = sqrt(tsum(scale_coeff * scale_coeff)) + NORM_EPS
-    shift_norm = sqrt(tsum(shift_coeff * shift_coeff)) + NORM_EPS
-    private = features * (scale_coeff / scale_norm) + shift_coeff / shift_norm
-    return private + features
-
-
 class FeatureExtractor:
     """Shared MLP trunk: ``depth`` affine+ReLU layers of ``width`` units."""
 
@@ -92,14 +61,15 @@ class FeatureExtractor:
             raise ConfigurationError(
                 f"extractor expects (B, {self.input_dim}) inputs, got {x.shape}")
 
-    def forward(self, x, layer_hook=None):
-        x = _as_tensor(x)
-        self.check_input(x.data)
-        a = x
-        for index, (w, b) in enumerate(self.layers):
+    def forward(self, x):
+        """The trunk's features of ``x``, one node per op. No code in the
+        package calls it: the benchmark counts the trunk passes made
+        outside ``TaskForward`` through it, and the tests' reference chain
+        (``tests/reference.py``) starts from it."""
+        a = _as_tensor(x)
+        self.check_input(a.data)
+        for w, b in self.layers:
             a = relu(matmul(a, w) + b)
-            if layer_hook is not None:
-                a = layer_hook(index, a)
         return a
 
     def params(self):
@@ -135,17 +105,6 @@ class ParameterGenerator:
         table = self.embeddings[0 if self.share_embedding else layer_index]
         (w_scale, b_scale), (w_shift, b_shift) = self.heads[layer_index]
         return table, w_scale, b_scale, w_shift, b_shift
-
-    def coefficients(self, task_id, layer_index):
-        """(scale, shift) row vectors for one layer, conditioned on task ID."""
-        if not 1 <= task_id <= self.capacity:
-            raise UnknownTaskError(
-                f"task {task_id} outside generator capacity 1..{self.capacity}")
-        table, w_scale, b_scale, w_shift, b_shift = self.layer(layer_index)
-        emb = gather_rows(table, [task_id])
-        scale = matmul(emb, w_scale) + b_scale
-        shift = matmul(emb, w_shift) + b_shift
-        return scale, shift
 
     def params(self):
         out = list(self.embeddings)
@@ -188,11 +147,6 @@ class ClassifierHeads:
             raise UnknownTaskError(f"no classifier head for task {task_id}")
         return self.heads[key]
 
-    def forward(self, features, task_id):
-        """The task's logits: ReLU, then its head."""
-        w, b = self.head(task_id)
-        return matmul(relu(_as_tensor(features)), w) + b
-
     def output_dim(self, task_id):
         return self.head(task_id)[0].data.shape[1]
 
@@ -220,13 +174,6 @@ class Discriminator:
         self.k_max = k_max
         self.w1, self.b1 = _affine(rng, feature_dim, hidden)
         self.w2, self.b2 = _affine(rng, hidden, k_max + 1)
-
-    def forward(self, features, seen_tasks):
-        if seen_tasks > self.k_max:
-            raise CapacityError(
-                f"{seen_tasks} tasks exceed discriminator capacity {self.k_max}")
-        hidden = relu(matmul(_as_tensor(features), self.w1) + self.b1)
-        return mask_cols(matmul(hidden, self.w2) + self.b2, seen_tasks + 1)
 
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -299,38 +246,12 @@ class ContinualModel:
 
     # -- forward paths ------------------------------------------------------
 
-    def extract(self, x):
-        """Common (task-invariant) features: the plain trunk."""
-        return self.extractor.forward(x)
-
     def _modulated(self, index):
         """Whether FiLM follows trunk layer ``index``: every layer under
         ``per_layer``, the last under ``last``, none under ``off``."""
         return (self.transform_mode == "per_layer"
                 or (self.transform_mode == "last"
                     and index == len(self.extractor.layers) - 1))
-
-    def task_features(self, x, task_id):
-        """Features on the classification path, conditioned per transform_mode."""
-        if self.transform_mode == "off":
-            return self.extract(x)
-        self._check_task(task_id)
-
-        def hook(index, activations):
-            if not self._modulated(index):
-                return activations
-            return film_transform(
-                activations, *self.generator.coefficients(task_id, index))
-
-        return self.extractor.forward(x, layer_hook=hook)
-
-    def classify(self, features, task_id):
-        """Logits for the task's classes; ReLU precedes the head."""
-        self._check_task(task_id)
-        return self.heads.forward(features, task_id)
-
-    def logits(self, x, task_id):
-        return self.classify(self.task_features(x, task_id), task_id)
 
     def _task_layers(self, tasks):
         """The classification path's (w, b, FiLM params or None) per trunk
@@ -344,8 +265,10 @@ class ContinualModel:
     def task_forward(self, x, tasks, sizes, reuse=None, films=None):
         """``autodiff.TaskForward`` of the rows ``x``, grouped by task
         (``sizes[k]`` rows of ``tasks[k]``), on the classification path:
-        group k's logits equal ``logits`` of its rows bit for bit. ``reuse``
-        and ``films`` (``task_films`` of these tasks) are passed through."""
+        group k's logits equal the reference chain's of its rows (trunk,
+        FiLM after each modulated layer, ReLU, the task's head) bit for bit.
+        ``reuse`` and ``films`` (``task_films`` of these tasks) are passed
+        through."""
         x = np.asarray(x, dtype=np.float64)
         self.extractor.check_input(x)
         return TaskForward(x, tasks, sizes, self._task_layers(tasks),
@@ -356,15 +279,12 @@ class ContinualModel:
         """``autodiff.task_films`` of ``tasks`` on the classification path."""
         return task_films(self._task_layers(tasks), tasks)
 
-    def discriminate(self, features, seen_tasks):
-        return self.discriminator.forward(features, seen_tasks)
-
     def discriminator_forward(self, x, keys, sizes):
         """``autodiff.TaskForward`` of the rows ``x``, grouped by ``keys``
         (``sizes[k]`` rows of key ``keys[k]``), on the discriminator's path:
         the plain trunk, the discriminator's first layer, and its output
-        layer as every group's head. Group k's logits equal those of
-        ``discriminate(extract(rows))`` before its column mask, bit for bit.
+        layer as every group's head. Group k's logits equal those of the
+        reference chain on the rows, before its column mask, bit for bit.
         What gets gradient is what requires grad when it is built: a loss
         that freezes a part builds it inside ``autodiff.grad_only``."""
         x = np.asarray(x, dtype=np.float64)
@@ -377,13 +297,13 @@ class ContinualModel:
     # -- snapshots (inference mode, detached arrays) -------------------------
 
     def snapshot_logits(self, x, task_id):
-        """``logits(x, task_id)`` as an array, from a one-group forward."""
+        """The task's logits of ``x`` as an array, from a one-group forward."""
         with no_grad():
             return self.task_forward(x, [task_id], [len(x)]).logits
 
     def snapshot_disc_logits(self, x):
-        """The first ``n_seen + 1`` columns of ``discriminate(extract(x))``
-        as an array, from a one-group forward."""
+        """The first ``n_seen + 1`` columns of the discriminator's logits of
+        ``x`` on the plain trunk, as an array, from a one-group forward."""
         with no_grad():
             forward = self.discriminator_forward(x, [0], [len(x)])
             return forward.logits[:, :self.n_seen + 1].copy()

@@ -6,8 +6,9 @@ round. ``plan_for`` picks a config's ``Plan``, one row of ``PLANS`` per
 method x ablation: whether the round is bilevel, and the config values the
 row pins. The full method's round takes the memory's train/val partition,
 runs n_out x (n_in inner steps on {extractor, heads} + one outer step on
-the parameter generator), then n_ad discriminator steps; ablations A, B and
-C pin lam3 = 0, lam1 = lam2 = 0 and the transform off. Experience replay
+the parameter generator), then n_ad discriminator steps when lam3 is not 0
+(no loss reads the discriminator otherwise); ablations A, B and C pin
+lam3 = 0, lam1 = lam2 = 0 and the transform off. Experience replay
 (ER) is one CE step on the batch plus one memory draw; fine-tuning is ER
 with no memory. All else is read from ``effective_config``: memory rows
 carry logit snapshots only when dark replay is on
@@ -268,7 +269,7 @@ class Trainer:
             loss = self.outer_step(batch, val_draw) if plan.bilevel else None
             if loss is not None:
                 losses["outer"].append(loss)
-        if "lambda3" not in dict(plan.pinned):  # the alignment's adversary
+        if config.lambda3 != 0:  # the alignment's adversary, if a loss reads it
             for _ in range(config.n_ad):
                 losses["disc"].append(self.adversarial_step(batch))
 

@@ -1,23 +1,96 @@
-"""Reference ops the tests build the loss chains from.
+"""The op-by-op reference network the tests hold the package's nodes to.
 
-``slice_cols``, ``soft_cross_entropy`` and ``l2_distance`` are primitive
-tape ops like those of ``metacl.autodiff``, written on its helpers, but no
-path of the package calls them: the loss nodes (``task_loss``'s dark
-replay, ``task_alignment``) must equal their chains bit for bit, and the
-finite-difference and closed-form checks hold them to their definitions.
-``_l2_norms``, the row norms, is ``l2_distance``'s alone.
+Training, snapshots and evaluation run the model through one path,
+``metacl.autodiff.TaskForward``, and every loss is one tape node over it.
+This module keeps the other implementation: the same network and losses as
+chains of primitive tape ops, one node per op, written on the helpers of
+``metacl.autodiff``. No path of the package calls it. The bitwise tests
+hold each loss node and forward to its chain, and the finite-difference and
+closed-form checks hold the chain to its definitions.
+
+The ops: ``sub``, ``div``, ``sqrt``, ``tsum``, ``gather_rows``,
+``slice_cols``, ``mask_cols``, ``softmax_cross_entropy``,
+``soft_cross_entropy`` and ``l2_distance``; the package keeps ``add``,
+``mul``, ``neg``, ``matmul`` and ``relu``, which its own trunk forward and
+loss composition use. The layers, as functions over a ``ContinualModel``'s
+parameters: ``film_transform`` on ``coefficients``, ``task_features`` (the
+plain trunk ``extract`` with FiLM after the modulated layers), ``classify``
+(ReLU, then the task's head), ``logits`` and ``discriminate``.
 """
 
 import numpy as np
 
 from metacl.autodiff import (
+    NORM_EPS,
+    _ce_grad,
+    _check_targets,
     _l2_grad,
     _log_softmax,
     _make,
+    _masked,
     _soft_ce,
     _soft_ce_grad,
+    _unbroadcast,
+    _unmasked,
+    _wrap,
+    matmul,
+    relu,
 )
-from metacl.errors import DimensionError
+from metacl.errors import CapacityError, DimensionError, UnknownTaskError
+
+# ---------------------------------------------------------------------------
+# primitive ops
+
+
+def sub(a, b):
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def backward_fn(g):
+        return (_unbroadcast(g, a.data.shape) if need_a else None,
+                _unbroadcast(-g, b.data.shape) if need_b else None)
+
+    return _make(a.data - b.data, (a, b), backward_fn)
+
+
+def div(a, b):
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def backward_fn(g):
+        return (_unbroadcast(g / b.data, a.data.shape) if need_a else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if need_b else None)
+
+    return _make(a.data / b.data, (a, b), backward_fn)
+
+
+def sqrt(x):
+    """Elementwise square root; negatives clamp to 0, subgradient at 0 is 0."""
+    out_data = np.sqrt(np.maximum(x.data, 0.0))
+
+    def backward_fn(g):
+        return (np.where(out_data > 0, 0.5 * g / np.where(out_data > 0, out_data, 1.0), 0.0),)
+
+    return _make(out_data, (x,), backward_fn)
+
+
+def tsum(x):
+    """Sum over all entries."""
+    def backward_fn(g):
+        return (np.broadcast_to(g, x.data.shape).copy(),)
+
+    return _make(x.data.sum(), (x,), backward_fn)
+
+
+def gather_rows(table, indices):
+    """Row lookup ``table[indices]`` (embedding); scatter-adds on backward."""
+    idx = np.asarray(indices, dtype=np.int64)
+
+    def backward_fn(g):
+        out = np.zeros_like(table.data)
+        np.add.at(out, idx, g)
+        return (out,)
+
+    return _make(table.data[idx], (table,), backward_fn)
 
 
 def slice_cols(x, n):
@@ -28,6 +101,33 @@ def slice_cols(x, n):
         return (out,)
 
     return _make(x.data[:, :n].copy(), (x,), backward_fn)
+
+
+def mask_cols(x, valid):
+    """Replace columns >= ``valid`` with ``MASK_FILL``; masked columns get no
+    grad."""
+    def backward_fn(g):
+        return (_unmasked(g.copy(), valid),)
+
+    return _make(_masked(x.data, valid), (x,), backward_fn)
+
+
+def softmax_cross_entropy(logits, targets):
+    """Mean over the batch of -log softmax(logits)[target].
+
+    ``targets`` is an integer class-index vector of length B.
+    """
+    if logits.data.ndim != 2:
+        raise DimensionError(f"softmax_cross_entropy: logits must be 2-D, got {logits.data.shape}")
+    n, c = logits.data.shape
+    targets = _check_targets("softmax_cross_entropy", targets, n, c)
+    log_probs, softmax = _log_softmax(logits.data)
+    loss = -log_probs[np.arange(n), targets].mean()
+
+    def backward_fn(g):
+        return (_ce_grad(softmax, targets, g / n),)
+
+    return _make(loss, (logits,), backward_fn)
 
 
 def soft_cross_entropy(logits, target_probs):
@@ -74,3 +174,85 @@ def l2_distance(a, b):
         return grad, -grad
 
     return _make(loss, (a, b), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# layers
+
+
+def film_transform(features, scale_coeff, shift_coeff):
+    """Normalized scale-and-shift with a residual sum.
+
+    private = (phi1 / (||phi1|| + NORM_EPS)) * g + phi2 / (||phi2|| + NORM_EPS)
+    output  = private + g
+
+    Zero coefficient vectors make both terms exactly zero, so the output
+    reduces to the input features.
+    """
+    features = _wrap(features)
+    scale_coeff = _wrap(scale_coeff)
+    shift_coeff = _wrap(shift_coeff)
+    scale_norm = sqrt(tsum(scale_coeff * scale_coeff)) + NORM_EPS
+    shift_norm = sqrt(tsum(shift_coeff * shift_coeff)) + NORM_EPS
+    private = (features * div(scale_coeff, scale_norm)
+               + div(shift_coeff, shift_norm))
+    return private + features
+
+
+def coefficients(generator, task_id, layer_index):
+    """A ``ParameterGenerator``'s (scale, shift) row vectors for one layer,
+    conditioned on the task ID."""
+    if not 1 <= task_id <= generator.capacity:
+        raise UnknownTaskError(
+            f"task {task_id} outside generator capacity 1..{generator.capacity}")
+    table, w_scale, b_scale, w_shift, b_shift = generator.layer(layer_index)
+    emb = gather_rows(table, [task_id])
+    scale = matmul(emb, w_scale) + b_scale
+    shift = matmul(emb, w_shift) + b_shift
+    return scale, shift
+
+
+def extract(model, x):
+    """Common (task-invariant) features: the plain trunk."""
+    return model.extractor.forward(x)
+
+
+def task_features(model, x, task_id):
+    """Features on the classification path: each trunk layer's
+    ``relu(a @ w + b)``, then FiLM with the task's coefficients after the
+    layers the model's ``transform_mode`` modulates."""
+    if model.transform_mode == "off":
+        return extract(model, x)
+    model._check_task(task_id)
+    a = _wrap(x)
+    model.extractor.check_input(a.data)
+    for index, (w, b) in enumerate(model.extractor.layers):
+        a = relu(matmul(a, w) + b)
+        if model._modulated(index):
+            a = film_transform(
+                a, *coefficients(model.generator, task_id, index))
+    return a
+
+
+def classify(heads, features, task_id):
+    """A ``ClassifierHeads``' logits for the task: ReLU, then its head."""
+    w, b = heads.head(task_id)
+    return matmul(relu(_wrap(features)), w) + b
+
+
+def logits(model, x, task_id):
+    """The task's logits of ``x``: ``classify`` on ``task_features``."""
+    features = task_features(model, x, task_id)
+    model._check_task(task_id)
+    return classify(model.heads, features, task_id)
+
+
+def discriminate(discriminator, features, seen_tasks):
+    """A ``Discriminator``'s logits over {fake=0, task 1..K_max}, those of
+    tasks beyond ``seen_tasks`` masked (``mask_cols``)."""
+    if seen_tasks > discriminator.k_max:
+        raise CapacityError(
+            f"{seen_tasks} tasks exceed discriminator capacity {discriminator.k_max}")
+    d = discriminator
+    hidden = relu(matmul(_wrap(features), d.w1) + d.b1)
+    return mask_cols(matmul(hidden, d.w2) + d.b2, seen_tasks + 1)

@@ -11,12 +11,10 @@ from metacl.autodiff import (
     Tensor,
     backward,
     grad_only,
-    mask_cols,
     matmul,
     no_grad,
     relu,
     sgd_step,
-    softmax_cross_entropy,
     zero_grads,
 )
 from metacl.config import RunConfig
@@ -35,7 +33,16 @@ from metacl.networks import ContinualModel
 from metacl.trainer import effective_config
 
 from helpers import check_gradients, draw_of
-from reference import l2_distance, slice_cols, soft_cross_entropy
+from reference import (
+    discriminate,
+    extract,
+    l2_distance,
+    logits,
+    mask_cols,
+    slice_cols,
+    soft_cross_entropy,
+    softmax_cross_entropy,
+)
 
 
 class Batch:
@@ -398,13 +405,13 @@ def union_rows(batch, memory):
 
 def reference_ce_loss(model, batch, memory=None):
     """Union CE as the per-task chain the CE node must equal bit for bit:
-    ``model.logits`` of each task's rows, ``softmax_cross_entropy`` times
+    ``logits`` of each task's rows, ``softmax_cross_entropy`` times
     the task's share of the rows, summed by ascending task."""
     x, y, t = union_rows(batch, memory)
     total = None
     for task in np.unique(t).tolist():
         mask = t == task
-        part = (softmax_cross_entropy(model.logits(x[mask], task), y[mask])
+        part = (softmax_cross_entropy(logits(model, x[mask], task), y[mask])
                 * (int(mask.sum()) / len(y)))
         total = part if total is None else total + part
     return total
@@ -412,7 +419,7 @@ def reference_ce_loss(model, batch, memory=None):
 
 def reference_derpp_loss(model, memory, config):
     """The dark-replay term as the per-task chain: every task's memory rows
-    go through ``model.logits``, then ``l2_distance`` and
+    go through ``logits``, then ``l2_distance`` and
     ``softmax_cross_entropy`` weighted by the task's share."""
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
@@ -420,10 +427,11 @@ def reference_derpp_loss(model, memory, config):
     for task in np.unique(memory.t).tolist():
         mask = memory.t == task
         width = model.heads.output_dim(task)
-        logits = model.logits(memory.x[mask], task)
+        task_logits = logits(model, memory.x[mask], task)
         frac = int(mask.sum()) / len(memory)
-        l2_part = l2_distance(logits, Tensor(memory.h[mask, :width])) * frac
-        ce_part = softmax_cross_entropy(logits, memory.y[mask]) * frac
+        l2_part = (l2_distance(task_logits, Tensor(memory.h[mask, :width]))
+                   * frac)
+        ce_part = softmax_cross_entropy(task_logits, memory.y[mask]) * frac
         l2_total = l2_part if l2_total is None else l2_total + l2_part
         ce_total = ce_part if ce_total is None else ce_total + ce_part
     return config.lambda1 * l2_total + config.lambda2 * ce_total
@@ -447,7 +455,7 @@ def reference_alignment(model, batch, memory, config):
     x, _, t = union_rows(batch, memory)
     order = np.argsort(t, kind="stable")
     w1, b1, w2, b2 = (Tensor(p.data) for p in model.discriminator_params())
-    hidden = relu(matmul(model.extract(x[order]), w1) + b1)
+    hidden = relu(matmul(extract(model, x[order]), w1) + b1)
     logits = mask_cols(matmul(hidden, w2) + b2, k + 1)
     if config.generator_mode == "uniform-confusion":
         target = np.zeros((len(x), model.k_max + 1))
@@ -472,8 +480,9 @@ def reference_discriminator_loss(model, x, labels, memory, config):
     share of the memory rows and summed by ascending width."""
     k = model.n_seen
     with no_grad():
-        feats = model.extract(x).data
-    loss = softmax_cross_entropy(model.discriminate(Tensor(feats), k), labels)
+        feats = extract(model, x).data
+    loss = softmax_cross_entropy(
+        discriminate(model.discriminator, Tensor(feats), k), labels)
     if (memory is None or len(memory) == 0
             or config.lambda1 == config.lambda2 == 0):
         return loss
@@ -482,8 +491,8 @@ def reference_discriminator_loss(model, x, labels, memory, config):
     for width in np.unique(widths).tolist():
         mask = widths == width
         with no_grad():
-            feats_m = model.extract(memory.x[mask]).data
-        logits_m = model.discriminate(Tensor(feats_m), k)
+            feats_m = extract(model, memory.x[mask]).data
+        logits_m = discriminate(model.discriminator, Tensor(feats_m), k)
         frac = int(mask.sum()) / len(memory)
         l2_part = (l2_distance(slice_cols(logits_m, width),
                                Tensor(memory.h_disc[mask, :width])) * frac)
@@ -778,8 +787,8 @@ def disc_setup(widths, n_tasks=3, n_rows=9, transform="per_layer", seed=12):
     for i in range(n_rows):
         xi = rng.normal(size=3)
         width = widths[(7 * i + i // 3) % len(widths)]
-        snap = model.discriminate(model.extract(xi[None, :]),
-                                  width - 1).data[0, :width]
+        snap = discriminate(model.discriminator, extract(model, xi[None, :]),
+                            width - 1).data[0, :width]
         if i:
             snap = snap + rng.normal(size=width)
         entries.append(make_entry(xi, y=i % 2, t=1 + i % n_tasks,
@@ -911,8 +920,9 @@ def test_losses_use_no_add_reduceat():
 
 def real_task_accuracy(model, x, tasks):
     """Held-out task classification restricted to the real labels."""
-    logits = model.discriminate(model.extract(x), model.n_seen)
-    pred = logits.data[:, 1:model.n_seen + 1].argmax(axis=1) + 1
+    scores = discriminate(model.discriminator, extract(model, x),
+                          model.n_seen)
+    pred = scores.data[:, 1:model.n_seen + 1].argmax(axis=1) + 1
     return float(np.mean(pred == tasks))
 
 

@@ -11,8 +11,6 @@ from metacl.autodiff import (
     backward,
     grad_only,
     no_grad,
-    softmax_cross_entropy,
-    tsum,
 )
 from metacl.datasets import Split, Task
 from metacl.errors import CapacityError, ConfigurationError, ContractError, UnknownTaskError
@@ -22,9 +20,20 @@ from metacl.networks import (
     Discriminator,
     FeatureExtractor,
     ParameterGenerator,
-    film_transform,
 )
 from metacl.trainer import EVAL_CHUNK, evaluate
+
+from reference import (
+    classify,
+    coefficients,
+    discriminate,
+    extract,
+    film_transform,
+    logits,
+    softmax_cross_entropy,
+    task_features,
+    tsum,
+)
 
 
 def small_model(**kw):
@@ -124,7 +133,7 @@ def test_generator_coefficient_shapes():
     gen = ParameterGenerator([8, 8], embed_dim=4, capacity=5,
                              share_embedding=True,
                              rng=np.random.default_rng(3))
-    scale, shift = gen.coefficients(2, 1)
+    scale, shift = coefficients(gen, 2, 1)
     assert scale.shape == (1, 8) and shift.shape == (1, 8)
 
 
@@ -132,8 +141,8 @@ def test_generator_distinct_tasks_distinct_coefficients():
     gen = ParameterGenerator([8], embed_dim=4, capacity=5,
                              share_embedding=True,
                              rng=np.random.default_rng(3))
-    s1, _ = gen.coefficients(1, 0)
-    s2, _ = gen.coefficients(2, 0)
+    s1, _ = coefficients(gen, 1, 0)
+    s2, _ = coefficients(gen, 2, 0)
     assert not np.allclose(s1.data, s2.data)
 
 
@@ -142,9 +151,9 @@ def test_generator_out_of_capacity():
                              share_embedding=True,
                              rng=np.random.default_rng(3))
     with pytest.raises(UnknownTaskError):
-        gen.coefficients(3, 0)
+        coefficients(gen, 3, 0)
     with pytest.raises(UnknownTaskError):
-        gen.coefficients(0, 0)
+        coefficients(gen, 0, 0)
 
 
 def test_generator_separate_embeddings_option():
@@ -162,11 +171,11 @@ def test_multi_head_isolation():
     model.register_task(1)
     model.register_task(2)
     x = np.random.default_rng(0).normal(size=(4, 4))
-    before = model.logits(x, 1).data.copy()
+    before = logits(model, x, 1).data.copy()
     w2, b2 = model.heads.heads[2]
     w2.data += 10.0
     b2.data += 10.0
-    assert np.array_equal(model.logits(x, 1).data, before)
+    assert np.array_equal(logits(model, x, 1).data, before)
 
 
 def test_duplicate_head_rejected():
@@ -183,14 +192,15 @@ def test_single_head_shared_across_tasks():
     heads.add_head(1)
     heads.add_head(2)
     x = np.random.default_rng(0).normal(size=(2, 4))
-    assert np.array_equal(heads.forward(x, 1).data, heads.forward(x, 2).data)
+    assert np.array_equal(classify(heads, x, 1).data,
+                          classify(heads, x, 2).data)
 
 
 def test_unknown_task_classify():
     model = small_model()
     model.register_task(1)
     with pytest.raises(UnknownTaskError):
-        model.logits(np.zeros((1, 4)), 2)
+        logits(model, np.zeros((1, 4)), 2)
 
 
 def test_zeroed_head_gives_uniform_cross_entropy():
@@ -199,8 +209,8 @@ def test_zeroed_head_gives_uniform_cross_entropy():
     w, b = model.heads.heads[1]
     w.data[:] = 0.0
     b.data[:] = 0.0
-    logits = model.logits(np.random.default_rng(0).normal(size=(6, 4)), 1)
-    loss = softmax_cross_entropy(logits, np.array([0, 1, 2, 0, 1, 2]))
+    out = logits(model, np.random.default_rng(0).normal(size=(6, 4)), 1)
+    loss = softmax_cross_entropy(out, np.array([0, 1, 2, 0, 1, 2]))
     assert abs(loss.item() - np.log(3)) < 1e-12
 
 
@@ -209,7 +219,8 @@ def test_zeroed_head_gives_uniform_cross_entropy():
 
 def test_discriminator_masks_unseen_tasks():
     disc = Discriminator(4, k_max=5, hidden=3, rng=np.random.default_rng(2))
-    logits = disc.forward(np.random.default_rng(0).normal(size=(2, 4)), seen_tasks=2)
+    logits = discriminate(disc, np.random.default_rng(0).normal(size=(2, 4)),
+                          seen_tasks=2)
     assert logits.shape == (2, 6)
     probs = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
@@ -220,7 +231,7 @@ def test_discriminator_zeroed_weights_uniform_over_valid():
     disc = Discriminator(4, k_max=5, hidden=3, rng=np.random.default_rng(2))
     for p in disc.params():
         p.data[:] = 0.0
-    logits = disc.forward(np.zeros((4, 4)), seen_tasks=2)
+    logits = discriminate(disc, np.zeros((4, 4)), seen_tasks=2)
     loss = softmax_cross_entropy(logits, np.array([0, 1, 2, 0]))
     assert abs(loss.item() - np.log(3)) < 1e-12
 
@@ -228,7 +239,7 @@ def test_discriminator_zeroed_weights_uniform_over_valid():
 def test_discriminator_capacity_error():
     disc = Discriminator(4, k_max=2, hidden=3, rng=np.random.default_rng(2))
     with pytest.raises(CapacityError):
-        disc.forward(np.zeros((1, 4)), seen_tasks=3)
+        discriminate(disc, np.zeros((1, 4)), seen_tasks=3)
 
 
 def test_discriminator_freeze_blocks_weight_gradients():
@@ -238,7 +249,8 @@ def test_discriminator_freeze_blocks_weight_gradients():
     assert np.any(pre > 0)  # live ReLU units, so a nonzero gradient must flow
     # the scoped form every step uses: only the features are taped
     with grad_only([feats], disc.params()):
-        loss = softmax_cross_entropy(disc.forward(feats, 2), np.array([1, 2]))
+        loss = softmax_cross_entropy(discriminate(disc, feats, 2),
+                                     np.array([1, 2]))
     backward(loss)
     assert feats.grad is not None and np.any(feats.grad != 0)
     for p in disc.params():
@@ -248,7 +260,8 @@ def test_discriminator_freeze_blocks_weight_gradients():
 def test_discriminator_live_weight_gradients():
     disc = Discriminator(4, k_max=3, hidden=3, rng=np.random.default_rng(2))
     feats = Tensor(np.random.default_rng(0).normal(size=(2, 4)))
-    loss = softmax_cross_entropy(disc.forward(feats, 2), np.array([1, 2]))
+    loss = softmax_cross_entropy(discriminate(disc, feats, 2),
+                                 np.array([1, 2]))
     backward(loss)
     assert all(p.grad is not None for p in disc.params())
 
@@ -260,7 +273,7 @@ def test_transform_gradients_reach_generator():
     model = small_model(transform_mode="per_layer")
     model.register_task(1)
     x = np.random.default_rng(0).normal(size=(5, 4))
-    loss = softmax_cross_entropy(model.logits(x, 1), np.array([0, 1, 2, 0, 1]))
+    loss = softmax_cross_entropy(logits(model, x, 1), np.array([0, 1, 2, 0, 1]))
     backward(loss)
     grads = [p.grad for p in model.generator_params()]
     assert any(g is not None and np.any(g != 0) for g in grads)
@@ -270,11 +283,11 @@ def test_transform_off_leaves_generator_untouched():
     model = small_model(transform_mode="off")
     model.register_task(1)
     x = np.random.default_rng(0).normal(size=(5, 4))
-    loss = softmax_cross_entropy(model.logits(x, 1), np.array([0, 1, 2, 0, 1]))
+    loss = softmax_cross_entropy(logits(model, x, 1), np.array([0, 1, 2, 0, 1]))
     backward(loss)
     assert all(p.grad is None for p in model.generator_params())
-    plain = model.extract(x)
-    assert np.array_equal(model.task_features(x, 1).data, plain.data)
+    plain = extract(model, x)
+    assert np.array_equal(task_features(model, x, 1).data, plain.data)
 
 
 def test_task_features_rejects_task_outside_generator_capacity():
@@ -287,7 +300,7 @@ def test_task_features_rejects_task_outside_generator_capacity():
             model.register_task(task)
     assert model.seen_tasks == [] and not model.heads.heads
     with pytest.raises(UnknownTaskError):
-        model.task_features(np.zeros((1, 4)), 3)
+        task_features(model, np.zeros((1, 4)), 3)
 
 
 @pytest.mark.parametrize("share", [True, False], ids=["shared", "per-layer"])
@@ -295,8 +308,8 @@ def test_task_features_rejects_task_outside_generator_capacity():
 @pytest.mark.parametrize("mode", ["per_layer", "last", "off"])
 @pytest.mark.parametrize("rows", [1, 5, 600])
 def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
-    # snapshots and evaluation run a one-group TaskForward; the layer
-    # methods are the reference path they must equal byte for byte. 600
+    # snapshots and evaluation run a one-group TaskForward; the reference
+    # chain (tests/reference.py) is what they must equal byte for byte. 600
     # rows cross evaluate's chunk of EVAL_CHUNK = 512
     chunk = EVAL_CHUNK
     model = small_model(share_embedding=share, head_mode=head,
@@ -310,14 +323,15 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
         for p in model.all_params():  # mid-training values: nonzero biases
             p.data += 0.1 * rng.normal(size=p.data.shape)
         with no_grad():
-            want_disc = model.discriminate(model.extract(x), seen).data
+            want_disc = discriminate(model.discriminator, extract(model, x),
+                                     seen).data
         got = model.snapshot_disc_logits(x)
         assert got.shape == (rows, seen + 1)
         assert got.tobytes() == want_disc[:, :seen + 1].tobytes()
     with no_grad():
-        want_logits = {t: model.logits(x, t).data for t in (1, 2)}
+        want_logits = {t: logits(model, x, t).data for t in (1, 2)}
         want_preds = {t: np.concatenate([
-            model.logits(x[s:s + chunk], t).data.argmax(axis=1)
+            logits(model, x[s:s + chunk], t).data.argmax(axis=1)
             for s in range(0, rows, chunk)]) for t in (1, 2)}
     for t in (1, 2):
         assert model.snapshot_logits(x, t).tobytes() == want_logits[t].tobytes()
@@ -337,7 +351,7 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
 def test_evaluate_over_many_tasks_predicts_as_the_reference_path(share, mode):
     # evaluate makes one FiLM pass over all the tasks it scores and runs
     # each task's rows on that task's row of it: every prediction must equal
-    # the layer methods', task by task, whatever the order of the tasks
+    # the reference chain's, task by task, whatever the order of the tasks
     model = small_model(share_embedding=share, transform_mode=mode, k_max=16)
     for t in range(1, 14):
         model.register_task(t)
@@ -347,7 +361,7 @@ def test_evaluate_over_many_tasks_predicts_as_the_reference_path(share, mode):
     xs = {t: rng.normal(size=(int(rng.integers(1, 40)), 4))
           for t in range(1, 14)}
     with no_grad():
-        want = {t: model.logits(x, t).data.argmax(axis=1)
+        want = {t: logits(model, x, t).data.argmax(axis=1)
                 for t, x in xs.items()}
     order = rng.permutation(np.arange(1, 14)).tolist()
     for shift in (0, 1):
@@ -359,9 +373,9 @@ def test_evaluate_over_many_tasks_predicts_as_the_reference_path(share, mode):
 
 # every forward of the model on raw input rows, reference path and fast path
 FORWARDS = {
-    "extract": lambda model, x: model.extract(x),
-    "task_features": lambda model, x: model.task_features(x, 1),
-    "logits": lambda model, x: model.logits(x, 1),
+    "extract": lambda model, x: extract(model, x),
+    "task_features": lambda model, x: task_features(model, x, 1),
+    "logits": lambda model, x: logits(model, x, 1),
     "task_forward": lambda model, x: model.task_forward(x, [1], [len(x)]),
     "discriminator_forward": lambda model, x: model.discriminator_forward(
         x, [0], [len(x)]),
@@ -462,9 +476,9 @@ def test_nan_input_row_reaches_its_logits_on_both_paths(mode):
     x = np.random.default_rng(4).normal(size=(3, 4))
     x[1, 0] = np.nan
     with no_grad():
-        want = model.logits(x, 2).data
-        want_disc = model.discriminate(model.extract(x),
-                                       model.n_seen).data[:, :3]
+        want = logits(model, x, 2).data
+        want_disc = discriminate(model.discriminator, extract(model, x),
+                                 model.n_seen).data[:, :3]
     for got, ref in ((model.snapshot_logits(x, 2), want),
                      (model.snapshot_disc_logits(x), want_disc)):
         assert np.isnan(got[1]).all()
@@ -478,8 +492,8 @@ def test_transform_last_differs_from_per_layer():
     for m in (per_layer, last):
         m.register_task(1)
     x = np.random.default_rng(0).normal(size=(3, 4))
-    a = per_layer.task_features(x, 1).data
-    b = last.task_features(x, 1).data
+    a = task_features(per_layer, x, 1).data
+    b = task_features(last, x, 1).data
     assert a.shape == b.shape
     assert not np.array_equal(a, b)
 
@@ -526,9 +540,9 @@ def test_snapshot_matches_forward_and_is_detached():
     model.register_task(1)
     x = np.random.default_rng(0).normal(size=(4, 4))
     snap = model.snapshot_logits(x, 1)
-    assert np.array_equal(snap, model.logits(x, 1).data)
+    assert np.array_equal(snap, logits(model, x, 1).data)
     snap[:] = 123.0
-    assert not np.array_equal(snap, model.logits(x, 1).data)
+    assert not np.array_equal(snap, logits(model, x, 1).data)
 
 
 def test_snapshot_disc_logits_width_tracks_seen():

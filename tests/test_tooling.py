@@ -9,10 +9,11 @@ block (about 1 s), so the documented library use keeps working; its config
 file example must parse. The benchmark patches metacl's functions where
 their callers look them up: installing its patches catches a refactor that
 moves one of those names in milliseconds, and a short run of it catches one
-that changes what they do. Two ``ast`` scans of ``src/metacl`` keep
-deletions from leaving debris: an import nothing in its module uses, and a
-private (``_name``) module-level name or method nothing in the package
-references.
+that changes what they do. Two ``ast`` scans of ``src/metacl`` and of the
+tests' reference chain (``tests/reference.py``, written on the package's
+private helpers) keep deletions from leaving debris in either: an import
+nothing in its module uses, and a private (``_name``) module-level name or
+method nothing in them references.
 """
 
 import ast
@@ -31,6 +32,7 @@ from metacl.config import parse_config
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 PACKAGE = ROOT / "src" / "metacl"
+REFERENCE = ROOT / "tests" / "reference.py"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
@@ -126,9 +128,10 @@ def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
 
 
 def package_trees():
-    """{module file name: parsed source} for every module of the package."""
+    """{module file name: parsed source} for every module of the package
+    and for the reference chain."""
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(PACKAGE.glob("*.py"))}
+            for path in [*sorted(PACKAGE.glob("*.py")), REFERENCE]}
 
 
 def exported(tree):

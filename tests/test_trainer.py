@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_gradients
+from reference import discriminate, extract, logits, softmax_cross_entropy
 from metacl import experiments, networks
 from metacl import trainer as trainer_module
-from metacl.autodiff import backward, sgd_step, softmax_cross_entropy, zero_grads
+from metacl.autodiff import backward, sgd_step, zero_grads
 from metacl.config import ABLATION_MODES, METHODS, TRANSFORM_MODES, RunConfig
 from metacl.datasets import (
     Split,
@@ -284,8 +285,9 @@ def test_adversarial_step_trains_a_working_classifier():
     correct = 0
     for t in (1, 2):
         x = centers[t] + 0.3 * rng.normal(size=(100, 8))
-        logits = model.discriminate(model.extract(x), model.n_seen)
-        correct += int((logits.data.argmax(axis=1) == t).sum())
+        scores = discriminate(model.discriminator, extract(model, x),
+                              model.n_seen)
+        correct += int((scores.data.argmax(axis=1) == t).sum())
     assert correct / 200 > 0.9
 
 
@@ -354,7 +356,7 @@ def minimal_finetune_loop(stream, config, seed):
                              [seed, 10, task.task_id],
                              task_id=task.task_id):
             zero_grads(model.all_params())
-            loss = softmax_cross_entropy(model.logits(batch.x, batch.task_id),
+            loss = softmax_cross_entropy(logits(model, batch.x, batch.task_id),
                                          batch.y)
             backward(loss)
             sgd_step(model.extractor_params()
@@ -509,7 +511,7 @@ def every_plan_row(test):
     for method, ablation in PLANS:
         test = example(method=method, ablation=ablation, transform="per_layer",
                        n_in=1, n_out=1, n_ad=1, budget=3, batch_size=2,
-                       n_tasks=2, per_class=3)(test)
+                       n_tasks=2, per_class=3, lambda3=0.03)(test)
     return test
 
 
@@ -520,10 +522,10 @@ def every_plan_row(test):
        n_in=st.sampled_from((1, 2)), n_out=st.sampled_from((1, 2)),
        n_ad=st.sampled_from((1, 2)), budget=st.sampled_from((0, 3)),
        batch_size=st.integers(1, 5), n_tasks=st.integers(1, 3),
-       per_class=st.integers(1, 4))
+       per_class=st.integers(1, 4), lambda3=st.sampled_from((0.0, 0.03)))
 def test_every_config_runs_its_plan_or_is_rejected(
         method, ablation, transform, n_in, n_out, n_ad, budget, batch_size,
-        n_tasks, per_class):
+        n_tasks, per_class, lambda3):
     # a config either fails on construction or runs to finite records with
     # the step counts and memory rows its method and ablation stand for
     try:
@@ -532,7 +534,8 @@ def test_every_config_runs_its_plan_or_is_rejected(
             n_in=n_in, n_out=n_out, n_ad=n_ad, memory_budget=budget,
             batch_size=batch_size, n_tasks=n_tasks, train_per_class=per_class,
             test_per_class=2, input_dim=4, feature_width=4, depth=1,
-            embed_dim=2, disc_hidden=4, replay_batch_size=4, seeds=(0,))
+            embed_dim=2, disc_hidden=4, replay_batch_size=4, lambda3=lambda3,
+            seeds=(0,))
     except ConfigurationError:
         assert method != "scale" and ablation != "full"
         return
@@ -552,11 +555,12 @@ def test_every_config_runs_its_plan_or_is_rejected(
         assert all(v is None or math.isfinite(v) for v in losses.values())
     rounds = n_rounds(stream, batch_size)
     scale = method == "scale"
+    # the discriminator trains only while a loss reads it
+    adversary = scale and effective_config(config).lambda3 != 0
     assert record.counters == {
         "inner_updates": rounds * n_in * n_out if scale else rounds,
         "outer_updates": rounds * n_out if scale else 0,
-        "adversarial_updates": (rounds * n_ad if scale and ablation != "A"
-                                else 0)}
+        "adversarial_updates": rounds * n_ad if adversary else 0}
     rows = trainer.memory.rows()
     kept = 0 if method == "finetune" else budget
     assert len(rows.x) == sum(min(kept, len(t.train.x)) for t in stream.tasks)
@@ -565,6 +569,18 @@ def test_every_config_runs_its_plan_or_is_rejected(
         assert not rows.h_width.any() and not rows.h_disc_width.any()
     else:
         assert rows.h_width.all() and rows.h_disc_width.all()
+
+
+def test_full_method_at_zero_lambda3_runs_ablation_a():
+    # with lambda3 = 0 no loss reads the discriminator, so the full method
+    # trains none: its run is ablation A's, which pins lambda3 = 0
+    stream = small_stream(seed=3)
+    full, ablated = (run_single(small_config(ablation=ablation, lambda3=0.0),
+                                0, stream) for ablation in ("full", "A"))
+    assert full.counters == ablated.counters
+    assert full.counters["adversarial_updates"] == 0
+    assert full.acc_matrix == ablated.acc_matrix
+    assert full.task_losses == ablated.task_losses
 
 
 # -- scoped steps --------------------------------------------------------------------
@@ -747,7 +763,7 @@ def count_trunk_passes(monkeypatch):
 def test_step_trunk_passes_are_pinned(monkeypatch):
     # every loss node runs the trunk itself, not through
     # FeatureExtractor.forward, so no step makes a trunk pass of its own;
-    # only the reference path (the model's layer methods) calls it
+    # only the reference chain (tests/reference.py) calls it
     trainer, train, val = three_task_trainer()
     passes = count_trunk_passes(monkeypatch)
     for step in (lambda: trainer.inner_step(*train),
