@@ -4,12 +4,15 @@ One memory serves every task. Each task owns a fixed number of slots filled
 by one-pass reservoir sampling, so the kept samples are a uniform draw from
 a stream the trainer saw exactly once. Stored rows carry the model's logits
 from the moment of storage; replay later regresses onto those stale logits,
-which is what lets the buffer carry more than bare labels. A replay draw is a
-set of row arrays gathered from the memory's per-field arrays.
+which is what lets the buffer carry more than bare labels. Tasks arrive in
+order, so each new row goes at the end of the memory's per-field arrays, and
+a row of an earlier task is refused. A replay draw is a set of row arrays
+gathered from those arrays; a round takes two of them, one per side.
 """
 
 import numpy as np
 
+from metacl.errors import ContractError
 from metacl.memory import EpisodicMemory, make_entry
 
 
@@ -39,6 +42,10 @@ def budgets_are_per_task():
             mem.observe(make_entry(np.zeros(1), i, t))
     per_task = {t: sum(1 for e in mem.entries() if e.t == t) for t in (1, 2, 3)}
     print(f"  stored per task: {per_task}  total {len(mem)}")
+    try:
+        mem.observe(make_entry(np.zeros(1), 0, 1))
+    except ContractError as e:
+        print(f"  task 1 again after task 3 is refused: {e}")
 
 
 def snapshots_are_frozen():
@@ -56,11 +63,8 @@ def replay_draws_and_splits():
     for i in range(200):
         mem.observe(make_entry(np.full(4, float(i)), i % 2, 1))
 
-    class Batch:
-        x = np.zeros((8, 4))
-
     rng = np.random.default_rng(3)
-    train_draw, val_draw = mem.partition(Batch(), rng, replay_batch_size=16)
+    train_draw, val_draw = mem.partition(rng, replay_batch_size=16)
     a = set(train_draw.x[:, 0].astype(int).tolist())
     b = set(val_draw.x[:, 0].astype(int).tolist())
     print(f"  train-side draw {len(train_draw)} rows, "

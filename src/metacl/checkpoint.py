@@ -17,8 +17,10 @@ running its missing seeds again.
 
 This reader handles format version 3 only; version 1 (one member per stored
 sample) and version 2 (one member per parameter) files are rejected. Any
-malformed content fails as ``FormatError`` naming the path; a missing file
-raises ``FileNotFoundError``.
+malformed content fails as ``FormatError`` naming the path, and so do memory
+rows the loaded model cannot train on: inputs not ``input_dim`` wide, labels
+outside ``[0, classes_per_task)`` or tasks outside its seen tasks. A missing
+file raises ``FileNotFoundError``.
 """
 
 import json
@@ -112,6 +114,24 @@ def _member(path, data, key):
     return data[key]
 
 
+def _check_rows_fit(path, model, fields, seen_counts):
+    """Memory rows the loaded model can train on: ``(n, input_dim)`` inputs,
+    labels in ``[0, classes_per_task)`` and tasks the model has seen. Rows
+    that ``from_rows`` took hold only tasks in ``seen_counts``, so checking
+    those tasks checks every row's."""
+    x, y = fields["x"], fields["y"]
+    if x.ndim != 2 or (len(x) and x.shape[1] != model.input_dim):
+        raise FormatError(f"{path}: 'mem/x' is {x.shape}, the model takes "
+                          f"(n, {model.input_dim}) inputs")
+    classes = model.arguments["classes_per_task"]
+    if np.any((y < 0) | (y >= classes)):
+        raise FormatError(f"{path}: memory label outside [0, {classes})")
+    unseen = sorted(seen_counts.keys() - set(model.seen_tasks))
+    if unseen:
+        raise FormatError(f"{path}: memory holds tasks {unseen} the model "
+                          f"has not seen")
+
+
 def _decode(path, data):
     if "__meta__" not in data.files:
         raise FormatError(f"{path}: not a checkpoint (missing metadata)")
@@ -151,6 +171,7 @@ def _decode(path, data):
         seen_counts = {int(t): int(c) for t, c in m["seen_counts"].items()}
         memory = EpisodicMemory.from_rows(m["budget_per_task"], Draw(**fields),
                                           seen_counts, rng)
+        _check_rows_fit(path, model, fields, seen_counts)
 
     matrix = None
     if meta["matrix"] is not None:

@@ -278,18 +278,26 @@ SWEEP_AXES = {
 }
 
 
-def _run_set(path, what, variants):
+def _checked_values(name, values, allowed):
+    """``values`` as a list, if they form a non-empty list (or tuple) of
+    ``allowed`` values with none repeated; otherwise fails naming ``name``."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(
+            f"{name} takes a list of values, got {values!r}")
+    if not values:
+        raise ConfigurationError(f"{name} needs at least one value")
+    for v in values:
+        if v not in allowed:
+            raise ConfigurationError(f"{name} accepts {allowed}, got {v!r}")
+        if values.count(v) > 1:
+            raise ConfigurationError(f"{name} has the value {v!r} twice")
+    return list(values)
+
+
+def _run_set(path, variants):
     """One ``execute_run`` per (columns, config) of ``variants``; writes
     ``path``, a row of columns and seed stats per variant, and returns (rows,
-    records per variant). No variant, or two with the same columns, fails
-    naming ``what`` (and the last column's value) before any run."""
-    if not variants:
-        raise ConfigurationError(
-            f"a run set needs at least one value; no {what} is given")
-    keys = [tuple(columns.values()) for columns, _ in variants]
-    for key in keys:
-        if keys.count(key) > 1:
-            raise ConfigurationError(f"{what} {key[-1]!r} is given twice")
+    records per variant)."""
     table = [execute_run(cfg) for _, cfg in variants]
     rows = [{**columns, **seed_stats(records)}
             for (columns, _), records in zip(variants, table)]
@@ -305,14 +313,11 @@ def sweep(config, axis, values=None):
         raise ConfigurationError(
             f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     field_name, canonical = SWEEP_AXES[axis]
-    values = list(canonical) if values is None else list(values)
-    for v in values:
-        if v not in canonical:
-            raise ConfigurationError(
-                f"{axis} sweep accepts values from {canonical}, got {v}")
+    values = _checked_values(f"{axis} sweep",
+                             canonical if values is None else values, canonical)
     configs = [replace(config, **{field_name: v}) for v in values]
     rows, table = _run_set(
-        os.path.join(config.out_dir, f"sweep-{axis}.csv"), f"{axis} value",
+        os.path.join(config.out_dir, f"sweep-{axis}.csv"),
         [({"axis": axis, "value": getattr(cfg, field_name)}, cfg)
          for cfg in configs])
     return {row["value"]: records for row, records in zip(rows, table)}
@@ -332,24 +337,14 @@ def grid(config, space=None):
     for key, values in space.items():
         if key not in GRID_SPACE:
             raise ConfigurationError(f"unknown grid axis {key!r}")
-        if not isinstance(values, (list, tuple)):
-            raise ConfigurationError(
-                f"grid axis {key} takes a list of values, got {values!r}")
-        if not values:
-            raise ConfigurationError(f"grid axis {key} has no values")
-        for v in values:
-            if v not in GRID_SPACE[key]:
-                raise ConfigurationError(
-                    f"grid axis {key} accepts {GRID_SPACE[key]}, got {v}")
-            if values.count(v) > 1:
-                raise ConfigurationError(
-                    f"grid axis {key} has the value {v} twice")
+        space[key] = _checked_values(f"grid axis {key}", values,
+                                     GRID_SPACE[key])
     base = replace(config, n_tasks=min(GRID_TASKS, config.n_tasks))
     keys = sorted(space)
     configs = [replace(base, **dict(zip(keys, values)))
                for values in itertools.product(*(space[key] for key in keys))]
     rows, _ = _run_set(
-        os.path.join(config.out_dir, "grid.csv"), "grid combination",
+        os.path.join(config.out_dir, "grid.csv"),
         [({key: getattr(cfg, key) for key in keys}, cfg) for cfg in configs])
     best = max(rows, key=lambda row: row["mean_acc"])
     return {key: best[key] for key in keys}, rows
@@ -358,8 +353,9 @@ def grid(config, space=None):
 def ablate(config, modes=ABLATION_MODES):
     """Run every ablation of the full method; returns {mode: records} and
     writes ``ablations.csv``."""
+    modes = _checked_values("ablation", modes, ABLATION_MODES)
     _, table = _run_set(
-        os.path.join(config.out_dir, "ablations.csv"), "ablation",
+        os.path.join(config.out_dir, "ablations.csv"),
         [({"ablation": mode}, replace(config, method="scale", ablation=mode))
          for mode in modes])
     return dict(zip(modes, table))

@@ -7,14 +7,14 @@ lives in one set of per-field arrays: inputs ``x``, labels ``y``, task ids
 ``h_disc``. Each snapshot field is zero-padded to the widest row seen so far
 and has a width column beside it, where 0 means the row carries no snapshot.
 
-The arrays hold the rows in (task, slot) order, the order draws number them
-in, and there are no per-task blocks: their capacity doubles as rows are
-stored, so storage follows the rows held, not the budget. A new row of the
-last task is appended; a new row of an earlier task moves the later rows
-down one. A draw is an index vector over the rows, gathered into a ``Draw``
-of row arrays with one fancy index per field; the losses read those arrays
-directly. Snapshots are copied in at observation time and never change
-while their row is kept.
+Tasks arrive in order, as an online task-incremental stream presents them,
+so the arrays hold the rows in (task, slot) order, the order draws number
+them in, and a new row always goes at the end. There are no per-task blocks:
+the capacity doubles as rows are stored, so storage follows the rows held,
+not the budget. A draw is an index vector over the rows, gathered into a
+``Draw`` of row arrays with one fancy index per field; the losses read those
+arrays directly. Snapshots are copied in at observation time and never
+change while their row is kept.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class EpisodicMemory:
     draws one integer j uniform on [0, i); the entry replaces slot j when
     j < budget, which keeps every prefix of the stream uniformly represented.
     A task therefore holds ``min(budget, seen)`` rows, so ``seen_counts`` is
-    the only per-task state.
+    the only per-task state. Tasks arrive in order: once a task has a row, no
+    earlier task is observed again.
     """
 
     def __init__(self, budget_per_task, rng):
@@ -127,45 +128,36 @@ class EpisodicMemory:
         self.rng = rng
         self.seen_counts = {}
         self._n = 0
-        self._last = None  # task of the last row
         self._f = None  # field name -> array of rows; made with the first row
 
     def __len__(self):
         return self._n
 
-    def _end(self, t):
-        """One past the last row of task ``t``: where its next row goes."""
-        n = self._n
-        if n == 0 or t >= self._last:
-            return n
-        return int(np.searchsorted(self._f["t"][:n], t, side="right"))
-
-    def _new_row(self, t, x_shape):
-        """A free row after task ``t``'s rows: later rows move down one, and
-        the arrays double when full."""
+    def _new_row(self, x_shape):
+        """The free row at the end of the table; the arrays double when full."""
         f, n = self._f, self._n
         if f is None:
-            f = self._f = _fields(1, x_shape)
+            self._f = _fields(1, x_shape)
         elif n == len(f["y"]):
-            f = self._f = {name: np.concatenate([a, np.zeros_like(a)])
-                           for name, a in f.items()}
-        i = self._end(t)
-        if i < n:
-            for a in f.values():
-                a[i + 1:n + 1] = a[i:n]
-        else:
-            self._last = t
+            self._f = {name: np.concatenate([a, np.zeros_like(a)])
+                       for name, a in f.items()}
         self._n = n + 1
-        return i
+        return n
 
     def observe(self, entry):
-        """Offer one entry to its task's reservoir; returns True if stored."""
-        f = self._f
+        """Offer one entry to its task's reservoir; returns True if stored.
+
+        An entry of a task before the last row's fails as ContractError, and
+        one of another input shape as MemoryConsistencyError, with nothing
+        changed."""
+        f, n, t = self._f, self._n, entry.t
         if f is not None and entry.x.shape != f["x"].shape[1:]:
             raise MemoryConsistencyError(
                 f"input of shape {entry.x.shape}, memory stores "
                 f"{f['x'].shape[1:]}")
-        t = entry.t
+        if n and t < f["t"][n - 1]:
+            raise ContractError(f"task {t} arrives after task {f['t'][n - 1]}: "
+                                f"tasks must arrive in order")
         count = self.seen_counts.get(t, 0) + 1
         self.seen_counts[t] = count
         budget = self.budget_per_task
@@ -175,9 +167,9 @@ class EpisodicMemory:
             slot = int(self.rng.integers(0, count))
             if slot >= budget:
                 return False
-            i = self._end(t) - budget + slot
+            i = n - budget + slot  # task t's rows end the table
         else:
-            i = self._new_row(t, entry.x.shape)
+            i = self._new_row(entry.x.shape)
         f = self._f
         f["x"][i] = entry.x
         f["y"][i] = entry.y
@@ -216,17 +208,16 @@ class EpisodicMemory:
             return self._gather(np.zeros(0, dtype=np.int64))
         return self._gather(rng.integers(0, self._n, size=batch_size))
 
-    def partition(self, current_batch, rng, replay_batch_size):
+    def partition(self, rng, replay_batch_size):
         """The (train, val) memory draws of one optimization round.
 
-        Both sides share the full current batch, which the caller holds;
+        Both sides share the round's current batch, which the caller holds;
         each side gets its own memory draw, so the two draws are independent
-        while the current data is consumed exactly once. All randomness comes from plain draws on
-        ``rng``, so its bit-generator state fully captures partition progress
-        (spawned substreams would not survive a checkpoint).
+        while the current data is consumed exactly once. All randomness comes
+        from plain draws on ``rng``, so its bit-generator state fully captures
+        partition progress (spawned substreams would not survive a
+        checkpoint).
         """
-        if len(current_batch.x) == 0:
-            raise ContractError("partition requires a non-empty current batch")
         return (self.sample(replay_batch_size, rng),
                 self.sample(replay_batch_size, rng))
 
@@ -255,7 +246,7 @@ class EpisodicMemory:
                     f"task {t}: {held.get(t, 0)} stored rows, budget "
                     f"{budget_per_task}, seen {seen}")
         if n:
-            mem._n, mem._last = n, int(rows.t[-1])
+            mem._n = n
             mem._f = {name: np.array(getattr(rows, name), dtype=a.dtype)
                       for name, a in _fields(0).items()}
         return mem

@@ -258,7 +258,7 @@ class Trainer:
         plan, config = self.plan, self.config
         if plan.bilevel:
             train_draw, val_draw = self.memory.partition(
-                batch, self.partition_rng, config.replay_batch_size)
+                self.partition_rng, config.replay_batch_size)
         else:
             train_draw = val_draw = self.memory.sample(
                 config.replay_batch_size, self.replay_rng)

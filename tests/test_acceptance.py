@@ -347,8 +347,8 @@ def test_criterion_04_one_epoch_counters_and_freeze_contracts():
     model.register_task(2)
     t2 = stream.tasks[1]
     batch = TaskBatch(t2.train.x[:8], t2.train.y[:8], t2.task_id)
-    train_draw, val_draw = memory.partition(
-        batch, trainer.partition_rng, cfg.replay_batch_size)
+    train_draw, val_draw = memory.partition(trainer.partition_rng,
+                                            cfg.replay_batch_size)
 
     def snap(params):
         return [p.data.copy() for p in params]

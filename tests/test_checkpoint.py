@@ -144,8 +144,9 @@ def test_memory_without_snapshots_round_trips(tmp_path):
     rng = np.random.default_rng(0)
     memory = EpisodicMemory(3, rng=np.random.default_rng(1))
     for i in range(10):
-        memory.observe(make_entry(rng.normal(size=4), i % 2, 1))
+        memory.observe(make_entry(rng.normal(size=8), i % 2, 1))
     model = build_model(small_stream(), SMALL, 0)
+    model.register_task(1)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model, memory=memory)
     loaded = load_checkpoint(path)
@@ -155,11 +156,12 @@ def test_memory_without_snapshots_round_trips(tmp_path):
 
 def test_memory_rng_continuation(tmp_path):
     rng = np.random.default_rng(2)
-    xs = rng.normal(size=(60, 4))
+    xs = rng.normal(size=(60, 8))
     mem_a = EpisodicMemory(3, rng=np.random.default_rng(7))
     for i in range(30):
         mem_a.observe(make_entry(xs[i], 0, 1))
     model = build_model(small_stream(), SMALL, 0)
+    model.register_task(1)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model, memory=mem_a)
     mem_b = load_checkpoint(path).memory
@@ -237,12 +239,15 @@ def test_older_format_rejected(tmp_path, version):
 
 
 def filled_memory(rows, seed=0):
+    """A memory holding all of ``rows`` rows, half of task 1 and half of
+    task 2, made alternately and observed task by task."""
     rng = np.random.default_rng(seed)
+    entries = [make_entry(rng.normal(size=8), i % 2, 1 + i % 2,
+                          h=rng.normal(size=2), h_disc=rng.normal(size=3))
+               for i in range(rows)]
     memory = EpisodicMemory(rows // 2, rng=np.random.default_rng(seed + 1))
-    for i in range(rows):
-        memory.observe(make_entry(rng.normal(size=8), i % 2, 1 + i % 2,
-                                  h=rng.normal(size=2),
-                                  h_disc=rng.normal(size=3)))
+    for entry in sorted(entries, key=lambda e: e.t):
+        memory.observe(entry)
     return memory
 
 
@@ -271,12 +276,14 @@ def test_mixed_snapshot_widths_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(4)
     memory = EpisodicMemory(4, rng=np.random.default_rng(5))
     for i in range(30):
-        t = (3, 1, 2)[i % 3]
+        t = 1 + i // 10
         h = None if i % 4 == 0 else rng.normal(size=2)
         h_disc = None if i % 5 == 0 else rng.normal(size=2 + i % 4)
-        memory.observe(make_entry(rng.normal(size=4), i % 2, t, h=h,
+        memory.observe(make_entry(rng.normal(size=8), i % 2, t, h=h,
                                   h_disc=h_disc))
     model = build_model(small_stream(), SMALL, 0)
+    for t in (1, 2, 3):
+        model.register_task(t)
     path = tmp_path / "c.npz"
     save_checkpoint(path, model, memory=memory)
     loaded = load_checkpoint(path).memory
@@ -308,6 +315,39 @@ def test_inconsistent_memory_rejected(tmp_path):
 
     rewrite(src, dst, shuffle_tasks)
     with pytest.raises(FormatError, match="task order"):
+        load_checkpoint(dst)
+
+
+def _unseen_tasks(arrays, meta):
+    arrays["mem/t"] = arrays["mem/t"] + 5
+    counts = meta["memory"]["seen_counts"]
+    meta["memory"]["seen_counts"] = {str(int(t) + 5): c
+                                     for t, c in counts.items()}
+
+
+# memory rows the loaded model cannot train on, each with what names it
+ROW_TAMPERINGS = {
+    "input one column wider": (lambda arrays, meta: arrays.update(
+        {"mem/x": np.pad(arrays["mem/x"], ((0, 0), (0, 1)))}), "'mem/x'"),
+    "rank-3 input": (lambda arrays, meta: arrays.update(
+        {"mem/x": arrays["mem/x"][:, None, :]}), "'mem/x'"),
+    "labels past classes_per_task": (lambda arrays, meta: arrays.update(
+        {"mem/y": arrays["mem/y"] + 2}), "label outside"),
+    "rows of unseen tasks": (_unseen_tasks, r"tasks \[6, 7\]"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(ROW_TAMPERINGS))
+def test_memory_rows_the_model_cannot_take_rejected(tmp_path, tamper):
+    model = build_model(small_stream(), SMALL, 0)
+    model.register_task(1)
+    model.register_task(2)
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(src, model, memory=filled_memory(10))
+    load_checkpoint(src)  # the untampered file loads
+    mutate, named = ROW_TAMPERINGS[tamper]
+    rewrite(src, dst, mutate)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(dst))}: .*{named}"):
         load_checkpoint(dst)
 
 

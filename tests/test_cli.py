@@ -230,12 +230,13 @@ def test_ablate_command(tmp_path):
 
 # each names what is at fault and fails before a run writes anything
 BAD_RUN_SETS = [
-    (["ablate", "--modes", ""], "no ablation is given"),
-    (["ablate", "--modes", "A,A"], "ablation 'A' is given twice"),
+    (["ablate", "--modes", ""], "ablation needs at least one value"),
+    (["ablate", "--modes", "A,A"], "ablation has the value 'A' twice"),
+    (["ablate", "--modes", "full,Z"], "ablation accepts"),
     (["sweep", "--axis", "memory", "--values", "50,50"],
-     "memory value 50 is given twice"),
+     "memory sweep has the value 50 twice"),
     (["grid", "--space", '{"lambda3": [0.03, 0.03]}'],
-     "lambda3 has the value 0.03 twice"),
+     "grid axis lambda3 has the value 0.03 twice"),
     (["grid", "--space", "{}"], "names no axis"),
     (["grid", "--space", ""], "--space"),
     (["sweep", "--axis", "memory", "--values", "abc"], "--values"),

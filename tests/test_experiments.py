@@ -327,7 +327,8 @@ def test_sweep_validation(tmp_path):
         sweep(config, "memory", values=[37])
     with pytest.raises(ConfigurationError):
         sweep(config, "nonsense")
-    with pytest.raises(ConfigurationError, match="memory value 50 is given"):
+    with pytest.raises(ConfigurationError,
+                       match="memory sweep has the value 50 twice"):
         sweep(config, "memory", values=[50, 50.0])
     assert not list(tmp_path.iterdir())
 
@@ -386,7 +387,8 @@ def test_grid_validation(tmp_path):
             grid(config, space={"lambda3": value})
     with pytest.raises(ConfigurationError, match="names no axis"):
         grid(config, space={})
-    with pytest.raises(ConfigurationError, match="lambda3 has the value 0.03"):
+    with pytest.raises(ConfigurationError,
+                       match="grid axis lambda3 has the value 0.03 twice"):
         grid(config, space={"lambda3": [0.03, 0.03]})
     assert not list(tmp_path.iterdir())
     assert set(GRID_SPACE) == {"inner_lr", "outer_lr",
@@ -412,10 +414,14 @@ def test_ablate_runs_all_modes(tmp_path):
 
 def test_ablate_rejects_empty_and_repeated_modes(tmp_path):
     config = tiny_config(f"out_dir={tmp_path}")
-    with pytest.raises(ConfigurationError, match="no ablation is given"):
+    with pytest.raises(ConfigurationError,
+                       match="ablation needs at least one value"):
         ablate(config, modes=())
-    with pytest.raises(ConfigurationError, match="'A' is given twice"):
+    with pytest.raises(ConfigurationError,
+                       match="ablation has the value 'A' twice"):
         ablate(config, modes=("A", "full", "A"))
+    with pytest.raises(ConfigurationError, match="ablation accepts .*'Z'"):
+        ablate(config, modes=("full", "Z"))
     assert not list(tmp_path.iterdir())
 
 

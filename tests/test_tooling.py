@@ -117,14 +117,17 @@ def test_benchmark_hooks_resolve(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import harness
     import run_bench
-    from metacl import losses, trainer
+    from metacl import memory
 
-    originals = (trainer.Trainer.train_task, trainer.Trainer.inner_step,
-                 trainer.ce_loss, losses.ce_loss, trainer.backward)
-    with run_bench.Instruments(tmp_path, harness.Tracer(), resume=True):
-        assert trainer.Trainer.inner_step is not originals[1]
-    assert (trainer.Trainer.train_task, trainer.Trainer.inner_step,
-            trainer.ce_loss, losses.ce_loss, trainer.backward) == originals
+    with run_bench.Instruments(tmp_path, harness.Tracer(),
+                               resume=True) as instruments:
+        originals = {}
+        for owner, name, original in instruments._patched:
+            originals.setdefault((owner, name), original)
+            assert getattr(owner, name) is not original, name
+    assert (memory.EpisodicMemory, "partition") in originals
+    for (owner, name), original in originals.items():
+        assert getattr(owner, name) is original, name
 
 
 def package_trees():

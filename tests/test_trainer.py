@@ -89,7 +89,7 @@ def first_partition(trainer, stream):
                          [trainer.seed, 10, task.task_id],
                          task_id=task.task_id))
     return [(batch, draw) for draw in trainer.memory.partition(
-        batch, trainer.partition_rng, trainer.config.replay_batch_size)]
+        trainer.partition_rng, trainer.config.replay_batch_size)]
 
 
 # -- config ------------------------------------------------------------------------
@@ -817,7 +817,7 @@ def test_non_finite_loss_fails_fast_naming_step_and_task(kind):
     trainer.state.memory = EpisodicMemory.from_rows(
         trainer.memory.budget_per_task, replace(rows, x=x),
         trainer.memory.seen_counts, trainer.memory.rng)
-    draw, _ = trainer.memory.partition(clean, trainer.partition_rng,
+    draw, _ = trainer.memory.partition(trainer.partition_rng,
                                        trainer.config.replay_batch_size)
     step = {"inner": lambda: trainer.inner_step(clean, draw),
             "outer": lambda: trainer.outer_step(clean, draw),
