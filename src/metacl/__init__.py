@@ -10,7 +10,7 @@ from .autodiff import Tensor, backward, no_grad, sgd_step, zero_grads
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .datasets import make_synthetic
 from .memory import Draw, EpisodicMemory, MemoryEntry, make_entry
-from .metrics import AccuracyMatrix, acc, fm
+from .metrics import AccuracyMatrix, acc, fm, la
 from .networks import ContinualModel
 from .trainer import (
     Trainer,
@@ -26,7 +26,7 @@ __all__ = [
     "RunConfig", "load_config", "parse_config", "serialize_config",
     "make_synthetic",
     "Draw", "EpisodicMemory", "MemoryEntry", "make_entry",
-    "AccuracyMatrix", "acc", "fm",
+    "AccuracyMatrix", "acc", "fm", "la",
     "ContinualModel",
     "Trainer",
     "build_model", "build_trainer", "run_stream",

@@ -50,8 +50,9 @@ def build_parser():
     p_sweep.add_argument("--values", help="comma-separated axis values")
 
     p_grid = sub.add_parser("grid",
-                            help=f"hyperparameter grid on the first "
-                                 f"{GRID_TASKS} tasks")
+                            help=f"hyperparameter grid on a stream rebuilt "
+                                 f"with n_tasks={GRID_TASKS} (not the run "
+                                 f"stream's first tasks)")
     add_common(p_grid)
     p_grid.add_argument("--space", help="JSON {axis: [values]} restriction")
 
@@ -85,15 +86,16 @@ def summarize(records, out):
     first = records[0]
     print(f"{first.method}-{first.ablation}: {s['n_seeds']} seed(s)  "
           f"ACC {s['mean_acc']:.4f}±{s['std_acc']:.4f}  "
-          f"FM {s['mean_fm']:.4f}±{s['std_fm']:.4f}", file=out)
+          f"FM {s['mean_fm']:.4f}±{s['std_fm']:.4f}  "
+          f"LA {s['mean_la']:.4f}", file=out)
 
 
 def print_table(table, label, path, out):
-    """One ACC/FM line per run-set of ``table``, then where its CSV is."""
+    """One ACC/FM/LA line per run-set of ``table``, then where its CSV is."""
     for key, records in table.items():
         s = seed_stats(records)
         print(f"{label}{key}: ACC {s['mean_acc']:.4f}  "
-              f"FM {s['mean_fm']:.4f}", file=out)
+              f"FM {s['mean_fm']:.4f}  LA {s['mean_la']:.4f}", file=out)
     print(f"table: {path}", file=out)
 
 

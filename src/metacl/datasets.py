@@ -249,6 +249,8 @@ def load_idx_dataset(train_images, train_labels, test_images, test_labels):
             raise FormatError(
                 f"{images_path} has {len(x)} images but {labels_path} has "
                 f"{len(y)} labels")
+        if not len(x):
+            raise FormatError(f"{images_path} and {labels_path} hold no items")
         return Split(x.reshape(len(x), -1), y)
 
     train = pair(train_images, train_labels)

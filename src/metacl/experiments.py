@@ -35,12 +35,12 @@ from .datasets import (
     subsample,
 )
 from .errors import ConfigurationError, FormatError, NoDataError
-from .metrics import acc, fm
+from .metrics import AccuracyMatrix, acc, fm, la
 from .trainer import build_trainer, run_stream, task_capacity
 
 MEMORY_SWEEP_VALUES = (50, 100, 150, 200)
 LAMBDA3_SWEEP_VALUES = (0.03, 0.09, 0.3, 0.9)
-GRID_TASKS = 3  # the grid searches on the stream's first tasks only
+GRID_TASKS = 3  # the grid's n_tasks: a rebuilt stream, not a prefix (grid)
 GRID_SPACE = {
     "inner_lr": (0.001, 0.01, 0.1),
     "outer_lr": (0.001, 0.01, 0.1),
@@ -50,7 +50,8 @@ GRID_SPACE = {
 }
 RECORD_VERSION = 1
 TIMING = {"timing": True}  # metadata of the ResultRecord fields in timing.json
-STATS_COLUMNS = ("n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm")
+STATS_COLUMNS = ("n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm",
+                 "mean_la")
 SUMMARY_COLUMNS = ("method", "ablation", "seed", "task_index", "acc_row",
                    "final_acc", "final_fm", "wall_s")
 
@@ -204,8 +205,9 @@ def _typed_fields(path, raw, names):
 
 def load_record(seed_dir):
     """Rebuild a ResultRecord from record.json (+ timing.json if present);
-    a record of another version, or one missing a field or holding one of
-    the wrong type, fails as ``FormatError`` naming the file."""
+    a record of another version, or one missing a field, holding one of
+    the wrong type or an accuracy matrix that is not complete rows in
+    [0, 1], fails as ``FormatError`` naming the file."""
     path = os.path.join(seed_dir, "record.json")
     raw = _read_json_object(path)
     if raw.get("record_version") != RECORD_VERSION:
@@ -215,6 +217,11 @@ def load_record(seed_dir):
     if missing:
         raise FormatError(f"{path}: missing fields {missing}")
     values = _typed_fields(path, raw, STABLE_FIELDS)
+    try:  # the rows seed_stats reads LA from
+        if not AccuracyMatrix.from_rows(values["acc_matrix"]).n_rows:
+            raise ValueError("holds no row")
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: field acc_matrix: {exc}") from exc
     if not all(map(str.isdecimal, values["samples_seen"])):
         raise FormatError(f"{path}: field samples_seen has a non-integer key")
     values["samples_seen"] = {int(k): v for k, v in raw["samples_seen"].items()}
@@ -260,13 +267,17 @@ def execute_run(config, out_dir=None, stream=None):
 
 
 def seed_stats(records):
-    """The ``STATS_COLUMNS`` row of a set of seed-runs: their count, and the
-    mean and (population) std of final ACC and FM."""
+    """The ``STATS_COLUMNS`` row of a set of seed-runs: their count, the
+    mean and (population) std of final ACC and FM, and the mean final LA,
+    read from each record's accuracy matrix."""
     accs = np.array([r.final_acc for r in records], dtype=np.float64)
     fms = np.array([r.final_fm for r in records], dtype=np.float64)
+    las = np.array([la(AccuracyMatrix.from_rows(r.acc_matrix),
+                       len(r.acc_matrix)) for r in records], dtype=np.float64)
     return {"n_seeds": len(records),
             "mean_acc": float(accs.mean()), "std_acc": float(accs.std()),
-            "mean_fm": float(fms.mean()), "std_fm": float(fms.std())}
+            "mean_fm": float(fms.mean()), "std_fm": float(fms.std()),
+            "mean_la": float(las.mean())}
 
 
 # -- sweeps, grid, ablations ------------------------------------------------------------
@@ -324,7 +335,14 @@ def sweep(config, axis, values=None):
 
 
 def grid(config, space=None):
-    """Grid search on the first ``GRID_TASKS`` tasks, restricted to known values.
+    """Grid search on a stream rebuilt with ``n_tasks = GRID_TASKS``,
+    restricted to known values.
+
+    That is not the run stream's first tasks. ``make_synthetic`` draws every
+    class centre, then every class's samples, from one RNG, so a split
+    stream's grid tasks share the run stream's first centres but not its
+    samples. A permuted stream's are its first tasks, and an IDX split
+    stream ignores ``n_tasks``. ROADMAP item 4 plans a true prefix.
 
     Returns (best_combo, rows) where best is the first combo of highest mean
     final accuracy; writes ``grid.csv`` (the axes, sorted, then the stats).
@@ -375,8 +393,9 @@ def find_records(result_dir):
 
 def report(result_dir):
     """Aggregate every record under ``result_dir`` into one mean±std line per
-    run (config hash), named by its run directory, with the mean seconds per
-    seed-run over the records that have a timing.json.
+    run (config hash), named by its run directory: ACC and FM mean±std, mean
+    LA, and the mean seconds per seed-run over the records that have a
+    timing.json.
 
     Returns (text, rows); also writes report.csv next to the records.
     """
@@ -395,7 +414,8 @@ def report(result_dir):
     write_csv(os.path.join(result_dir, "report.csv"),
               ("run", "method", "ablation") + STATS_COLUMNS
               + ("mean_seed_run_s",), rows)
-    header = f"{'run':<24} {'n':>3} {'ACC':>15} {'FM':>15} {'s/seed-run':>10}"
+    header = (f"{'run':<24} {'n':>3} {'ACC':>15} {'FM':>15} {'LA':>6}"
+              f" {'s/seed-run':>10}")
     lines = [header, "-" * len(header)]
     for row in rows:
         acc_txt = f"{row['mean_acc']:.4f}±{row['std_acc']:.4f}"
@@ -403,5 +423,5 @@ def report(result_dir):
         seconds = row["mean_seed_run_s"]
         time_txt = "-" if seconds is None else f"{seconds:.3f}"
         lines.append(f"{row['run']:<24} {row['n_seeds']:>3} {acc_txt:>15}"
-                     f" {fm_txt:>15} {time_txt:>10}")
+                     f" {fm_txt:>15} {row['mean_la']:>6.4f} {time_txt:>10}")
     return "\n".join(lines), rows

@@ -1,4 +1,4 @@
-"""Averaged accuracy and forgetting measure over the accuracy matrix."""
+"""ACC, FM and learning accuracy (LA) over the accuracy matrix."""
 
 from __future__ import annotations
 
@@ -6,43 +6,41 @@ from .errors import ContractError, DimensionError, MetricUndefinedError
 
 
 class AccuracyMatrix:
-    """Lower-triangular record: entry (k, j) is the accuracy on task j
-    measured after training task k, for 1 <= j <= k."""
+    """Lower-triangular record, one complete row per trained task: row k
+    holds the accuracy on tasks 1..k measured after training task k."""
 
     def __init__(self):
-        self._cells = {}
+        self._rows = []
 
-    def set(self, k, j, value):
-        if not 1 <= j <= k:
-            raise DimensionError(f"entry ({k}, {j}) is above the diagonal")
-        if not 0.0 <= value <= 1.0:
-            raise DimensionError(f"accuracy {value} outside [0, 1]")
-        self._cells[(k, j)] = float(value)
-
-    def get(self, k, j):
-        if (k, j) not in self._cells:
-            raise ContractError(f"entry ({k}, {j}) was never recorded")
-        return self._cells[(k, j)]
+    def append(self, row):
+        """Add row ``n_rows + 1``: that many accuracies, each in [0, 1]."""
+        row = [float(v) for v in row]
+        k = len(self._rows) + 1
+        if len(row) != k:
+            raise DimensionError(f"row {k} has {len(row)} entries, wants {k}")
+        for v in row:
+            if not 0.0 <= v <= 1.0:
+                raise DimensionError(f"accuracy {v} outside [0, 1]")
+        self._rows.append(row)
 
     @property
     def n_rows(self):
-        return max((k for k, _ in self._cells), default=0)
+        return len(self._rows)
 
     def row(self, k):
-        return [self.get(k, j) for j in range(1, k + 1)]
+        if not 1 <= k <= len(self._rows):
+            raise ContractError(f"row {k} was never recorded")
+        return list(self._rows[k - 1])
 
     def to_rows(self):
-        """Nested-list form, row k as a length-k list; rows must be complete."""
-        return [self.row(k) for k in range(1, self.n_rows + 1)]
+        """Nested-list form, row k as a length-k list."""
+        return [list(row) for row in self._rows]
 
     @classmethod
     def from_rows(cls, rows):
         m = cls()
-        for k, row in enumerate(rows, start=1):
-            if len(row) != k:
-                raise DimensionError(f"row {k} has {len(row)} entries, wants {k}")
-            for j, v in enumerate(row, start=1):
-                m.set(k, j, v)
+        for row in rows:
+            m.append(row)
         return m
 
 
@@ -63,8 +61,17 @@ def fm(matrix, k):
     """
     if k < 2:
         raise MetricUndefinedError("forgetting is undefined before task 2")
+    rows = [matrix.row(l) for l in range(1, k + 1)]
     total = 0.0
     for j in range(1, k):
-        best = max(matrix.get(l, j) for l in range(j, k))
-        total += best - matrix.get(k, j)
+        best = max(rows[l - 1][j - 1] for l in range(j, k))
+        total += best - rows[k - 1][j - 1]
     return total / (k - 1)
+
+
+def la(matrix, k):
+    """Learning accuracy after task k: the mean of the diagonal entries
+    1..k, each task's accuracy right after its own training."""
+    if k < 1:
+        raise ContractError("la needs at least one trained task")
+    return sum(matrix.row(j)[j - 1] for j in range(1, k + 1)) / k

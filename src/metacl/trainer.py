@@ -284,9 +284,8 @@ def run_stream(trainer, stream):
     for task in stream.tasks:
         trainer.train_task(task)
         seen.append(task)
-        row = evaluate(trainer.model, seen)
-        for pos, t in enumerate(seen, start=1):
-            trainer.state.matrix.set(len(seen), pos, row[t.task_id])
+        scores = evaluate(trainer.model, seen)
+        trainer.state.matrix.append([scores[t.task_id] for t in seen])
 
 
 def task_capacity(stream, config):

@@ -39,7 +39,7 @@ def test_run_writes_results(tmp_path):
     code, out, err = invoke(
         ["run", "--seed", "0", "--out", str(tmp_path)] + TINY)
     assert code == 0, err
-    assert "ACC" in out
+    assert "ACC" in out and "LA" in out
     assert list(tmp_path.glob("*/seed-0/record.json"))
     assert list(tmp_path.glob("*/summary.csv"))
 
@@ -149,7 +149,7 @@ def test_sweep_command(tmp_path):
         ["sweep", "--axis", "memory", "--values", "50",
          "--seed", "0", "--out", str(tmp_path)] + TINY)
     assert code == 0, err
-    assert "memory=50" in out
+    assert "memory=50" in out and "LA" in out
     assert (tmp_path / "sweep-memory.csv").exists()
 
 
@@ -261,7 +261,7 @@ def test_report_command(tmp_path):
     assert code == 0, err
     code, out, _ = invoke(["report", "--out", str(tmp_path)])
     assert code == 0
-    assert "scale" in out and "ACC" in out
+    assert "scale" in out and "ACC" in out and "LA" in out
 
 
 def test_report_empty_dir(tmp_path):

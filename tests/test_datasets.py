@@ -308,6 +308,22 @@ def test_idx_count_mismatch(tmp_path):
         load_idx_dataset(imgs, labels, imgs, labels)
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_idx_empty_pair_is_format_error_naming_it(tmp_path, split):
+    imgs, labels = tmp_path / "imgs.idx", tmp_path / "labels.idx"
+    write_idx_images(imgs, np.zeros((2, 2, 2), dtype=np.uint8))
+    write_idx_labels(labels, [0, 1])
+    empty_imgs, empty_labels = tmp_path / "empty.idx", tmp_path / "none.idx"
+    write_idx_images(empty_imgs, np.zeros((0, 2, 2), dtype=np.uint8))
+    write_idx_labels(empty_labels, [])
+    pairs = {"train": (imgs, labels), "test": (imgs, labels),
+             split: (empty_imgs, empty_labels)}
+    with pytest.raises(FormatError, match="hold no items") as info:
+        load_idx_dataset(*pairs["train"], *pairs["test"])
+    assert str(empty_imgs) in str(info.value)
+    assert str(empty_labels) in str(info.value)
+
+
 def test_idx_dataset_assembly(tmp_path):
     imgs = tmp_path / "imgs.idx"
     labels = tmp_path / "labels.idx"

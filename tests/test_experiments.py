@@ -56,7 +56,7 @@ def csv_header(path):
         return next(csv.reader(f))
 
 
-STATS = ["n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm"]
+STATS = ["n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm", "mean_la"]
 
 
 def test_build_stream_synthetic_shapes():
@@ -261,9 +261,19 @@ def _without(raw, key):
      r"field wall_s holds str, not float \| None"),
     ("record.json", lambda raw: {**raw, "seed": True},
      "field seed holds bool, not int"),
+    ("record.json", lambda raw: {**raw, "acc_matrix": [[0.5], [0.5]]},
+     "field acc_matrix: row 2 has 1 entries, wants 2"),
+    ("record.json", lambda raw: {**raw, "acc_matrix": [[1.5]]},
+     r"field acc_matrix: accuracy 1.5 outside \[0, 1\]"),
+    ("record.json", lambda raw: {**raw, "acc_matrix": [0.5]},
+     "field acc_matrix: "),
+    ("record.json", lambda raw: {**raw, "acc_matrix": []},
+     "field acc_matrix: holds no row"),
 ], ids=["version 2", "no version", "no final_fm", "record list", "timing list",
         "record bad JSON", "timing bad JSON", "samples_seen list",
-        "final_acc str", "samples_seen key x", "wall_s str", "seed bool"])
+        "final_acc str", "samples_seen key x", "wall_s str", "seed bool",
+        "acc_matrix short row", "acc_matrix above 1", "acc_matrix flat",
+        "acc_matrix empty"])
 def test_load_record_rejects_a_malformed_file_naming_it(tmp_path, name, tamper,
                                                         match):
     record = ResultRecord(config_hash="0" * 64, method="scale", ablation="full",
@@ -568,7 +578,7 @@ def test_streams_pinned(name):
 
 
 def test_report_aggregates(tmp_path):
-    execute_run(tiny_config("seeds=[0,1]"), out_dir=str(tmp_path))
+    records = execute_run(tiny_config("seeds=[0,1]"), out_dir=str(tmp_path))
     execute_run(tiny_config("method=finetune", "seeds=[0]"),
                 out_dir=str(tmp_path))
     text, rows = report(str(tmp_path))
@@ -576,6 +586,11 @@ def test_report_aggregates(tmp_path):
     by_method = {r["method"]: r for r in rows}
     assert by_method["finetune"]["std_acc"] == 0.0
     assert by_method["scale"]["n_seeds"] == 2
+    # LA: each record's mean diagonal, then the mean over seeds
+    diagonals = [sum(row[-1] for row in r.acc_matrix) / len(r.acc_matrix)
+                 for r in records]
+    assert abs(by_method["scale"]["mean_la"] - sum(diagonals) / 2) < 1e-12
+    assert text.splitlines()[0].split()[-2] == "LA"
     assert "scale" in text and "finetune" in text
     assert csv_header(tmp_path / "report.csv") == (
         ["run", "method", "ablation"] + STATS + ["mean_seed_run_s"])
@@ -585,6 +600,7 @@ def test_report_aggregates(tmp_path):
     for raw, row in zip(loaded, rows):
         assert float(raw["mean_acc"]) == row["mean_acc"]
         assert float(raw["std_fm"]) == row["std_fm"]
+        assert float(raw["mean_la"]) == row["mean_la"]
         assert float(raw["mean_seed_run_s"]) == row["mean_seed_run_s"]
 
 
@@ -636,8 +652,10 @@ def test_seed_stats_mean_and_population_std():
     import numpy as np
     from types import SimpleNamespace
     from metacl.experiments import STATS_COLUMNS, seed_stats
-    records = [SimpleNamespace(final_acc=0.7, final_fm=0.1),
-               SimpleNamespace(final_acc=0.9, final_fm=0.3)]
+    records = [SimpleNamespace(final_acc=0.7, final_fm=0.1,
+                               acc_matrix=[[0.5], [0.6, 0.7], [0.7, 0.8, 0.9]]),
+               SimpleNamespace(final_acc=0.9, final_fm=0.3,
+                               acc_matrix=[[0.9], [0.1, 0.5]])]
     stats = seed_stats(records)
     assert list(stats) == list(STATS_COLUMNS) == STATS
     assert stats["n_seeds"] == 2
@@ -645,6 +663,8 @@ def test_seed_stats_mean_and_population_std():
     assert abs(stats["std_acc"] - np.std([0.7, 0.9])) < 1e-15
     assert abs(stats["mean_fm"] - 0.2) < 1e-15
     assert abs(stats["std_fm"] - np.std([0.1, 0.3])) < 1e-15
+    # LA is the diagonal's mean: 0.7 and 0.7
+    assert abs(stats["mean_la"] - 0.7) < 1e-15
 
 
 def test_report_empty_dir_raises(tmp_path):

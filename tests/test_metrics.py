@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metacl.errors import ContractError, DimensionError, MetricUndefinedError
-from metacl.metrics import AccuracyMatrix, acc, fm
+from metacl.metrics import AccuracyMatrix, acc, fm, la
 
 
 def brute_force_acc(rows, k):
@@ -20,6 +20,10 @@ def brute_force_fm(rows, k):
                 best = rows[l - 1][j - 1]
         drops.append(best - rows[k - 1][j - 1])
     return sum(drops) / (k - 1)
+
+
+def brute_force_la(rows, k):
+    return sum(rows[j][j] for j in range(k)) / k
 
 
 def random_matrix(rng, k):
@@ -42,10 +46,14 @@ def test_acc_perfect_learner():
 
 
 def test_acc_incomplete_row_is_error():
-    m = AccuracyMatrix()
-    m.set(2, 1, 0.5)
+    # row 2 cannot go in with one entry, so acc(m, 2) reads past the last row
+    m = AccuracyMatrix.from_rows([[0.5]])
+    with pytest.raises(DimensionError):
+        m.append([0.5])
     with pytest.raises(ContractError):
         acc(m, 2)
+    with pytest.raises(ContractError):
+        la(m, 2)
 
 
 def test_fm_hand_case():
@@ -69,12 +77,28 @@ def test_fm_before_second_task_is_error():
         fm(m, 1)
 
 
+@pytest.mark.parametrize("row", [
+    [0.5, 0.6],          # one entry too many for row 2
+    [0.5, 0.6, 0.7, 0.8],
+    [0.5],               # one too few
+    [],
+    [0.5, 0.6, 1.5],     # right length, an accuracy above 1
+    [-0.1, 0.6, 0.7],
+    [0.5, float("nan"), 0.7],
+])
+def test_bad_append_raises_and_leaves_matrix_unchanged(row):
+    m = AccuracyMatrix.from_rows([[0.9], [0.8, 0.7]])
+    with pytest.raises(DimensionError):
+        m.append(row)
+    assert m.n_rows == 2
+    assert m.to_rows() == [[0.9], [0.8, 0.7]]
+
+
 def test_matrix_validation():
-    m = AccuracyMatrix()
     with pytest.raises(DimensionError):
-        m.set(1, 2, 0.5)
+        AccuracyMatrix().append([0.5, 0.6])
     with pytest.raises(DimensionError):
-        m.set(2, 1, 1.5)
+        AccuracyMatrix.from_rows([[0.5], [1.5, 0.5]])
     with pytest.raises(DimensionError):
         AccuracyMatrix.from_rows([[0.5, 0.6]])
 
@@ -82,6 +106,18 @@ def test_matrix_validation():
 def test_matrix_round_trip():
     rows = [[0.1], [0.2, 0.3], [0.4, 0.5, 0.6]]
     assert AccuracyMatrix.from_rows(rows).to_rows() == rows
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        rows = random_matrix(rng, int(rng.integers(0, 9)))
+        m = AccuracyMatrix.from_rows(rows)
+        assert m.n_rows == len(rows)
+        assert m.to_rows() == rows
+
+
+def test_la_hand_case():
+    m = AccuracyMatrix.from_rows([[0.5], [0.6, 0.7], [0.7, 0.8, 0.9]])
+    assert abs(la(m, 3) - 0.7) < 1e-15
+    assert la(m, 1) == 0.5
 
 
 def test_extending_matrix_leaves_earlier_metrics_unchanged():
@@ -93,6 +129,7 @@ def test_extending_matrix_leaves_earlier_metrics_unchanged():
         m_big = AccuracyMatrix.from_rows(rows)
         assert fm(m_small, k) == fm(m_big, k)
         assert acc(m_small, k) == acc(m_big, k)
+        assert la(m_small, k) == la(m_big, k)
 
 
 def test_metrics_match_brute_force_oracle():
@@ -102,5 +139,6 @@ def test_metrics_match_brute_force_oracle():
         rows = random_matrix(rng, k)
         m = AccuracyMatrix.from_rows(rows)
         assert abs(acc(m, k) - brute_force_acc(rows, k)) <= 1e-12
+        assert abs(la(m, k) - brute_force_la(rows, k)) <= 1e-12
         if k >= 2:
             assert abs(fm(m, k) - brute_force_fm(rows, k)) <= 1e-12

@@ -6,7 +6,8 @@ catches a renamed or deleted name without running the demo. The fast demos
 (01 to 03, about 2 s together) also run to the end, which calls the model's
 forward paths and snapshots they show, and so does the README's ``python``
 block (about 1 s), so the documented library use keeps working; its config
-file example must parse. The benchmark patches metacl's functions where
+file example must parse, and it names every export of ``metacl.__all__``
+in backticks. The benchmark patches metacl's functions where
 their callers look them up: installing its patches catches a refactor that
 moves one of those names in milliseconds, and a short run of it catches one
 that changes what they do. Two ``ast`` scans of ``src/metacl`` and of the
@@ -69,6 +70,17 @@ def test_readme_config_example_parses():
     config = parse_config(block)
     assert config.seeds == (0, 1, 2, 3, 4)
     assert config.generator_mode == "negative-ce"
+
+
+def test_readme_names_every_export():
+    # each name in metacl.__all__ appears in backticks, bare, dotted
+    # (`metacl.metrics.la`) or called (`make_synthetic(config)`)
+    import metacl
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in metacl.__all__ if not re.search(
+        rf"`(?:[\w.]+\.)?{re.escape(name)}(?:\([^`]*\))?`", readme)]
+    assert missing == []
 
 
 TAPE_NODES_PER_ROUND = {
