@@ -433,8 +433,6 @@ class TaskForward:
     reference ``task_features`` with ``film_transform``, then ``classify``,
     in ``tests/reference.py``); everything else is one numpy call over all
     rows or groups, so each group's values equal its chain's bit for bit.
-    When the last trunk layer has no FiLM, the heads take its ReLU output
-    and mask, which their own ReLU would leave as they are.
 
     ``leaves`` lists what the chains send gradient to, once per contribution
     and in the order those arrive: groups by descending task, each its head,
@@ -463,7 +461,6 @@ class TaskForward:
                 f"{self.sizes.tolist()} do not split {len(x)} rows")
         self.bounds = list(zip([0, *ends[:-1]], ends))
         self.layers, self.heads = layers, heads
-        self.relu_tail = layers[-1][2] is None
         self.ascending = sorted(range(len(self.tasks)),
                                 key=self.tasks.__getitem__)
         source, shared = reuse if reuse is not None else (None, 0)
@@ -478,13 +475,10 @@ class TaskForward:
         # compute the rows of the groups from ``shared`` on
         copied = self.bounds[shared - 1][1] if shared else 0
         fresh = [(s - copied, e - copied) for s, e in self.bounds[shared:]]
-        group = (np.repeat(np.arange(shared, k), self.sizes[shared:])
-                 if k > 1 else slice(shared, None))
+        group = np.repeat(np.arange(shared, k), self.sizes[shared:])
 
         def products(a, weights):
             # one product per fresh group, weights given for every group
-            if len(fresh) == 1:
-                return a @ weights[-1].data
             out = np.empty((len(a), weights[0].data.shape[1]))
             for (s, e), w in zip(fresh, weights[shared:]):
                 np.matmul(a[s:e], w.data, out=out[s:e])
@@ -504,14 +498,9 @@ class TaskForward:
                 scale_rows = coeffs.s_hat[group]
                 a = _film(a, scale_rows, coeffs.t_hat[group])
             self.scales.append(scale_rows)
-        if self.relu_tail:
-            head_relu, head_mask = a, mask
-        else:
-            head_relu, head_mask = _relu(a, out=a)
+        head_relu, head_mask = _relu(a, out=a)
         logits = products(head_relu, [w for w, _ in heads])
-        biases = [b for _, b in heads]
-        logits += (biases[0].data if all(b is biases[0] for b in biases)
-                   else np.stack([b.data for b in biases])[group])
+        logits += np.array([b.data for _, b in heads])[group]
         self.head_relu, self.head_mask, self.logits = head_relu, head_mask, logits
         if copied:
             # the source's rows in front of every array
@@ -558,12 +547,11 @@ class TaskForward:
         for k in reversed(self.ascending):
             self.leaves += _flagged(self.heads[k], self.head_needs[k])
             self.leaves += trunk_leaves
-        if len(self.sizes) > 1:
-            # each row's place among the groups' rows padded to the largest
-            self.largest = int(self.sizes.max())
-            self.slots = np.arange(self.bounds[-1][1]) + np.repeat(
-                np.arange(0, len(self.sizes) * self.largest, self.largest)
-                - np.asarray([s for s, _ in self.bounds]), self.sizes)
+        # each row's place among the groups' rows padded to the largest
+        self.largest = int(self.sizes.max())
+        self.slots = np.arange(self.bounds[-1][1]) + np.repeat(
+            np.arange(0, len(self.sizes) * self.largest, self.largest)
+            - np.asarray([s for s, _ in self.bounds]), self.sizes)
 
     def _group_sums(self, v):
         """Each group's rows of ``v`` summed over axis 0, stacked (G, F).
@@ -571,8 +559,6 @@ class TaskForward:
         ``slots`` of an array padded with -0.0: an axis-0 sum adds a group's
         rows to +0.0 in order, and ``x + -0.0`` is ``x`` for every x. A
         lone column is summed pairwise, so each group is summed alone."""
-        if len(self.bounds) == 1:
-            return v.sum(axis=0, keepdims=True)
         if v.shape[1] == 1:
             return np.concatenate([v[s:e].sum(axis=0, keepdims=True)
                                    for s, e in self.bounds])
@@ -605,8 +591,7 @@ class TaskForward:
 
         g = affine(self.head_relu, g, self.heads, self.head_needs,
                    bool(self.steps))
-        if self.steps and not self.relu_tail:
-            # with a ReLU tail the last layer's step applies the same mask
+        if self.steps:
             g *= self.head_mask
         for index, film_need, own, below in self.steps:
             w, b, _ = self.layers[index]
@@ -702,12 +687,12 @@ def task_loss(forward, targets, valid=None, stored=None, widths=(),
                 zip(forward.means(log_probs[np.arange(n), targets]), fracs)]
     value = forward.fold(ce_terms[:plain])
     if widths:
-        wide, full = max(widths), min(widths) == c
+        wide = max(widths)
         diff = logits[main:, :wide] - stored[:, :wide]
         squares = diff * diff
         # each norm sums exactly its group's w columns: a sum that also
         # takes zero-padded columns can group its terms differently
-        norms = np.sqrt(squares.sum(axis=1) if full else np.concatenate([
+        norms = np.sqrt(np.concatenate([
             squares[s - main:e - main, :w].sum(axis=1)
             for (s, e), w in zip(forward.bounds[plain:], widths)]))
         l2 = forward.fold([mean * frac for mean, frac in zip(
@@ -729,12 +714,10 @@ def task_loss(forward, targets, valid=None, stored=None, widths=(),
             g_l2 = _l2_grad(diff, norms, np.repeat(sizes, sizes),
                             np.repeat((g * lambda1) * fracs[plain:],
                                       sizes)[:, None])
-            if not full:
-                live = np.arange(wide) < np.repeat(widths, sizes)[:, None]
-                padded = np.zeros((n - main, c))
-                padded[:, :wide] = np.where(live, g_l2, 0.0)
-                g_l2 = padded
-            g_logits[main:] += g_l2
+            live = np.arange(wide) < np.repeat(widths, sizes)[:, None]
+            padded = np.zeros((n - main, c))
+            padded[:, :wide] = np.where(live, g_l2, 0.0)
+            g_logits[main:] += padded
         return forward.backward(g_logits if valid is None
                                 else _unmasked(g_logits, valid))
 

@@ -51,8 +51,9 @@ def build_parser():
 
     p_grid = sub.add_parser("grid",
                             help=f"hyperparameter grid on a stream rebuilt "
-                                 f"with n_tasks={GRID_TASKS} (not the run "
-                                 f"stream's first tasks)")
+                                 f"with n_tasks={GRID_TASKS} (on a synthetic "
+                                 f"split stream, not the run stream's first "
+                                 f"tasks)")
     add_common(p_grid)
     p_grid.add_argument("--space", help="JSON {axis: [values]} restriction")
 

@@ -91,8 +91,9 @@ class RunConfig:
         if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError(
                 f"seeds must be distinct and >= 0, got {list(self.seeds)}")
-        for name in ("feature_width", "depth", "embed_dim", "disc_hidden",
-                     "n_in", "n_out", "n_ad", "batch_size", "replay_batch_size"):
+        for name in ("n_tasks", "feature_width", "depth", "embed_dim",
+                     "disc_hidden", "n_in", "n_out", "n_ad", "batch_size",
+                     "replay_batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         # written as "not >" so that NaN is rejected too
@@ -111,8 +112,7 @@ class RunConfig:
                 raise ConfigurationError("dataset=idx requires idx_dir")
             return
         # the fields only the synthetic stream reads
-        for name in ("n_tasks", "input_dim", "train_per_class",
-                     "test_per_class"):
+        for name in ("input_dim", "train_per_class", "test_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.classes_per_task < 2:

@@ -85,7 +85,13 @@ def build_stream(config):
                      seed=config.data_seed)
     if config.protocol == "permuted":
         return make_permuted_stream(base, config.n_tasks, seed=config.data_seed)
-    return make_split_stream(base, config.classes_per_task)
+    stream = make_split_stream(base, config.classes_per_task)
+    if len(stream.tasks) < config.n_tasks:
+        raise ConfigurationError(
+            f"n_tasks={config.n_tasks}, but the IDX split stream makes only "
+            f"{len(stream.tasks)} tasks")
+    del stream.tasks[config.n_tasks:]
+    return stream
 
 
 # -- single runs -------------------------------------------------------------------
@@ -338,11 +344,12 @@ def grid(config, space=None):
     """Grid search on a stream rebuilt with ``n_tasks = GRID_TASKS``,
     restricted to known values.
 
-    That is not the run stream's first tasks. ``make_synthetic`` draws every
-    class centre, then every class's samples, from one RNG, so a split
-    stream's grid tasks share the run stream's first centres but not its
-    samples. A permuted stream's are its first tasks, and an IDX split
-    stream ignores ``n_tasks``. ROADMAP item 4 plans a true prefix.
+    On a synthetic split stream that is not the run stream's first tasks.
+    ``make_synthetic`` draws every class centre, then every class's
+    samples, from one RNG, so its grid tasks share the run stream's first
+    centres but not its samples. A permuted stream's and an IDX split
+    stream's are the run stream's first tasks. ROADMAP item 4 plans a true
+    prefix.
 
     Returns (best_combo, rows) where best is the first combo of highest mean
     final accuracy; writes ``grid.csv`` (the axes, sorted, then the stats).

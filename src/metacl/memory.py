@@ -186,7 +186,10 @@ class EpisodicMemory:
 
     def rows(self):
         """A copy of every stored row, in (task, slot) order, as a ``Draw``."""
-        return self._gather(np.arange(self._n))
+        if self._f is None:
+            return Draw(**_fields(0))
+        return Draw(**{name: a[:self._n].copy()
+                        for name, a in self._f.items()})
 
     def entries(self):
         """Every stored row as a ``MemoryEntry`` of write-locked views of a

@@ -712,20 +712,23 @@ def test_numpy_axis_1_sums_padded_with_negative_zero_equal_group_sums(width):
 @pytest.mark.parametrize("width", [1, 2, 64])
 def test_group_sums_equal_each_groups_own_sum(width):
     # the padded sum at widths above 1, one sum per group at width 1, where
-    # numpy sums a lone column pairwise and padding would regroup its terms
+    # numpy sums a lone column pairwise and padding would regroup its terms;
+    # a lone group takes the same path
     rng = np.random.default_rng(40 + width)
-    sizes = [1, 20, 3, 9, 1, 17]
-    layers = [(Tensor(np.ones((3, width)), requires_grad=True),
-               Tensor(np.zeros(width)), None)]
-    heads = [(Tensor(np.ones((width, 2))), Tensor(np.zeros(2)))] * len(sizes)
-    forward = ad.TaskForward(rng.normal(size=(sum(sizes), 3)),
-                             list(range(1, 7)), sizes, layers, heads)
-    v = _signed(rng, (sum(sizes), width)) * 10.0 ** rng.uniform(
-        -8, 8, (sum(sizes), width))
-    v[3] = -0.0
-    got = forward._group_sums(v)
-    for k, (s, e) in enumerate(forward.bounds):
-        assert got[k].tobytes() == v[s:e].sum(axis=0).tobytes()
+    for sizes in ([1, 20, 3, 9, 1, 17], [20]):
+        layers = [(Tensor(np.ones((3, width)), requires_grad=True),
+                   Tensor(np.zeros(width)), None)]
+        heads = [(Tensor(np.ones((width, 2))), Tensor(np.zeros(2)))] * len(
+            sizes)
+        forward = ad.TaskForward(rng.normal(size=(sum(sizes), 3)),
+                                 list(range(1, len(sizes) + 1)), sizes,
+                                 layers, heads)
+        v = _signed(rng, (sum(sizes), width)) * 10.0 ** rng.uniform(
+            -8, 8, (sum(sizes), width))
+        v[3] = -0.0
+        got = forward._group_sums(v)
+        for k, (s, e) in enumerate(forward.bounds):
+            assert got[k].tobytes() == v[s:e].sum(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -92,10 +92,11 @@ def test_seeds_are_stored_as_a_tuple():
 def test_idx_config_skips_the_synthetic_only_checks():
     # the idx stream reads neither the synthetic sizes nor its spread
     idx = {"dataset": "idx", "idx_dir": "data"}
-    config = RunConfig(**idx, n_tasks=0, classes_per_task=1, input_dim=0,
+    config = RunConfig(**idx, classes_per_task=1, input_dim=0,
                        train_per_class=0, test_per_class=0, noise_scale=-1.0)
     assert config.classes_per_task == 1
-    for bad in ({"data_seed": -1}, {"seeds": (1, 1)}):
+    # both IDX protocols read n_tasks
+    for bad in ({"data_seed": -1}, {"seeds": (1, 1)}, {"n_tasks": 0}):
         with pytest.raises(ConfigurationError):
             RunConfig(**idx, **bad)
 

@@ -114,6 +114,28 @@ def test_split_stream_rejects_a_task_with_an_empty_split(tmp_path, split):
         build_stream(config)
 
 
+@pytest.mark.parametrize("n_tasks", [1, 2])
+def test_idx_split_stream_keeps_the_first_n_tasks(tmp_path, n_tasks):
+    # four classes in pairs make two tasks; n_tasks keeps the first of them
+    _write_tiny_idx(tmp_path)
+    config = tiny_config(f"idx_dir={tmp_path}", "dataset=idx",
+                         "protocol=split", "classes_per_task=2",
+                         f"n_tasks={n_tasks}")
+    stream = build_stream(config)
+    assert [t.task_id for t in stream.tasks] == list(range(1, n_tasks + 1))
+    assert [t.label_set for t in stream.tasks] == [(0, 1), (2, 3)][:n_tasks]
+
+
+def test_idx_split_stream_with_too_few_tasks_fails_naming_both_counts(
+        tmp_path):
+    _write_tiny_idx(tmp_path)
+    config = tiny_config(f"idx_dir={tmp_path}", "dataset=idx",
+                         "protocol=split", "classes_per_task=2", "n_tasks=3")
+    with pytest.raises(ConfigurationError,
+                       match=r"n_tasks=3, .* makes only 2 tasks"):
+        build_stream(config)
+
+
 def test_run_single_record_fields():
     config = tiny_config()
     record = run_single(config, seed=0)

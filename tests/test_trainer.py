@@ -406,12 +406,26 @@ def test_evaluate_mutates_nothing():
     assert unchanged(trainer.model.all_params(), before)
 
 
-def test_evaluate_unseen_task_rejected():
+def test_evaluate_unseen_task_rejected(monkeypatch):
+    # the task check comes before any forward is built, and nothing changes
     stream = small_stream()
     model = build_model(stream, small_config(), 0)
     model.register_task(1)
-    with pytest.raises(UnknownTaskError):
-        evaluate(model, stream.tasks[:2])
+    original, built = networks.TaskForward, []
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(networks, "TaskForward", counted)
+    params = model.all_params()
+    before = snapshot(params)
+    for order in ((0, 1), (1, 0)):
+        with pytest.raises(UnknownTaskError):
+            evaluate(model, [stream.tasks[k] for k in order])
+    assert built == []
+    assert model.all_params() == params
+    assert unchanged(params, before)
 
 
 def test_run_stream_builds_lower_triangular_matrix():
