@@ -102,9 +102,10 @@ class RunConfig:
                 raise ConfigurationError(f"{name} must be > 0")
         if not 0 < self.fake_fraction <= 1:  # fakes per real row of a batch
             raise ConfigurationError("fake_fraction must be in (0, 1]")
-        # k_max = 0 sizes the task capacity to the stream
+        # k_max = 0 sizes the task capacity to the stream, and a per-task
+        # cut of 0 keeps every row
         for name in ("lambda1", "lambda2", "lambda3", "k_max", "memory_budget",
-                     "data_seed"):
+                     "data_seed", "train_per_task", "test_per_task"):
             if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be >= 0")
         if self.dataset == "idx":

@@ -99,32 +99,41 @@ def _gaussian_base(n_classes, train_per_class, test_per_class, input_dim,
                    n_classes=n_classes)
 
 
-def make_split_stream(base, classes_per_task):
+def make_split_stream(base, classes_per_task, train_limit=None,
+                      test_limit=None, seed=0):
     """Partition classes in label order into consecutive disjoint tasks.
 
     Within a task, labels are remapped to 0..classes_per_task-1. A task
     with no train or no test rows fails, naming the task and the split.
+    ``train_limit`` / ``test_limit`` cut each task's splits to that many
+    rows, drawn without replacement by ``default_rng([seed, 60])`` task by
+    task, train then test, so a task's rows do not depend on the tasks
+    after it; only the rows kept are copied.
     """
     if base.n_classes % classes_per_task != 0:
         raise ConfigurationError(
             f"{base.n_classes} classes are not divisible into tasks of "
             f"{classes_per_task}")
+    rng = np.random.default_rng([seed, 60])
     tasks = []
     n_tasks = base.n_classes // classes_per_task
     for k in range(1, n_tasks + 1):
         labels = tuple(range((k - 1) * classes_per_task, k * classes_per_task))
 
-        def pick(split, name):
-            mask = np.isin(split.y, labels)
-            if not mask.any():
+        def pick(split, name, limit):
+            rows = np.flatnonzero(np.isin(split.y, labels))
+            if not len(rows):
                 raise ConfigurationError(
                     f"task {k} (classes {list(labels)}) has no {name} rows")
-            x = split.x[mask].reshape(mask.sum(), -1).astype(np.float64)
-            y = split.y[mask] - labels[0]
+            if limit is not None and limit < len(rows):
+                rows = rows[rng.choice(len(rows), size=limit, replace=False)]
+            x = split.x[rows].reshape(len(rows), -1).astype(np.float64)
+            y = split.y[rows] - labels[0]
             return Split(x, y.astype(np.int64))
 
-        tasks.append(Task(task_id=k, train=pick(base.train, "train"),
-                          test=pick(base.test, "test"),
+        tasks.append(Task(task_id=k,
+                          train=pick(base.train, "train", train_limit),
+                          test=pick(base.test, "test", test_limit),
                           label_set=labels, n_classes=classes_per_task))
     return TaskStream(tasks=tasks, protocol="split",
                       classes_per_task=classes_per_task,

@@ -73,19 +73,21 @@ def atomic_write_text(path, text):
 
 
 def build_stream(config):
-    """TaskStream per the config's dataset block."""
+    """TaskStream per the config's dataset block. On IDX data,
+    ``train_per_task`` / ``test_per_task`` (0 keeps every row) cut each
+    task of a split stream, and the base a permuted stream's tasks
+    share."""
     if config.dataset == "synthetic":
         return make_synthetic(config)
     paths = [_resolve_idx(os.path.join(config.idx_dir, name))
              for name in IDX_NAMES]
     base = load_idx_dataset(*paths)
-    base = subsample(base,
-                     config.train_per_task or None,
-                     config.test_per_task or None,
-                     seed=config.data_seed)
-    if config.protocol == "permuted":
+    limits = (config.train_per_task or None, config.test_per_task or None)
+    if config.protocol == "permuted":  # the tasks share the cut base's rows
+        base = subsample(base, *limits, seed=config.data_seed)
         return make_permuted_stream(base, config.n_tasks, seed=config.data_seed)
-    stream = make_split_stream(base, config.classes_per_task)
+    stream = make_split_stream(base, config.classes_per_task, *limits,
+                               seed=config.data_seed)
     if len(stream.tasks) < config.n_tasks:
         raise ConfigurationError(
             f"n_tasks={config.n_tasks}, but the IDX split stream makes only "

@@ -150,17 +150,8 @@ class ClassifierHeads:
     def output_dim(self, task_id):
         return self.head(task_id)[0].data.shape[1]
 
-    def params(self, task_ids=None):
-        if task_ids is None:
-            keys = sorted(self.heads)
-        else:
-            keys = sorted({self._key(t) for t in task_ids})
-        out = []
-        for key in keys:
-            if key not in self.heads:
-                raise UnknownTaskError(f"no classifier head for task {key}")
-            out += list(self.heads[key])
-        return out
+    def params(self):
+        return [p for key in sorted(self.heads) for p in self.heads[key]]
 
 
 class Discriminator:
@@ -313,8 +304,8 @@ class ContinualModel:
     def extractor_params(self):
         return self.extractor.params()
 
-    def head_params(self, task_ids=None):
-        return self.heads.params(task_ids)
+    def head_params(self):
+        return self.heads.params()
 
     def generator_params(self):
         return self.generator.params()

@@ -12,13 +12,20 @@ lam3 = 0, lam1 = lam2 = 0 and the transform off. Experience replay
 (ER) is one CE step on the batch plus one memory draw; fine-tuning is ER
 with no memory. All else is read from ``effective_config``: memory rows
 carry logit snapshots only when dark replay is on
-(``losses.dark_replay_off``). Every step tapes and differentiates only the
-parameter group it moves (``autodiff.grad_only``); the rest of the model is
-a constant in the step.
+(``losses.dark_replay_off``). Every step is one ``Trainer._step`` on one
+parameter group: the extractor plus every head (inner), the generator
+(outer) or the discriminator (adversarial). It tapes and differentiates
+only that group (``autodiff.grad_only``), the rest of the model being a
+constant in the step, and moves the members its loss reached: a head whose
+task is in neither the batch nor the draw, a generator layer without FiLM
+or an unused embedding table gets no gradient and stays put.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -47,6 +54,10 @@ from .metrics import AccuracyMatrix
 from .networks import ContinualModel
 
 EVAL_CHUNK = 512  # test rows per evaluation forward
+# glibc's mallopt parameters (malloc.h) and the values its own dynamic
+# thresholds grow toward on 64-bit hosts
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD, MMAP_THRESHOLD = 64 << 20, 32 << 20
 
 
 @dataclass
@@ -99,11 +110,6 @@ def effective_config(config):
     return replace(config, **dict(pinned)) if pinned else config
 
 
-def _step_tasks(batch, draw):
-    """Tasks whose heads a step on ``batch`` plus a memory ``draw`` moves."""
-    return sorted({batch.task_id, *draw.t.tolist()})
-
-
 def evaluate(model, tasks):
     """Per-task test accuracy; inference only, discriminator untouched.
     Each ``EVAL_CHUNK`` test rows of a task are one one-group
@@ -145,16 +151,18 @@ class Trainer:
     def memory(self):
         return self.state.memory
 
-    def _differentiate(self, params, make_loss, label):
-        """Build ``make_loss()`` with only ``params`` taped and back-propagate
-        it, so that only ``params`` receive gradients; returns the loss."""
+    def _step(self, params, make_loss, lr, label):
+        """One SGD step of size ``lr``: build ``make_loss()`` with only
+        ``params`` taped, back-propagate it and move the members of
+        ``params`` that received a gradient; returns the loss as a float."""
         among = self.model.all_params()
         zero_grads(among)
         with grad_only(params, among):
             loss = make_loss()
             assert_finite(loss, label)
             backward(loss)
-        return loss
+        sgd_step([p for p in params if p.grad is not None], lr)
+        return loss.item()
 
     # -- per-task loop -----------------------------------------------------------
 
@@ -193,20 +201,18 @@ class Trainer:
 
     def inner_step(self, batch, draw):
         """One SGD step on the composite loss over ``batch`` and the memory
-        ``draw``, moving extractor and heads. With every loss weight zero the
-        composite loss is CE alone, and the step builds just that."""
-        params = (self.model.extractor_params()
-                  + self.model.head_params(_step_tasks(batch, draw)))
+        ``draw``, moving the extractor and the heads of the tasks in either.
+        With every loss weight zero the composite loss is CE alone, and the
+        step builds just that."""
         c = self.config
         ce_only = c.lambda1 == c.lambda2 == c.lambda3 == 0
-        loss = self._differentiate(
-            params,
+        loss = self._step(
+            self.model.extractor_params() + self.model.head_params(),
             lambda: (ce_loss(self.model, batch, draw) if ce_only
                      else total_loss(self.model, batch, draw, c)),
-            f"inner-step loss on task {batch.task_id}")
-        sgd_step(params, c.inner_lr)
+            c.inner_lr, f"inner-step loss on task {batch.task_id}")
         self.state.inner_updates += 1
-        return loss.item()
+        return loss
 
     def outer_step(self, batch, draw):
         """One SGD step on the validation-side loss over ``batch`` and the
@@ -221,15 +227,12 @@ class Trainer:
         """
         loss = None
         if self.model.transform_mode != "off":
-            params = self.model.generator_params()
-            loss = self._differentiate(
-                params,
+            loss = self._step(
+                self.model.generator_params(),
                 lambda: classification_loss(self.model, batch, draw,
                                             self.config),
-                f"outer-step loss on task {batch.task_id}").item()
-            live = [p for p in params if p.grad is not None]
-            if live:
-                sgd_step(live, self.config.outer_lr)
+                self.config.outer_lr,
+                f"outer-step loss on task {batch.task_id}")
         self.state.outer_updates += 1
         return loss
 
@@ -243,14 +246,13 @@ class Trainer:
             np.full(len(batch.x), batch.task_id, dtype=np.int64),
             np.zeros(n_fake, dtype=np.int64)])
         draw = self.memory.sample(self.config.replay_batch_size, self.replay_rng)
-        params = self.model.discriminator_params()
-        loss = self._differentiate(
-            params,
+        loss = self._step(
+            self.model.discriminator_params(),
             lambda: discriminator_loss(self.model, x, labels, draw, self.config),
+            self.config.adversarial_lr,
             f"adversarial-step loss on task {batch.task_id}")
-        sgd_step(params, self.config.adversarial_lr)
         self.state.adversarial_updates += 1
-        return loss.item()
+        return loss
 
     def train_round(self, batch, losses):
         """One round on ``batch``: the plan's draw and steps, each step's loss
@@ -278,8 +280,28 @@ class Trainer:
 ReplayTrainer = Trainer
 
 
+@functools.cache
+def hold_heap():
+    """Fix glibc's heap trim and mmap thresholds for this process; a no-op
+    elsewhere. A round allocates and frees hundreds of kilobytes of small
+    numpy arrays. Under the default 128 KiB trim threshold, whether those
+    frees return pages to the kernel, for the next round to fault in again,
+    turns on where longer-lived objects happen to sit in the heap, so the
+    same run took one to three times as many page faults from one process
+    to the next, and up to a tenth more time per round. With the thresholds
+    fixed glibc keeps the freed memory, and arrays wider than the default
+    128 KiB mmap threshold stay on the heap too."""
+    if sys.platform.startswith("linux"):
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+            mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def run_stream(trainer, stream):
-    """Train task by task; after each task, fill one accuracy-matrix row."""
+    """Train task by task; after each task, fill one accuracy-matrix row.
+    The heap is held first (``hold_heap``)."""
+    hold_heap()
     seen = []
     for task in stream.tasks:
         trainer.train_task(task)

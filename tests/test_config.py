@@ -95,9 +95,10 @@ def test_idx_config_skips_the_synthetic_only_checks():
     config = RunConfig(**idx, classes_per_task=1, input_dim=0,
                        train_per_class=0, test_per_class=0, noise_scale=-1.0)
     assert config.classes_per_task == 1
-    # both IDX protocols read n_tasks
-    for bad in ({"data_seed": -1}, {"seeds": (1, 1)}, {"n_tasks": 0}):
-        with pytest.raises(ConfigurationError):
+    # both IDX protocols read n_tasks and the per-task cuts
+    for bad in ({"data_seed": -1}, {"seeds": (1, 1)}, {"n_tasks": 0},
+                {"train_per_task": -1}, {"test_per_task": -1}):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
             RunConfig(**idx, **bad)
 
 

@@ -66,7 +66,10 @@ def test_build_stream_synthetic_shapes():
     assert stream.protocol == "split"
 
 
-def _write_tiny_idx(d, gz=False):
+def _write_tiny_idx(d, gz=False, lacking=None):
+    """Four classes, 12 train and 8 test rows, each class equally often;
+    the ``lacking`` split ("train" or "test"), if any, holds only classes
+    0 and 1."""
     import gzip
     import struct
 
@@ -79,9 +82,11 @@ def _write_tiny_idx(d, gz=False):
             (d / name).write_bytes(payload)
 
     rng = np.random.default_rng(0)
-    for prefix, n in (("train", 12), ("t10k", 8)):
+    for split, prefix, n in (("train", "train", 12), ("test", "t10k", 8)):
         imgs = rng.integers(0, 256, size=(n, 3, 3), dtype=np.uint8)
         labels = np.tile(np.arange(4, dtype=np.uint8), n // 4)
+        if split == lacking:
+            labels %= 2
         dump(f"{prefix}-images-idx3-ubyte",
              struct.pack(">IIII", 0x00000803, *imgs.shape) + imgs.tobytes())
         dump(f"{prefix}-labels-idx1-ubyte",
@@ -103,12 +108,11 @@ def test_build_stream_idx_permuted(tmp_path, gz):
 
 @pytest.mark.parametrize("split", ["train", "test"])
 def test_split_stream_rejects_a_task_with_an_empty_split(tmp_path, split):
-    # four classes in two tasks, cut to one row of ``split``: one task has
-    # none, which fails naming the task and the split, not in numpy
-    _write_tiny_idx(tmp_path)
+    # four classes in two tasks, and ``split`` holds no row of the second:
+    # that fails naming the task and the split, not in numpy
+    _write_tiny_idx(tmp_path, lacking=split)
     config = tiny_config(f"idx_dir={tmp_path}", "dataset=idx",
-                         "protocol=split", "classes_per_task=2",
-                         f"{split}_per_task=1")
+                         "protocol=split", "classes_per_task=2")
     with pytest.raises(ConfigurationError,
                        match=rf"task [12] \(classes .*\) has no {split} rows"):
         build_stream(config)
@@ -124,6 +128,33 @@ def test_idx_split_stream_keeps_the_first_n_tasks(tmp_path, n_tasks):
     stream = build_stream(config)
     assert [t.task_id for t in stream.tasks] == list(range(1, n_tasks + 1))
     assert [t.label_set for t in stream.tasks] == [(0, 1), (2, 3)][:n_tasks]
+
+
+@pytest.mark.parametrize("protocol", ["split", "permuted"])
+@pytest.mark.parametrize("cut", [(8, 4), (2, 1), (0, 0)])
+def test_idx_cut_applies_to_each_task(tmp_path, protocol, cut):
+    # a split task holds 6 train and 4 test rows, a permuted task all 12
+    # and 8; each keeps min(rows, cut) of them, and 0 keeps every row
+    _write_tiny_idx(tmp_path)
+    config = tiny_config(f"idx_dir={tmp_path}", "dataset=idx",
+                         f"protocol={protocol}", "classes_per_task=2",
+                         "n_tasks=2", f"train_per_task={cut[0]}",
+                         f"test_per_task={cut[1]}")
+    stream = build_stream(config)
+    rows = (6, 4) if protocol == "split" else (12, 8)
+    kept = tuple(min(n, c or n) for n, c in zip(rows, cut))
+    assert [(len(t.train), len(t.test)) for t in stream.tasks] == [kept] * 2
+
+
+def test_idx_split_tasks_do_not_depend_on_the_tasks_after_them(tmp_path):
+    # each task draws its cut before the tasks after it: a shorter stream
+    # is a longer one's first tasks, byte for byte
+    _write_tiny_idx(tmp_path)
+    one, two = (build_stream(tiny_config(
+        f"idx_dir={tmp_path}", "dataset=idx", "protocol=split",
+        "classes_per_task=2", f"n_tasks={n}", "train_per_task=3",
+        "test_per_task=2")) for n in (1, 2))
+    assert stream_digest(one) == stream_digest(replace(two, tasks=two.tasks[:1]))
 
 
 def test_idx_split_stream_with_too_few_tasks_fails_naming_both_counts(

@@ -955,7 +955,8 @@ def run_alignment_duel(seed, adversarial):
         batch = Batch(x, y, task)
         zero_grads(model.all_params())
         backward(ce_loss(model, batch))
-        sgd_step(model.extractor_params() + model.head_params([task]), lr=0.05)
+        sgd_step(model.extractor_params() + list(model.heads.head(task)),
+                 lr=0.05)
         noise = noise_batch(cfg, rng, 16, 2)
         xb = np.concatenate([x, noise])
         tb = np.concatenate([np.full(16, task, dtype=np.int64),

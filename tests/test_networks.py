@@ -557,10 +557,15 @@ def test_snapshot_disc_logits_width_tracks_seen():
     assert np.array_equal(snap1, snap2[:, :2])
 
 
-def test_head_params_selects_tasks():
+def test_head_params_are_every_head_in_task_order():
+    # whatever order the tasks came in; a step moves those its loss reaches
     model = small_model()
-    model.register_task(1)
-    model.register_task(2)
-    only_two = model.head_params([2])
-    w2, b2 = model.heads.heads[2]
-    assert only_two == [w2, b2]
+    for task in (3, 1, 2):
+        model.register_task(task)
+    heads = model.heads.heads
+    assert ([id(p) for p in model.head_params()]
+            == [id(p) for task in (1, 2, 3) for p in heads[task]])
+    single = small_model(head_mode="single")
+    single.register_task(2)
+    assert ([id(p) for p in single.head_params()]
+            == [id(p) for p in single.heads.heads[0]])

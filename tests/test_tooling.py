@@ -83,6 +83,21 @@ def test_readme_names_every_export():
     assert missing == []
 
 
+# the spans each workload's method never reaches: ER trains no generator
+# and no discriminator, reads no dark replay and draws no partition; only
+# the resume workload saves and loads checkpoints
+UNREACHED_SPANS = {
+    "resume20-er": {"trainer.outer_step", "trainer.adversarial_step",
+                    "losses.derpp_loss", "losses.adversarial_generator_loss",
+                    "losses.discriminator_loss", "networks.snapshot",
+                    "memory.partition"},
+    "desk5-full": {"checkpoint.save", "checkpoint.load"},
+    "long20-full": {"checkpoint.save", "checkpoint.load"},
+}
+# (rounds, memory rows at the end of a seed-run) of each traced pass
+ROUNDS_AND_ROWS = {"desk5-full": (625, 250), "long20-full": (400, 800),
+                   "resume20-er": (500, 4000)}
+
 TAPE_NODES_PER_ROUND = {
     ("--workload", "desk5-full", "--seed", "0", "--trace", "1"): 9.584,
     ("--workload", "long20-full", "--seed", "0", "--trace", "1"): 9.88,
@@ -106,7 +121,7 @@ TAPE_NODES_PER_ROUND = {
      "--seconds", "0"],
 ], ids=["resume20-er-traced", "desk5-full-traced", "desk5-full-untraced",
         "long20-full-traced", "resume20-er-untraced", "long20-full-untraced"])
-def test_benchmark_runs_without_failures(args):
+def test_benchmark_runs_without_failures(args, monkeypatch):
     out = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run_bench.py"), *args],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
@@ -122,6 +137,19 @@ def test_benchmark_runs_without_failures(args):
         assert metrics["autodiff.tape_nodes_per_round"]["value"] == nodes
         assert metrics["networks.trunk_passes_per_round"]["value"] == 0
     traced = args[args.index("--trace") + 1] == "1"
+    if traced:
+        # every hook the workload's method reaches was called, so no hooked
+        # name has stopped being looked up where the benchmark patches it
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        from run_bench import SPAN_METRICS
+
+        metrics = result["metrics"]
+        reached = {span for span in SPAN_METRICS
+                   if metrics[f"{span}.ms"]["value"] > 0}
+        assert reached == set(SPAN_METRICS) - UNREACHED_SPANS[args[1]]
+        assert ((metrics["trainer.rounds"]["value"],
+                 metrics["memory.rows"]["value"])
+                == ROUNDS_AND_ROWS[args[1]])
     if args[1] == "resume20-er" and traced:
         # a checkpoint saved and loaded after each of the 20 tasks, nine
         # members each however many tasks the model has seen

@@ -1,6 +1,8 @@
 """Trainer tests: freeze contracts, one-epoch accounting, oracles."""
 
 import math
+import platform
+import resource
 from dataclasses import replace
 from unittest import mock
 
@@ -35,7 +37,6 @@ from metacl.memory import EpisodicMemory
 from metacl.trainer import (
     PLANS,
     Trainer,
-    _step_tasks,
     build_model,
     build_trainer,
     effective_config,
@@ -360,7 +361,7 @@ def minimal_finetune_loop(stream, config, seed):
                                          batch.y)
             backward(loss)
             sgd_step(model.extractor_params()
-                     + model.head_params([batch.task_id]), config.inner_lr)
+                     + list(model.heads.head(batch.task_id)), config.inner_lr)
             zero_grads(model.all_params())
     return model
 
@@ -435,6 +436,20 @@ def test_run_stream_builds_lower_triangular_matrix():
     assert [len(r) for r in rows] == [1, 2, 3]
     assert len(trainer.state.task_wall_s) == 3
     assert len(trainer.state.task_losses) == 3
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="hold_heap sets glibc's malloc thresholds")
+def test_a_second_run_faults_in_no_new_heap():
+    # the default run's rounds free hundreds of kilobytes each; glibc's
+    # default trimming hands them back and faults them in again (thousands
+    # of page faults per run), a held heap keeps them
+    config = RunConfig(seeds=(0,))
+    stream = build_stream(config)
+    run_stream(build_trainer(stream, config, 0), stream)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_stream(build_trainer(stream, config, 0), stream)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 # -- whole-run determinism ---------------------------------------------------------------------
@@ -614,7 +629,7 @@ def three_task_trainer():
 def unscoped_step(trainer, kind, part):
     """One step on ``part`` (a ``(batch, draw)`` pair) the way a fully taped
     graph takes it: every parameter records, ``backward`` fills every
-    gradient, and the step's group moves."""
+    gradient the loss reaches, and the step's group moves where it has one."""
     model, config = trainer.model, trainer.config
     zero_grads(model.all_params())
     if kind == "adversarial":
@@ -632,15 +647,12 @@ def unscoped_step(trainer, kind, part):
     else:
         loss = total_loss(model, *part, config)
         if kind == "inner":
-            params = (model.extractor_params()
-                      + model.head_params(_step_tasks(*part)))
+            params = model.extractor_params() + model.head_params()
             lr = config.inner_lr
         else:
             params, lr = model.generator_params(), config.outer_lr
     backward(loss)
-    if kind == "outer":
-        params = [p for p in params if p.grad is not None]
-    sgd_step(params, lr)
+    sgd_step([p for p in params if p.grad is not None], lr)
     return loss.item()
 
 
@@ -670,6 +682,33 @@ def test_scoped_step_is_bitwise_equal_to_unscoped(kind):
                          snapshot(before.model.all_params()))
 
 
+@pytest.mark.parametrize("method, ablation", list(PLANS))
+def test_inner_step_moves_the_heads_its_loss_reaches(method, ablation):
+    # tasks 1-3 registered, a draw of task-1 rows, a batch of task 3: the
+    # step moves the extractor and heads 1 and 3, and head 2, which no
+    # forward of the step reads, keeps its bytes; fine-tuning keeps no
+    # memory, so its draw is empty and only head 3 moves
+    trainer, stream = fresh_trainer(ablation, budget=6, method=method)
+    trainer.train_task(stream.tasks[0])
+    model = trainer.model
+    for task in stream.tasks[1:]:
+        model.register_task(task.task_id)
+    draw = trainer.memory.sample(trainer.config.replay_batch_size,
+                                 trainer.replay_rng)
+    assert set(draw.t.tolist()) == (set() if method == "finetune" else {1})
+    task = stream.tasks[2]
+    batch = next(batches(task.train, trainer.config.batch_size,
+                         [trainer.seed, 10, task.task_id],
+                         task_id=task.task_id))
+    heads = {k: list(model.heads.head(k)) for k in (1, 2, 3)}
+    before = {k: snapshot(params) for k, params in heads.items()}
+    extractor = snapshot(model.extractor_params())
+    trainer.inner_step(batch, draw)
+    assert not unchanged(model.extractor_params(), extractor)
+    moved = {k for k in heads if not unchanged(heads[k], before[k])}
+    assert moved == ({3} if method == "finetune" else {1, 3})
+
+
 def tape_nodes(loss):
     """Every node on ``loss``'s tape."""
     nodes, stack = {}, [loss]
@@ -697,22 +736,21 @@ def frozen_work(loss, params):
 
 def recorded_loss(trainer, part, params):
     """The step loss on ``part`` (a ``(batch, draw)`` pair) as the trainer
-    tapes it for ``params``."""
+    tapes it for ``params``, in one ``_step`` on them."""
     recorded = []
 
     def make_loss():
         recorded.append(total_loss(trainer.model, *part, trainer.config))
         return recorded[-1]
 
-    trainer._differentiate(params, make_loss, "loss")
+    trainer._step(params, make_loss, trainer.config.inner_lr, "loss")
     return recorded[0]
 
 
 def test_inner_step_tapes_no_generator_parameter():
     trainer, train, _ = three_task_trainer()
     model = trainer.model
-    params = (model.extractor_params()
-              + model.head_params(_step_tasks(*train)))
+    params = model.extractor_params() + model.head_params()
     generator = model.generator_params()
     ids = {id(p) for p in generator}
     # the fully taped loss does reach the generator, so the guard can fail
