@@ -18,9 +18,10 @@ running its missing seeds again.
 This reader handles format version 3 only; version 1 (one member per stored
 sample) and version 2 (one member per parameter) files are rejected. Any
 malformed content fails as ``FormatError`` naming the path, and so do memory
-rows the loaded model cannot train on: inputs not ``input_dim`` wide, labels
-outside ``[0, classes_per_task)`` or tasks outside its seen tasks. A missing
-file raises ``FileNotFoundError``.
+members of another dtype than the memory keeps and memory rows the loaded
+model cannot train on: inputs not ``input_dim`` wide, labels outside
+``[0, classes_per_task)`` or tasks outside its seen tasks. A missing file
+raises ``FileNotFoundError``.
 """
 
 import json
@@ -32,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, FormatError, MemoryConsistencyError
-from .memory import Draw, EpisodicMemory
+from .memory import Draw, EpisodicMemory, _fields
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
 
@@ -108,10 +109,14 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: malformed checkpoint ({exc!r})") from exc
 
 
-def _member(path, data, key):
+def _member(path, data, key, dtype):
+    """Member ``key``, of ``dtype``: a cast would load label 0.7 as 0."""
     if key not in data.files:
         raise FormatError(f"{path}: missing array {key!r}")
-    return data[key]
+    a = data[key]
+    if a.dtype != dtype:
+        raise FormatError(f"{path}: {key!r} is {a.dtype}, not {np.dtype(dtype)}")
+    return a
 
 
 def _check_rows_fit(path, model, fields, seen_counts):
@@ -153,19 +158,18 @@ def _decode(path, data):
         model.register_task(t)
     params = model.all_params()
     sizes = [p.data.size for p in params]
-    flat = _member(path, data, "params")
-    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
-        raise FormatError(
-            f"{path}: 'params' is {flat.dtype} {flat.shape}, rebuilt model "
-            f"needs float64 ({sum(sizes)},)")
+    flat = _member(path, data, "params", np.float64)
+    if flat.shape != (sum(sizes),):
+        raise FormatError(f"{path}: 'params' is {flat.shape}, rebuilt model "
+                          f"needs ({sum(sizes)},)")
     for p, part in zip(params, np.split(flat, np.cumsum(sizes)[:-1])):
         p.data = part.reshape(p.data.shape)
 
     memory = None
     if meta["memory"] is not None:
         m = meta["memory"]
-        fields = {name: _member(path, data, f"mem/{name}")
-                  for name in Draw.FIELDS}
+        fields = {name: _member(path, data, f"mem/{name}", kept.dtype)
+                  for name, kept in _fields(0).items()}
         rng = np.random.default_rng(0)
         rng.bit_generator.state = m["rng_state"]
         seen_counts = {int(t): int(c) for t, c in m["seen_counts"].items()}

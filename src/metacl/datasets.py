@@ -1,5 +1,5 @@
 """Task-stream construction: split and permuted protocols, a synthetic
-desk-scale generator, and an IDX-format ingester.
+desk-scale generator, and IDX-format streams (the MNIST file layout).
 
 Split streams give each task its own disjoint label set (task-incremental);
 permuted streams share one label set and permute input dimensions per task
@@ -10,6 +10,8 @@ that are linearly separable at noise scale zero.
 from __future__ import annotations
 
 import gzip
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -19,6 +21,8 @@ from .errors import ConfigurationError, FormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+IDX_NAMES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
 @dataclass
@@ -99,6 +103,23 @@ def _gaussian_base(n_classes, train_per_class, test_per_class, input_dim,
                    n_classes=n_classes)
 
 
+def _cut(split, rows, limit, rng):
+    """``split``'s ``rows``, or ``limit`` of them drawn without replacement
+    by ``rng`` when there are more: the one seeded cut of a stream."""
+    if limit is not None and limit < len(rows):
+        rows = rows[rng.choice(len(rows), size=limit, replace=False)]
+    return Split(split.x[rows], split.y[rows])
+
+
+def _float_rows(x):
+    """The rows a stream keeps, flattened, as a float64 copy: IDX pixels
+    scaled to [0, 1], float rows as they are."""
+    x = x.reshape(len(x), -1)
+    if x.dtype == np.uint8:
+        return x / 255.0
+    return x.astype(np.float64)
+
+
 def make_split_stream(base, classes_per_task, train_limit=None,
                       test_limit=None, seed=0):
     """Partition classes in label order into consecutive disjoint tasks.
@@ -125,11 +146,9 @@ def make_split_stream(base, classes_per_task, train_limit=None,
             if not len(rows):
                 raise ConfigurationError(
                     f"task {k} (classes {list(labels)}) has no {name} rows")
-            if limit is not None and limit < len(rows):
-                rows = rows[rng.choice(len(rows), size=limit, replace=False)]
-            x = split.x[rows].reshape(len(rows), -1).astype(np.float64)
-            y = split.y[rows] - labels[0]
-            return Split(x, y.astype(np.int64))
+            kept = _cut(split, rows, limit, rng)
+            return Split(_float_rows(kept.x),
+                         (kept.y - labels[0]).astype(np.int64))
 
         tasks.append(Task(task_id=k,
                           train=pick(base.train, "train", train_limit),
@@ -146,8 +165,8 @@ def make_permuted_stream(base, n_tasks, seed=0):
         raise ConfigurationError("n_tasks must be >= 1")
     rng = np.random.default_rng([seed, 30])
     dim = base.input_dim
-    train_x = base.train.x.reshape(len(base.train.x), -1).astype(np.float64)
-    test_x = base.test.x.reshape(len(base.test.x), -1).astype(np.float64)
+    train_x = _float_rows(base.train.x)
+    test_x = _float_rows(base.test.x)
     labels = tuple(range(base.n_classes))
     tasks = []
     for k in range(1, n_tasks + 1):
@@ -202,51 +221,70 @@ def batches(split, batch_size, seed, task_id=0):
         yield TaskBatch(x=split.x[idx], y=split.y[idx], task_id=task_id)
 
 
-# -- IDX ingestion -------------------------------------------------------------
+# -- IDX streams ---------------------------------------------------------------
 
 
-def _read_exact(f, n, path, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise FormatError(f"{path}: truncated {what}: wanted {n} bytes, "
-                          f"got {len(data)}")
-    return data
-
-
-def _open_idx(path):
-    # MNIST-style downloads arrive gzipped; accept them as-is
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def make_idx_stream(config):
+    """IDX image stream for a ``RunConfig``'s data fields, under its
+    protocol: the ``IDX_NAMES`` files under ``idx_dir``, each plain, else
+    ``.gz``. ``train_per_task`` / ``test_per_task`` (0 keeps every row) cut
+    each task of a split stream, and the base a permuted stream's tasks
+    share, drawing from ``default_rng([data_seed, 60])`` train then test.
+    A split stream keeps its first ``n_tasks`` class groups."""
+    paths = [os.path.join(config.idx_dir, name) for name in IDX_NAMES]
+    # downloads usually keep the .gz suffix; prefer the plain file if both exist
+    base = load_idx_dataset(*(p + ".gz" if not os.path.exists(p)
+                              and os.path.exists(p + ".gz") else p
+                              for p in paths))
+    limits = (config.train_per_task or None, config.test_per_task or None)
+    if config.protocol == "permuted":  # the tasks share the cut base's rows
+        rng = np.random.default_rng([config.data_seed, 60])
+        train, test = (_cut(split, np.arange(len(split)), limit, rng)
+                       for split, limit in zip((base.train, base.test), limits))
+        base = Dataset(train, test, base.n_classes)
+        return make_permuted_stream(base, config.n_tasks, seed=config.data_seed)
+    stream = make_split_stream(base, config.classes_per_task, *limits,
+                               seed=config.data_seed)
+    if len(stream.tasks) < config.n_tasks:
+        raise ConfigurationError(
+            f"n_tasks={config.n_tasks}, but the IDX split stream makes only "
+            f"{len(stream.tasks)} tasks")
+    del stream.tasks[config.n_tasks:]
+    return stream
 
 
 def load_idx(path):
-    """Parse one IDX file (plain or .gz): images scaled to [0,1], or labels."""
-    with _open_idx(path) as f:
-        magic = struct.unpack(">I", _read_exact(f, 4, path, "magic"))[0]
-        if magic == IDX_IMAGES_MAGIC:
-            ndim = 3
-        elif magic == IDX_LABELS_MAGIC:
-            ndim = 1
-        else:
-            raise FormatError(f"{path}: bad magic 0x{magic:08x}; expected "
-                              f"0x{IDX_IMAGES_MAGIC:08x} (images) or "
-                              f"0x{IDX_LABELS_MAGIC:08x} (labels)")
-        dims = [struct.unpack(">I", _read_exact(f, 4, path, "dimension"))[0]
-                for _ in range(ndim)]
-        count = int(np.prod(dims))
-        payload = _read_exact(f, count, path, "payload")
-        extra = f.read(1)
-        if extra:
-            raise FormatError(f"{path}: trailing bytes after payload")
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
-    if magic == IDX_IMAGES_MAGIC:
-        return data.astype(np.float64) / 255.0
-    return data.astype(np.int64)
+    """Parse one IDX file (plain or .gz): images as the file's uint8 pixels
+    (read-only; streams scale the rows they keep to [0, 1]), or int64
+    labels. A payload other than the header's size fails as
+    ``FormatError`` naming both sizes."""
+    # MNIST-style downloads arrive gzipped; accept them as-is
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as f:
+        raw = f.read()
+    magic = int.from_bytes(raw[:4], "big")
+    ndim = {IDX_IMAGES_MAGIC: 3, IDX_LABELS_MAGIC: 1}.get(magic)
+    if ndim is None:
+        raise FormatError(f"{path}: bad magic 0x{magic:08x}; expected "
+                          f"0x{IDX_IMAGES_MAGIC:08x} (images) or "
+                          f"0x{IDX_LABELS_MAGIC:08x} (labels)")
+    start = 4 + 4 * ndim
+    if len(raw) < start:
+        raise FormatError(f"{path}: truncated header: {ndim} dimensions need "
+                          f"{start} bytes, the file holds {len(raw)}")
+    dims = struct.unpack_from(f">{ndim}I", raw, 4)
+    count = math.prod(dims)  # Python ints: a header's size cannot wrap
+    if len(raw) - start != count:
+        fault = ("truncated payload" if len(raw) - start < count
+                 else "trailing bytes after payload")
+        raise FormatError(f"{path}: {fault}: the header gives {count} bytes, "
+                          f"the file holds {len(raw) - start}")
+    data = np.frombuffer(raw, dtype=np.uint8, offset=start).reshape(dims)
+    return data if magic == IDX_IMAGES_MAGIC else data.astype(np.int64)
 
 
 def load_idx_dataset(train_images, train_labels, test_images, test_labels):
-    """Assemble a Dataset from four IDX files, flattening image grids."""
+    """Assemble a Dataset from four IDX files, flattening image grids; the
+    pixels stay uint8."""
     def pair(images_path, labels_path):
         x = load_idx(images_path)
         y = load_idx(labels_path)
@@ -266,18 +304,3 @@ def load_idx_dataset(train_images, train_labels, test_images, test_labels):
     test = pair(test_images, test_labels)
     n_classes = int(max(train.y.max(), test.y.max())) + 1
     return Dataset(train=train, test=test, n_classes=n_classes)
-
-
-def subsample(dataset, train_limit=None, test_limit=None, seed=0):
-    """Seeded without-replacement subsample of both splits (for smoke runs)."""
-    rng = np.random.default_rng([seed, 60])
-
-    def cut(split, limit):
-        if limit is None or limit >= len(split.x):
-            return split
-        idx = rng.choice(len(split.x), size=limit, replace=False)
-        return Split(split.x[idx], split.y[idx])
-
-    return Dataset(train=cut(dataset.train, train_limit),
-                   test=cut(dataset.test, test_limit),
-                   n_classes=dataset.n_classes)

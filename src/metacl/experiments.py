@@ -27,13 +27,7 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .config import ABLATION_MODES, config_hash, serialize_config
-from .datasets import (
-    load_idx_dataset,
-    make_permuted_stream,
-    make_split_stream,
-    make_synthetic,
-    subsample,
-)
+from .datasets import make_idx_stream, make_synthetic
 from .errors import ConfigurationError, FormatError, NoDataError
 from .metrics import AccuracyMatrix, acc, fm, la
 from .trainer import build_trainer, run_stream, task_capacity
@@ -55,16 +49,6 @@ STATS_COLUMNS = ("n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm",
 SUMMARY_COLUMNS = ("method", "ablation", "seed", "task_index", "acc_row",
                    "final_acc", "final_fm", "wall_s")
 
-IDX_NAMES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
-
-
-def _resolve_idx(path):
-    # downloads usually keep the .gz suffix; prefer the plain file if both exist
-    return path if os.path.exists(path) or not os.path.exists(path + ".gz") \
-        else path + ".gz"
-
-
 def atomic_write_text(path, text):
     atomic_write(path, lambda f: f.write(text.encode("utf-8")))
 
@@ -73,27 +57,11 @@ def atomic_write_text(path, text):
 
 
 def build_stream(config):
-    """TaskStream per the config's dataset block. On IDX data,
-    ``train_per_task`` / ``test_per_task`` (0 keeps every row) cut each
-    task of a split stream, and the base a permuted stream's tasks
-    share."""
+    """TaskStream per the config's dataset block: ``make_synthetic`` or
+    ``datasets.make_idx_stream``."""
     if config.dataset == "synthetic":
         return make_synthetic(config)
-    paths = [_resolve_idx(os.path.join(config.idx_dir, name))
-             for name in IDX_NAMES]
-    base = load_idx_dataset(*paths)
-    limits = (config.train_per_task or None, config.test_per_task or None)
-    if config.protocol == "permuted":  # the tasks share the cut base's rows
-        base = subsample(base, *limits, seed=config.data_seed)
-        return make_permuted_stream(base, config.n_tasks, seed=config.data_seed)
-    stream = make_split_stream(base, config.classes_per_task, *limits,
-                               seed=config.data_seed)
-    if len(stream.tasks) < config.n_tasks:
-        raise ConfigurationError(
-            f"n_tasks={config.n_tasks}, but the IDX split stream makes only "
-            f"{len(stream.tasks)} tasks")
-    del stream.tasks[config.n_tasks:]
-    return stream
+    return make_idx_stream(config)
 
 
 # -- single runs -------------------------------------------------------------------

@@ -25,9 +25,8 @@ from metacl.autodiff import (
     relu,
 )
 from metacl.config import RunConfig, apply_overrides
-from metacl.datasets import TaskBatch
+from metacl.datasets import IDX_NAMES, TaskBatch
 from metacl.experiments import (
-    IDX_NAMES,
     MEMORY_SWEEP_VALUES,
     build_stream,
     run_single,

@@ -17,7 +17,7 @@ from metacl.checkpoint import (
 )
 from metacl.datasets import make_synthetic
 from metacl.errors import FormatError
-from metacl.memory import EpisodicMemory, make_entry
+from metacl.memory import Draw, EpisodicMemory, make_entry
 from metacl.metrics import AccuracyMatrix
 from metacl.config import RunConfig
 from metacl.trainer import Trainer, build_model, build_trainer
@@ -348,6 +348,24 @@ def test_memory_rows_the_model_cannot_take_rejected(tmp_path, tamper):
     mutate, named = ROW_TAMPERINGS[tamper]
     rewrite(src, dst, mutate)
     with pytest.raises(FormatError, match=f"^{re.escape(str(dst))}: .*{named}"):
+        load_checkpoint(dst)
+
+
+@pytest.mark.parametrize("name", Draw.FIELDS)
+def test_memory_member_of_another_dtype_rejected(tmp_path, name):
+    # each field loaded cast to the memory's dtype: float labels 0.7 became 0
+    model = build_model(small_stream(), SMALL, 0)
+    model.register_task(1)
+    model.register_task(2)
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(src, model, memory=filled_memory(10))
+    with np.load(src) as d:
+        kept = d[f"mem/{name}"].dtype
+    other = np.float32 if kept == np.float64 else np.float64
+    rewrite(src, dst, lambda arrays, meta: arrays.update(
+        {f"mem/{name}": arrays[f"mem/{name}"].astype(other)}))
+    with pytest.raises(FormatError,
+                       match=f"'mem/{name}' is {np.dtype(other)}, not {kept}"):
         load_checkpoint(dst)
 
 

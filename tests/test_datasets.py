@@ -1,5 +1,8 @@
-"""Stream construction tests: protocols, batching, IDX parsing."""
+"""Stream construction tests: protocols, batching, IDX parsing and streams."""
 
+import gzip
+import math
+import re
 import struct
 
 import numpy as np
@@ -9,16 +12,17 @@ from hypothesis import strategies as st
 
 from metacl.config import RunConfig
 from metacl.datasets import (
+    IDX_NAMES,
     Dataset,
     Split,
     batches,
     load_idx,
     load_idx_dataset,
+    make_idx_stream,
     make_permuted_stream,
     make_split_stream,
     make_synthetic,
     standardize,
-    subsample,
 )
 from metacl.errors import ConfigurationError, FormatError
 
@@ -254,9 +258,10 @@ def test_idx_images_round_trip(tmp_path):
     path = tmp_path / "imgs.idx"
     write_idx_images(path, arr)
     got = load_idx(path)
+    assert got.dtype == np.uint8
     assert got.shape == (2, 3, 4)
-    assert got[0, 0, 0] == 1.0
-    assert np.allclose(got, arr / 255.0)
+    assert got[0, 0, 0] == 255
+    assert np.array_equal(got, arr)
 
 
 def test_idx_labels_round_trip(tmp_path):
@@ -292,10 +297,39 @@ def test_idx_truncated_payload(tmp_path):
         load_idx(path)
 
 
+def test_idx_truncated_header(tmp_path):
+    path = tmp_path / "short.idx"
+    path.write_bytes(struct.pack(">II", 0x00000803, 2))
+    with pytest.raises(FormatError, match="truncated header: 3 dimensions"):
+        load_idx(path)
+
+
 def test_idx_trailing_bytes(tmp_path):
     path = tmp_path / "long.idx"
     path.write_bytes(struct.pack(">II", 0x00000801, 2) + b"\x00" * 3)
     with pytest.raises(FormatError, match="trailing"):
+        load_idx(path)
+
+
+# headers whose size the file does not hold: 2^50 pixels made numpy ask
+# for that much memory, and 2^93 wrapped to 0 in np.prod
+HUGE_HEADERS = {
+    "2^50 pixels, 10 bytes": ((2**20, 2**20, 2**10), 10),
+    "2^93 pixels, no bytes": ((2**31,) * 3, 0),
+    "2^93 pixels, 10 bytes": ((2**31,) * 3, 10),
+}
+
+
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("header", sorted(HUGE_HEADERS))
+def test_idx_header_beyond_the_file_is_truncated(tmp_path, header, gz):
+    dims, n = HUGE_HEADERS[header]
+    raw = struct.pack(">IIII", 0x00000803, *dims) + b"\x00" * n
+    path = tmp_path / ("huge.idx.gz" if gz else "huge.idx")
+    path.write_bytes(gzip.compress(raw) if gz else raw)
+    with pytest.raises(FormatError, match=(
+            f"^{re.escape(str(path))}: truncated payload: the header gives "
+            f"{math.prod(dims)} bytes, the file holds {n}$")):
         load_idx(path)
 
 
@@ -335,10 +369,103 @@ def test_idx_dataset_assembly(tmp_path):
     assert ds.input_dim == 6
 
 
-def test_subsample_limits_and_determinism():
-    base = toy_base(n_classes=4, per_class=10)
-    a = subsample(base, train_limit=12, test_limit=5, seed=3)
-    b = subsample(base, train_limit=12, test_limit=5, seed=3)
-    assert len(a.train.x) == 12 and len(a.test.x) == 5
-    assert np.array_equal(a.train.x, b.train.x)
-    assert len(subsample(base, seed=3).train.x) == len(base.train.x)
+def write_idx_dir(d, data, gz=False):
+    """The four ``IDX_NAMES`` files under ``d``, plain or gzipped, from
+    {split: (images, labels)}."""
+    for name, arr in zip(IDX_NAMES, (*data["train"], *data["test"])):
+        path = d / name
+        (write_idx_images if arr.ndim == 3 else write_idx_labels)(path, arr)
+        if gz:
+            (d / (name + ".gz")).write_bytes(gzip.compress(path.read_bytes()))
+            path.unlink()
+
+
+def idx_data(seed=0, n_classes=6):
+    """30 train and 18 test 3x4 images, every class equally often, with a
+    0 and a 255 pixel."""
+    rng = np.random.default_rng(seed)
+
+    def split(n):
+        images = rng.integers(0, 256, size=(n, 3, 4), dtype=np.uint8)
+        images[0, 0, :2] = (0, 255)
+        return images, rng.permutation(np.arange(n) % n_classes)
+
+    return {"train": split(30), "test": split(18)}
+
+
+def idx_config(d, **fields):
+    return RunConfig(dataset="idx", idx_dir=str(d), classes_per_task=2,
+                     n_tasks=2, data_seed=3, **fields)
+
+
+def reference_idx_stream(data, config):
+    """Each task's (train x, train y, test x, test y), written apart from
+    the package: every pixel float64 / 255; then the cut, drawn from
+    ``default_rng([data_seed, 60])`` train then test (task by task on a
+    split stream); on a permuted stream then one permutation per task
+    after the first from ``default_rng([data_seed, 30])``."""
+    x = {s: images.reshape(len(images), -1).astype(np.float64) / 255.0
+         for s, (images, _) in data.items()}
+    y = {s: labels.astype(np.int64) for s, (_, labels) in data.items()}
+    limit = {"train": config.train_per_task, "test": config.test_per_task}
+    cut = np.random.default_rng([config.data_seed, 60])
+
+    def keep(rows, s):
+        if limit[s] == 0 or limit[s] >= len(rows):
+            return rows
+        return rows[cut.choice(len(rows), size=limit[s], replace=False)]
+
+    tasks = []
+    if config.protocol == "permuted":
+        rows = {s: keep(np.arange(len(y[s])), s) for s in ("train", "test")}
+        perms = np.random.default_rng([config.data_seed, 30])
+        dim = x["train"].shape[1]
+        for k in range(config.n_tasks):
+            perm = perms.permutation(dim) if k else np.arange(dim)
+            tasks.append([a for s in ("train", "test")
+                          for a in (x[s][rows[s]][:, perm], y[s][rows[s]])])
+        return tasks
+    for k in range(config.n_tasks):
+        first = k * config.classes_per_task
+        labels = list(range(first, first + config.classes_per_task))
+        task = []
+        for s in ("train", "test"):
+            rows = keep(np.flatnonzero(np.isin(y[s], labels)), s)
+            task += [x[s][rows], y[s][rows] - first]
+        tasks.append(task)
+    return tasks
+
+
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("cut", [(0, 0), (4, 2)])
+@pytest.mark.parametrize("protocol", ["split", "permuted"])
+def test_idx_stream_equals_its_formula(tmp_path, protocol, cut, gz):
+    data = idx_data()
+    write_idx_dir(tmp_path, data, gz=gz)
+    config = idx_config(tmp_path, protocol=protocol, train_per_task=cut[0],
+                        test_per_task=cut[1])
+    got = [[t.train.x, t.train.y, t.test.x, t.test.y]
+           for t in make_idx_stream(config).tasks]
+    want = reference_idx_stream(data, config)
+    assert len(got) == len(want) == 2
+    for got_task, want_task in zip(got, want):
+        for a, b in zip(got_task, want_task):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+def test_subsample_limits_and_determinism(tmp_path):
+    # a permuted stream's cut keeps that many base rows, the same ones for
+    # one seed, and every row at 0
+    write_idx_dir(tmp_path, idx_data())
+
+    def base(train, test):
+        task = make_idx_stream(idx_config(
+            tmp_path, protocol="permuted", train_per_task=train,
+            test_per_task=test)).tasks[0]
+        return task.train, task.test
+
+    (a, a_test), (b, _) = base(12, 5), base(12, 5)
+    assert len(a.x) == 12 and len(a_test.x) == 5
+    assert np.array_equal(a.x, b.x)
+    assert len(base(0, 0)[0].x) == 30

@@ -83,6 +83,14 @@ def test_readme_names_every_export():
     assert missing == []
 
 
+def test_readme_names_the_idx_files():
+    # the files an IDX stream reads, as `dataset = idx` users must name them
+    from metacl.datasets import IDX_NAMES
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in IDX_NAMES if f"`{name}`" not in readme] == []
+
+
 # the spans each workload's method never reaches: ER trains no generator
 # and no discriminator, reads no dark replay and draws no partition; only
 # the resume workload saves and loads checkpoints
