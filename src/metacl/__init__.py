@@ -6,7 +6,7 @@ discriminator), episodic replay memory, a bi-level one-epoch trainer, and an
 experiment runner with deterministic, seedable runs.
 """
 
-from .autodiff import Tensor, backward, no_grad, sgd_step, zero_grads
+from .autodiff import Tensor, backward, sgd_step, zero_grads
 from .config import RunConfig, load_config, parse_config, serialize_config
 from .datasets import make_synthetic
 from .memory import Draw, EpisodicMemory, MemoryEntry, make_entry
@@ -22,7 +22,7 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "backward", "no_grad", "sgd_step", "zero_grads",
+    "Tensor", "backward", "sgd_step", "zero_grads",
     "RunConfig", "load_config", "parse_config", "serialize_config",
     "make_synthetic",
     "Draw", "EpisodicMemory", "MemoryEntry", "make_entry",

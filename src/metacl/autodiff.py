@@ -24,8 +24,9 @@ through trunk, FiLM and heads, whose value and every gradient equal those
 of the groups' chains of primitive ops bit for bit. ``task_loss`` is the
 one cross-entropy and dark-replay node (union CE, DER++'s term and the
 discriminator's loss); ``task_alignment`` is the soft-target alignment.
-Inference reads a one-group ``TaskForward`` built under ``no_grad``. The
-losses sum these nodes with ``add`` and scale them with ``mul``.
+Inference reads the logits of a one-group ``TaskForward``; a forward plans
+its backward only when a loss node is built on it. The losses sum these
+nodes with ``add`` and scale them with ``mul``.
 
 The op-by-op chains the nodes are held to, and the ops only they use
 (``sub``, ``div``, ``sqrt``, ``tsum``, ``gather_rows``, ``slice_cols``,
@@ -46,24 +47,11 @@ import numpy as np
 from .errors import ContractError, DimensionError
 
 _node_seq = itertools.count()
-_grad_enabled = True
 
 # Finite stand-in for -inf: exp(-1e9) underflows to exactly 0.0 in float64,
 # so masked logits get exactly zero softmax probability without NaN risk.
 MASK_FILL = -1e9
 NORM_EPS = 1e-8  # FiLM divides each coefficient vector by its norm plus this
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 @contextmanager
@@ -162,12 +150,11 @@ def parameter(data):
 
 def _make(out_data, inputs, backward_fn):
     out = Tensor(out_data)
-    if _grad_enabled:
-        for t in inputs:
-            if t.requires_grad:
-                out.requires_grad = True
-                out.node = Node(inputs, backward_fn)
-                break
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            out.node = Node(inputs, backward_fn)
+            break
     return out
 
 
@@ -437,17 +424,20 @@ class TaskForward:
     ``leaves`` lists what the chains send gradient to, once per contribution
     and in the order those arrive: groups by descending task, each its head,
     then from the last layer down each layer's FiLM parameters and affine
-    map, as far as the requires-grad flags read here let the gradient go.
-    ``backward`` returns the contributions in that order, so a node whose
-    inputs are ``leaves`` adds them up exactly as the chains' nodes do.
+    map, as far as the requires-grad flags let the gradient go when the
+    backward is planned. ``backward`` returns the contributions in that
+    order, so a node whose inputs are ``leaves`` adds them up exactly as the
+    chains' nodes do. The plan is made the first time it is read, when a
+    loss node is built on the forward (inside the ``grad_only`` block the
+    forward was built in); a forward no loss is built on, as at inference,
+    never plans.
 
     With ``reuse=(source, n)`` the tasks are the first of the forward
     ``source``, made on the same weights, whose first n groups hold the same
     rows: one loop computes the rows of the other groups (none when n is
     every group), then the source's rows go in front of each array, and all
     FiLM coefficients are the source's. ``films`` is ``task_films`` of
-    exactly these tasks, in place of making it. Under ``no_grad`` a forward
-    plans no backward and lists no leaves.
+    exactly these tasks, in place of making it.
     """
 
     def __init__(self, x, tasks, sizes, layers, heads, reuse=None, films=None):
@@ -511,7 +501,14 @@ class TaskForward:
             for name in ("head_relu", "head_mask", "logits"):
                 setattr(self, name, np.concatenate(
                     [getattr(source, name)[:copied], getattr(self, name)]))
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set yet: the plan's are set on
+        # the first read of any of them
+        if name not in ("leaves", "head_needs", "steps", "largest", "slots"):
+            raise AttributeError(name)
         self._plan()
+        return getattr(self, name)
 
     def _plan(self):
         """Read what requires grad: ``head_needs`` per group, and ``steps``,
@@ -519,8 +516,6 @@ class TaskForward:
         FiLM flags or None, (w, b) flags or None when the gradient stops
         at the FiLM, whether it goes on below); then list ``leaves``."""
         self.leaves = []
-        if not _grad_enabled:
-            return
         self.head_needs = [(w.requires_grad, b.requires_grad)
                            for w, b in self.heads]
         needs, live = [], False
@@ -803,9 +798,11 @@ def zero_grads(params):
 
 
 def sgd_step(params, lr):
-    """In-place ``p -= lr * grad`` for each parameter, then clear the grads."""
-    if lr <= 0:
-        raise ContractError(f"sgd_step: learning rate must be positive, got {lr}")
+    """In-place ``p -= lr * grad`` for each parameter, then clear the grads;
+    a learning rate that is not a finite number > 0 moves nothing."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ContractError(
+            f"sgd_step: learning rate must be a finite number > 0, got {lr}")
     params = list(params)
     for p in params:
         if p.grad is None:

@@ -120,9 +120,11 @@ def _float_rows(x):
     return x.astype(np.float64)
 
 
-def make_split_stream(base, classes_per_task, train_limit=None,
+def make_split_stream(base, classes_per_task, n_tasks, train_limit=None,
                       test_limit=None, seed=0):
-    """Partition classes in label order into consecutive disjoint tasks.
+    """Partition classes in label order into consecutive disjoint tasks,
+    and build the first ``n_tasks`` of them; fewer class groups fail
+    before any is cut.
 
     Within a task, labels are remapped to 0..classes_per_task-1. A task
     with no train or no test rows fails, naming the task and the split.
@@ -135,9 +137,15 @@ def make_split_stream(base, classes_per_task, train_limit=None,
         raise ConfigurationError(
             f"{base.n_classes} classes are not divisible into tasks of "
             f"{classes_per_task}")
+    if n_tasks < 1:
+        raise ConfigurationError("n_tasks must be >= 1")
+    groups = base.n_classes // classes_per_task
+    if groups < n_tasks:
+        raise ConfigurationError(
+            f"n_tasks={n_tasks}, but the split stream of {base.n_classes} "
+            f"classes makes only {groups} tasks")
     rng = np.random.default_rng([seed, 60])
     tasks = []
-    n_tasks = base.n_classes // classes_per_task
     for k in range(1, n_tasks + 1):
         labels = tuple(range((k - 1) * classes_per_task, k * classes_per_task))
 
@@ -195,7 +203,8 @@ def make_synthetic(config):
     if config.protocol == "split":
         base = _gaussian_base(config.n_tasks * config.classes_per_task,
                               *cluster_args, rng)
-        stream = make_split_stream(base, config.classes_per_task)
+        stream = make_split_stream(base, config.classes_per_task,
+                                   config.n_tasks)
         for task in stream.tasks:
             task.train.x, task.test.x = standardize(task.train.x, task.test.x)
         return stream
@@ -230,7 +239,7 @@ def make_idx_stream(config):
     ``.gz``. ``train_per_task`` / ``test_per_task`` (0 keeps every row) cut
     each task of a split stream, and the base a permuted stream's tasks
     share, drawing from ``default_rng([data_seed, 60])`` train then test.
-    A split stream keeps its first ``n_tasks`` class groups."""
+    A split stream builds only its first ``n_tasks`` class groups."""
     paths = [os.path.join(config.idx_dir, name) for name in IDX_NAMES]
     # downloads usually keep the .gz suffix; prefer the plain file if both exist
     base = load_idx_dataset(*(p + ".gz" if not os.path.exists(p)
@@ -243,14 +252,8 @@ def make_idx_stream(config):
                        for split, limit in zip((base.train, base.test), limits))
         base = Dataset(train, test, base.n_classes)
         return make_permuted_stream(base, config.n_tasks, seed=config.data_seed)
-    stream = make_split_stream(base, config.classes_per_task, *limits,
-                               seed=config.data_seed)
-    if len(stream.tasks) < config.n_tasks:
-        raise ConfigurationError(
-            f"n_tasks={config.n_tasks}, but the IDX split stream makes only "
-            f"{len(stream.tasks)} tasks")
-    del stream.tasks[config.n_tasks:]
-    return stream
+    return make_split_stream(base, config.classes_per_task, config.n_tasks,
+                             *limits, seed=config.data_seed)
 
 
 def load_idx(path):

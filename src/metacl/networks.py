@@ -9,10 +9,11 @@ One path runs the network, ``autodiff.TaskForward``:
 ``ContinualModel.task_forward`` on the classification path (trunk, FiLM,
 the task's head) and ``discriminator_forward`` on the discriminator's
 (plain trunk, the discriminator's two layers). Training builds one per
-loss; snapshots (the discriminator's at ``n_seen``) and evaluation read a
-one-group forward under ``no_grad``. The components hold parameters and
-say which of them a forward takes: ``ParameterGenerator.layer`` is a
-layer's FiLM parameters, ``ClassifierHeads.head`` a task's head.
+loss; snapshots (the discriminator's at ``n_seen``) and evaluation read
+the logits of a one-group forward, which plans no backward since no loss
+is built on it. The components hold parameters and say which of them a
+forward takes: ``ParameterGenerator.layer`` is a layer's FiLM parameters,
+``ClassifierHeads.head`` a task's head.
 
 The op-by-op chain of the same network, one tape node per op, is the
 tests' reference (``tests/reference.py``): each forward equals it group by
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import TaskForward, Tensor, matmul, no_grad, relu, task_films
+from .autodiff import TaskForward, Tensor, matmul, relu, task_films
 from .config import TRANSFORM_MODES
 from .errors import (
     CapacityError,
@@ -285,19 +286,17 @@ class ContinualModel:
                                             (d.w1, d.b1)]]
         return TaskForward(x, keys, sizes, layers, [(d.w2, d.b2)] * len(keys))
 
-    # -- snapshots (inference mode, detached arrays) -------------------------
+    # -- snapshots (inference, detached arrays) ------------------------------
 
     def snapshot_logits(self, x, task_id):
         """The task's logits of ``x`` as an array, from a one-group forward."""
-        with no_grad():
-            return self.task_forward(x, [task_id], [len(x)]).logits
+        return self.task_forward(x, [task_id], [len(x)]).logits
 
     def snapshot_disc_logits(self, x):
         """The first ``n_seen + 1`` columns of the discriminator's logits of
         ``x`` on the plain trunk, as an array, from a one-group forward."""
-        with no_grad():
-            forward = self.discriminator_forward(x, [0], [len(x)])
-            return forward.logits[:, :self.n_seen + 1].copy()
+        forward = self.discriminator_forward(x, [0], [len(x)])
+        return forward.logits[:, :self.n_seen + 1].copy()
 
     # -- parameter groups ----------------------------------------------------
 

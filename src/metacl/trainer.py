@@ -35,7 +35,6 @@ from .autodiff import (
     assert_finite,
     backward,
     grad_only,
-    no_grad,
     sgd_step,
     zero_grads,
 )
@@ -116,18 +115,17 @@ def evaluate(model, tasks):
     ``task_forward``, on one ``task_films`` of all the tasks scored, which
     rejects a task never registered before any forward runs."""
     out = {}
-    with no_grad():
-        films = model.task_films([task.task_id for task in tasks])
-        for k, task in enumerate(tasks):
-            own = [None if c is None else c.rows(k, k + 1) for c in films]
-            correct = 0
-            for start in range(0, len(task.test.x), EVAL_CHUNK):
-                x = task.test.x[start:start + EVAL_CHUNK]
-                y = task.test.y[start:start + EVAL_CHUNK]
-                logits = model.task_forward(x, [task.task_id], [len(x)],
-                                            films=own).logits
-                correct += int((logits.argmax(axis=1) == y).sum())
-            out[task.task_id] = correct / len(task.test.x)
+    films = model.task_films([task.task_id for task in tasks])
+    for k, task in enumerate(tasks):
+        own = [None if c is None else c.rows(k, k + 1) for c in films]
+        correct = 0
+        for start in range(0, len(task.test.x), EVAL_CHUNK):
+            x = task.test.x[start:start + EVAL_CHUNK]
+            y = task.test.y[start:start + EVAL_CHUNK]
+            logits = model.task_forward(x, [task.task_id], [len(x)],
+                                        films=own).logits
+            correct += int((logits.argmax(axis=1) == y).sum())
+        out[task.task_id] = correct / len(task.test.x)
     return out
 
 

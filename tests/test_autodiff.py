@@ -10,7 +10,6 @@ from metacl.autodiff import (
     backward,
     grad_only,
     matmul,
-    no_grad,
     relu,
     sgd_step,
     zero_grads,
@@ -236,10 +235,14 @@ def test_sgd_missing_grad_is_contract_error():
 
 
 def test_sgd_nonpositive_lr_rejected():
-    p = Tensor([1.0], requires_grad=True)
-    p.grad = np.array([1.0])
-    with pytest.raises(ContractError):
-        sgd_step([p], 0.0)
+    # and a NaN or infinite one, before any parameter or gradient changes
+    p = Tensor([1.0, -2.0], requires_grad=True)
+    p.grad = np.array([1.0, 3.0])
+    for lr in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ContractError, match="learning rate"):
+            sgd_step([p], lr)
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+        np.testing.assert_array_equal(p.grad, [1.0, 3.0])
 
 
 def test_sgd_descends_quadratic():
@@ -283,13 +286,6 @@ def test_mask_cols_zero_probability_and_zero_grad():
     np.testing.assert_array_equal(x.grad[:, 2:], 0.0)
     np.testing.assert_array_equal(x.grad[:, :2], 1.0)
     assert masked.data[0, 3] == MASK_FILL
-
-
-def test_no_grad_blocks_recording():
-    w = Tensor([1.0], requires_grad=True)
-    with no_grad():
-        out = w * 3.0
-    assert out.node is None and not out.requires_grad
 
 
 def test_tensor_of_a_copied_value_is_a_disconnected_constant():

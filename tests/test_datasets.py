@@ -44,7 +44,7 @@ def toy_base(n_classes=4, per_class=6, dim=5, seed=0):
 
 def test_split_label_sets_partition_in_order():
     base = toy_base(n_classes=10)
-    stream = make_split_stream(base, classes_per_task=2)
+    stream = make_split_stream(base, classes_per_task=2, n_tasks=5)
     assert [t.label_set for t in stream.tasks] == [
         (0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
     union = set()
@@ -56,7 +56,7 @@ def test_split_label_sets_partition_in_order():
 
 def test_split_remaps_labels_within_task():
     base = toy_base(n_classes=4)
-    stream = make_split_stream(base, classes_per_task=2)
+    stream = make_split_stream(base, classes_per_task=2, n_tasks=2)
     for t in stream.tasks:
         assert set(np.unique(t.train.y)) == {0, 1}
         assert set(np.unique(t.test.y)) == {0, 1}
@@ -64,7 +64,14 @@ def test_split_remaps_labels_within_task():
 
 def test_split_indivisible_classes_rejected():
     with pytest.raises(ConfigurationError):
-        make_split_stream(toy_base(n_classes=10), classes_per_task=3)
+        make_split_stream(toy_base(n_classes=10), classes_per_task=3,
+                          n_tasks=3)
+
+
+def test_split_rejects_zero_tasks():
+    with pytest.raises(ConfigurationError, match="n_tasks must be >= 1"):
+        make_split_stream(toy_base(n_classes=4), classes_per_task=2,
+                          n_tasks=0)
 
 
 # -- permuted protocol -------------------------------------------------------------

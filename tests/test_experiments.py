@@ -112,10 +112,21 @@ def test_split_stream_rejects_a_task_with_an_empty_split(tmp_path, split):
     # that fails naming the task and the split, not in numpy
     _write_tiny_idx(tmp_path, lacking=split)
     config = tiny_config(f"idx_dir={tmp_path}", "dataset=idx",
-                         "protocol=split", "classes_per_task=2")
+                         "protocol=split", "classes_per_task=2", "n_tasks=2")
     with pytest.raises(ConfigurationError,
                        match=rf"task [12] \(classes .*\) has no {split} rows"):
         build_stream(config)
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_idx_split_stream_builds_no_class_group_past_n_tasks(tmp_path, split):
+    # the second class group has no ``split`` rows, but n_tasks=1 never
+    # builds it, so the stream is the first task alone
+    _write_tiny_idx(tmp_path, lacking=split)
+    config = tiny_config(f"idx_dir={tmp_path}", "dataset=idx",
+                         "protocol=split", "classes_per_task=2", "n_tasks=1")
+    stream = build_stream(config)
+    assert [t.label_set for t in stream.tasks] == [(0, 1)]
 
 
 @pytest.mark.parametrize("n_tasks", [1, 2])

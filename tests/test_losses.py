@@ -12,7 +12,6 @@ from metacl.autodiff import (
     backward,
     grad_only,
     matmul,
-    no_grad,
     relu,
     sgd_step,
     zero_grads,
@@ -474,12 +473,12 @@ def reference_total_loss(model, batch, memory, config):
 
 def reference_discriminator_loss(model, x, labels, memory, config):
     """The discriminator's loss as the per-width chain its node must equal
-    bit for bit: no-grad features of today's rows, then of each width's
-    memory rows, through ``discriminate``; CE on today's rows, and per width
-    ``l2_distance`` on the first w columns and CE, weighted by the width's
-    share of the memory rows and summed by ascending width."""
+    bit for bit: untaped features (trunk frozen) of today's rows, then of
+    each width's memory rows, through ``discriminate``; CE on today's rows,
+    and per width ``l2_distance`` on the first w columns and CE, weighted by
+    the width's share of the memory rows and summed by ascending width."""
     k = model.n_seen
-    with no_grad():
+    with grad_only((), model.extractor_params()):
         feats = extract(model, x).data
     loss = softmax_cross_entropy(
         discriminate(model.discriminator, Tensor(feats), k), labels)
@@ -490,7 +489,7 @@ def reference_discriminator_loss(model, x, labels, memory, config):
     l2_total, ce_total = None, None
     for width in np.unique(widths).tolist():
         mask = widths == width
-        with no_grad():
+        with grad_only((), model.extractor_params()):
             feats_m = extract(model, memory.x[mask]).data
         logits_m = discriminate(model.discriminator, Tensor(feats_m), k)
         frac = int(mask.sum()) / len(memory)

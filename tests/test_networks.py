@@ -10,7 +10,7 @@ from metacl.autodiff import (
     Tensor,
     backward,
     grad_only,
-    no_grad,
+    task_loss,
 )
 from metacl.datasets import Split, Task
 from metacl.errors import CapacityError, ConfigurationError, ContractError, UnknownTaskError
@@ -322,13 +322,13 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
         model.register_task(seen)
         for p in model.all_params():  # mid-training values: nonzero biases
             p.data += 0.1 * rng.normal(size=p.data.shape)
-        with no_grad():
+        with grad_only((), model.all_params()):
             want_disc = discriminate(model.discriminator, extract(model, x),
                                      seen).data
         got = model.snapshot_disc_logits(x)
         assert got.shape == (rows, seen + 1)
         assert got.tobytes() == want_disc[:, :seen + 1].tobytes()
-    with no_grad():
+    with grad_only((), model.all_params()):
         want_logits = {t: logits(model, x, t).data for t in (1, 2)}
         want_preds = {t: np.concatenate([
             logits(model, x[s:s + chunk], t).data.argmax(axis=1)
@@ -360,7 +360,7 @@ def test_evaluate_over_many_tasks_predicts_as_the_reference_path(share, mode):
         p.data += 0.1 * rng.normal(size=p.data.shape)
     xs = {t: rng.normal(size=(int(rng.integers(1, 40)), 4))
           for t in range(1, 14)}
-    with no_grad():
+    with grad_only((), model.all_params()):
         want = {t: logits(model, x, t).data.argmax(axis=1)
                 for t, x in xs.items()}
     order = rng.permutation(np.arange(1, 14)).tolist()
@@ -434,14 +434,20 @@ def test_reuse_equals_a_fresh_forward(mode, k, shared):
 
 
 @pytest.mark.parametrize("mode", ["per_layer", "last", "off"])
-def test_one_group_forward_under_no_grad_equals_the_taped_one(mode):
+def test_one_group_forward_with_every_parameter_frozen_equals_the_taped_one(
+        mode):
+    # a forward's plan reads the flags when it is first needed: inside a
+    # block that freezes every parameter it lists no leaves, and its loss
+    # records no node
     model, rng = _trained_model(mode, 5)
     x = rng.normal(size=(6, 4))
     taped = model.task_forward(x, [2], [6])
     first_node = next(autodiff._node_seq)
-    with no_grad():
+    with grad_only((), model.all_params()):
         plain = model.task_forward(x, [2], [6])
+        loss = task_loss(plain, np.zeros(6, dtype=int))
     assert next(autodiff._node_seq) == first_node + 1  # no node recorded
+    assert loss.node is None and not loss.requires_grad
     assert plain.leaves == [] and taped.leaves
     assert plain.logits.tobytes() == taped.logits.tobytes()
 
@@ -475,7 +481,7 @@ def test_nan_input_row_reaches_its_logits_on_both_paths(mode):
     model.register_task(2)
     x = np.random.default_rng(4).normal(size=(3, 4))
     x[1, 0] = np.nan
-    with no_grad():
+    with grad_only((), model.all_params()):
         want = logits(model, x, 2).data
         want_disc = discriminate(model.discriminator, extract(model, x),
                                  model.n_seen).data[:, :3]

@@ -14,7 +14,8 @@ that changes what they do. Two ``ast`` scans of ``src/metacl`` and of the
 tests' reference chain (``tests/reference.py``, written on the package's
 private helpers) keep deletions from leaving debris in either: an import
 nothing in its module uses, and a private (``_name``) module-level name or
-method nothing in them references.
+method nothing in them references. A third finds no ``global`` statement
+in them, so no process-wide mode decides what is taped.
 """
 
 import ast
@@ -213,6 +214,14 @@ def test_package_has_no_unused_import():
                            if (bound := alias.asname
                                or alias.name.split(".")[0]) not in used]
     assert unused == []
+
+
+def test_package_has_no_global_statement():
+    # what a forward tapes is read from its tensors' flags alone
+    found = [f"{module}:{node.lineno} global {', '.join(node.names)}"
+             for module, tree in package_trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
 
 
 def private_definitions(tree):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import check_gradients
 from reference import discriminate, extract, logits, softmax_cross_entropy
-from metacl import experiments, networks
+from metacl import autodiff, experiments, networks
 from metacl import trainer as trainer_module
 from metacl.autodiff import backward, sgd_step, zero_grads
 from metacl.config import ABLATION_MODES, METHODS, TRANSFORM_MODES, RunConfig
@@ -823,6 +823,56 @@ def test_step_trunk_passes_are_pinned(monkeypatch):
                  lambda: trainer.adversarial_step(train[0])):
         step()
         assert passes == []
+
+
+def count_plans(monkeypatch):
+    """(built, planned): every ``TaskForward`` built, and each one again
+    every time it plans its backward."""
+    built, planned = [], []
+    init, plan = autodiff.TaskForward.__init__, autodiff.TaskForward._plan
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_plan(self):
+        planned.append(self)
+        plan(self)
+
+    monkeypatch.setattr(autodiff.TaskForward, "__init__", counted_init)
+    monkeypatch.setattr(autodiff.TaskForward, "_plan", counted_plan)
+    return built, planned
+
+
+def test_each_loss_forward_plans_once_per_step(monkeypatch):
+    # inner: CE, DER++ and alignment forwards; outer: CE and DER++;
+    # adversarial: the discriminator's. Each plans when its loss node is
+    # built, and backward reuses that plan
+    trainer, train, val = three_task_trainer()
+    built, planned = count_plans(monkeypatch)
+    for step, forwards in ((lambda: trainer.inner_step(*train), 3),
+                           (lambda: trainer.outer_step(*val), 2),
+                           (lambda: trainer.adversarial_step(train[0]), 1)):
+        built.clear()
+        planned.clear()
+        step()
+        assert len(built) == forwards
+        assert planned == built
+
+
+def test_inference_tapes_nothing_and_plans_no_backward(monkeypatch):
+    # evaluation and both snapshots read forwards no loss is built on
+    trainer, stream = fresh_trainer()
+    trainer.train_task(stream.tasks[0])
+    model, x = trainer.model, stream.tasks[0].test.x
+    built, planned = count_plans(monkeypatch)
+    first_node = next(autodiff._node_seq)
+    evaluate(model, stream.tasks[:1])
+    model.snapshot_logits(x, 1)
+    model.snapshot_disc_logits(x)
+    assert len(built) == 3 and planned == []
+    assert next(autodiff._node_seq) == first_node + 1  # no node recorded
+    assert all(p.grad is None for p in model.all_params())
 
 
 @pytest.mark.parametrize("method", ["scale", "er"])
