@@ -179,11 +179,23 @@ def _typed_fields(path, raw, names):
     return out
 
 
+def _typed_entries(path, name, entries, kinds):
+    """``FormatError`` naming the file and the field ``name`` at the first
+    of ``entries`` whose type, as JSON reads it (a bool is no int), is none
+    of ``kinds``."""
+    for v in entries:
+        if type(v) not in kinds:
+            raise FormatError(f"{path}: field {name}: entry {v!r} is "
+                              f"{type(v).__name__}, not "
+                              f"{' or '.join(k.__name__ for k in kinds)}")
+
+
 def load_record(seed_dir):
     """Rebuild a ResultRecord from record.json (+ timing.json if present);
     a record of another version, or one missing a field, holding one of
-    the wrong type or an accuracy matrix that is not complete rows in
-    [0, 1], fails as ``FormatError`` naming the file."""
+    the wrong type, an accuracy matrix that is not complete rows of
+    numbers in [0, 1], or a ``samples_seen`` or ``counters`` value that is
+    not an int, fails as ``FormatError`` naming the file and the field."""
     path = os.path.join(seed_dir, "record.json")
     raw = _read_json_object(path)
     if raw.get("record_version") != RECORD_VERSION:
@@ -193,13 +205,19 @@ def load_record(seed_dir):
     if missing:
         raise FormatError(f"{path}: missing fields {missing}")
     values = _typed_fields(path, raw, STABLE_FIELDS)
+    matrix = values["acc_matrix"]
+    _typed_entries(path, "acc_matrix", matrix, (list,))
+    _typed_entries(path, "acc_matrix", [v for row in matrix for v in row],
+                   (int, float))
     try:  # the rows seed_stats reads LA from
-        if not AccuracyMatrix.from_rows(values["acc_matrix"]).n_rows:
+        if not AccuracyMatrix.from_rows(matrix).n_rows:
             raise ValueError("holds no row")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: field acc_matrix: {exc}") from exc
     if not all(map(str.isdecimal, values["samples_seen"])):
         raise FormatError(f"{path}: field samples_seen has a non-integer key")
+    for name in ("samples_seen", "counters"):
+        _typed_entries(path, name, values[name].values(), (int,))
     values["samples_seen"] = {int(k): v for k, v in raw["samples_seen"].items()}
     timing_path = os.path.join(seed_dir, "timing.json")
     if os.path.exists(timing_path):

@@ -23,10 +23,11 @@ task (the discriminator's memory rows by stored snapshot width):
 soft-target alignment. Each is bit-identical in value and every gradient
 to its per-group chain of primitive ops over the model's parameters.
 Those chains are the reference path the tests hold the nodes to
-(``tests/reference.py``); no loss runs them. A step groups its rows once, and the memory rows of a task the
-batch does not hold go through the network once: ``derpp_loss`` reuses
-CE's forward for them. With both dark-replay weights zero (ablation B)
-neither the learner's nor the discriminator's dark-replay term is built.
+(``tests/reference.py``); no loss runs them. A step groups its rows once,
+and ``derpp_loss`` is always built on CE's forward: the memory rows of a
+task the batch does not hold go through the network once. With both
+dark-replay weights zero (ablation B) neither the learner's nor the
+discriminator's dark-replay term is built.
 
 The trade-off constants lam1..lam3, the noise model and the alignment
 direction are read from the run's ``RunConfig``, passed as ``config``.
@@ -102,34 +103,30 @@ def ce_loss(model, batch, memory=None, shared=None):
     return task_loss(forward, y[order])
 
 
-def derpp_loss(model, memory, config, shared=None):
+def derpp_loss(model, memory, config, shared):
     """Dark-replay term: lam1 * mean L2 to stored logits + lam2 * mean CE.
 
     Every drawn row must carry a classifier-logit snapshot whose width
     matches the current head of its task. The loss is one tape node
     (``autodiff.task_loss``, every group replayed at its head's width).
-    Given ``shared`` as ``ce_loss`` fills it, on the same draw and weights,
-    the memory rows keep CE's grouping, and those of every task but the
-    batch task reuse CE's forward, whose groups for those tasks hold
-    exactly these rows; every task's FiLM coefficients come from it.
+    It is built on ``shared`` as ``ce_loss`` filled it, on the same draw
+    and weights: the memory rows keep CE's grouping, those of every task
+    but the batch task reuse CE's forward, whose groups for those tasks
+    hold exactly these rows, and every task's FiLM comes from it.
     """
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
     if not memory.h_width.all():
         raise MemoryConsistencyError("memory entry lacks a logit snapshot")
-    reuse = None
-    if shared:
-        # CE's order cut to the memory rows is their own stable order, and
-        # its last group, the batch task's, keeps only its memory rows
-        _, _, _, order, tasks, sizes = shared["rows"]
-        n_batch = len(order) - len(memory)
-        reuse = (shared["forward"], len(tasks) - (n_batch > 0))
-        order, sizes = order[order >= n_batch] - n_batch, sizes.tolist()
-        sizes[-1] -= n_batch
-        keep = len(tasks) - (sizes[-1] == 0)
-        tasks, sizes = tasks[:keep], sizes[:keep]
-    else:
-        order, tasks, sizes = _grouped(memory.t)
+    # CE's order cut to the memory rows is their own stable order, and its
+    # last group, the batch task's, keeps only its memory rows
+    _, _, _, order, tasks, sizes = shared["rows"]
+    n_batch = len(order) - len(memory)
+    reuse = (shared["forward"], len(tasks) - (n_batch > 0))
+    order, sizes = order[order >= n_batch] - n_batch, sizes.tolist()
+    sizes[-1] -= n_batch
+    keep = len(tasks) - (sizes[-1] == 0)
+    tasks, sizes = tasks[:keep], sizes[:keep]
     widths = [model.heads.output_dim(task) for task in tasks]
     stored, expected = memory.h_width[order], np.repeat(widths, sizes)
     wrong = np.flatnonzero(stored != expected)

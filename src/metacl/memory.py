@@ -147,10 +147,14 @@ class EpisodicMemory:
     def observe(self, entry):
         """Offer one entry to its task's reservoir; returns True if stored.
 
-        An entry of a task before the last row's fails as ContractError, and
-        one of another input shape as MemoryConsistencyError, with nothing
-        changed."""
+        An entry of a task id below 1 (0 is the discriminator's fake class),
+        of a negative label or of a task before the last row's fails as
+        ContractError, and one of another input shape as
+        MemoryConsistencyError, with nothing changed."""
         f, n, t = self._f, self._n, entry.t
+        if t < 1 or entry.y < 0:
+            raise ContractError(f"row of task {t}, label {entry.y}: task ids "
+                                f"start at 1 and labels at 0")
         if f is not None and entry.x.shape != f["x"].shape[1:]:
             raise MemoryConsistencyError(
                 f"input of shape {entry.x.shape}, memory stores "
@@ -240,6 +244,9 @@ class EpisodicMemory:
             raise MemoryConsistencyError("snapshot widths exceed their padding")
         if np.any(np.diff(rows.t) < 0):
             raise MemoryConsistencyError("memory rows are not in task order")
+        if np.any(rows.t < 1) or np.any(rows.y < 0):
+            raise MemoryConsistencyError(
+                "memory rows hold a task id below 1 or a negative label")
         tasks, counts = np.unique(rows.t, return_counts=True)
         held = dict(zip(tasks.tolist(), counts.tolist()))
         for t in sorted(held.keys() | mem.seen_counts.keys()):

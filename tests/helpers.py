@@ -9,6 +9,7 @@ import os
 import numpy as np
 
 from metacl.autodiff import backward, zero_grads
+from metacl.losses import ce_loss, derpp_loss
 from metacl.memory import Draw
 
 
@@ -33,6 +34,15 @@ def draw_of(entries):
     return Draw(x=x, y=np.array([e.y for e in entries], dtype=np.int64),
                 t=np.array([e.t for e in entries], dtype=np.int64),
                 h=h, h_width=h_width, h_disc=h_disc, h_disc_width=h_disc_width)
+
+
+def derpp_on_ce(model, memory, config):
+    """The dark-replay term on ``memory`` as training builds it: on the
+    ``shared`` dict that ``ce_loss`` fills for the same draw, with no batch."""
+    shared = {}
+    if memory is not None and len(memory) > 0:
+        ce_loss(model, None, memory, shared)
+    return derpp_loss(model, memory, config, shared)
 
 
 def finite_difference_grad(loss_fn, param, step=1e-5):

@@ -35,7 +35,6 @@ from metacl.experiments import (
 from metacl.losses import (
     adversarial_generator_loss,
     ce_loss,
-    derpp_loss,
     discriminator_loss,
     total_loss,
 )
@@ -44,7 +43,7 @@ from metacl.metrics import AccuracyMatrix, acc, fm
 from metacl.networks import ContinualModel
 from metacl.trainer import build_trainer, run_stream
 
-from helpers import check_gradients, draw_of
+from helpers import check_gradients, derpp_on_ce, draw_of
 from reference import (
     div,
     film_transform,
@@ -238,7 +237,7 @@ def test_criterion_02_losses_match_closed_forms():
     h = model.snapshot_logits(xs, 1)
     same = draw_of([make_entry(xs[i], ys[i], 1, h=h[i]) for i in range(3)])
     distill_only = RunConfig(lambda1=1.0, lambda2=0.0, lambda3=0.0)
-    assert derpp_loss(model, same, distill_only).data == 0.0
+    assert derpp_on_ce(model, same, distill_only).data == 0.0
 
     # hand value: logits [3, 4] against stored [0, 0] gives distance 5
     assert l2_distance(Tensor(np.array([[3.0, 4.0]])),
@@ -247,12 +246,12 @@ def test_criterion_02_losses_match_closed_forms():
     w.data[...] = 0.0
     b.data[...] = np.array([3.0, 4.0])
     rigged = draw_of([make_entry(xs[0], 0, 1, h=np.zeros(2))])
-    assert derpp_loss(model, rigged, distill_only).data == 5.0
+    assert derpp_on_ce(model, rigged, distill_only).data == 5.0
 
     # with the distillation term off, replay reduces to weighted label CE
     lam2 = 0.7
-    got = derpp_loss(model, same,
-                     RunConfig(lambda1=0.0, lambda2=lam2, lambda3=0.0)).data
+    got = derpp_on_ce(model, same,
+                      RunConfig(lambda1=0.0, lambda2=lam2, lambda3=0.0)).data
     ref = lam2 * softmax_cross_entropy(logits(model, Tensor(xs), 1), ys).data
     assert abs(got - ref) < 1e-12
 
@@ -274,7 +273,7 @@ def test_criterion_02_losses_match_closed_forms():
                        generator_mode="uniform-confusion")
     total = total_loss(model2, batch, memory, config).data
     parts = (ce_loss(model2, batch, memory).data
-             + derpp_loss(model2, memory, config).data
+             + derpp_on_ce(model2, memory, config).data
              + 0.3 * adversarial_generator_loss(model2, batch, memory,
                                                 config).data)
     assert abs(total - parts) < 1e-12

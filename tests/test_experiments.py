@@ -333,11 +333,20 @@ def _without(raw, key):
      "field acc_matrix: "),
     ("record.json", lambda raw: {**raw, "acc_matrix": []},
      "field acc_matrix: holds no row"),
+    ("record.json", lambda raw: {**raw, "acc_matrix": [["0.5"]]},
+     "field acc_matrix: entry '0.5' is str, not int or float"),
+    ("record.json", lambda raw: {**raw, "acc_matrix": [[True]]},
+     "field acc_matrix: entry True is bool, not int or float"),
+    ("record.json", lambda raw: {**raw, "samples_seen": {"1": "ten"}},
+     "field samples_seen: entry 'ten' is str, not int"),
+    ("record.json", lambda raw: {**raw, "counters": {"inner_updates": "x"}},
+     "field counters: entry 'x' is str, not int"),
 ], ids=["version 2", "no version", "no final_fm", "record list", "timing list",
         "record bad JSON", "timing bad JSON", "samples_seen list",
         "final_acc str", "samples_seen key x", "wall_s str", "seed bool",
         "acc_matrix short row", "acc_matrix above 1", "acc_matrix flat",
-        "acc_matrix empty"])
+        "acc_matrix empty", "acc_matrix str entry", "acc_matrix bool entry",
+        "samples_seen str value", "counters str value"])
 def test_load_record_rejects_a_malformed_file_naming_it(tmp_path, name, tamper,
                                                         match):
     record = ResultRecord(config_hash="0" * 64, method="scale", ablation="full",

@@ -31,7 +31,7 @@ from metacl.memory import make_entry
 from metacl.networks import ContinualModel
 from metacl.trainer import effective_config
 
-from helpers import check_gradients, draw_of
+from helpers import check_gradients, derpp_on_ce, draw_of
 from reference import (
     discriminate,
     extract,
@@ -131,8 +131,8 @@ def test_derpp_identity_snapshots_zero():
         x = rng.normal(size=3)
         h = model.snapshot_logits(x[None, :], 1)[0]
         entries.append(make_entry(x, y=i % 2, t=1, h=h))
-    loss = derpp_loss(model, draw_of(entries),
-                      RunConfig(lambda1=1.0, lambda2=0.0))
+    loss = derpp_on_ce(model, draw_of(entries),
+                       RunConfig(lambda1=1.0, lambda2=0.0))
     assert abs(loss.item()) < 1e-12
 
 
@@ -141,8 +141,8 @@ def test_derpp_hand_case_l2_five():
     model.register_task(1)
     zero_head(model, 1, bias=[3.0, 4.0])
     entry = make_entry(np.zeros(3), y=0, t=1, h=np.zeros(2))
-    loss = derpp_loss(model, draw_of([entry]),
-                      RunConfig(lambda1=1.0, lambda2=0.0))
+    loss = derpp_on_ce(model, draw_of([entry]),
+                       RunConfig(lambda1=1.0, lambda2=0.0))
     assert abs(loss.item() - 5.0) < 1e-12
 
 
@@ -152,8 +152,8 @@ def test_derpp_lambda1_zero_reduces_to_memory_ce():
     rng = np.random.default_rng(3)
     entries = [make_entry(rng.normal(size=3), y=i % 2, t=1, h=np.zeros(2))
                for i in range(5)]
-    reduced = derpp_loss(model, draw_of(entries),
-                         RunConfig(lambda1=0.0, lambda2=2.5))
+    reduced = derpp_on_ce(model, draw_of(entries),
+                          RunConfig(lambda1=0.0, lambda2=2.5))
     plain = ce_loss(model, None, draw_of(entries))
     assert abs(reduced.item() - 2.5 * plain.item()) < 1e-12
 
@@ -163,7 +163,7 @@ def test_derpp_snapshot_width_mismatch():
     model.register_task(1)
     entry = make_entry(np.zeros(3), y=0, t=1, h=np.zeros(3))
     with pytest.raises(MemoryConsistencyError, match="shape"):
-        derpp_loss(model, draw_of([entry]), RunConfig())
+        derpp_on_ce(model, draw_of([entry]), RunConfig())
 
 
 def test_derpp_missing_snapshot():
@@ -171,13 +171,13 @@ def test_derpp_missing_snapshot():
     model.register_task(1)
     entry = make_entry(np.zeros(3), y=0, t=1, h=None)
     with pytest.raises(MemoryConsistencyError, match="lacks"):
-        derpp_loss(model, draw_of([entry]), RunConfig())
+        derpp_on_ce(model, draw_of([entry]), RunConfig())
 
 
 def test_derpp_empty_memory_is_zero():
     model = flat_model()
-    assert derpp_loss(model, draw_of([]), RunConfig()).item() == 0.0
-    assert derpp_loss(model, None, RunConfig()).item() == 0.0
+    assert derpp_on_ce(model, draw_of([]), RunConfig()).item() == 0.0
+    assert derpp_on_ce(model, None, RunConfig()).item() == 0.0
 
 
 # -- adversarial generator side ----------------------------------------------------
@@ -366,7 +366,7 @@ def test_total_loss_additivity():
     config = RunConfig(lambda1=1.0, lambda2=1.0, lambda3=0.03)
     total = total_loss(model, batch, memory, config).item()
     parts = (ce_loss(model, batch, memory).item()
-             + derpp_loss(model, memory, config).item()
+             + derpp_on_ce(model, memory, config).item()
              + config.lambda3
              * adversarial_generator_loss(model, batch, memory, config).item())
     assert abs(total - parts) <= 1e-12
@@ -508,7 +508,7 @@ NODE_LOSSES = {
                 lambda model, batch, memory, config:
                 reference_ce_loss(model, batch, memory)),
     "derpp_loss": (lambda model, batch, memory, config:
-                   derpp_loss(model, memory, config),
+                   derpp_on_ce(model, memory, config),
                    lambda model, batch, memory, config:
                    reference_derpp_loss(model, memory, config)),
     "classification_loss": (classification_loss,

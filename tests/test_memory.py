@@ -275,7 +275,7 @@ def assert_matches(mem, ref, i):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1,
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1,
                 max_size=60).map(sorted),
        st.integers(min_value=0, max_value=8))
 @example(ORDERED_TASKS, 0)
@@ -350,6 +350,41 @@ def test_observe_rejects_a_different_input_shape():
     with pytest.raises(MemoryConsistencyError, match="shape"):
         mem.observe(entry_for(1, dim=4))
     assert mem.seen_counts == {1: 1}
+
+
+@pytest.mark.parametrize("t, y", [(0, 0), (-1, 0), (1, -1)],
+                         ids=["fake-class-task", "negative-task",
+                              "negative-label"])
+@pytest.mark.parametrize("held", [0, 3])
+def test_observe_rejects_a_row_no_loss_can_read_changing_nothing(t, y, held):
+    # task 0 is the discriminator's fake class, and neither the grouping by
+    # task nor the CE targets take a negative value: such a row would fail
+    # a later step, far from the write
+    mem = EpisodicMemory(2, rng=np.random.default_rng(0))
+    for i in range(held):
+        mem.observe(entry_for(i))
+    rows = {name: getattr(mem.rows(), name).tolist() for name in Draw.FIELDS}
+    counts, state = dict(mem.seen_counts), mem.rng.bit_generator.state
+    with pytest.raises(ContractError, match=f"task {t}, label {y}"):
+        mem.observe(make_entry(np.zeros(3), y=y, t=t))
+    assert {name: getattr(mem.rows(), name).tolist()
+            for name in Draw.FIELDS} == rows
+    assert mem.seen_counts == counts
+    assert mem.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("field, value, seen", [
+    ("t", 0, {0: 3, 9: 1}), ("t", -1, {-1: 3, 9: 1}), ("y", -1, None)],
+    ids=["fake-class-task", "negative-task", "negative-label"])
+def test_from_rows_rejects_a_row_no_loss_can_read(field, value, seen):
+    mem = EpisodicMemory(2, rng=np.random.default_rng(0))
+    for i, t in enumerate([4, 4, 4, 9]):
+        mem.observe(entry_for(i, t=t))
+    rows = mem.rows()
+    getattr(rows, field)[:2] = value  # task 4's rows
+    with pytest.raises(MemoryConsistencyError, match="below 1 or a negative"):
+        EpisodicMemory.from_rows(2, rows, seen or mem.seen_counts,
+                                 np.random.default_rng(0))
 
 
 def test_from_rows_round_trips_and_checks_the_reservoir_state():

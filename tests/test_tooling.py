@@ -15,7 +15,9 @@ tests' reference chain (``tests/reference.py``, written on the package's
 private helpers) keep deletions from leaving debris in either: an import
 nothing in its module uses, and a private (``_name``) module-level name or
 method nothing in them references. A third finds no ``global`` statement
-in them, so no process-wide mode decides what is taped.
+in them, so no process-wide mode decides what is taped. A fourth finds
+every ``RunConfig`` field read as an attribute in a package module other
+than ``config.py``: an option that no code reads fails the suite.
 """
 
 import ast
@@ -25,11 +27,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from metacl.config import parse_config
+from metacl.config import RunConfig, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -255,3 +258,12 @@ def test_package_has_no_unreferenced_private_name():
                     for name, line in private_definitions(tree)
                     if name not in referenced]
     assert unreferenced == []
+
+
+def test_every_config_field_is_read_outside_config():
+    read = {node.attr for module, tree in package_trees().items()
+            if module not in ("config.py", REFERENCE.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert [f.name for f in fields(RunConfig) if f.name not in read] == []

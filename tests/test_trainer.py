@@ -33,7 +33,7 @@ from metacl.losses import (
     noise_batch,
     total_loss,
 )
-from metacl.memory import EpisodicMemory
+from metacl.memory import EpisodicMemory, make_entry
 from metacl.trainer import (
     PLANS,
     Trainer,
@@ -379,6 +379,61 @@ def test_degenerate_trainer_equals_minimal_loop_bitwise():
     for p, q in zip(model.extractor_params() + model.head_params(),
                     reference.extractor_params() + reference.head_params()):
         assert np.array_equal(p.data, q.data)
+
+
+def minimal_er_loop(stream, config, seed):
+    """Reference ER: per batch one draw from its own memory, union CE over
+    the batch and the draw (each task's rows through ``logits``, tasks
+    ascending, each weighted by its share of the rows), one SGD step on the
+    extractor and the heads that got a gradient, then every batch row
+    offered to the memory."""
+    model = build_model(stream, replace(config, transform_mode="off"), seed)
+    memory = EpisodicMemory(config.memory_budget,
+                            rng=np.random.default_rng([seed, 20]))
+    replay_rng = np.random.default_rng([seed, 41])
+    for task in stream.tasks:
+        model.register_task(task.task_id)
+        for batch in batches(task.train, config.batch_size,
+                             [seed, 10, task.task_id],
+                             task_id=task.task_id):
+            draw = memory.sample(config.replay_batch_size, replay_rng)
+            x, y = batch.x, batch.y
+            t = np.full(len(y), batch.task_id)
+            if len(draw):
+                x, y, t = (np.concatenate(pair) for pair in
+                           ((x, draw.x), (y, draw.y), (t, draw.t)))
+            zero_grads(model.all_params())
+            loss = None
+            for k in np.unique(t).tolist():
+                mask = t == k
+                part = (softmax_cross_entropy(logits(model, x[mask], k),
+                                              y[mask])
+                        * (int(mask.sum()) / len(y)))
+                loss = part if loss is None else loss + part
+            backward(loss)
+            sgd_step([p for p in model.extractor_params() + model.head_params()
+                      if p.grad is not None], config.inner_lr)
+            zero_grads(model.all_params())
+            for i in range(len(batch.x)):
+                memory.observe(make_entry(batch.x[i], batch.y[i],
+                                          batch.task_id))
+    return model, memory
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_er_trainer_equals_minimal_loop_bitwise(seed):
+    stream = small_stream(seed=seed)
+    config = small_config(method="er", memory_budget=5, replay_batch_size=6)
+    trainer = build_trainer(stream, config, seed)
+    for task in stream.tasks:
+        trainer.train_task(task)
+    model, memory = minimal_er_loop(stream, effective_config(config), seed)
+    assert len(memory) == 15
+    for p, q in zip(trainer.model.all_params(), model.all_params()):
+        assert p.data.tobytes() == q.data.tobytes()
+    got, want = trainer.memory.rows(), memory.rows()
+    for name in ("x", "y", "t"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 # -- evaluation -------------------------------------------------------------------------------
