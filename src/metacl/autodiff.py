@@ -427,9 +427,9 @@ class TaskForward:
     map, as far as the requires-grad flags let the gradient go when the
     backward is planned. ``backward`` returns the contributions in that
     order, so a node whose inputs are ``leaves`` adds them up exactly as the
-    chains' nodes do. The plan is made the first time it is read, when a
-    loss node is built on the forward (inside the ``grad_only`` block the
-    forward was built in); a forward no loss is built on, as at inference,
+    chains' nodes do. ``task_loss`` and ``task_alignment`` make the plan
+    with ``_plan()`` where they build their node, inside the step's
+    ``grad_only`` block; a forward no loss is built on, as at inference,
     never plans.
 
     With ``reuse=(source, n)`` the tasks are the first of the forward
@@ -502,19 +502,12 @@ class TaskForward:
                 setattr(self, name, np.concatenate(
                     [getattr(source, name)[:copied], getattr(self, name)]))
 
-    def __getattr__(self, name):
-        # reached only for an attribute not set yet: the plan's are set on
-        # the first read of any of them
-        if name not in ("leaves", "head_needs", "steps", "largest", "slots"):
-            raise AttributeError(name)
-        self._plan()
-        return getattr(self, name)
-
     def _plan(self):
         """Read what requires grad: ``head_needs`` per group, and ``steps``,
         the layers backward reaches from the last down, each as (index,
         FiLM flags or None, (w, b) flags or None when the gradient stops
-        at the FiLM, whether it goes on below); then list ``leaves``."""
+        at the FiLM, whether it goes on below); then list ``leaves`` and
+        return them."""
         self.leaves = []
         self.head_needs = [(w.requires_grad, b.requires_grad)
                            for w, b in self.heads]
@@ -547,6 +540,7 @@ class TaskForward:
         self.slots = np.arange(self.bounds[-1][1]) + np.repeat(
             np.arange(0, len(self.sizes) * self.largest, self.largest)
             - np.asarray([s for s, _ in self.bounds]), self.sizes)
+        return self.leaves
 
     def _group_sums(self, v):
         """Each group's rows of ``v`` summed over axis 0, stacked (G, F).
@@ -716,7 +710,7 @@ def task_loss(forward, targets, valid=None, stored=None, widths=(),
         return forward.backward(g_logits if valid is None
                                 else _unmasked(g_logits, valid))
 
-    return _make(value, forward.leaves, backward_fn)
+    return _make(value, forward._plan(), backward_fn)
 
 
 def task_alignment(forward, valid, probs):
@@ -731,7 +725,7 @@ def task_alignment(forward, valid, probs):
         return forward.backward(_unmasked(
             _soft_ce_grad(softmax, probs, g / n), valid))
 
-    return _make(_soft_ce(log_probs, probs), forward.leaves, backward_fn)
+    return _make(_soft_ce(log_probs, probs), forward._plan(), backward_fn)
 
 
 # ---------------------------------------------------------------------------

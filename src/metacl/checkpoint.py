@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, FormatError, MemoryConsistencyError
-from .memory import Draw, EpisodicMemory, _fields
+from .memory import Draw, EpisodicMemory, empty_fields
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
 
@@ -44,12 +44,17 @@ _KIND = "continual-model-checkpoint"
 def atomic_write(path, write):
     """Write ``path`` whole or not at all: ``write(f)`` fills a binary temp
     file beside it, which then replaces it. If anything raises, the temp file
-    is removed and ``path`` keeps its old contents."""
+    is removed and ``path`` keeps its old contents. The file gets the mode a
+    plain ``open`` would create it with, 0o666 less the umask, not
+    ``mkstemp``'s 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
+            os.fchmod(fd, 0o666 & ~umask)
             write(f)
         os.replace(tmp, path)
     except BaseException:
@@ -169,7 +174,7 @@ def _decode(path, data):
     if meta["memory"] is not None:
         m = meta["memory"]
         fields = {name: _member(path, data, f"mem/{name}", kept.dtype)
-                  for name, kept in _fields(0).items()}
+                  for name, kept in empty_fields(0).items()}
         rng = np.random.default_rng(0)
         rng.bit_generator.state = m["rng_state"]
         seen_counts = {int(t): int(c) for t, c in m["seen_counts"].items()}

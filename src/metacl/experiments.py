@@ -205,14 +205,10 @@ def load_record(seed_dir):
     if missing:
         raise FormatError(f"{path}: missing fields {missing}")
     values = _typed_fields(path, raw, STABLE_FIELDS)
-    matrix = values["acc_matrix"]
-    _typed_entries(path, "acc_matrix", matrix, (list,))
-    _typed_entries(path, "acc_matrix", [v for row in matrix for v in row],
-                   (int, float))
     try:  # the rows seed_stats reads LA from
-        if not AccuracyMatrix.from_rows(matrix).n_rows:
+        if not AccuracyMatrix.from_rows(values["acc_matrix"]).n_rows:
             raise ValueError("holds no row")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: field acc_matrix: {exc}") from exc
     if not all(map(str.isdecimal, values["samples_seen"])):
         raise FormatError(f"{path}: field samples_seen has a non-integer key")

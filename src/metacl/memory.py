@@ -99,7 +99,7 @@ def _put_snapshot(data, width, i, row):
     return data
 
 
-def _fields(rows, x_shape=(0,)):
+def empty_fields(rows, x_shape=(0,)):
     """Zeroed field arrays for ``rows`` rows, snapshots zero columns wide."""
     return {"x": np.zeros((rows,) + tuple(x_shape)),
             "y": np.zeros(rows, dtype=np.int64),
@@ -137,7 +137,7 @@ class EpisodicMemory:
         """The free row at the end of the table; the arrays double when full."""
         f, n = self._f, self._n
         if f is None:
-            self._f = _fields(1, x_shape)
+            self._f = empty_fields(1, x_shape)
         elif n == len(f["y"]):
             self._f = {name: np.concatenate([a, np.zeros_like(a)])
                        for name, a in f.items()}
@@ -185,13 +185,13 @@ class EpisodicMemory:
 
     def _gather(self, rows):
         if self._f is None:
-            return Draw(**_fields(0))
+            return Draw(**empty_fields(0))
         return Draw(**{name: a[rows] for name, a in self._f.items()})
 
     def rows(self):
         """A copy of every stored row, in (task, slot) order, as a ``Draw``."""
         if self._f is None:
-            return Draw(**_fields(0))
+            return Draw(**empty_fields(0))
         return Draw(**{name: a[:self._n].copy()
                         for name, a in self._f.items()})
 
@@ -258,5 +258,5 @@ class EpisodicMemory:
         if n:
             mem._n = n
             mem._f = {name: np.array(getattr(rows, name), dtype=a.dtype)
-                      for name, a in _fields(0).items()}
+                      for name, a in empty_fields(0).items()}
         return mem

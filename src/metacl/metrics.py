@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 from .errors import ContractError, DimensionError, MetricUndefinedError
 
 
@@ -13,9 +15,18 @@ class AccuracyMatrix:
         self._rows = []
 
     def append(self, row):
-        """Add row ``n_rows + 1``: that many accuracies, each in [0, 1]."""
-        row = [float(v) for v in row]
+        """Add row ``n_rows + 1``: a list of that many accuracies, each a
+        real number (no bool) in [0, 1]; a row or entry of another type
+        fails as ``TypeError``, one of another length or value as
+        ``DimensionError``."""
         k = len(self._rows) + 1
+        if not isinstance(row, list):
+            raise TypeError(f"row {k} is {type(row).__name__}, not list")
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"entry {v!r} is {type(v).__name__}, "
+                                f"not int or float")
+        row = [float(v) for v in row]
         if len(row) != k:
             raise DimensionError(f"row {k} has {len(row)} entries, wants {k}")
         for v in row:

@@ -23,6 +23,8 @@ op, is its one remnant here; no code in the package calls it.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .autodiff import TaskForward, Tensor, matmul, relu, task_films
@@ -218,7 +220,12 @@ class ContinualModel:
 
     def register_task(self, task_id):
         """Mark a task as seen; creates its head in multi-head mode. An id
-        outside ``1..k_max`` (0 is the fake class) fails as CapacityError."""
+        that is a bool or no integer fails as ContractError, one outside
+        ``1..k_max`` (0 is the fake class) as CapacityError."""
+        if isinstance(task_id, bool) or not isinstance(task_id,
+                                                       numbers.Integral):
+            raise ContractError(f"task id {task_id!r} is "
+                                f"{type(task_id).__name__}, not an integer")
         if task_id in self.seen_tasks:
             return
         if not 1 <= task_id <= self.k_max:

@@ -15,13 +15,18 @@ The ops: ``sub``, ``div``, ``sqrt``, ``tsum``, ``gather_rows``,
 loss composition use. The layers, as functions over a ``ContinualModel``'s
 parameters: ``film_transform`` on ``coefficients``, ``task_features`` (the
 plain trunk ``extract`` with FiLM after the modulated layers), ``classify``
-(ReLU, then the task's head), ``logits`` and ``discriminate``.
+(ReLU, then the task's head), ``logits`` and ``discriminate``. The
+losses, each the chain its node in ``metacl.losses`` must equal bit for
+bit: ``reference_ce_loss``, ``reference_derpp_loss``,
+``reference_classification_loss``, ``reference_alignment``,
+``reference_total_loss`` and ``reference_discriminator_loss``.
 """
 
 import numpy as np
 
 from metacl.autodiff import (
     NORM_EPS,
+    Tensor,
     _ce_grad,
     _check_targets,
     _l2_grad,
@@ -33,6 +38,7 @@ from metacl.autodiff import (
     _unbroadcast,
     _unmasked,
     _wrap,
+    grad_only,
     matmul,
     relu,
 )
@@ -256,3 +262,116 @@ def discriminate(discriminator, features, seen_tasks):
     d = discriminator
     hidden = relu(matmul(_wrap(features), d.w1) + d.b1)
     return mask_cols(matmul(hidden, d.w2) + d.b2, seen_tasks + 1)
+
+
+# ---------------------------------------------------------------------------
+# losses
+
+
+def union_rows(batch, memory):
+    """(x, y, t): the batch rows, then the memory rows in draw order."""
+    parts = []
+    if batch is not None and len(batch.x):
+        parts.append((batch.x, batch.y, np.full(len(batch.x), batch.task_id)))
+    if memory is not None and len(memory):
+        parts.append((memory.x, memory.y, memory.t))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def reference_ce_loss(model, batch, memory=None):
+    """Union CE as the per-task chain the CE node must equal bit for bit:
+    ``logits`` of each task's rows, ``softmax_cross_entropy`` times
+    the task's share of the rows, summed by ascending task."""
+    x, y, t = union_rows(batch, memory)
+    total = None
+    for task in np.unique(t).tolist():
+        mask = t == task
+        part = (softmax_cross_entropy(logits(model, x[mask], task), y[mask])
+                * (int(mask.sum()) / len(y)))
+        total = part if total is None else total + part
+    return total
+
+
+def reference_derpp_loss(model, memory, config):
+    """The dark-replay term as the per-task chain: every task's memory rows
+    go through ``logits``, then ``l2_distance`` and
+    ``softmax_cross_entropy`` weighted by the task's share."""
+    if memory is None or len(memory) == 0:
+        return Tensor(0.0)
+    l2_total, ce_total = None, None
+    for task in np.unique(memory.t).tolist():
+        mask = memory.t == task
+        width = model.heads.output_dim(task)
+        task_logits = logits(model, memory.x[mask], task)
+        frac = int(mask.sum()) / len(memory)
+        l2_part = (l2_distance(task_logits, Tensor(memory.h[mask, :width]))
+                   * frac)
+        ce_part = softmax_cross_entropy(task_logits, memory.y[mask]) * frac
+        l2_total = l2_part if l2_total is None else l2_total + l2_part
+        ce_total = ce_part if ce_total is None else ce_total + ce_part
+    return config.lambda1 * l2_total + config.lambda2 * ce_total
+
+
+def reference_classification_loss(model, batch, memory, config):
+    loss = reference_ce_loss(model, batch, memory)
+    if config.lambda1 == 0 and config.lambda2 == 0:
+        return loss
+    return loss + reference_derpp_loss(model, memory, config)
+
+
+def reference_alignment(model, batch, memory, config):
+    """The alignment term as the chain the alignment node must equal bit for
+    bit: the plain trunk, the discriminator on constant copies of its
+    weights, ``mask_cols``, then soft CE against the uniform real-task
+    distribution or the negated CE on the task labels."""
+    k = model.n_seen
+    if k < 2:
+        return Tensor(0.0)
+    x, _, t = union_rows(batch, memory)
+    order = np.argsort(t, kind="stable")
+    w1, b1, w2, b2 = (Tensor(p.data) for p in model.discriminator_params())
+    hidden = relu(matmul(extract(model, x[order]), w1) + b1)
+    logits = mask_cols(matmul(hidden, w2) + b2, k + 1)
+    if config.generator_mode == "uniform-confusion":
+        target = np.zeros((len(x), model.k_max + 1))
+        target[:, 1:k + 1] = 1.0 / k
+        return soft_cross_entropy(logits, target)
+    return -softmax_cross_entropy(logits, t[order])
+
+
+def reference_total_loss(model, batch, memory, config):
+    loss = reference_classification_loss(model, batch, memory, config)
+    if config.lambda3 != 0:
+        loss = loss + config.lambda3 * reference_alignment(
+            model, batch, memory, config)
+    return loss
+
+
+def reference_discriminator_loss(model, x, labels, memory, config):
+    """The discriminator's loss as the per-width chain its node must equal
+    bit for bit: untaped features (trunk frozen) of today's rows, then of
+    each width's memory rows, through ``discriminate``; CE on today's rows,
+    and per width ``l2_distance`` on the first w columns and CE, weighted by
+    the width's share of the memory rows and summed by ascending width."""
+    k = model.n_seen
+    with grad_only((), model.extractor_params()):
+        feats = extract(model, x).data
+    loss = softmax_cross_entropy(
+        discriminate(model.discriminator, Tensor(feats), k), labels)
+    if (memory is None or len(memory) == 0
+            or config.lambda1 == config.lambda2 == 0):
+        return loss
+    widths = memory.h_disc_width
+    l2_total, ce_total = None, None
+    for width in np.unique(widths).tolist():
+        mask = widths == width
+        with grad_only((), model.extractor_params()):
+            feats_m = extract(model, memory.x[mask]).data
+        logits_m = discriminate(model.discriminator, Tensor(feats_m), k)
+        frac = int(mask.sum()) / len(memory)
+        l2_part = (l2_distance(slice_cols(logits_m, width),
+                               Tensor(memory.h_disc[mask, :width])) * frac)
+        ce_part = softmax_cross_entropy(logits_m, memory.t[mask]) * frac
+        l2_total = l2_part if l2_total is None else l2_total + l2_part
+        ce_total = ce_part if ce_total is None else ce_total + ce_part
+    return loss + config.lambda1 * l2_total + config.lambda2 * ce_total

@@ -719,6 +719,7 @@ def test_group_sums_equal_each_groups_own_sum(width):
         forward = ad.TaskForward(rng.normal(size=(sum(sizes), 3)),
                                  list(range(1, len(sizes) + 1)), sizes,
                                  layers, heads)
+        forward._plan()
         v = _signed(rng, (sum(sizes), width)) * 10.0 ** rng.uniform(
             -8, 8, (sum(sizes), width))
         v[3] = -0.0

@@ -427,6 +427,9 @@ TAMPERINGS = {
         seen_counts=list(meta["memory"]["seen_counts"].values())),
     "negative budget": lambda meta: meta["memory"].update(budget_per_task=-1),
     "matrix entry above 1": lambda meta: meta["matrix"][1].__setitem__(0, 2.0),
+    "matrix entry a string": lambda meta: meta["matrix"][0].__setitem__(
+        0, "0.5"),
+    "seen task a bool": lambda meta: meta.update(seen_tasks=[True, 2]),
     "metadata not an object": lambda meta: [meta],
 }
 
@@ -470,6 +473,20 @@ def test_save_is_atomic(tmp_path):
     save_checkpoint(path, model)
     assert sorted(os.listdir(tmp_path)) == ["c.npz"]
     assert glob.glob(str(tmp_path / "*.tmp")) == []
+
+
+def test_written_files_get_the_mode_open_would_give(tmp_path):
+    # not mkstemp's 0o600: 0o666 less the umask, as for a plain open
+    model = build_model(small_stream(), SMALL, 0)
+    before = os.umask(0o022)
+    try:
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            os.umask(umask)
+            path = tmp_path / f"{umask:o}.npz"
+            save_checkpoint(path, model)
+            assert os.stat(path).st_mode & 0o777 == mode
+    finally:
+        os.umask(before)
 
 
 @pytest.mark.parametrize("budget", [0, 100, 10_000])

@@ -1,5 +1,7 @@
 """Metric tests against hand values and a brute-force oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,24 @@ def test_bad_append_raises_and_leaves_matrix_unchanged(row):
         m.append(row)
     assert m.n_rows == 2
     assert m.to_rows() == [[0.9], [0.8, 0.7]]
+
+
+@pytest.mark.parametrize("row, match", [
+    ([0.5, "0.6"], "entry '0.6' is str"),
+    ([0.5, True], "entry True is bool"),
+    ([0.5, None], "entry None is NoneType"),
+    ((0.5, 0.6), "row 3 is tuple, not list"),
+    ("01", "row 3 is str, not list"),
+])
+def test_mistyped_append_raises_and_leaves_matrix_unchanged(row, match):
+    # entries are checked, not coerced: float("0.6") and float(True) would
+    # pass the range check
+    m = AccuracyMatrix.from_rows([[0.9], [0.8, 0.7]])
+    with pytest.raises(TypeError, match=re.escape(match)):
+        m.append(row)
+    assert m.to_rows() == [[0.9], [0.8, 0.7]]
+    m.append([np.float64(0.5), 1, 0.25])
+    assert m.row(3) == [0.5, 1.0, 0.25]
 
 
 def test_matrix_validation():

@@ -423,7 +423,7 @@ def test_reuse_equals_a_fresh_forward(mode, k, shared):
     fresh = model.task_forward(x, tasks, sizes)
     reused = model.task_forward(x, tasks, sizes, reuse=(source, shared))
     assert reused.logits.tobytes() == fresh.logits.tobytes()
-    assert len(reused.leaves) == len(fresh.leaves) > 0
+    assert len(reused._plan()) == len(fresh._plan()) > 0
     assert all(a is b for a, b in zip(reused.leaves, fresh.leaves))
     g = rng.normal(size=fresh.logits.shape)
     want = fresh.backward(g.copy())
@@ -436,8 +436,8 @@ def test_reuse_equals_a_fresh_forward(mode, k, shared):
 @pytest.mark.parametrize("mode", ["per_layer", "last", "off"])
 def test_one_group_forward_with_every_parameter_frozen_equals_the_taped_one(
         mode):
-    # a forward's plan reads the flags when it is first needed: inside a
-    # block that freezes every parameter it lists no leaves, and its loss
+    # a forward's plan reads the flags when its loss node is built: inside
+    # a block that freezes every parameter it lists no leaves, and its loss
     # records no node
     model, rng = _trained_model(mode, 5)
     x = rng.normal(size=(6, 4))
@@ -448,8 +448,18 @@ def test_one_group_forward_with_every_parameter_frozen_equals_the_taped_one(
         loss = task_loss(plain, np.zeros(6, dtype=int))
     assert next(autodiff._node_seq) == first_node + 1  # no node recorded
     assert loss.node is None and not loss.requires_grad
-    assert plain.leaves == [] and taped.leaves
+    assert plain.leaves == [] and taped._plan()
     assert plain.logits.tobytes() == taped.logits.tobytes()
+
+
+def test_reading_a_forward_plans_nothing():
+    # the plan is made only by a loss node built on the forward
+    model, rng = _trained_model("per_layer", 6)
+    forward = model.task_forward(rng.normal(size=(5, 4)), [1, 2], [2, 3])
+    assert not hasattr(forward, "leaves")
+    assert not any(hasattr(forward, name) for name in (
+        "head_needs", "steps", "largest", "slots"))
+    assert forward._plan() and hasattr(forward, "leaves")
 
 
 @pytest.mark.parametrize("forward", ["task", "discriminator"])
@@ -539,6 +549,17 @@ def test_register_capacity():
     model.register_task(2)  # idempotent
     with pytest.raises(CapacityError):
         model.register_task(3)
+
+
+@pytest.mark.parametrize("task_id", [True, 1.0, "1", None])
+def test_register_rejects_a_task_id_that_is_no_integer(task_id):
+    # True == 1 and 1.0 == 1 would pass the range check and the seen check
+    model = small_model()
+    model.register_task(1)
+    with pytest.raises(ContractError, match="not an integer"):
+        model.register_task(task_id)
+    model.register_task(np.int64(2))
+    assert model.seen_tasks == [1, 2]
 
 
 def test_snapshot_matches_forward_and_is_detached():

@@ -17,7 +17,11 @@ nothing in its module uses, and a private (``_name``) module-level name or
 method nothing in them references. A third finds no ``global`` statement
 in them, so no process-wide mode decides what is taped. A fourth finds
 every ``RunConfig`` field read as an attribute in a package module other
-than ``config.py``: an option that no code reads fails the suite.
+than ``config.py``: an option that no code reads fails the suite. A fifth
+finds no class in them defining ``__getattr__`` or ``__getattribute__``,
+so reading an attribute runs no code, and a sixth no package module
+importing another's private name, so each module's private helpers stay
+its own (the reference chain is written on them by design).
 """
 
 import ast
@@ -224,6 +228,28 @@ def test_package_has_no_global_statement():
     found = [f"{module}:{node.lineno} global {', '.join(node.names)}"
              for module, tree in package_trees().items()
              for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_package_defines_no_attribute_hook():
+    # reading an attribute has no side effect: a forward's backward is
+    # planned where its loss node is built, not on a first read
+    found = [f"{module}:{item.lineno} {node.name}.{item.name}"
+             for module, tree in package_trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, ast.FunctionDef)
+             and item.name in ("__getattr__", "__getattribute__")]
+    assert found == []
+
+
+def test_package_imports_no_private_name_of_another_module():
+    found = [f"{module}:{node.lineno} {alias.name}"
+             for module, tree in package_trees().items()
+             if module != REFERENCE.name
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "metacl")
+             for alias in node.names
+             if alias.name.startswith("_")]
     assert found == []
 
 

@@ -12,10 +12,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_gradients
-from reference import discriminate, extract, logits, softmax_cross_entropy
+from reference import (
+    discriminate,
+    extract,
+    logits,
+    reference_classification_loss,
+    reference_discriminator_loss,
+    reference_total_loss,
+    softmax_cross_entropy,
+)
 from metacl import autodiff, experiments, networks
 from metacl import trainer as trainer_module
-from metacl.autodiff import backward, sgd_step, zero_grads
+from metacl.autodiff import backward, grad_only, sgd_step, zero_grads
 from metacl.config import ABLATION_MODES, METHODS, TRANSFORM_MODES, RunConfig
 from metacl.datasets import (
     Split,
@@ -433,6 +441,95 @@ def test_er_trainer_equals_minimal_loop_bitwise(seed):
         assert p.data.tobytes() == q.data.tobytes()
     got, want = trainer.memory.rows(), memory.rows()
     for name in ("x", "y", "t"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def minimal_bilevel_loop(stream, config, seed):
+    """Reference bilevel method: per batch the memory's train/val partition
+    (stream 31), then n_out x (n_in inner steps of ``reference_total_loss``
+    over the batch and the train draw, on the extractor and heads, and one
+    outer step of ``reference_classification_loss`` over the batch and the
+    val draw, on the generator), then, when lam3 is not 0, n_ad
+    discriminator steps of ``reference_discriminator_loss`` over the batch,
+    fresh noise rows (stream 40) and a memory sample (stream 41); then every
+    batch row offered to the memory, with its ``logits`` and
+    ``discriminate`` snapshots when dark replay is on. Every parameter is
+    taped; a step moves the members of its group that got a gradient."""
+    model = build_model(stream, config, seed)
+    memory = EpisodicMemory(config.memory_budget,
+                            rng=np.random.default_rng([seed, 20]))
+    partition_rng, noise_rng, replay_rng = (
+        np.random.default_rng([seed, stream_id]) for stream_id in (31, 40, 41))
+
+    def step(params, loss, lr):
+        backward(loss)
+        sgd_step([p for p in params if p.grad is not None], lr)
+        zero_grads(model.all_params())
+
+    for task in stream.tasks:
+        k = task.task_id
+        model.register_task(k)
+        for batch in batches(task.train, config.batch_size, [seed, 10, k],
+                             task_id=k):
+            train_draw, val_draw = memory.partition(partition_rng,
+                                                    config.replay_batch_size)
+            for _ in range(config.n_out):
+                for _ in range(config.n_in):
+                    step(model.extractor_params() + model.head_params(),
+                         reference_total_loss(model, batch, train_draw,
+                                              config), config.inner_lr)
+                step(model.generator_params(),
+                     reference_classification_loss(model, batch, val_draw,
+                                                   config), config.outer_lr)
+            for _ in range(config.n_ad if config.lambda3 != 0 else 0):
+                n_fake = max(1, round(config.fake_fraction * len(batch.x)))
+                fake = noise_rng.normal(config.noise_mean, config.noise_std,
+                                        size=(n_fake, model.input_dim))
+                step(model.discriminator_params(),
+                     reference_discriminator_loss(
+                         model, np.concatenate([batch.x, fake]),
+                         np.concatenate([np.full(len(batch.x), k),
+                                         np.zeros(n_fake, dtype=np.int64)]),
+                         memory.sample(config.replay_batch_size, replay_rng),
+                         config), config.adversarial_lr)
+            h = h_disc = [None] * len(batch.x)
+            if not dark_replay_off(config):
+                with grad_only((), model.all_params()):
+                    h = logits(model, batch.x, k).data
+                    h_disc = discriminate(model.discriminator,
+                                          extract(model, batch.x),
+                                          model.n_seen).data
+                h_disc = h_disc[:, :model.n_seen + 1]
+            for i in range(len(batch.x)):
+                memory.observe(make_entry(batch.x[i], batch.y[i], k, h=h[i],
+                                          h_disc=h_disc[i]))
+    return model, memory
+
+
+@pytest.mark.parametrize("ablation, seed, steps", [
+    *((ablation, seed, 1) for ablation in ("full", "A", "B", "C")
+      for seed in (0, 3)),
+    ("full", 0, 2)])
+def test_bilevel_trainer_equals_minimal_loop_bitwise(ablation, seed, steps):
+    # every parameter and memory array bitwise, on every scale plan row;
+    # steps sets n_in, n_out and n_ad, so the loops' nesting shows
+    stream = small_stream(seed=seed)
+    config = small_config(ablation=ablation, memory_budget=4,
+                          replay_batch_size=6, n_in=steps, n_out=steps,
+                          n_ad=steps)
+    trainer = build_trainer(stream, config, seed)
+    for task in stream.tasks:
+        trainer.train_task(task)
+    model, memory = minimal_bilevel_loop(stream, effective_config(config),
+                                         seed)
+    assert trainer.state.adversarial_updates == (
+        0 if ablation == "A" else 9 * steps)
+    assert len(memory) == 12
+    for p, q in zip(trainer.model.all_params(), model.all_params(),
+                    strict=True):
+        assert p.data.tobytes() == q.data.tobytes()
+    got, want = trainer.memory.rows(), memory.rows()
+    for name in ("x", "y", "t", "h", "h_disc"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
@@ -892,7 +989,7 @@ def count_plans(monkeypatch):
 
     def counted_plan(self):
         planned.append(self)
-        plan(self)
+        return plan(self)
 
     monkeypatch.setattr(autodiff.TaskForward, "__init__", counted_init)
     monkeypatch.setattr(autodiff.TaskForward, "_plan", counted_plan)
