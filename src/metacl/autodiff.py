@@ -135,9 +135,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _wrap(value):
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -408,12 +405,12 @@ class TaskForward:
     """Rows grouped by task through a task-conditioned MLP: per trunk layer
     ``relu(a @ w + b)``, optionally followed by FiLM with the task's
     coefficients, then the task's head ``relu(a) @ w + b``. Group k holds
-    ``sizes[k]`` consecutive rows of task ``tasks[k]`` (any distinct,
-    ordered keys: the discriminator's loss groups by snapshot width); the
-    groups must split the rows of ``x`` exactly, none empty, or
-    ``ContractError`` is raised. ``layers`` holds (w, b, film) per trunk layer, film being None
-    or FiLM's (table, w_scale, b_scale, w_shift, b_shift), and ``heads``
-    one (w, b) per group.
+    ``sizes[k]`` consecutive rows of task ``tasks[k]`` (any keys: the
+    discriminator's loss groups by snapshot width); the keys must be
+    strictly ascending and the groups must split the rows of ``x`` exactly,
+    none empty, or ``ContractError`` is raised. ``layers`` holds (w, b,
+    film) per trunk layer, film being None or FiLM's (table, w_scale,
+    b_scale, w_shift, b_shift), and ``heads`` one (w, b) per group.
 
     Every matmul runs per group, into the group's rows of one array, on
     exactly the operands of that group's chain of primitive ops (the
@@ -422,7 +419,7 @@ class TaskForward:
     rows or groups, so each group's values equal its chain's bit for bit.
 
     ``leaves`` lists what the chains send gradient to, once per contribution
-    and in the order those arrive: groups by descending task, each its head,
+    and in the order those arrive: groups last to first, each its head,
     then from the last layer down each layer's FiLM parameters and affine
     map, as far as the requires-grad flags let the gradient go when the
     backward is planned. ``backward`` returns the contributions in that
@@ -445,14 +442,13 @@ class TaskForward:
         self.sizes = np.asarray(sizes, dtype=np.int64)
         ends = list(itertools.accumulate(self.sizes.tolist()))
         if (not ends or ends[-1] != len(x) or len(self.tasks) != len(ends)
-                or len(set(self.tasks)) != len(ends) or min(sizes) < 1):
-            raise ContractError(
-                f"TaskForward: groups {self.tasks} of sizes "
-                f"{self.sizes.tolist()} do not split {len(x)} rows")
+                or min(sizes) < 1
+                or any(a >= b for a, b in itertools.pairwise(self.tasks))):
+            raise ContractError(f"TaskForward: groups {self.tasks} of sizes "
+                                f"{self.sizes.tolist()} are not ascending "
+                                f"keys that split {len(x)} rows")
         self.bounds = list(zip([0, *ends[:-1]], ends))
         self.layers, self.heads = layers, heads
-        self.ascending = sorted(range(len(self.tasks)),
-                                key=self.tasks.__getitem__)
         source, shared = reuse if reuse is not None else (None, 0)
         k = len(self.tasks)
         if source is not None and source.tasks[:k] != self.tasks:
@@ -532,7 +528,7 @@ class TaskForward:
                 trunk_leaves += _flagged((w, b), own)
             if not (trunk and below):
                 break
-        for k in reversed(self.ascending):
+        for k in reversed(range(len(self.heads))):
             self.leaves += _flagged(self.heads[k], self.head_needs[k])
             self.leaves += trunk_leaves
         # each row's place among the groups' rows padded to the largest
@@ -612,18 +608,7 @@ class TaskForward:
             g *= self.masks[index]
             g = affine(self.inputs[index], g, [(w, b)] * len(bounds),
                        [own] * len(bounds), below)
-        return [c for k in reversed(self.ascending) for c in sent[k]]
-
-    def fold(self, values, first=0):
-        """``values``, one per group from group ``first`` on, summed by
-        ascending key, left to right, as the chain's ``add`` nodes sum them
-        (None for no values)."""
-        total, stop = None, first + len(values)
-        for k in self.ascending:
-            if first <= k < stop:
-                value = values[k - first]
-                total = value if total is None else total + value
-        return total
+        return [c for grads in reversed(sent) for c in grads]
 
     def means(self, v, first=0):
         """Each group's mean, from group ``first`` on, of the 1-D ``v``
@@ -645,6 +630,14 @@ def _flagged(tensors, flags):
     return [t for t, flag in zip(tensors, flags) if flag]
 
 
+def _fold(values):
+    """Sum ``values`` left to right as ``add`` nodes do; None if empty."""
+    total = None
+    for value in values:
+        total = value if total is None else total + value
+    return total
+
+
 def task_loss(forward, targets, valid=None, stored=None, widths=(),
               lambda1=0.0, lambda2=0.0):
     """Cross-entropy and dark replay over the groups of ``forward`` as one
@@ -660,7 +653,7 @@ def task_loss(forward, targets, valid=None, stored=None, widths=(),
     (n_t / N)`` over the plain groups, N being their rows; ``l2`` sums
     ``l2_distance(slice_cols(logits_t, w_t), stored_t) * (n_t / M)`` and
     ``ce`` the cross-entropy likewise over the replayed groups, M being
-    their rows. Each part sums by ascending group key, a part without
+    their rows. Each part sums its groups in order, a part without
     groups is left out, and the value and every gradient equal those of
     that per-group chain bit for bit."""
     logits = (forward.logits if valid is None
@@ -674,7 +667,7 @@ def task_loss(forward, targets, valid=None, stored=None, widths=(),
                             forward.sizes[plain:] / (n - main)])
     ce_terms = [-mean * frac for mean, frac in
                 zip(forward.means(log_probs[np.arange(n), targets]), fracs)]
-    value = forward.fold(ce_terms[:plain])
+    value = _fold(ce_terms[:plain])
     if widths:
         wide = max(widths)
         diff = logits[main:, :wide] - stored[:, :wide]
@@ -684,10 +677,10 @@ def task_loss(forward, targets, valid=None, stored=None, widths=(),
         norms = np.sqrt(np.concatenate([
             squares[s - main:e - main, :w].sum(axis=1)
             for (s, e), w in zip(forward.bounds[plain:], widths)]))
-        l2 = forward.fold([mean * frac for mean, frac in zip(
-            forward.means(norms, plain), fracs[plain:])], plain)
+        l2 = _fold([mean * frac for mean, frac in zip(
+            forward.means(norms, plain), fracs[plain:])])
         value = lambda1 * l2 if value is None else value + lambda1 * l2
-        value = value + lambda2 * forward.fold(ce_terms[plain:], plain)
+        value = value + lambda2 * _fold(ce_terms[plain:])
 
     def backward_fn(g):
         # each group's share, repeated over its rows

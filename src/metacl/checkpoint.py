@@ -17,7 +17,8 @@ running its missing seeds again.
 
 This reader handles format version 3 only; version 1 (one member per stored
 sample) and version 2 (one member per parameter) files are rejected. Any
-malformed content fails as ``FormatError`` naming the path, and so do memory
+malformed content fails as ``FormatError`` naming the path (a memory budget
+or seen count that is no JSON integer among it), and so do memory
 members of another dtype than the memory keeps and memory rows the loaded
 model cannot train on: inputs not ``input_dim`` wide, labels outside
 ``[0, classes_per_task)`` or tasks outside its seen tasks. A missing file
@@ -177,7 +178,13 @@ def _decode(path, data):
                   for name, kept in empty_fields(0).items()}
         rng = np.random.default_rng(0)
         rng.bit_generator.state = m["rng_state"]
-        seen_counts = {int(t): int(c) for t, c in m["seen_counts"].items()}
+        seen_counts = {}
+        for t, c in m["seen_counts"].items():
+            if (str(int(t)) != t or isinstance(c, bool)
+                    or not isinstance(c, int)):
+                raise FormatError(f"{path}: seen count {c!r} of task {t!r} is "
+                                  f"no integer keyed by a task id")
+            seen_counts[int(t)] = c
         memory = EpisodicMemory.from_rows(m["budget_per_task"], Draw(**fields),
                                           seen_counts, rng)
         _check_rows_fit(path, model, fields, seen_counts)

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one integer check
+that API preconditions share."""
+
+import numbers
 
 
 class DimensionError(ValueError):
@@ -27,6 +30,15 @@ class MemoryConsistencyError(RuntimeError):
 
 class FormatError(ValueError):
     """A file read back from disk (dataset, checkpoint, record) is malformed."""
+
+
+def check_integer(value, what):
+    """``value`` if it is an integer (``numbers.Integral``, so numpy's pass)
+    and no bool, else ContractError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ContractError(f"{what} {value!r} is {type(value).__name__}, "
+                            f"not an integer")
+    return value
 
 
 class MetricUndefinedError(ValueError):

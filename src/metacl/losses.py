@@ -46,25 +46,20 @@ def noise_batch(config, rng, n, dim):
     return rng.normal(config.noise_mean, config.noise_std, size=(n, dim))
 
 
-def _grouped(t, last=None):
+def _grouped(t):
     """(order, tasks, sizes): the stable order that groups rows by their
     task ``t`` (or any non-negative integer key, such as a snapshot width),
-    tasks ascending but ``last``'s group (if any) at the end, and each
-    group's task and row count."""
+    tasks ascending, and each group's task and row count."""
     counts = np.bincount(t)
     tasks = np.flatnonzero(counts).tolist()
-    if last in tasks:
-        tasks.remove(last)
-        tasks.append(last)
-        t = np.where(t == last, len(counts), t)
     return np.argsort(t, kind="stable"), tasks, counts[tasks]
 
 
 def _step_rows(batch, memory, shared):
     """(x, y, t, order, tasks, sizes): a step's batch rows, then its memory
-    rows in draw order, and their ``_grouped`` grouping by task with the
-    batch task's group last; None when both are empty. It is made once per
-    ``shared`` dict, which keeps it as ``"rows"``."""
+    rows in draw order, and their ``_grouped`` grouping by ascending task;
+    None when both are empty. It is made once per ``shared`` dict, which
+    keeps it as ``"rows"``."""
     if "rows" in shared:
         return shared["rows"]
     in_batch = batch is not None and len(batch.x) > 0
@@ -77,7 +72,7 @@ def _step_rows(batch, memory, shared):
     rows = None
     if parts:
         x, y, t = (np.concatenate(column) for column in zip(*parts))
-        rows = (x, y, t, *_grouped(t, batch.task_id if in_batch else None))
+        rows = (x, y, t, *_grouped(t))
     shared["rows"] = rows
     return rows
 
@@ -88,10 +83,9 @@ def ce_loss(model, batch, memory=None, shared=None):
     Each sample's logits come from the head of its own task, so the mean is
     taken across heads, weighted by per-task sample counts. ``memory`` is a
     ``Draw`` or None. The rows run through one ``TaskForward``, grouped by
-    task with the batch task's group last, and the loss is one tape node
-    (``autodiff.task_loss``, every group plain). A ``shared`` dict keeps
-    the step's rows and grouping and gets the forward as ``"forward"``, for
-    the other terms on the same draw.
+    ascending task, and the loss is one tape node (``autodiff.task_loss``,
+    every group plain). A ``shared`` dict keeps the step's rows and grouping
+    and gets the forward as ``"forward"`` for the other terms on one draw.
     """
     shared = {} if shared is None else shared
     rows = _step_rows(batch, memory, shared)
@@ -112,7 +106,8 @@ def derpp_loss(model, memory, config, shared):
     It is built on ``shared`` as ``ce_loss`` filled it, on the same draw
     and weights: the memory rows keep CE's grouping, those of every task
     but the batch task reuse CE's forward, whose groups for those tasks
-    hold exactly these rows, and every task's FiLM comes from it.
+    hold exactly these rows, and every task's FiLM comes from it. A memory
+    row of a task after the batch's (CE's last group) fails as ContractError.
     """
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
@@ -120,8 +115,11 @@ def derpp_loss(model, memory, config, shared):
         raise MemoryConsistencyError("memory entry lacks a logit snapshot")
     # CE's order cut to the memory rows is their own stable order, and its
     # last group, the batch task's, keeps only its memory rows
-    _, _, _, order, tasks, sizes = shared["rows"]
+    _, _, t, order, tasks, sizes = shared["rows"]
     n_batch = len(order) - len(memory)
+    if n_batch and tasks[-1] != t[0]:
+        raise ContractError(f"derpp_loss: memory holds task {tasks[-1]}, "
+                            f"after the batch's task {t[0]}")
     reuse = (shared["forward"], len(tasks) - (n_batch > 0))
     order, sizes = order[order >= n_batch] - n_batch, sizes.tolist()
     sizes[-1] -= n_batch
@@ -162,9 +160,7 @@ def adversarial_generator_loss(model, batch, memory, config, shared=None):
     rows = _step_rows(batch, memory, {} if shared is None else shared)
     if rows is None:
         raise ContractError("alignment loss needs at least one sample")
-    x, _, t = rows[:3]
-    # rows grouped by task, each group in its original order
-    order = np.argsort(t, kind="stable")
+    x, _, t, order = rows[:4]
     with grad_only((), model.discriminator_params()):
         forward = model.discriminator_forward(x[order], [0], [len(x)])
         if config.generator_mode == "uniform-confusion":

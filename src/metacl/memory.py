@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractError, MemoryConsistencyError
+from .errors import ContractError, MemoryConsistencyError, check_integer
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,12 +52,15 @@ def _frozen_copy(a):
 
 
 def make_entry(x, y, t, h=None, h_disc=None):
-    """Build an immutable entry; array fields are copied and write-locked."""
+    """Build an immutable entry; array fields are copied and write-locked.
+    A label or task id that is a bool or no integer fails as
+    ContractError."""
     for name, snap in (("classifier", h), ("discriminator", h_disc)):
         if snap is not None and (np.ndim(snap) != 1 or np.size(snap) == 0):
             raise MemoryConsistencyError(
                 f"{name} snapshot must be a non-empty 1-D logit row")
-    return MemoryEntry(x=_frozen_copy(x), y=int(y), t=int(t),
+    return MemoryEntry(x=_frozen_copy(x), y=int(check_integer(y, "label")),
+                       t=int(check_integer(t, "task id")),
                        h=_frozen_copy(h), h_disc=_frozen_copy(h_disc))
 
 
@@ -118,13 +121,14 @@ class EpisodicMemory:
     j < budget, which keeps every prefix of the stream uniformly represented.
     A task therefore holds ``min(budget, seen)`` rows, so ``seen_counts`` is
     the only per-task state. Tasks arrive in order: once a task has a row, no
-    earlier task is observed again.
+    earlier task is observed again. A budget that is a bool or no integer
+    fails as ContractError.
     """
 
     def __init__(self, budget_per_task, rng):
-        if budget_per_task < 0:
+        if check_integer(budget_per_task, "budget_per_task") < 0:
             raise ContractError("budget_per_task must be non-negative")
-        self.budget_per_task = budget_per_task
+        self.budget_per_task = int(budget_per_task)
         self.rng = rng
         self.seen_counts = {}
         self._n = 0

@@ -23,8 +23,6 @@ op, is its one remnant here; no code in the package calls it.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .autodiff import TaskForward, Tensor, matmul, relu, task_films
@@ -34,6 +32,7 @@ from .errors import (
     ConfigurationError,
     ContractError,
     UnknownTaskError,
+    check_integer,
 )
 
 
@@ -222,10 +221,7 @@ class ContinualModel:
         """Mark a task as seen; creates its head in multi-head mode. An id
         that is a bool or no integer fails as ContractError, one outside
         ``1..k_max`` (0 is the fake class) as CapacityError."""
-        if isinstance(task_id, bool) or not isinstance(task_id,
-                                                       numbers.Integral):
-            raise ContractError(f"task id {task_id!r} is "
-                                f"{type(task_id).__name__}, not an integer")
+        check_integer(task_id, "task id")
         if task_id in self.seen_tasks:
             return
         if not 1 <= task_id <= self.k_max:

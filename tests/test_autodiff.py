@@ -440,7 +440,7 @@ def _task_forward_loss(leaves):
     # each group's chain
     rng = np.random.default_rng(31)
     w1, b1, w2, b2, *heads = leaves
-    forward = ad.TaskForward(rng.normal(size=(7, 3)), [3, 1, 2], [2, 4, 1],
+    forward = ad.TaskForward(rng.normal(size=(7, 3)), [1, 2, 3], [2, 4, 1],
                              [(w1, b1, None), (w2, b2, None)],
                              [(heads[0], heads[1])] * 3)
     return ad.task_loss(forward, rng.integers(0, 2, size=7))

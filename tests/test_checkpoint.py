@@ -426,6 +426,15 @@ TAMPERINGS = {
     "seen_counts a list": lambda meta: meta["memory"].update(
         seen_counts=list(meta["memory"]["seen_counts"].values())),
     "negative budget": lambda meta: meta["memory"].update(budget_per_task=-1),
+    "budget a float": lambda meta: meta["memory"].update(
+        budget_per_task=float(meta["memory"]["budget_per_task"])),
+    "seen count a string": lambda meta: meta["memory"].update(seen_counts={
+        t: str(c) for t, c in meta["memory"]["seen_counts"].items()}),
+    "seen count a fraction": lambda meta: meta["memory"].update(seen_counts={
+        t: c + 0.9 for t, c in meta["memory"]["seen_counts"].items()}),
+    "seen count keyed by no decimal task id": lambda meta: meta[
+        "memory"].update(seen_counts={
+            f"0{t}": c for t, c in meta["memory"]["seen_counts"].items()}),
     "matrix entry above 1": lambda meta: meta["matrix"][1].__setitem__(0, 2.0),
     "matrix entry a string": lambda meta: meta["matrix"][0].__setitem__(
         0, "0.5"),

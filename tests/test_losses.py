@@ -166,6 +166,15 @@ def test_derpp_missing_snapshot():
         derpp_on_ce(model, draw_of([entry]), RunConfig())
 
 
+def test_derpp_memory_task_after_the_batch_task_is_error():
+    # dark replay reuses CE's forward, whose last group must be the batch's
+    model, batch, memory = node_setup(batch_task=1, draw_tasks=(1, 2))
+    shared = {}
+    ce_loss(model, batch, memory, shared)
+    with pytest.raises(ContractError, match="after the batch's task 1"):
+        derpp_loss(model, memory, RunConfig(), shared)
+
+
 def test_derpp_empty_memory_is_zero():
     model = flat_model()
     assert derpp_on_ce(model, draw_of([]), RunConfig()).item() == 0.0
@@ -535,8 +544,9 @@ def test_loss_nodes_match_the_chain_with_wide_heads(heads):
     # past eight columns numpy sums each row's terms pairwise, so the CE
     # and dark-replay nodes' per-row sums must run over exactly a row's
     # columns, as the chains' do
-    model, batch, memory = node_setup(heads=heads, draw_tasks=(1, 2, 3),
-                                      n_rows=30, classes=11)
+    model, batch, memory = node_setup(heads=heads, batch_task=3,
+                                      draw_tasks=(1, 2, 3), n_rows=30,
+                                      classes=11)
     assert memory.h.shape[1] == 11 and len(np.unique(memory.t)) == 3
     assert_nodes_match_reference(model, batch, memory, RunConfig(lambda3=0.3))
 
@@ -738,29 +748,21 @@ def test_discriminator_node_runs_no_trunk_pass(monkeypatch):
     assert loss.node is not None and passes == []
 
 
-def reference_grouping(t, last=None):
+def reference_grouping(t):
     """The grouping by np.argsort and np.unique that ``_grouped`` replaced."""
-    end = np.iinfo(np.int64).max
-    key = t if last is None else np.where(t == last, end, t)
-    keys, sizes = np.unique(key, return_counts=True)
-    tasks = keys.tolist()
-    if tasks[-1] == end:
-        tasks[-1] = last
-    return np.argsort(key, kind="stable"), tasks, sizes
+    keys, sizes = np.unique(t, return_counts=True)
+    return np.argsort(t, kind="stable"), keys.tolist(), sizes
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_bincount_grouping_equals_argsort_and_unique(seed):
-    _grouped = losses_module._grouped
     rng = np.random.default_rng(seed)
     t = rng.integers(1 + seed % 2, 21, size=rng.integers(1, 90))
-    present, absent = int(rng.choice(t)), 21 + seed
-    for last in (None, present, absent, int(t.min()), int(t.max())):
-        order, tasks, sizes = _grouped(t, last)
-        want_order, want_tasks, want_sizes = reference_grouping(t, last)
-        assert order.tobytes() == want_order.tobytes()
-        assert tasks == want_tasks
-        assert sizes.tobytes() == want_sizes.tobytes()
+    order, tasks, sizes = losses_module._grouped(t)
+    want_order, want_tasks, want_sizes = reference_grouping(t)
+    assert order.tobytes() == want_order.tobytes()
+    assert tasks == want_tasks
+    assert sizes.tobytes() == want_sizes.tobytes()
 
 
 @pytest.mark.parametrize("batch_task", [2, 3], ids=["in-draw", "not-in-draw"])
@@ -781,7 +783,7 @@ def test_step_losses_share_one_grouping_of_the_step_rows(batch_task,
     assert calls == []
     _, _, _, order, tasks, sizes = shared["rows"]
     n_batch = len(batch.x)
-    want = real(memory.t, batch_task)
+    want = real(memory.t)
     cut = order[order >= n_batch] - n_batch
     assert cut.tobytes() == want[0].tobytes()
     assert [task for task, n in zip(tasks, sizes.tolist())

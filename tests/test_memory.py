@@ -131,6 +131,29 @@ def test_snapshot_shape_validation():
         make_entry(np.ones(3), y=0, t=1, h=np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("y, t, at_fault", [
+    (0.7, 1, "label"), (1.5, 1, "label"), (True, 1, "label"),
+    (0, 1.9, "task id"), (0, True, "task id"), (0, "1", "task id")],
+    ids=["label-0.7", "label-1.5", "label-a-bool", "task-1.9", "task-a-bool",
+         "task-a-string"])
+def test_make_entry_rejects_a_label_or_task_id_that_is_no_integer(y, t,
+                                                                  at_fault):
+    # a cast would store label 0.7 as 0 and task 1.9 as task 1
+    with pytest.raises(ContractError, match=f"^{at_fault} "):
+        make_entry(np.zeros(3), y=y, t=t)
+
+
+def test_make_entry_keeps_numpy_integers_as_ints():
+    e = make_entry(np.zeros(3), y=np.int64(1), t=np.int32(2))
+    assert (e.y, e.t) == (1, 2) and type(e.y) is int and type(e.t) is int
+
+
+@pytest.mark.parametrize("budget", [5.0, True, "5"])
+def test_budget_that_is_no_integer_is_rejected(budget):
+    with pytest.raises(ContractError, match="^budget_per_task "):
+        EpisodicMemory(budget, rng=np.random.default_rng(0))
+
+
 # -- sampling ----------------------------------------------------------------------
 
 

@@ -465,10 +465,11 @@ def test_reading_a_forward_plans_nothing():
 @pytest.mark.parametrize("forward", ["task", "discriminator"])
 @pytest.mark.parametrize("tasks, sizes", [
     ([1, 2], [2, 2]), ([1, 2], [3, 3]), ([1, 2], [5]), ([1], [2, 3]),
-    ([1, 2], [6, -1]), ([1, 2], [5, 0]), ([2, 2], [2, 3]), ([], [])],
+    ([1, 2], [6, -1]), ([1, 2], [5, 0]), ([2, 2], [2, 3]), ([2, 1], [2, 3]),
+    ([], [])],
     ids=["rows-left-over", "rows-missing", "task-without-size",
          "size-without-task", "negative-size", "empty-group", "task-twice",
-         "no-group"])
+         "tasks-descending", "no-group"])
 def test_task_forward_rejects_groups_that_do_not_split_the_rows(forward, tasks,
                                                                 sizes):
     model = small_model()
