@@ -74,7 +74,7 @@ def tasks_get_different_views():
 def a_zeroed_head_is_maximally_unsure():
     print("== a zeroed head predicts the uniform distribution ==")
     m = model(classes=4)
-    w, b = m.heads.heads[1]
+    w, b = m.heads[1]
     w.data[...] = 0.0
     b.data[...] = 0.0
     x = np.random.default_rng(4).normal(size=(2, 8))

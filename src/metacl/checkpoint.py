@@ -134,7 +134,7 @@ def _check_rows_fit(path, model, fields, seen_counts):
     if x.ndim != 2 or (len(x) and x.shape[1] != model.input_dim):
         raise FormatError(f"{path}: 'mem/x' is {x.shape}, the model takes "
                           f"(n, {model.input_dim}) inputs")
-    classes = model.arguments["classes_per_task"]
+    classes = model.classes_per_task
     if np.any((y < 0) | (y >= classes)):
         raise FormatError(f"{path}: memory label outside [0, {classes})")
     unseen = sorted(seen_counts.keys() - set(model.seen_tasks))

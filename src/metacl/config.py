@@ -168,10 +168,12 @@ def _parse_value(raw):
         return raw
 
 
-def _raw_values(items):
+def _raw_values(items, once):
     """{field: raw value} from ``key = value`` strings: a string field keeps
     the text (unquoted if it is a JSON string), any other field parses it as
-    JSON, falling back to the bare text. ``RunConfig`` types the values."""
+    JSON, falling back to the bare text. ``RunConfig`` types the values. A
+    key set twice fails as ConfigurationError if ``once``, else the last
+    value wins."""
     values = {}
     unknown = []
     for item in items:
@@ -182,6 +184,8 @@ def _raw_values(items):
         if key not in _FIELDS:
             unknown.append(key)
             continue
+        if once and key in values:
+            raise ConfigurationError(f"config key {key!r} is set twice")
         raw = raw.strip()
         value = _parse_value(raw)
         if _FIELDS[key].type is str and not (raw.startswith('"')
@@ -194,10 +198,12 @@ def _raw_values(items):
 
 
 def parse_config(text):
-    """Parse a ``key = value`` document into a RunConfig."""
+    """Parse a ``key = value`` document, each key set once, into a
+    RunConfig."""
     lines = [line.strip() for line in text.splitlines()]
     return RunConfig(**_raw_values(
-        line for line in lines if line and not line.startswith("#")))
+        (line for line in lines if line and not line.startswith("#")),
+        once=True))
 
 
 def load_config(path):
@@ -222,8 +228,9 @@ def serialize_config(config):
 
 
 def apply_overrides(config, pairs):
-    """Apply ``KEY=VALUE`` strings (CLI --set) on top of a config."""
-    return replace(config, **_raw_values(pairs))
+    """Apply ``KEY=VALUE`` strings (CLI --set) on top of a config; of a key
+    set twice, the last value wins."""
+    return replace(config, **_raw_values(pairs, once=False))
 
 
 def config_hash(config):

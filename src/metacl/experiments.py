@@ -374,12 +374,22 @@ def ablate(config, modes=ABLATION_MODES):
 
 
 def find_records(result_dir):
-    records = []
-    for root, _dirs, files in os.walk(result_dir):
+    """Every record under ``result_dir``, sorted by method, ablation, config
+    hash and seed. A result's identity is its config and seed: two records
+    of one seed of one run (a copied run directory) fail as FormatError
+    naming both seed directories."""
+    found = {}
+    for root, _dirs, files in sorted(os.walk(result_dir)):
         if "record.json" in files:
-            records.append(load_record(root))
-    records.sort(key=lambda r: (r.method, r.ablation, r.config_hash, r.seed))
-    return records
+            record = load_record(root)
+            key = (record.config_hash, record.seed)
+            if key in found:
+                raise FormatError(f"seed {record.seed} of run "
+                                  f"{record.config_hash} is recorded twice: "
+                                  f"{found[key][0]} and {root}")
+            found[key] = root, record
+    return sorted((record for _, record in found.values()),
+                  key=lambda r: (r.method, r.ablation, r.config_hash, r.seed))
 
 
 def report(result_dir):

@@ -13,7 +13,7 @@ loss; snapshots (the discriminator's at ``n_seen``) and evaluation read
 the logits of a one-group forward, which plans no backward since no loss
 is built on it. The components hold parameters and say which of them a
 forward takes: ``ParameterGenerator.layer`` is a layer's FiLM parameters,
-``ClassifierHeads.head`` a task's head.
+``ContinualModel.head`` a task's head.
 
 The op-by-op chain of the same network, one tape node per op, is the
 tests' reference (``tests/reference.py``): each forward equals it group by
@@ -115,47 +115,6 @@ class ParameterGenerator:
         return out
 
 
-class ClassifierHeads:
-    """Per-task affine heads (multi-head) or one shared head (single-head)."""
-
-    def __init__(self, feature_dim, classes_per_task, mode, rng_for_task):
-        if mode not in ("multi", "single"):
-            raise ConfigurationError(f"unknown head mode {mode!r}")
-        self.feature_dim = feature_dim
-        self.classes_per_task = classes_per_task
-        self.mode = mode
-        self._rng_for_task = rng_for_task
-        self.heads = {}
-        if mode == "single":
-            self.heads[0] = _affine(self._rng_for_task(0), feature_dim, classes_per_task)
-
-    def _key(self, task_id):
-        return 0 if self.mode == "single" else task_id
-
-    def add_head(self, task_id):
-        """Register a freshly initialized head; no-op in single-head mode."""
-        if self.mode == "single":
-            return self.heads[0]
-        if task_id in self.heads:
-            raise ContractError(f"head for task {task_id} already registered")
-        self.heads[task_id] = _affine(self._rng_for_task(task_id),
-                                      self.feature_dim, self.classes_per_task)
-        return self.heads[task_id]
-
-    def head(self, task_id):
-        """The task's (w, b)."""
-        key = self._key(task_id)
-        if key not in self.heads:
-            raise UnknownTaskError(f"no classifier head for task {task_id}")
-        return self.heads[key]
-
-    def output_dim(self, task_id):
-        return self.head(task_id)[0].data.shape[1]
-
-    def params(self):
-        return [p for key in sorted(self.heads) for p in self.heads[key]]
-
-
 class Discriminator:
     """MLP scoring features over {fake=0, task 1..K}; fixed arity K_max+1.
 
@@ -180,8 +139,14 @@ class ContinualModel:
       * ``last``      -- only after the final hidden layer (conv-case rule)
       * ``off``       -- no task conditioning (ablation of the generator)
 
+    head_mode ``multi`` makes a task's head when it is registered,
+    ``single`` makes here the one head all tasks share. ``heads`` maps a key
+    (the task, 0 under ``single``) to its (w, b), ``classes_per_task`` wide.
+
     ``arguments`` are the constructor's, in signature order, as plain ints,
-    strs and bools: a checkpoint stores them and rebuilds from them.
+    strs and bools: a checkpoint stores them and rebuilds from them. An
+    integer argument that is a bool or no integer, or a ``share_embedding``
+    that is no bool, fails as ContractError: none is coerced.
     """
 
     def __init__(self, input_dim, classes_per_task, feature_width, depth,
@@ -189,7 +154,19 @@ class ContinualModel:
                  disc_hidden, seed=0):
         if transform_mode not in TRANSFORM_MODES:
             raise ConfigurationError(f"unknown transform mode {transform_mode!r}")
+        if head_mode not in ("multi", "single"):
+            raise ConfigurationError(f"unknown head mode {head_mode!r}")
+        for name, value in dict(
+                input_dim=input_dim, classes_per_task=classes_per_task,
+                feature_width=feature_width, depth=depth, k_max=k_max,
+                embed_dim=embed_dim, disc_hidden=disc_hidden,
+                seed=seed).items():
+            check_integer(value, name)
+        if not isinstance(share_embedding, (bool, np.bool_)):
+            raise ContractError(f"share_embedding {share_embedding!r} is "
+                                f"{type(share_embedding).__name__}, not a bool")
         self.input_dim = input_dim
+        self.classes_per_task = classes_per_task
         self.head_mode = head_mode
         self.k_max = k_max
         self.transform_mode = transform_mode
@@ -203,9 +180,6 @@ class ContinualModel:
         self.discriminator = Discriminator(
             feature_width, k_max=k_max, hidden=disc_hidden,
             rng=np.random.default_rng([seed, 2]))
-        self.heads = ClassifierHeads(
-            feature_width, classes_per_task, mode=head_mode,
-            rng_for_task=lambda t: np.random.default_rng([seed, 3, t]))
         self.seen_tasks = []
         self.arguments = dict(
             input_dim=int(input_dim), classes_per_task=int(classes_per_task),
@@ -214,6 +188,13 @@ class ContinualModel:
             embed_dim=int(embed_dim), transform_mode=str(transform_mode),
             share_embedding=bool(share_embedding),
             disc_hidden=int(disc_hidden), seed=int(seed))
+        self.heads = {0: self._new_head(0)} if head_mode == "single" else {}
+
+    def _new_head(self, key):
+        """A fresh head, drawn from the seed and its key."""
+        rng = np.random.default_rng([self.arguments["seed"], 3, key])
+        return _affine(rng, self.arguments["feature_width"],
+                       self.classes_per_task)
 
     # -- task registry ------------------------------------------------------
 
@@ -228,12 +209,17 @@ class ContinualModel:
             raise CapacityError(
                 f"cannot register task {task_id}: capacity 1..{self.k_max}")
         if self.head_mode == "multi":
-            self.heads.add_head(task_id)
+            self.heads[task_id] = self._new_head(task_id)
         self.seen_tasks.append(task_id)
 
     def _check_task(self, task_id):
         if task_id not in self.seen_tasks:
             raise UnknownTaskError(f"task {task_id} was never registered")
+
+    def head(self, task_id):
+        """The task's (w, b); UnknownTaskError if it was never registered."""
+        self._check_task(task_id)
+        return self.heads[task_id if self.head_mode == "multi" else 0]
 
     @property
     def n_seen(self):
@@ -248,11 +234,9 @@ class ContinualModel:
                 or (self.transform_mode == "last"
                     and index == len(self.extractor.layers) - 1))
 
-    def _task_layers(self, tasks):
+    def _task_layers(self):
         """The classification path's (w, b, FiLM params or None) per trunk
-        layer, as ``TaskForward`` takes them, once ``tasks`` are checked."""
-        for task in tasks:
-            self._check_task(task)
+        layer, as ``TaskForward`` takes them."""
         return [(w, b, self.generator.layer(index)
                  if self._modulated(index) else None)
                 for index, (w, b) in enumerate(self.extractor.layers)]
@@ -266,13 +250,15 @@ class ContinualModel:
         through."""
         x = np.asarray(x, dtype=np.float64)
         self.extractor.check_input(x)
-        return TaskForward(x, tasks, sizes, self._task_layers(tasks),
-                           [self.heads.head(task) for task in tasks],
+        heads = [self.head(task) for task in tasks]
+        return TaskForward(x, tasks, sizes, self._task_layers(), heads,
                            reuse, films)
 
     def task_films(self, tasks):
         """``autodiff.task_films`` of ``tasks`` on the classification path."""
-        return task_films(self._task_layers(tasks), tasks)
+        for task in tasks:
+            self._check_task(task)
+        return task_films(self._task_layers(), tasks)
 
     def discriminator_forward(self, x, keys, sizes):
         """``autodiff.TaskForward`` of the rows ``x``, grouped by ``keys``
@@ -307,7 +293,7 @@ class ContinualModel:
         return self.extractor.params()
 
     def head_params(self):
-        return self.heads.params()
+        return [p for key in sorted(self.heads) for p in self.heads[key]]
 
     def generator_params(self):
         return self.generator.params()

@@ -240,17 +240,15 @@ def task_features(model, x, task_id):
     return a
 
 
-def classify(heads, features, task_id):
-    """A ``ClassifierHeads``' logits for the task: ReLU, then its head."""
-    w, b = heads.head(task_id)
+def classify(model, features, task_id):
+    """A model's logits for the task: ReLU, then the task's head."""
+    w, b = model.head(task_id)
     return matmul(relu(_wrap(features)), w) + b
 
 
 def logits(model, x, task_id):
     """The task's logits of ``x``: ``classify`` on ``task_features``."""
-    features = task_features(model, x, task_id)
-    model._check_task(task_id)
-    return classify(model.heads, features, task_id)
+    return classify(model, task_features(model, x, task_id), task_id)
 
 
 def discriminate(discriminator, features, seen_tasks):
@@ -298,10 +296,10 @@ def reference_derpp_loss(model, memory, config):
     ``softmax_cross_entropy`` weighted by the task's share."""
     if memory is None or len(memory) == 0:
         return Tensor(0.0)
+    width = model.classes_per_task  # every head's
     l2_total, ce_total = None, None
     for task in np.unique(memory.t).tolist():
         mask = memory.t == task
-        width = model.heads.output_dim(task)
         task_logits = logits(model, memory.x[mask], task)
         frac = int(mask.sum()) / len(memory)
         l2_part = (l2_distance(task_logits, Tensor(memory.h[mask, :width]))

@@ -242,7 +242,7 @@ def test_criterion_02_losses_match_closed_forms():
     # hand value: logits [3, 4] against stored [0, 0] gives distance 5
     assert l2_distance(Tensor(np.array([[3.0, 4.0]])),
                        Tensor(np.array([[0.0, 0.0]]))).data == 5.0
-    w, b = model.heads.heads[1]
+    w, b = model.heads[1]
     w.data[...] = 0.0
     b.data[...] = np.array([3.0, 4.0])
     rigged = draw_of([make_entry(xs[0], 0, 1, h=np.zeros(2))])

@@ -440,13 +440,22 @@ TAMPERINGS = {
         0, "0.5"),
     "seen task a bool": lambda meta: meta.update(seen_tasks=[True, 2]),
     "metadata not an object": lambda meta: [meta],
+    # each of these once loaded coerced: depth 1, seed 1, True and False
+    "depth a bool": lambda meta: meta["model"].update(depth=True),
+    "seed a bool": lambda meta: meta["model"].update(seed=True),
+    "share_embedding a string": lambda meta: meta["model"].update(
+        share_embedding="no"),
+    "share_embedding an int": lambda meta: meta["model"].update(
+        share_embedding=0),
 }
 
 
 @pytest.mark.parametrize("tamper", sorted(TAMPERINGS))
 def test_malformed_metadata_fails_as_format_error_naming_the_path(tmp_path,
                                                                   tamper):
-    model = build_model(small_stream(), SMALL, 0)
+    # depth 1: one FiLM layer, so a model rebuilt at depth true or with
+    # either share_embedding has the saved parameter layout
+    model = build_model(small_stream(), replace(SMALL, depth=1), 0)
     model.register_task(1)
     model.register_task(2)
     src, dst = tmp_path / "a.npz", tmp_path / "b.npz"

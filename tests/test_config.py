@@ -44,6 +44,18 @@ def test_unknown_keys_rejected_and_listed():
         parse_config("bogus = 1\nalso_bad = 2\n")
 
 
+def test_a_key_set_twice_in_a_document_rejected(tmp_path):
+    # the last value used to win silently
+    with pytest.raises(ConfigurationError, match="'n_tasks' is set twice"):
+        parse_config("n_tasks = 3\nn_tasks = 4")
+    path = tmp_path / "run.cfg"
+    path.write_text("seeds = [0]\nmemory_budget = 5\nseeds = [1]\n")
+    with pytest.raises(ConfigurationError, match="'seeds'"):
+        load_config(path)
+    # --set flags keep last-wins
+    assert apply_overrides(RunConfig(), ["n_tasks=3", "n_tasks=4"]).n_tasks == 4
+
+
 def test_round_trip_is_identity():
     config = parse_config(
         "method = scale\nseeds = [7]\nlambda3 = 0.9\nout_dir = somewhere\n")

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import tempfile
 import tracemalloc
 from dataclasses import fields, replace
@@ -742,6 +743,17 @@ def test_seed_stats_mean_and_population_std():
 
 def test_report_empty_dir_raises(tmp_path):
     with pytest.raises(NoDataError):
+        report(str(tmp_path))
+
+
+def test_report_rejects_a_seed_recorded_twice(tmp_path):
+    # a copied run directory once counted its seeds twice
+    execute_run(tiny_config(), out_dir=str(tmp_path / "a"))
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    (run,) = os.listdir(tmp_path / "a")
+    with pytest.raises(FormatError, match=(
+            f"{re.escape(str(tmp_path / 'a' / run / 'seed-0'))} and "
+            f"{re.escape(str(tmp_path / 'b' / run / 'seed-0'))}")):
         report(str(tmp_path))
 
 

@@ -58,7 +58,7 @@ def flat_model(classes=2, dim=3, **kw):
 
 
 def zero_head(model, task_id, bias=None):
-    w, b = model.heads.heads[task_id]
+    w, b = model.heads[task_id]
     w.data[:] = 0.0
     b.data[:] = 0.0
     if bias is not None:
@@ -608,7 +608,7 @@ def test_ce_node_lists_each_contribution_in_chain_order():
     table = model.generator.embeddings[0]
     expected = []
     for task in (2, 1):
-        expected += list(model.heads.head(task))
+        expected += list(model.head(task))
         for index in (1, 0):
             _, *maps = model.generator.layer(index)
             expected += [table, *maps, *model.extractor.layers[index]]
@@ -839,7 +839,7 @@ def run_alignment_duel(seed, adversarial):
         batch = Batch(x, y, task)
         zero_grads(model.all_params())
         backward(ce_loss(model, batch))
-        sgd_step(model.extractor_params() + list(model.heads.head(task)),
+        sgd_step(model.extractor_params() + list(model.head(task)),
                  lr=0.05)
         noise = noise_batch(cfg, rng, 16, 2)
         xb = np.concatenate([x, noise])

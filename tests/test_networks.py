@@ -15,7 +15,6 @@ from metacl.autodiff import (
 from metacl.datasets import Split, Task
 from metacl.errors import CapacityError, ConfigurationError, ContractError, UnknownTaskError
 from metacl.networks import (
-    ClassifierHeads,
     ContinualModel,
     Discriminator,
     FeatureExtractor,
@@ -172,28 +171,29 @@ def test_multi_head_isolation():
     model.register_task(2)
     x = np.random.default_rng(0).normal(size=(4, 4))
     before = logits(model, x, 1).data.copy()
-    w2, b2 = model.heads.heads[2]
+    w2, b2 = model.heads[2]
     w2.data += 10.0
     b2.data += 10.0
     assert np.array_equal(logits(model, x, 1).data, before)
 
 
-def test_duplicate_head_rejected():
-    heads = ClassifierHeads(4, 3, mode="multi",
-                            rng_for_task=lambda t: np.random.default_rng(t))
-    heads.add_head(1)
-    with pytest.raises(ContractError):
-        heads.add_head(1)
+def test_registering_a_task_again_keeps_its_head():
+    model = small_model()
+    model.register_task(1)
+    head = model.head(1)
+    model.register_task(1)
+    assert model.head(1) is head
+    assert list(model.heads) == [1]
 
 
 def test_single_head_shared_across_tasks():
-    heads = ClassifierHeads(4, 3, mode="single",
-                            rng_for_task=lambda t: np.random.default_rng(t))
-    heads.add_head(1)
-    heads.add_head(2)
-    x = np.random.default_rng(0).normal(size=(2, 4))
-    assert np.array_equal(classify(heads, x, 1).data,
-                          classify(heads, x, 2).data)
+    model = small_model(head_mode="single")
+    model.register_task(1)
+    model.register_task(2)
+    assert model.head(1) is model.head(2)
+    x = np.random.default_rng(0).normal(size=(2, 8))
+    assert np.array_equal(classify(model, x, 1).data,
+                          classify(model, x, 2).data)
 
 
 def test_unknown_task_classify():
@@ -203,10 +203,23 @@ def test_unknown_task_classify():
         logits(model, np.zeros((1, 4)), 2)
 
 
+@pytest.mark.parametrize("head_mode", ["multi", "single"])
+def test_head_of_an_unregistered_task_is_unknown(head_mode):
+    model = small_model(head_mode=head_mode)
+    model.register_task(1)
+    with pytest.raises(UnknownTaskError):
+        model.head(2)
+
+
+def test_unknown_head_mode_rejected():
+    with pytest.raises(ConfigurationError, match="head mode 'both'"):
+        small_model(head_mode="both")
+
+
 def test_zeroed_head_gives_uniform_cross_entropy():
     model = small_model()
     model.register_task(1)
-    w, b = model.heads.heads[1]
+    w, b = model.heads[1]
     w.data[:] = 0.0
     b.data[:] = 0.0
     out = logits(model, np.random.default_rng(0).normal(size=(6, 4)), 1)
@@ -298,7 +311,7 @@ def test_task_features_rejects_task_outside_generator_capacity():
     for task in (3, 0, -1):
         with pytest.raises(CapacityError, match="capacity 1..2"):
             model.register_task(task)
-    assert model.seen_tasks == [] and not model.heads.heads
+    assert model.seen_tasks == [] and not model.heads
     with pytest.raises(UnknownTaskError):
         task_features(model, np.zeros((1, 4)), 3)
 
@@ -543,6 +556,16 @@ def test_arguments_are_plain_values_that_rebuild_the_model():
         assert np.array_equal(pa.data, pb.data)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("depth", True), ("seed", True), ("feature_width", 16.0),
+    ("k_max", "4"), ("share_embedding", "no"), ("share_embedding", 0)])
+def test_arguments_of_the_wrong_type_rejected(name, value):
+    # a checkpoint's model arguments rebuild the model: coercing them would
+    # load depth true as depth 1, and share_embedding "no" as True
+    with pytest.raises(ContractError, match=name):
+        small_model(**{name: value})
+
+
 def test_register_capacity():
     model = small_model(k_max=2)
     model.register_task(1)
@@ -590,10 +613,10 @@ def test_head_params_are_every_head_in_task_order():
     model = small_model()
     for task in (3, 1, 2):
         model.register_task(task)
-    heads = model.heads.heads
+    heads = model.heads
     assert ([id(p) for p in model.head_params()]
             == [id(p) for task in (1, 2, 3) for p in heads[task]])
     single = small_model(head_mode="single")
     single.register_task(2)
     assert ([id(p) for p in single.head_params()]
-            == [id(p) for p in single.heads.heads[0]])
+            == [id(p) for p in single.heads[0]])

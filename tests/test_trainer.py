@@ -369,7 +369,7 @@ def minimal_finetune_loop(stream, config, seed):
                                          batch.y)
             backward(loss)
             sgd_step(model.extractor_params()
-                     + list(model.heads.head(batch.task_id)), config.inner_lr)
+                     + list(model.head(batch.task_id)), config.inner_lr)
             zero_grads(model.all_params())
     return model
 
@@ -852,7 +852,7 @@ def test_inner_step_moves_the_heads_its_loss_reaches(method, ablation):
     batch = next(batches(task.train, trainer.config.batch_size,
                          [trainer.seed, 10, task.task_id],
                          task_id=task.task_id))
-    heads = {k: list(model.heads.head(k)) for k in (1, 2, 3)}
+    heads = {k: list(model.head(k)) for k in (1, 2, 3)}
     before = {k: snapshot(params) for k, params in heads.items()}
     extractor = snapshot(model.extractor_params())
     trainer.inner_step(batch, draw)
