@@ -18,11 +18,11 @@ running its missing seeds again.
 This reader handles format version 3 only; version 1 (one member per stored
 sample) and version 2 (one member per parameter) files are rejected. Any
 malformed content fails as ``FormatError`` naming the path (a memory budget
-or seen count that is no JSON integer among it), and so do memory
-members of another dtype than the memory keeps and memory rows the loaded
-model cannot train on: inputs not ``input_dim`` wide, labels outside
-``[0, classes_per_task)`` or tasks outside its seen tasks. A missing file
-raises ``FileNotFoundError``.
+or seen count that is no JSON integer, a key or member the writer does not
+write), and so do memory members of another dtype than the memory keeps and
+memory rows the loaded model cannot train on: inputs not ``input_dim`` wide,
+labels outside ``[0, classes_per_task)`` or tasks outside its seen tasks. A
+missing file raises ``FileNotFoundError``.
 """
 
 import json
@@ -40,6 +40,8 @@ from .networks import ContinualModel
 
 FORMAT_VERSION = 3
 _KIND = "continual-model-checkpoint"
+_META_KEYS = ("kind", "version", "model", "seen_tasks", "memory", "matrix")
+_MEMORY_KEYS = ("budget_per_task", "seen_counts", "rng_state")
 
 
 def atomic_write(path, write):
@@ -155,6 +157,15 @@ def _decode(path, data):
         raise FormatError(
             f"{path}: version {meta.get('version')!r} unsupported "
             f"(this reader handles {FORMAT_VERSION})")
+    members = ["__meta__", "params"] + [
+        f"mem/{name}" for name in Draw.FIELDS if meta["memory"] is not None]
+    for where, keys, known in (
+            ("the metadata", meta, _META_KEYS),
+            ("the memory metadata", meta["memory"] or {}, _MEMORY_KEYS),
+            ("the members", data.files, members)):
+        for key in keys:
+            if key not in known:
+                raise FormatError(f"{path}: unknown key {key!r} in {where}")
 
     model = ContinualModel(**meta["model"])
     seen = meta["seen_tasks"]

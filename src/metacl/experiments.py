@@ -18,6 +18,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -26,7 +27,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .checkpoint import atomic_write
-from .config import ABLATION_MODES, config_hash, serialize_config
+from .config import ABLATION_MODES, config_hash, load_config, serialize_config
 from .datasets import make_idx_stream, make_synthetic
 from .errors import ConfigurationError, FormatError, NoDataError
 from .metrics import AccuracyMatrix, acc, fm, la
@@ -86,19 +87,22 @@ class ResultRecord:
     task_wall_s: list = field(default_factory=list, metadata=TIMING)
     task_losses: list = field(default_factory=list, metadata=TIMING)
 
-    def stable_dict(self):
-        """The byte-stable part (no timing)."""
+    def record_bytes(self):
+        """The byte-stable part (no timing), as record.json holds it."""
         out = {name: getattr(self, name) for name in STABLE_FIELDS}
         out["samples_seen"] = {str(k): v for k, v in self.samples_seen.items()}
-        return {"record_version": RECORD_VERSION, **out}
-
-    def record_bytes(self):
-        return (json.dumps(self.stable_dict(), sort_keys=True, indent=2)
-                + "\n").encode("utf-8")
+        return (json.dumps({"record_version": RECORD_VERSION, **out},
+                           sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 STABLE_FIELDS = tuple(f.name for f in fields(ResultRecord) if not f.metadata)
 TIMING_FIELDS = tuple(f.name for f in fields(ResultRecord) if f.metadata)
+
+
+def final_scores(matrix):
+    """A record's (final ACC, final FM) of its matrix; FM is 0.0 below 2 rows."""
+    k = matrix.n_rows
+    return acc(matrix, k), fm(matrix, k) if k >= 2 else 0.0
 
 
 def run_single(config, seed, stream=None):
@@ -110,15 +114,15 @@ def run_single(config, seed, stream=None):
     wall = time.perf_counter() - started
 
     state = trainer.state
-    k = state.matrix.n_rows
+    final_acc, final_fm = final_scores(state.matrix)
     return ResultRecord(
         config_hash=config_hash(config),
         method=config.method,
         ablation=config.ablation,
         seed=seed,
         acc_matrix=state.matrix.to_rows(),
-        final_acc=acc(state.matrix, k),
-        final_fm=fm(state.matrix, k) if k >= 2 else 0.0,
+        final_acc=final_acc,
+        final_fm=final_fm,
         samples_seen=dict(state.samples_seen),
         counters={
             "inner_updates": state.inner_updates,
@@ -165,8 +169,12 @@ def _read_json_object(path):
 
 def _typed_fields(path, raw, names):
     """``raw``'s values of those ``names`` it holds, each of the type its
-    ``ResultRecord`` annotation names (never a bool; an int where a float
-    is due), else ``FormatError`` naming the file and the field."""
+    ``ResultRecord`` annotation names (never a bool; an int where a float is
+    due); a value of another type, or a field not in ``names``, fails as
+    ``FormatError`` naming the file and the field."""
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise FormatError(f"{path}: unknown fields {unknown}")
     hints = get_type_hints(ResultRecord)
     out = {name: raw[name] for name in names if name in raw}
     for name, value in out.items():
@@ -179,46 +187,61 @@ def _typed_fields(path, raw, names):
     return out
 
 
-def _typed_entries(path, name, entries, kinds):
-    """``FormatError`` naming the file and the field ``name`` at the first
-    of ``entries`` whose type, as JSON reads it (a bool is no int), is none
-    of ``kinds``."""
+def _entries(path, name, entries, low=0, high=math.inf, kinds=(int,)):
+    """``FormatError`` naming the file and field ``name`` at the first of
+    ``entries`` not of ``kinds`` (a bool is no int) or not finite in range."""
     for v in entries:
         if type(v) not in kinds:
             raise FormatError(f"{path}: field {name}: entry {v!r} is "
                               f"{type(v).__name__}, not "
                               f"{' or '.join(k.__name__ for k in kinds)}")
+        if not (low <= v <= high and abs(v) < math.inf):
+            raise FormatError(f"{path}: field {name}: {v!r} is outside "
+                              f"[{low}, {high}]")
 
 
 def load_record(seed_dir):
-    """Rebuild a ResultRecord from record.json (+ timing.json if present);
-    a record of another version, or one missing a field, holding one of
-    the wrong type, an accuracy matrix that is not complete rows of
-    numbers in [0, 1], or a ``samples_seen`` or ``counters`` value that is
-    not an int, fails as ``FormatError`` naming the file and the field."""
+    """Rebuild a ResultRecord from record.json (+ timing.json if present).
+    A record of another version, or a field missing, unknown, of the wrong
+    type or out of range, fails as ``FormatError`` naming the file and the
+    field; so do an accuracy matrix that is not complete rows of numbers in
+    [0, 1], and a ``final_acc`` or ``final_fm`` other, bit for bit, than
+    ``final_scores`` of it."""
     path = os.path.join(seed_dir, "record.json")
     raw = _read_json_object(path)
-    if raw.get("record_version") != RECORD_VERSION:
-        raise FormatError(f"{path}: record_version {raw.get('record_version')!r}"
+    if (version := raw.pop("record_version", None)) != RECORD_VERSION:
+        raise FormatError(f"{path}: record_version {version!r}"
                           f" unsupported (this reader handles {RECORD_VERSION})")
     missing = [name for name in STABLE_FIELDS if name not in raw]
     if missing:
         raise FormatError(f"{path}: missing fields {missing}")
     values = _typed_fields(path, raw, STABLE_FIELDS)
     try:  # the rows seed_stats reads LA from
-        if not AccuracyMatrix.from_rows(values["acc_matrix"]).n_rows:
+        matrix = AccuracyMatrix.from_rows(values["acc_matrix"])
+        if not matrix.n_rows:
             raise ValueError("holds no row")
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: field acc_matrix: {exc}") from exc
+    for name, derived in zip(("final_acc", "final_fm"), final_scores(matrix)):
+        if float(values[name]).hex() != derived.hex():
+            raise FormatError(f"{path}: field {name} holds {values[name]!r}, "
+                              f"its acc_matrix gives {derived!r}")
     if not all(map(str.isdecimal, values["samples_seen"])):
         raise FormatError(f"{path}: field samples_seen has a non-integer key")
+    _entries(path, "seed", [values["seed"]])
     for name in ("samples_seen", "counters"):
-        _typed_entries(path, name, values[name].values(), (int,))
+        _entries(path, name, values[name].values())
     values["samples_seen"] = {int(k): v for k, v in raw["samples_seen"].items()}
+    _entries(path, "samples_seen", values["samples_seen"], 1, matrix.n_rows)
     timing_path = os.path.join(seed_dir, "timing.json")
     if os.path.exists(timing_path):
-        values.update(_typed_fields(timing_path, _read_json_object(timing_path),
-                                    TIMING_FIELDS))
+        timing = _typed_fields(timing_path, _read_json_object(timing_path),
+                               TIMING_FIELDS)
+        # an untimed record's wall_s is None
+        for name, entries in (("wall_s", [timing.get("wall_s") or 0.0]),
+                              ("task_wall_s", timing.get("task_wall_s", []))):
+            _entries(timing_path, name, entries, kinds=(int, float))
+        values.update(timing)
     return ResultRecord(**values)
 
 
@@ -373,15 +396,30 @@ def ablate(config, modes=ABLATION_MODES):
 # -- reporting ----------------------------------------------------------------------------
 
 
+def _check_run_config(seed_dir, record):
+    """``FormatError`` naming both files if the run directory's config.txt
+    gives another config hash, method or ablation than the record."""
+    path = os.path.normpath(os.path.join(seed_dir, os.pardir, "config.txt"))
+    if not os.path.exists(path):
+        return  # a lone seed directory
+    config = load_config(path)
+    for name, want in (("config_hash", config_hash(config)),
+                       ("method", config.method), ("ablation", config.ablation)):
+        if (got := getattr(record, name)) != want:
+            raise FormatError(f"{os.path.join(seed_dir, 'record.json')}: field "
+                              f"{name} holds {got!r}, but {path} gives {want!r}")
+
+
 def find_records(result_dir):
     """Every record under ``result_dir``, sorted by method, ablation, config
     hash and seed. A result's identity is its config and seed: two records
     of one seed of one run (a copied run directory) fail as FormatError
-    naming both seed directories."""
+    naming both seed directories, as does ``_check_run_config``."""
     found = {}
     for root, _dirs, files in sorted(os.walk(result_dir)):
         if "record.json" in files:
             record = load_record(root)
+            _check_run_config(root, record)
             key = (record.config_hash, record.seed)
             if key in found:
                 raise FormatError(f"seed {record.seed} of run "

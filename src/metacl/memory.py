@@ -194,10 +194,7 @@ class EpisodicMemory:
 
     def rows(self):
         """A copy of every stored row, in (task, slot) order, as a ``Draw``."""
-        if self._f is None:
-            return Draw(**empty_fields(0))
-        return Draw(**{name: a[:self._n].copy()
-                        for name, a in self._f.items()})
+        return self._gather(np.arange(self._n))
 
     def entries(self):
         """Every stored row as a ``MemoryEntry`` of write-locked views of a

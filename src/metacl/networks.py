@@ -1,5 +1,5 @@
-"""Model components: shared feature extractor, task-conditioned parameter
-generator, classifier head(s), and the task discriminator.
+"""The shared feature extractor, and ``ContinualModel``, which keeps the
+parameter generator, the classifier head(s) and the discriminator itself.
 
 The parameter generator maps a task ID to per-layer scale/shift coefficient
 pairs; features pass through a normalized scale-and-shift plus a residual sum,
@@ -8,12 +8,12 @@ so a zero pair leaves the features untouched.
 One path runs the network, ``autodiff.TaskForward``:
 ``ContinualModel.task_forward`` on the classification path (trunk, FiLM,
 the task's head) and ``discriminator_forward`` on the discriminator's
-(plain trunk, the discriminator's two layers). Training builds one per
-loss; snapshots (the discriminator's at ``n_seen``) and evaluation read
-the logits of a one-group forward, which plans no backward since no loss
-is built on it. The components hold parameters and say which of them a
-forward takes: ``ParameterGenerator.layer`` is a layer's FiLM parameters,
-``ContinualModel.head`` a task's head.
+(plain trunk, then ``model.discriminator``'s two layers). Training builds
+one per loss; snapshots (the discriminator's at ``n_seen``) and evaluation
+read the logits of a one-group forward, which plans no backward since no
+loss is built on it. The model holds parameters as a forward takes them:
+``model.generator[index]`` is a layer's FiLM parameters (a table of
+``model.embeddings`` and four maps), ``model.head`` a task's head.
 
 The op-by-op chain of the same network, one tape node per op, is the
 tests' reference (``tests/reference.py``): each forward equals it group by
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import TaskForward, Tensor, matmul, relu, task_films
+from .autodiff import TaskForward, Tensor, matmul, parameter, relu, task_films
 from .config import TRANSFORM_MODES
 from .errors import (
     CapacityError,
@@ -38,13 +38,9 @@ from .errors import (
 
 def _affine(rng, fan_in, fan_out):
     bound = 1.0 / np.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-    b = Tensor(np.zeros(fan_out), requires_grad=True)
+    w = parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+    b = parameter(np.zeros(fan_out))
     return w, b
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class FeatureExtractor:
@@ -68,7 +64,7 @@ class FeatureExtractor:
         package calls it: the benchmark counts the trunk passes made
         outside ``TaskForward`` through it, and the tests' reference chain
         (``tests/reference.py``) starts from it."""
-        a = _as_tensor(x)
+        a = x if isinstance(x, Tensor) else Tensor(x)
         self.check_input(a.data)
         for w, b in self.layers:
             a = relu(matmul(a, w) + b)
@@ -78,61 +74,13 @@ class FeatureExtractor:
         return [p for layer in self.layers for p in layer]
 
 
-class ParameterGenerator:
-    """Task embedding plus per-layer affine heads emitting (scale, shift).
-
-    ``share_embedding`` gives one embedding table shared across layers;
-    otherwise each layer has its own.
-    """
-
-    def __init__(self, layer_widths, embed_dim, capacity, share_embedding,
-                 rng):
-        self.capacity = capacity
-        self.share_embedding = share_embedding
-        n_tables = 1 if share_embedding else len(layer_widths)
-        bound = 1.0 / np.sqrt(embed_dim)
-        self.embeddings = [
-            Tensor(rng.uniform(-bound, bound, size=(capacity + 1, embed_dim)),
-                   requires_grad=True)
-            for _ in range(n_tables)
-        ]
-        self.heads = [
-            (_affine(rng, embed_dim, d), _affine(rng, embed_dim, d))
-            for d in layer_widths
-        ]
-
-    def layer(self, layer_index):
-        """(table, w_scale, b_scale, w_shift, b_shift) of one layer: its
-        embedding table and (scale, shift) affine maps."""
-        table = self.embeddings[0 if self.share_embedding else layer_index]
-        (w_scale, b_scale), (w_shift, b_shift) = self.heads[layer_index]
-        return table, w_scale, b_scale, w_shift, b_shift
-
-    def params(self):
-        out = list(self.embeddings)
-        for (ws, bs), (wt, bt) in self.heads:
-            out += [ws, bs, wt, bt]
-        return out
-
-
-class Discriminator:
-    """MLP scoring features over {fake=0, task 1..K}; fixed arity K_max+1.
-
-    Logits for not-yet-seen tasks are masked to a large negative constant,
-    which gives them exactly zero softmax probability.
-    """
-
-    def __init__(self, feature_dim, k_max, hidden, rng):
-        self.k_max = k_max
-        self.w1, self.b1 = _affine(rng, feature_dim, hidden)
-        self.w2, self.b2 = _affine(rng, hidden, k_max + 1)
-
-    def params(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
 class ContinualModel:
-    """The four parameter groups behind the training loop.
+    """The four parameter groups behind the training loop: ``extractor``,
+    ``heads``, the generator and the discriminator. ``embeddings`` are the
+    generator's task tables, ``k_max + 1`` rows each (one per trunk layer
+    without ``share_embedding``), and ``generator`` holds per trunk layer
+    ``(table, w_scale, b_scale, w_shift, b_shift)``. ``discriminator`` is
+    its hidden and output ``(w, b)``, over {fake=0, task 1..k_max}.
 
     transform_mode:
       * ``per_layer`` -- scale/shift after every hidden layer (MLP rule)
@@ -174,12 +122,19 @@ class ContinualModel:
         self.extractor = FeatureExtractor(
             input_dim, width=feature_width, depth=depth,
             rng=np.random.default_rng([seed, 0]))
-        self.generator = ParameterGenerator(
-            [feature_width] * depth, embed_dim=embed_dim, capacity=k_max,
-            share_embedding=share_embedding, rng=np.random.default_rng([seed, 1]))
-        self.discriminator = Discriminator(
-            feature_width, k_max=k_max, hidden=disc_hidden,
-            rng=np.random.default_rng([seed, 2]))
+        rng = np.random.default_rng([seed, 1])
+        bound = 1.0 / np.sqrt(embed_dim)
+        self.embeddings = [
+            parameter(rng.uniform(-bound, bound, size=(k_max + 1, embed_dim)))
+            for _ in range(1 if share_embedding else depth)]
+        self.generator = [
+            (self.embeddings[0 if share_embedding else index],
+             *_affine(rng, embed_dim, feature_width),
+             *_affine(rng, embed_dim, feature_width))
+            for index in range(depth)]
+        rng = np.random.default_rng([seed, 2])
+        self.discriminator = [_affine(rng, feature_width, disc_hidden),
+                              _affine(rng, disc_hidden, k_max + 1)]
         self.seen_tasks = []
         self.arguments = dict(
             input_dim=int(input_dim), classes_per_task=int(classes_per_task),
@@ -237,8 +192,7 @@ class ContinualModel:
     def _task_layers(self):
         """The classification path's (w, b, FiLM params or None) per trunk
         layer, as ``TaskForward`` takes them."""
-        return [(w, b, self.generator.layer(index)
-                 if self._modulated(index) else None)
+        return [(w, b, self.generator[index] if self._modulated(index) else None)
                 for index, (w, b) in enumerate(self.extractor.layers)]
 
     def task_forward(self, x, tasks, sizes, reuse=None, films=None):
@@ -270,10 +224,9 @@ class ContinualModel:
         that freezes a part builds it inside ``autodiff.grad_only``."""
         x = np.asarray(x, dtype=np.float64)
         self.extractor.check_input(x)
-        d = self.discriminator
-        layers = [(w, b, None) for w, b in [*self.extractor.layers,
-                                            (d.w1, d.b1)]]
-        return TaskForward(x, keys, sizes, layers, [(d.w2, d.b2)] * len(keys))
+        hidden, head = self.discriminator
+        layers = [(w, b, None) for w, b in [*self.extractor.layers, hidden]]
+        return TaskForward(x, keys, sizes, layers, [head] * len(keys))
 
     # -- snapshots (inference, detached arrays) ------------------------------
 
@@ -296,10 +249,10 @@ class ContinualModel:
         return [p for key in sorted(self.heads) for p in self.heads[key]]
 
     def generator_params(self):
-        return self.generator.params()
+        return self.embeddings + [p for _, *maps in self.generator for p in maps]
 
     def discriminator_params(self):
-        return self.discriminator.params()
+        return [p for layer in self.discriminator for p in layer]
 
     def all_params(self):
         return (self.extractor_params() + self.head_params()

@@ -205,13 +205,13 @@ def film_transform(features, scale_coeff, shift_coeff):
     return private + features
 
 
-def coefficients(generator, task_id, layer_index):
-    """A ``ParameterGenerator``'s (scale, shift) row vectors for one layer,
+def coefficients(model, task_id, layer_index):
+    """The model's generator's (scale, shift) row vectors for one layer,
     conditioned on the task ID."""
-    if not 1 <= task_id <= generator.capacity:
+    if not 1 <= task_id <= model.k_max:
         raise UnknownTaskError(
-            f"task {task_id} outside generator capacity 1..{generator.capacity}")
-    table, w_scale, b_scale, w_shift, b_shift = generator.layer(layer_index)
+            f"task {task_id} outside generator capacity 1..{model.k_max}")
+    table, w_scale, b_scale, w_shift, b_shift = model.generator[layer_index]
     emb = gather_rows(table, [task_id])
     scale = matmul(emb, w_scale) + b_scale
     shift = matmul(emb, w_shift) + b_shift
@@ -236,7 +236,7 @@ def task_features(model, x, task_id):
         a = relu(matmul(a, w) + b)
         if model._modulated(index):
             a = film_transform(
-                a, *coefficients(model.generator, task_id, index))
+                a, *coefficients(model, task_id, index))
     return a
 
 
@@ -251,15 +251,15 @@ def logits(model, x, task_id):
     return classify(model, task_features(model, x, task_id), task_id)
 
 
-def discriminate(discriminator, features, seen_tasks):
-    """A ``Discriminator``'s logits over {fake=0, task 1..K_max}, those of
-    tasks beyond ``seen_tasks`` masked (``mask_cols``)."""
-    if seen_tasks > discriminator.k_max:
+def discriminate(model, features, seen_tasks):
+    """The model's discriminator's logits over {fake=0, task 1..K_max}, those
+    of tasks beyond ``seen_tasks`` masked (``mask_cols``)."""
+    if seen_tasks > model.k_max:
         raise CapacityError(
-            f"{seen_tasks} tasks exceed discriminator capacity {discriminator.k_max}")
-    d = discriminator
-    hidden = relu(matmul(_wrap(features), d.w1) + d.b1)
-    return mask_cols(matmul(hidden, d.w2) + d.b2, seen_tasks + 1)
+            f"{seen_tasks} tasks exceed discriminator capacity {model.k_max}")
+    (w1, b1), (w2, b2) = model.discriminator
+    hidden = relu(matmul(_wrap(features), w1) + b1)
+    return mask_cols(matmul(hidden, w2) + b2, seen_tasks + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ def reference_discriminator_loss(model, x, labels, memory, config):
     with grad_only((), model.extractor_params()):
         feats = extract(model, x).data
     loss = softmax_cross_entropy(
-        discriminate(model.discriminator, Tensor(feats), k), labels)
+        discriminate(model, Tensor(feats), k), labels)
     if (memory is None or len(memory) == 0
             or config.lambda1 == config.lambda2 == 0):
         return loss
@@ -365,7 +365,7 @@ def reference_discriminator_loss(model, x, labels, memory, config):
         mask = widths == width
         with grad_only((), model.extractor_params()):
             feats_m = extract(model, memory.x[mask]).data
-        logits_m = discriminate(model.discriminator, Tensor(feats_m), k)
+        logits_m = discriminate(model, Tensor(feats_m), k)
         frac = int(mask.sum()) / len(memory)
         l2_part = (l2_distance(slice_cols(logits_m, width),
                                Tensor(memory.h_disc[mask, :width])) * frac)

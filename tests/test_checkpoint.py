@@ -447,6 +447,8 @@ TAMPERINGS = {
         share_embedding="no"),
     "share_embedding an int": lambda meta: meta["model"].update(
         share_embedding=0),
+    "extra metadata key": lambda meta: meta.update(colour=1),
+    "extra memory key": lambda meta: meta["memory"].update(colour=1),
 }
 
 
@@ -464,6 +466,25 @@ def test_malformed_metadata_fails_as_format_error_naming_the_path(tmp_path,
     load_checkpoint(src)  # the untampered file loads
     rewrite(src, dst, lambda arrays, meta: TAMPERINGS[tamper](meta))
     with pytest.raises(FormatError, match=f"^{re.escape(str(dst))}: "):
+        load_checkpoint(dst)
+
+
+@pytest.mark.parametrize("where, mutate", [
+    ("the metadata", lambda arrays, meta: meta.update(colour=1)),
+    ("the memory metadata",
+     lambda arrays, meta: meta["memory"].update(colour=1)),
+    ("the members", lambda arrays, meta: arrays.update(colour=np.zeros(1))),
+], ids=["metadata key", "memory key", "member"])
+def test_a_key_the_writer_never_writes_is_named(tmp_path, where, mutate):
+    model = build_model(small_stream(), SMALL, 0)
+    model.register_task(1)
+    model.register_task(2)
+    src, dst = tmp_path / "a.npz", tmp_path / "b.npz"
+    save_checkpoint(src, model, memory=filled_memory(10))
+    load_checkpoint(src)  # the untampered file loads
+    rewrite(src, dst, mutate)
+    with pytest.raises(FormatError, match=(f"^{re.escape(str(dst))}: unknown "
+                                           f"key 'colour' in {where}$")):
         load_checkpoint(dst)
 
 

@@ -342,12 +342,42 @@ def _without(raw, key):
      "field samples_seen: entry 'ten' is str, not int"),
     ("record.json", lambda raw: {**raw, "counters": {"inner_updates": "x"}},
      "field counters: entry 'x' is str, not int"),
+    ("record.json", lambda raw: {**raw, "final_acc": 0.123},
+     "field final_acc holds 0.123, its acc_matrix gives 0.5"),
+    ("record.json", lambda raw: {**raw, "final_fm": -5.0},
+     "field final_fm holds -5.0, its acc_matrix gives 0.0"),
+    ("record.json", lambda raw: {**raw, "colour": 1},
+     r"unknown fields \['colour'\]"),
+    ("timing.json", lambda raw: {**raw, "colour": 1},
+     r"unknown fields \['colour'\]"),
+    ("record.json", lambda raw: {**raw, "seed": -3},
+     "field seed: -3 is outside"),
+    ("record.json", lambda raw: {**raw, "counters": {"inner_updates": -1}},
+     "field counters: -1 is outside"),
+    ("record.json", lambda raw: {**raw, "samples_seen": {"1": -10}},
+     "field samples_seen: -10 is outside"),
+    ("record.json", lambda raw: {**raw, "samples_seen": {"1": 10, "9": 10}},
+     r"field samples_seen: 9 is outside \[1, 1\]"),
+    ("timing.json", lambda raw: {**raw, "wall_s": -1},
+     "field wall_s: -1 is outside"),
+    ("timing.json", lambda raw: {**raw, "wall_s": float("inf")},
+     "field wall_s: inf is outside"),
+    ("timing.json", lambda raw: {**raw, "task_wall_s": [0.5, -0.5]},
+     "field task_wall_s: -0.5 is outside"),
+    ("timing.json", lambda raw: {**raw, "task_wall_s": ["slow"]},
+     "field task_wall_s: entry 'slow' is str, not int or float"),
 ], ids=["version 2", "no version", "no final_fm", "record list", "timing list",
         "record bad JSON", "timing bad JSON", "samples_seen list",
         "final_acc str", "samples_seen key x", "wall_s str", "seed bool",
         "acc_matrix short row", "acc_matrix above 1", "acc_matrix flat",
         "acc_matrix empty", "acc_matrix str entry", "acc_matrix bool entry",
-        "samples_seen str value", "counters str value"])
+        "samples_seen str value", "counters str value",
+        "final_acc not the matrix's", "final_fm not the matrix's",
+        "record extra field", "timing extra field", "seed negative",
+        "counter negative", "samples_seen value negative",
+        "samples_seen task beyond the matrix", "wall_s negative",
+        "wall_s infinite", "task_wall_s entry negative",
+        "task_wall_s str entry"])
 def test_load_record_rejects_a_malformed_file_naming_it(tmp_path, name, tamper,
                                                         match):
     record = ResultRecord(config_hash="0" * 64, method="scale", ablation="full",
@@ -755,6 +785,27 @@ def test_report_rejects_a_seed_recorded_twice(tmp_path):
             f"{re.escape(str(tmp_path / 'a' / run / 'seed-0'))} and "
             f"{re.escape(str(tmp_path / 'b' / run / 'seed-0'))}")):
         report(str(tmp_path))
+
+
+@pytest.mark.parametrize("field, value", [("method", "scale"),
+                                          ("config_hash", "0" * 64)],
+                         ids=["method", "config_hash"])
+def test_report_rejects_a_record_its_run_config_contradicts(tmp_path, field,
+                                                            value):
+    config = tiny_config("method=er")
+    execute_run(config, out_dir=str(tmp_path / "run"))
+    seed_dir = tmp_path / "run" / run_dir_name(config) / "seed-0"
+    path = seed_dir / "record.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                field: value}))
+    with pytest.raises(FormatError, match=(
+            f"^{re.escape(str(path))}: field {field} holds '{value}', but "
+            f"{re.escape(str(seed_dir.parent / 'config.txt'))} gives ")):
+        report(str(tmp_path / "run"))
+    # a lone seed directory has no config.txt to contradict
+    shutil.copytree(seed_dir, tmp_path / "lone" / "seed-0")
+    (record,) = find_records(str(tmp_path / "lone"))
+    assert getattr(record, field) == value
 
 
 def test_find_records_sorted(tmp_path):

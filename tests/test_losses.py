@@ -198,7 +198,7 @@ def test_alignment_uniform_over_real_labels_is_log_k():
     for p in model.discriminator_params():
         p.data[:] = 0.0
     # push all probability mass off the fake class
-    model.discriminator.b2.data[0] = -1e9
+    model.discriminator[1][1].data[0] = -1e9
     batch = Batch(np.random.default_rng(0).normal(size=(4, 3)), [0, 1, 0, 1], 1)
     loss = adversarial_generator_loss(model, batch, None, RunConfig())
     assert abs(loss.item() - np.log(2)) < 1e-12
@@ -210,8 +210,8 @@ def test_alignment_log_k_is_the_minimum():
     model.register_task(2)
     for p in model.discriminator_params():
         p.data[:] = 0.0
-    model.discriminator.b2.data[0] = -1e9
-    model.discriminator.b2.data[1] = 1.0  # tilt away from uniform
+    model.discriminator[1][1].data[0] = -1e9
+    model.discriminator[1][1].data[1] = 1.0  # tilt away from uniform
     batch = Batch(np.random.default_rng(0).normal(size=(4, 3)), [0, 1, 0, 1], 1)
     loss = adversarial_generator_loss(model, batch, None, RunConfig())
     assert loss.item() > np.log(2)
@@ -281,13 +281,13 @@ def test_discriminator_perfect_separation_near_zero():
     for (w, b) in model.extractor.layers:
         w.data[:] = np.eye(2)
         b.data[:] = 0.0
-    d = model.discriminator
-    d.w1.data[:] = np.eye(2)
-    d.b1.data[:] = 0.0
-    d.w2.data[:] = 0.0
-    d.w2.data[0, 1] = 20.0  # feature axis 0 → task 1
-    d.w2.data[1, 0] = 20.0  # feature axis 1 → fake
-    d.b2.data[:] = 0.0
+    (w1, b1), (w2, b2) = model.discriminator
+    w1.data[:] = np.eye(2)
+    b1.data[:] = 0.0
+    w2.data[:] = 0.0
+    w2.data[0, 1] = 20.0  # feature axis 0 → task 1
+    w2.data[1, 0] = 20.0  # feature axis 1 → fake
+    b2.data[:] = 0.0
     x = np.array([[10.0, 0.0], [0.0, 10.0]])
     loss = discriminator_loss(model, x, [1, 0], None, RunConfig())
     assert loss.item() < 1e-12
@@ -484,8 +484,8 @@ def param_groups(model):
             # part of a layer taped: FiLM's and the trunk's per-flag paths
             "generator-but-shift-bias": [
                 p for p in model.generator_params()
-                if all(p is not b_shift for (_, (_, b_shift))
-                       in model.generator.heads)],
+                if all(p is not b_shift
+                       for *_, b_shift in model.generator)],
             "extractor-weights": [w for w, _ in model.extractor.layers]}
 
 
@@ -605,12 +605,12 @@ def test_ce_node_lists_each_contribution_in_chain_order():
     # map; the shared table once per (task, layer)
     model, batch, memory = node_setup()
     loss = ce_loss(model, batch, memory)
-    table = model.generator.embeddings[0]
+    table = model.embeddings[0]
     expected = []
     for task in (2, 1):
         expected += list(model.head(task))
         for index in (1, 0):
-            _, *maps = model.generator.layer(index)
+            _, *maps = model.generator[index]
             expected += [table, *maps, *model.extractor.layers[index]]
     assert [id(t) for t in loss.node.inputs] == [id(t) for t in expected]
     assert sum(t is table for t in loss.node.inputs) == 2 * 2
@@ -679,7 +679,7 @@ def disc_setup(widths, n_tasks=3, n_rows=9, transform="per_layer", seed=12):
     for i in range(n_rows):
         xi = rng.normal(size=3)
         width = widths[(7 * i + i // 3) % len(widths)]
-        snap = discriminate(model.discriminator, extract(model, xi[None, :]),
+        snap = discriminate(model, extract(model, xi[None, :]),
                             width - 1).data[0, :width]
         if i:
             snap = snap + rng.normal(size=width)
@@ -804,7 +804,7 @@ def test_losses_use_no_add_reduceat():
 
 def real_task_accuracy(model, x, tasks):
     """Held-out task classification restricted to the real labels."""
-    scores = discriminate(model.discriminator, extract(model, x),
+    scores = discriminate(model, extract(model, x),
                           model.n_seen)
     pred = scores.data[:, 1:model.n_seen + 1].argmax(axis=1) + 1
     return float(np.mean(pred == tasks))

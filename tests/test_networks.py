@@ -14,12 +14,7 @@ from metacl.autodiff import (
 )
 from metacl.datasets import Split, Task
 from metacl.errors import CapacityError, ConfigurationError, ContractError, UnknownTaskError
-from metacl.networks import (
-    ContinualModel,
-    Discriminator,
-    FeatureExtractor,
-    ParameterGenerator,
-)
+from metacl.networks import ContinualModel, FeatureExtractor
 from metacl.trainer import EVAL_CHUNK, evaluate
 
 from reference import (
@@ -129,37 +124,32 @@ def test_extractor_deterministic_init():
 
 
 def test_generator_coefficient_shapes():
-    gen = ParameterGenerator([8, 8], embed_dim=4, capacity=5,
-                             share_embedding=True,
-                             rng=np.random.default_rng(3))
-    scale, shift = coefficients(gen, 2, 1)
+    model = small_model(feature_width=8, depth=2, embed_dim=4, k_max=5)
+    scale, shift = coefficients(model, 2, 1)
     assert scale.shape == (1, 8) and shift.shape == (1, 8)
 
 
 def test_generator_distinct_tasks_distinct_coefficients():
-    gen = ParameterGenerator([8], embed_dim=4, capacity=5,
-                             share_embedding=True,
-                             rng=np.random.default_rng(3))
-    s1, _ = coefficients(gen, 1, 0)
-    s2, _ = coefficients(gen, 2, 0)
+    model = small_model(feature_width=8, depth=1, embed_dim=4, k_max=5)
+    s1, _ = coefficients(model, 1, 0)
+    s2, _ = coefficients(model, 2, 0)
     assert not np.allclose(s1.data, s2.data)
 
 
 def test_generator_out_of_capacity():
-    gen = ParameterGenerator([8], embed_dim=4, capacity=2,
-                             share_embedding=True,
-                             rng=np.random.default_rng(3))
+    model = small_model(feature_width=8, depth=1, embed_dim=4, k_max=2)
     with pytest.raises(UnknownTaskError):
-        coefficients(gen, 3, 0)
+        coefficients(model, 3, 0)
     with pytest.raises(UnknownTaskError):
-        coefficients(gen, 0, 0)
+        coefficients(model, 0, 0)
 
 
 def test_generator_separate_embeddings_option():
-    gen = ParameterGenerator([8, 8], embed_dim=4, capacity=3,
-                             share_embedding=False,
-                             rng=np.random.default_rng(3))
-    assert len(gen.embeddings) == 2
+    model = small_model(feature_width=8, depth=2, embed_dim=4, k_max=3,
+                        share_embedding=False)
+    assert len(model.embeddings) == 2
+    for index, table in enumerate(model.embeddings):
+        assert model.generator[index][0] is table
 
 
 # -- classifier heads ---------------------------------------------------------
@@ -231,8 +221,8 @@ def test_zeroed_head_gives_uniform_cross_entropy():
 
 
 def test_discriminator_masks_unseen_tasks():
-    disc = Discriminator(4, k_max=5, hidden=3, rng=np.random.default_rng(2))
-    logits = discriminate(disc, np.random.default_rng(0).normal(size=(2, 4)),
+    model = small_model(feature_width=4, k_max=5, disc_hidden=3)
+    logits = discriminate(model, np.random.default_rng(0).normal(size=(2, 4)),
                           seen_tasks=2)
     assert logits.shape == (2, 6)
     probs = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
@@ -241,42 +231,43 @@ def test_discriminator_masks_unseen_tasks():
 
 
 def test_discriminator_zeroed_weights_uniform_over_valid():
-    disc = Discriminator(4, k_max=5, hidden=3, rng=np.random.default_rng(2))
-    for p in disc.params():
+    model = small_model(feature_width=4, k_max=5, disc_hidden=3)
+    for p in model.discriminator_params():
         p.data[:] = 0.0
-    logits = discriminate(disc, np.zeros((4, 4)), seen_tasks=2)
+    logits = discriminate(model, np.zeros((4, 4)), seen_tasks=2)
     loss = softmax_cross_entropy(logits, np.array([0, 1, 2, 0]))
     assert abs(loss.item() - np.log(3)) < 1e-12
 
 
 def test_discriminator_capacity_error():
-    disc = Discriminator(4, k_max=2, hidden=3, rng=np.random.default_rng(2))
+    model = small_model(feature_width=4, k_max=2, disc_hidden=3)
     with pytest.raises(CapacityError):
-        discriminate(disc, np.zeros((1, 4)), seen_tasks=3)
+        discriminate(model, np.zeros((1, 4)), seen_tasks=3)
 
 
 def test_discriminator_freeze_blocks_weight_gradients():
-    disc = Discriminator(4, k_max=3, hidden=16, rng=np.random.default_rng(2))
+    model = small_model(feature_width=4, k_max=3, disc_hidden=16)
     feats = Tensor(np.random.default_rng(0).normal(size=(2, 4)), requires_grad=True)
-    pre = feats.data @ disc.w1.data + disc.b1.data
+    w1, b1 = model.discriminator[0]
+    pre = feats.data @ w1.data + b1.data
     assert np.any(pre > 0)  # live ReLU units, so a nonzero gradient must flow
     # the scoped form every step uses: only the features are taped
-    with grad_only([feats], disc.params()):
-        loss = softmax_cross_entropy(discriminate(disc, feats, 2),
+    with grad_only([feats], model.discriminator_params()):
+        loss = softmax_cross_entropy(discriminate(model, feats, 2),
                                      np.array([1, 2]))
     backward(loss)
     assert feats.grad is not None and np.any(feats.grad != 0)
-    for p in disc.params():
+    for p in model.discriminator_params():
         assert p.grad is None and p.requires_grad
 
 
 def test_discriminator_live_weight_gradients():
-    disc = Discriminator(4, k_max=3, hidden=3, rng=np.random.default_rng(2))
+    model = small_model(feature_width=4, k_max=3, disc_hidden=3)
     feats = Tensor(np.random.default_rng(0).normal(size=(2, 4)))
-    loss = softmax_cross_entropy(discriminate(disc, feats, 2),
+    loss = softmax_cross_entropy(discriminate(model, feats, 2),
                                  np.array([1, 2]))
     backward(loss)
-    assert all(p.grad is not None for p in disc.params())
+    assert all(p.grad is not None for p in model.discriminator_params())
 
 
 # -- assembled model ------------------------------------------------------------
@@ -336,7 +327,7 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
         for p in model.all_params():  # mid-training values: nonzero biases
             p.data += 0.1 * rng.normal(size=p.data.shape)
         with grad_only((), model.all_params()):
-            want_disc = discriminate(model.discriminator, extract(model, x),
+            want_disc = discriminate(model, extract(model, x),
                                      seen).data
         got = model.snapshot_disc_logits(x)
         assert got.shape == (rows, seen + 1)
@@ -507,7 +498,7 @@ def test_nan_input_row_reaches_its_logits_on_both_paths(mode):
     x[1, 0] = np.nan
     with grad_only((), model.all_params()):
         want = logits(model, x, 2).data
-        want_disc = discriminate(model.discriminator, extract(model, x),
+        want_disc = discriminate(model, extract(model, x),
                                  model.n_seen).data[:, :3]
     for got, ref in ((model.snapshot_logits(x, 2), want),
                      (model.snapshot_disc_logits(x), want_disc)):

@@ -21,7 +21,10 @@ than ``config.py``: an option that no code reads fails the suite. A fifth
 finds no class in them defining ``__getattr__`` or ``__getattribute__``,
 so reading an attribute runs no code, and a sixth no package module
 importing another's private name, so each module's private helpers stay
-its own (the reference chain is written on them by design).
+its own (the reference chain is written on them by design). Last, a
+fresh interpreter importing the package loads no module beyond the
+standard library and numpy: the benchmark times that import as
+``setup_s``.
 """
 
 import ast
@@ -297,3 +300,17 @@ def test_every_config_field_is_read_outside_config():
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
     assert [f.name for f in fields(RunConfig) if f.name not in read] == []
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    out = run_python(["-c", "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import metacl, metacl.experiments, metacl.cli",
+        "print(*sorted({name.partition('.')[0]",
+        "               for name in set(sys.modules) - before}))"])])
+    assert out.returncode == 0, out.stderr
+    loaded = out.stdout.split()
+    assert "numpy" in loaded and "metacl" in loaded
+    assert [name for name in loaded if name not in sys.stdlib_module_names
+            and name not in ("numpy", "metacl")] == []

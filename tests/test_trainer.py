@@ -294,7 +294,7 @@ def test_adversarial_step_trains_a_working_classifier():
     correct = 0
     for t in (1, 2):
         x = centers[t] + 0.3 * rng.normal(size=(100, 8))
-        scores = discriminate(model.discriminator, extract(model, x),
+        scores = discriminate(model, extract(model, x),
                               model.n_seen)
         correct += int((scores.data.argmax(axis=1) == t).sum())
     assert correct / 200 > 0.9
@@ -496,7 +496,7 @@ def minimal_bilevel_loop(stream, config, seed):
             if not dark_replay_off(config):
                 with grad_only((), model.all_params()):
                     h = logits(model, batch.x, k).data
-                    h_disc = discriminate(model.discriminator,
+                    h_disc = discriminate(model,
                                           extract(model, batch.x),
                                           model.n_seen).data
                 h_disc = h_disc[:, :model.n_seen + 1]
