@@ -1,5 +1,4 @@
-"""Versioned checkpoint files, and the one atomic writer for every file metacl
-writes.
+"""Versioned checkpoint files, written with ``experiments.atomic_write``.
 
 A checkpoint is a single ``.npz`` container with nine members at most, however
 many tasks and rows it holds: a JSON metadata blob, every parameter as one flat
@@ -19,21 +18,21 @@ This reader handles format version 3 only; version 1 (one member per stored
 sample) and version 2 (one member per parameter) files are rejected. Any
 malformed content fails as ``FormatError`` naming the path (a memory budget
 or seen count that is no JSON integer, a key or member the writer does not
-write), and so do memory members of another dtype than the memory keeps and
-memory rows the loaded model cannot train on: inputs not ``input_dim`` wide,
-labels outside ``[0, classes_per_task)`` or tasks outside its seen tasks. A
-missing file raises ``FileNotFoundError``.
+write, an ``rng_state`` that does not read back as saved), and so do memory
+members of another dtype than the memory keeps and memory rows the loaded
+model cannot train on: inputs not ``input_dim`` wide, labels outside
+``[0, classes_per_task)`` or tasks outside its seen tasks. A missing file
+raises ``FileNotFoundError``.
 """
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContractError, FormatError, MemoryConsistencyError
+from .experiments import atomic_write
 from .memory import Draw, EpisodicMemory, empty_fields
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
@@ -42,28 +41,6 @@ FORMAT_VERSION = 3
 _KIND = "continual-model-checkpoint"
 _META_KEYS = ("kind", "version", "model", "seen_tasks", "memory", "matrix")
 _MEMORY_KEYS = ("budget_per_task", "seen_counts", "rng_state")
-
-
-def atomic_write(path, write):
-    """Write ``path`` whole or not at all: ``write(f)`` fills a binary temp
-    file beside it, which then replaces it. If anything raises, the temp file
-    is removed and ``path`` keeps its old contents. The file gets the mode a
-    plain ``open`` would create it with, 0o666 less the umask, not
-    ``mkstemp``'s 0o600."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    umask = os.umask(0)  # reading the umask means setting it
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            os.fchmod(fd, 0o666 & ~umask)
-            write(f)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 @dataclass
@@ -189,6 +166,9 @@ def _decode(path, data):
                   for name, kept in empty_fields(0).items()}
         rng = np.random.default_rng(0)
         rng.bit_generator.state = m["rng_state"]
+        # the setter ignores keys it does not know
+        if rng.bit_generator.state != m["rng_state"]:
+            raise FormatError(f"{path}: rng_state does not read back as saved")
         seen_counts = {}
         for t, c in m["seen_counts"].items():
             if (str(int(t)) != t or isinstance(c, bool)

@@ -207,8 +207,14 @@ def parse_config(text):
 
 
 def load_config(path):
+    """``parse_config`` of the file at ``path``; a document it rejects fails
+    as ``ConfigurationError`` starting with the path."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+        text = f.read()
+    try:
+        return parse_config(text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def serialize_config(config):

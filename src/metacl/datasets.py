@@ -40,7 +40,6 @@ class Task:
     train: Split
     test: Split
     label_set: tuple
-    n_classes: int
 
 
 @dataclass
@@ -161,7 +160,7 @@ def make_split_stream(base, classes_per_task, n_tasks, train_limit=None,
         tasks.append(Task(task_id=k,
                           train=pick(base.train, "train", train_limit),
                           test=pick(base.test, "test", test_limit),
-                          label_set=labels, n_classes=classes_per_task))
+                          label_set=labels))
     return TaskStream(tasks=tasks, protocol="split",
                       classes_per_task=classes_per_task,
                       input_dim=base.input_dim)
@@ -183,7 +182,7 @@ def make_permuted_stream(base, n_tasks, seed=0):
             task_id=k,
             train=Split(train_x[:, perm], base.train.y.astype(np.int64).copy()),
             test=Split(test_x[:, perm], base.test.y.astype(np.int64).copy()),
-            label_set=labels, n_classes=base.n_classes))
+            label_set=labels))
     return TaskStream(tasks=tasks, protocol="permuted",
                       classes_per_task=base.n_classes, input_dim=dim)
 

@@ -1,16 +1,17 @@
-"""Experiment runner: build streams, execute runs, emit records and tables.
+"""Experiment runner: build streams, execute runs, emit records and tables,
+each file written whole by ``atomic_write``, which checkpoints use too.
 
 Output layout: one directory per run-set, ``<out>/<method>-<ablation>-<hash8>/``,
 holding ``config.txt``, one ``seed-N/record.json`` per seed (byte-stable), a
-``seed-N/timing.json`` side file, and ``summary.csv``. ``execute_run`` writes
-it, for a ``run`` and for each variant of a ``sweep``, ``grid`` or ``ablate``
-(``_run_set``, which adds one stats CSV per set). Wall-clock times and
-each task's mean step losses live in the side file, so records stay
-byte-identical across reruns. The step losses per task are
+``seed-N/timing.json`` side file, and ``summary.csv``. ``execute_run``
+writes it, for a ``run`` and for each variant of a ``sweep``, ``grid`` or
+``ablate`` (``_run_set``: one stream for all variants, and one stats CSV).
+Wall-clock times and each task's mean step losses live in the side file, so
+records stay byte-identical across reruns. The step losses per task are
 ``mean_inner_loss`` (the full objective, ``losses.total_loss``),
-``mean_outer_loss`` (CE + dark replay, ``losses.classification_loss``:
-the outer step leaves out the alignment term) and ``mean_disc_loss``; each
-is null where its step never ran: the outer step under ablation C, the
+``mean_outer_loss`` (CE + dark replay, ``losses.classification_loss``: the
+outer step leaves out the alignment term) and ``mean_disc_loss``; each is
+null where its step never ran: the outer step under ablation C, the
 discriminator step under ablation A, and both in the replay baselines.
 """
 
@@ -20,13 +21,13 @@ import itertools
 import json
 import math
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .checkpoint import atomic_write
 from .config import ABLATION_MODES, config_hash, load_config, serialize_config
 from .datasets import make_idx_stream, make_synthetic
 from .errors import ConfigurationError, FormatError, NoDataError
@@ -41,14 +42,38 @@ GRID_SPACE = {
     "outer_lr": (0.001, 0.01, 0.1),
     "lambda1": (1.0, 3.0),
     "lambda2": (1.0, 3.0),
-    "lambda3": (0.03, 0.09, 0.3, 0.9),
+    "lambda3": LAMBDA3_SWEEP_VALUES,
 }
 RECORD_VERSION = 1
 TIMING = {"timing": True}  # metadata of the ResultRecord fields in timing.json
+# a task's mean step losses, as timing.json's task_losses holds them
+TASK_LOSSES = ("mean_inner_loss", "mean_outer_loss", "mean_disc_loss")
 STATS_COLUMNS = ("n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm",
                  "mean_la")
 SUMMARY_COLUMNS = ("method", "ablation", "seed", "task_index", "acc_row",
                    "final_acc", "final_fm", "wall_s")
+
+def atomic_write(path, write):
+    """Write ``path`` whole or not at all: ``write(f)`` fills a binary temp
+    file beside it, which then replaces it. If anything raises, the temp file
+    is removed and ``path`` keeps its old contents. The file gets the mode a
+    plain ``open`` would create it with, 0o666 less the umask, not
+    ``mkstemp``'s 0o600."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            os.fchmod(fd, 0o666 & ~umask)
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
 
 def atomic_write_text(path, text):
     atomic_write(path, lambda f: f.write(text.encode("utf-8")))
@@ -205,8 +230,10 @@ def load_record(seed_dir):
     A record of another version, or a field missing, unknown, of the wrong
     type or out of range, fails as ``FormatError`` naming the file and the
     field; so do an accuracy matrix that is not complete rows of numbers in
-    [0, 1], and a ``final_acc`` or ``final_fm`` other, bit for bit, than
-    ``final_scores`` of it."""
+    [0, 1], a ``final_acc`` or ``final_fm`` other, bit for bit, than
+    ``final_scores`` of it, a timing list neither empty (untimed) nor one
+    entry per matrix row, and a ``task_losses`` entry that is not an object
+    of the ``TASK_LOSSES``, each a finite number or null."""
     path = os.path.join(seed_dir, "record.json")
     raw = _read_json_object(path)
     if (version := raw.pop("record_version", None)) != RECORD_VERSION:
@@ -237,10 +264,23 @@ def load_record(seed_dir):
     if os.path.exists(timing_path):
         timing = _typed_fields(timing_path, _read_json_object(timing_path),
                                TIMING_FIELDS)
-        # an untimed record's wall_s is None
+        # an untimed record's wall_s is None and its lists are empty
         for name, entries in (("wall_s", [timing.get("wall_s") or 0.0]),
                               ("task_wall_s", timing.get("task_wall_s", []))):
             _entries(timing_path, name, entries, kinds=(int, float))
+        for losses in timing.get("task_losses", []):
+            if not isinstance(losses, dict) or set(losses) != set(TASK_LOSSES):
+                raise FormatError(f"{timing_path}: field task_losses: entry "
+                                  f"{losses!r} is not an object of "
+                                  f"{', '.join(TASK_LOSSES)}")
+            _entries(timing_path, "task_losses",
+                     [v for v in losses.values() if v is not None],
+                     low=-math.inf, kinds=(int, float))
+        for name in ("task_wall_s", "task_losses"):
+            if len(timing.get(name, [])) not in (0, matrix.n_rows):
+                raise FormatError(f"{timing_path}: field {name} holds "
+                                  f"{len(timing[name])} entries, not one per "
+                                  f"acc_matrix row ({matrix.n_rows})")
         values.update(timing)
     return ResultRecord(**values)
 
@@ -318,14 +358,22 @@ def _checked_values(name, values, allowed):
     return list(values)
 
 
-def _run_set(path, variants):
-    """One ``execute_run`` per (columns, config) of ``variants``; writes
-    ``path``, a row of columns and seed stats per variant, and returns (rows,
-    records per variant)."""
-    table = [execute_run(cfg) for _, cfg in variants]
-    rows = [{**columns, **seed_stats(records)}
-            for (columns, _), records in zip(variants, table)]
-    write_csv(path, (*variants[0][0], *STATS_COLUMNS), rows)
+def _run_set(path, config, axes, fixed=(), columns=None):
+    """One ``execute_run`` per combination of ``axes`` ({field: values},
+    fields sorted) on ``config`` with the ``fixed`` (field, value) pairs,
+    every config made (so checked) first, all on one stream: no axis is a
+    field ``build_stream`` reads. Writes ``path``, a row of ``columns(cfg)``
+    (default: the axes) and seed stats per variant, and returns the rows
+    and each variant's records."""
+    keys = sorted(axes)
+    configs = [replace(config, **dict(fixed), **dict(zip(keys, values)))
+               for values in itertools.product(*(axes[key] for key in keys))]
+    columns = columns or (lambda cfg: {key: getattr(cfg, key) for key in keys})
+    stream = build_stream(configs[0])
+    table = [execute_run(cfg, stream=stream) for cfg in configs]
+    rows = [{**columns(cfg), **seed_stats(records)}
+            for cfg, records in zip(configs, table)]
+    write_csv(path, rows[0], rows)
     return rows, table
 
 
@@ -339,11 +387,10 @@ def sweep(config, axis, values=None):
     field_name, canonical = SWEEP_AXES[axis]
     values = _checked_values(f"{axis} sweep",
                              canonical if values is None else values, canonical)
-    configs = [replace(config, **{field_name: v}) for v in values]
     rows, table = _run_set(
-        os.path.join(config.out_dir, f"sweep-{axis}.csv"),
-        [({"axis": axis, "value": getattr(cfg, field_name)}, cfg)
-         for cfg in configs])
+        os.path.join(config.out_dir, f"sweep-{axis}.csv"), config,
+        {field_name: values},
+        columns=lambda cfg: {"axis": axis, "value": getattr(cfg, field_name)})
     return {row["value"]: records for row, records in zip(rows, table)}
 
 
@@ -371,25 +418,18 @@ def grid(config, space=None):
             raise ConfigurationError(f"unknown grid axis {key!r}")
         space[key] = _checked_values(f"grid axis {key}", values,
                                      GRID_SPACE[key])
-    base = replace(config, n_tasks=min(GRID_TASKS, config.n_tasks))
-    keys = sorted(space)
-    configs = [replace(base, **dict(zip(keys, values)))
-               for values in itertools.product(*(space[key] for key in keys))]
-    rows, _ = _run_set(
-        os.path.join(config.out_dir, "grid.csv"),
-        [({key: getattr(cfg, key) for key in keys}, cfg) for cfg in configs])
+    rows, _ = _run_set(os.path.join(config.out_dir, "grid.csv"), config, space,
+                       fixed=[("n_tasks", min(GRID_TASKS, config.n_tasks))])
     best = max(rows, key=lambda row: row["mean_acc"])
-    return {key: best[key] for key in keys}, rows
+    return {key: best[key] for key in sorted(space)}, rows
 
 
 def ablate(config, modes=ABLATION_MODES):
     """Run every ablation of the full method; returns {mode: records} and
     writes ``ablations.csv``."""
     modes = _checked_values("ablation", modes, ABLATION_MODES)
-    _, table = _run_set(
-        os.path.join(config.out_dir, "ablations.csv"),
-        [({"ablation": mode}, replace(config, method="scale", ablation=mode))
-         for mode in modes])
+    _, table = _run_set(os.path.join(config.out_dir, "ablations.csv"), config,
+                        {"ablation": modes}, fixed=[("method", "scale")])
     return dict(zip(modes, table))
 
 

@@ -449,6 +449,11 @@ TAMPERINGS = {
         share_embedding=0),
     "extra metadata key": lambda meta: meta.update(colour=1),
     "extra memory key": lambda meta: meta["memory"].update(colour=1),
+    # numpy's state setter ignores keys it does not know
+    "extra rng_state key": lambda meta: meta["memory"]["rng_state"].update(
+        colour=1),
+    "extra rng_state state key": lambda meta: meta["memory"]["rng_state"][
+        "state"].update(colour=1),
 }
 
 

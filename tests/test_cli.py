@@ -54,6 +54,16 @@ def test_run_with_config_file(tmp_path):
     assert "1 seed(s)" in out
 
 
+def test_a_config_file_that_does_not_parse_is_named(tmp_path):
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text("colour = 1\n")
+    code, out, err = invoke(["run", "--config", str(cfg),
+                             "--out", str(tmp_path / "r")])
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}: unknown config keys: colour\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_seeds_flag(tmp_path):
     code, _, _ = invoke(["run", "--seeds", "0,1",
                          "--out", str(tmp_path)] + TINY)

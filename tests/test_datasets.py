@@ -151,7 +151,7 @@ def test_synthetic_noise_zero_is_separable():
     stream = synthetic(noise_scale=0.0, train_per_class=20, test_per_class=10)
     for t in stream.tasks:
         centroids = np.stack([t.train.x[t.train.y == c].mean(axis=0)
-                              for c in range(t.n_classes)])
+                              for c in range(stream.classes_per_task)])
         dists = ((t.test.x[:, None, :] - centroids[None]) ** 2).sum(axis=2)
         assert np.mean(dists.argmin(axis=1) == t.test.y) == 1.0
 

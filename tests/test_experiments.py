@@ -26,6 +26,7 @@ from metacl.experiments import (
     GRID_TASKS,
     LAMBDA3_SWEEP_VALUES,
     MEMORY_SWEEP_VALUES,
+    SWEEP_AXES,
     ResultRecord,
     ablate,
     build_stream,
@@ -104,7 +105,7 @@ def test_build_stream_idx_permuted(tmp_path, gz):
     assert stream.protocol == "permuted"
     assert len(stream.tasks) == 2
     assert stream.tasks[0].train.x.shape == (8, 9)
-    assert stream.tasks[0].n_classes == 4
+    assert stream.classes_per_task == 4
 
 
 @pytest.mark.parametrize("split", ["train", "test"])
@@ -305,6 +306,11 @@ def _without(raw, key):
     return {k: v for k, v in raw.items() if k != key}
 
 
+# one task's mean step losses: the outer step never ran
+LOSSES = {"mean_inner_loss": 1.0, "mean_outer_loss": None,
+          "mean_disc_loss": 0.5}
+
+
 @pytest.mark.parametrize("name, tamper, match", [
     ("record.json", lambda raw: {**raw, "record_version": 2},
      "record_version 2 unsupported"),
@@ -366,6 +372,31 @@ def _without(raw, key):
      "field task_wall_s: -0.5 is outside"),
     ("timing.json", lambda raw: {**raw, "task_wall_s": ["slow"]},
      "field task_wall_s: entry 'slow' is str, not int or float"),
+    ("timing.json", lambda raw: {**raw, "task_wall_s": [0.5] * 7},
+     r"field task_wall_s holds 7 entries, not one per acc_matrix row \(1\)"),
+    ("timing.json", lambda raw: {**raw, "task_losses": [LOSSES, LOSSES]},
+     r"field task_losses holds 2 entries, not one per acc_matrix row \(1\)"),
+    ("timing.json", lambda raw: {**raw, "task_losses": ["x", 3]},
+     "field task_losses: entry 'x' is not an object of mean_inner_loss, "
+     "mean_outer_loss, mean_disc_loss"),
+    ("timing.json", lambda raw: {**raw, "task_losses": [
+        _without(LOSSES, "mean_disc_loss")]},
+     "field task_losses: entry .* is not an object of"),
+    ("timing.json", lambda raw: {**raw, "task_losses": [
+        {**LOSSES, "colour": 1}]},
+     "field task_losses: entry .* is not an object of"),
+    ("timing.json", lambda raw: {**raw, "task_losses": [
+        {**LOSSES, "mean_inner_loss": "low"}]},
+     "field task_losses: entry 'low' is str, not int or float"),
+    ("timing.json", lambda raw: {**raw, "task_losses": [
+        {**LOSSES, "mean_disc_loss": True}]},
+     "field task_losses: entry True is bool, not int or float"),
+    ("timing.json", lambda raw: {**raw, "task_losses": [
+        {**LOSSES, "mean_outer_loss": float("inf")}]},
+     "field task_losses: inf is outside"),
+    ("timing.json", lambda raw: {**raw, "task_losses": [
+        {**LOSSES, "mean_inner_loss": float("nan")}]},
+     "field task_losses: nan is outside"),
 ], ids=["version 2", "no version", "no final_fm", "record list", "timing list",
         "record bad JSON", "timing bad JSON", "samples_seen list",
         "final_acc str", "samples_seen key x", "wall_s str", "seed bool",
@@ -377,7 +408,11 @@ def _without(raw, key):
         "counter negative", "samples_seen value negative",
         "samples_seen task beyond the matrix", "wall_s negative",
         "wall_s infinite", "task_wall_s entry negative",
-        "task_wall_s str entry"])
+        "task_wall_s str entry", "task_wall_s longer than the matrix",
+        "task_losses longer than the matrix", "task_losses entry a str",
+        "task_losses entry lacking a key", "task_losses entry extra key",
+        "task_losses str value", "task_losses bool value",
+        "task_losses infinite value", "task_losses NaN value"])
 def test_load_record_rejects_a_malformed_file_naming_it(tmp_path, name, tamper,
                                                         match):
     record = ResultRecord(config_hash="0" * 64, method="scale", ablation="full",
@@ -537,6 +572,45 @@ def test_ablate_rejects_empty_and_repeated_modes(tmp_path):
     with pytest.raises(ConfigurationError, match="ablation accepts .*'Z'"):
         ablate(config, modes=("full", "Z"))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("run_set", [
+    lambda config: sweep(config, "memory", values=[50, 100]),
+    lambda config: grid(config, space={"inner_lr": [0.1, 0.01]}),
+    lambda config: ablate(config, modes=("full", "C")),
+], ids=["sweep", "grid", "ablate"])
+def test_a_run_set_builds_its_stream_once(tmp_path, monkeypatch, run_set):
+    built = []
+    monkeypatch.setattr(experiments, "build_stream", lambda config: (
+        built.append(config) or build_stream(config)))
+    run_set(tiny_config("n_tasks=2", f"out_dir={tmp_path}"))
+    assert len(built) == 1
+
+
+class ReadFields:
+    """A config that records the names of the fields read from it."""
+
+    def __init__(self, config):
+        self.config, self.read = config, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.config, name)
+
+
+def test_no_run_set_axis_is_a_field_build_stream_reads(tmp_path):
+    # so a run set's variants can share one stream, however its tables grow
+    _write_tiny_idx(tmp_path)
+    idx = [f"idx_dir={tmp_path}", "dataset=idx", "n_tasks=2"]
+    read = set()
+    for extra in ([], ["protocol=permuted"], idx, idx + ["protocol=permuted"]):
+        config = ReadFields(tiny_config(*extra))
+        build_stream(config)
+        read |= config.read
+    assert {"dataset", "protocol", "n_tasks", "data_seed", "idx_dir",
+            "train_per_task", "input_dim"} <= read
+    axes = {name for name, _ in SWEEP_AXES.values()} | set(GRID_SPACE)
+    assert sorted(read & (axes | {"ablation"})) == []
 
 
 def test_execute_run_er(tmp_path):
@@ -806,6 +880,16 @@ def test_report_rejects_a_record_its_run_config_contradicts(tmp_path, field,
     shutil.copytree(seed_dir, tmp_path / "lone" / "seed-0")
     (record,) = find_records(str(tmp_path / "lone"))
     assert getattr(record, field) == value
+
+
+def test_report_names_a_run_config_it_cannot_parse(tmp_path):
+    config = tiny_config()
+    execute_run(config, out_dir=str(tmp_path))
+    path = tmp_path / run_dir_name(config) / "config.txt"
+    path.write_text(path.read_text() + "colour = 1\n")
+    with pytest.raises(ConfigurationError, match=(
+            f"^{re.escape(str(path))}: unknown config keys: colour$")):
+        report(str(tmp_path))
 
 
 def test_find_records_sorted(tmp_path):

@@ -342,7 +342,7 @@ def test_inference_is_bitwise_equal_to_reference_path(share, head, mode, rows):
     # labels equal to the reference predictions score 1.0 exactly when every
     # prediction matches, and labels off by one score 0.0
     tasks = [Task(t, Split(x[:0], np.zeros(0, dtype=int)),
-                  Split(x, (want_preds[t] + shift) % 3), (0, 1, 2), 3)
+                  Split(x, (want_preds[t] + shift) % 3), (0, 1, 2))
              for t in (1, 2) for shift in (0, 1)]
     accuracy = [evaluate(model, [task])[task.task_id] for task in tasks]
     assert accuracy == [1.0, 0.0, 1.0, 0.0]
@@ -370,7 +370,7 @@ def test_evaluate_over_many_tasks_predicts_as_the_reference_path(share, mode):
     order = rng.permutation(np.arange(1, 14)).tolist()
     for shift in (0, 1):
         tasks = [Task(t, Split(xs[t][:0], np.zeros(0, dtype=int)),
-                      Split(xs[t], (want[t] + shift) % 3), (0, 1, 2), 3)
+                      Split(xs[t], (want[t] + shift) % 3), (0, 1, 2))
                  for t in order]
         assert evaluate(model, tasks) == {t: 1.0 - shift for t in order}
 

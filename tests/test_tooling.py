@@ -23,8 +23,8 @@ so reading an attribute runs no code, and a sixth no package module
 importing another's private name, so each module's private helpers stay
 its own (the reference chain is written on them by design). Last, a
 fresh interpreter importing the package loads no module beyond the
-standard library and numpy: the benchmark times that import as
-``setup_s``.
+standard library and numpy, and no ``metacl.checkpoint``: the benchmark
+times that import as ``setup_s``.
 """
 
 import ast
@@ -300,6 +300,17 @@ def test_every_config_field_is_read_outside_config():
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
     assert [f.name for f in fields(RunConfig) if f.name not in read] == []
+
+
+def test_a_run_loads_no_checkpoint_module():
+    # runs write their files with experiments.atomic_write; only a resume
+    # reads or writes a checkpoint
+    out = run_python(["-c", "\n".join([
+        "import sys",
+        "import metacl, metacl.experiments, metacl.cli",
+        "print('metacl.checkpoint' in sys.modules)"])])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def test_package_imports_only_the_standard_library_and_numpy():

@@ -546,7 +546,7 @@ def test_evaluate_chance_level_for_random_model():
                             rng.integers(0, 2, size=10)),
                 test=Split(rng.normal(size=(2000, 8)),
                            rng.integers(0, 2, size=2000)),
-                label_set=(0, 1), n_classes=2)
+                label_set=(0, 1))
     acc = evaluate(model, [task])[1]
     assert abs(acc - 0.5) < 0.05
 
