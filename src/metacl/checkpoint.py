@@ -15,64 +15,84 @@ streams from the seed. The seed-run is the unit of resumption; its
 running its missing seeds again.
 
 This reader handles format version 3 only; version 1 (one member per stored
-sample) and version 2 (one member per parameter) files are rejected. Any
-malformed content fails as ``FormatError`` naming the path (a memory budget
-or seen count that is no JSON integer, a key or member the writer does not
-write, an ``rng_state`` that does not read back as saved), and so do memory
-members of another dtype than the memory keeps and memory rows the loaded
-model cannot train on: inputs not ``input_dim`` wide, labels outside
-``[0, classes_per_task)`` or tasks outside its seen tasks. A missing file
-raises ``FileNotFoundError``.
+sample) and version 2 (one member per parameter) files are rejected. The
+metadata is declared once, in ``Metadata``, which ``save_checkpoint`` writes
+and ``experiments.check_format`` checks. The loader adds the rules across
+fields and members: no member the writer does not write, no repeated seen
+task, an ``rng_state`` that reads back as saved, memory members of the dtype
+the memory keeps and rows the model can train on (``input_dim`` wide inputs,
+labels in ``[0, classes_per_task)``, seen tasks). Any fault fails as
+``FormatError`` naming the path; a missing file raises ``FileNotFoundError``.
 """
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, FormatError, MemoryConsistencyError
-from .experiments import atomic_write
+from .experiments import atomic_write, check_format
 from .memory import Draw, EpisodicMemory, empty_fields
 from .metrics import AccuracyMatrix
 from .networks import ContinualModel
 
 FORMAT_VERSION = 3
 _KIND = "continual-model-checkpoint"
-_META_KEYS = ("kind", "version", "model", "seen_tasks", "memory", "matrix")
-_MEMORY_KEYS = ("budget_per_task", "seen_counts", "rng_state")
+
+
+def _model(arguments):
+    """The model ``arguments`` rebuild, if they are all its arguments."""
+    model = ContinualModel(**arguments)
+    if model.arguments != arguments:
+        raise ValueError(f"{arguments} are not all of {model.arguments}")
+    return model
+
+
+@dataclass
+class MemoryMetadata:
+    """``Metadata.memory``; ``from_rows`` checks it, ``rng_state`` reads back."""
+
+    budget_per_task: int
+    seen_counts: dict[int, int]
+    rng_state: dict
+
+
+@dataclass
+class Metadata:
+    """A checkpoint's ``__meta__`` member, as JSON holds it."""
+
+    kind: str = field(metadata={"values": (_KIND,)})
+    version: int = field(metadata={"values": (FORMAT_VERSION,)})
+    model: dict[str, int | str | bool] = field(metadata={"check": _model})
+    seen_tasks: list  # each checked as ContinualModel.register_task takes it
+    memory: MemoryMetadata | None
+    matrix: list[list[float]] | None = field(
+        metadata={"check": AccuracyMatrix.from_rows})
 
 
 @dataclass
 class Checkpoint:
     model: ContinualModel
-    memory: Optional[EpisodicMemory]
-    matrix: Optional[AccuracyMatrix]
+    memory: EpisodicMemory | None
+    matrix: AccuracyMatrix | None
 
 
 def save_checkpoint(path, model, memory=None, matrix=None):
     """Write a versioned checkpoint atomically (write then rename)."""
     arrays = {"params": np.concatenate(
         [p.data.ravel() for p in model.all_params()], dtype=np.float64)}
-    mem_meta = None
     if memory is not None:
         rows = memory.rows()
-        for name in Draw.FIELDS:
-            arrays[f"mem/{name}"] = getattr(rows, name)
-        mem_meta = {
-            "budget_per_task": memory.budget_per_task,
-            "seen_counts": {str(t): int(c) for t, c in memory.seen_counts.items()},
-            "rng_state": memory.rng.bit_generator.state,
-        }
-    meta = {
-        "kind": _KIND,
-        "version": FORMAT_VERSION,
-        "model": model.arguments,
-        "seen_tasks": [int(t) for t in model.seen_tasks],
-        "memory": mem_meta,
-        "matrix": matrix.to_rows() if matrix is not None else None,
-    }
-    arrays["__meta__"] = np.array(json.dumps(meta))
+        arrays |= {f"mem/{name}": getattr(rows, name) for name in Draw.FIELDS}
+    meta = Metadata(
+        kind=_KIND, version=FORMAT_VERSION, model=model.arguments,
+        seen_tasks=[int(t) for t in model.seen_tasks],
+        memory=None if memory is None else MemoryMetadata(
+            budget_per_task=memory.budget_per_task,
+            seen_counts=memory.seen_counts,
+            rng_state=memory.rng.bit_generator.state),
+        matrix=matrix.to_rows() if matrix is not None else None)
+    arrays["__meta__"] = np.array(json.dumps(asdict(meta)))
     atomic_write(path, lambda f: np.savez(f, **arrays))
 
 
@@ -87,8 +107,8 @@ def load_checkpoint(path):
     with data:
         try:
             return _decode(path, data)
-        except (AttributeError, KeyError, TypeError, ValueError, ContractError,
-                MemoryConsistencyError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+                ContractError, MemoryConsistencyError) as exc:
             if isinstance(exc, FormatError):
                 raise
             raise FormatError(f"{path}: malformed checkpoint ({exc!r})") from exc
@@ -106,9 +126,8 @@ def _member(path, data, key, dtype):
 
 def _check_rows_fit(path, model, fields, seen_counts):
     """Memory rows the loaded model can train on: ``(n, input_dim)`` inputs,
-    labels in ``[0, classes_per_task)`` and tasks the model has seen. Rows
-    that ``from_rows`` took hold only tasks in ``seen_counts``, so checking
-    those tasks checks every row's."""
+    labels in ``[0, classes_per_task)`` and tasks the model has seen (rows
+    that ``from_rows`` took hold only the tasks of ``seen_counts``)."""
     x, y = fields["x"], fields["y"]
     if x.ndim != 2 or (len(x) and x.shape[1] != model.input_dim):
         raise FormatError(f"{path}: 'mem/x' is {x.shape}, the model takes "
@@ -116,8 +135,7 @@ def _check_rows_fit(path, model, fields, seen_counts):
     classes = model.classes_per_task
     if np.any((y < 0) | (y >= classes)):
         raise FormatError(f"{path}: memory label outside [0, {classes})")
-    unseen = sorted(seen_counts.keys() - set(model.seen_tasks))
-    if unseen:
+    if unseen := sorted(seen_counts.keys() - set(model.seen_tasks)):
         raise FormatError(f"{path}: memory holds tasks {unseen} the model "
                           f"has not seen")
 
@@ -125,27 +143,13 @@ def _check_rows_fit(path, model, fields, seen_counts):
 def _decode(path, data):
     if "__meta__" not in data.files:
         raise FormatError(f"{path}: not a checkpoint (missing metadata)")
-    meta = json.loads(str(data["__meta__"]))
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: not a checkpoint (metadata is not an object)")
-    if meta.get("kind") != _KIND:
-        raise FormatError(f"{path}: not a checkpoint (kind {meta.get('kind')!r})")
-    if meta.get("version") != FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: version {meta.get('version')!r} unsupported "
-            f"(this reader handles {FORMAT_VERSION})")
-    members = ["__meta__", "params"] + [
-        f"mem/{name}" for name in Draw.FIELDS if meta["memory"] is not None]
-    for where, keys, known in (
-            ("the metadata", meta, _META_KEYS),
-            ("the memory metadata", meta["memory"] or {}, _MEMORY_KEYS),
-            ("the members", data.files, members)):
-        for key in keys:
-            if key not in known:
-                raise FormatError(f"{path}: unknown key {key!r} in {where}")
+    meta = check_format(path, json.loads(str(data["__meta__"])), Metadata)
+    members = {"__meta__", "params"} | {
+        f"mem/{name}" for name in Draw.FIELDS if meta["memory"] is not None}
+    if unknown := sorted(set(data.files) - members):
+        raise FormatError(f"{path}: unknown members {unknown}")
 
-    model = ContinualModel(**meta["model"])
-    seen = meta["seen_tasks"]
+    model, seen = meta["model"], meta["seen_tasks"]
     if len(set(seen)) != len(seen):
         raise FormatError(f"{path}: seen task repeated in {seen}")
     for t in seen:
@@ -160,27 +164,16 @@ def _decode(path, data):
         p.data = part.reshape(p.data.shape)
 
     memory = None
-    if meta["memory"] is not None:
-        m = meta["memory"]
+    if (m := meta["memory"]) is not None:
         fields = {name: _member(path, data, f"mem/{name}", kept.dtype)
                   for name, kept in empty_fields(0).items()}
         rng = np.random.default_rng(0)
         rng.bit_generator.state = m["rng_state"]
-        # the setter ignores keys it does not know
-        if rng.bit_generator.state != m["rng_state"]:
+        # the setter ignores keys it does not know, and takes 1 for true
+        if (json.dumps(rng.bit_generator.state, sort_keys=True)
+                != json.dumps(m["rng_state"], sort_keys=True)):
             raise FormatError(f"{path}: rng_state does not read back as saved")
-        seen_counts = {}
-        for t, c in m["seen_counts"].items():
-            if (str(int(t)) != t or isinstance(c, bool)
-                    or not isinstance(c, int)):
-                raise FormatError(f"{path}: seen count {c!r} of task {t!r} is "
-                                  f"no integer keyed by a task id")
-            seen_counts[int(t)] = c
         memory = EpisodicMemory.from_rows(m["budget_per_task"], Draw(**fields),
-                                          seen_counts, rng)
-        _check_rows_fit(path, model, fields, seen_counts)
-
-    matrix = None
-    if meta["matrix"] is not None:
-        matrix = AccuracyMatrix.from_rows(meta["matrix"])
-    return Checkpoint(model=model, memory=memory, matrix=matrix)
+                                          m["seen_counts"], rng)
+        _check_rows_fit(path, model, fields, m["seen_counts"])
+    return Checkpoint(model=model, memory=memory, matrix=meta["matrix"])

@@ -32,12 +32,14 @@ class FormatError(ValueError):
     """A file read back from disk (dataset, checkpoint, record) is malformed."""
 
 
-def check_integer(value, what):
-    """``value`` if it is an integer (``numbers.Integral``, so numpy's pass)
-    and no bool, else ContractError naming ``what``."""
+def check_integer(value, what, low=None):
+    """``value`` if it is an integer (``numbers.Integral``, so numpy's pass),
+    no bool and not below ``low``, else ContractError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ContractError(f"{what} {value!r} is {type(value).__name__}, "
                             f"not an integer")
+    if low is not None and value < low:
+        raise ContractError(f"{what} {value} is below {low}")
     return value
 
 

@@ -1,10 +1,11 @@
-"""Experiment runner: build streams, execute runs, emit records and tables,
-each file written whole by ``atomic_write``, which checkpoints use too.
+"""Experiment runner: build streams, execute runs, emit records and tables.
+Each file is written whole by ``atomic_write`` and read back through
+``check_format`` against its one declaration; checkpoints use both too.
 
 Output layout: one directory per run-set, ``<out>/<method>-<ablation>-<hash8>/``,
 holding ``config.txt``, one ``seed-N/record.json`` per seed (byte-stable), a
-``seed-N/timing.json`` side file, and ``summary.csv``. ``execute_run``
-writes it, for a ``run`` and for each variant of a ``sweep``, ``grid`` or
+``seed-N/timing.json`` side file and ``summary.csv``, as ``execute_run``
+writes it for a ``run`` and for each variant of a ``sweep``, ``grid`` or
 ``ablate`` (``_run_set``: one stream for all variants, and one stats CSV).
 Wall-clock times and each task's mean step losses live in the side file, so
 records stay byte-identical across reruns. The step losses per task are
@@ -21,16 +22,20 @@ import itertools
 import json
 import math
 import os
+import re
+import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, fields, replace
-from typing import get_args, get_type_hints
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from types import MappingProxyType, NoneType, UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
-from .config import ABLATION_MODES, config_hash, load_config, serialize_config
+from .config import (ABLATION_MODES, METHODS, config_hash, load_config,
+                     serialize_config)
 from .datasets import make_idx_stream, make_synthetic
-from .errors import ConfigurationError, FormatError, NoDataError
+from .errors import ConfigurationError, ContractError, FormatError, NoDataError
 from .metrics import AccuracyMatrix, acc, fm, la
 from .trainer import build_trainer, run_stream, task_capacity
 
@@ -45,7 +50,9 @@ GRID_SPACE = {
     "lambda3": LAMBDA3_SWEEP_VALUES,
 }
 RECORD_VERSION = 1
-TIMING = {"timing": True}  # metadata of the ResultRecord fields in timing.json
+COUNT = {"low": 0}  # a field of counts, seeds or times
+TIMING = {"timing": True}  # a ResultRecord field that timing.json holds
+COUNTERS = ("inner_updates", "outer_updates", "adversarial_updates")
 # a task's mean step losses, as timing.json's task_losses holds them
 TASK_LOSSES = ("mean_inner_loss", "mean_outer_loss", "mean_disc_loss")
 STATS_COLUMNS = ("n_seeds", "mean_acc", "std_acc", "mean_fm", "std_fm",
@@ -79,6 +86,67 @@ def atomic_write_text(path, text):
     atomic_write(path, lambda f: f.write(text.encode("utf-8")))
 
 
+def check_format(path, value, kind, rules=MappingProxyType({}), name=None,
+                 entry=False):
+    """``value``, read from ``path``, as declared by ``kind``: ``int``,
+    ``float`` (an int passes; a bool is no number), ``str``, ``list[X]``,
+    ``dict[str, X]``, ``dict[int, X]`` (canonical decimal keys of at most
+    18 digits, as ints), ``X | None``, a bare ``list`` or ``dict`` (not
+    walked), or a dataclass or tuple of its fields: an object of exactly
+    those keys, each by its field's annotation and metadata. ``rules`` (the
+    metadata) hold at every level below: ``low`` and ``high`` bound numbers
+    (finite), ``values`` and ``pattern`` allow values, ``keys`` fix an
+    object's keys, and a ``check`` takes the whole value instead, returning
+    what it loads to. A fault fails as ``FormatError`` naming path and field."""
+    at = f"{path}: field {name}:" if name else f"{path}:"
+    options = get_args(kind) if isinstance(kind, UnionType) else (kind,)
+    if value is None and NoneType in options:
+        return None
+    if "check" in rules:
+        try:
+            return rules["check"](value)
+        except (ContractError, OverflowError, TypeError, ValueError) as exc:
+            raise FormatError(f"{at} {exc}") from exc
+    base = fields(options[0]) if is_dataclass(options[0]) else options[0]
+    origin = dict if isinstance(base, tuple) else get_origin(base) or base
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if origin is float else origin):
+        want = ("an object" if isinstance(base, tuple)
+                else getattr(kind, "__name__", kind))
+        got = f"entry {value!r} is" if entry else "holds"
+        raise FormatError(f"{at} {got} {type(value).__name__}, not {want}")
+    low, high = rules.get("low", -math.inf), rules.get("high", math.inf)
+    if origin in (int, float) and not (
+            low <= value <= high and abs(value) <= sys.float_info.max):
+        raise FormatError(f"{at} {value!r} is outside [{low}, {high}]")
+    if "values" in rules and value not in rules["values"]:
+        raise FormatError(f"{at} {value!r} is not one of {rules['values']}")
+    if "pattern" in rules and not re.fullmatch(rules["pattern"], value):
+        raise FormatError(f"{at} {value!r} does not match {rules['pattern']}")
+    if origin is list and (args := get_args(base)):
+        return [check_format(path, v, args[0], rules, name, True)
+                for v in value]
+    if isinstance(base, tuple):  # each field by its own declaration
+        keys = [f.name for f in base]
+        out = {f.name: check_format(path, value[f.name], f.type, f.metadata,
+                                    f"{name}.{f.name}" if name else f.name)
+               for f in base if f.name in value}
+    elif origin is dict and (args := get_args(base)):
+        keys, out = rules.get("keys", value), {}
+        for k, v in value.items():
+            if args[0] is int and not re.fullmatch("0|-?[1-9][0-9]{,17}", k):
+                raise FormatError(f"{at} key {k!r} is no canonical integer")
+            out[int(k) if args[0] is int else k] = check_format(
+                path, v, args[1], rules, name, True)
+    else:
+        return value
+    missing = [k for k in keys if k not in value]
+    if faults := missing or sorted(set(value) - set(keys)):
+        raise FormatError(f"{at} {'missing' if missing else 'unknown'} "
+                          f"fields {faults}")
+    return out
+
+
 # -- streams -----------------------------------------------------------------------
 
 
@@ -93,35 +161,46 @@ def build_stream(config):
 # -- single runs -------------------------------------------------------------------
 
 
+def _matrix(rows):
+    """``acc_matrix``'s check: ``AccuracyMatrix.from_rows``, of a row or more."""
+    matrix = AccuracyMatrix.from_rows(rows)
+    if not matrix.n_rows:
+        raise ValueError("holds no row")
+    return matrix
+
+
 @dataclass
 class ResultRecord:
-    """One completed run: everything needed to rebuild the metrics. Fields
-    marked ``TIMING`` go to timing.json (``wall_s`` None if it is missing),
-    the rest to record.json."""
+    """One completed run, and the declaration of the files that hold it:
+    fields marked ``TIMING`` go to timing.json (``wall_s`` None if it is
+    missing), the rest to record.json."""
 
-    config_hash: str
-    method: str
-    ablation: str
-    seed: int
-    acc_matrix: list
+    config_hash: str = field(metadata={"pattern": "[0-9a-f]{64}"})
+    method: str = field(metadata={"values": METHODS})
+    ablation: str = field(metadata={"values": ABLATION_MODES})
+    seed: int = field(metadata=COUNT)
+    acc_matrix: list[list[float]] = field(metadata={"check": _matrix})
     final_acc: float
     final_fm: float
-    samples_seen: dict
-    counters: dict
-    wall_s: float | None = field(default=None, metadata=TIMING)
-    task_wall_s: list = field(default_factory=list, metadata=TIMING)
-    task_losses: list = field(default_factory=list, metadata=TIMING)
+    samples_seen: dict[int, int] = field(metadata=COUNT)
+    counters: dict[str, int] = field(metadata={**COUNT, "keys": COUNTERS})
+    record_version: int = field(default=RECORD_VERSION,
+                                metadata={"values": (RECORD_VERSION,)})
+    wall_s: float | None = field(default=None, metadata={**TIMING, **COUNT})
+    task_wall_s: list[float] = field(default_factory=list,
+                                     metadata={**TIMING, **COUNT})
+    task_losses: list[dict[str, float | None]] = field(
+        default_factory=list, metadata={**TIMING, "keys": TASK_LOSSES})
 
     def record_bytes(self):
         """The byte-stable part (no timing), as record.json holds it."""
-        out = {name: getattr(self, name) for name in STABLE_FIELDS}
+        out = {f.name: getattr(self, f.name) for f in STABLE_FIELDS}
         out["samples_seen"] = {str(k): v for k, v in self.samples_seen.items()}
-        return (json.dumps({"record_version": RECORD_VERSION, **out},
-                           sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(out, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-STABLE_FIELDS = tuple(f.name for f in fields(ResultRecord) if not f.metadata)
-TIMING_FIELDS = tuple(f.name for f in fields(ResultRecord) if f.metadata)
+STABLE_FIELDS = tuple(f for f in fields(ResultRecord) if "timing" not in f.metadata)
+TIMING_FIELDS = tuple(f for f in fields(ResultRecord) if "timing" in f.metadata)
 
 
 def final_scores(matrix):
@@ -141,23 +220,13 @@ def run_single(config, seed, stream=None):
     state = trainer.state
     final_acc, final_fm = final_scores(state.matrix)
     return ResultRecord(
-        config_hash=config_hash(config),
-        method=config.method,
-        ablation=config.ablation,
-        seed=seed,
-        acc_matrix=state.matrix.to_rows(),
-        final_acc=final_acc,
-        final_fm=final_fm,
-        samples_seen=dict(state.samples_seen),
-        counters={
-            "inner_updates": state.inner_updates,
-            "outer_updates": state.outer_updates,
-            "adversarial_updates": state.adversarial_updates,
-        },
-        wall_s=wall,
-        task_wall_s=list(state.task_wall_s),
-        task_losses=list(state.task_losses),
-    )
+        config_hash=config_hash(config), method=config.method,
+        ablation=config.ablation, seed=seed,
+        acc_matrix=state.matrix.to_rows(), final_acc=final_acc,
+        final_fm=final_fm, samples_seen=dict(state.samples_seen),
+        counters={name: getattr(state, name) for name in COUNTERS},
+        wall_s=wall, task_wall_s=list(state.task_wall_s),
+        task_losses=list(state.task_losses))
 
 
 # -- run sets and emission ------------------------------------------------------------
@@ -175,112 +244,44 @@ def run_dir_name(config):
 def write_record(seed_dir, record):
     atomic_write_text(os.path.join(seed_dir, "record.json"),
                       record.record_bytes().decode("utf-8"))
-    timing = {name: getattr(record, name) for name in TIMING_FIELDS}
+    timing = {f.name: getattr(record, f.name) for f in TIMING_FIELDS}
     atomic_write_text(os.path.join(seed_dir, "timing.json"),
                       json.dumps(timing, sort_keys=True, indent=2) + "\n")
 
 
-def _read_json_object(path):
-    """The JSON object in ``path``; anything else fails as ``FormatError``."""
+def _read_json(path):
     with open(path, encoding="utf-8") as f:
         try:
-            raw = json.load(f)
+            return json.load(f)
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise FormatError(f"{path}: holds {type(raw).__name__}, not an object")
-    return raw
-
-
-def _typed_fields(path, raw, names):
-    """``raw``'s values of those ``names`` it holds, each of the type its
-    ``ResultRecord`` annotation names (never a bool; an int where a float is
-    due); a value of another type, or a field not in ``names``, fails as
-    ``FormatError`` naming the file and the field."""
-    unknown = sorted(set(raw) - set(names))
-    if unknown:
-        raise FormatError(f"{path}: unknown fields {unknown}")
-    hints = get_type_hints(ResultRecord)
-    out = {name: raw[name] for name in names if name in raw}
-    for name, value in out.items():
-        kind = hints[name]
-        kinds = get_args(kind) or (kind,)
-        if isinstance(value, bool) or not isinstance(
-                value, kinds + ((int,) if float in kinds else ())):
-            raise FormatError(f"{path}: field {name} holds {type(value).__name__}"
-                              f", not {getattr(kind, '__name__', kind)}")
-    return out
-
-
-def _entries(path, name, entries, low=0, high=math.inf, kinds=(int,)):
-    """``FormatError`` naming the file and field ``name`` at the first of
-    ``entries`` not of ``kinds`` (a bool is no int) or not finite in range."""
-    for v in entries:
-        if type(v) not in kinds:
-            raise FormatError(f"{path}: field {name}: entry {v!r} is "
-                              f"{type(v).__name__}, not "
-                              f"{' or '.join(k.__name__ for k in kinds)}")
-        if not (low <= v <= high and abs(v) < math.inf):
-            raise FormatError(f"{path}: field {name}: {v!r} is outside "
-                              f"[{low}, {high}]")
 
 
 def load_record(seed_dir):
-    """Rebuild a ResultRecord from record.json (+ timing.json if present).
-    A record of another version, or a field missing, unknown, of the wrong
-    type or out of range, fails as ``FormatError`` naming the file and the
-    field; so do an accuracy matrix that is not complete rows of numbers in
-    [0, 1], a ``final_acc`` or ``final_fm`` other, bit for bit, than
-    ``final_scores`` of it, a timing list neither empty (untimed) nor one
-    entry per matrix row, and a ``task_losses`` entry that is not an object
-    of the ``TASK_LOSSES``, each a finite number or null."""
+    """Rebuild a ResultRecord from record.json (+ timing.json if present),
+    each file checked by ``check_format`` against its fields, then against
+    its matrix: ``final_acc`` and ``final_fm`` are ``final_scores`` of it,
+    bit for bit, ``samples_seen`` tasks its rows, and each timing list empty
+    (untimed) or one entry per row; else ``FormatError`` names file, field."""
     path = os.path.join(seed_dir, "record.json")
-    raw = _read_json_object(path)
-    if (version := raw.pop("record_version", None)) != RECORD_VERSION:
-        raise FormatError(f"{path}: record_version {version!r}"
-                          f" unsupported (this reader handles {RECORD_VERSION})")
-    missing = [name for name in STABLE_FIELDS if name not in raw]
-    if missing:
-        raise FormatError(f"{path}: missing fields {missing}")
-    values = _typed_fields(path, raw, STABLE_FIELDS)
-    try:  # the rows seed_stats reads LA from
-        matrix = AccuracyMatrix.from_rows(values["acc_matrix"])
-        if not matrix.n_rows:
-            raise ValueError("holds no row")
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: field acc_matrix: {exc}") from exc
+    values = check_format(path, _read_json(path), STABLE_FIELDS)
+    matrix = values["acc_matrix"]
     for name, derived in zip(("final_acc", "final_fm"), final_scores(matrix)):
         if float(values[name]).hex() != derived.hex():
             raise FormatError(f"{path}: field {name} holds {values[name]!r}, "
                               f"its acc_matrix gives {derived!r}")
-    if not all(map(str.isdecimal, values["samples_seen"])):
-        raise FormatError(f"{path}: field samples_seen has a non-integer key")
-    _entries(path, "seed", [values["seed"]])
-    for name in ("samples_seen", "counters"):
-        _entries(path, name, values[name].values())
-    values["samples_seen"] = {int(k): v for k, v in raw["samples_seen"].items()}
-    _entries(path, "samples_seen", values["samples_seen"], 1, matrix.n_rows)
+    check_format(path, list(values["samples_seen"]), list[int],
+                 {"low": 1, "high": matrix.n_rows}, "samples_seen")
+    values["acc_matrix"] = matrix.to_rows()
     timing_path = os.path.join(seed_dir, "timing.json")
     if os.path.exists(timing_path):
-        timing = _typed_fields(timing_path, _read_json_object(timing_path),
-                               TIMING_FIELDS)
-        # an untimed record's wall_s is None and its lists are empty
-        for name, entries in (("wall_s", [timing.get("wall_s") or 0.0]),
-                              ("task_wall_s", timing.get("task_wall_s", []))):
-            _entries(timing_path, name, entries, kinds=(int, float))
-        for losses in timing.get("task_losses", []):
-            if not isinstance(losses, dict) or set(losses) != set(TASK_LOSSES):
-                raise FormatError(f"{timing_path}: field task_losses: entry "
-                                  f"{losses!r} is not an object of "
-                                  f"{', '.join(TASK_LOSSES)}")
-            _entries(timing_path, "task_losses",
-                     [v for v in losses.values() if v is not None],
-                     low=-math.inf, kinds=(int, float))
+        timing = check_format(timing_path, _read_json(timing_path),
+                              TIMING_FIELDS)
         for name in ("task_wall_s", "task_losses"):
-            if len(timing.get(name, [])) not in (0, matrix.n_rows):
-                raise FormatError(f"{timing_path}: field {name} holds "
-                                  f"{len(timing[name])} entries, not one per "
-                                  f"acc_matrix row ({matrix.n_rows})")
+            if (n := len(timing[name])) not in (0, matrix.n_rows):
+                raise FormatError(f"{timing_path}: field {name} holds {n} "
+                                  f"entries, not one per acc_matrix row "
+                                  f"({matrix.n_rows})")
         values.update(timing)
     return ResultRecord(**values)
 
@@ -438,11 +439,15 @@ def ablate(config, modes=ABLATION_MODES):
 
 def _check_run_config(seed_dir, record):
     """``FormatError`` naming both files if the run directory's config.txt
-    gives another config hash, method or ablation than the record."""
+    gives another config hash, method or ablation than the record, and
+    naming config.txt if ``load_config`` rejects it."""
     path = os.path.normpath(os.path.join(seed_dir, os.pardir, "config.txt"))
     if not os.path.exists(path):
         return  # a lone seed directory
-    config = load_config(path)
+    try:
+        config = load_config(path)
+    except ConfigurationError as exc:  # its message starts with the path
+        raise FormatError(str(exc)) from exc
     for name, want in (("config_hash", config_hash(config)),
                        ("method", config.method), ("ablation", config.ablation)):
         if (got := getattr(record, name)) != want:

@@ -126,8 +126,7 @@ class EpisodicMemory:
     """
 
     def __init__(self, budget_per_task, rng):
-        if check_integer(budget_per_task, "budget_per_task") < 0:
-            raise ContractError("budget_per_task must be non-negative")
+        check_integer(budget_per_task, "budget_per_task", 0)
         self.budget_per_task = int(budget_per_task)
         self.rng = rng
         self.seen_counts = {}

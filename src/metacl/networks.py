@@ -93,8 +93,8 @@ class ContinualModel:
 
     ``arguments`` are the constructor's, in signature order, as plain ints,
     strs and bools: a checkpoint stores them and rebuilds from them. An
-    integer argument that is a bool or no integer, or a ``share_embedding``
-    that is no bool, fails as ContractError: none is coerced.
+    integer argument that is a bool, no integer or below 1 (``k_max`` and
+    ``seed``: 0), or a non-bool ``share_embedding`` fails as ContractError.
     """
 
     def __init__(self, input_dim, classes_per_task, feature_width, depth,
@@ -109,7 +109,7 @@ class ContinualModel:
                 feature_width=feature_width, depth=depth, k_max=k_max,
                 embed_dim=embed_dim, disc_hidden=disc_hidden,
                 seed=seed).items():
-            check_integer(value, name)
+            check_integer(value, name, 0 if name in ("k_max", "seed") else 1)
         if not isinstance(share_embedding, (bool, np.bool_)):
             raise ContractError(f"share_embedding {share_embedding!r} is "
                                 f"{type(share_embedding).__name__}, not a bool")

@@ -40,7 +40,7 @@ from metacl.experiments import (
     sweep,
     write_record,
 )
-from metacl.trainer import build_trainer, run_stream
+from metacl.trainer import PLANS, build_trainer, run_stream
 
 TINY = [
     "n_tasks=3", "train_per_class=10", "test_per_class=5", "input_dim=8",
@@ -284,16 +284,24 @@ def test_emitted_records_byte_identical_across_reruns(tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("method", ["scale", "er"])
-def test_record_reload_reproduces_values(tmp_path, method):
+@pytest.mark.parametrize("method, ablation", list(PLANS), ids=[
+    m if a == "full" else f"{m}-{a}" for m, a in PLANS])
+def test_record_reload_reproduces_values(tmp_path, method, ablation):
     # every field comes back, and each file holds exactly its own fields:
     # a field list that drops or moves a field fails here
-    config = tiny_config(f"method={method}")
+    config = tiny_config(f"method={method}", f"ablation={ablation}")
     record = execute_run(config, out_dir=str(tmp_path))[0]
     seed_dir = tmp_path / run_dir_name(config) / "seed-0"
     assert load_record(str(seed_dir)) == record
     assert record.wall_s > 0 and len(record.task_wall_s) == 3
     assert len(record.task_losses) == 3
+    # the step losses of the steps a plan skips are null
+    skipped = {name for losses in record.task_losses
+               for name, value in losses.items() if value is None}
+    assert skipped == {("scale", "full"): set(), ("scale", "B"): set(),
+                       ("scale", "A"): {"mean_disc_loss"},
+                       ("scale", "C"): {"mean_outer_loss"}}.get(
+        (method, ablation), {"mean_outer_loss", "mean_disc_loss"})
     timing = {"wall_s", "task_wall_s", "task_losses"}
     every = {f.name for f in fields(ResultRecord)}
     stable = json.loads((seed_dir / "record.json").read_text())
@@ -306,6 +314,7 @@ def _without(raw, key):
     return {k: v for k, v in raw.items() if k != key}
 
 
+COUNTERS = {"inner_updates": 5, "outer_updates": 5, "adversarial_updates": 5}
 # one task's mean step losses: the outer step never ran
 LOSSES = {"mean_inner_loss": 1.0, "mean_outer_loss": None,
           "mean_disc_loss": 0.5}
@@ -313,9 +322,9 @@ LOSSES = {"mean_inner_loss": 1.0, "mean_outer_loss": None,
 
 @pytest.mark.parametrize("name, tamper, match", [
     ("record.json", lambda raw: {**raw, "record_version": 2},
-     "record_version 2 unsupported"),
+     r"field record_version: 2 is not one of \(1,\)$"),
     ("record.json", lambda raw: _without(raw, "record_version"),
-     "record_version None unsupported"),
+     r"missing fields \['record_version'\]$"),
     ("record.json", lambda raw: _without(raw, "final_fm"),
      r"missing fields \['final_fm'\]"),
     ("record.json", lambda raw: [raw], "holds list, not an object"),
@@ -323,15 +332,15 @@ LOSSES = {"mean_inner_loss": 1.0, "mean_outer_loss": None,
     ("record.json", None, "not valid JSON"),
     ("timing.json", None, "not valid JSON"),
     ("record.json", lambda raw: {**raw, "samples_seen": [10]},
-     "field samples_seen holds list, not dict"),
+     "field samples_seen: holds list, not dict$"),
     ("record.json", lambda raw: {**raw, "final_acc": "high"},
-     "field final_acc holds str, not float"),
+     "field final_acc: holds str, not float$"),
     ("record.json", lambda raw: {**raw, "samples_seen": {"x": 10}},
-     "field samples_seen has a non-integer key"),
+     "field samples_seen: key 'x' is no canonical integer$"),
     ("timing.json", lambda raw: {**raw, "wall_s": "slow"},
-     r"field wall_s holds str, not float \| None"),
+     r"field wall_s: holds str, not float \| None$"),
     ("record.json", lambda raw: {**raw, "seed": True},
-     "field seed holds bool, not int"),
+     "field seed: holds bool, not int$"),
     ("record.json", lambda raw: {**raw, "acc_matrix": [[0.5], [0.5]]},
      "field acc_matrix: row 2 has 1 entries, wants 2"),
     ("record.json", lambda raw: {**raw, "acc_matrix": [[1.5]]},
@@ -371,32 +380,56 @@ LOSSES = {"mean_inner_loss": 1.0, "mean_outer_loss": None,
     ("timing.json", lambda raw: {**raw, "task_wall_s": [0.5, -0.5]},
      "field task_wall_s: -0.5 is outside"),
     ("timing.json", lambda raw: {**raw, "task_wall_s": ["slow"]},
-     "field task_wall_s: entry 'slow' is str, not int or float"),
+     "field task_wall_s: entry 'slow' is str, not float$"),
     ("timing.json", lambda raw: {**raw, "task_wall_s": [0.5] * 7},
      r"field task_wall_s holds 7 entries, not one per acc_matrix row \(1\)"),
     ("timing.json", lambda raw: {**raw, "task_losses": [LOSSES, LOSSES]},
      r"field task_losses holds 2 entries, not one per acc_matrix row \(1\)"),
     ("timing.json", lambda raw: {**raw, "task_losses": ["x", 3]},
-     "field task_losses: entry 'x' is not an object of mean_inner_loss, "
-     "mean_outer_loss, mean_disc_loss"),
+     "field task_losses: entry 'x' is str, not dict$"),
     ("timing.json", lambda raw: {**raw, "task_losses": [
         _without(LOSSES, "mean_disc_loss")]},
-     "field task_losses: entry .* is not an object of"),
+     r"field task_losses: missing fields \['mean_disc_loss'\]$"),
     ("timing.json", lambda raw: {**raw, "task_losses": [
         {**LOSSES, "colour": 1}]},
-     "field task_losses: entry .* is not an object of"),
+     r"field task_losses: unknown fields \['colour'\]$"),
     ("timing.json", lambda raw: {**raw, "task_losses": [
         {**LOSSES, "mean_inner_loss": "low"}]},
-     "field task_losses: entry 'low' is str, not int or float"),
+     r"field task_losses: entry 'low' is str, not float \| None$"),
     ("timing.json", lambda raw: {**raw, "task_losses": [
         {**LOSSES, "mean_disc_loss": True}]},
-     "field task_losses: entry True is bool, not int or float"),
+     r"field task_losses: entry True is bool, not float \| None$"),
     ("timing.json", lambda raw: {**raw, "task_losses": [
         {**LOSSES, "mean_outer_loss": float("inf")}]},
      "field task_losses: inf is outside"),
     ("timing.json", lambda raw: {**raw, "task_losses": [
         {**LOSSES, "mean_inner_loss": float("nan")}]},
      "field task_losses: nan is outside"),
+    ("record.json", lambda raw: {**raw, "counters": _without(
+        raw["counters"], "outer_updates")},
+     r"field counters: missing fields \['outer_updates'\]$"),
+    ("record.json", lambda raw: {**raw, "counters": {
+        **raw["counters"], "colour": 1}},
+     r"field counters: unknown fields \['colour'\]$"),
+    ("record.json", lambda raw: {**raw, "counters": {}},
+     r"field counters: missing fields \['inner_updates', 'outer_updates', "
+     r"'adversarial_updates'\]$"),
+    ("record.json", lambda raw: {**raw, "method": "bogus"},
+     r"field method: 'bogus' is not one of \('scale', 'er', 'finetune'\)$"),
+    ("record.json", lambda raw: {**raw, "ablation": "D"},
+     r"field ablation: 'D' is not one of \('full', 'A', 'B', 'C'\)$"),
+    ("record.json", lambda raw: {**raw, "config_hash": "abc"},
+     r"field config_hash: 'abc' does not match \[0-9a-f\]\{64\}$"),
+    ("record.json", lambda raw: {**raw, "config_hash": "A" * 64},
+     r"field config_hash: 'A{64}' does not match"),
+    ("record.json", lambda raw: {**raw, "samples_seen": {"01": 10}},
+     "field samples_seen: key '01' is no canonical integer$"),
+    ("record.json", lambda raw: {**raw, "samples_seen": {"\u0661": 10}},
+     "field samples_seen: key '\u0661' is no canonical integer$"),
+    ("record.json", lambda raw: {**raw, "samples_seen": {"1": 8, "01": 3}},
+     "field samples_seen: key '01' is no canonical integer$"),
+    ("record.json", lambda raw: {**raw, "samples_seen": {"9" * 5000: 1}},
+     "field samples_seen: key '9{5000}' is no canonical integer$"),
 ], ids=["version 2", "no version", "no final_fm", "record list", "timing list",
         "record bad JSON", "timing bad JSON", "samples_seen list",
         "final_acc str", "samples_seen key x", "wall_s str", "seed bool",
@@ -412,12 +445,17 @@ LOSSES = {"mean_inner_loss": 1.0, "mean_outer_loss": None,
         "task_losses longer than the matrix", "task_losses entry a str",
         "task_losses entry lacking a key", "task_losses entry extra key",
         "task_losses str value", "task_losses bool value",
-        "task_losses infinite value", "task_losses NaN value"])
+        "task_losses infinite value", "task_losses NaN value",
+        "counters lacking a key", "counters extra key", "counters empty",
+        "method unknown", "ablation unknown", "config_hash short",
+        "config_hash upper case", "samples_seen key 01",
+        "samples_seen key in another script", "samples_seen key twice",
+        "samples_seen key of 5000 digits"])
 def test_load_record_rejects_a_malformed_file_naming_it(tmp_path, name, tamper,
                                                         match):
     record = ResultRecord(config_hash="0" * 64, method="scale", ablation="full",
                           seed=0, acc_matrix=[[0.5]], final_acc=0.5,
-                          final_fm=0.0, samples_seen={1: 10}, counters={})
+                          final_fm=0.0, samples_seen={1: 10}, counters=COUNTERS)
     write_record(str(tmp_path), record)
     path = tmp_path / name
     text = path.read_text()
@@ -887,7 +925,7 @@ def test_report_names_a_run_config_it_cannot_parse(tmp_path):
     execute_run(config, out_dir=str(tmp_path))
     path = tmp_path / run_dir_name(config) / "config.txt"
     path.write_text(path.read_text() + "colour = 1\n")
-    with pytest.raises(ConfigurationError, match=(
+    with pytest.raises(FormatError, match=(
             f"^{re.escape(str(path))}: unknown config keys: colour$")):
         report(str(tmp_path))
 

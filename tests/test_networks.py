@@ -557,6 +557,15 @@ def test_arguments_of_the_wrong_type_rejected(name, value):
         small_model(**{name: value})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("input_dim", 0), ("depth", -1), ("embed_dim", -4), ("disc_hidden", 0),
+    ("k_max", -1), ("seed", -1)])
+def test_arguments_below_their_minimum_rejected(name, value):
+    # a negative size would build a trunk of no layers, or warn in a sqrt
+    with pytest.raises(ContractError, match=f"^{name} {value} is below"):
+        small_model(**{name: value})
+
+
 def test_register_capacity():
     model = small_model(k_max=2)
     model.register_task(1)

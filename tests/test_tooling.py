@@ -24,7 +24,10 @@ importing another's private name, so each module's private helpers stay
 its own (the reference chain is written on them by design). Last, a
 fresh interpreter importing the package loads no module beyond the
 standard library and numpy, and no ``metacl.checkpoint``: the benchmark
-times that import as ``setup_s``.
+times that import as ``setup_s``. Two more hold each file format's writer
+and reader to its one declaration: ``save_checkpoint`` writes exactly the
+keys ``Metadata`` declares, and every ``ResultRecord`` field declares a
+type that ``check_format`` can check below its top level.
 """
 
 import ast
@@ -37,9 +40,16 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from metacl.checkpoint import MemoryMetadata, Metadata, save_checkpoint
 from metacl.config import RunConfig, parse_config
+from metacl.errors import FormatError
+from metacl.experiments import ResultRecord, check_format
+from metacl.memory import EpisodicMemory, make_entry
+from metacl.metrics import AccuracyMatrix
+from metacl.networks import ContinualModel
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -325,3 +335,30 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert "numpy" in loaded and "metacl" in loaded
     assert [name for name in loaded if name not in sys.stdlib_module_names
             and name not in ("numpy", "metacl")] == []
+
+
+def test_save_checkpoint_writes_exactly_the_declared_metadata(tmp_path):
+    model = ContinualModel(input_dim=2, classes_per_task=2, feature_width=4,
+                           depth=1, head_mode="multi", k_max=2, embed_dim=2,
+                           transform_mode="per_layer", share_embedding=True,
+                           disc_hidden=2)
+    model.register_task(1)
+    memory = EpisodicMemory(1, rng=np.random.default_rng(0))
+    memory.observe(make_entry(np.zeros(2), 0, 1))
+    save_checkpoint(tmp_path / "c.npz", model, memory=memory,
+                    matrix=AccuracyMatrix.from_rows([[0.5]]))
+    with np.load(tmp_path / "c.npz", allow_pickle=False) as archive:
+        meta = json.loads(str(archive["__meta__"]))
+    assert list(meta) == [f.name for f in fields(Metadata)]
+    assert list(meta["memory"]) == [f.name for f in fields(MemoryMetadata)]
+
+
+@pytest.mark.parametrize("field", fields(ResultRecord), ids=lambda f: f.name)
+def test_every_record_field_has_a_checkable_declaration(field):
+    # its declaration rejects an object of lists and a list of objects: a
+    # bare ``list`` or ``dict`` annotation, which checks nothing below its
+    # own level, accepts one of the two
+    for probe in ({"probe": [None]}, [{"probe": None}]):
+        with pytest.raises(FormatError, match=f"^file: field {field.name}: "):
+            check_format("file", probe, field.type, field.metadata,
+                         field.name)
